@@ -11,14 +11,12 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from .comm import CommWorld, split_blocks
-from .core import (DataSet, Partition, adjusted_rand_index, generate_blobs,
-                   load_csv, write_csv)
+from .core import (DataSet, adjusted_rand_index, generate_blobs, load_csv,
+                   write_csv)
 from .dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from .fcm import FcmParams, pfcm
-from .kmeans import KMeansParams, kmeans_centralized, pkm
+from .kmeans import KMeansParams, pkm
 from .kwindows import KWindowsParams, k_windows
 from .pca import DbscanLocal, KMeansLocal, cpca_cluster
 from .pddp import pddp_km, pddp_report
@@ -26,6 +24,8 @@ from .report import ClusterReport
 
 ALGOS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "dbscan", "ddbc", "pddp", "pddp-km")
+#: Single-node algorithms and the parallel algorithm to use instead.
+_PARALLEL = {"kmeans": "pkm", "fcm": "pfcm", "dbscan": "ddbc"}
 
 
 class _UsageError(Exception):
@@ -106,19 +106,9 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
     if nodes < 1:
         raise _UsageError("--nodes must be >= 1")
     algo = args.algo
-    if algo == "kmeans":
-        t0 = time.perf_counter()
-        params = KMeansParams(k=args.k, max_iter=args.max_iter,
-                              tol=_tol(args, 1e-9), seed=args.seed)
-        centers, part, j, iters = kmeans_centralized(X, params)
-        wall = (time.perf_counter() - t0) * 1e3
-        return ClusterReport(
-            algo="kmeans", p=1,
-            params={"k": params.k, "max_iter": params.max_iter,
-                    "tol": params.tol, "seed": params.seed},
-            n=X.n, d=X.d, labels=part.labels, centroids=centers.centers,
-            j=j, iterations=iters,
-            timings_ms={"split": 0.0, "compute": wall, "comm": 0.0})
+    if algo in _PARALLEL and nodes != 1:
+        raise _UsageError("%s is the single-node variant; use %s"
+                          % (algo, _PARALLEL[algo]))
     if algo == "dbscan":
         t0 = time.perf_counter()
         part = dbscan(X, DbscanParams(eps=args.eps, min_pts=args.min_pts))
@@ -132,13 +122,13 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
 
     world = CommWorld(nodes)
     try:
-        if algo == "pkm":
-            return pkm(world, X, KMeansParams(k=args.k, max_iter=args.max_iter,
-                                              tol=_tol(args, 1e-9),
-                                              seed=args.seed))
+        if algo in ("kmeans", "pkm"):
+            rep = pkm(world, X, KMeansParams(k=args.k, max_iter=args.max_iter,
+                                             tol=_tol(args, 1e-9),
+                                             seed=args.seed))
+            rep.algo = algo
+            return rep
         if algo in ("fcm", "pfcm"):
-            if algo == "fcm" and nodes != 1:
-                raise _UsageError("fcm is the single-node variant; use pfcm")
             rep = pfcm(world, X, FcmParams(k=args.k, m=args.m,
                                            max_iter=args.max_iter,
                                            tol=_tol(args, 1e-9),
@@ -150,30 +140,25 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
                 l=args.windows, a=args.half_width,
                 theta_move=args.theta_move, theta_enlarge=args.theta_enlarge,
                 theta_merge=args.theta_merge, seed=args.seed))
-        if algo == "cpca-cluster":
-            if args.local_algo == "kmeans":
-                local = KMeansLocal(seed=args.seed, max_iter=args.max_iter)
+        if algo in ("cpca-cluster", "ddbc"):
+            t0 = time.perf_counter()
+            shards = split_blocks(X, nodes)
+            split_ms = (time.perf_counter() - t0) * 1e3
+            if algo == "ddbc":
+                rep = ddbc(world, shards, DdbcParams(
+                    local=DbscanParams(eps=args.eps, min_pts=args.min_pts),
+                    eps_global=args.eps_global,
+                    min_pts_global=args.min_pts_global,
+                    refine_model=args.local_model == "rep-kmeans"))
             else:
-                local = DbscanLocal(eps=args.eps, min_pts=args.min_pts)
-            t0 = time.perf_counter()
-            shards = split_blocks(X, nodes)
-            split_ms = (time.perf_counter() - t0) * 1e3
-            rep = cpca_cluster(world, shards, local, args.k,
-                               reps_per_cluster=args.reps_per_cluster,
-                               variance_fraction=args.variance_fraction,
-                               seed=args.seed)
-            rep.timings_ms["split"] = split_ms
-            return rep
-        if algo == "ddbc":
-            t0 = time.perf_counter()
-            shards = split_blocks(X, nodes)
-            split_ms = (time.perf_counter() - t0) * 1e3
-            params = DdbcParams(
-                local=DbscanParams(eps=args.eps, min_pts=args.min_pts),
-                eps_global=args.eps_global,
-                min_pts_global=args.min_pts_global,
-                refine_model=args.local_model == "rep-kmeans")
-            rep = ddbc(world, shards, params)
+                if args.local_algo == "kmeans":
+                    local = KMeansLocal(seed=args.seed, max_iter=args.max_iter)
+                else:
+                    local = DbscanLocal(eps=args.eps, min_pts=args.min_pts)
+                rep = cpca_cluster(world, shards, local, args.k,
+                                   reps_per_cluster=args.reps_per_cluster,
+                                   variance_fraction=args.variance_fraction,
+                                   seed=args.seed)
             rep.timings_ms["split"] = split_ms
             return rep
         if algo == "pddp":

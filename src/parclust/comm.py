@@ -5,10 +5,15 @@ every rank posts its contribution, rank 0 validates and combines, and
 all ranks read the result. Reductions fold contributions in ascending
 rank order, so outcomes are reproducible and independent of scheduling.
 Point-to-point delivery is FIFO per ordered (src, dst) pair.
+
+A one-node world starts no thread: its single rank runs on the calling
+thread against `SerialCtx`, whose collectives are identities. Centralized
+k-means runs the same way, so its result is the parallel body's at P=1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -113,15 +118,48 @@ class CommWorld:
     def wall_seconds_total(self) -> float:
         return float(sum(self._wall_seconds))
 
+    @contextlib.contextmanager
+    def timed(self):
+        """Yield a report's `timings_ms` dict and fill it for the runs inside.
+
+        On exit `comm` is the time ranks spent in communication and
+        `compute` the rest of their run time, both summed over ranks.
+        `split` starts at 0 for drivers that time their own data split.
+        """
+        comm_start = self.comm_seconds_total()
+        wall_start = self.wall_seconds_total()
+        timings = {"split": 0.0}
+        yield timings
+        comm_s = self.comm_seconds_total() - comm_start
+        wall_s = self.wall_seconds_total() - wall_start
+        timings["compute"] = (wall_s - comm_s) * 1e3
+        timings["comm"] = comm_s * 1e3
+
     # -- SPMD driver ---------------------------------------------------
 
     def spmd(self, fn, *args, timeout: float = 120.0) -> list:
-        """Run fn(ctx, *args) once per rank on concurrent threads.
+        """Run fn(ctx, *args) once per rank and return the results in rank order.
 
-        Returns the per-rank results in rank order. The first exception
-        raised by any rank is re-raised after the world is torn down; a
-        watchdog aborts the run if ranks fail to finish within timeout.
+        A one-node world calls fn(SerialCtx(), *args) on the calling
+        thread: nothing can wait on a peer, so there is no watchdog and
+        `timeout` is unused. Larger worlds run one thread per rank; the
+        first exception raised by any rank is re-raised after the world
+        is torn down, and a watchdog aborts the run if ranks fail to
+        finish within timeout. A failed run closes the world, and a
+        closed world refuses to run.
         """
+        if self._closed.is_set():
+            raise CommAbort("world is closed: %s"
+                            % (self._abort_reason or "shut down"))
+        if self.size == 1:
+            t0 = time.perf_counter()
+            try:
+                return [fn(SerialCtx(), *args)]
+            except BaseException as exc:
+                self._abort("rank 0 failed: %r" % exc)
+                raise
+            finally:
+                self._wall_seconds[0] += time.perf_counter() - t0
         results = [None] * self.size
         failures: list[BaseException] = []
 
@@ -228,6 +266,7 @@ class NodeCtx:
     def __init__(self, rank: int, world: CommWorld):
         self.rank = rank
         self.world = world
+        self.size = world.size
 
     # collectives: every rank of the world must call the same operation.
 
@@ -271,3 +310,41 @@ class NodeCtx:
             return item
         finally:
             self.world._comm_seconds[self.rank] += time.perf_counter() - t0
+
+
+class SerialCtx:
+    """Rank 0 of a one-node world, with the interface of NodeCtx and no thread.
+
+    Each collective returns what a one-node CommWorld returns, without a
+    barrier: the payload itself, a copy of the vector, or a one-element
+    gather. No peer exists, so send is rejected and recv aborts.
+    """
+
+    rank = 0
+    size = 1
+
+    @staticmethod
+    def _root(kind: str, root: int) -> None:
+        if root != 0:
+            raise ValueError("%s root %d out of range" % (kind, root))
+
+    def broadcast(self, payload, root: int = 0):
+        self._root("broadcast", root)
+        return payload
+
+    def allreduce_sum(self, vector):
+        out = CommWorld._fold([vector])
+        if isinstance(out, _Abort):
+            raise CommAbort(out.reason)
+        return out
+
+    def gather(self, payload, root: int = 0) -> list:
+        self._root("gather", root)
+        return [payload]
+
+    def send(self, dst: int, payload) -> None:
+        raise ValueError("send destination %d out of range in a one-node world"
+                         % dst)
+
+    def recv(self):
+        raise CommAbort("recv in a one-node world: no peer can send")

@@ -104,6 +104,38 @@ def squared_euclidean(x, y) -> float:
     return float(np.sum(diff * diff))
 
 
+def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """n x k squared distances from every point to every center.
+
+    One column per center, each from the direct difference, so values
+    and ties do not depend on how many centers are scored together.
+    """
+    d2 = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
+    for i in range(centers.shape[0]):
+        diff = points - centers[i]
+        d2[:, i] = np.sum(diff * diff, axis=1)
+    return d2
+
+
+class UnionFind:
+    """Disjoint sets over hashable keys; union(a, b) puts b's root under a's."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
 def sse_objective(X: DataSet, partition: Partition, centroids: CentroidSet) -> float:
     """Sum of squared distances from each clustered point to its centroid.
 

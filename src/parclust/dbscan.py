@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx
-from .core import NOISE, DataSet, Partition
+from .core import NOISE, DataSet, Partition, UnionFind, squared_distances
 from .report import ClusterReport
 
 _UNSEEN = -2
@@ -140,11 +140,7 @@ def rep_kmeans_model(X: DataSet, partition: Partition, params: DbscanParams,
             assigned = assign.labels
         else:
             centers = seeds
-            d2 = np.empty((rows.size, len(scor)))
-            for i in range(len(scor)):
-                diff = sub.points - centers[i]
-                d2[:, i] = np.sum(diff * diff, axis=1)
-            assigned = np.argmin(d2, axis=1)
+            assigned = np.argmin(squared_distances(sub.points, centers), axis=1)
         group = []
         for i in range(centers.shape[0]):
             members = sub.points[assigned == i]
@@ -175,23 +171,6 @@ class DdbcParams:
             raise ValueError("min_pts_global must be >= 1")
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
     shard = shards[ctx.rank]
     local_X = DataSet.from_points(shard.points)
@@ -215,7 +194,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
             gparams = DbscanParams(eps=params.resolved_eps_global(),
                                    min_pts=params.min_pts_global)
             gpart = dbscan(rep_X, gparams)
-            uf = _UnionFind()
+            uf = UnionFind()
             for i, (rank, cid, _c, _r) in enumerate(reps):
                 g = int(gpart.labels[i])
                 if g != NOISE:  # co-occurring representatives merge clusters
@@ -268,11 +247,9 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
     centers, merges local clusters whose representatives co-occur, and
     broadcasts the relabeling.
     """
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-    out = world.spmd(_ddbc_node, shards, params)
+    with world.timed() as timings:
+        out = world.spmd(_ddbc_node, shards, params)
     labels, n_reps = out[0]
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
     k = int(np.unique(labels[labels != NOISE]).size)
     return ClusterReport(
         algo="ddbc",
@@ -285,7 +262,5 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
         d=shards[0].points.shape[1],
         labels=labels,
         model={"k": k, "representatives": int(n_reps)},
-        timings_ms={"split": 0.0,
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard, split_blocks
-from .core import DataSet
+from .core import DataSet, squared_distances
 from .exactsum import column_sums_fixed, fixed_ratio, fixed_to_float, sum_fixed
 from .report import ClusterReport
 
@@ -45,21 +45,13 @@ def initial_membership(n: int, k: int, seed: int) -> np.ndarray:
     return u / u.sum(axis=1, keepdims=True)
 
 
-def _distances_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
-    for i in range(centers.shape[0]):
-        diff = points - centers[i]
-        d2[:, i] = np.sum(diff * diff, axis=1)
-    return d2
-
-
 def membership_update(shard: Shard, centers: np.ndarray, m: float) -> np.ndarray:
     """Standard inverse-distance membership update for the local rows.
 
     A point coinciding with one or more centroids gets membership 1 on
     the lowest-index coincident centroid and 0 elsewhere.
     """
-    d2 = _distances_sq(shard.points, centers)
+    d2 = squared_distances(shard.points, centers)
     u = np.zeros_like(d2)
     zero_rows = (d2 == 0.0).any(axis=1)
     if zero_rows.any():
@@ -96,7 +88,7 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
 def fcm_objective(ctx: NodeCtx, shard: Shard, u: np.ndarray,
                   centers: np.ndarray, m: float) -> float:
     """Weighted within-cluster scatter, reduced exactly over all nodes."""
-    d2 = _distances_sq(shard.points, centers)
+    d2 = squared_distances(shard.points, centers)
     local = sum_fixed((u ** m) * d2)
     total = ctx.allreduce_sum([local])
     return fixed_to_float(total[0])
@@ -128,14 +120,12 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
     """Parallel fuzzy c-means; defuzzified labels are argmax memberships."""
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    t0 = time.perf_counter()
-    shards = split_blocks(X, world.size)
-    split_s = time.perf_counter() - t0
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-    out = world.spmd(_pfcm_node, shards, X, params)
+    with world.timed() as timings:
+        t0 = time.perf_counter()
+        shards = split_blocks(X, world.size)
+        timings["split"] = (time.perf_counter() - t0) * 1e3
+        out = world.spmd(_pfcm_node, shards, X, params)
     labels, centers, j, iters = out[0]
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
     return ClusterReport(
         algo="pfcm",
         p=world.size,
@@ -147,7 +137,5 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
         centroids=centers,
         j=j,
         iterations=iters,
-        timings_ms={"split": split_s * 1e3,
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )

@@ -1,8 +1,9 @@
-"""Lloyd k-means: centralized baseline and the bulk-synchronous parallel run.
+"""Lloyd k-means as one bulk-synchronous body for any node count.
 
-Both paths share the assignment and update arithmetic. Per-cluster sums
-and the objective are accumulated exactly (see exactsum), so the parallel
-run reproduces the centralized one bit for bit for any node count.
+The centralized run is that body on a single node (`SerialCtx`).
+Per-cluster sums and the objective are accumulated exactly (see
+exactsum), so the parallel run reproduces the centralized one bit for
+bit for any node count.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, split_blocks
-from .core import CentroidSet, DataSet, Partition
+from .comm import CommWorld, NodeCtx, SerialCtx, Shard, split_blocks
+from .core import CentroidSet, DataSet, Partition, squared_distances
 from .exactsum import column_sums_fixed, fixed_mean, fixed_to_float, sum_fixed
 from .report import ClusterReport
 
@@ -43,13 +44,9 @@ def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:
 
 def _assign(points: np.ndarray, centers: np.ndarray):
     """Nearest-centroid labels (ties to the lowest index) and the min distances."""
-    n = points.shape[0]
-    d2 = np.empty((n, centers.shape[0]), dtype=np.float64)
-    for i in range(centers.shape[0]):
-        diff = points - centers[i]
-        d2[:, i] = np.sum(diff * diff, axis=1)
+    d2 = squared_distances(points, centers)
     labels = np.argmin(d2, axis=1).astype(np.int64)
-    return labels, d2[np.arange(n), labels]
+    return labels, d2[np.arange(points.shape[0]), labels]
 
 
 def _cluster_stats(points, labels, k, d2min) -> list[int]:
@@ -93,53 +90,6 @@ def _local_farthest(points, gids, d2min, used):
             continue
         return (float(d2min[row]), gid, points[row].copy())
     return best
-
-
-def _lloyd_step_serial(points, centers, k, d):
-    labels, d2min = _assign(points, centers)
-    stats = _cluster_stats(points, labels, k, d2min)
-    return labels, d2min, _unpack_stats(stats, k, d)
-
-
-def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
-    """Full-data Lloyd iteration.
-
-    Returns (CentroidSet, Partition, objective, iterations). Stops when
-    the objective decreases by at most tol between iterations, or at
-    max_iter. Empty clusters are repaired by relocating the centroid to
-    the point farthest from its assigned centroid.
-    """
-    if params.k > X.n:
-        raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    k, d = params.k, X.d
-    if init_centers is None:
-        centers = _init_centers(X, k, params.seed)
-    else:
-        centers = np.array(init_centers, dtype=np.float64, copy=True)
-        if centers.shape != (k, d):
-            raise ValueError("init_centers must have shape (k, d)")
-    pts = X.points
-    gids = np.arange(X.n)
-    j_prev = None
-    labels = np.zeros(X.n, dtype=np.int64)
-    j = 0.0
-    iters = 0
-    for t in range(1, params.max_iter + 1):
-        labels, d2min, (sums, counts, j_fixed) = _lloyd_step_serial(pts, centers, k, d)
-        j = fixed_to_float(j_fixed)
-        iters = t
-        if j_prev is not None and (j_prev - j) <= params.tol:
-            break
-        j_prev = j
-        centers, empty = _new_centers(sums, counts, k, d, centers)
-        used: set[int] = set()
-        for i in empty:
-            dist, gid, coords = _local_farthest(pts, gids, d2min, used)
-            if gid < 0:
-                raise ValueError("cannot repair empty cluster: no free points")
-            centers[i] = coords
-            used.add(gid)
-    return CentroidSet(centers), Partition(labels), j, iters
 
 
 def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
@@ -201,6 +151,21 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
     return None
 
 
+def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
+    """Full-data Lloyd iteration: the parallel body on one node.
+
+    Returns (CentroidSet, Partition, objective, iterations). Stops when
+    the objective decreases by at most tol between iterations, or at
+    max_iter. Empty clusters are repaired by relocating the centroid to
+    the point farthest from its assigned centroid.
+    """
+    if params.k > X.n:
+        raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
+    labels, centers, j, iters = _pkm_node(
+        SerialCtx(), [Shard(X.points, X.ids)], X, params, init_centers)
+    return CentroidSet(centers), Partition(labels), j, iters
+
+
 def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
         init_centers=None) -> ClusterReport:
     """Parallel k-means over a simulated node group.
@@ -211,14 +176,12 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
     """
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    t0 = time.perf_counter()
-    shards = split_blocks(X, world.size)
-    split_s = time.perf_counter() - t0
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-    out = world.spmd(_pkm_node, shards, X, params, init_centers)
+    with world.timed() as timings:
+        t0 = time.perf_counter()
+        shards = split_blocks(X, world.size)
+        timings["split"] = (time.perf_counter() - t0) * 1e3
+        out = world.spmd(_pkm_node, shards, X, params, init_centers)
     labels, centers, j, iters = out[0]
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
     return ClusterReport(
         algo="pkm",
         p=world.size,
@@ -230,7 +193,5 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
         centroids=centers,
         j=j,
         iterations=iters,
-        timings_ms={"split": split_s * 1e3,
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CLOSED, CommAbort, CommWorld, NodeCtx
-from .core import NOISE, DataSet
+from .core import NOISE, DataSet, UnionFind
 from .report import ClusterReport
 
 
@@ -150,12 +150,12 @@ class _SearchMaster:
     def __init__(self, ctx: NodeCtx, tree: MDBinaryTree):
         self.ctx = ctx
         self.tree = tree
-        self.idle = set(range(1, ctx.world.size))
+        self.idle = set(range(1, ctx.size))
         self.delegations = 0
 
     def query(self, lo, hi) -> set[int]:
         ctx = self.ctx
-        if ctx.world.size == 1:
+        if ctx.size == 1:
             return _search_subtree(self.tree, self.tree.root, lo, hi,
                                    lambda _: False)
         first = min(self.idle)
@@ -185,7 +185,7 @@ class _SearchMaster:
         return found
 
     def stop(self):
-        for r in range(1, self.ctx.world.size):
+        for r in range(1, self.ctx.size):
             self.ctx.send(r, ("stop",))
 
 
@@ -211,23 +211,26 @@ def _slave_loop(ctx: NodeCtx, tree: MDBinaryTree) -> None:
         ctx.send(0, ("found", frozenset(found)))
 
 
+def _search_node(ctx: NodeCtx, tree: MDBinaryTree, job):
+    """Rank 0 returns job(search), where search(lo, hi) is a box query served
+    by the group; the other ranks serve subtree searches meanwhile."""
+    if ctx.rank == 0:
+        master = _SearchMaster(ctx, tree)
+        out = job(master.query)
+        master.stop()
+        return out
+    _slave_loop(ctx, tree)
+    return None
+
+
 def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
                           query: RangeQuery) -> set[int]:
     """Master/slave box search; result equals the single-rank search."""
     if query.lo.size != tree.d:
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
-
-    def fn(ctx: NodeCtx):
-        if ctx.rank == 0:
-            master = _SearchMaster(ctx, tree)
-            found = master.query(query.lo, query.hi)
-            master.stop()
-            return found
-        _slave_loop(ctx, tree)
-        return None
-
-    return world.spmd(fn)[0]
+    return world.spmd(_search_node, tree,
+                      lambda search: search(query.lo, query.hi))[0]
 
 
 @dataclass
@@ -297,14 +300,7 @@ class _WindowDriver:
     @staticmethod
     def _merge_groups(windows: list[Window], theta_merge: float) -> list[int]:
         """Union-find component per window under the overlap-volume rule."""
-        parent = list(range(len(windows)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        groups = UnionFind()
         live = [i for i, w in enumerate(windows) if w.enclosed]
         for a in range(len(live)):
             for b in range(a + 1, len(live)):
@@ -318,8 +314,8 @@ class _WindowDriver:
                 vol_i = float(np.prod(hi_i - lo_i))
                 vol_j = float(np.prod(hi_j - lo_j))
                 if inter > theta_merge * min(vol_i, vol_j):
-                    parent[find(j)] = find(i)
-        return [find(i) for i in range(len(windows))]
+                    groups.union(i, j)
+        return [groups.find(i) for i in range(len(windows))]
 
     def run(self):
         X, params = self.X, self.params
@@ -360,24 +356,13 @@ class _WindowDriver:
 
 def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterReport:
     """Window clustering with every box query served by the node group."""
-    t0 = time.perf_counter()
-    tree = MDBinaryTree(X)
-    split_s = time.perf_counter() - t0
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-
-    def fn(ctx: NodeCtx):
-        if ctx.rank == 0:
-            master = _SearchMaster(ctx, tree)
-            driver = _WindowDriver(X, params, master.query)
-            out = driver.run()
-            master.stop()
-            return out
-        _slave_loop(ctx, tree)
-        return None
-
-    labels, model = world.spmd(fn)[0]
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
+    with world.timed() as timings:
+        t0 = time.perf_counter()
+        tree = MDBinaryTree(X)
+        timings["split"] = (time.perf_counter() - t0) * 1e3
+        labels, model = world.spmd(
+            _search_node, tree,
+            lambda search: _WindowDriver(X, params, search).run())[0]
     k = int(np.unique(labels[labels != NOISE]).size)
     return ClusterReport(
         algo="kwindows",
@@ -391,7 +376,5 @@ def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterRe
         j=None,
         iterations=None,
         model={"k": k, **model},
-        timings_ms={"split": split_s * 1e3,
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )

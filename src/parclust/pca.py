@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard
-from .core import NOISE, DataSet
+from .core import NOISE, DataSet, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .kmeans import KMeansParams, kmeans_centralized
 from .report import ClusterReport
@@ -215,10 +215,7 @@ def _weighted_kmeans(points: np.ndarray, weights: np.ndarray, k: int,
     centers = _maximin_init(points, weights, k)
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = np.empty((n, k))
-        for i in range(k):
-            diff = points - centers[i]
-            d2[:, i] = np.sum(diff * diff, axis=1)
+        d2 = squared_distances(points, centers)
         new_labels = np.argmin(d2, axis=1)
         for i in range(k):
             mask = new_labels == i
@@ -320,12 +317,10 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
         raise ValueError("k must be >= 1")
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-    out = world.spmd(_cpca_cluster_node, shards, clusterer, k,
-                     reps_per_cluster, variance_fraction, seed)
+    with world.timed() as timings:
+        out = world.spmd(_cpca_cluster_node, shards, clusterer, k,
+                         reps_per_cluster, variance_fraction, seed)
     labels, n_sketches, n_reps = out[0]
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
     n = sum(len(s) for s in shards)
     return ClusterReport(
         algo="cpca-cluster",
@@ -337,7 +332,5 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
         d=shards[0].points.shape[1],
         labels=labels,
         model={"sketches": int(n_sketches), "representatives": int(n_reps)},
-        timings_ms={"split": 0.0,
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )

@@ -9,7 +9,6 @@ node count. Clusters split on the sign of the mean-centered projection.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +177,8 @@ def pddp(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
 def pddp_report(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
                 max_iter: int = 1000) -> ClusterReport:
     """Run pddp and package leaves as a report (objective uses leaf means)."""
-    t0 = time.perf_counter()
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-    tree, part = pddp(world, X, height, tol, max_iter)
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
+    with world.timed() as timings:
+        tree, part = pddp(world, X, height, tol, max_iter)
     leaves = tree.leaves()
     means = np.vstack([leaf.mean for leaf in leaves])
     j = sse_objective(X, part, CentroidSet(means))
@@ -195,9 +191,7 @@ def pddp_report(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
         labels=part.labels,
         centroids=means,
         j=j,
-        timings_ms={"split": 0.0,
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )
 
 
@@ -208,17 +202,15 @@ def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
     The report carries both the seed-stage objective (leaf means used as
     centroids for one assignment) and the final refined objective.
     """
-    comm0, wall0 = world.comm_seconds_total(), world.wall_seconds_total()
-    tree, _ = pddp(world, X, height)
-    leaves = tree.leaves()
-    means = np.vstack([leaf.mean for leaf in leaves])
-    k = means.shape[0]
+    with world.timed() as timings:
+        tree, _ = pddp(world, X, height)
+        means = np.vstack([leaf.mean for leaf in tree.leaves()])
+        k = means.shape[0]
+        params = KMeansParams(k=k, max_iter=max_iter, tol=tol, seed=0)
+        refined = pkm(world, X, params, init_centers=means)
+    timings["split"] = refined.timings_ms["split"]
     _, d2min = _assign(X.points, means)
     seed_j = fixed_to_float(sum_fixed(d2min))
-    params = KMeansParams(k=k, max_iter=max_iter, tol=tol, seed=0)
-    refined = pkm(world, X, params, init_centers=means)
-    comm_s = world.comm_seconds_total() - comm0
-    wall_s = world.wall_seconds_total() - wall0
     return ClusterReport(
         algo="pddp-km",
         p=world.size,
@@ -230,7 +222,5 @@ def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
         j=refined.j,
         iterations=refined.iterations,
         seed_j=seed_j,
-        timings_ms={"split": refined.timings_ms["split"],
-                    "compute": (wall_s - comm_s) * 1e3,
-                    "comm": comm_s * 1e3},
+        timings_ms=timings,
     )

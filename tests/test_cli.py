@@ -121,6 +121,10 @@ def test_usage_errors_exit_one(blob_csv, capsys):
     assert main(["run", "--algo", "made-up", "--data", str(blob_csv)]) == 1
     assert main(["run", "--algo", "fcm", "--data", str(blob_csv),
                  "--nodes", "2"]) == 1
+    assert main(["run", "--algo", "kmeans", "--data", str(blob_csv),
+                 "--nodes", "4"]) == 1
+    assert main(["run", "--algo", "dbscan", "--data", str(blob_csv),
+                 "--nodes", "4"]) == 1
     capsys.readouterr()  # drop accumulated stderr
 
 

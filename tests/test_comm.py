@@ -264,6 +264,49 @@ def test_spmd_watchdog_fires_on_deadlock():
         world.shutdown()
 
 
+def test_single_node_runs_on_the_calling_thread():
+    caller = threading.current_thread()
+    assert _world_run(1, lambda ctx: threading.current_thread() is caller) \
+        == [True]
+
+
+def test_recv_in_a_one_node_world_aborts_at_once():
+    t0 = time.perf_counter()
+    with pytest.raises(CommAbort, match="no peer"):
+        _world_run(1, lambda ctx: ctx.recv(), timeout=3.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_closed_world_refuses_to_run(p):
+    ran = []
+    world = CommWorld(p)
+    for _ in range(2):  # a live world serves several runs
+        world.spmd(lambda ctx: ctx.allreduce_sum([1]))
+    with pytest.raises(KeyError):
+        world.spmd(lambda ctx: {}["boom"])
+    with pytest.raises(CommAbort, match="closed: rank . failed"):
+        world.spmd(lambda ctx: ran.append(ctx.rank))
+    world = CommWorld(p)
+    world.shutdown()
+    with pytest.raises(CommAbort, match="closed: shut down"):
+        world.spmd(lambda ctx: ran.append(ctx.rank))
+    assert ran == []
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_timed_splits_run_time_into_compute_and_comm(p):
+    world = CommWorld(p)
+    try:
+        with world.timed() as timings:
+            world.spmd(lambda ctx: ctx.allreduce_sum([1.0]))
+    finally:
+        world.shutdown()
+    assert list(timings) == ["split", "compute", "comm"]
+    assert timings["split"] == 0.0 and timings["compute"] >= 0.0
+    assert (timings["comm"] == 0.0) == (p == 1)
+
+
 def test_world_rejects_zero_nodes():
     with pytest.raises(ValueError):
         CommWorld(0)
