@@ -15,7 +15,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, SerialCtx, Shard, split_blocks
 from .core import CentroidSet, DataSet, Partition, squared_distances
-from .exactsum import column_sums_fixed, fixed_mean, fixed_to_float, sum_fixed
+from .exactsum import fixed_mean, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
 
 
@@ -51,13 +51,8 @@ def _assign(points: np.ndarray, centers: np.ndarray):
 
 def _cluster_stats(points, labels, k, d2min) -> list[int]:
     """Flat integer stats vector: per-cluster exact sums, counts, objective."""
-    out: list[int] = []
-    counts: list[int] = []
-    for i in range(k):
-        rows = points[labels == i]
-        counts.append(int(rows.shape[0]))
-        out.extend(column_sums_fixed(rows))
-    out.extend(counts)
+    out = grouped_sums_fixed(points, labels, k)
+    out.extend(np.bincount(labels, minlength=k).tolist())
     out.append(sum_fixed(d2min))
     return out
 

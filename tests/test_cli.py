@@ -140,6 +140,21 @@ def test_bad_csv_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("algo", ["pkm", "pfcm", "pddp"])
+@pytest.mark.parametrize("nodes", ["1", "2"])
+def test_overflowing_input_exits_two(algo, nodes, tmp_path, capsys):
+    # squared distances and variances of +-1e200 overflow to infinity
+    data = tmp_path / "huge.csv"
+    data.write_text("1e200,1\n-1e200,2\n1,3\n2,-1e200\n5,5\n6,6\n")
+    rc = main(["run", "--algo", algo, "--data", str(data), "--k", "2",
+               "--nodes", nodes])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "non-finite" in errors[0]
+
+
 # -- bench --------------------------------------------------------------------
 
 
