@@ -1,10 +1,11 @@
-"""Simulated P-node message-passing runtime.
+"""Simulated P-node runtime whose ranks communicate through collectives.
 
 One thread per rank, rank 0 acting as root. Collectives are barriers:
 every rank posts its contribution, rank 0 validates and combines, and
 all ranks read the result. Reductions fold contributions in ascending
 rank order, so outcomes are reproducible and independent of scheduling.
-Point-to-point delivery is FIFO per ordered (src, dst) pair.
+Collectives are the only way ranks exchange data: there is no
+point-to-point messaging.
 
 A one-node world starts no thread: its single rank runs on the calling
 thread against `SerialCtx`, whose collectives are identities. Centralized
@@ -14,7 +15,6 @@ k-means runs the same way, so its result is the parallel body's at P=1.
 from __future__ import annotations
 
 import contextlib
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -26,24 +26,6 @@ from .core import DataSet
 
 class CommAbort(RuntimeError):
     """A rank broke a collective contract or the world was torn down mid-call."""
-
-
-class _ClosedType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "CLOSED"
-
-
-#: Terminal result handed to recv() once the world has been shut down.
-CLOSED = _ClosedType()
-
-_SHUTDOWN = object()
 
 
 class _Abort:
@@ -81,7 +63,7 @@ def split_blocks(X: DataSet, p: int) -> list[Shard]:
 
 
 class CommWorld:
-    """A fixed-size group of simulated nodes sharing collectives and mailboxes."""
+    """A fixed-size group of simulated nodes sharing collectives."""
 
     def __init__(self, n_nodes: int):
         if n_nodes < 1:
@@ -90,7 +72,6 @@ class CommWorld:
         self._slots: list = [None] * n_nodes
         self._result = None
         self._barrier = threading.Barrier(n_nodes)
-        self._boxes = [queue.SimpleQueue() for _ in range(n_nodes)]
         self._closed = threading.Event()
         self._lock = threading.Lock()
         self._abort_reason: str | None = None
@@ -100,10 +81,8 @@ class CommWorld:
     # -- lifecycle -----------------------------------------------------
 
     def shutdown(self) -> None:
-        """Close the world; pending and future recv() calls return CLOSED."""
+        """Close the world; later spmd() calls raise CommAbort."""
         self._closed.set()
-        for box in self._boxes:
-            box.put(_SHUTDOWN)
 
     def _abort(self, reason: str) -> None:
         with self._lock:
@@ -287,37 +266,13 @@ class NodeCtx:
         out = self.world._collective(self.rank, "gather", root, payload)
         return out if self.rank == root else []
 
-    # point-to-point
-
-    def send(self, dst: int, payload) -> None:
-        if not 0 <= dst < self.world.size:
-            raise ValueError("send destination %d out of range" % dst)
-        if dst == self.rank:
-            raise ValueError("send to self is not allowed")
-        t0 = time.perf_counter()
-        self.world._boxes[dst].put((self.rank, payload))
-        self.world._comm_seconds[self.rank] += time.perf_counter() - t0
-
-    def recv(self):
-        """Block for the next (src, payload); CLOSED once the world is shut down."""
-        t0 = time.perf_counter()
-        try:
-            if self.world._closed.is_set():
-                return CLOSED
-            item = self.world._boxes[self.rank].get()
-            if item is _SHUTDOWN:
-                return CLOSED
-            return item
-        finally:
-            self.world._comm_seconds[self.rank] += time.perf_counter() - t0
-
 
 class SerialCtx:
     """Rank 0 of a one-node world, with the interface of NodeCtx and no thread.
 
     Each collective returns what a one-node CommWorld returns, without a
     barrier: the payload itself, a copy of the vector, or a one-element
-    gather. No peer exists, so send is rejected and recv aborts.
+    gather.
     """
 
     rank = 0
@@ -341,10 +296,3 @@ class SerialCtx:
     def gather(self, payload, root: int = 0) -> list:
         self._root("gather", root)
         return [payload]
-
-    def send(self, dst: int, payload) -> None:
-        raise ValueError("send destination %d out of range in a one-node world"
-                         % dst)
-
-    def recv(self):
-        raise CommAbort("recv in a one-node world: no peer can send")

@@ -77,14 +77,11 @@ def _new_centers(sums, counts, k, d, old_centers):
 
 
 def _local_farthest(points, gids, d2min, used):
-    """Best relocation candidate on this block: max distance, ties to lowest id."""
-    best = (-np.inf, -1, None)
+    """Best relocation candidate on this block: max distance, ties to lowest row."""
     for row in np.argsort(-d2min, kind="stable"):
-        gid = int(gids[row])
-        if gid in used:
-            continue
-        return (float(d2min[row]), gid, points[row].copy())
-    return best
+        if int(gids[row]) not in used:
+            return float(d2min[row]), int(gids[row]), points[row].copy()
+    return -np.inf, -1, None
 
 
 def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
@@ -118,26 +115,19 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         centers, empty = _new_centers(sums, counts, k, d, centers)
         used: set[int] = set()
         for i in empty:
-            cand = _local_farthest(pts, shard.ids, d2min, used)
-            cands = ctx.gather((cand[0], cand[1]), root=0)
+            cands = ctx.gather(_local_farthest(pts, shard.ids, d2min, used),
+                               root=0)
+            best = None
             if ctx.rank == 0:
-                best_dist, best_gid = -np.inf, -1
-                for dist, gid in cands:  # rank order keeps ties on the lowest id
-                    if gid >= 0 and dist > best_dist:
-                        best_dist, best_gid = dist, gid
-                if best_gid < 0:
-                    raise ValueError("cannot repair empty cluster: no free points")
-                pick = best_gid
-            else:
-                pick = None
-            pick = ctx.broadcast(pick, root=0)
-            owner = cand[1] == pick
-            coords = cand[2] if owner else None
-            coords_all = ctx.gather(coords, root=0)
-            chosen = None
-            if ctx.rank == 0:
-                chosen = next(c for c in coords_all if c is not None)
-            centers[i] = ctx.broadcast(chosen, root=0)
+                # max keeps the first maximum, so ties go to the lowest rank
+                best = max(cands, key=lambda c: c[0])
+                if best[0] <= 0:
+                    # every free row already sits on a centroid
+                    raise ValueError(
+                        "cannot repair an empty cluster: k=%d but the data has "
+                        "only %d distinct rows"
+                        % (k, np.unique(X.points, axis=0).shape[0]))
+            _, pick, centers[i] = ctx.broadcast(best, root=0)
             used.add(pick)
 
     gathered = ctx.gather(labels, root=0)

@@ -1,12 +1,14 @@
-"""Box-window clustering over a balanced multi-dimensional binary tree.
+"""Box-window clustering with box queries answered by shard-local masks.
 
-The tree stores one point per node, cycling the split coordinate with
-depth and breaking coordinate ties by global row id, so lookups stay
-balanced on duplicate data. Range searches visit a node's children
-whenever their coordinate interval can intersect the box, regardless of
-whether the node itself lies inside. Under more than one node, searches
-run master/slave: rank 0 owns an idle pool and hands whole subtrees to
-free ranks when a busy rank would have to descend both children.
+Every rank holds one contiguous block of rows (`split_blocks`). Rank 0
+runs the window phases; each box query is one broadcast of the box and
+one gather of the ids each block has inside it, so a search returns the
+same set for any node count.
+
+The balanced multi-dimensional binary tree and its serial walk remain as
+a reference search. The tree stores one point per node, cycling the
+split coordinate with depth and breaking coordinate ties by global row
+id, so lookups stay balanced on duplicate data.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CLOSED, CommAbort, CommWorld, NodeCtx
+from .comm import CommWorld, NodeCtx, Shard, split_blocks
 from .core import NOISE, DataSet, UnionFind
 from .report import ClusterReport
 
@@ -60,7 +62,7 @@ class KWindowsParams:
 
 
 class MDBinaryTree:
-    """Balanced point tree; node arrays are index-addressable for delegation."""
+    """Balanced point tree with index-addressable node arrays."""
 
     def __init__(self, X: DataSet):
         if X.n < 1:
@@ -104,15 +106,18 @@ class MDBinaryTree:
         return best
 
 
-def _search_subtree(tree: MDBinaryTree, start: int, lo, hi, ask) -> set[int]:
-    """Collect row ids inside the box below `start`.
+def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
+    """Single-rank tree walk returning the set of matching row ids.
 
-    `ask(child)` may hand a subtree off to another rank; it returns True
-    when the child was taken. Children are pruned only on the interval
-    test, never on whether the node itself is inside the box.
+    Children are pruned only on the interval test, never on whether the
+    node itself is inside the box.
     """
+    if query.lo.size != tree.d:
+        raise ValueError("query dimension %d does not match data dimension %d"
+                         % (query.lo.size, tree.d))
+    lo, hi = query.lo, query.hi
     found: set[int] = set()
-    stack = [start]
+    stack = [tree.root]
     while stack:
         idx = stack.pop()
         row = tree.point_id[idx]
@@ -123,113 +128,45 @@ def _search_subtree(tree: MDBinaryTree, start: int, lo, hi, ask) -> set[int]:
         c = p[axis]
         # left holds (coord, id) lexicographically below the node, right above,
         # so equal coordinates can appear on either side of the node
-        go_left = tree.left[idx] >= 0 and c >= lo[axis]
-        go_right = tree.right[idx] >= 0 and c <= hi[axis]
-        if go_left and go_right:
-            if not ask(int(tree.right[idx])):
-                stack.append(int(tree.right[idx]))
+        if tree.left[idx] >= 0 and c >= lo[axis]:
             stack.append(int(tree.left[idx]))
-        elif go_left:
-            stack.append(int(tree.left[idx]))
-        elif go_right:
+        if tree.right[idx] >= 0 and c <= hi[axis]:
             stack.append(int(tree.right[idx]))
     return found
 
 
-def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
-    """Single-rank box search returning the set of matching row ids."""
-    if query.lo.size != tree.d:
-        raise ValueError("query dimension %d does not match data dimension %d"
-                         % (query.lo.size, tree.d))
-    return _search_subtree(tree, tree.root, query.lo, query.hi, lambda _: False)
+def _box_hits(shard: Shard, box) -> np.ndarray:
+    """Global ids of the shard rows inside the closed box (lo, hi)."""
+    lo, hi = box
+    return shard.ids[np.all((shard.points >= lo) & (shard.points <= hi), axis=1)]
 
 
-class _SearchMaster:
-    """Rank 0 side of the subtree-delegation protocol."""
-
-    def __init__(self, ctx: NodeCtx, tree: MDBinaryTree):
-        self.ctx = ctx
-        self.tree = tree
-        self.idle = set(range(1, ctx.size))
-        self.delegations = 0
-
-    def query(self, lo, hi) -> set[int]:
-        ctx = self.ctx
-        if ctx.size == 1:
-            return _search_subtree(self.tree, self.tree.root, lo, hi,
-                                   lambda _: False)
-        first = min(self.idle)
-        self.idle.remove(first)
-        ctx.send(first, ("task", self.tree.root, lo, hi))
-        outstanding = 1
-        found: set[int] = set()
-        while outstanding:
-            got = ctx.recv()
-            if got is CLOSED:
-                raise CommAbort("world closed during range search")
-            src, msg = got
-            if msg[0] == "ask":
-                if self.idle:
-                    dst = min(self.idle)
-                    self.idle.remove(dst)
-                    ctx.send(dst, ("task", msg[1], lo, hi))
-                    outstanding += 1
-                    self.delegations += 1
-                    ctx.send(src, ("go",))
-                else:
-                    ctx.send(src, ("mine",))
-            else:  # ("found", ids)
-                found |= msg[1]
-                outstanding -= 1
-                self.idle.add(src)
-        return found
-
-    def stop(self):
-        for r in range(1, self.ctx.size):
-            self.ctx.send(r, ("stop",))
-
-
-def _slave_loop(ctx: NodeCtx, tree: MDBinaryTree) -> None:
-    """Serve subtree searches until told to stop or the world closes."""
-    while True:
-        got = ctx.recv()
-        if got is CLOSED:
-            return
-        _, msg = got
-        if msg[0] == "stop":
-            return
-        _, start, lo, hi = msg
-
-        def ask(child: int) -> bool:
-            ctx.send(0, ("ask", child))
-            reply = ctx.recv()
-            if reply is CLOSED:
-                raise CommAbort("world closed while awaiting delegation reply")
-            return reply[1][0] == "go"
-
-        found = _search_subtree(tree, start, lo, hi, ask)
-        ctx.send(0, ("found", frozenset(found)))
-
-
-def _search_node(ctx: NodeCtx, tree: MDBinaryTree, job):
-    """Rank 0 returns job(search), where search(lo, hi) is a box query served
-    by the group; the other ranks serve subtree searches meanwhile."""
+def _search_node(ctx: NodeCtx, shards: list[Shard], job):
+    """Rank 0 returns job(search), where search(lo, hi) broadcasts the box and
+    gathers every shard's hits; the other ranks answer boxes until rank 0
+    broadcasts None."""
+    shard = shards[ctx.rank]
     if ctx.rank == 0:
-        master = _SearchMaster(ctx, tree)
-        out = job(master.query)
-        master.stop()
+        def search(lo, hi) -> set[int]:
+            hits = ctx.gather(_box_hits(shard, ctx.broadcast((lo, hi))))
+            return set(np.concatenate(hits).tolist())
+
+        out = job(search)
+        ctx.broadcast(None)
         return out
-    _slave_loop(ctx, tree)
+    while (box := ctx.broadcast(None)) is not None:
+        ctx.gather(_box_hits(shard, box))
     return None
 
 
 def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
                           query: RangeQuery) -> set[int]:
-    """Master/slave box search; result equals the single-rank search."""
+    """Box search over the tree's rows split into one block per node."""
     if query.lo.size != tree.d:
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
-    return world.spmd(_search_node, tree,
+    shards = split_blocks(DataSet(tree.points, tree.ids), world.size)
+    return world.spmd(_search_node, shards,
                       lambda search: search(query.lo, query.hi))[0]
 
 
@@ -355,13 +292,13 @@ class _WindowDriver:
 
 
 def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterReport:
-    """Window clustering with every box query served by the node group."""
+    """Window clustering with every box query answered by shard-local masks."""
     with world.timed() as timings:
         t0 = time.perf_counter()
-        tree = MDBinaryTree(X)
+        shards = split_blocks(X, world.size)
         timings["split"] = (time.perf_counter() - t0) * 1e3
         labels, model = world.spmd(
-            _search_node, tree,
+            _search_node, shards,
             lambda search: _WindowDriver(X, params, search).run())[0]
     k = int(np.unique(labels[labels != NOISE]).size)
     return ClusterReport(

@@ -82,12 +82,17 @@ def _power_direction(ctx: NodeCtx, local_rows: np.ndarray, d: int, size: int,
         wf = ctx.allreduce_sum(column_sums_fixed(centered * t[:, None]))
         w = np.array([fixed_mean(x, size) for x in wf], dtype=np.float64)
         lam = float(v @ w)
-        if np.linalg.norm(w - lam * v) <= tol * max(1.0, abs(lam)):
+        # both norms run on w / 2^e with 2^e near max|w|, so squaring cannot
+        # overflow; a power-of-two scale is exact and changes no other result
+        e = int(np.frexp(np.max(np.abs(w)))[1])
+        if np.linalg.norm(np.ldexp(w - lam * v, -e)) <= \
+                np.ldexp(tol * max(1.0, abs(lam)), -e):
             break
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
+        u = np.ldexp(w, -e)
+        nu = np.linalg.norm(u)
+        if nu == 0.0:
             return mean, None, False  # direction collapsed, treat as degenerate
-        v = w / nw
+        v = u / nu
     return mean, _fix_sign(v), True
 
 

@@ -155,6 +155,29 @@ def test_overflowing_input_exits_two(algo, nodes, tmp_path, capsys):
     assert len(errors) == 1 and "non-finite" in errors[0]
 
 
+def test_more_clusters_than_distinct_rows_exits_two(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("0,0\n0,0\n0,0\n1,1\n")
+    for nodes in ("1", "2"):
+        rc = main(["run", "--algo", "pkm", "--data", str(data), "--k", "3",
+                   "--nodes", nodes])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: cannot repair an empty cluster" in captured.err
+
+
+def test_more_nodes_than_rows_exits_two(tmp_path, capsys):
+    data = tmp_path / "five.csv"
+    data.write_text("0,0\n1,1\n2,2\n3,3\n4,4\n")
+    rc = main(["run", "--algo", "kwindows", "--data", str(data), "--windows",
+               "1", "--nodes", "8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: cannot split 5 rows over 8 nodes" in captured.err
+
+
 # -- bench --------------------------------------------------------------------
 
 

@@ -1,15 +1,13 @@
-"""Runtime contracts: block splitting, collectives, mailboxes, teardown."""
+"""Runtime contracts: block splitting, collectives, the SPMD driver, teardown."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import (CLOSED, CommAbort, CommWorld, NodeCtx, Shard,
-                           split_blocks)
+from parclust.comm import CommAbort, CommWorld, Shard, split_blocks
 from parclust.core import DataSet
 
 
@@ -175,64 +173,6 @@ def test_gather_at_nonzero_root():
     assert out[2] == [0, 1, 2] and out[0] == []
 
 
-# -- point-to-point --------------------------------------------------------
-
-
-def test_send_recv_pairs_source_with_payload():
-    def fn(ctx):
-        if ctx.rank == 0:
-            ctx.send(1, "ping")
-            return None
-        return ctx.recv()
-
-    out = _world_run(2, fn)
-    assert out[1] == (0, "ping")
-
-
-def test_send_recv_fifo_per_pair():
-    def fn(ctx):
-        if ctx.rank == 0:
-            ctx.send(1, "first")
-            ctx.send(1, "second")
-            return None
-        return [ctx.recv(), ctx.recv()]
-
-    out = _world_run(2, fn)
-    assert out[1] == [(0, "first"), (0, "second")]
-
-
-def test_send_to_self_and_out_of_range_rejected():
-    def fn(ctx):
-        with pytest.raises(ValueError):
-            ctx.send(ctx.rank, "x")
-        with pytest.raises(ValueError):
-            ctx.send(99, "x")
-
-    _world_run(2, fn)
-
-
-def test_recv_after_shutdown_returns_closed():
-    world = CommWorld(2)
-    world.shutdown()
-    ctx = NodeCtx(1, world)
-    assert ctx.recv() is CLOSED
-
-
-def test_pending_recv_unblocked_by_shutdown():
-    world = CommWorld(2)
-    got = []
-
-    def waiter():
-        got.append(NodeCtx(1, world).recv())
-
-    t = threading.Thread(target=waiter, daemon=True)
-    t.start()
-    time.sleep(0.05)  # let the recv block
-    world.shutdown()
-    t.join(5.0)
-    assert got == [CLOSED]
-
-
 # -- spmd driver -----------------------------------------------------------
 
 
@@ -268,13 +208,6 @@ def test_single_node_runs_on_the_calling_thread():
     caller = threading.current_thread()
     assert _world_run(1, lambda ctx: threading.current_thread() is caller) \
         == [True]
-
-
-def test_recv_in_a_one_node_world_aborts_at_once():
-    t0 = time.perf_counter()
-    with pytest.raises(CommAbort, match="no peer"):
-        _world_run(1, lambda ctx: ctx.recv(), timeout=3.0)
-    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -131,6 +131,15 @@ def test_empty_cluster_repair_keeps_k_and_stays_invariant():
         assert rep.j == j
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_more_clusters_than_distinct_rows_raises(p):
+    # any repair candidate already sits on a centroid, so a kept empty
+    # cluster would be reported as a k-cluster answer
+    X = DataSet.from_points([[0.0, 0.0]] * 3 + [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="k=3 but the data has only 2 distinct"):
+        _run_parallel(p, X, KMeansParams(k=3))
+
+
 def test_params_validation():
     for bad in (dict(k=0), dict(k=1, max_iter=0), dict(k=1, tol=-1.0)):
         with pytest.raises(ValueError):

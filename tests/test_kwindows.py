@@ -1,4 +1,4 @@
-"""Point tree, box searches (serial and delegated), window clustering."""
+"""Point tree, box searches (serial tree walk and shard masks), window clustering."""
 
 import math
 
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from parclust.comm import CommWorld
 from parclust.core import NOISE, DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery,
-                               _SearchMaster, _slave_loop, k_windows,
-                               orthogonal_range_search, parallel_range_search)
+                               k_windows, orthogonal_range_search,
+                               parallel_range_search)
 
 
 def _brute(points, lo, hi):
@@ -104,7 +104,7 @@ def test_query_validation():
         orthogonal_range_search(tree, RangeQuery(np.zeros(3), np.ones(3)))
 
 
-# -- delegated search ------------------------------------------------------
+# -- shard-mask search ------------------------------------------------------
 
 
 def test_parallel_search_single_node_equals_serial():
@@ -136,29 +136,30 @@ def test_parallel_search_matches_serial_set_exactly():
         assert got == orthogonal_range_search(tree, q), trial
 
 
-def test_no_match_query_never_delegates():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(0, 1, size=(64, 2))
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
+    coords = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+        min_size=1, max_size=30))
+    pts = np.asarray(coords + coords[:data.draw(st.integers(0, 5))],
+                     dtype=np.float64)  # duplicate rows on top of chance ties
+    n = pts.shape[0]
+    # every box face lies on a data coordinate, so boundary rows are tested
+    rows = st.integers(0, n - 1)
+    a = pts[[data.draw(rows) for _ in range(3)], [0, 1, 2]]
+    b = pts[[data.draw(rows) for _ in range(3)], [0, 1, 2]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     tree = MDBinaryTree(DataSet.from_points(pts))
-    lo = np.array([5.0, 5.0])
-    hi = np.array([6.0, 6.0])
-
-    def fn(ctx):
-        if ctx.rank == 0:
-            master = _SearchMaster(ctx, tree)
-            found = master.query(lo, hi)
-            master.stop()
-            return found, master.delegations
-        _slave_loop(ctx, tree)
-        return None
-
-    world = CommWorld(3)
-    try:
-        found, delegations = world.spmd(fn)[0]
-    finally:
-        world.shutdown()
-    assert found == set()
-    assert delegations == 0  # pruned at the root task
+    for p in (1, 2, 3):
+        if p > n:
+            continue
+        world = CommWorld(p)
+        try:
+            got = parallel_range_search(world, tree, RangeQuery(lo, hi))
+        finally:
+            world.shutdown()
+        assert got == _brute(pts, lo, hi), p
 
 
 # -- window clustering -----------------------------------------------------
@@ -192,6 +193,23 @@ def test_two_blobs_recovered_exactly():
             world.shutdown()
         assert adjusted_rand_index(reps[p].partition, truth) == 1.0
     assert np.array_equal(reps[1].labels, reps[4].labels)
+
+
+def test_windows_identical_for_every_node_count():
+    spread = 0.25
+    X, _ = generate_blobs(seed=21, k=2, per_cluster=60, d=2,
+                          spread=spread, separation=30 * spread)
+    params = KWindowsParams(l=2, a=1.25, seed=1)
+    reps = []
+    for p in (1, 2, 3):
+        world = CommWorld(p)
+        try:
+            reps.append(k_windows(world, X, params))
+        finally:
+            world.shutdown()
+    for rep in reps[1:]:
+        assert np.array_equal(rep.labels, reps[0].labels)
+        assert rep.model["windows"] == reps[0].model["windows"]
 
 
 def test_labels_stay_compact_after_merges():

@@ -116,6 +116,26 @@ def test_four_blobs_fall_out_of_two_levels():
     assert reports[1].j == reports[4].j  # exact reduction: bitwise equal
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+def test_huge_coordinates_still_split(scale):
+    # squared norms of the covariance products pass the float64 range here
+    X0, truth = generate_blobs(seed=4, k=4, per_cluster=20, d=3)
+    X = DataSet(X0.points * scale, X0.ids)
+    reports = []
+    for p in (1, 2, 3):
+        world = CommWorld(p)
+        try:
+            reports.append(pddp_report(world, X, height=2))
+        finally:
+            world.shutdown()
+    assert np.bincount(reports[0].labels).tolist() == [20] * 4
+    assert adjusted_rand_index(reports[0].partition, truth) == 1.0
+    for rep in reports[1:]:
+        assert np.array_equal(rep.labels, reports[0].labels)
+        assert rep.j == reports[0].j
+
+
 def test_trees_agree_across_node_counts():
     X, _ = generate_blobs(seed=11, k=3, per_cluster=40, d=3, spread=1.0)
     tree1, part1 = _run_pddp(1, X, height=2)
