@@ -20,7 +20,7 @@ from .kmeans import KMeansParams, kmeans_centralized, pkm
 from .kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, k_windows,
                        orthogonal_range_search, parallel_range_search)
 from .pca import (DbscanLocal, KMeansLocal, PrincipalBasis, cpca,
-                  cpca_cluster, leading_eigenvector, local_pca)
+                  cpca_cluster, local_pca)
 from .pddp import PddpNode, PddpTree, pddp, pddp_km, pddp_report
 from .report import REPORT_SCHEMA, ClusterReport
 
@@ -38,7 +38,7 @@ __all__ = [
     "KWindowsParams", "MDBinaryTree", "RangeQuery", "k_windows",
     "orthogonal_range_search", "parallel_range_search",
     "DbscanLocal", "KMeansLocal", "PrincipalBasis", "cpca", "cpca_cluster",
-    "leading_eigenvector", "local_pca",
+    "local_pca",
     "PddpNode", "PddpTree", "pddp", "pddp_km", "pddp_report",
     "REPORT_SCHEMA", "ClusterReport",
     "__version__",

@@ -109,6 +109,9 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
     if algo in _PARALLEL and nodes != 1:
         raise _UsageError("%s is the single-node variant; use %s"
                           % (algo, _PARALLEL[algo]))
+    if algo == "pddp" and args.tol is not None:
+        raise _UsageError("pddp has no --tol: its split directions come "
+                          "from a direct eigensolver")
     if algo == "dbscan":
         t0 = time.perf_counter()
         part = dbscan(X, DbscanParams(eps=args.eps, min_pts=args.min_pts))
@@ -162,7 +165,7 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
             rep.timings_ms["split"] = split_ms
             return rep
         if algo == "pddp":
-            return pddp_report(world, X, args.height, tol=_tol(args, 1e-10))
+            return pddp_report(world, X, args.height)
         if algo == "pddp-km":
             return pddp_km(world, X, args.height, max_iter=args.max_iter,
                            tol=_tol(args, 1e-9))

@@ -1,9 +1,10 @@
 """Principal component extraction and PCA-guided distributed clustering.
 
-Local bases come from hand-rolled power iteration with deflation. The
-collective step gathers per-node bases plus projected rows, rebuilds an
-approximation of the full data at the facilitator, and re-extracts a
-global basis that every node then shares.
+Local bases are the leading eigenvectors of the covariance, from the one
+direct symmetric solver `principal_axes`. The collective step gathers
+per-node bases plus projected rows, rebuilds an approximation of the
+full data at the facilitator, and re-extracts a global basis that every
+node then shares.
 """
 
 from __future__ import annotations
@@ -27,36 +28,17 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def leading_eigenvector(C: np.ndarray, tol: float = 1e-10,
-                        max_iter: int = 1000):
-    """Dominant eigenpair of a symmetric matrix by power iteration.
+def principal_axes(C: np.ndarray):
+    """Eigenpairs of a symmetric matrix, largest eigenvalue first.
 
-    Returns (unit vector, eigenvalue, converged). Convergence means the
-    residual |C u - lam u| fell to tol * max(1, |lam|). A zero matrix
-    short-circuits to coordinate axis 0 with eigenvalue 0.
+    Returns (eigenvalues, axes) with axes[i] the unit eigenvector of
+    eigenvalues[i], signed by `_fix_sign`; equal eigenvalues keep the
+    solver's order. This is the package's one eigensolver: a direct
+    symmetric solve has no iteration to stop short of convergence.
     """
-    C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("matrix must be square")
-    d = C.shape[0]
-    if not np.any(C):
-        e0 = np.zeros(d)
-        e0[0] = 1.0
-        return e0, 0.0, True
-    norms = np.linalg.norm(C, axis=0)
-    v = C[:, int(np.argmax(norms))].copy()
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = C @ v
-        lam = float(v @ w)
-        if np.linalg.norm(w - lam * v) <= tol * max(1.0, abs(lam)):
-            return _fix_sign(v), lam, True
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return _fix_sign(v), 0.0, True  # v spans part of the nullspace
-        v = w / nw
-    return _fix_sign(v), lam, False
+    evals, evecs = np.linalg.eigh(np.asarray(C, dtype=np.float64))
+    order = np.argsort(-evals, kind="stable")
+    return evals[order], np.array([_fix_sign(v) for v in evecs.T[order]])
 
 
 @dataclass(frozen=True)
@@ -100,26 +82,10 @@ def _pca_of_points(points: np.ndarray, variance_fraction: float) -> PrincipalBas
         e0 = np.zeros(d)
         e0[0] = 1.0
         return PrincipalBasis(mean, e0[None, :], np.zeros(1))
-    comps: list[np.ndarray] = []
-    eigs: list[float] = []
-    work = C.copy()
-    cum = 0.0
-    for _ in range(d):
-        u, lam, _ = leading_eigenvector(work)
-        for prev in comps:  # light re-orthogonalization against drift
-            u = u - (u @ prev) * prev
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            break
-        u = _fix_sign(u / nu)
-        lam = max(lam, 0.0)
-        comps.append(u)
-        eigs.append(lam)
-        cum += lam
-        if cum / total >= variance_fraction:
-            break
-        work = work - lam * np.outer(u, u)
-    return PrincipalBasis(mean, np.vstack(comps), np.asarray(eigs))
+    evals, axes = principal_axes(C)
+    evals = np.maximum(evals, 0.0)
+    r = min(d, int(np.sum(np.cumsum(evals) / total < variance_fraction)) + 1)
+    return PrincipalBasis(mean, axes[:r], evals[:r])
 
 
 def local_pca(shard: Shard, variance_fraction: float):
@@ -154,27 +120,24 @@ def cpca(world: CommWorld, shards, variance_fraction: float) -> PrincipalBasis:
 class KMeansLocal:
     """Local clusterer plugin: seeded centralized k-means.
 
-    Runs a handful of restarts with derived seeds and keeps the lowest
+    Runs RESTARTS restarts with derived seeds and keeps the lowest
     objective; a single random init on a small shard falls into bad
     minima often enough to poison the merged result.
     """
 
     name = "kmeans"
+    RESTARTS = 8
+    TOL = 1e-9
 
-    def __init__(self, seed: int = 0, max_iter: int = 300, tol: float = 1e-9,
-                 restarts: int = 8):
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
+    def __init__(self, seed: int = 0, max_iter: int = 300):
         self.seed = seed
         self.max_iter = max_iter
-        self.tol = tol
-        self.restarts = restarts
 
     def __call__(self, X: DataSet, k: int) -> np.ndarray:
         best = None
-        for i in range(self.restarts):
+        for i in range(self.RESTARTS):
             params = KMeansParams(k=min(k, X.n), max_iter=self.max_iter,
-                                  tol=self.tol,
+                                  tol=self.TOL,
                                   seed=int(np.random.default_rng(
                                       (self.seed, i)).integers(2**31)))
             _, part, j, _ = kmeans_centralized(X, params)

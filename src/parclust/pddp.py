@@ -1,10 +1,11 @@
 """Divisive partitioning along principal directions, plus the hybrid that
 feeds its leaves to parallel k-means as the initial centroids.
 
-The covariance direction of each cluster is found matrix-free: every
-power-iteration step reduces one exactly-accumulated d-vector, so all
-nodes agree bitwise on the direction and the split is independent of the
-node count. Clusters split on the sign of the mean-centered projection.
+The covariance of each cluster is reduced exactly (fixed-point column sums
+of the centered cross-products), so every node holds the same bit-identical
+d x d matrix, solves it with the one direct eigensolver, and agrees on the
+leading direction; the split is independent of the node count. Clusters
+split on the sign of the mean-centered projection.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .comm import CommWorld, NodeCtx, split_blocks
 from .core import CentroidSet, DataSet, Partition, sse_objective
 from .exactsum import column_sums_fixed, fixed_mean, fixed_to_float, sum_fixed
 from .kmeans import KMeansParams, _assign, pkm
-from .pca import _fix_sign
+from .pca import principal_axes
 from .report import ClusterReport
 
 
@@ -60,46 +61,34 @@ def _exact_mean_rows(points: np.ndarray) -> np.ndarray:
     return np.array([fixed_mean(s, n) for s in sums], dtype=np.float64)
 
 
-def _power_direction(ctx: NodeCtx, local_rows: np.ndarray, d: int, size: int,
-                     tol: float, max_iter: int):
+def _split_direction(ctx: NodeCtx, local_rows: np.ndarray, size: int):
     """Global mean and leading covariance direction of one cluster.
 
-    Returns (mean, direction, splittable). Not splittable when the
-    cluster has zero covariance or the iteration collapses to the zero
-    vector. Every rank participates and sees identical values.
+    Two exact allreduces: the column sums give the mean, and the upper
+    triangle of the centered cross-products gives the covariance, so every
+    rank solves the same bit-identical matrix. Returns (mean, direction);
+    the direction is None when the cluster has zero covariance.
     """
     g = ctx.allreduce_sum(column_sums_fixed(local_rows))
     mean = np.array([fixed_mean(s, size) for s in g], dtype=np.float64)
     centered = local_rows - mean
-    diag = ctx.allreduce_sum(column_sums_fixed(centered * centered))
-    if all(v == 0 for v in diag):
-        return mean, None, False  # all points identical
-    v = np.zeros(d)
-    v[int(np.argmax([fixed_to_float(x) for x in diag]))] = 1.0
-    lam = 0.0
-    for _ in range(max_iter):
-        t = centered @ v
-        wf = ctx.allreduce_sum(column_sums_fixed(centered * t[:, None]))
-        w = np.array([fixed_mean(x, size) for x in wf], dtype=np.float64)
-        lam = float(v @ w)
-        # both norms run on w / 2^e with 2^e near max|w|, so squaring cannot
-        # overflow; a power-of-two scale is exact and changes no other result
-        e = int(np.frexp(np.max(np.abs(w)))[1])
-        if np.linalg.norm(np.ldexp(w - lam * v, -e)) <= \
-                np.ldexp(tol * max(1.0, abs(lam)), -e):
-            break
-        u = np.ldexp(w, -e)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return mean, None, False  # direction collapsed, treat as degenerate
-        v = u / nu
-    return mean, _fix_sign(v), True
+    d = centered.shape[1]
+    cross: list[int] = []
+    for j in range(d):  # one column at a time: no n x d^2 product in memory
+        cross += column_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
+    cross = ctx.allreduce_sum(cross)
+    if not any(cross):
+        return mean, None  # all points identical
+    upper = np.triu_indices(d)
+    C = np.empty((d, d))
+    C[upper] = [fixed_mean(v, size) for v in cross]
+    C.T[upper] = C[upper]
+    return mean, principal_axes(C)[1][0]
 
 
-def _pddp_node(ctx: NodeCtx, shards, X, height, tol, max_iter):
+def _pddp_node(ctx: NodeCtx, shards, X, height):
     shard = shards[ctx.rank]
     pts = shard.points
-    d = X.d
     is_root_rank = ctx.rank == 0
 
     clusters = [np.arange(len(shard), dtype=np.int64)]  # local row indices
@@ -117,12 +106,11 @@ def _pddp_node(ctx: NodeCtx, shards, X, height, tol, max_iter):
                 next_nodes.append(node)
                 continue
             sub = pts[rows]
-            mean, direction, splittable = _power_direction(
-                ctx, sub, d, size, tol, max_iter)
+            mean, direction = _split_direction(ctx, sub, size)
             if is_root_rank:
                 node.mean = mean
                 node.direction = direction
-            if not splittable:
+            if direction is None:
                 next_clusters.append(rows)
                 next_sizes.append(size)
                 next_nodes.append(node)
@@ -157,8 +145,7 @@ def _pddp_node(ctx: NodeCtx, shards, X, height, tol, max_iter):
     return None
 
 
-def pddp(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
-         max_iter: int = 1000):
+def pddp(world: CommWorld, X: DataSet, height: int):
     """Build the split tree and the leaf partition.
 
     Every non-singleton, non-degenerate cluster is split once per level
@@ -167,7 +154,7 @@ def pddp(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
     if height < 1:
         raise ValueError("height must be >= 1")
     shards = split_blocks(X, world.size)
-    root = world.spmd(_pddp_node, shards, X, height, tol, max_iter)[0]
+    root = world.spmd(_pddp_node, shards, X, height)[0]
     tree = PddpTree(root=root, height=height)
     row_of = np.empty(X.n, dtype=np.int64)
     row_of[X.ids] = np.arange(X.n)
@@ -179,18 +166,17 @@ def pddp(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
     return tree, Partition(labels)
 
 
-def pddp_report(world: CommWorld, X: DataSet, height: int, tol: float = 1e-10,
-                max_iter: int = 1000) -> ClusterReport:
+def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:
     """Run pddp and package leaves as a report (objective uses leaf means)."""
     with world.timed() as timings:
-        tree, part = pddp(world, X, height, tol, max_iter)
+        tree, part = pddp(world, X, height)
     leaves = tree.leaves()
     means = np.vstack([leaf.mean for leaf in leaves])
     j = sse_objective(X, part, CentroidSet(means))
     return ClusterReport(
         algo="pddp",
         p=world.size,
-        params={"height": height, "tol": tol, "max_iter": max_iter},
+        params={"height": height},
         n=X.n,
         d=X.d,
         labels=part.labels,

@@ -125,6 +125,8 @@ def test_usage_errors_exit_one(blob_csv, capsys):
                  "--nodes", "4"]) == 1
     assert main(["run", "--algo", "dbscan", "--data", str(blob_csv),
                  "--nodes", "4"]) == 1
+    assert main(["run", "--algo", "pddp", "--data", str(blob_csv),
+                 "--tol", "1e-6"]) == 1  # pddp has no tolerance
     capsys.readouterr()  # drop accumulated stderr
 
 

@@ -241,8 +241,7 @@ def _wide_magnitude_data(top):
     return DataSet.from_points(pts)
 
 
-# pddp squares covariance entries in its power-iteration norms, so its data
-# stays below 1e77 there; the k-means and FCM data reach 1e150
+# the k-means and FCM data reach 1e150 and the pddp-km data 1e70
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name,top,run", [
     ("pkm", 1e150, lambda w, X: pkm(w, X, KMeansParams(k=3, seed=2))),

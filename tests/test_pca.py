@@ -1,4 +1,4 @@
-"""Power iteration, truncated bases, and PCA-guided distributed clustering."""
+"""The direct eigensolver, truncated bases, and PCA-guided distributed clustering."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,18 @@ from parclust.comm import CommWorld, split_blocks
 from parclust.core import DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.pca import (DbscanLocal, KMeansLocal, PrincipalBasis,
                           _maximin_init, _pca_of_points, _weighted_kmeans,
-                          cpca, cpca_cluster, leading_eigenvector, local_pca)
+                          cpca, cpca_cluster, local_pca, principal_axes)
 
 
 def _max_principal_angle(A, B):
-    """Largest angle between the row spaces of two orthonormal bases."""
-    s = np.linalg.svd(A @ B.T, compute_uv=False)
-    return float(np.arccos(np.clip(np.min(s), -1.0, 1.0)))
+    """Largest angle between the row spaces of two orthonormal bases.
+
+    The singular values of the part of B outside A's row space are the
+    sines of the principal angles. Their arcsin resolves small angles,
+    which arccos of a cosine within 1 ulp of 1.0 (1.49e-8 rad) cannot.
+    """
+    s = np.linalg.svd(B - (B @ A.T) @ A, compute_uv=False)
+    return float(np.arcsin(min(1.0, np.max(s))))
 
 
 def _rank2_embedded(seed, n=400, d=6, scales=(3.0, 1.5)):
@@ -23,47 +28,26 @@ def _rank2_embedded(seed, n=400, d=6, scales=(3.0, 1.5)):
     return latent @ Q.T + rng.normal(size=d), Q.T  # (points, true 2xd basis)
 
 
-# -- dominant eigenpair ----------------------------------------------------
+# -- eigenpairs --------------------------------------------------------------
+
+_LINE = np.array([[t, t] for t in (-2.0, -1.0, 0.0, 1.0, 2.0)])
 
 
-def test_diagonal_matrix_gives_axis_and_value():
-    u, lam, ok = leading_eigenvector(np.diag([5.0, 1.0]))
-    assert ok
-    assert lam == pytest.approx(5.0)
-    assert np.allclose(u, [1.0, 0.0])
-
-
-def test_perfect_line_covariance():
-    pts = np.array([[t, t] for t in (-2.0, -1.0, 0.0, 1.0, 2.0)])
-    C = pts.T @ pts / len(pts)
-    u, lam, ok = leading_eigenvector(C)
-    assert ok
-    assert np.allclose(u, [np.sqrt(0.5), np.sqrt(0.5)])
-    assert lam == pytest.approx(4.0)  # variances add along the diagonal
-
-
-def test_matches_dense_eigensolver_on_random_psd():
-    rng = np.random.default_rng(99)
-    for _ in range(10):
-        R = rng.normal(size=(6, 6))
-        C = R @ R.T
-        u, lam, ok = leading_eigenvector(C)
-        assert ok
-        evals, evecs = np.linalg.eigh(C)
-        assert lam == pytest.approx(evals[-1], rel=1e-8)
-        assert abs(u @ evecs[:, -1]) == pytest.approx(1.0, abs=1e-6)
-        assert np.linalg.norm(C @ u - lam * u) <= 1e-8 * max(1.0, lam)
-
-
-def test_zero_matrix_short_circuits():
-    u, lam, ok = leading_eigenvector(np.zeros((3, 3)))
-    assert ok and lam == 0.0
-    assert np.allclose(u, [1.0, 0.0, 0.0])
-
-
-def test_non_square_rejected():
-    with pytest.raises(ValueError):
-        leading_eigenvector(np.zeros((2, 3)))
+@pytest.mark.parametrize("C, values, first", [
+    (np.diag([5.0, 1.0]), [5.0, 1.0], [1.0, 0.0]),
+    # variances add along the diagonal
+    (_LINE.T @ _LINE / len(_LINE), [4.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]),
+    (np.zeros((3, 3)), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+], ids=["diagonal", "line", "zero"])
+def test_principal_axes_descending_and_signed(C, values, first):
+    evals, axes = principal_axes(C)
+    assert evals == pytest.approx(values, abs=1e-12)
+    assert np.all(np.diff(evals) <= 0.0)
+    assert np.allclose(axes[0], first)
+    assert np.allclose(axes @ axes.T, np.eye(len(values)))
+    assert np.allclose(C @ axes.T, axes.T * evals)
+    for axis in axes:
+        assert axis[np.flatnonzero(axis)[0]] > 0.0
 
 
 # -- truncated basis -------------------------------------------------------
@@ -89,6 +73,19 @@ def test_constant_rows_fall_back_to_first_axis():
     assert basis.r == 1
     assert basis.eigenvalues[0] == 0.0
     assert np.allclose(basis.components[0], [1.0, 0.0, 0.0])
+
+
+def test_tiny_eigengap_gives_the_leading_eigenvector():
+    # 11 x 11 grid, one axis stretched by 1 + 1e-6, rotated by pi/7: the two
+    # covariance eigenvalues differ by a relative 2e-6
+    g = np.arange(11.0)
+    pts = np.array([[x * (1.0 + 1e-6), y] for x in g for y in g])
+    t = np.pi / 7
+    pts = pts @ np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+    centered = pts - pts.mean(axis=0)
+    leading = np.linalg.eigh(centered.T @ centered / len(pts))[1][:, -1]
+    basis = _pca_of_points(pts, 0.999)
+    assert _max_principal_angle(basis.components[:1], leading[None, :]) <= 1e-8
 
 
 def test_fraction_out_of_range_rejected():

@@ -136,6 +136,21 @@ def test_huge_coordinates_still_split(scale):
         assert rep.j == reports[0].j
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_tiny_eigengap_splits_along_the_leading_eigenvector(p):
+    # 11 x 11 grid, one axis stretched by 1 + 1e-6, rotated by pi/7
+    g = np.arange(11.0)
+    pts = np.array([[x * (1.0 + 1e-6), y] for x in g for y in g])
+    t = np.pi / 7
+    pts = pts @ np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+    centered = pts - pts.mean(axis=0)
+    leading = np.linalg.eigh(centered.T @ centered / len(pts))[1][:, -1]
+    tree, _ = _run_pddp(p, DataSet.from_points(pts), height=1)
+    u = tree.root.direction
+    # the sine of the angle between the two lines, resolved below 1.49e-8
+    assert np.arcsin(np.linalg.norm(u - (u @ leading) * leading)) <= 1e-8
+
+
 def test_trees_agree_across_node_counts():
     X, _ = generate_blobs(seed=11, k=3, per_cluster=40, d=3, spread=1.0)
     tree1, part1 = _run_pddp(1, X, height=2)
