@@ -1,14 +1,16 @@
 """Simulated P-node runtime whose ranks communicate through collectives.
 
-One thread per rank, rank 0 acting as root. Collectives are barriers:
-every rank posts its contribution, rank 0 validates and combines, and
-all ranks read the result. Reductions fold contributions in ascending
-rank order, so outcomes are reproducible and independent of scheduling.
-Collectives are the only way ranks exchange data: there is no
-point-to-point messaging.
+One thread per rank. Collectives are barriers: every rank posts its
+contribution, the last rank to arrive validates and combines them inside
+the barrier, and all ranks read the result after one wait. The only
+reduction sums equal-length vectors of Python ints. Integer addition is
+exact and associative, so a sum does not depend on the fold order or on
+the node count; a float payload, whose sum would, is refused. Collectives
+are the only way ranks exchange data: there is no point-to-point
+messaging.
 
 A one-node world starts no thread: its single rank runs on the calling
-thread against `SerialCtx`, whose collectives are identities. Centralized
+thread against `SerialCtx`, whose collectives need no barrier. Centralized
 k-means runs the same way, so its result is the parallel body's at P=1.
 """
 
@@ -70,8 +72,15 @@ class CommWorld:
             raise ValueError("world needs at least one node")
         self.size = n_nodes
         self._slots: list = [None] * n_nodes
-        self._result = None
-        self._barrier = threading.Barrier(n_nodes)
+        self._result: list = [None]
+        slots, result = self._slots, self._result
+
+        def combine():  # run by the last rank to reach the barrier
+            result[0] = CommWorld._combine(slots)
+
+        # the action holds the slots and the result, not the world, so no
+        # reference cycle keeps a dropped world alive until a gc pass
+        self._barrier = threading.Barrier(n_nodes, action=combine)
         self._closed = threading.Event()
         self._lock = threading.Lock()
         self._abort_reason: str | None = None
@@ -185,58 +194,46 @@ class CommWorld:
         try:
             self._slots[rank] = (kind, root, payload)
             self._wait()
-            if rank == 0:
-                self._result = self._combine()
-            self._wait()
-            result = self._result
+            # the next action overwrites _result only after every rank,
+            # this one included, has posted its next slot
+            result = self._result[0]
         finally:
             self._comm_seconds[rank] += time.perf_counter() - t0
         if isinstance(result, _Abort):
             raise CommAbort(result.reason)
         return result
 
-    def _combine(self):
-        kinds = {s[0] for s in self._slots}
+    @staticmethod
+    def _combine(slots):
+        kinds = {s[0] for s in slots}
         if len(kinds) != 1:
             return _Abort("mismatched collectives on the same step: %s"
                           % sorted(kinds))
         kind = next(iter(kinds))
-        roots = {s[1] for s in self._slots}
+        roots = {s[1] for s in slots}
         if len(roots) != 1:
             return _Abort("%s called with mismatched roots: %s"
                           % (kind, sorted(roots)))
         root = next(iter(roots))
-        payloads = [s[2] for s in self._slots]
+        payloads = [s[2] for s in slots]
         if kind == "broadcast":
             return payloads[root]
         if kind == "gather":
             return list(payloads)
         if kind == "allreduce_sum":
-            return self._fold(payloads)
+            return CommWorld._fold(payloads)
         return _Abort("unknown collective kind %r" % kind)
 
     @staticmethod
     def _fold(payloads):
-        first = payloads[0]
-        if isinstance(first, np.ndarray):
-            for v in payloads[1:]:
-                if not isinstance(v, np.ndarray) or v.shape != first.shape:
-                    return _Abort("allreduce_sum shape mismatch")
-            out = first.copy()
-            for v in payloads[1:]:  # ascending rank order, serial fold
-                out = out + v
-            return out
-        try:
-            lengths = {len(v) for v in payloads}
-        except TypeError:
-            return _Abort("allreduce_sum expects vectors")
+        for v in payloads:
+            if not isinstance(v, (list, tuple)) or set(map(type, v)) - {int}:
+                return _Abort("allreduce_sum takes lists of Python ints only, "
+                              "so that every sum is exact at any node count")
+        lengths = {len(v) for v in payloads}
         if len(lengths) != 1:
             return _Abort("allreduce_sum length mismatch: %s" % sorted(lengths))
-        out = list(first)
-        for v in payloads[1:]:
-            for i, item in enumerate(v):
-                out[i] = out[i] + item
-        return out
+        return [sum(col) for col in zip(*payloads)]
 
 
 class NodeCtx:
@@ -256,7 +253,7 @@ class NodeCtx:
         return self.world._collective(self.rank, "broadcast", root, payload)
 
     def allreduce_sum(self, vector):
-        """Elementwise sum over ranks, folded in ascending rank order."""
+        """Elementwise exact sum over ranks of a list of Python ints."""
         return self.world._collective(self.rank, "allreduce_sum", 0, vector)
 
     def gather(self, payload, root: int = 0) -> list:

@@ -246,10 +246,29 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
     density model; the facilitator density-clusters all representative
     centers, merges local clusters whose representatives co-occur, and
     broadcasts the relabeling.
+
+    A shard holds a 1/P sample of the data's density, so a split can hide
+    clusters that a central scan finds. Raises ValueError rather than
+    answer "all noise" from shards that show no core point: when a shard
+    has fewer than `min_pts` rows, or when no shard of a multi-node run
+    holds a core point.
     """
+    sizes = sorted(len(s) for s in shards)
+    min_pts = params.local.min_pts
+    if sizes[0] < min_pts:
+        raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
+                         "can hold no core point; use fewer nodes"
+                         % (sizes[0], min_pts))
     with world.timed() as timings:
         out = world.spmd(_ddbc_node, shards, params)
     labels, n_reps = out[0]
+    if n_reps == 0 and world.size > 1:
+        raise ValueError("no shard of %d to %d rows holds a core point under "
+                         "eps=%g and min_pts=%d, and an all-noise answer over "
+                         "%d nodes cannot be told from shards too small to "
+                         "show the clusters; use fewer nodes"
+                         % (sizes[0], sizes[-1], params.local.eps, min_pts,
+                            world.size))
     k = int(np.unique(labels[labels != NOISE]).size)
     return ClusterReport(
         algo="ddbc",

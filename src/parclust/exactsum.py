@@ -2,10 +2,11 @@
 
 Finite float64 values convert losslessly to integers on a fixed
 power-of-two grid. Integer addition is associative, so any split of a
-sum into per-node partial sums folds to the same total, and rounding
-back to float64 happens exactly once. This is what lets the parallel
-reductions reproduce serial results bit for bit regardless of how the
-rows were blocked.
+sum into per-node partial sums folds to the same total. Every result is
+an integer quotient (a sum over a count, or a sum over a sum) rounded
+back to float64 exactly once by CPython's correctly rounded int true
+division. This is what lets the parallel reductions reproduce serial
+results bit for bit regardless of how the rows were blocked.
 
 One kernel, `grouped_sums_fixed`, computes every sum: per (group, column)
 for a row labelling, per column, or of a flat array. It never shifts a
@@ -16,13 +17,13 @@ it splits each 53-bit mantissa into a high and a low integer part, sums
 each part in float64 into buckets keyed by (group, column, block of
 binades) with `np.bincount` (exact because the parts are small integers
 and a bucket holds a bounded number of terms), and shifts one big
-integer per non-empty bucket. NaN and infinity raise ValueError.
+integer per non-empty bucket. NaN and infinity raise ValueError, and so
+does a quotient beyond the float64 range.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,23 +52,23 @@ def fixed_from_float(x: float) -> int:
     return int(m * _MANT_SCALE) << (e + 1073)
 
 
-def fixed_to_float(acc: int) -> float:
-    """Round an accumulated fixed-point value to the nearest float64."""
-    return float(Fraction(acc, 1 << _GRID_BITS))
-
-
-def fixed_mean(acc: int, count: int) -> float:
-    """Exact accumulated sum divided by an integer count, rounded once."""
-    if count <= 0:
-        raise ZeroDivisionError("mean of zero rows")
-    return float(Fraction(acc, count << _GRID_BITS))
+def fixed_to_float(acc: int, count: int = 1) -> float:
+    """Accumulated value divided by an integer count, rounded once to float64."""
+    return fixed_ratio(acc, count << _GRID_BITS)
 
 
 def fixed_ratio(num: int, den: int) -> float:
-    """Quotient of two accumulated values on the same grid, rounded once."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator in fixed-point ratio")
-    return float(Fraction(num, den))
+    """Quotient of two accumulated values on the same grid, rounded once.
+
+    Raises ZeroDivisionError on a zero denominator and ValueError when
+    the quotient is beyond the float64 range.
+    """
+    if den < 0:  # so that a zero quotient is +0.0, as with Fraction
+        num, den = -num, -den
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError("exact result out of float64 range") from None
 
 
 def grouped_sums_fixed(a, groups=None, ngroups: int = 1) -> list[int]:
@@ -148,7 +149,3 @@ def sum_fixed(values) -> int:
     arr = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     return grouped_sums_fixed(arr)[0]
 
-
-def column_sums_fixed(a) -> list[int]:
-    """Exact per-column sums of a 2-D float64 array."""
-    return grouped_sums_fixed(a)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard, split_blocks
 from .core import DataSet, squared_distances
-from .exactsum import column_sums_fixed, fixed_ratio, fixed_to_float, sum_fixed
+from .exactsum import fixed_ratio, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
 
 
@@ -66,22 +66,25 @@ def membership_update(shard: Shard, centers: np.ndarray, m: float) -> np.ndarray
 
 def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
                     m: float) -> np.ndarray:
-    """Weighted means from two global reductions (numerators, denominators)."""
+    """Weighted means from one global reduction.
+
+    The reduced vector holds the k x d numerators, then the k denominators.
+    """
     k = u.shape[1]
     d = shard.points.shape[1]
     w = u ** m
-    num_local: list[int] = []
+    local: list[int] = []
     for i in range(k):
-        num_local.extend(column_sums_fixed(shard.points * w[:, i:i + 1]))
-    den_local = column_sums_fixed(w)
-    nums = ctx.allreduce_sum(num_local)
-    dens = ctx.allreduce_sum(den_local)
+        local += grouped_sums_fixed(shard.points * w[:, i:i + 1])
+    local += grouped_sums_fixed(w)
+    g = ctx.allreduce_sum(local)
+    dens = g[k * d:]
     centers = np.empty((k, d), dtype=np.float64)
     for i in range(k):
         if dens[i] == 0:
             raise ValueError("degenerate membership column %d: all weights zero" % i)
         for j in range(d):
-            centers[i, j] = fixed_ratio(nums[i * d + j], dens[i])
+            centers[i, j] = fixed_ratio(g[i * d + j], dens[i])
     return centers
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, SerialCtx, Shard, split_blocks
 from .core import CentroidSet, DataSet, Partition, squared_distances
-from .exactsum import fixed_mean, fixed_to_float, grouped_sums_fixed, sum_fixed
+from .exactsum import fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
 
 
@@ -72,7 +72,7 @@ def _new_centers(sums, counts, k, d, old_centers):
             empty.append(i)
             continue
         for j in range(d):
-            centers[i, j] = fixed_mean(sums[i * d + j], counts[i])
+            centers[i, j] = fixed_to_float(sums[i * d + j], counts[i])
     return centers, empty
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, split_blocks
 from .core import CentroidSet, DataSet, Partition, sse_objective
-from .exactsum import column_sums_fixed, fixed_mean, fixed_to_float, sum_fixed
+from .exactsum import fixed_to_float, grouped_sums_fixed, sum_fixed
 from .kmeans import KMeansParams, _assign, pkm
 from .pca import principal_axes
 from .report import ClusterReport
@@ -56,9 +56,9 @@ class PddpTree:
 
 
 def _exact_mean_rows(points: np.ndarray) -> np.ndarray:
-    sums = column_sums_fixed(points)
     n = points.shape[0]
-    return np.array([fixed_mean(s, n) for s in sums], dtype=np.float64)
+    return np.array([fixed_to_float(s, n) for s in grouped_sums_fixed(points)],
+                    dtype=np.float64)
 
 
 def _split_direction(ctx: NodeCtx, local_rows: np.ndarray, size: int):
@@ -69,19 +69,19 @@ def _split_direction(ctx: NodeCtx, local_rows: np.ndarray, size: int):
     rank solves the same bit-identical matrix. Returns (mean, direction);
     the direction is None when the cluster has zero covariance.
     """
-    g = ctx.allreduce_sum(column_sums_fixed(local_rows))
-    mean = np.array([fixed_mean(s, size) for s in g], dtype=np.float64)
+    g = ctx.allreduce_sum(grouped_sums_fixed(local_rows))
+    mean = np.array([fixed_to_float(s, size) for s in g], dtype=np.float64)
     centered = local_rows - mean
     d = centered.shape[1]
     cross: list[int] = []
     for j in range(d):  # one column at a time: no n x d^2 product in memory
-        cross += column_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
+        cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
     cross = ctx.allreduce_sum(cross)
     if not any(cross):
         return mean, None  # all points identical
     upper = np.triu_indices(d)
     C = np.empty((d, d))
-    C[upper] = [fixed_mean(v, size) for v in cross]
+    C[upper] = [fixed_to_float(v, size) for v in cross]
     C.T[upper] = C[upper]
     return mean, principal_axes(C)[1][0]
 

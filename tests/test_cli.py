@@ -157,6 +157,49 @@ def test_overflowing_input_exits_two(algo, nodes, tmp_path, capsys):
     assert len(errors) == 1 and "non-finite" in errors[0]
 
 
+@pytest.mark.parametrize("algo,nodes", [("kmeans", "1"), ("pkm", "2")])
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_objective_beyond_float_range_exits_two(algo, nodes, seed, tmp_path,
+                                                capsys):
+    # every squared distance to the mean is finite, their exact sum is not
+    data = tmp_path / "wide.csv"
+    data.write_text("0\n" * 5 + "1.2e154\n" * 2)
+    rc = main(["run", "--algo", algo, "--data", str(data), "--k", "1",
+               "--nodes", nodes, "--seed", seed])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: exact result out of float64 range" in captured.err
+
+
+def _alternating_pairs_csv(tmp_path):
+    data = tmp_path / "pairs.csv"
+    data.write_text("0,0\n5,5\n" * 10)
+    return data
+
+
+def test_ddbc_over_too_sparse_shards_exits_two(tmp_path, capsys):
+    # 5-row shards hold at most 3 copies of either point, so no shard has a
+    # core point under min_pts 5 although the central scan finds two clusters
+    data = _alternating_pairs_csv(tmp_path)
+    for nodes, why in (("4", "no shard of 5 to 5 rows holds a core point"),
+                       ("5", "a shard of 4 rows is smaller than min_pts=5")):
+        rc = main(["run", "--algo", "ddbc", "--data", str(data), "--eps",
+                   "0.5", "--min-pts", "5", "--nodes", nodes])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: " + why in captured.err
+
+
+def test_ddbc_over_dense_enough_shards_finds_both_points(tmp_path, capsys):
+    data = _alternating_pairs_csv(tmp_path)
+    doc = _run_json(capsys, ["run", "--algo", "ddbc", "--data", str(data),
+                             "--eps", "0.5", "--min-pts", "5", "--nodes", "2"])
+    assert doc["model"]["k"] == 2
+    assert doc["labels"] == [0, 1] * 10
+
+
 def test_more_clusters_than_distinct_rows_exits_two(tmp_path, capsys):
     data = tmp_path / "dup.csv"
     data.write_text("0,0\n0,0\n0,0\n1,1\n")

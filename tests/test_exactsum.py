@@ -15,8 +15,7 @@ from hypothesis.extra import numpy as hnp
 from parclust import exactsum
 from parclust.comm import CommWorld
 from parclust.core import DataSet, generate_blobs
-from parclust.exactsum import (column_sums_fixed, fixed_from_float,
-                               fixed_mean, fixed_ratio, fixed_to_float,
+from parclust.exactsum import (fixed_from_float, fixed_ratio, fixed_to_float,
                                grouped_sums_fixed, sum_fixed)
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
@@ -69,27 +68,30 @@ def test_sum_simple_arithmetic():
 def test_column_sums_match_per_column_loop():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(23, 4)) * 1e3
-    cols = column_sums_fixed(a)
+    cols = grouped_sums_fixed(a)
     for j in range(4):
         assert cols[j] == sum_fixed(a[:, j])
+    assert cols == grouped_sums_fixed(a, np.zeros(23, dtype=np.int64), 1)
     with pytest.raises(ValueError):
-        column_sums_fixed(a[:, 0])
+        grouped_sums_fixed(a[:, 0])
 
 
-def test_fixed_mean_rounds_once():
+def test_mean_rounds_once():
     acc = sum_fixed([1.0, 2.0])
-    assert fixed_mean(acc, 2) == 1.5
+    assert fixed_to_float(acc, 2) == 1.5
     # 1/3 is not a float64; the mean must be the correctly rounded quotient
     acc = sum_fixed([1.0])
-    assert fixed_mean(acc, 3) == float(Fraction(1, 3))
+    assert fixed_to_float(acc, 3) == float(Fraction(1, 3))
     with pytest.raises(ZeroDivisionError):
-        fixed_mean(acc, 0)
+        fixed_to_float(acc, 0)
 
 
 def test_fixed_ratio():
     num = sum_fixed([3.0])
     den = sum_fixed([2.0])
     assert fixed_ratio(num, den) == 1.5
+    assert fixed_ratio(-num, -den) == 1.5
+    assert fixed_ratio(0, -den).hex() == "0x0.0p+0"  # +0.0, as with Fraction
     with pytest.raises(ZeroDivisionError):
         fixed_ratio(num, 0)
 
@@ -101,7 +103,59 @@ def test_mean_equals_rational_oracle(values):
     # rational oracle always rounds to a finite float
     acc = sum_fixed(values)
     oracle = float(sum(Fraction(v) for v in values) / len(values))
-    assert fixed_mean(acc, len(values)) == oracle
+    assert fixed_to_float(acc, len(values)) == oracle
+
+
+def _rational_oracle(num, den):
+    """float(Fraction(num, den)), or None where it is beyond float64."""
+    try:
+        return float(Fraction(num, den))
+    except OverflowError:
+        return None
+
+
+# grid values of single floats (subnormals up to the largest finite), of
+# short sums (up to 8 times the largest finite, beyond float64) and of
+# arbitrary integers
+grid_values = st.one_of(
+    st.builds(fixed_from_float, edge_floats),
+    st.lists(edge_floats, max_size=8).map(sum_fixed),
+    st.integers(-(1 << 2200), 1 << 2200),
+)
+
+
+@given(grid_values, st.integers(1, 1 << 20))
+@settings(deadline=None, max_examples=300)
+def test_fixed_to_float_matches_rational_oracle(acc, count):
+    want = _rational_oracle(acc, count << 1126)
+    if want is None:
+        with pytest.raises(ValueError, match="out of float64 range"):
+            fixed_to_float(acc, count)
+    else:
+        assert fixed_to_float(acc, count).hex() == want.hex()
+
+
+@given(grid_values, grid_values.filter(bool))
+@settings(deadline=None, max_examples=300)
+def test_fixed_ratio_matches_rational_oracle(num, den):
+    want = _rational_oracle(num, den)
+    if want is None:
+        with pytest.raises(ValueError, match="out of float64 range"):
+            fixed_ratio(num, den)
+    else:
+        assert fixed_ratio(num, den).hex() == want.hex()
+
+
+def test_sum_beyond_float_range_raises_value_error():
+    twice_max = sum_fixed([MAX_FINITE, MAX_FINITE])
+    with pytest.raises(ValueError, match="out of float64 range"):
+        fixed_to_float(twice_max)
+    assert fixed_to_float(twice_max, 2) == MAX_FINITE
+    with pytest.raises(ValueError, match="out of float64 range"):
+        fixed_ratio(twice_max, 1 << 1126)
+    # the smallest subnormal over a large count underflows to zero
+    assert fixed_to_float(fixed_from_float(5e-324), 1 << 20) == 0.0
+    assert fixed_to_float(fixed_from_float(-5e-324), 3).hex() == "-0x0.0p+0"
 
 
 def _grouped_oracle(a, groups, ngroups):
@@ -147,15 +201,6 @@ def test_grouped_sums_add_over_a_row_split(case, data):
         grouped_sums_fixed(a, groups, ngroups)
 
 
-@given(hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 5)),
-                  elements=edge_floats))
-@settings(deadline=None)
-def test_column_sums_are_the_one_group_call(a):
-    assert column_sums_fixed(a) == grouped_sums_fixed(a)
-    assert column_sums_fixed(a) == grouped_sums_fixed(
-        a, np.zeros(a.shape[0], dtype=np.int64), 1)
-
-
 def test_grouped_sums_reject_bad_groups():
     a = np.ones((3, 2))
     with pytest.raises(ValueError):
@@ -177,7 +222,7 @@ def test_non_finite_input_raises(bad):
     a = np.ones((4, 3))
     a[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        column_sums_fixed(a)
+        grouped_sums_fixed(a)
     with pytest.raises(ValueError, match="non-finite"):
         grouped_sums_fixed(a, [0, 1, 1, 0], 2)
 
@@ -194,7 +239,7 @@ def test_row_chunks_below_the_bucket_bound_stay_exact(monkeypatch):
     got = grouped_sums_fixed(a, groups, 4)
     assert [Fraction(v, 1 << 1126) for v in got] == \
         _grouped_oracle(a, groups, 4)
-    assert sum_fixed(a[:, 1]) == column_sums_fixed(a)[1]
+    assert sum_fixed(a[:, 1]) == grouped_sums_fixed(a)[1]
 
 
 def test_buckets_filled_to_the_term_bound_stay_exact():
