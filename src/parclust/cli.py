@@ -26,6 +26,9 @@ ALGOS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "dbscan", "ddbc", "pddp", "pddp-km")
 #: Single-node algorithms and the parallel algorithm to use instead.
 _PARALLEL = {"kmeans": "pkm", "fcm": "pfcm", "dbscan": "ddbc"}
+#: Flags that only ddbc reads, and their argument names.
+_DDBC_ONLY = {"--eps-global": "eps_global", "--min-pts-global": "min_pts_global",
+              "--local-model": "local_model"}
 
 
 class _UsageError(Exception):
@@ -79,12 +82,15 @@ def _add_run_flags(p) -> None:
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--min-pts", type=int, default=5)
+    # ddbc only; None means "not given", so other algorithms can refuse them
     p.add_argument("--eps-global", type=float, default=None,
                    help="representative eps (default: 2*eps)")
-    p.add_argument("--min-pts-global", type=int, default=1)
+    p.add_argument("--min-pts-global", type=int, default=None,
+                   help="representative min_pts (default: 1)")
     p.add_argument("--local-model", choices=("rep-kmeans", "rep-scor"),
-                   default="rep-kmeans",
-                   help="density model: refine with k-means or keep core points")
+                   default=None,
+                   help="density model: refine with k-means (default) or "
+                        "keep core points")
     p.add_argument("--windows", type=int, default=3, help="window count l")
     p.add_argument("--half-width", type=float, default=1.0,
                    help="initial window half-width a")
@@ -113,6 +119,10 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
         raise _UsageError("pddp has no --tol: its split directions come "
                           "from a direct eigensolver")
     if algo == "dbscan":
+        for flag, name in _DDBC_ONLY.items():
+            if getattr(args, name) is not None:
+                raise _UsageError("dbscan has no %s: it applies only to the "
+                                  "representatives that ddbc merges" % flag)
         t0 = time.perf_counter()
         part = dbscan(X, DbscanParams(eps=args.eps, min_pts=args.min_pts))
         wall = (time.perf_counter() - t0) * 1e3
@@ -151,8 +161,9 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
                 rep = ddbc(world, shards, DdbcParams(
                     local=DbscanParams(eps=args.eps, min_pts=args.min_pts),
                     eps_global=args.eps_global,
-                    min_pts_global=args.min_pts_global,
-                    refine_model=args.local_model == "rep-kmeans"))
+                    min_pts_global=(1 if args.min_pts_global is None
+                                    else args.min_pts_global),
+                    refine_model=args.local_model != "rep-scor"))
             else:
                 if args.local_algo == "kmeans":
                     local = KMeansLocal(seed=args.seed, max_iter=args.max_iter)
@@ -209,6 +220,9 @@ def _cmd_bench(args) -> int:
     if args.baseline is not None:
         base_args = argparse.Namespace(**vars(args))
         base_args.algo = args.baseline
+        if args.baseline != "ddbc":  # they configure the compared ddbc run
+            for name in _DDBC_ONLY.values():
+                setattr(base_args, name, None)
         base = _run_algo(base_args, X, 1)
         baseline_part = base.partition
         out["baseline_j"] = base.j

@@ -1,9 +1,14 @@
 """Density clustering: the classical scan, compact per-cluster density
 models built from specific core points, and the distributed variant that
-clusters model representatives at the facilitator."""
+clusters model representatives at the facilitator.
+
+Each scan finds every row's eps-neighbourhood exactly once, over rows sorted
+by one column, and records which rows are core points; the density models
+reuse that mask instead of querying again."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,37 +28,96 @@ class DbscanParams:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        if not math.isfinite(self.eps * self.eps):
+            raise ValueError("eps=%g: its square is not a finite float64, so "
+                             "no distance could be compared with it" % self.eps)
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 
 
-def _neighbor_rows(points: np.ndarray, row: int, eps2: float) -> np.ndarray:
-    diff = points - points[row]
-    return np.nonzero(np.sum(diff * diff, axis=1) <= eps2)[0]
+@dataclass(frozen=True)
+class _Slab:
+    """Rows sorted by one key column, for exact eps-neighbourhood queries."""
+
+    col: int
+    order: np.ndarray  # row ids in ascending key order
+    rows: np.ndarray  # points[order]
+    keys: np.ndarray  # rows[:, col], contiguous
+
+    @classmethod
+    def build(cls, points: np.ndarray) -> "_Slab":
+        # the widest column keeps slabs thinnest; any column gives the same sets
+        col = int(np.argmax(np.ptp(points, axis=0)))
+        order = np.argsort(points[:, col], kind="stable")
+        rows = points[order]
+        return cls(col, order, rows, np.ascontiguousarray(rows[:, col]))
 
 
-def dbscan(X: DataSet, params: DbscanParams) -> Partition:
+def _within(key, c: float, eps2: float) -> bool:
+    t = float(key) - c  # Python floats round as float64 arrays do
+    return t * t <= eps2
+
+
+def _neighbor_rows(points: np.ndarray, row: int, eps2: float,
+                   slab: _Slab) -> np.ndarray:
+    """Ascending ids of the rows whose squared distance to `row` is <= eps2.
+
+    Only the run of sorted rows whose key-column term alone is <= eps2 is
+    scored in full. Rounding is monotone, so that term is a non-decreasing
+    function of the key on either side of the query's key, the run is
+    contiguous, and a rounded sum of non-negative terms is never below any
+    one of them: no row outside the run can pass.
+    """
+    p = points[row]
+    keys = slab.keys
+    c = float(p[slab.col])
+    reach = math.sqrt(eps2)
+    lo = int(np.searchsorted(keys, c - reach, "left"))
+    hi = int(np.searchsorted(keys, c + reach, "right"))
+    # the bounds above round; move them onto the exact ends of the run
+    while lo > 0 and _within(keys[lo - 1], c, eps2):
+        lo -= 1
+    while lo < hi and not _within(keys[lo], c, eps2):
+        lo += 1
+    while hi < keys.size and _within(keys[hi], c, eps2):
+        hi += 1
+    while hi > lo and not _within(keys[hi - 1], c, eps2):
+        hi -= 1
+    diff = slab.rows[lo:hi] - p
+    hit = np.sum(diff * diff, axis=1) <= eps2
+    return np.sort(slab.order[lo:hi][hit])
+
+
+def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
     """Classical density scan with closed eps-balls.
 
     Rows are visited in ascending order and a point counts itself as a
     neighbor, so runs are bit-reproducible; border points join the first
-    cluster that reaches them.
+    cluster that reaches them. Every row's neighbourhood is found exactly
+    once. Returns the Partition, or with return_core=True the pair
+    (Partition, boolean core-point mask).
     """
     pts = X.points
     n = X.n
     eps2 = params.eps * params.eps
     labels = np.full(n, _UNSEEN, dtype=np.int64)
+    core = np.zeros(n, dtype=bool)
+    # rows that entered a frontier; one queued by an earlier cluster already
+    # holds its final label, so a later cluster would only skip it
+    queued = np.zeros(n, dtype=bool)
+    slab = _Slab.build(pts) if n else None
     cid = 0
     for i in range(n):
         if labels[i] != _UNSEEN:
             continue
-        nb = _neighbor_rows(pts, i, eps2)
+        nb = _neighbor_rows(pts, i, eps2, slab)
         if nb.size < params.min_pts:
             labels[i] = NOISE
             continue
+        core[i] = True
         labels[i] = cid
-        frontier = [int(r) for r in nb]
-        queued = set(frontier)
+        queued[nb] = True
+        frontier = nb.tolist()
         head = 0
         while head < len(frontier):
             j = frontier[head]
@@ -63,42 +127,44 @@ def dbscan(X: DataSet, params: DbscanParams) -> Partition:
             if labels[j] != _UNSEEN:
                 continue
             labels[j] = cid
-            nbj = _neighbor_rows(pts, j, eps2)
+            nbj = _neighbor_rows(pts, j, eps2, slab)
             if nbj.size >= params.min_pts:
-                for r in nbj.tolist():
-                    if r not in queued:
-                        queued.add(r)
-                        frontier.append(r)
+                core[j] = True
+                fresh = nbj[~queued[nbj]]
+                queued[fresh] = True
+                frontier.extend(fresh.tolist())
         cid += 1
-    return Partition(labels)
+    part = Partition(labels)
+    return (part, core) if return_core else part
 
 
-def specific_core_points(X: DataSet, cluster_rows, params: DbscanParams) -> list[int]:
+def specific_core_points(X: DataSet, cluster_rows, core: np.ndarray,
+                         params: DbscanParams) -> list[int]:
     """Greedy eps-separated cover of one cluster's core points.
 
-    Rows are visited in ascending order; a core point is kept only if it
-    lies strictly more than eps from every point already kept.
+    `core` is the scan's core-point mask over X. Core rows are visited in
+    ascending order; one is kept only if it lies strictly more than eps from
+    every point already kept. A running minimum squared distance to the
+    kept points decides that, so no neighbourhood is queried.
     """
-    pts = X.points
-    eps2 = params.eps * params.eps
-    selected: list[int] = []
-    for row in sorted(int(r) for r in cluster_rows):
-        nb = _neighbor_rows(pts, row, eps2)
-        if nb.size < params.min_pts:
-            continue
-        p = pts[row]
-        near = False
-        for s in selected:
-            diff = p - pts[s]
-            if float(np.sum(diff * diff)) <= eps2:
-                near = True
-                break
-        if not near:
-            selected.append(row)
-    if not selected:
+    rows = np.sort(np.asarray(cluster_rows, dtype=np.int64))
+    rows = rows[core[rows]]
+    if rows.size == 0:
         raise ValueError("cluster has no core points under eps=%g min_pts=%d"
                          % (params.eps, params.min_pts))
-    return selected
+    eps2 = params.eps * params.eps
+    cand = X.points[rows]
+    nearest = np.full(rows.size, np.inf)
+    selected: list[int] = []
+    i = 0
+    while True:
+        selected.append(int(rows[i]))
+        diff = cand - cand[i]
+        np.minimum(nearest, np.sum(diff * diff, axis=1), out=nearest)
+        later = np.flatnonzero(nearest[i + 1:] > eps2)
+        if later.size == 0:
+            return selected
+        i += 1 + int(later[0])
 
 
 @dataclass(frozen=True)
@@ -113,9 +179,12 @@ class LocalDensityModel:
                 yield cid, center, radius
 
 
-def rep_kmeans_model(X: DataSet, partition: Partition, params: DbscanParams,
+def rep_kmeans_model(X: DataSet, partition: Partition, core: np.ndarray,
+                     params: DbscanParams,
                      refine: bool = True) -> LocalDensityModel:
     """Compress each cluster into |specific core points| centers.
+
+    `partition` and the core-point mask `core` come from one scan of X.
 
     With refine=True the centers come from k-means seeded at the specific
     core points; otherwise the specific core points themselves are kept.
@@ -129,7 +198,7 @@ def rep_kmeans_model(X: DataSet, partition: Partition, params: DbscanParams,
     labels = partition.labels
     for cid in np.unique(labels[labels != NOISE]).tolist():
         rows = np.nonzero(labels == cid)[0]
-        scor = specific_core_points(X, rows, params)
+        scor = specific_core_points(X, rows, core, params)
         seeds = pts[scor]
         sub = DataSet.from_points(pts[rows])
         if refine:
@@ -167,6 +236,11 @@ class DdbcParams:
     def __post_init__(self):
         if self.eps_global is not None and self.eps_global <= 0:
             raise ValueError("eps_global must be positive")
+        eps_global = self.resolved_eps_global()
+        if not math.isfinite(eps_global * eps_global):
+            raise ValueError("eps_global=%g: its square is not a finite float64, "
+                             "so no distance could be compared with it"
+                             % eps_global)
         if self.min_pts_global < 1:
             raise ValueError("min_pts_global must be >= 1")
 
@@ -174,9 +248,9 @@ class DdbcParams:
 def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
     shard = shards[ctx.rank]
     local_X = DataSet.from_points(shard.points)
-    local_part = dbscan(local_X, params.local)
+    local_part, core = dbscan(local_X, params.local, return_core=True)
     if local_part.k > 0:
-        model = rep_kmeans_model(local_X, local_part, params.local,
+        model = rep_kmeans_model(local_X, local_part, core, params.local,
                                  refine=params.refine_model)
     else:
         model = LocalDensityModel(())
@@ -216,22 +290,25 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
         payload = None
     mapping, rep_entries = ctx.broadcast(payload, root=0)
 
+    local = local_part.labels
+    to_global = np.asarray([mapping[("local", ctx.rank, c)]
+                            for c in range(local_part.k)], dtype=np.int64)
     final = np.full(len(shard), NOISE, dtype=np.int64)
-    for i, c in enumerate(local_part.labels.tolist()):
-        if c != NOISE:
-            final[i] = mapping[("local", ctx.rank, c)]
+    final[local != NOISE] = to_global[local[local != NOISE]]
     # local noise joins the cluster of the nearest covering representative
     noise_rows = np.nonzero(final == NOISE)[0]
     if noise_rows.size and rep_entries:
         centers = np.vstack([e[0] for e in rep_entries])
         radii = np.asarray([e[1] for e in rep_entries])
         gids = np.asarray([e[2] for e in rep_entries], dtype=np.int64)
-        for i in noise_rows.tolist():
-            diff = centers - shard.points[i]
-            dist = np.sqrt(np.sum(diff * diff, axis=1))
-            inside = np.nonzero(dist <= radii)[0]
-            if inside.size:
-                final[i] = gids[inside[int(np.argmin(dist[inside]))]]
+        dist = np.sqrt(squared_distances(shard.points[noise_rows], centers))
+        inside = dist <= radii
+        # first covering representative at the least distance; an infinite
+        # distance inside an infinite radius still beats every outside one
+        nearest = np.min(np.where(inside, dist, np.inf), axis=1, keepdims=True)
+        pick = np.argmax(inside & (dist == nearest), axis=1)
+        covered = inside.any(axis=1)
+        final[noise_rows[covered]] = gids[pick[covered]]
 
     gathered = ctx.gather(final, root=0)
     if ctx.rank == 0:

@@ -127,6 +127,11 @@ def test_usage_errors_exit_one(blob_csv, capsys):
                  "--nodes", "4"]) == 1
     assert main(["run", "--algo", "pddp", "--data", str(blob_csv),
                  "--tol", "1e-6"]) == 1  # pddp has no tolerance
+    for ddbc_only in (["--eps-global", "1.0"], ["--min-pts-global", "2"],
+                      ["--local-model", "rep-scor"],
+                      ["--local-model", "rep-kmeans"]):
+        assert main(["run", "--algo", "dbscan", "--data", str(blob_csv)]
+                    + ddbc_only) == 1
     capsys.readouterr()  # drop accumulated stderr
 
 
@@ -170,6 +175,24 @@ def test_objective_beyond_float_range_exits_two(algo, nodes, seed, tmp_path,
     assert rc == 2
     assert captured.out == ""
     assert "error: exact result out of float64 range" in captured.err
+
+
+@pytest.mark.parametrize("algo,extra", [
+    ("dbscan", ["--eps", "1e155"]),
+    ("ddbc", ["--eps", "1e155"]),
+    ("ddbc", ["--eps", "1e154"]),  # the default eps_global = 2*eps overflows
+    ("ddbc", ["--eps", "1", "--eps-global", "1e155"]),
+])
+def test_eps_whose_square_overflows_exits_two(algo, extra, tmp_path, capsys):
+    # with eps^2 = inf every overflowed distance would count as a neighbour
+    data = tmp_path / "far.csv"
+    data.write_text("0,0\n1e300,0\n2e300,0\n")
+    rc = main(["run", "--algo", algo, "--data", str(data), "--min-pts", "2"]
+              + extra)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "is not a finite float64" in captured.err
 
 
 def _alternating_pairs_csv(tmp_path):
@@ -245,6 +268,12 @@ def test_bench_density_against_central_scan(tmp_path, capsys):
                  str(data)]) == 0
     doc = _run_json(capsys, ["bench", "--algo", "ddbc", "--data", str(data),
                              "--nodes", "2", "--eps", "0.5", "--min-pts", "4",
+                             "--baseline", "dbscan"])
+    assert doc["runs"][0]["ari_vs_baseline"] >= 0.9
+    # the ddbc-only flags configure the compared run, not the dbscan baseline
+    doc = _run_json(capsys, ["bench", "--algo", "ddbc", "--data", str(data),
+                             "--nodes", "2", "--eps", "0.5", "--min-pts", "4",
+                             "--local-model", "rep-scor", "--eps-global", "1.2",
                              "--baseline", "dbscan"])
     assert doc["runs"][0]["ari_vs_baseline"] >= 0.9
 

@@ -1,7 +1,12 @@
 """Density scan, core-point covers, density models, distributed merge."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from parclust.comm import CommWorld, split_blocks
 from parclust.core import (NOISE, DataSet, Partition, adjusted_rand_index,
@@ -9,6 +14,9 @@ from parclust.core import (NOISE, DataSet, Partition, adjusted_rand_index,
 from parclust.dbscan import (DbscanParams, DdbcParams, LocalDensityModel,
                              dbscan, ddbc, rep_kmeans_model,
                              specific_core_points)
+
+# the package re-exports the function `dbscan`, which hides the module
+dbscan_module = importlib.import_module("parclust.dbscan")
 
 
 def _density_oracle(points, eps, min_pts):
@@ -104,20 +112,189 @@ def test_params_validation():
         DbscanParams(eps=1.0, min_pts=0)
 
 
+@pytest.mark.parametrize("eps", [1e155, float("inf"), float("nan")])
+def test_eps_whose_square_overflows_is_rejected(eps):
+    # an infinite eps^2 would count every overflowed distance as a neighbour
+    with pytest.raises(ValueError, match="not a finite float64"):
+        DbscanParams(eps=eps, min_pts=2)
+
+
+def test_largest_eps_with_a_finite_square_still_scans():
+    X = DataSet.from_points([[0.0, 0.0], [1e300, 0.0], [2e300, 0.0]])
+    part = dbscan(X, DbscanParams(eps=1e154, min_pts=2))
+    assert np.all(part.labels == NOISE)
+
+
+# -- exact sorted-slab queries --------------------------------------------------
+
+
+def _brute_neighbors(points, row, eps2):
+    diff = points - points[row]
+    return np.flatnonzero(np.sum(diff * diff, axis=1) <= eps2)
+
+
+@st.composite
+def slab_cases(draw):
+    """Points on a grid (duplicates, ties at exactly eps), possibly offset far
+    from zero, or free floats; a key column that may be constant; an eps that
+    may equal the key-column gap of two rows."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        grid = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-4, 4)))
+        step = draw(st.sampled_from([1.0, 0.5, 0.1, 3e-7]))
+        offset = draw(st.sampled_from([0.0, 1e12, -1e12, 1e15]))
+        points = offset + grid * step
+    else:
+        points = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_infinity=False)))
+    col = draw(st.integers(0, d - 1))
+    if draw(st.booleans()):
+        points[:, col] = points[0, col]  # constant key column
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    gap = abs(points[a, col] - points[b, col])
+    eps = gap if gap > 0 and draw(st.booleans()) else draw(
+        st.floats(1e-9, 1e3, allow_nan=False))
+    return np.ascontiguousarray(points), col, eps * eps
+
+
+def _slab_on(points, col):
+    """The scan's slab, keyed on a chosen column rather than the widest."""
+    order = np.argsort(points[:, col], kind="stable")
+    rows = points[order]
+    return dbscan_module._Slab(col, order, rows,
+                               np.ascontiguousarray(rows[:, col]))
+
+
+@given(slab_cases())
+@settings(deadline=None, max_examples=300)
+def test_slab_query_equals_brute_force(case):
+    points, col, eps2 = case
+    slab = _slab_on(points, col)
+    for row in range(points.shape[0]):
+        got = dbscan_module._neighbor_rows(points, row, eps2, slab)
+        assert np.array_equal(got, _brute_neighbors(points, row, eps2))
+
+
+def test_slab_keeps_a_row_exactly_eps_away_on_the_key_column():
+    points = np.array([[1e12], [1e12 + 1.0], [1e12 + 2.0], [1e12 + 2.0]])
+    slab = dbscan_module._Slab.build(points)
+    assert dbscan_module._neighbor_rows(points, 0, 1.0, slab).tolist() == [0, 1]
+    assert dbscan_module._neighbor_rows(points, 1, 1.0, slab).tolist() == \
+        [0, 1, 2, 3]
+
+
+def test_slab_finds_a_neighbour_past_the_rounded_reach():
+    # c + sqrt(eps2) rounds below x although (x - c)**2 <= eps2 in float64,
+    # so bounds taken from c +- sqrt(eps2) alone would drop row 1
+    c, x, eps2 = -2.2905021563861254, 0.04571200661237241, 5.4578966153947714
+    assert x > c + np.sqrt(eps2) and (x - c) * (x - c) <= eps2
+    points = np.array([[c], [x], [x + 1.0]])
+    slab = dbscan_module._Slab.build(points)
+    assert dbscan_module._neighbor_rows(points, 0, eps2, slab).tolist() == [0, 1]
+
+
+def _greedy_cover_oracle(points, cluster_rows, params):
+    """The cover as a per-row loop that queries every neighbourhood."""
+    eps2 = params.eps * params.eps
+    selected = []
+    for row in sorted(int(r) for r in cluster_rows):
+        if _brute_neighbors(points, row, eps2).size < params.min_pts:
+            continue
+        p = points[row]
+        near = False
+        for s in selected:
+            diff = p - points[s]
+            if float(np.sum(diff * diff)) <= eps2:
+                near = True
+                break
+        if not near:
+            selected.append(row)
+    return selected
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                  elements=st.integers(-6, 6).map(lambda v: v * 0.5)),
+       st.sampled_from([0.5, 0.75, 1.0, 1.5]), st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=200)
+def test_cover_equals_the_per_row_greedy_loop(points, eps, min_pts, data):
+    X = DataSet.from_points(points)
+    params = DbscanParams(eps=eps, min_pts=min_pts)
+    part, core = dbscan(X, params, return_core=True)
+    brute_core = [_brute_neighbors(X.points, r, eps * eps).size >= min_pts
+                  for r in range(X.n)]
+    assert core.tolist() == brute_core
+    rows = data.draw(st.lists(st.integers(0, X.n - 1), unique=True))
+    want = _greedy_cover_oracle(X.points, rows, params)
+    if want:
+        assert specific_core_points(X, rows, core, params) == want
+    else:
+        with pytest.raises(ValueError, match="no core points"):
+            specific_core_points(X, rows, core, params)
+
+
+def _count_queries(monkeypatch):
+    calls = []
+    real = dbscan_module._neighbor_rows
+
+    def counting(points, row, eps2, slab):
+        calls.append(row)
+        return real(points, row, eps2, slab)
+
+    monkeypatch.setattr(dbscan_module, "_neighbor_rows", counting)
+    return calls
+
+
+def test_scan_queries_each_row_once(monkeypatch):
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=3, spread=0.6)
+    calls = _count_queries(monkeypatch)
+    dbscan(X, DbscanParams(eps=1.0, min_pts=4))
+    assert sorted(calls) == list(range(X.n))
+
+
+def test_cover_and_model_run_no_query(monkeypatch):
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=3, spread=0.6)
+    params = DbscanParams(eps=1.0, min_pts=4)
+    part, core = dbscan(X, params, return_core=True)
+    calls = _count_queries(monkeypatch)
+    for refine in (True, False):
+        rep_kmeans_model(X, part, core, params, refine=refine)
+    assert calls == []
+
+
+def test_single_node_merge_queries_rows_and_representatives_once(monkeypatch):
+    X, _ = _blobs_with_outliers(seed=9, per_cluster=40)
+    calls = _count_queries(monkeypatch)
+    world = CommWorld(1)
+    try:
+        rep = ddbc(world, split_blocks(X, 1),
+                   DdbcParams(local=DbscanParams(eps=0.45, min_pts=5)))
+    finally:
+        world.shutdown()
+    assert rep.model["representatives"] > 0
+    assert len(calls) == X.n + rep.model["representatives"]
+
+
 # -- specific core points ----------------------------------------------------
+
+
+def _scan_core(X, params):
+    return dbscan(X, params, return_core=True)[1]
 
 
 def test_small_cluster_collapses_to_lowest_row():
     X = DataSet.from_points([[0.0], [0.1], [0.2]])
-    assert specific_core_points(X, [0, 1, 2],
-                                DbscanParams(eps=0.5, min_pts=2)) == [0]
+    params = DbscanParams(eps=0.5, min_pts=2)
+    assert specific_core_points(X, [0, 1, 2], _scan_core(X, params),
+                                params) == [0]
 
 
 def test_only_kept_points_block_later_candidates():
     # row 1 is skipped (inside row 0's ball); row 2 is farther than eps
     # from row 0 even though it is within eps of the skipped row 1
     X = DataSet.from_points([[0.0], [0.5], [1.5]])
-    sel = specific_core_points(X, [0, 1, 2], DbscanParams(eps=1.0, min_pts=1))
+    params = DbscanParams(eps=1.0, min_pts=1)
+    sel = specific_core_points(X, [0, 1, 2], _scan_core(X, params), params)
     assert sel == [0, 2]
 
 
@@ -125,7 +302,7 @@ def test_cover_is_separated_and_covering():
     X, _ = generate_blobs(seed=5, k=1, per_cluster=80, d=2, spread=0.6)
     params = DbscanParams(eps=0.5, min_pts=4)
     rows = np.arange(X.n)
-    sel = specific_core_points(X, rows, params)
+    sel = specific_core_points(X, rows, _scan_core(X, params), params)
     pts = X.points
     for i, a in enumerate(sel):
         for b in sel[i + 1:]:
@@ -140,14 +317,16 @@ def test_cover_is_separated_and_covering():
 
 def test_non_core_rows_never_selected():
     X = DataSet.from_points([[0.0], [0.1], [50.0]])
-    sel = specific_core_points(X, [0, 1, 2], DbscanParams(eps=0.5, min_pts=2))
+    params = DbscanParams(eps=0.5, min_pts=2)
+    sel = specific_core_points(X, [0, 1, 2], _scan_core(X, params), params)
     assert 2 not in sel
 
 
 def test_cluster_without_core_points_rejected():
     X = DataSet.from_points([[0.0], [10.0]])
+    params = DbscanParams(eps=0.5, min_pts=2)
     with pytest.raises(ValueError, match="no core points"):
-        specific_core_points(X, [0, 1], DbscanParams(eps=0.5, min_pts=2))
+        specific_core_points(X, [0, 1], _scan_core(X, params), params)
 
 
 # -- per-cluster density models ----------------------------------------------
@@ -157,7 +336,7 @@ def test_single_ball_cluster_models_as_mean_and_spread():
     pts = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2], [0.2, 0.2]])
     X = DataSet.from_points(pts)
     params = DbscanParams(eps=1.0, min_pts=2)
-    model = rep_kmeans_model(X, dbscan(X, params), params)
+    model = rep_kmeans_model(X, *dbscan(X, params, return_core=True), params)
     assert len(model.clusters) == 1 and len(model.clusters[0]) == 1
     center, radius = model.clusters[0][0]
     assert np.allclose(center, [0.1, 0.1])
@@ -167,7 +346,8 @@ def test_single_ball_cluster_models_as_mean_and_spread():
 def test_singleton_clusters_have_zero_radius():
     X = DataSet.from_points([[0.0], [10.0], [20.0]])
     params = DbscanParams(eps=1.0, min_pts=1)
-    model = rep_kmeans_model(X, dbscan(X, params), params, refine=False)
+    model = rep_kmeans_model(X, *dbscan(X, params, return_core=True), params,
+                             refine=False)
     assert len(model.clusters) == 3
     for group in model.clusters:
         assert len(group) == 1 and group[0][1] == 0.0
@@ -177,8 +357,8 @@ def test_singleton_clusters_have_zero_radius():
 def test_every_clustered_point_is_covered(refine):
     X, _ = generate_blobs(seed=6, k=2, per_cluster=60, d=2, spread=0.5)
     params = DbscanParams(eps=0.6, min_pts=4)
-    part = dbscan(X, params)
-    model = rep_kmeans_model(X, part, params, refine=refine)
+    part, core = dbscan(X, params, return_core=True)
+    model = rep_kmeans_model(X, part, core, params, refine=refine)
     labels = part.labels
     ids = np.unique(labels[labels != NOISE]).tolist()
     assert len(model.clusters) == len(ids)
@@ -270,6 +450,11 @@ def test_merge_params_validation_and_default_reach():
         DdbcParams(local=local, eps_global=0.0)
     with pytest.raises(ValueError):
         DdbcParams(local=local, min_pts_global=0)
+    with pytest.raises(ValueError, match="not a finite float64"):
+        DdbcParams(local=local, eps_global=1e155)
+    # a local eps with a finite square whose default reach 2*eps has none
+    with pytest.raises(ValueError, match="not a finite float64"):
+        DdbcParams(local=DbscanParams(eps=1e154, min_pts=2))
 
 
 def test_model_entries_iterate_rank_major():
