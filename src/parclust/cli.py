@@ -26,9 +26,32 @@ ALGOS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "dbscan", "ddbc", "pddp", "pddp-km")
 #: Single-node algorithms and the parallel algorithm to use instead.
 _PARALLEL = {"kmeans": "pkm", "fcm": "pfcm", "dbscan": "ddbc"}
-#: Flags that only ddbc reads, and their argument names.
-_DDBC_ONLY = {"--eps-global": "eps_global", "--min-pts-global": "min_pts_global",
-              "--local-model": "local_model"}
+_KM = ("kmeans", "pkm")
+_FCM = ("fcm", "pfcm")
+_DENSITY = ("dbscan", "ddbc", "cpca-cluster")  # cpca-cluster's dbscan local
+#: Each flag that only some algorithms read: its argument name, its default
+#: and those algorithms. Any other algorithm refuses the flag rather than
+#: ignore it. --seed is read where it matters and accepted everywhere.
+_FLAGS = {
+    "--k": ("k", 3, _KM + _FCM + ("cpca-cluster",)),
+    "--m": ("m", 2.0, _FCM),
+    "--tol": ("tol", 1e-9, _KM + _FCM + ("pddp-km",)),
+    "--max-iter": ("max_iter", 300, _KM + _FCM + ("cpca-cluster", "pddp-km")),
+    "--eps": ("eps", 0.5, _DENSITY),
+    "--min-pts": ("min_pts", 5, _DENSITY),
+    "--eps-global": ("eps_global", None, ("ddbc",)),  # None: 2 * eps
+    "--min-pts-global": ("min_pts_global", 1, ("ddbc",)),
+    "--local-model": ("local_model", "rep-kmeans", ("ddbc",)),
+    "--windows": ("windows", 3, ("kwindows",)),
+    "--half-width": ("half_width", 1.0, ("kwindows",)),
+    "--theta-move": ("theta_move", 0.01, ("kwindows",)),
+    "--theta-enlarge": ("theta_enlarge", 0.1, ("kwindows",)),
+    "--theta-merge": ("theta_merge", 0.2, ("kwindows",)),
+    "--height": ("height", 2, ("pddp", "pddp-km")),
+    "--variance-fraction": ("variance_fraction", 0.9, ("cpca-cluster",)),
+    "--reps-per-cluster": ("reps_per_cluster", 3, ("cpca-cluster",)),
+    "--local-algo": ("local_algo", "kmeans", ("cpca-cluster",)),
+}
 
 
 class _UsageError(Exception):
@@ -76,36 +99,45 @@ def _add_run_flags(p) -> None:
     p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--data", required=True, help="input CSV")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--m", type=float, default=2.0, help="fuzzifier")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--min-pts", type=int, default=5)
-    # ddbc only; None means "not given", so other algorithms can refuse them
-    p.add_argument("--eps-global", type=float, default=None,
+    # the rest default to None, "not given", so that an algorithm that does
+    # not read one can refuse it; _FLAGS holds the defaults
+    p.add_argument("--k", type=int)
+    p.add_argument("--m", type=float, help="fuzzifier")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--min-pts", type=int)
+    p.add_argument("--eps-global", type=float,
                    help="representative eps (default: 2*eps)")
-    p.add_argument("--min-pts-global", type=int, default=None,
+    p.add_argument("--min-pts-global", type=int,
                    help="representative min_pts (default: 1)")
     p.add_argument("--local-model", choices=("rep-kmeans", "rep-scor"),
-                   default=None,
                    help="density model: refine with k-means (default) or "
                         "keep core points")
-    p.add_argument("--windows", type=int, default=3, help="window count l")
-    p.add_argument("--half-width", type=float, default=1.0,
+    p.add_argument("--windows", type=int, help="window count l")
+    p.add_argument("--half-width", type=float,
                    help="initial window half-width a")
-    p.add_argument("--theta-move", type=float, default=0.01)
-    p.add_argument("--theta-enlarge", type=float, default=0.1)
-    p.add_argument("--theta-merge", type=float, default=0.2)
-    p.add_argument("--height", type=int, default=2, help="split tree height")
-    p.add_argument("--variance-fraction", type=float, default=0.9)
-    p.add_argument("--reps-per-cluster", type=int, default=3)
+    p.add_argument("--theta-move", type=float)
+    p.add_argument("--theta-enlarge", type=float)
+    p.add_argument("--theta-merge", type=float)
+    p.add_argument("--height", type=int, help="split tree height")
+    p.add_argument("--variance-fraction", type=float)
+    p.add_argument("--reps-per-cluster", type=int)
     p.add_argument("--local-algo", choices=("kmeans", "dbscan"),
-                   default="kmeans", help="local clusterer for cpca-cluster")
+                   help="local clusterer for cpca-cluster")
 
 
-def _tol(args, default: float) -> float:
-    return default if args.tol is None else args.tol
+def _with_defaults(args):
+    """args with every flag its algorithm reads set; refuses any other flag."""
+    filled = argparse.Namespace(**vars(args))
+    for flag, (name, default, readers) in _FLAGS.items():
+        if args.algo not in readers:
+            if getattr(args, name) is not None:
+                raise _UsageError("%s does not read %s (read by: %s)"
+                                  % (args.algo, flag, ", ".join(readers)))
+        elif getattr(args, name) is None:
+            setattr(filled, name, default)
+    return filled
 
 
 def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
@@ -115,14 +147,8 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
     if algo in _PARALLEL and nodes != 1:
         raise _UsageError("%s is the single-node variant; use %s"
                           % (algo, _PARALLEL[algo]))
-    if algo == "pddp" and args.tol is not None:
-        raise _UsageError("pddp has no --tol: its split directions come "
-                          "from a direct eigensolver")
+    args = _with_defaults(args)
     if algo == "dbscan":
-        for flag, name in _DDBC_ONLY.items():
-            if getattr(args, name) is not None:
-                raise _UsageError("dbscan has no %s: it applies only to the "
-                                  "representatives that ddbc merges" % flag)
         t0 = time.perf_counter()
         part = dbscan(X, DbscanParams(eps=args.eps, min_pts=args.min_pts))
         wall = (time.perf_counter() - t0) * 1e3
@@ -137,14 +163,14 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
     try:
         if algo in ("kmeans", "pkm"):
             rep = pkm(world, X, KMeansParams(k=args.k, max_iter=args.max_iter,
-                                             tol=_tol(args, 1e-9),
+                                             tol=args.tol,
                                              seed=args.seed))
             rep.algo = algo
             return rep
         if algo in ("fcm", "pfcm"):
             rep = pfcm(world, X, FcmParams(k=args.k, m=args.m,
                                            max_iter=args.max_iter,
-                                           tol=_tol(args, 1e-9),
+                                           tol=args.tol,
                                            seed=args.seed))
             rep.algo = algo
             return rep
@@ -161,8 +187,7 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
                 rep = ddbc(world, shards, DdbcParams(
                     local=DbscanParams(eps=args.eps, min_pts=args.min_pts),
                     eps_global=args.eps_global,
-                    min_pts_global=(1 if args.min_pts_global is None
-                                    else args.min_pts_global),
+                    min_pts_global=args.min_pts_global,
                     refine_model=args.local_model != "rep-scor"))
             else:
                 if args.local_algo == "kmeans":
@@ -179,7 +204,7 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
             return pddp_report(world, X, args.height)
         if algo == "pddp-km":
             return pddp_km(world, X, args.height, max_iter=args.max_iter,
-                           tol=_tol(args, 1e-9))
+                           tol=args.tol)
         raise _UsageError("unknown algorithm %r" % algo)
     finally:
         world.shutdown()
@@ -220,8 +245,8 @@ def _cmd_bench(args) -> int:
     if args.baseline is not None:
         base_args = argparse.Namespace(**vars(args))
         base_args.algo = args.baseline
-        if args.baseline != "ddbc":  # they configure the compared ddbc run
-            for name in _DDBC_ONLY.values():
+        for name, _default, readers in _FLAGS.values():
+            if args.baseline not in readers:  # they configure the compared run
                 setattr(base_args, name, None)
         base = _run_algo(base_args, X, 1)
         baseline_part = base.partition

@@ -104,17 +104,86 @@ def squared_euclidean(x, y) -> float:
     return float(np.sum(diff * diff))
 
 
+#: Distances one step of `squared_distances` scores at once, as rows x
+#: centers; blocks this size stay in cache and bound the temporaries.
+DISTANCE_BLOCK_CELLS = 1 << 14
+
+
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """n x k squared distances from every point to every center.
 
-    One column per center, each from the direct difference, so values
-    and ties do not depend on how many centers are scored together.
+    Each value equals `np.sum(diff * diff)` of its point and center bit for
+    bit, so values and ties do not depend on which other points and centers
+    are scored with it. Rows go in blocks of about DISTANCE_BLOCK_CELLS
+    distances, each scored one coordinate at a time over all centers.
     """
-    d2 = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
-    for i in range(centers.shape[0]):
-        diff = points - centers[i]
-        d2[:, i] = np.sum(diff * diff, axis=1)
+    if points.shape[1] != centers.shape[1]:
+        raise ValueError("dimension mismatch: %d vs %d"
+                         % (points.shape[1], centers.shape[1]))
+    n, k = points.shape[0], centers.shape[0]
+    d2 = np.empty((n, k), dtype=np.float64)
+    if k == 0:
+        return d2
+    ct = np.ascontiguousarray(centers.T)
+    step = max(1, DISTANCE_BLOCK_CELLS // k)
+    for lo in range(0, n, step):
+        pt = np.ascontiguousarray(points[lo:lo + step].T)
+        d2[lo:lo + step] = _pairwise_sq(pt, ct, 0, ct.shape[0])
     return d2
+
+
+def _sq_term(pt, ct, j, out=None) -> np.ndarray:
+    """(rows, k) squares of coordinate j's differences."""
+    t = np.subtract(pt[j][:, None], ct[j], out=out)
+    return np.multiply(t, t, out=t)
+
+
+def _lane(pt, ct, lo, stop, tmp) -> np.ndarray:
+    """Terms lo, lo + 8, ... below stop, added in turn."""
+    acc = _sq_term(pt, ct, lo)
+    for j in range(lo + 8, stop, 8):
+        acc += _sq_term(pt, ct, j, tmp)
+    return acc
+
+
+def _pairwise_sq(pt, ct, lo: int, hi: int) -> np.ndarray:
+    """Sum of the squared terms of coordinates lo..hi-1 in numpy's pairwise order.
+
+    numpy adds fewer than 8 terms in turn; up to 128 in 8 interleaved lanes
+    joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in turn; more by
+    halving at a multiple of 8. Its reduction starts from 0.0, which leaves
+    a sum of squares unchanged. Each lane is summed whole before the next,
+    so only a few (rows, k) arrays are live at once.
+    """
+    n = hi - lo
+    if n < 8:
+        acc = _sq_term(pt, ct, lo)
+        tmp = np.empty_like(acc) if n > 1 else None
+        for j in range(lo + 1, hi):
+            acc += _sq_term(pt, ct, j, tmp)
+        return acc
+    if n <= 128:
+        stop = lo + n - n % 8
+        tmp = np.empty((pt.shape[1], ct.shape[1]))
+        a = _lane(pt, ct, lo, stop, tmp)
+        a += _lane(pt, ct, lo + 1, stop, tmp)
+        b = _lane(pt, ct, lo + 2, stop, tmp)
+        b += _lane(pt, ct, lo + 3, stop, tmp)
+        a += b
+        b = _lane(pt, ct, lo + 4, stop, tmp)
+        b += _lane(pt, ct, lo + 5, stop, tmp)
+        c = _lane(pt, ct, lo + 6, stop, tmp)
+        c += _lane(pt, ct, lo + 7, stop, tmp)
+        b += c
+        a += b
+        for j in range(stop, hi):
+            a += _sq_term(pt, ct, j, tmp)
+        return a
+    half = n // 2
+    half -= half % 8
+    acc = _pairwise_sq(pt, ct, lo, lo + half)
+    acc += _pairwise_sq(pt, ct, lo + half, hi)
+    return acc
 
 
 class UnionFind:

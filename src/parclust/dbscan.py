@@ -2,9 +2,9 @@
 models built from specific core points, and the distributed variant that
 clusters model representatives at the facilitator.
 
-Each scan finds every row's eps-neighbourhood exactly once, over rows sorted
-by one column, and records which rows are core points; the density models
-reuse that mask instead of querying again."""
+Each scan finds every row's eps-neighbourhood in one blocked sweep over rows
+sorted by one column, and records which rows are core points; the density
+models reuse that mask instead of querying again."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx
-from .core import NOISE, DataSet, Partition, UnionFind, squared_distances
+from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition, UnionFind,
+                   squared_distances)
 from .report import ClusterReport
 
 _UNSEEN = -2
@@ -39,7 +40,6 @@ class DbscanParams:
 class _Slab:
     """Rows sorted by one key column, for exact eps-neighbourhood queries."""
 
-    col: int
     order: np.ndarray  # row ids in ascending key order
     rows: np.ndarray  # points[order]
     keys: np.ndarray  # rows[:, col], contiguous
@@ -47,45 +47,53 @@ class _Slab:
     @classmethod
     def build(cls, points: np.ndarray) -> "_Slab":
         # the widest column keeps slabs thinnest; any column gives the same sets
-        col = int(np.argmax(np.ptp(points, axis=0)))
+        col = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
         order = np.argsort(points[:, col], kind="stable")
         rows = points[order]
-        return cls(col, order, rows, np.ascontiguousarray(rows[:, col]))
+        return cls(order, rows, np.ascontiguousarray(rows[:, col]))
 
+    def neighbourhoods(self, eps2: float):
+        """Every row's eps-neighbourhood, found in one blocked sweep.
 
-def _within(key, c: float, eps2: float) -> bool:
-    t = float(key) - c  # Python floats round as float64 arrays do
-    return t * t <= eps2
+        Returns CSR arrays (indptr, nbr) over slab positions: the rows whose
+        squared distance to row order[p] is <= eps2 are
+        nbr[indptr[p]:indptr[p + 1]], as int32 ids in slab order.
 
-
-def _neighbor_rows(points: np.ndarray, row: int, eps2: float,
-                   slab: _Slab) -> np.ndarray:
-    """Ascending ids of the rows whose squared distance to `row` is <= eps2.
-
-    Only the run of sorted rows whose key-column term alone is <= eps2 is
-    scored in full. Rounding is monotone, so that term is a non-decreasing
-    function of the key on either side of the query's key, the run is
-    contiguous, and a rounded sum of non-negative terms is never below any
-    one of them: no row outside the run can pass.
-    """
-    p = points[row]
-    keys = slab.keys
-    c = float(p[slab.col])
-    reach = math.sqrt(eps2)
-    lo = int(np.searchsorted(keys, c - reach, "left"))
-    hi = int(np.searchsorted(keys, c + reach, "right"))
-    # the bounds above round; move them onto the exact ends of the run
-    while lo > 0 and _within(keys[lo - 1], c, eps2):
-        lo -= 1
-    while lo < hi and not _within(keys[lo], c, eps2):
-        lo += 1
-    while hi < keys.size and _within(keys[hi], c, eps2):
-        hi += 1
-    while hi > lo and not _within(keys[hi - 1], c, eps2):
-        hi -= 1
-    diff = slab.rows[lo:hi] - p
-    hit = np.sum(diff * diff, axis=1) <= eps2
-    return np.sort(slab.order[lo:hi][hit])
+        Each block of consecutive positions is scored in full against the
+        union of its rows' key bands, a band being the rows whose key lies
+        within `reach` of the row's own. A rounded sum of non-negative terms
+        is never below any one of them, so a row that passes has a key term
+        <= eps2, and so a key gap within sqrt(eps2) up to a few roundings
+        (the relative slack) or one whose square underflows (the absolute
+        slack). Every band thus holds all rows that can pass, and the full
+        test alone decides: the sets are exact.
+        """
+        keys = self.keys
+        n = keys.size
+        reach = math.sqrt(eps2) * (1.0 + 2.0 ** -20) + 2.0 ** -500
+        lo = np.searchsorted(keys, keys - reach, "left")
+        hi = np.searchsorted(keys, keys + reach, "right")
+        ids = self.order.astype(np.int32)
+        counts = np.empty(n, dtype=np.int64)
+        chunks = []
+        start = 0
+        with np.errstate(over="ignore"):  # an infinite square is no neighbour
+            while start < n:
+                # the longest block whose rows x union of bands fits the budget
+                width = hi[start:start + DISTANCE_BLOCK_CELLS] - lo[start]
+                cells = width * np.arange(1, width.size + 1)
+                stop = start + max(1, int(np.searchsorted(
+                    cells, DISTANCE_BLOCK_CELLS, "right")))
+                a, b = int(lo[start]), int(hi[stop - 1])
+                hit = squared_distances(self.rows[start:stop],
+                                        self.rows[a:b]) <= eps2
+                counts[start:stop] = np.count_nonzero(hit, axis=1)
+                chunks.append(ids[a:b][np.nonzero(hit)[1]])
+                start = stop
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        nbr = np.concatenate(chunks) if chunks else ids[:0]
+        return indptr, nbr
 
 
 def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
@@ -93,29 +101,32 @@ def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
 
     Rows are visited in ascending order and a point counts itself as a
     neighbor, so runs are bit-reproducible; border points join the first
-    cluster that reaches them. Every row's neighbourhood is found exactly
-    once. Returns the Partition, or with return_core=True the pair
-    (Partition, boolean core-point mask).
+    cluster that reaches them. Every row's neighbourhood is found once, in
+    one sweep before the scan. Returns the Partition, or with
+    return_core=True the pair (Partition, boolean core-point mask).
     """
     pts = X.points
     n = X.n
-    eps2 = params.eps * params.eps
     labels = np.full(n, _UNSEEN, dtype=np.int64)
     core = np.zeros(n, dtype=bool)
     # rows that entered a frontier; one queued by an earlier cluster already
     # holds its final label, so a later cluster would only skip it
     queued = np.zeros(n, dtype=bool)
-    slab = _Slab.build(pts) if n else None
+    slab = _Slab.build(pts)
+    indptr, nbr = slab.neighbourhoods(params.eps * params.eps)
+    pos = np.empty(n, dtype=np.int64)
+    pos[slab.order] = np.arange(n)
+    first, last = indptr[pos].tolist(), indptr[pos + 1].tolist()
     cid = 0
     for i in range(n):
         if labels[i] != _UNSEEN:
             continue
-        nb = _neighbor_rows(pts, i, eps2, slab)
-        if nb.size < params.min_pts:
+        if last[i] - first[i] < params.min_pts:
             labels[i] = NOISE
             continue
         core[i] = True
         labels[i] = cid
+        nb = nbr[first[i]:last[i]]
         queued[nb] = True
         frontier = nb.tolist()
         head = 0
@@ -127,9 +138,9 @@ def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
             if labels[j] != _UNSEEN:
                 continue
             labels[j] = cid
-            nbj = _neighbor_rows(pts, j, eps2, slab)
-            if nbj.size >= params.min_pts:
+            if last[j] - first[j] >= params.min_pts:
                 core[j] = True
+                nbj = nbr[first[j]:last[j]]
                 fresh = nbj[~queued[nbj]]
                 queued[fresh] = True
                 frontier.extend(fresh.tolist())

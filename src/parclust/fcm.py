@@ -83,8 +83,7 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
     for i in range(k):
         if dens[i] == 0:
             raise ValueError("degenerate membership column %d: all weights zero" % i)
-        for j in range(d):
-            centers[i, j] = fixed_ratio(g[i * d + j], dens[i])
+        centers[i] = [fixed_ratio(num, dens[i]) for num in g[i * d:(i + 1) * d]]
     return centers
 
 

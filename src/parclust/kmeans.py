@@ -71,8 +71,8 @@ def _new_centers(sums, counts, k, d, old_centers):
         if counts[i] == 0:
             empty.append(i)
             continue
-        for j in range(d):
-            centers[i, j] = fixed_to_float(sums[i * d + j], counts[i])
+        centers[i] = [fixed_to_float(s, counts[i])
+                      for s in sums[i * d:(i + 1) * d]]
     return centers, empty
 
 

@@ -135,6 +135,30 @@ def test_usage_errors_exit_one(blob_csv, capsys):
     capsys.readouterr()  # drop accumulated stderr
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--algo", "pkm", "--k", "2", "--eps-global", "5"], "--eps-global"),
+    (["--algo", "kmeans", "--k", "2", "--local-model", "rep-scor"],
+     "--local-model"),
+    (["--algo", "pkm", "--k", "2", "--min-pts", "3", "--windows", "9"],
+     "--min-pts"),
+])
+def test_a_flag_the_algorithm_does_not_read_exits_one(argv, flag, blob_csv,
+                                                      capsys):
+    rc = main(["run", "--data", str(blob_csv)] + argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "usage error: %s does not read %s" % (argv[1], flag) in captured.err
+
+
+def test_bench_baseline_drops_the_flags_it_does_not_read(blob_csv, capsys):
+    # --m configures the compared pfcm runs, not the kmeans baseline
+    doc = _run_json(capsys, ["bench", "--algo", "pfcm", "--data", str(blob_csv),
+                             "--nodes", "1,2", "--k", "3", "--m", "1.5",
+                             "--baseline", "kmeans"])
+    assert [r["ari_vs_baseline"] for r in doc["runs"]] == [1.0, 1.0]
+
+
 def test_missing_data_file_exits_two(capsys):
     assert main(["run", "--algo", "pkm", "--data", "/no/such/file.csv"]) == 2
     capsys.readouterr()
@@ -153,8 +177,9 @@ def test_overflowing_input_exits_two(algo, nodes, tmp_path, capsys):
     # squared distances and variances of +-1e200 overflow to infinity
     data = tmp_path / "huge.csv"
     data.write_text("1e200,1\n-1e200,2\n1,3\n2,-1e200\n5,5\n6,6\n")
-    rc = main(["run", "--algo", algo, "--data", str(data), "--k", "2",
-               "--nodes", nodes])
+    k = [] if algo == "pddp" else ["--k", "2"]  # pddp refuses --k
+    rc = main(["run", "--algo", algo, "--data", str(data), "--nodes", nodes]
+              + k)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""

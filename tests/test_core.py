@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.core import (NOISE, CentroidSet, DataSet, Partition,
-                           adjusted_rand_index, generate_blobs, load_csv,
-                           sse_objective, squared_euclidean, write_csv)
+from parclust import core as core_module
+from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, CentroidSet, DataSet,
+                           Partition, adjusted_rand_index, generate_blobs,
+                           load_csv, sse_objective, squared_distances,
+                           squared_euclidean, write_csv)
 from parclust.kmeans import KMeansParams, kmeans_centralized
 
 
@@ -68,6 +71,67 @@ def test_sse_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
         sse_objective(X, Partition(np.array([0, 5])),
                       CentroidSet(np.array([[0.0]])))
+
+
+def _per_center_distances(points, centers):
+    """The reference: one `np.sum(diff * diff, axis=1)` per center."""
+    d2 = np.empty((points.shape[0], centers.shape[0]))
+    for i in range(centers.shape[0]):
+        diff = points - centers[i]
+        d2[:, i] = np.sum(diff * diff, axis=1)
+    return d2
+
+
+@st.composite
+def distance_cases(draw):
+    """Rows and centers whose coordinates span magnitudes from ones whose
+    squares underflow to ones whose squares overflow; some centers copy a row
+    (zero distances). The block size is drawn, and the row count sits at or
+    next to a block boundary."""
+    d = draw(st.sampled_from(list(range(1, 10)) + [16, 17, 128, 129, 200]))
+    k = draw(st.integers(1, 80))
+    cells = draw(st.sampled_from([1, 64, 1000, DISTANCE_BLOCK_CELLS]))
+    step = max(1, cells // k)
+    n = draw(st.sampled_from([0, 1, step - 1, step, step + 1, 2 * step + 1])
+             .filter(lambda v: 0 <= v <= 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exponents = rng.choice([-170, -3, 0, 3, 160], size=(n + k, 1),
+                           p=[0.1, 0.2, 0.4, 0.2, 0.1])  # one per row
+    values = rng.normal(size=(n + k, d)) * 10.0 ** (
+        exponents + rng.uniform(-2.0, 2.0, size=(n + k, d)))
+    values[rng.random((n + k, d)) < 0.05] = 0.0
+    points, centers = values[:n], values[n:]
+    if n and draw(st.booleans()):
+        copies = rng.choice(k, size=max(1, k // 4), replace=False)
+        centers[copies] = points[rng.integers(0, n, size=copies.size)]
+    return points, centers, cells
+
+
+@given(distance_cases())
+@settings(deadline=None, max_examples=200)
+def test_squared_distances_are_bit_equal_to_per_center_sums(case):
+    points, centers, cells = case
+    with np.errstate(over="ignore", under="ignore"), \
+            mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells):
+        got = squared_distances(points, centers)
+        want = _per_center_distances(points, centers)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_squared_distances_cross_the_default_block_boundary():
+    rng = np.random.default_rng(5)
+    k = 80
+    step = DISTANCE_BLOCK_CELLS // k
+    points = rng.normal(size=(2 * step + 1, 17)) * 1e3
+    centers = rng.normal(size=(k, 17))
+    got = squared_distances(points, centers)
+    assert got.tobytes() == _per_center_distances(points, centers).tobytes()
+
+
+def test_squared_distances_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        squared_distances(np.zeros((2, 3)), np.zeros((1, 2)))
 
 
 # -- adjusted Rand index ---------------------------------------------------

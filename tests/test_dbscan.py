@@ -1,6 +1,8 @@
 """Density scan, core-point covers, density models, distributed merge."""
 
 import importlib
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from parclust import core as core_module
 from parclust.comm import CommWorld, split_blocks
-from parclust.core import (NOISE, DataSet, Partition, adjusted_rand_index,
-                           generate_blobs)
+from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition,
+                           adjusted_rand_index, generate_blobs)
 from parclust.dbscan import (DbscanParams, DdbcParams, LocalDensityModel,
                              dbscan, ddbc, rep_kmeans_model,
                              specific_core_points)
@@ -120,12 +123,16 @@ def test_eps_whose_square_overflows_is_rejected(eps):
 
 
 def test_largest_eps_with_a_finite_square_still_scans():
+    # the sweep scores the three rows together; their squares overflow, and
+    # an infinite distance is never within a finite eps^2, so no warning
     X = DataSet.from_points([[0.0, 0.0], [1e300, 0.0], [2e300, 0.0]])
-    part = dbscan(X, DbscanParams(eps=1e154, min_pts=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        part = dbscan(X, DbscanParams(eps=1e154, min_pts=2))
     assert np.all(part.labels == NOISE)
 
 
-# -- exact sorted-slab queries --------------------------------------------------
+# -- exact sorted-slab sweep ------------------------------------------------------
 
 
 def _brute_neighbors(points, row, eps2):
@@ -162,36 +169,80 @@ def _slab_on(points, col):
     """The scan's slab, keyed on a chosen column rather than the widest."""
     order = np.argsort(points[:, col], kind="stable")
     rows = points[order]
-    return dbscan_module._Slab(col, order, rows,
-                               np.ascontiguousarray(rows[:, col]))
+    return dbscan_module._Slab(order, rows, np.ascontiguousarray(rows[:, col]))
 
 
-@given(slab_cases())
+def _sweep(slab, eps2, cells=DISTANCE_BLOCK_CELLS):
+    """Each row's neighbour ids from one sweep, blocked at `cells` distances,
+    after checking the CSR layout: int32 ids in slab order."""
+    with mock.patch.object(dbscan_module, "DISTANCE_BLOCK_CELLS", cells), \
+            mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells):
+        indptr, nbr = slab.neighbourhoods(eps2)
+    n = slab.order.size
+    assert nbr.dtype == np.int32 and indptr.shape == (n + 1,)
+    assert indptr[0] == 0 and indptr[-1] == nbr.size
+    pos = np.empty(n, dtype=np.int64)
+    pos[slab.order] = np.arange(n)
+    sets = {}
+    for p in range(n):
+        ids = nbr[indptr[p]:indptr[p + 1]]
+        assert np.all(np.diff(pos[ids]) > 0)  # slab order
+        sets[int(slab.order[p])] = np.sort(ids).tolist()
+    return [sets[row] for row in range(n)]
+
+
+@given(slab_cases(), st.sampled_from([1, 2, 5, 40, DISTANCE_BLOCK_CELLS]))
 @settings(deadline=None, max_examples=300)
-def test_slab_query_equals_brute_force(case):
+def test_slab_query_equals_brute_force(case, cells):
     points, col, eps2 = case
-    slab = _slab_on(points, col)
+    got = _sweep(_slab_on(points, col), eps2, cells)
     for row in range(points.shape[0]):
-        got = dbscan_module._neighbor_rows(points, row, eps2, slab)
-        assert np.array_equal(got, _brute_neighbors(points, row, eps2))
+        assert got[row] == _brute_neighbors(points, row, eps2).tolist()
+
+
+# one row a block, where each row's own band decides, and the default blocks
+BLOCKINGS = (1, DISTANCE_BLOCK_CELLS)
 
 
 def test_slab_keeps_a_row_exactly_eps_away_on_the_key_column():
     points = np.array([[1e12], [1e12 + 1.0], [1e12 + 2.0], [1e12 + 2.0]])
-    slab = dbscan_module._Slab.build(points)
-    assert dbscan_module._neighbor_rows(points, 0, 1.0, slab).tolist() == [0, 1]
-    assert dbscan_module._neighbor_rows(points, 1, 1.0, slab).tolist() == \
-        [0, 1, 2, 3]
+    for cells in BLOCKINGS:
+        got = _sweep(dbscan_module._Slab.build(points), 1.0, cells)
+        assert got[0] == [0, 1]
+        assert got[1] == [0, 1, 2, 3]
 
 
 def test_slab_finds_a_neighbour_past_the_rounded_reach():
     # c + sqrt(eps2) rounds below x although (x - c)**2 <= eps2 in float64,
-    # so bounds taken from c +- sqrt(eps2) alone would drop row 1
+    # so bands taken from c +- sqrt(eps2) alone would drop row 1
     c, x, eps2 = -2.2905021563861254, 0.04571200661237241, 5.4578966153947714
     assert x > c + np.sqrt(eps2) and (x - c) * (x - c) <= eps2
     points = np.array([[c], [x], [x + 1.0]])
-    slab = dbscan_module._Slab.build(points)
-    assert dbscan_module._neighbor_rows(points, 0, eps2, slab).tolist() == [0, 1]
+    for cells in BLOCKINGS:
+        got = _sweep(dbscan_module._Slab.build(points), eps2, cells)
+        assert got[0] == [0, 1]
+        assert got[1] == [0, 1, 2]
+
+
+def test_slab_with_a_constant_key_column_scores_every_pair():
+    # every band is the whole slab, so each block is scored against all rows
+    rng = np.random.default_rng(3)
+    points = np.column_stack([np.full(300, 7.0), rng.normal(size=(300, 2))])
+    slab = _slab_on(points, 0)
+    for cells in (7, 1000, DISTANCE_BLOCK_CELLS):
+        got = _sweep(slab, 0.25, cells)
+        for row in range(points.shape[0]):
+            assert got[row] == _brute_neighbors(points, row, 0.25).tolist()
+
+
+def test_squares_that_underflow_stay_neighbours():
+    # eps^2 rounds to 0.0, yet rows 1e-170 apart square to 0.0 as well
+    points = np.array([[0.0], [1e-170], [1e-150]])
+    eps2 = 1e-200 * 1e-200
+    assert eps2 == 0.0
+    for cells in BLOCKINGS:
+        got = _sweep(dbscan_module._Slab.build(points), eps2, cells)
+        assert got == [[0, 1], [0, 1], [2]]
 
 
 def _greedy_cover_oracle(points, cluster_rows, params):
@@ -233,38 +284,39 @@ def test_cover_equals_the_per_row_greedy_loop(points, eps, min_pts, data):
             specific_core_points(X, rows, core, params)
 
 
-def _count_queries(monkeypatch):
-    calls = []
-    real = dbscan_module._neighbor_rows
+def _count_sweeps(monkeypatch):
+    """Rows of each neighbourhood sweep, in call order."""
+    swept = []
+    real = dbscan_module._Slab.neighbourhoods
 
-    def counting(points, row, eps2, slab):
-        calls.append(row)
-        return real(points, row, eps2, slab)
+    def counting(slab, eps2):
+        swept.append(slab.order.size)
+        return real(slab, eps2)
 
-    monkeypatch.setattr(dbscan_module, "_neighbor_rows", counting)
-    return calls
+    monkeypatch.setattr(dbscan_module._Slab, "neighbourhoods", counting)
+    return swept
 
 
 def test_scan_queries_each_row_once(monkeypatch):
     X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=3, spread=0.6)
-    calls = _count_queries(monkeypatch)
+    swept = _count_sweeps(monkeypatch)
     dbscan(X, DbscanParams(eps=1.0, min_pts=4))
-    assert sorted(calls) == list(range(X.n))
+    assert swept == [X.n]  # one sweep finds every row's neighbourhood
 
 
 def test_cover_and_model_run_no_query(monkeypatch):
     X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=3, spread=0.6)
     params = DbscanParams(eps=1.0, min_pts=4)
     part, core = dbscan(X, params, return_core=True)
-    calls = _count_queries(monkeypatch)
+    swept = _count_sweeps(monkeypatch)
     for refine in (True, False):
         rep_kmeans_model(X, part, core, params, refine=refine)
-    assert calls == []
+    assert swept == []
 
 
 def test_single_node_merge_queries_rows_and_representatives_once(monkeypatch):
     X, _ = _blobs_with_outliers(seed=9, per_cluster=40)
-    calls = _count_queries(monkeypatch)
+    swept = _count_sweeps(monkeypatch)
     world = CommWorld(1)
     try:
         rep = ddbc(world, split_blocks(X, 1),
@@ -272,7 +324,8 @@ def test_single_node_merge_queries_rows_and_representatives_once(monkeypatch):
     finally:
         world.shutdown()
     assert rep.model["representatives"] > 0
-    assert len(calls) == X.n + rep.model["representatives"]
+    # the local scan, then the facilitator's scan of the representatives
+    assert swept == [X.n, rep.model["representatives"]]
 
 
 # -- specific core points ----------------------------------------------------
