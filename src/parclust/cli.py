@@ -28,15 +28,20 @@ ALGOS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
 _PARALLEL = {"kmeans": "pkm", "fcm": "pfcm", "dbscan": "ddbc"}
 _KM = ("kmeans", "pkm")
 _FCM = ("fcm", "pfcm")
-_DENSITY = ("dbscan", "ddbc", "cpca-cluster")  # cpca-cluster's dbscan local
+#: cpca-cluster reads the flags of its local clusterer, so it is listed
+#: once per --local-algo choice
+_CPCA_KM = "cpca-cluster --local-algo kmeans"
+_CPCA_DB = "cpca-cluster --local-algo dbscan"
+_CPCA = (_CPCA_KM, _CPCA_DB)
+_DENSITY = ("dbscan", "ddbc", _CPCA_DB)
 #: Each flag that only some algorithms read: its argument name, its default
 #: and those algorithms. Any other algorithm refuses the flag rather than
 #: ignore it. --seed is read where it matters and accepted everywhere.
 _FLAGS = {
-    "--k": ("k", 3, _KM + _FCM + ("cpca-cluster",)),
+    "--k": ("k", 3, _KM + _FCM + _CPCA),
     "--m": ("m", 2.0, _FCM),
     "--tol": ("tol", 1e-9, _KM + _FCM + ("pddp-km",)),
-    "--max-iter": ("max_iter", 300, _KM + _FCM + ("cpca-cluster", "pddp-km")),
+    "--max-iter": ("max_iter", 300, _KM + _FCM + (_CPCA_KM, "pddp-km")),
     "--eps": ("eps", 0.5, _DENSITY),
     "--min-pts": ("min_pts", 5, _DENSITY),
     "--eps-global": ("eps_global", None, ("ddbc",)),  # None: 2 * eps
@@ -48,10 +53,18 @@ _FLAGS = {
     "--theta-enlarge": ("theta_enlarge", 0.1, ("kwindows",)),
     "--theta-merge": ("theta_merge", 0.2, ("kwindows",)),
     "--height": ("height", 2, ("pddp", "pddp-km")),
-    "--variance-fraction": ("variance_fraction", 0.9, ("cpca-cluster",)),
-    "--reps-per-cluster": ("reps_per_cluster", 3, ("cpca-cluster",)),
-    "--local-algo": ("local_algo", "kmeans", ("cpca-cluster",)),
+    "--variance-fraction": ("variance_fraction", 0.9, _CPCA),
+    "--reps-per-cluster": ("reps_per_cluster", 3, _CPCA),
+    "--local-algo": ("local_algo", "kmeans", _CPCA),
 }
+
+
+def _reader(args) -> str:
+    """The name `_FLAGS` lists for the run `args` configures."""
+    if args.algo != "cpca-cluster":
+        return args.algo
+    return "cpca-cluster --local-algo %s" % (args.local_algo
+                                             or _FLAGS["--local-algo"][1])
 
 
 class _UsageError(Exception):
@@ -130,11 +143,12 @@ def _add_run_flags(p) -> None:
 def _with_defaults(args):
     """args with every flag its algorithm reads set; refuses any other flag."""
     filled = argparse.Namespace(**vars(args))
+    reader = _reader(args)
     for flag, (name, default, readers) in _FLAGS.items():
-        if args.algo not in readers:
+        if reader not in readers:
             if getattr(args, name) is not None:
                 raise _UsageError("%s does not read %s (read by: %s)"
-                                  % (args.algo, flag, ", ".join(readers)))
+                                  % (reader, flag, ", ".join(readers)))
         elif getattr(args, name) is None:
             setattr(filled, name, default)
     return filled
@@ -245,8 +259,9 @@ def _cmd_bench(args) -> int:
     if args.baseline is not None:
         base_args = argparse.Namespace(**vars(args))
         base_args.algo = args.baseline
+        reader = _reader(base_args)
         for name, _default, readers in _FLAGS.values():
-            if args.baseline not in readers:  # they configure the compared run
+            if reader not in readers:  # they configure the compared run
                 setattr(base_args, name, None)
         base = _run_algo(base_args, X, 1)
         baseline_part = base.partition

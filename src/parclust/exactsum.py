@@ -57,16 +57,27 @@ def fixed_to_float(acc: int, count: int = 1) -> float:
     return fixed_ratio(acc, count << _GRID_BITS)
 
 
+def fixed_to_floats(accs, count: int = 1) -> list[float]:
+    """`fixed_to_float(acc, count)` of every accumulated value, one shared count."""
+    return fixed_ratios(accs, count << _GRID_BITS)
+
+
 def fixed_ratio(num: int, den: int) -> float:
-    """Quotient of two accumulated values on the same grid, rounded once.
+    """Quotient of two accumulated values on the same grid, rounded once."""
+    return fixed_ratios((num,), den)[0]
+
+
+def fixed_ratios(nums, den: int) -> list[float]:
+    """Quotients of accumulated values over one shared denominator, each
+    rounded once.
 
     Raises ZeroDivisionError on a zero denominator and ValueError when
-    the quotient is beyond the float64 range.
+    a quotient is beyond the float64 range.
     """
     if den < 0:  # so that a zero quotient is +0.0, as with Fraction
-        num, den = -num, -den
+        nums, den = [-num for num in nums], -den
     try:
-        return num / den
+        return [num / den for num in nums]
     except OverflowError:
         raise ValueError("exact result out of float64 range") from None
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard, split_blocks
 from .core import DataSet, squared_distances
-from .exactsum import fixed_ratio, fixed_to_float, grouped_sums_fixed, sum_fixed
+from .exactsum import fixed_ratios, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
 
 
@@ -83,7 +83,7 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
     for i in range(k):
         if dens[i] == 0:
             raise ValueError("degenerate membership column %d: all weights zero" % i)
-        centers[i] = [fixed_ratio(num, dens[i]) for num in g[i * d:(i + 1) * d]]
+        centers[i] = fixed_ratios(g[i * d:(i + 1) * d], dens[i])
     return centers
 
 

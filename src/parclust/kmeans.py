@@ -15,7 +15,8 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, SerialCtx, Shard, split_blocks
 from .core import CentroidSet, DataSet, Partition, squared_distances
-from .exactsum import fixed_to_float, grouped_sums_fixed, sum_fixed
+from .exactsum import (fixed_to_float, fixed_to_floats, grouped_sums_fixed,
+                       sum_fixed)
 from .report import ClusterReport
 
 
@@ -71,8 +72,7 @@ def _new_centers(sums, counts, k, d, old_centers):
         if counts[i] == 0:
             empty.append(i)
             continue
-        centers[i] = [fixed_to_float(s, counts[i])
-                      for s in sums[i * d:(i + 1) * d]]
+        centers[i] = fixed_to_floats(sums[i * d:(i + 1) * d], counts[i])
     return centers, empty
 
 

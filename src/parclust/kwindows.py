@@ -1,9 +1,13 @@
 """Box-window clustering with box queries answered by shard-local masks.
 
 Every rank holds one contiguous block of rows (`split_blocks`). Rank 0
-runs the window phases; each box query is one broadcast of the box and
-one gather of the ids each block has inside it, so a search returns the
-same set for any node count.
+runs the window phases. A window's path of box queries (movement, then
+enlargement) depends only on that window and the data (Alevizos,
+Tasoulis & Vrahatis, PPAM 2003), so all windows advance in lockstep: each
+round holds one box per unfinished window and costs one broadcast of the
+boxes and one gather of the ids each block has inside each box. A call
+costs as many rounds as its longest window path, and every search
+returns the same set for any node count.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
@@ -135,28 +139,46 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
     return found
 
 
-def _box_hits(shard: Shard, box) -> np.ndarray:
-    """Global ids of the shard rows inside the closed box (lo, hi)."""
-    lo, hi = box
-    return shard.ids[np.all((shard.points >= lo) & (shard.points <= hi), axis=1)]
+def _round_hits(shard: Shard, boxes) -> list[np.ndarray]:
+    """Global ids of the shard rows inside each closed box of one round.
+
+    `boxes` is a pair of (b, d) arrays, lo and hi. One box is tested at a
+    time, so mask memory stays that of one shard whatever b is.
+    """
+    pts = shard.points
+    return [shard.ids[np.all((pts >= lo) & (pts <= hi), axis=1)]
+            for lo, hi in zip(*boxes)]
 
 
 def _search_node(ctx: NodeCtx, shards: list[Shard], job):
-    """Rank 0 returns job(search), where search(lo, hi) broadcasts the box and
-    gathers every shard's hits; the other ranks answer boxes until rank 0
-    broadcasts None."""
-    shard = shards[ctx.rank]
-    if ctx.rank == 0:
-        def search(lo, hi) -> set[int]:
-            hits = ctx.gather(_box_hits(shard, ctx.broadcast((lo, hi))))
-            return set(np.concatenate(hits).tolist())
+    """Answer the rounds of box queries of the generator `job`, run at rank 0.
 
-        out = job(search)
-        ctx.broadcast(None)
-        return out
-    while (box := ctx.broadcast(None)) is not None:
-        ctx.gather(_box_hits(shard, box))
-    return None
+    Each value `job` yields is one round, a pair of (b, d) lo and hi
+    arrays: rank 0 broadcasts it once, every rank answers it with its
+    per-box hit arrays, gathered once, and `job` is sent one id set per
+    box. When `job` returns, rank 0 broadcasts None and returns its value;
+    the other ranks answer rounds until then and return None.
+    """
+    shard = shards[ctx.rank]
+    if ctx.rank != 0:
+        while (boxes := ctx.broadcast(None)) is not None:
+            ctx.gather(_round_hits(shard, boxes))
+        return None
+    hits = None
+    while True:
+        try:
+            boxes = job.send(hits)
+        except StopIteration as done:
+            ctx.broadcast(None)
+            return done.value
+        parts = ctx.gather(_round_hits(shard, ctx.broadcast(boxes)))
+        hits = [set(np.concatenate(box).tolist()) for box in zip(*parts)]
+
+
+def _one_box(lo, hi):
+    """A job of one round that queries the single box (lo, hi)."""
+    hits = yield lo[None, :], hi[None, :]
+    return hits[0]
 
 
 def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
@@ -166,8 +188,7 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
     shards = split_blocks(DataSet(tree.points, tree.ids), world.size)
-    return world.spmd(_search_node, shards,
-                      lambda search: search(query.lo, query.hi))[0]
+    return world.spmd(_search_node, shards, _one_box(query.lo, query.hi))[0]
 
 
 @dataclass
@@ -181,22 +202,25 @@ class Window:
 
 
 class _WindowDriver:
-    """Movement, enlargement, merge and labeling phases, executed at rank 0."""
+    """Window paths in lockstep, then merge and labeling, executed at rank 0.
 
-    def __init__(self, X: DataSet, params: KWindowsParams, search):
+    `run()` is a `_search_node` job. A window's path (movement, then
+    enlargement with movement after each kept growth) depends only on
+    that window and the data, so every live window takes one step of its
+    path per round and a call costs as many rounds as its longest path.
+    """
+
+    def __init__(self, X: DataSet, params: KWindowsParams):
         self.X = X
         self.params = params
-        self.search = search
         # row lookup by global id; ids are a permutation so this inverts it
         self.row_of = np.empty(X.n, dtype=np.int64)
         self.row_of[X.ids] = np.arange(X.n)
 
-    def _enclosed(self, w: Window) -> set[int]:
-        lo, hi = w.bounds()
-        return self.search(lo, hi)
-
-    def _move(self, w: Window) -> None:
-        w.enclosed = self._enclosed(w)
+    def _move(self, w: Window):
+        """Movement: re-center on the mean of the enclosed rows until the
+        count grows by less than theta_move."""
+        w.enclosed = yield w.bounds()
         steps = 0
         while w.enclosed:
             steps += 1
@@ -204,7 +228,7 @@ class _WindowDriver:
                 raise RuntimeError("movement failed to stabilize")
             prev = len(w.enclosed)
             w.center = self._mean(w.enclosed)
-            w.enclosed = self._enclosed(w)
+            w.enclosed = yield w.bounds()
             if len(w.enclosed) - prev < self.params.theta_move * prev:
                 break
 
@@ -213,7 +237,9 @@ class _WindowDriver:
         rows = self.row_of[sorted(enclosed)]
         return self.X.points[rows].mean(axis=0)
 
-    def _enlarge(self, w: Window) -> None:
+    def _path(self, w: Window):
+        """One window's box queries: yields boxes, is sent each box's id set."""
+        yield from self._move(w)
         # safety cap: movement after a kept growth may shed points again
         for _ in range(50):
             kept = False
@@ -223,16 +249,29 @@ class _WindowDriver:
                 before = len(w.enclosed)
                 trial = w.half_width.copy()
                 trial[t] *= 1.0 + self.params.theta_enlarge
-                lo = w.center - trial
-                hi = w.center + trial
-                count = len(self.search(lo, hi))
+                count = len((yield w.center - trial, w.center + trial))
                 if count > before and \
                         count - before >= self.params.theta_enlarge * before:
                     w.half_width = trial
-                    self._move(w)
+                    yield from self._move(w)
                     kept = True
             if not kept:
                 return
+
+    @staticmethod
+    def _lockstep(paths: list):
+        """Advance every unfinished path one box per round until all finish."""
+        live = [(path, next(path)) for path in paths]
+        while live:
+            hits = yield (np.array([box[0] for _, box in live]),
+                          np.array([box[1] for _, box in live]))
+            step = []
+            for (path, _), found in zip(live, hits):
+                try:
+                    step.append((path, path.send(found)))
+                except StopIteration:
+                    pass
+            live = step
 
     @staticmethod
     def _merge_groups(windows: list[Window], theta_merge: float) -> list[int]:
@@ -262,10 +301,7 @@ class _WindowDriver:
         seeds = rng.choice(X.n, size=params.l, replace=False)
         windows = [Window(X.points[r].copy(), np.full(X.d, params.a, dtype=np.float64))
                    for r in np.sort(seeds)]
-        for w in windows:
-            self._move(w)
-        for w in windows:
-            self._enlarge(w)
+        yield from self._lockstep([self._path(w) for w in windows])
         roots = self._merge_groups(windows, params.theta_merge)
         group_label: dict[int, int] = {}
         labels = np.full(X.n, NOISE, dtype=np.int64)
@@ -273,16 +309,14 @@ class _WindowDriver:
             if not w.enclosed:
                 continue  # a window that caught nothing represents nothing
             g = group_label.setdefault(roots[i], len(group_label))
-            for gid in sorted(w.enclosed):
-                row = self.row_of[gid]
-                if labels[row] == NOISE:
-                    labels[row] = g
+            # a window's rows are distinct, so the order they are claimed
+            # in does not matter; earlier windows keep what they claimed
+            rows = self.row_of[np.fromiter(w.enclosed, np.int64, len(w.enclosed))]
+            labels[rows[labels[rows] == NOISE]] = g
         # a group can end up owning no points when earlier windows claim
         # everything it covers; compact so labels stay below k
-        present = np.unique(labels[labels != NOISE])
-        remap = {int(v): i for i, v in enumerate(present)}
-        labels = np.array([NOISE if v == NOISE else remap[v]
-                           for v in labels.tolist()], dtype=np.int64)
+        owned = labels != NOISE
+        labels[owned] = np.searchsorted(np.unique(labels[owned]), labels[owned])
         model = {
             "windows": [{"center": [float(v) for v in w.center],
                          "half_width": [float(v) for v in w.half_width],
@@ -297,9 +331,8 @@ def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterRe
         t0 = time.perf_counter()
         shards = split_blocks(X, world.size)
         timings["split"] = (time.perf_counter() - t0) * 1e3
-        labels, model = world.spmd(
-            _search_node, shards,
-            lambda search: _WindowDriver(X, params, search).run())[0]
+        labels, model = world.spmd(_search_node, shards,
+                                   _WindowDriver(X, params).run())[0]
     k = int(np.unique(labels[labels != NOISE]).size)
     return ClusterReport(
         algo="kwindows",

@@ -16,7 +16,8 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, split_blocks
 from .core import CentroidSet, DataSet, Partition, sse_objective
-from .exactsum import fixed_to_float, grouped_sums_fixed, sum_fixed
+from .exactsum import (fixed_to_float, fixed_to_floats, grouped_sums_fixed,
+                       sum_fixed)
 from .kmeans import KMeansParams, _assign, pkm
 from .pca import principal_axes
 from .report import ClusterReport
@@ -57,7 +58,7 @@ class PddpTree:
 
 def _exact_mean_rows(points: np.ndarray) -> np.ndarray:
     n = points.shape[0]
-    return np.array([fixed_to_float(s, n) for s in grouped_sums_fixed(points)],
+    return np.array(fixed_to_floats(grouped_sums_fixed(points), n),
                     dtype=np.float64)
 
 
@@ -70,7 +71,7 @@ def _split_direction(ctx: NodeCtx, local_rows: np.ndarray, size: int):
     the direction is None when the cluster has zero covariance.
     """
     g = ctx.allreduce_sum(grouped_sums_fixed(local_rows))
-    mean = np.array([fixed_to_float(s, size) for s in g], dtype=np.float64)
+    mean = np.array(fixed_to_floats(g, size), dtype=np.float64)
     centered = local_rows - mean
     d = centered.shape[1]
     cross: list[int] = []
@@ -81,7 +82,7 @@ def _split_direction(ctx: NodeCtx, local_rows: np.ndarray, size: int):
         return mean, None  # all points identical
     upper = np.triu_indices(d)
     C = np.empty((d, d))
-    C[upper] = [fixed_to_float(v, size) for v in cross]
+    C[upper] = fixed_to_floats(cross, size)
     C.T[upper] = C[upper]
     return mean, principal_axes(C)[1][0]
 

@@ -141,6 +141,12 @@ def test_usage_errors_exit_one(blob_csv, capsys):
      "--local-model"),
     (["--algo", "pkm", "--k", "2", "--min-pts", "3", "--windows", "9"],
      "--min-pts"),
+    # cpca-cluster reads only the flags of its local clusterer
+    (["--algo", "cpca-cluster", "--k", "3", "--eps", "3"], "--eps"),
+    (["--algo", "cpca-cluster", "--k", "3", "--local-algo", "kmeans",
+      "--eps", "3", "--min-pts", "9"], "--eps"),
+    (["--algo", "cpca-cluster", "--k", "3", "--local-algo", "dbscan",
+      "--max-iter", "5"], "--max-iter"),
 ])
 def test_a_flag_the_algorithm_does_not_read_exits_one(argv, flag, blob_csv,
                                                       capsys):
@@ -148,7 +154,12 @@ def test_a_flag_the_algorithm_does_not_read_exits_one(argv, flag, blob_csv,
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert "usage error: %s does not read %s" % (argv[1], flag) in captured.err
+    who = argv[1]
+    if who == "cpca-cluster":  # the message names the local clusterer
+        local = argv[argv.index("--local-algo") + 1] \
+            if "--local-algo" in argv else "kmeans"
+        who += " --local-algo " + local
+    assert "usage error: %s does not read %s" % (who, flag) in captured.err
 
 
 def test_bench_baseline_drops_the_flags_it_does_not_read(blob_csv, capsys):
@@ -157,6 +168,16 @@ def test_bench_baseline_drops_the_flags_it_does_not_read(blob_csv, capsys):
                              "--nodes", "1,2", "--k", "3", "--m", "1.5",
                              "--baseline", "kmeans"])
     assert [r["ari_vs_baseline"] for r in doc["runs"]] == [1.0, 1.0]
+
+
+def test_bench_baseline_drops_the_local_clusterer_flags(blob_csv, capsys):
+    # --eps and --min-pts configure cpca-cluster's dbscan local clusterer;
+    # the kmeans baseline reads --k only
+    doc = _run_json(capsys, ["bench", "--algo", "cpca-cluster",
+                             "--data", str(blob_csv), "--nodes", "1", "--k", "3",
+                             "--local-algo", "dbscan", "--eps", "1.5",
+                             "--min-pts", "4", "--baseline", "kmeans"])
+    assert doc["baseline"] == "kmeans" and len(doc["runs"]) == 1
 
 
 def test_missing_data_file_exits_two(capsys):

@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 from parclust import exactsum
 from parclust.comm import CommWorld
 from parclust.core import DataSet, generate_blobs
-from parclust.exactsum import (fixed_from_float, fixed_ratio, fixed_to_float,
+from parclust.exactsum import (fixed_from_float, fixed_ratio, fixed_ratios,
+                               fixed_to_float, fixed_to_floats,
                                grouped_sums_fixed, sum_fixed)
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
@@ -144,6 +145,53 @@ def test_fixed_ratio_matches_rational_oracle(num, den):
             fixed_ratio(num, den)
     else:
         assert fixed_ratio(num, den).hex() == want.hex()
+
+
+def _each_or_none(f, values, shared):
+    """[f(v, shared) for v in values], or None if any raises ValueError."""
+    try:
+        return [f(v, shared).hex() for v in values]
+    except ValueError:
+        return None
+
+
+@given(st.lists(grid_values, max_size=10), st.integers(1, 1 << 20))
+@settings(deadline=None, max_examples=300)
+def test_fixed_to_floats_equals_fixed_to_float_of_each(accs, count):
+    oracle = [_rational_oracle(a, count << 1126) for a in accs]
+    want = _each_or_none(fixed_to_float, accs, count)
+    assert want == (None if None in oracle else [v.hex() for v in oracle])
+    if want is None:
+        with pytest.raises(ValueError, match="out of float64 range"):
+            fixed_to_floats(accs, count)
+    else:
+        assert [v.hex() for v in fixed_to_floats(accs, count)] == want
+
+
+@given(st.lists(grid_values, max_size=10), grid_values.filter(bool))
+@settings(deadline=None, max_examples=300)
+def test_fixed_ratios_equals_fixed_ratio_of_each(nums, den):
+    oracle = [_rational_oracle(n, den) for n in nums]
+    want = _each_or_none(fixed_ratio, nums, den)
+    assert want == (None if None in oracle else [v.hex() for v in oracle])
+    if want is None:
+        with pytest.raises(ValueError, match="out of float64 range"):
+            fixed_ratios(nums, den)
+    else:
+        assert [v.hex() for v in fixed_ratios(nums, den)] == want
+
+
+def test_fixed_to_floats_signs_and_range():
+    third = sum_fixed([1.0])
+    assert [v.hex() for v in fixed_to_floats([0, -third, third], 3)] == \
+        ["0x0.0p+0", float(Fraction(-1, 3)).hex(), float(Fraction(1, 3)).hex()]
+    assert fixed_ratios([0, third], -third) == [0.0, -1.0]
+    assert math.copysign(1.0, fixed_ratios([0], -third)[0]) == 1.0
+    twice_max = sum_fixed([MAX_FINITE, MAX_FINITE])
+    with pytest.raises(ValueError, match="out of float64 range"):
+        fixed_to_floats([third, twice_max], 1)
+    assert fixed_to_floats([twice_max], 2) == [MAX_FINITE]
+    assert fixed_to_floats([], 5) == []
 
 
 def test_sum_beyond_float_range_raises_value_error():

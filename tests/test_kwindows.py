@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import NOISE, DataSet, Partition, adjusted_rand_index, generate_blobs
-from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery,
-                               k_windows, orthogonal_range_search,
-                               parallel_range_search)
+from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, Window,
+                               _search_node, _WindowDriver, k_windows,
+                               orthogonal_range_search, parallel_range_search)
 
 
 def _brute(points, lo, hi):
@@ -162,6 +162,32 @@ def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
         assert got == _brute(pts, lo, hi), p
 
 
+def _one_round(lo, hi):
+    """A search job of one round of boxes: returns one id set per box."""
+    hits = yield lo, hi
+    return hits
+
+
+def test_a_round_with_flat_boxes_equals_filter():
+    rng = np.random.default_rng(8)
+    pts = rng.integers(-3, 4, size=(40, 3)).astype(np.float64)
+    lo = pts[rng.integers(0, 40, size=6)].copy()
+    hi = lo + rng.integers(0, 3, size=(6, 3))
+    hi[:, 0] = lo[:, 0]  # every box is flat on axis 0 ...
+    hi[3] = lo[3]  # ... and box 3 is a single point
+    lo[5] = hi[5] = [9.0, 9.0, 9.0]  # off the data: no hits
+    X = DataSet.from_points(pts)
+    for p in (1, 2, 3):
+        world = CommWorld(p)
+        try:
+            got = world.spmd(_search_node, split_blocks(X, p),
+                             _one_round(lo, hi))[0]
+        finally:
+            world.shutdown()
+        assert got == [_brute(pts, a, b) for a, b in zip(lo, hi)], p
+    assert got[5] == set() and all(got[:5])
+
+
 # -- window clustering -----------------------------------------------------
 
 
@@ -239,3 +265,118 @@ def test_params_validation():
             k_windows(world, X, KWindowsParams(l=5, a=1.0))
     finally:
         world.shutdown()
+
+
+# -- lockstep rounds against each window run alone ----------------------------
+
+
+def _serial_windows(X, params):
+    """Per-window serial oracle: drives each window's path alone against a
+    brute-force mask, merges, and labels one id at a time in ascending id
+    order. Returns (labels, model windows, longest path in queries)."""
+    driver = _WindowDriver(X, params)
+    seeds = np.random.default_rng(params.seed).choice(X.n, size=params.l,
+                                                      replace=False)
+    windows = [Window(X.points[r].copy(), np.full(X.d, params.a))
+               for r in np.sort(seeds)]
+    longest = 0
+    for w in windows:
+        path, queries, hits = driver._path(w), 0, None
+        while True:
+            try:
+                lo, hi = path.send(hits)
+            except StopIteration:
+                break
+            queries += 1
+            hits = set(X.ids[np.all((X.points >= lo) & (X.points <= hi),
+                                    axis=1)].tolist())
+        longest = max(longest, queries)
+    roots = _WindowDriver._merge_groups(windows, params.theta_merge)
+    group_label = {}
+    labels = [NOISE] * X.n
+    for i, w in enumerate(windows):
+        if w.enclosed:
+            g = group_label.setdefault(roots[i], len(group_label))
+            for gid in sorted(w.enclosed):
+                row = int(driver.row_of[gid])
+                if labels[row] == NOISE:
+                    labels[row] = g
+    present = sorted(set(labels) - {NOISE})
+    labels = [NOISE if v == NOISE else present.index(v) for v in labels]
+    model = [{"center": w.center.tolist(), "half_width": w.half_width.tolist(),
+              "count": len(w.enclosed)} for w in windows]
+    return np.array(labels, dtype=np.int64), model, longest
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
+    X, _ = generate_blobs(seed=1, k=4, per_cluster=60, d=4)
+    params = KWindowsParams(l=12, a=3.0, seed=2)
+    _, _, longest = _serial_windows(X, params)
+    world = CommWorld(p)
+    try:
+        k_windows(world, X, params)
+    finally:
+        world.shutdown()
+    # one broadcast and one gather per round, one broadcast to finish
+    rounds = count_collectives["gather"]
+    assert rounds == longest > 1
+    assert count_collectives["broadcast"] == rounds + 1
+    assert sum(count_collectives.values()) == 2 * rounds + 1
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_lockstep_equals_each_window_run_alone(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    coords = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                         max_size=d),
+                                min_size=1, max_size=20), label="coords")
+    pts = np.asarray(coords + coords[:data.draw(st.integers(0, 4))],
+                     dtype=np.float64)  # duplicate rows on top of chance ties
+    n = pts.shape[0]
+    params = KWindowsParams(
+        l=data.draw(st.one_of(st.just(n), st.integers(1, n)), label="l"),
+        a=data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.5]), label="a"),
+        theta_enlarge=data.draw(st.sampled_from([0.05, 0.1, 0.5])),
+        seed=data.draw(st.integers(0, 3), label="seed"))
+    X = DataSet.from_points(pts)
+    labels, model, _ = _serial_windows(X, params)
+    for p in (1, 2, 3):
+        if p > n:
+            continue
+        world = CommWorld(p)
+        try:
+            rep = k_windows(world, X, params)
+        finally:
+            world.shutdown()
+        assert np.array_equal(rep.labels, labels), p
+        assert rep.model["windows"] == model, p
+
+
+def test_a_group_that_owns_no_rows_is_compacted_away():
+    # every row that one merge group's windows enclose was claimed first by
+    # a window of another group, so that group owns nothing and its label
+    # is dropped (found by a random search over small grids)
+    pts = np.array([[0, 2, -1], [0, -1, 0], [-2, -2, 0], [2, -2, 1],
+                    [2, -3, -1], [0, -2, 2], [0, -2, 0], [0, 0, 0],
+                    [-2, -2, 2], [3, 0, 0], [-3, 1, -2], [3, 1, -2],
+                    [2, 3, 3], [0, 1, -1], [-2, 0, 2]], dtype=np.float64)
+    X = DataSet.from_points(pts)
+    params = KWindowsParams(l=11, a=2.5, seed=2)
+    labels, model, _ = _serial_windows(X, params)
+    windows = [Window(np.array(w["center"]), np.array(w["half_width"]),
+                      {0} if w["count"] else set()) for w in model]
+    roots = _WindowDriver._merge_groups(windows, params.theta_merge)
+    groups = {roots[i] for i, w in enumerate(windows) if w.enclosed}
+    used = np.unique(labels[labels != NOISE])
+    assert len(groups) > used.size
+    assert used.tolist() == list(range(used.size))
+    for p in (1, 2, 3):
+        world = CommWorld(p)
+        try:
+            rep = k_windows(world, X, params)
+        finally:
+            world.shutdown()
+        assert np.array_equal(rep.labels, labels), p
+        assert rep.model["windows"] == model and rep.model["k"] == used.size
