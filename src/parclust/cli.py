@@ -1,7 +1,8 @@
 """Command line front end: gen, run, bench.
 
-Reports go to stdout as one LF-terminated JSON document; diagnostics go
-to stderr. Exit codes: 0 success, 1 usage error, 2 runtime error.
+Reports go to stdout as one LF-terminated, strict JSON document (no NaN
+or Infinity); diagnostics go to stderr. Exit codes: 0 success, 1 usage
+error, 2 runtime error, which includes a report holding a non-finite value.
 """
 
 from __future__ import annotations
@@ -224,6 +225,16 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
         world.shutdown()
 
 
+def _emit(doc: dict) -> None:
+    """Write `doc` to stdout as strict JSON; a NaN or infinity refuses it."""
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise ValueError("the report holds a non-finite number, which "
+                         "JSON cannot represent") from None
+    sys.stdout.write(text + "\n")
+
+
 def _cmd_gen(args) -> int:
     X, truth = generate_blobs(args.seed, args.clusters, args.per_cluster,
                               args.dim, spread=args.spread,
@@ -241,7 +252,7 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     X = load_csv(args.data)
     report = _run_algo(args, X, args.nodes)
-    sys.stdout.write(json.dumps(report.to_json_dict()) + "\n")
+    _emit(report.to_json_dict())
     return 0
 
 
@@ -276,7 +287,7 @@ def _cmd_bench(args) -> int:
             entry["ari_vs_baseline"] = adjusted_rand_index(
                 rep.partition, baseline_part)
         out["runs"].append(entry)
-    sys.stdout.write(json.dumps(out) + "\n")
+    _emit(out)
     return 0
 
 

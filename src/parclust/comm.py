@@ -233,6 +233,8 @@ class CommWorld:
         lengths = {len(v) for v in payloads}
         if len(lengths) != 1:
             return _Abort("allreduce_sum length mismatch: %s" % sorted(lengths))
+        if len(payloads) == 1:  # a one-node sum is its payload
+            return list(payloads[0])
         return [sum(col) for col in zip(*payloads)]
 
 

@@ -186,6 +186,16 @@ def _pairwise_sq(pt, ct, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
+def sort_by_widest_column(points: np.ndarray) -> tuple[int, np.ndarray]:
+    """The column of largest range and a stable row order ascending on it.
+
+    The widest column spreads the rows most, so a band of keys around any
+    value holds the fewest of them; any column gives the same query answers.
+    """
+    col = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
+    return col, np.argsort(points[:, col], kind="stable")
+
+
 class UnionFind:
     """Disjoint sets over hashable keys; union(a, b) puts b's root under a's."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx
 from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition, UnionFind,
-                   squared_distances)
+                   sort_by_widest_column, squared_distances)
 from .report import ClusterReport
 
 _UNSEEN = -2
@@ -46,9 +46,7 @@ class _Slab:
 
     @classmethod
     def build(cls, points: np.ndarray) -> "_Slab":
-        # the widest column keeps slabs thinnest; any column gives the same sets
-        col = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
-        order = np.argsort(points[:, col], kind="stable")
+        col, order = sort_by_widest_column(points)
         rows = points[order]
         return cls(order, rows, np.ascontiguousarray(rows[:, col]))
 

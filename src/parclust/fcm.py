@@ -8,6 +8,7 @@ the rows were split over. A single-node world is the centralized run.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class FcmParams:
             raise ValueError("fuzzifier m must be > 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and >= 0, not %r" % self.tol)
 
 
 def initial_membership(n: int, k: int, seed: int) -> np.ndarray:

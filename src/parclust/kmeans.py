@@ -8,6 +8,7 @@ bit for any node count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -32,8 +33,8 @@ class KMeansParams:
             raise ValueError("k must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError("tol must be finite and >= 0, not %r" % self.tol)
 
 
 def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:

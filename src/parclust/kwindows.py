@@ -1,13 +1,16 @@
-"""Box-window clustering with box queries answered by shard-local masks.
+"""Box-window clustering with box queries answered over key-sorted shards.
 
-Every rank holds one contiguous block of rows (`split_blocks`). Rank 0
-runs the window phases. A window's path of box queries (movement, then
-enlargement) depends only on that window and the data (Alevizos,
-Tasoulis & Vrahatis, PPAM 2003), so all windows advance in lockstep: each
-round holds one box per unfinished window and costs one broadcast of the
-boxes and one gather of the ids each block has inside each box. A call
-costs as many rounds as its longest window path, and every search
-returns the same set for any node count.
+Every rank holds one contiguous block of rows (`split_blocks`) and sorts it
+once per call by its widest column, the key. Rank 0 runs the window
+phases. A window's path of box queries (movement, then enlargement)
+depends only on that window and the data (Alevizos, Tasoulis & Vrahatis,
+PPAM 2003), so all windows advance in lockstep: each round holds one box
+per unfinished window and costs one broadcast of the boxes and one gather
+of the ids each block has inside each box. A box can hold only the rows
+whose key lies within its key bounds, one band of the sorted block, so
+only that band is tested. A call costs as many rounds as its longest
+window path, and every search returns the same ids for any node count.
+Windows merge under one matrix of pairwise overlap extents.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
@@ -17,13 +20,14 @@ id, so lookups stay balanced on duplicate data.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard, split_blocks
-from .core import NOISE, DataSet, UnionFind
+from .core import NOISE, DataSet, UnionFind, sort_by_widest_column
 from .report import ClusterReport
 
 
@@ -57,8 +61,9 @@ class KWindowsParams:
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("window count l must be >= 1")
-        if self.a <= 0:
-            raise ValueError("initial half-width a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError("initial half-width a must be finite and "
+                             "positive, not %r" % self.a)
         for name in ("theta_move", "theta_enlarge", "theta_merge"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -139,15 +144,38 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
     return found
 
 
-def _round_hits(shard: Shard, boxes) -> list[np.ndarray]:
+@dataclass(frozen=True)
+class _KeyedShard:
+    """One shard's rows sorted by their widest column, for box queries."""
+
+    col: int
+    rows: np.ndarray  # the shard's rows in ascending key order
+    keys: np.ndarray  # rows[:, col], contiguous
+    ids: np.ndarray  # global ids of rows
+
+    @classmethod
+    def build(cls, shard: Shard) -> "_KeyedShard":
+        col, order = sort_by_widest_column(shard.points)
+        rows = shard.points[order]
+        return cls(col, rows, np.ascontiguousarray(rows[:, col]),
+                   shard.ids[order])
+
+
+def _round_hits(keyed: _KeyedShard, boxes) -> list[np.ndarray]:
     """Global ids of the shard rows inside each closed box of one round.
 
-    `boxes` is a pair of (b, d) arrays, lo and hi. One box is tested at a
-    time, so mask memory stays that of one shard whatever b is.
+    `boxes` is a pair of (b, d) arrays, lo and hi. A row inside a box has
+    its key in [lo, hi] on the key column, so it lies in the band that two
+    binary searches per round find in the sorted keys; the full test runs
+    over that band only. One box is tested at a time, so mask memory stays
+    at most that of one shard whatever b is.
     """
-    pts = shard.points
-    return [shard.ids[np.all((pts >= lo) & (pts <= hi), axis=1)]
-            for lo, hi in zip(*boxes)]
+    lo, hi = boxes
+    start = np.searchsorted(keyed.keys, lo[:, keyed.col], "left").tolist()
+    stop = np.searchsorted(keyed.keys, hi[:, keyed.col], "right").tolist()
+    rows, ids = keyed.rows, keyed.ids
+    return [ids[a:b][np.all((rows[a:b] >= low) & (rows[a:b] <= high), axis=1)]
+            for low, high, a, b in zip(lo, hi, start, stop)]
 
 
 def _search_node(ctx: NodeCtx, shards: list[Shard], job):
@@ -155,14 +183,16 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], job):
 
     Each value `job` yields is one round, a pair of (b, d) lo and hi
     arrays: rank 0 broadcasts it once, every rank answers it with its
-    per-box hit arrays, gathered once, and `job` is sent one id set per
-    box. When `job` returns, rank 0 broadcasts None and returns its value;
-    the other ranks answer rounds until then and return None.
+    per-box hit arrays, gathered once, and `job` is sent one int64 id array
+    per box, in no particular order and without repeats (the shards are
+    disjoint). When `job` returns, rank 0 broadcasts None and returns its
+    value; the other ranks answer rounds until then and return None. Each
+    rank sorts its shard once, before the first round.
     """
-    shard = shards[ctx.rank]
+    keyed = _KeyedShard.build(shards[ctx.rank])
     if ctx.rank != 0:
         while (boxes := ctx.broadcast(None)) is not None:
-            ctx.gather(_round_hits(shard, boxes))
+            ctx.gather(_round_hits(keyed, boxes))
         return None
     hits = None
     while True:
@@ -171,8 +201,8 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], job):
         except StopIteration as done:
             ctx.broadcast(None)
             return done.value
-        parts = ctx.gather(_round_hits(shard, ctx.broadcast(boxes)))
-        hits = [set(np.concatenate(box).tolist()) for box in zip(*parts)]
+        parts = ctx.gather(_round_hits(keyed, ctx.broadcast(boxes)))
+        hits = [np.concatenate(box) for box in zip(*parts)]
 
 
 def _one_box(lo, hi):
@@ -188,14 +218,17 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
     shards = split_blocks(DataSet(tree.points, tree.ids), world.size)
-    return world.spmd(_search_node, shards, _one_box(query.lo, query.hi))[0]
+    hits = world.spmd(_search_node, shards, _one_box(query.lo, query.hi))[0]
+    return set(hits.tolist())
 
 
 @dataclass
 class Window:
     center: np.ndarray
     half_width: np.ndarray
-    enclosed: set[int] = field(default_factory=set)
+    # global ids of the rows inside, distinct, in no particular order
+    enclosed: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def bounds(self):
         return self.center - self.half_width, self.center + self.half_width
@@ -222,34 +255,34 @@ class _WindowDriver:
         count grows by less than theta_move."""
         w.enclosed = yield w.bounds()
         steps = 0
-        while w.enclosed:
+        while w.enclosed.size:
             steps += 1
             if steps > self.X.n + 1:
                 raise RuntimeError("movement failed to stabilize")
-            prev = len(w.enclosed)
+            prev = w.enclosed.size
             w.center = self._mean(w.enclosed)
             w.enclosed = yield w.bounds()
-            if len(w.enclosed) - prev < self.params.theta_move * prev:
+            if w.enclosed.size - prev < self.params.theta_move * prev:
                 break
 
-    def _mean(self, enclosed: set[int]) -> np.ndarray:
+    def _mean(self, enclosed: np.ndarray) -> np.ndarray:
         # fixed ascending-id order keeps the mean independent of node count
-        rows = self.row_of[sorted(enclosed)]
+        rows = self.row_of[np.sort(enclosed)]
         return self.X.points[rows].mean(axis=0)
 
     def _path(self, w: Window):
-        """One window's box queries: yields boxes, is sent each box's id set."""
+        """One window's box queries: yields boxes, is sent each box's ids."""
         yield from self._move(w)
         # safety cap: movement after a kept growth may shed points again
         for _ in range(50):
             kept = False
             for t in range(self.X.d):
-                if not w.enclosed:
+                if not w.enclosed.size:
                     return
-                before = len(w.enclosed)
+                before = w.enclosed.size
                 trial = w.half_width.copy()
                 trial[t] *= 1.0 + self.params.theta_enlarge
-                count = len((yield w.center - trial, w.center + trial))
+                count = (yield w.center - trial, w.center + trial).size
                 if count > before and \
                         count - before >= self.params.theta_enlarge * before:
                     w.half_width = trial
@@ -275,22 +308,33 @@ class _WindowDriver:
 
     @staticmethod
     def _merge_groups(windows: list[Window], theta_merge: float) -> list[int]:
-        """Union-find component per window under the overlap-volume rule."""
+        """Union-find component per window under the overlap-volume rule.
+
+        Two windows that caught rows merge when they overlap by a positive
+        extent on every coordinate and the volume they share exceeds
+        theta_merge times the smaller window's. Pairs are united in
+        ascending (a, b) order of the windows.
+        """
         groups = UnionFind()
-        live = [i for i, w in enumerate(windows) if w.enclosed]
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                i, j = live[a], live[b]
-                lo_i, hi_i = windows[i].bounds()
-                lo_j, hi_j = windows[j].bounds()
-                ext = np.minimum(hi_i, hi_j) - np.maximum(lo_i, lo_j)
-                if np.any(ext <= 0):
-                    continue
-                inter = float(np.prod(ext))
-                vol_i = float(np.prod(hi_i - lo_i))
-                vol_j = float(np.prod(hi_j - lo_j))
-                if inter > theta_merge * min(vol_i, vol_j):
-                    groups.union(i, j)
+        live = np.array([i for i, w in enumerate(windows) if w.enclosed.size],
+                        dtype=np.int64)
+        if live.size > 1:
+            center = np.array([windows[i].center for i in live])
+            half = np.array([windows[i].half_width for i in live])
+            lo, hi = center - half, center + half
+            # ext[a, b]: the overlap extents of live windows a and b, so
+            # ext[a, a] are the widths of window a
+            ext = (np.minimum(hi[:, None], hi[None]) -
+                   np.maximum(lo[:, None], lo[None]))
+            a, b = np.nonzero(np.triu(~np.any(ext <= 0, axis=2), 1))
+            # each product multiplies one pair's d factors in order, as a
+            # product over that pair alone would
+            inter = np.prod(ext[a, b], axis=1)
+            smaller = np.minimum(np.prod(ext[a, a], axis=1),
+                                 np.prod(ext[b, b], axis=1))
+            ok = inter > theta_merge * smaller
+            for i, j in zip(live[a[ok]].tolist(), live[b[ok]].tolist()):
+                groups.union(i, j)
         return [groups.find(i) for i in range(len(windows))]
 
     def run(self):
@@ -306,12 +350,12 @@ class _WindowDriver:
         group_label: dict[int, int] = {}
         labels = np.full(X.n, NOISE, dtype=np.int64)
         for i, w in enumerate(windows):
-            if not w.enclosed:
+            if not w.enclosed.size:
                 continue  # a window that caught nothing represents nothing
             g = group_label.setdefault(roots[i], len(group_label))
             # a window's rows are distinct, so the order they are claimed
             # in does not matter; earlier windows keep what they claimed
-            rows = self.row_of[np.fromiter(w.enclosed, np.int64, len(w.enclosed))]
+            rows = self.row_of[w.enclosed]
             labels[rows[labels[rows] == NOISE]] = g
         # a group can end up owning no points when earlier windows claim
         # everything it covers; compact so labels stay below k
@@ -320,13 +364,13 @@ class _WindowDriver:
         model = {
             "windows": [{"center": [float(v) for v in w.center],
                          "half_width": [float(v) for v in w.half_width],
-                         "count": len(w.enclosed)} for w in windows],
+                         "count": w.enclosed.size} for w in windows],
         }
         return labels, model
 
 
 def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterReport:
-    """Window clustering with every box query answered by shard-local masks."""
+    """Window clustering with every box query answered over key-sorted shards."""
     with world.timed() as timings:
         t0 = time.perf_counter()
         shards = split_blocks(X, world.size)

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from parclust import cli
 from parclust.cli import main
 from parclust.core import Partition, adjusted_rand_index, load_csv
 from parclust.report import REPORT_SCHEMA
@@ -22,12 +23,19 @@ def blob_csv(tmp_path):
     return path
 
 
+def _strict_json(text):
+    """The document in `text`; NaN, Infinity or -Infinity in it fail the test."""
+    def refuse(name):
+        raise AssertionError("CLI report holds %s, which is not JSON" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run_json(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     assert captured.out.endswith("\n")
-    return json.loads(captured.out)
+    return _strict_json(captured.out)
 
 
 # -- gen ----------------------------------------------------------------------
@@ -241,6 +249,51 @@ def test_eps_whose_square_overflows_exits_two(algo, extra, tmp_path, capsys):
     assert "is not a finite float64" in captured.err
 
 
+_NON_FINITE = [
+    ["--algo", "kwindows", "--windows", "3", "--half-width", "nan"],
+    ["--algo", "kwindows", "--windows", "3", "--half-width", "inf"],
+    ["--algo", "pkm", "--k", "3", "--tol", "nan"],
+    ["--algo", "pkm", "--k", "3", "--tol", "inf"],
+    ["--algo", "pfcm", "--k", "3", "--tol", "nan"],
+    ["--algo", "pfcm", "--k", "3", "--tol", "inf"],
+    ["--algo", "pddp-km", "--tol", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv,nodes", [
+    (argv, nodes) for argv in _NON_FINITE for nodes in ("1", "2")
+] + [(["--algo", algo, "--k", "3", "--tol", "nan"], "1")
+     for algo in ("kmeans", "fcm")],
+    ids=lambda v: v if isinstance(v, str) else v[1] + v[-2] + "=" + v[-1])
+def test_a_non_finite_half_width_or_tol_exits_two(argv, nodes, blob_csv,
+                                                  capsys):
+    rc = main(["run", "--data", str(blob_csv), "--nodes", nodes] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "must be finite" in errors[0]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_a_report_holding_a_non_finite_number_exits_two(command, blob_csv,
+                                                        capsys, monkeypatch):
+    real = cli._run_algo
+
+    def nan_objective(args, X, nodes):
+        report = real(args, X, nodes)
+        report.j = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "_run_algo", nan_objective)
+    rc = main([command, "--algo", "pkm", "--data", str(blob_csv), "--k", "3",
+               "--nodes", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: the report holds a non-finite number" in captured.err
+
+
 def _alternating_pairs_csv(tmp_path):
     data = tmp_path / "pairs.csv"
     data.write_text("0,0\n5,5\n" * 10)
@@ -351,7 +404,7 @@ def test_installed_entry_point_round_trips(tmp_path):
         capture_output=True, text=True)
     assert run.returncode == 0
     assert run.stdout.endswith("\n") and not run.stdout.endswith("\n\n")
-    doc = json.loads(run.stdout)
+    doc = _strict_json(run.stdout)
     truth = [int(v) for v in
              (tmp_path / "cli.csv.labels.csv").read_text().splitlines()]
     ari = adjusted_rand_index(Partition(np.asarray(doc["labels"])),

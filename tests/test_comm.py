@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommAbort, CommWorld, Shard, split_blocks
+from parclust.comm import CommAbort, CommWorld, SerialCtx, Shard, split_blocks
 from parclust.core import DataSet
 
 
@@ -106,6 +106,18 @@ def test_broadcast_root_out_of_range():
 def test_allreduce_single_rank_unchanged():
     out = _world_run(1, lambda ctx: ctx.allreduce_sum([1, 2, 3]))
     assert out == [[1, 2, 3]]
+
+
+def test_a_one_payload_fold_is_a_fresh_copy_of_the_payload():
+    for payload in ([1, -2, 3 ** 90], (4, 5), []):
+        out = CommWorld._fold([payload])
+        assert out == list(payload) and type(out) is list
+        assert out is not payload
+    ctx = SerialCtx()
+    vec = [7, 8]
+    out = ctx.allreduce_sum(vec)
+    out[0] = 0
+    assert vec == [7, 8]
 
 
 def test_allreduce_scalar_sum():

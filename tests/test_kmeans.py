@@ -141,7 +141,8 @@ def test_more_clusters_than_distinct_rows_raises(p):
 
 
 def test_params_validation():
-    for bad in (dict(k=0), dict(k=1, max_iter=0), dict(k=1, tol=-1.0)):
+    for bad in (dict(k=0), dict(k=1, max_iter=0), dict(k=1, tol=-1.0),
+                dict(k=1, tol=float("nan")), dict(k=1, tol=float("inf"))):
         with pytest.raises(ValueError):
             KMeansParams(**bad)
 

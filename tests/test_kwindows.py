@@ -1,22 +1,48 @@
-"""Point tree, box searches (serial tree walk and shard masks), window clustering."""
+"""Point tree, box searches (serial tree walk and key-sorted shard bands),
+window clustering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parclust.comm import CommWorld, split_blocks
-from parclust.core import NOISE, DataSet, Partition, adjusted_rand_index, generate_blobs
+from parclust.core import (NOISE, DataSet, Partition, UnionFind,
+                           adjusted_rand_index, generate_blobs)
+from parclust import kwindows
 from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, Window,
-                               _search_node, _WindowDriver, k_windows,
+                               _KeyedShard, _round_hits, _search_node,
+                               _WindowDriver, k_windows,
                                orthogonal_range_search, parallel_range_search)
 
 
 def _brute(points, lo, hi):
     mask = np.all((points >= lo) & (points <= hi), axis=1)
     return set(np.nonzero(mask)[0].tolist())
+
+
+def _merge_groups_loop(windows, theta_merge):
+    """Oracle for `_WindowDriver._merge_groups`: every pair of windows that
+    caught rows, compared one at a time in ascending (i, j) order."""
+    groups = UnionFind()
+    live = [i for i, w in enumerate(windows) if w.enclosed.size]
+    for a in range(len(live)):
+        for b in range(a + 1, len(live)):
+            i, j = live[a], live[b]
+            lo_i, hi_i = windows[i].bounds()
+            lo_j, hi_j = windows[j].bounds()
+            ext = np.minimum(hi_i, hi_j) - np.maximum(lo_i, lo_j)
+            if np.any(ext <= 0):
+                continue
+            inter = float(np.prod(ext))
+            vol_i = float(np.prod(hi_i - lo_i))
+            vol_j = float(np.prod(hi_j - lo_j))
+            if inter > theta_merge * min(vol_i, vol_j):
+                groups.union(i, j)
+    return [groups.find(i) for i in range(len(windows))]
 
 
 # -- tree construction -----------------------------------------------------
@@ -104,7 +130,7 @@ def test_query_validation():
         orthogonal_range_search(tree, RangeQuery(np.zeros(3), np.ones(3)))
 
 
-# -- shard-mask search ------------------------------------------------------
+# -- key-sorted shard search ---------------------------------------------------
 
 
 def test_parallel_search_single_node_equals_serial():
@@ -165,7 +191,7 @@ def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
 def _one_round(lo, hi):
     """A search job of one round of boxes: returns one id set per box."""
     hits = yield lo, hi
-    return hits
+    return [set(ids.tolist()) for ids in hits]
 
 
 def test_a_round_with_flat_boxes_equals_filter():
@@ -186,6 +212,162 @@ def test_a_round_with_flat_boxes_equals_filter():
             world.shutdown()
         assert got == [_brute(pts, a, b) for a, b in zip(lo, hi)], p
     assert got[5] == set() and all(got[:5])
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_banded_round_hits_equal_the_mask_box_for_box(data):
+    d = data.draw(st.integers(1, 3), label="d")
+    coords = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                         max_size=d),
+                                min_size=1, max_size=12), label="coords")
+    pts = np.asarray(coords + coords[:data.draw(st.integers(0, 3))],
+                     dtype=np.float64)  # duplicate rows and keys
+    # zeroed columns; with all of them zeroed the key column is constant
+    pts[:, data.draw(st.lists(st.booleans(), min_size=d, max_size=d),
+                     label="zeroed")] = 0.0
+    n = pts.shape[0]
+
+    def face(t):  # on a data coordinate, or just outside the data
+        return st.sampled_from(pts[:, t].tolist() + [pts[:, t].min() - 1.0,
+                                                     pts[:, t].max() + 1.0])
+
+    boxes = []
+    for _ in range(data.draw(st.integers(0, 5), label="drawn boxes")):
+        a = np.array([data.draw(face(t)) for t in range(d)])
+        b = np.array([data.draw(face(t)) for t in range(d)])
+        flat = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+        b[flat] = a[flat]  # lo == hi on these coordinates
+        boxes.append((np.minimum(a, b), np.maximum(a, b)))
+    row = pts[data.draw(st.integers(0, n - 1), label="row")]
+    boxes += [(row, row),  # lo == hi on every coordinate, the key's too
+              (pts.min(axis=0) - 2.0, pts.min(axis=0) - 1.0),  # below
+              (pts.max(axis=0) + 1.0, pts.max(axis=0) + 2.0)]  # above
+    lo = np.array([box[0] for box in boxes])
+    hi = np.array([box[1] for box in boxes])
+    X = DataSet.from_points(pts)
+    for p in sorted({1, 2, 3, n}):  # p == n: single-row shards
+        if p > n:
+            continue
+        parts = [_round_hits(_KeyedShard.build(shard), (lo, hi))
+                 for shard in split_blocks(X, p)]
+        for k, box in enumerate(zip(*parts)):
+            ids = np.concatenate(box)
+            assert ids.dtype == np.int64
+            assert np.unique(ids).size == ids.size, (p, k)
+            assert set(ids.tolist()) == _brute(pts, lo[k], hi[k]), (p, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_each_rank_sorts_its_shard_once_per_call(p, monkeypatch):
+    sorted_rows = []
+    real = kwindows.sort_by_widest_column
+
+    def counting(points):
+        sorted_rows.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(kwindows, "sort_by_widest_column", counting)
+    X, _ = generate_blobs(seed=1, k=4, per_cluster=60, d=4)
+    world = CommWorld(p)
+    try:
+        k_windows(world, X, KWindowsParams(l=12, a=3.0, seed=2))
+    finally:
+        world.shutdown()
+    assert sorted(sorted_rows) == sorted(len(s) for s in split_blocks(X, p))
+
+
+# -- merging windows ---------------------------------------------------------
+
+
+def _recorded(fn, *args):
+    """fn(*args) and the set of distinct warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_merge_groups_equal_the_pairwise_loop(data):
+    d = data.draw(st.integers(1, 8), label="d")
+    # at d = 8, half-widths of 1e40 overflow every volume to inf and those
+    # of 1e-45 underflow them to 0
+    scale = data.draw(st.sampled_from([1.0, 1e40, 1e-45]), label="scale")
+    grid = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    halves = st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=d,
+                      max_size=d)
+    windows = []
+    for _ in range(data.draw(st.integers(0, 8), label="windows")):
+        how = data.draw(st.sampled_from(["new", "identical", "nested"]))
+        if how == "new" or not windows:
+            center = np.array(data.draw(grid), dtype=np.float64) * scale
+        else:  # a copy of an earlier window, or one of its center
+            center = windows[data.draw(st.integers(0, len(windows) - 1))].center
+        half = windows[-1].half_width if how == "identical" and windows \
+            else np.array(data.draw(halves)) * scale
+        # integer centers and half-widths in halves make touching windows,
+        # an overlap extent of exactly 0; some windows caught nothing
+        caught = np.arange(data.draw(st.integers(0, 1), label="caught"))
+        windows.append(Window(center.copy(), half.copy(), caught))
+    theta = data.draw(st.sampled_from([0.01, 0.2, 0.5, 0.99]), label="theta")
+    want, want_warnings = _recorded(_merge_groups_loop, windows, theta)
+    got, got_warnings = _recorded(_WindowDriver._merge_groups, windows, theta)
+    assert got == want
+    assert got_warnings == want_warnings
+
+
+def test_volumes_that_overflow_warn_as_the_pairwise_loop_does():
+    half = np.full(8, 1e40)  # every volume is (2e40)^8, above float64's range
+    apart = [Window(np.full(8, c), half, np.arange(1)) for c in (0.0, 1e41)]
+    # these two touch on the last coordinate only: an extent of exactly 0
+    touching = [Window(np.zeros(8), half, np.arange(1)),
+                Window(np.array([0.0] * 7 + [2e40]), half, np.arange(1))]
+    overlapping = [Window(np.full(8, c), half, np.arange(1))
+                   for c in (0.0, 1e40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no product is taken for these
+        for windows in (apart, touching):
+            assert _WindowDriver._merge_groups(windows, 0.2) == [0, 1]
+            assert _merge_groups_loop(windows, 0.2) == [0, 1]
+    for merge in (_merge_groups_loop, _WindowDriver._merge_groups):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            # inf > 0.2 * inf is false, so they stay apart
+            assert merge(overlapping, 0.2) == [0, 1]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_merge_decision_at_the_edge_theta_equals_the_pairwise_loop(data):
+    # theta is put where one rounding of the loop's intersection or volume
+    # decides the merge, so any other rounding shows as another decision
+    d = data.draw(st.integers(1, 40), label="d")
+    unit = st.floats(0.5, 4.0)
+    center = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=d,
+                                         max_size=d)))
+    half_i = np.array(data.draw(st.lists(unit, min_size=d, max_size=d)))
+    half_j = np.array(data.draw(st.lists(unit, min_size=d, max_size=d)))
+    shift = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=d,
+                                        max_size=d))) * half_i
+    windows = [Window(center, half_i, np.arange(1)),
+               Window(center + shift, half_j, np.arange(1))]
+    (lo_i, hi_i), (lo_j, hi_j) = (w.bounds() for w in windows)
+    ext = np.minimum(hi_i, hi_j) - np.maximum(lo_i, lo_j)
+    assume(np.all(ext > 0))
+    inter = float(np.prod(ext))
+    smaller = min(float(np.prod(hi_i - lo_i)), float(np.prod(hi_j - lo_j)))
+    edge = inter / smaller
+    assume(0.0 < edge < 1.0 and smaller > 0.0)
+    while edge * smaller >= inter:
+        edge = np.nextafter(edge, 0.0)
+    while np.nextafter(edge, 1.0) * smaller < inter:
+        edge = np.nextafter(edge, 1.0)
+    for theta in (float(edge), float(np.nextafter(edge, 1.0))):
+        assert _WindowDriver._merge_groups(windows, theta) == \
+            _merge_groups_loop(windows, theta)
+    assert _merge_groups_loop(windows, float(edge)) == [0, 0]
+    assert _merge_groups_loop(windows, float(np.nextafter(edge, 1.0))) == [0, 1]
 
 
 # -- window clustering -----------------------------------------------------
@@ -256,6 +438,9 @@ def test_params_validation():
         KWindowsParams(l=0, a=1.0)
     with pytest.raises(ValueError):
         KWindowsParams(l=1, a=0.0)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            KWindowsParams(l=1, a=a)
     with pytest.raises(ValueError):
         KWindowsParams(l=1, a=1.0, theta_merge=1.5)
     X = DataSet.from_points([[0.0], [1.0]])
@@ -288,23 +473,22 @@ def _serial_windows(X, params):
             except StopIteration:
                 break
             queries += 1
-            hits = set(X.ids[np.all((X.points >= lo) & (X.points <= hi),
-                                    axis=1)].tolist())
+            hits = X.ids[np.all((X.points >= lo) & (X.points <= hi), axis=1)]
         longest = max(longest, queries)
-    roots = _WindowDriver._merge_groups(windows, params.theta_merge)
+    roots = _merge_groups_loop(windows, params.theta_merge)
     group_label = {}
     labels = [NOISE] * X.n
     for i, w in enumerate(windows):
-        if w.enclosed:
+        if w.enclosed.size:
             g = group_label.setdefault(roots[i], len(group_label))
-            for gid in sorted(w.enclosed):
+            for gid in sorted(w.enclosed.tolist()):
                 row = int(driver.row_of[gid])
                 if labels[row] == NOISE:
                     labels[row] = g
     present = sorted(set(labels) - {NOISE})
     labels = [NOISE if v == NOISE else present.index(v) for v in labels]
     model = [{"center": w.center.tolist(), "half_width": w.half_width.tolist(),
-              "count": len(w.enclosed)} for w in windows]
+              "count": w.enclosed.size} for w in windows]
     return np.array(labels, dtype=np.int64), model, longest
 
 
@@ -366,9 +550,10 @@ def test_a_group_that_owns_no_rows_is_compacted_away():
     params = KWindowsParams(l=11, a=2.5, seed=2)
     labels, model, _ = _serial_windows(X, params)
     windows = [Window(np.array(w["center"]), np.array(w["half_width"]),
-                      {0} if w["count"] else set()) for w in model]
+                      np.arange(min(w["count"], 1))) for w in model]
     roots = _WindowDriver._merge_groups(windows, params.theta_merge)
-    groups = {roots[i] for i, w in enumerate(windows) if w.enclosed}
+    assert roots == _merge_groups_loop(windows, params.theta_merge)
+    groups = {roots[i] for i, w in enumerate(windows) if w.enclosed.size}
     used = np.unique(labels[labels != NOISE])
     assert len(groups) > used.size
     assert used.tolist() == list(range(used.size))
