@@ -31,8 +31,9 @@ class FcmParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.m <= 1.0:
-            raise ValueError("fuzzifier m must be > 1")
+        if not (math.isfinite(self.m) and self.m > 1.0):
+            raise ValueError("fuzzifier m must be finite and > 1, not %r"
+                             % self.m)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (math.isfinite(self.tol) and self.tol >= 0):

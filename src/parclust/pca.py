@@ -1,10 +1,12 @@
 """Principal component extraction and PCA-guided distributed clustering.
 
-Local bases are the leading eigenvectors of the covariance, from the one
-direct symmetric solver `principal_axes`. The collective step gathers
-per-node bases plus projected rows, rebuilds an approximation of the
-full data at the facilitator, and re-extracts a global basis that every
-node then shares.
+Every PCA in the package rests on one kernel, `exact_covariance`: the
+column sums and the upper triangle of the centered cross-products of
+rows spread over the nodes, each reduced exactly in one allreduce, so
+every node holds the same bit-identical covariance at any node count.
+Bases are its leading eigenvectors, from the one direct symmetric solver
+`principal_axes`. The collective basis of `cpca` is therefore the basis
+of all rows, bit for bit, and costs O(d^2) integers of traffic.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard
+from .comm import CommWorld, NodeCtx, SerialCtx, Shard
 from .core import NOISE, DataSet, squared_distances
 from .dbscan import DbscanParams, dbscan
+from .exactsum import fixed_to_floats, grouped_sums_fixed
 from .kmeans import KMeansParams, kmeans_centralized
 from .report import ClusterReport
 
@@ -69,23 +72,65 @@ class PrincipalBasis:
         return self.components.shape[0]
 
 
-def _pca_of_points(points: np.ndarray, variance_fraction: float) -> PrincipalBasis:
-    """Smallest basis whose cumulative eigenvalue share reaches the target."""
+def exact_mean(ctx: NodeCtx, rows):
+    """(n, mean) of the rows spread over the nodes, in one allreduce of
+    the exact column sums plus the row count; each mean is rounded once."""
+    *sums, n = ctx.allreduce_sum(grouped_sums_fixed(rows) + [len(rows)])
+    if n == 0:
+        raise ValueError("no rows to average")
+    return n, np.array(fixed_to_floats(sums, n), dtype=np.float64)
+
+
+def exact_covariance(ctx: NodeCtx, rows):
+    """(n, mean, C) of the rows spread over the nodes.
+
+    A second allreduce sums the upper triangle of the centered
+    cross-products exactly, so every node holds the same (d, d) matrix C
+    at any node count, each entry rounded once. C is None when every
+    cross-product sum is the integer 0 (all rows equal to the mean).
+    """
+    n, mean = exact_mean(ctx, rows)
+    centered = rows - mean
+    d = centered.shape[1]
+    cross: list[int] = []
+    for j in range(d):  # one column at a time: no n x d^2 product in memory
+        cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
+    cross = ctx.allreduce_sum(cross)
+    if not any(cross):
+        return n, mean, None
+    upper = np.triu_indices(d)
+    C = np.empty((d, d))
+    C[upper] = fixed_to_floats(cross, n)
+    C.T[upper] = C[upper]
+    return n, mean, C
+
+
+def _check_fraction(variance_fraction: float) -> None:
     if not 0.0 < variance_fraction <= 1.0:
         raise ValueError("variance_fraction must lie in (0, 1]")
-    n, d = points.shape
-    mean = points.mean(axis=0)
-    centered = points - mean
-    C = (centered.T @ centered) / n
-    total = float(np.trace(C))
+
+
+def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
+    """(n, basis) of the rows spread over the nodes: the smallest basis of
+    their exact covariance whose cumulative eigenvalue share reaches the
+    target."""
+    n, mean, C = exact_covariance(ctx, rows)
+    d = mean.shape[0]
+    total = 0.0 if C is None else float(np.trace(C))
     if total <= 0.0:
         e0 = np.zeros(d)
         e0[0] = 1.0
-        return PrincipalBasis(mean, e0[None, :], np.zeros(1))
+        return n, PrincipalBasis(mean, e0[None, :], np.zeros(1))
     evals, axes = principal_axes(C)
     evals = np.maximum(evals, 0.0)
     r = min(d, int(np.sum(np.cumsum(evals) / total < variance_fraction)) + 1)
-    return PrincipalBasis(mean, axes[:r], evals[:r])
+    return n, PrincipalBasis(mean, axes[:r], evals[:r])
+
+
+def _pca_of_points(points: np.ndarray, variance_fraction: float) -> PrincipalBasis:
+    """Basis of one node's rows: the covariance kernel on a one-node context."""
+    _check_fraction(variance_fraction)
+    return _truncated_basis(SerialCtx(), points, variance_fraction)[1]
 
 
 def local_pca(shard: Shard, variance_fraction: float):
@@ -98,20 +143,14 @@ def local_pca(shard: Shard, variance_fraction: float):
 
 
 def _cpca_node(ctx: NodeCtx, shards, variance_fraction):
-    basis, projected = local_pca(shards[ctx.rank], variance_fraction)
-    gathered = ctx.gather((basis, projected), root=0)
-    if ctx.rank == 0:
-        recon = np.vstack([b.mean + proj @ b.components for b, proj in gathered])
-        global_basis = _pca_of_points(recon, variance_fraction)
-    else:
-        global_basis = None
-    return ctx.broadcast(global_basis, root=0)
+    return _truncated_basis(ctx, shards[ctx.rank].points, variance_fraction)[1]
 
 
 def cpca(world: CommWorld, shards, variance_fraction: float) -> PrincipalBasis:
-    """Global basis agreed by all nodes from locally compressed blocks."""
-    out = world.spmd(_cpca_node, shards, variance_fraction)
-    return out[0]
+    """Global basis of the rows of every shard, the same bits at any node
+    count: two exact allreduces, then every node solves the same matrix."""
+    _check_fraction(variance_fraction)
+    return world.spmd(_cpca_node, shards, variance_fraction)[0]
 
 
 # -- clustering on top of the collective basis ---------------------------
@@ -223,13 +262,7 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
     rng = np.random.default_rng((seed, ctx.rank))
     rep_rows = _representatives(proj_local, local_labels, reps_per_cluster, rng)
     rep_points = shard.points[rep_rows]  # original space, representatives only
-
-    gathered = ctx.gather(rep_points, root=0)
-    if ctx.rank == 0:
-        global_basis = _pca_of_points(np.vstack(gathered), variance_fraction)
-    else:
-        global_basis = None
-    global_basis = ctx.broadcast(global_basis, root=0)
+    n_reps, global_basis = _truncated_basis(ctx, rep_points, variance_fraction)
 
     proj_global = (shard.points - global_basis.mean) @ global_basis.components.T
     refined = np.asarray(clusterer(DataSet.from_points(proj_global), k),
@@ -255,9 +288,8 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
         wts = np.asarray([f[3] for f in flat], dtype=np.float64)
         assign = _weighted_kmeans(pts, wts, k)
         mapping = {(f[0], f[1]): int(assign[i]) for i, f in enumerate(flat)}
-        n_reps = sum(len(g) for g in gathered)
     else:
-        mapping, n_reps = None, 0
+        mapping = None
     mapping = ctx.broadcast(mapping, root=0)
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
@@ -273,13 +305,15 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
 def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
                  reps_per_cluster: int = 3, variance_fraction: float = 0.9,
                  seed: int = 0) -> ClusterReport:
-    """Cluster in local PCA space, agree on a global basis from gathered
-    representatives, re-cluster in that space, and merge per-node cluster
-    sketches with size-weighted k-means at the facilitator."""
+    """Cluster in local PCA space, agree on a global basis from the exact
+    covariance of every node's representatives, re-cluster in that space,
+    and merge per-node cluster sketches with size-weighted k-means at the
+    facilitator."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
+    _check_fraction(variance_fraction)
     with world.timed() as timings:
         out = world.spmd(_cpca_cluster_node, shards, clusterer, k,
                          reps_per_cluster, variance_fraction, seed)

@@ -1,11 +1,13 @@
 """Divisive partitioning along principal directions, plus the hybrid that
 feeds its leaves to parallel k-means as the initial centroids.
 
-The covariance of each cluster is reduced exactly (fixed-point column sums
-of the centered cross-products), so every node holds the same bit-identical
-d x d matrix, solves it with the one direct eigensolver, and agrees on the
+The covariance of each cluster comes from the package's one covariance
+kernel, `pca.exact_covariance` (exact sums of the rows and of their
+centered cross-products), so every node holds the same bit-identical d x d
+matrix, solves it with the one direct eigensolver, and agrees on the
 leading direction; the split is independent of the node count. Clusters
-split on the sign of the mean-centered projection.
+split on the sign of the mean-centered projection. A leaf that is never
+split takes only the exact mean, `pca.exact_mean`.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, split_blocks
+from .comm import CommWorld, NodeCtx, SerialCtx, split_blocks
 from .core import CentroidSet, DataSet, Partition, sse_objective
-from .exactsum import (fixed_to_float, fixed_to_floats, grouped_sums_fixed,
-                       sum_fixed)
+from .exactsum import fixed_to_float, sum_fixed
 from .kmeans import KMeansParams, _assign, pkm
-from .pca import principal_axes
+from .pca import exact_covariance, exact_mean, principal_axes
 from .report import ClusterReport
 
 
@@ -56,35 +57,15 @@ class PddpTree:
         return out
 
 
-def _exact_mean_rows(points: np.ndarray) -> np.ndarray:
-    n = points.shape[0]
-    return np.array(fixed_to_floats(grouped_sums_fixed(points), n),
-                    dtype=np.float64)
-
-
-def _split_direction(ctx: NodeCtx, local_rows: np.ndarray, size: int):
+def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
     """Global mean and leading covariance direction of one cluster.
 
-    Two exact allreduces: the column sums give the mean, and the upper
-    triangle of the centered cross-products gives the covariance, so every
-    rank solves the same bit-identical matrix. Returns (mean, direction);
-    the direction is None when the cluster has zero covariance.
+    Every rank solves the same bit-identical exact covariance. Returns
+    (mean, direction); the direction is None when the cluster has zero
+    covariance (all points identical).
     """
-    g = ctx.allreduce_sum(grouped_sums_fixed(local_rows))
-    mean = np.array(fixed_to_floats(g, size), dtype=np.float64)
-    centered = local_rows - mean
-    d = centered.shape[1]
-    cross: list[int] = []
-    for j in range(d):  # one column at a time: no n x d^2 product in memory
-        cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
-    cross = ctx.allreduce_sum(cross)
-    if not any(cross):
-        return mean, None  # all points identical
-    upper = np.triu_indices(d)
-    C = np.empty((d, d))
-    C[upper] = fixed_to_floats(cross, size)
-    C.T[upper] = C[upper]
-    return mean, principal_axes(C)[1][0]
+    _, mean, C = exact_covariance(ctx, local_rows)
+    return mean, None if C is None else principal_axes(C)[1][0]
 
 
 def _pddp_node(ctx: NodeCtx, shards, X, height):
@@ -107,7 +88,7 @@ def _pddp_node(ctx: NodeCtx, shards, X, height):
                 next_nodes.append(node)
                 continue
             sub = pts[rows]
-            mean, direction = _split_direction(ctx, sub, size)
+            mean, direction = _split_direction(ctx, sub)
             if is_root_rank:
                 node.mean = mean
                 node.direction = direction
@@ -162,7 +143,7 @@ def pddp(world: CommWorld, X: DataSet, height: int):
     labels = np.empty(X.n, dtype=np.int64)
     for idx, leaf in enumerate(tree.leaves()):
         if leaf.mean is None:  # never attempted: singleton or max-height leaf
-            leaf.mean = _exact_mean_rows(X.points[row_of[leaf.ids]])
+            leaf.mean = exact_mean(SerialCtx(), X.points[row_of[leaf.ids]])[1]
         labels[row_of[leaf.ids]] = idx
     return tree, Partition(labels)
 

@@ -257,6 +257,8 @@ _NON_FINITE = [
     ["--algo", "pfcm", "--k", "3", "--tol", "nan"],
     ["--algo", "pfcm", "--k", "3", "--tol", "inf"],
     ["--algo", "pddp-km", "--tol", "nan"],
+    ["--algo", "pfcm", "--k", "3", "--m", "nan"],
+    ["--algo", "pfcm", "--k", "3", "--m", "inf"],
 ]
 
 
@@ -273,6 +275,8 @@ def test_a_non_finite_half_width_or_tol_exits_two(argv, nodes, blob_csv,
     assert captured.out == ""
     errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "must be finite" in errors[0]
+    if argv[-2] == "--m":
+        assert "fuzzifier m " in errors[0]
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])

@@ -222,7 +222,8 @@ def test_objective_trace_non_increasing_with_slack():
 
 
 def test_params_validation():
-    for bad in (dict(k=0), dict(k=2, m=1.0), dict(k=2, max_iter=0),
+    for bad in (dict(k=0), dict(k=2, m=1.0), dict(k=2, m=float("nan")),
+                dict(k=2, m=float("inf")), dict(k=2, max_iter=0),
                 dict(k=2, tol=-0.1), dict(k=2, tol=float("nan")),
                 dict(k=2, tol=float("inf"))):
         with pytest.raises(ValueError):

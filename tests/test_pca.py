@@ -1,13 +1,19 @@
-"""The direct eigensolver, truncated bases, and PCA-guided distributed clustering."""
+"""The exact covariance kernel, the direct eigensolver, truncated bases,
+and PCA-guided distributed clustering."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parclust.comm import CommWorld, split_blocks
+from parclust.comm import CommWorld, SerialCtx, split_blocks
 from parclust.core import DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.pca import (DbscanLocal, KMeansLocal, PrincipalBasis,
                           _maximin_init, _pca_of_points, _weighted_kmeans,
-                          cpca, cpca_cluster, local_pca, principal_axes)
+                          cpca, cpca_cluster, exact_covariance, local_pca,
+                          principal_axes)
 
 
 def _max_principal_angle(A, B):
@@ -26,6 +32,71 @@ def _rank2_embedded(seed, n=400, d=6, scales=(3.0, 1.5)):
     latent = rng.normal(size=(n, 2)) * np.asarray(scales)
     Q, _ = np.linalg.qr(rng.normal(size=(d, 2)))
     return latent @ Q.T + rng.normal(size=d), Q.T  # (points, true 2xd basis)
+
+
+# -- exact covariance ----------------------------------------------------------
+
+
+@st.composite
+def _spread_rows(draw):
+    """Rows with duplicates, d = 1, constant columns, all-equal rows, and
+    column scales from 1e-150 to 1e150, plus a split count P."""
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.lists(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                 min_size=d, max_size=d), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                          max_size=12))
+    rows = np.array([distinct[i] for i in picks], dtype=np.float64)
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, d - 1))] = draw(st.floats(-1e3, 1e3))
+    scales = draw(st.lists(st.integers(-150, 150), min_size=d, max_size=d))
+    return rows * np.array([10.0 ** e for e in scales])
+
+
+def _covariance_oracle(rows):
+    """Each mean and each cross-product mean as the exact rational sum,
+    rounded once; None for C when every cross-product sums to 0."""
+    n, d = rows.shape
+    mean = np.array([float(sum(Fraction(v) for v in rows[:, j]) / n)
+                     for j in range(d)])
+    centered = rows - mean
+    sums = {(a, b): sum(map(Fraction, centered[:, a] * centered[:, b]))
+            for a in range(d) for b in range(a, d)}
+    if not any(sums.values()):
+        return mean, None
+    C = np.empty((d, d))
+    for (a, b), total in sums.items():
+        C[a, b] = C[b, a] = float(total / n)
+    return mean, C
+
+
+def _kernel_over(p, rows):
+    world = CommWorld(p)
+    try:
+        return world.spmd(lambda ctx: exact_covariance(
+            ctx, np.array_split(rows, p)[ctx.rank]))
+    finally:
+        world.shutdown()
+
+
+@given(_spread_rows())
+@settings(deadline=None, max_examples=150)
+def test_exact_covariance_is_the_rational_sum_rounded_once_at_any_p(rows):
+    mean, C = _covariance_oracle(rows)
+    for p in (1, 2, 3):
+        for n, got_mean, got_C in _kernel_over(p, rows):
+            assert n == len(rows)
+            assert got_mean.tobytes() == mean.tobytes()
+            if C is None:
+                assert got_C is None
+            else:
+                assert got_C.tobytes() == C.tobytes()
+
+
+def test_exact_covariance_of_no_rows_is_refused():
+    with pytest.raises(ValueError, match="no rows"):
+        exact_covariance(SerialCtx(), np.empty((0, 3)))
 
 
 # -- eigenpairs --------------------------------------------------------------
@@ -113,17 +184,24 @@ def test_local_basis_needs_two_rows():
 # -- collective basis ------------------------------------------------------
 
 
-def test_collective_basis_recovers_plane_across_nodes():
+def test_collective_basis_recovers_plane_across_nodes(count_collectives):
     pts, true_basis = _rank2_embedded(17, d=5)
     X = DataSet.from_points(pts)
-    for p in (1, 4):
+    central = _pca_of_points(pts, 0.999)
+    assert central.r == 2
+    assert _max_principal_angle(central.components, true_basis) <= 1e-6
+    for p in (1, 2, 3, 8):
+        count_collectives.clear()
         world = CommWorld(p)
         try:
             basis = cpca(world, split_blocks(X, p), 0.999)
         finally:
             world.shutdown()
-        assert basis.r == 2
-        assert _max_principal_angle(basis.components, true_basis) <= 1e-6
+        assert np.array_equal(basis.mean, central.mean)
+        assert np.array_equal(basis.components, central.components)
+        assert np.array_equal(basis.eigenvalues, central.eigenvalues)
+        # a one-node world's collectives are plain calls, not counted
+        assert dict(count_collectives) == ({"allreduce_sum": 2} if p > 1 else {})
 
 
 def test_identical_blocks_reproduce_the_local_basis():
@@ -219,5 +297,22 @@ def test_parameter_validation():
         with pytest.raises(ValueError):
             cpca_cluster(world, split_blocks(X, 1), KMeansLocal(), k=1,
                          reps_per_cluster=0)
+    finally:
+        world.shutdown()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
+def test_a_rejected_variance_fraction_leaves_the_world_running(fraction):
+    X, _ = generate_blobs(seed=2, k=2, per_cluster=20, d=3)
+    world = CommWorld(2)
+    try:
+        shards = split_blocks(X, 2)
+        with pytest.raises(ValueError, match="variance_fraction"):
+            cpca(world, shards, fraction)
+        with pytest.raises(ValueError, match="variance_fraction"):
+            cpca_cluster(world, shards, KMeansLocal(), k=2,
+                         variance_fraction=fraction)
+        assert cpca(world, shards, 0.9).r >= 1
+        assert cpca_cluster(world, shards, KMeansLocal(), k=2).n == X.n
     finally:
         world.shutdown()
