@@ -130,11 +130,12 @@ class CommWorld:
 
         A one-node world calls fn(SerialCtx(), *args) on the calling
         thread: nothing can wait on a peer, so there is no watchdog and
-        `timeout` is unused. Larger worlds run one thread per rank; the
-        first exception raised by any rank is re-raised after the world
-        is torn down, and a watchdog aborts the run if ranks fail to
-        finish within timeout. A failed run closes the world, and a
-        closed world refuses to run.
+        `timeout` is unused. Larger worlds run one thread per rank; after
+        the world is torn down, the lowest rank's own exception (not the
+        abort a peer's failure raised in it) is re-raised, so ranks that
+        fail at once report the same error on every run. A watchdog aborts
+        the run if ranks fail to finish within timeout. A failed run closes
+        the world, and a closed world refuses to run.
         """
         if self._closed.is_set():
             raise CommAbort("world is closed: %s"
@@ -149,7 +150,7 @@ class CommWorld:
             finally:
                 self._wall_seconds[0] += time.perf_counter() - t0
         results = [None] * self.size
-        failures: list[BaseException] = []
+        failures: dict[int, BaseException] = {}
 
         def runner(rank):
             t0 = time.perf_counter()
@@ -157,7 +158,7 @@ class CommWorld:
                 results[rank] = fn(NodeCtx(rank, self), *args)
             except BaseException as exc:  # noqa: BLE001 - re-raised by driver
                 with self._lock:
-                    failures.append(exc)
+                    failures[rank] = exc
                 self._abort("rank %d failed: %r" % (rank, exc))
             finally:
                 self._wall_seconds[rank] += time.perf_counter() - t0
@@ -176,9 +177,9 @@ class CommWorld:
                 t.join(1.0)
             raise CommAbort("deadlock watchdog fired after %.1fs" % timeout)
         if failures:
-            primary = next((e for e in failures if not isinstance(e, CommAbort)),
-                           failures[0])
-            raise primary
+            ranked = [failures[r] for r in sorted(failures)]
+            raise next((e for e in ranked if not isinstance(e, CommAbort)),
+                       ranked[0])
         return results
 
     # -- collective plumbing --------------------------------------------

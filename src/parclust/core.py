@@ -196,23 +196,38 @@ def sort_by_widest_column(points: np.ndarray) -> tuple[int, np.ndarray]:
     return col, np.argsort(points[:, col], kind="stable")
 
 
-class UnionFind:
-    """Disjoint sets over hashable keys; union(a, b) puts b's root under a's."""
+def components(n: int, u, v) -> np.ndarray:
+    """Each node's smallest component member, over nodes 0..n-1.
 
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    Edge i joins nodes u[i] and v[i], and the list must be symmetric: every
+    edge also appears as (v[i], u[i]). Rounds of hooking and shortcutting
+    (Shiloach & Vishkin, J. Algorithms 1982) run until no label moves. Each
+    run of equal u takes the least label among its v's in one reduceat, and
+    the root of u's tree drops to the least label offered to it; pointer
+    jumping then flattens every tree, so each label is a root again. A label
+    only ever falls to a smaller node of the same component, so the one root
+    left in each component is its smallest member. Edges grouped by u make
+    the fewest runs. Labels are int32 below 2**31 nodes, as compact as the
+    scan's neighbour ids, so a round's gather of them stays small.
+    """
+    label = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    u = np.asarray(u)
+    if u.size == 0:
+        return label
+    starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
+    heads = u[starts]
+    while True:
+        least = np.minimum.reduceat(label[v], starts)
+        roots = label[heads]
+        lower = least < roots
+        if not lower.any():
+            return label
+        np.minimum.at(label, roots[lower], least[lower])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def sse_objective(X: DataSet, partition: Partition, centroids: CentroidSet) -> float:

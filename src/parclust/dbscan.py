@@ -4,7 +4,10 @@ clusters model representatives at the facilitator.
 
 Each scan finds every row's eps-neighbourhood in one blocked sweep over rows
 sorted by one column, and records which rows are core points; the density
-models reuse that mask instead of querying again."""
+models reuse that mask instead of querying again. The labels do not depend
+on the order of the rows: clusters are the connected components of the core
+rows, numbered by their smallest core row, and a border row joins the
+cluster of smallest number among its core neighbours."""
 
 from __future__ import annotations
 
@@ -14,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx
-from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition, UnionFind,
-                   sort_by_widest_column, squared_distances)
+from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition,
+                   components, sort_by_widest_column, squared_distances)
 from .report import ClusterReport
-
-_UNSEEN = -2
 
 
 @dataclass(frozen=True)
@@ -95,54 +96,38 @@ class _Slab:
 
 
 def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
-    """Classical density scan with closed eps-balls.
+    """Classical density scan with closed eps-balls, in an order-free form.
 
-    Rows are visited in ascending order and a point counts itself as a
-    neighbor, so runs are bit-reproducible; border points join the first
-    cluster that reaches them. Every row's neighbourhood is found once, in
-    one sweep before the scan. Returns the Partition, or with
-    return_core=True the pair (Partition, boolean core-point mask).
+    A point counts itself as a neighbour, and a row is core when its
+    neighbourhood holds at least min_pts rows. Clusters are the connected
+    components of the core rows under the eps relation, numbered in the
+    order of their smallest core row. A non-core row takes the smallest
+    cluster number among its core neighbours; one with no core neighbour is
+    noise. No rule depends on the order rows are visited in, so runs are
+    bit-reproducible. Every row's neighbourhood is found once, in one sweep.
+    Returns the Partition, or with return_core=True the pair (Partition,
+    boolean core-point mask).
     """
-    pts = X.points
     n = X.n
-    labels = np.full(n, _UNSEEN, dtype=np.int64)
-    core = np.zeros(n, dtype=bool)
-    # rows that entered a frontier; one queued by an earlier cluster already
-    # holds its final label, so a later cluster would only skip it
-    queued = np.zeros(n, dtype=bool)
-    slab = _Slab.build(pts)
+    slab = _Slab.build(X.points)
     indptr, nbr = slab.neighbourhoods(params.eps * params.eps)
-    pos = np.empty(n, dtype=np.int64)
-    pos[slab.order] = np.arange(n)
-    first, last = indptr[pos].tolist(), indptr[pos + 1].tolist()
-    cid = 0
-    for i in range(n):
-        if labels[i] != _UNSEEN:
-            continue
-        if last[i] - first[i] < params.min_pts:
-            labels[i] = NOISE
-            continue
-        core[i] = True
-        labels[i] = cid
-        nb = nbr[first[i]:last[i]]
-        queued[nb] = True
-        frontier = nb.tolist()
-        head = 0
-        while head < len(frontier):
-            j = frontier[head]
-            head += 1
-            if labels[j] == NOISE:
-                labels[j] = cid  # border point, claimed by the first cluster
-            if labels[j] != _UNSEEN:
-                continue
-            labels[j] = cid
-            if last[j] - first[j] >= params.min_pts:
-                core[j] = True
-                nbj = nbr[first[j]:last[j]]
-                fresh = nbj[~queued[nbj]]
-                queued[fresh] = True
-                frontier.extend(fresh.tolist())
-        cid += 1
+    counts = np.diff(indptr)
+    dense = counts >= params.min_pts  # by slab position
+    core = np.zeros(n, dtype=bool)
+    core[slab.order] = dense
+    # every neighbour pair, grouped by row, as int32 ids like nbr's; a pair
+    # that is not core-core becomes a self-loop, which joins nothing
+    u = np.repeat(slab.order.astype(np.int32), counts)
+    root = components(n, u, np.where(np.repeat(dense, counts) & core[nbr],
+                                     nbr, u))
+    # a core row that is its own root is the smallest of its cluster
+    number = np.cumsum(core & (root == np.arange(n))) - 1
+    cluster = np.full(n, n, dtype=np.int32)  # n: not a core row
+    cluster[core] = number[root[core]]
+    # each row's least cluster among its neighbours: its own for a core row
+    least = np.minimum.reduceat(cluster[nbr], indptr[:-1])
+    labels = np.empty(n, dtype=np.int64)
+    labels[slab.order] = np.where(least == n, NOISE, least)
     part = Partition(labels)
     return (part, core) if return_core else part
 
@@ -266,50 +251,39 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
 
     models = ctx.gather(model, root=0)
     if ctx.rank == 0:
-        reps = []  # (rank, local cluster id, center, radius), rank-major order
-        for rank, m in enumerate(models):
-            for cid, center, radius in m.entries():
-                reps.append((rank, cid, center, radius))
-        mapping: dict = {}
-        rep_entries = []
-        if reps:
-            rep_X = DataSet.from_points(np.vstack([r[2] for r in reps]))
-            gparams = DbscanParams(eps=params.resolved_eps_global(),
-                                   min_pts=params.min_pts_global)
-            gpart = dbscan(rep_X, gparams)
-            uf = UnionFind()
-            for i, (rank, cid, _c, _r) in enumerate(reps):
-                g = int(gpart.labels[i])
-                if g != NOISE:  # co-occurring representatives merge clusters
-                    uf.union(("local", rank, cid), ("global", g))
-            next_gid = 0
-            for rank, m in enumerate(models):
-                for cid in range(len(m.clusters)):
-                    root = uf.find(("local", rank, cid))
-                    if root not in mapping:
-                        mapping[root] = next_gid
-                        next_gid += 1
-            mapping = {("local", rank, cid): mapping[uf.find(("local", rank, cid))]
-                       for rank, m in enumerate(models)
-                       for cid in range(len(m.clusters))}
-            rep_entries = [(center, radius, mapping[("local", rank, cid)])
-                           for rank, cid, center, radius in reps]
-        payload = (mapping, rep_entries)
+        # local clusters are nodes 0..n_local-1 in rank-major order, and
+        # global cluster g of the representatives is node n_local + g
+        first = np.cumsum([0] + [len(m.clusters) for m in models])
+        n_local = int(first[-1])
+        reps = [(first[rank] + cid, center, radius)
+                for rank, m in enumerate(models)
+                for cid, center, radius in m.entries()]
+        owner = np.array([r[0] for r in reps], dtype=np.int64)
+        centers = np.array([r[1] for r in reps]).reshape(
+            len(reps), shard.points.shape[1])
+        radii = np.array([r[2] for r in reps], dtype=np.float64)
+        g = dbscan(DataSet.from_points(centers),
+                   DbscanParams(eps=params.resolved_eps_global(),
+                                min_pts=params.min_pts_global)).labels
+        # co-occurring representatives merge their local clusters
+        u, v = owner[g != NOISE], n_local + g[g != NOISE]
+        root = components(n_local + len(reps), np.concatenate([u, v]),
+                          np.concatenate([v, u]))[:n_local]
+        # each root is its group's first local cluster, so numbering the
+        # roots in order numbers the groups by first appearance
+        group = (np.cumsum(root == np.arange(n_local)) - 1)[root]
+        payload = ([group[first[r]:first[r + 1]] for r in range(ctx.size)],
+                   centers, radii, group[owner])
     else:
         payload = None
-    mapping, rep_entries = ctx.broadcast(payload, root=0)
+    groups, centers, radii, gids = ctx.broadcast(payload, root=0)
 
     local = local_part.labels
-    to_global = np.asarray([mapping[("local", ctx.rank, c)]
-                            for c in range(local_part.k)], dtype=np.int64)
     final = np.full(len(shard), NOISE, dtype=np.int64)
-    final[local != NOISE] = to_global[local[local != NOISE]]
+    final[local != NOISE] = groups[ctx.rank][local[local != NOISE]]
     # local noise joins the cluster of the nearest covering representative
     noise_rows = np.nonzero(final == NOISE)[0]
-    if noise_rows.size and rep_entries:
-        centers = np.vstack([e[0] for e in rep_entries])
-        radii = np.asarray([e[1] for e in rep_entries])
-        gids = np.asarray([e[2] for e in rep_entries], dtype=np.int64)
+    if noise_rows.size and gids.size:
         dist = np.sqrt(squared_distances(shard.points[noise_rows], centers))
         inside = dist <= radii
         # first covering representative at the least distance; an infinite
@@ -321,7 +295,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
 
     gathered = ctx.gather(final, root=0)
     if ctx.rank == 0:
-        return np.concatenate(gathered), len(rep_entries)
+        return np.concatenate(gathered), int(gids.size)
     return None
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard, split_blocks
-from .core import NOISE, DataSet, UnionFind, sort_by_widest_column
+from .core import NOISE, DataSet, components, sort_by_widest_column
 from .report import ClusterReport
 
 
@@ -308,14 +308,14 @@ class _WindowDriver:
 
     @staticmethod
     def _merge_groups(windows: list[Window], theta_merge: float) -> list[int]:
-        """Union-find component per window under the overlap-volume rule.
+        """Each window's smallest merged window index under the
+        overlap-volume rule.
 
         Two windows that caught rows merge when they overlap by a positive
         extent on every coordinate and the volume they share exceeds
-        theta_merge times the smaller window's. Pairs are united in
-        ascending (a, b) order of the windows.
+        theta_merge times the smaller window's; merging is transitive.
         """
-        groups = UnionFind()
+        merged = np.zeros((2, 0), dtype=np.int64)  # pairs of windows, by column
         live = np.array([i for i, w in enumerate(windows) if w.enclosed.size],
                         dtype=np.int64)
         if live.size > 1:
@@ -333,9 +333,9 @@ class _WindowDriver:
             smaller = np.minimum(np.prod(ext[a, a], axis=1),
                                  np.prod(ext[b, b], axis=1))
             ok = inter > theta_merge * smaller
-            for i, j in zip(live[a[ok]].tolist(), live[b[ok]].tolist()):
-                groups.union(i, j)
-        return [groups.find(i) for i in range(len(windows))]
+            merged = live[np.stack([a[ok], b[ok]])]
+        return components(len(windows), merged.ravel(),
+                          merged[::-1].ravel()).tolist()
 
     def run(self):
         X, params = self.X, self.params

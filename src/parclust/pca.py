@@ -72,12 +72,16 @@ class PrincipalBasis:
         return self.components.shape[0]
 
 
+class NoRowsError(ValueError):
+    """Every node holds zero of the rows to be reduced."""
+
+
 def exact_mean(ctx: NodeCtx, rows):
     """(n, mean) of the rows spread over the nodes, in one allreduce of
     the exact column sums plus the row count; each mean is rounded once."""
     *sums, n = ctx.allreduce_sum(grouped_sums_fixed(rows) + [len(rows)])
     if n == 0:
-        raise ValueError("no rows to average")
+        raise NoRowsError("no rows to average")
     return n, np.array(fixed_to_floats(sums, n), dtype=np.float64)
 
 
@@ -252,21 +256,43 @@ def _representatives(proj: np.ndarray, labels: np.ndarray, reps_per_cluster: int
     return rows
 
 
+def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
+    """The clusterer's labels of node `rank`'s rows projected into `space`;
+    a failure names the node, its shard and the stage."""
+    try:
+        return np.asarray(clusterer(DataSet.from_points(rows), k),
+                          dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError("node %d's %d-row shard: local %s clustering "
+                         "(k=%d) in the %s PCA space failed: %s"
+                         % (rank, rows.shape[0],
+                            getattr(clusterer, "name", "custom"), k, space,
+                            exc)) from None
+
+
 def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
                        variance_fraction, seed):
     shard = shards[ctx.rank]
     _, proj_local = local_pca(shard, variance_fraction)
-    local_labels = np.asarray(clusterer(DataSet.from_points(proj_local), k),
-                              dtype=np.int64)
+    local_labels = _local_labels(clusterer, ctx.rank, proj_local, k,
+                                 "node's own")
 
     rng = np.random.default_rng((seed, ctx.rank))
     rep_rows = _representatives(proj_local, local_labels, reps_per_cluster, rng)
     rep_points = shard.points[rep_rows]  # original space, representatives only
-    n_reps, global_basis = _truncated_basis(ctx, rep_points, variance_fraction)
+    try:
+        n_reps, global_basis = _truncated_basis(ctx, rep_points,
+                                                variance_fraction)
+    except NoRowsError:
+        raise ValueError(
+            "no representatives for the global basis: local %s clustering in "
+            "each node's own PCA space marked every row as noise on every "
+            "shard (%s)" % (getattr(clusterer, "name", "custom"), ", ".join(
+                "node %d: %d rows" % (r, len(s)) for r, s in enumerate(shards)))
+        ) from None
 
     proj_global = (shard.points - global_basis.mean) @ global_basis.components.T
-    refined = np.asarray(clusterer(DataSet.from_points(proj_global), k),
-                         dtype=np.int64)
+    refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
     sketches = []
     for c in np.unique(refined[refined != NOISE]):

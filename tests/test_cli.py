@@ -349,6 +349,44 @@ def test_more_nodes_than_rows_exits_two(tmp_path, capsys):
     assert "error: cannot split 5 rows over 8 nodes" in captured.err
 
 
+@pytest.mark.parametrize("nodes, shards", [
+    ("1", "node 0: 180 rows"), ("2", "node 0: 90 rows, node 1: 90 rows")])
+def test_cpca_cluster_whose_local_scans_find_only_noise_exits_two(
+        nodes, shards, tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    assert main(["gen", "--seed", "3", "--clusters", "2", "--per-cluster",
+                 "90", "--dim", "2", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["run", "--algo", "cpca-cluster", "--local-algo", "dbscan",
+               "--eps", "1e-6", "--min-pts", "3", "--k", "2", "--nodes", nodes,
+               "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no representatives for the global basis: local dbscan "
+        "clustering in each node's own PCA space marked every row as noise "
+        "on every shard (%s)\n" % shards)
+
+
+@pytest.mark.parametrize("nodes, shard, why", [
+    ("1", "node 0's 6-row shard", "k=3 but the data has only 2 distinct rows"),
+    # all three 2-row shards fail; the lowest rank's error is the one shown
+    ("3", "node 0's 2-row shard", "k=2 but the data has only 1 distinct rows")])
+def test_cpca_cluster_local_kmeans_failure_names_shard_and_stage(
+        nodes, shard, why, tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text("1,1\n" * 4 + "2,2\n" * 2)
+    rc = main(["run", "--algo", "cpca-cluster", "--k", "3", "--nodes", nodes,
+               "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: %s: local kmeans clustering (k=3) in the node's own PCA space "
+        "failed: cannot repair an empty cluster: %s\n" % (shard, why))
+
+
 # -- bench --------------------------------------------------------------------
 
 

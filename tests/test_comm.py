@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -223,6 +224,19 @@ def test_spmd_reraises_first_real_failure():
 
     with pytest.raises(KeyError):
         _world_run(3, fn)
+
+
+def test_spmd_reraises_the_lowest_failing_rank_not_the_earliest():
+    def fn(ctx):
+        if ctx.rank == 0:
+            return None
+        if ctx.rank == 1:
+            time.sleep(0.05)  # rank 2 fails first
+        raise ValueError("rank %d" % ctx.rank)
+
+    for _ in range(3):
+        with pytest.raises(ValueError, match="rank 1"):
+            _world_run(3, fn)
 
 
 def test_spmd_watchdog_fires_on_deadlock():

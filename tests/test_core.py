@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from parclust import core as core_module
 from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, CentroidSet, DataSet,
-                           Partition, adjusted_rand_index, generate_blobs,
-                           load_csv, sse_objective, squared_distances,
-                           squared_euclidean, write_csv)
+                           Partition, adjusted_rand_index, components,
+                           generate_blobs, load_csv, sse_objective,
+                           squared_distances, squared_euclidean, write_csv)
 from parclust.kmeans import KMeansParams, kmeans_centralized
 
 
@@ -132,6 +132,77 @@ def test_squared_distances_cross_the_default_block_boundary():
 def test_squared_distances_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         squared_distances(np.zeros((2, 3)), np.zeros((1, 2)))
+
+
+# -- connected components ----------------------------------------------------
+
+
+def _bfs_components(n, edges):
+    """Each node's smallest component member: a breadth-first search from
+    every unreached node in ascending order."""
+    adjacent = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    label = [-1] * n
+    for start in range(n):
+        if label[start] != -1:
+            continue
+        label[start] = start
+        queue = [start]
+        for node in queue:
+            for other in adjacent[node]:
+                if label[other] == -1:
+                    label[other] = start
+                    queue.append(other)
+    return label
+
+
+def _both_ways(edges):
+    u = [a for a, _ in edges] + [b for _, b in edges]
+    v = [b for _, b in edges] + [a for a, _ in edges]
+    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count (0 and 1 included) and edges among its nodes, with
+    self-loops, repeated edges and isolated nodes, listed in any order."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=60))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    edges += [(a, a) for a in draw(st.lists(node, max_size=5))]
+    return n, draw(st.permutations(edges))
+
+
+@given(edge_lists(), st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_components_equal_a_breadth_first_search(case, grouped):
+    n, edges = case
+    u, v = _both_ways(edges)
+    if grouped:  # the layout the scan passes: each node's edges in one run
+        order = np.argsort(u, kind="stable")
+        u, v = u[order], v[order]
+    got = components(n, u, v)
+    assert got.dtype == np.int32
+    assert got.tolist() == _bfs_components(n, edges)
+
+
+@given(st.integers(2000, 4000), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=10)
+def test_components_of_a_shuffled_path(n, seed):
+    # a path whose nodes are numbered at random: one round per hop for a
+    # label propagation that does not hook whole trees
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(n)
+    edges = list(zip(path[:-1].tolist(), path[1:].tolist()))
+    u, v = _both_ways(edges)
+    order = np.argsort(u, kind="stable")
+    got = components(n, u[order], v[order])
+    assert got.tolist() == _bfs_components(n, edges) == [0] * n
 
 
 # -- adjusted Rand index ---------------------------------------------------

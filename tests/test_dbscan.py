@@ -23,39 +23,36 @@ dbscan_module = importlib.import_module("parclust.dbscan")
 
 
 def _density_oracle(points, eps, min_pts):
-    """Connected components of the core-point graph, border rows attached.
+    """DBSCAN's labels by brute force: connected components of the core-point
+    graph, numbered by their smallest core row, and each border row in the
+    cluster of smallest number among its core neighbours.
 
-    Returns (labels, noise mask). Asserts each border row sees core rows
-    from a single component, so the instance has no attachment ambiguity.
+    Returns (labels, core mask).
     """
     n = points.shape[0]
     eps2 = eps * eps
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
     near = d2 <= eps2
     core = near.sum(axis=1) >= min_pts
-    comp = np.full(n, -1, dtype=np.int64)
+    labels = np.full(n, NOISE, dtype=np.int64)
     cid = 0
-    for i in range(n):
-        if not core[i] or comp[i] != -1:
+    for i in range(n):  # ascending, so each search starts at its smallest row
+        if not core[i] or labels[i] != NOISE:
             continue
         stack = [i]
-        comp[i] = cid
+        labels[i] = cid
         while stack:
             j = stack.pop()
             for r in np.nonzero(near[j] & core)[0]:
-                if comp[r] == -1:
-                    comp[r] = cid
+                if labels[r] == NOISE:
+                    labels[r] = cid
                     stack.append(r)
         cid += 1
-    labels = comp.copy()
     for i in range(n):
-        if core[i]:
-            continue
-        owners = set(comp[r] for r in np.nonzero(near[i] & core)[0])
-        if owners:
-            assert len(owners) == 1, "ambiguous border row in oracle instance"
-            labels[i] = owners.pop()
-    return labels, labels == -1
+        owners = labels[near[i] & core]
+        if not core[i] and owners.size:
+            labels[i] = owners.min()
+    return labels, core
 
 
 # -- classical scan ---------------------------------------------------------
@@ -94,12 +91,42 @@ def test_matches_core_graph_oracle():
     outliers = np.array([[20.0, -20.0], [25.0, 25.0], [-18.0, 12.0],
                          [3.0, -19.0], [-15.0, -15.0]])
     pts = np.vstack([a, b, outliers])
-    part = dbscan(DataSet.from_points(pts), DbscanParams(eps=0.9, min_pts=4))
-    oracle, noise = _density_oracle(pts, 0.9, 4)
-    assert np.array_equal(part.labels == NOISE, noise)
-    keep = ~noise
-    assert adjusted_rand_index(Partition(part.labels[keep]),
-                               Partition(oracle[keep])) == 1.0
+    part, core = dbscan(DataSet.from_points(pts),
+                        DbscanParams(eps=0.9, min_pts=4), return_core=True)
+    labels, oracle_core = _density_oracle(pts, 0.9, 4)
+    assert part.labels.tolist() == labels.tolist()
+    assert core.tolist() == oracle_core.tolist()
+
+
+@given(st.integers(0, 40), st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=300)
+def test_scan_equals_the_density_oracle_exactly(n, d, data):
+    # integer grids hold duplicate rows and rows exactly eps apart, and a
+    # border row often sees core rows of two clusters
+    grid = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-3, 3)),
+                     label="grid")
+    eps = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])
+                    | st.floats(0.5, 2.0), label="eps")
+    min_pts = data.draw(st.integers(1, 7), label="min_pts")
+    points = grid.astype(np.float64)
+    part, core = dbscan(DataSet.from_points(points.reshape(n, d)),
+                        DbscanParams(eps=eps, min_pts=min_pts),
+                        return_core=True)
+    labels, oracle_core = _density_oracle(points.reshape(n, d), eps, min_pts)
+    assert part.labels.tolist() == labels.tolist()
+    assert core.tolist() == oracle_core.tolist()
+
+
+def test_a_border_row_joins_the_smallest_cluster_it_touches():
+    # row 0 lies exactly eps from a core row of each cluster but is not core;
+    # the right cluster holds the smallest core row, so it is cluster 0,
+    # though the left one comes first in key order
+    points = np.array([[0.0], [2.0], [2.05], [2.1], [2.15],
+                       [-2.0], [-2.05], [-2.1], [-2.15]])
+    part, core = dbscan(DataSet.from_points(points),
+                        DbscanParams(eps=2.0, min_pts=4), return_core=True)
+    assert core.tolist() == [False] + [True] * 8
+    assert part.labels.tolist() == [0] * 5 + [1] * 4
 
 
 def test_scan_is_deterministic():
@@ -493,6 +520,20 @@ def test_local_clusters_never_split_in_the_merge():
         final = rep.labels[shard.ids]
         for cid in np.unique(local.labels[local.labels != NOISE]):
             assert np.unique(final[local.labels == cid]).size == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_merge_makes_two_gathers_and_one_broadcast(p, count_collectives):
+    X, _ = _blobs_with_outliers(seed=9, per_cluster=40)
+    world = CommWorld(p)
+    try:
+        rep = ddbc(world, split_blocks(X, p),
+                   DdbcParams(local=DbscanParams(eps=0.45, min_pts=5)))
+    finally:
+        world.shutdown()
+    assert rep.model["k"] == 3
+    # the models in, the group numbers out, the labels in
+    assert dict(count_collectives) == {"gather": 2, "broadcast": 1}
 
 
 def test_merge_params_validation_and_default_reach():

@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parclust.comm import CommWorld, split_blocks
-from parclust.core import (NOISE, DataSet, Partition, UnionFind,
-                           adjusted_rand_index, generate_blobs)
+from parclust.core import (NOISE, DataSet, Partition, adjusted_rand_index,
+                           generate_blobs)
 from parclust import kwindows
 from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, Window,
                                _KeyedShard, _round_hits, _search_node,
@@ -26,8 +26,9 @@ def _brute(points, lo, hi):
 
 def _merge_groups_loop(windows, theta_merge):
     """Oracle for `_WindowDriver._merge_groups`: every pair of windows that
-    caught rows, compared one at a time in ascending (i, j) order."""
-    groups = UnionFind()
+    caught rows, compared one at a time in ascending (i, j) order; a merge
+    relabels the later of the two groups with the earlier's smallest window."""
+    group = list(range(len(windows)))
     live = [i for i, w in enumerate(windows) if w.enclosed.size]
     for a in range(len(live)):
         for b in range(a + 1, len(live)):
@@ -41,8 +42,9 @@ def _merge_groups_loop(windows, theta_merge):
             vol_i = float(np.prod(hi_i - lo_i))
             vol_j = float(np.prod(hi_j - lo_j))
             if inter > theta_merge * min(vol_i, vol_j):
-                groups.union(i, j)
-    return [groups.find(i) for i in range(len(windows))]
+                keep, gone = sorted((group[i], group[j]))
+                group = [keep if g == gone else g for g in group]
+    return group
 
 
 # -- tree construction -----------------------------------------------------
