@@ -87,7 +87,9 @@ class _Slab:
                 hit = squared_distances(self.rows[start:stop],
                                         self.rows[a:b]) <= eps2
                 counts[start:stop] = np.count_nonzero(hit, axis=1)
-                chunks.append(ids[a:b][np.nonzero(hit)[1]])
+                cols = np.flatnonzero(hit)  # row-major, as nonzero's
+                cols %= b - a
+                chunks.append(ids[a:b][cols])
                 start = stop
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -204,16 +206,11 @@ def rep_kmeans_model(X: DataSet, partition: Partition, core: np.ndarray,
         else:
             centers = seeds
             assigned = np.argmin(squared_distances(sub.points, centers), axis=1)
-        group = []
-        for i in range(centers.shape[0]):
-            members = sub.points[assigned == i]
-            if members.shape[0] == 0:
-                radius = 0.0
-            else:
-                diff = members - centers[i]
-                radius = float(np.sqrt(np.max(np.sum(diff * diff, axis=1))))
-            group.append((centers[i].copy(), radius))
-        groups.append(tuple(group))
+        d2 = squared_distances(sub.points, centers)[
+            np.arange(sub.n), assigned]
+        radius2 = np.zeros(centers.shape[0])  # an empty center keeps 0.0
+        np.maximum.at(radius2, assigned, d2)
+        groups.append(tuple(zip(centers.copy(), np.sqrt(radius2).tolist())))
     return LocalDensityModel(tuple(groups))
 
 

@@ -4,6 +4,15 @@ The centralized run is that body on a single node (`SerialCtx`).
 Per-cluster sums and the objective are accumulated exactly (see
 exactsum), so the parallel run reproduces the centralized one bit for
 bit for any node count.
+
+The Lloyd step is incremental. The distance matrix is kept between
+iterations, and only the columns of centers that moved are scored again:
+every `squared_distances` value depends on its own point and center
+alone, so a kept column equals a fresh one bit for bit. The exact
+per-cluster sums and counts are kept too, and each iteration sums only
+the rows that changed cluster; integer addition is exact, so the updated
+sums equal a full recount. Only the centers whose sums or counts changed
+are recomputed, and a mean of unchanged sums is the same float.
 """
 
 from __future__ import annotations
@@ -51,30 +60,25 @@ def _assign(points: np.ndarray, centers: np.ndarray):
     return labels, d2[np.arange(points.shape[0]), labels]
 
 
-def _cluster_stats(points, labels, k, d2min) -> list[int]:
-    """Flat integer stats vector: per-cluster exact sums, counts, objective."""
-    out = grouped_sums_fixed(points, labels, k)
-    out.extend(np.bincount(labels, minlength=k).tolist())
-    out.append(sum_fixed(d2min))
+def _moved_stats(points, old, new, k) -> list[int]:
+    """This block's exact change of the per-cluster sums and counts.
+
+    Only the rows whose label differs are summed: each goes into group
+    `new` and, unless it had no cluster yet (label -1), into group
+    `k + old`, in one grouped call; the change is the first half minus the
+    second. Returns k * d sum changes in cluster-major order, then k count
+    changes.
+    """
+    moved = np.flatnonzero(old != new)
+    src, dst = old[moved], new[moved]
+    had = src >= 0
+    both = grouped_sums_fixed(points[np.concatenate((moved, moved[had]))],
+                              np.concatenate((dst, k + src[had])), 2 * k)
+    half = len(both) // 2
+    out = [a - b for a, b in zip(both[:half], both[half:])]
+    out.extend((np.bincount(dst, minlength=k)
+                - np.bincount(src[had], minlength=k)).tolist())
     return out
-
-
-def _unpack_stats(vec, k, d):
-    sums = vec[:k * d]
-    counts = vec[k * d:k * d + k]
-    return sums, counts, vec[-1]
-
-
-def _new_centers(sums, counts, k, d, old_centers):
-    """Per-cluster means; empty clusters keep their slot for later repair."""
-    centers = old_centers.copy()
-    empty = []
-    for i in range(k):
-        if counts[i] == 0:
-            empty.append(i)
-            continue
-        centers[i] = fixed_to_floats(sums[i * d:(i + 1) * d], counts[i])
-    return centers, empty
 
 
 def _local_farthest(points, gids, d2min, used):
@@ -86,6 +90,16 @@ def _local_farthest(points, gids, d2min, used):
 
 
 def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
+    """One rank's Lloyd run; rank 0 returns (labels, centers, j, iterations).
+
+    Each iteration makes one allreduce of this block's changes to the
+    per-cluster sums and counts, and its exact objective. Which centers to
+    recompute, and so which distance columns to refresh, follows from the
+    reduced changes and the replicated centers only, never from this
+    block's own rows: a center moves on every rank when rows of any block
+    change cluster. Rank 0 returns the last assignment's labels with the
+    last update's centers.
+    """
     shard = shards[ctx.rank]
     pts = shard.points
     k, d = params.k, X.d
@@ -100,20 +114,43 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         centers0 = None
     centers = np.array(ctx.broadcast(centers0, root=0), dtype=np.float64, copy=True)
 
+    rows = np.arange(len(shard))
+    labels = np.full(len(shard), -1, dtype=np.int64)  # no cluster yet
+    sums = [0] * (k * d)  # exact per-cluster sums and counts over all blocks
+    counts = [0] * k
+    scored = centers  # the centers that d2's columns were computed for
+    d2 = squared_distances(pts, scored)
     j_prev = None
-    labels = np.zeros(len(shard), dtype=np.int64)
     j = 0.0
     iters = 0
     for t in range(1, params.max_iter + 1):
-        labels, d2min = _assign(pts, centers)
-        g = ctx.allreduce_sum(_cluster_stats(pts, labels, k, d2min))
-        sums, counts, j_fixed = _unpack_stats(g, k, d)
-        j = fixed_to_float(j_fixed)
+        shifted = np.flatnonzero(np.any(centers != scored, axis=1))
+        if shifted.size:
+            d2[:, shifted] = squared_distances(pts, centers[shifted])
+        scored = centers
+        new = np.argmin(d2, axis=1)
+        d2min = d2[rows, new]
+        stats = _moved_stats(pts, labels, new, k)
+        stats.append(sum_fixed(d2min))
+        g = ctx.allreduce_sum(stats)
+        labels = new
+        j = fixed_to_float(g[-1])
         iters = t
         if j_prev is not None and (j_prev - j) <= params.tol:
             break
         j_prev = j
-        centers, empty = _new_centers(sums, counts, k, d, centers)
+        # the reduced changes are the same on every rank, so every rank
+        # recomputes the same centers
+        changed = {i // d for i in range(k * d) if g[i]}
+        changed.update(i for i in range(k) if g[k * d + i])
+        centers = centers.copy()
+        for i in changed:
+            cluster = slice(i * d, (i + 1) * d)
+            sums[cluster] = [a + b for a, b in zip(sums[cluster], g[cluster])]
+            counts[i] += g[k * d + i]
+            if counts[i]:
+                centers[i] = fixed_to_floats(sums[cluster], counts[i])
+        empty = [i for i in range(k) if counts[i] == 0]
         used: set[int] = set()
         for i in empty:
             cands = ctx.gather(_local_farthest(pts, shard.ids, d2min, used),
@@ -157,8 +194,9 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
     """Parallel k-means over a simulated node group.
 
     Rank 0 draws (or receives) the initial centroids and broadcasts
-    them; every iteration reduces per-cluster sums, counts and the
-    objective in one collective. Output is independent of world size.
+    them; every iteration reduces the changes to the per-cluster sums and
+    counts, and the objective, in one collective. Output is independent
+    of world size.
     """
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))

@@ -4,6 +4,7 @@ import collections
 
 import pytest
 
+from parclust import kmeans
 from parclust.comm import CommWorld
 
 
@@ -24,4 +25,20 @@ def count_collectives(monkeypatch):
         return original(self, rank, kind, root, payload)
 
     monkeypatch.setattr(CommWorld, "_collective", counted)
+    return counts
+
+
+@pytest.fixture()
+def count_distance_cells(monkeypatch):
+    """A Counter of the distances the k-means body scores in this test:
+    `cells` sums rows x centers over every `squared_distances` call made
+    through `parclust.kmeans`."""
+    counts = collections.Counter()
+    original = kmeans.squared_distances
+
+    def counted(points, centers):
+        counts["cells"] += points.shape[0] * centers.shape[0]
+        return original(points, centers)
+
+    monkeypatch.setattr(kmeans, "squared_distances", counted)
     return counts

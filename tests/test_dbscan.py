@@ -13,13 +13,15 @@ from hypothesis.extra import numpy as hnp
 from parclust import core as core_module
 from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition,
-                           adjusted_rand_index, generate_blobs)
+                           adjusted_rand_index, generate_blobs,
+                           squared_distances)
 from parclust.dbscan import (DbscanParams, DdbcParams, LocalDensityModel,
                              dbscan, ddbc, rep_kmeans_model,
                              specific_core_points)
 
 # the package re-exports the function `dbscan`, which hides the module
 dbscan_module = importlib.import_module("parclust.dbscan")
+kmeans_module = importlib.import_module("parclust.kmeans")
 
 
 def _density_oracle(points, eps, min_pts):
@@ -447,6 +449,66 @@ def test_every_clustered_point_is_covered(refine):
             p = X.points[row]
             assert any(float(np.linalg.norm(p - c)) <= r + 1e-9
                        for c, r in group)
+
+
+def _per_center_radii(X, partition, model):
+    """Each model ball's radius by a loop over its centers: the largest
+    distance to a member, a member being a cluster row whose nearest center
+    (ties to the lowest) it is; 0.0 for a center without members."""
+    labels = partition.labels
+    out = []
+    for cid, group in zip(np.unique(labels[labels != NOISE]).tolist(),
+                          model.clusters):
+        points = X.points[labels == cid]
+        centers = np.array([c for c, _ in group])
+        assigned = np.argmin(squared_distances(points, centers), axis=1)
+        radii = []
+        for i in range(centers.shape[0]):
+            members = points[assigned == i]
+            if members.shape[0] == 0:
+                radii.append(0.0)
+            else:
+                diff = members - centers[i]
+                radii.append(float(np.sqrt(np.max(np.sum(diff * diff, axis=1)))))
+        out.append(radii)
+    return out
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("seed", [1, 6])
+def test_radii_equal_the_per_center_loop(refine, seed):
+    X, _ = generate_blobs(seed=seed, k=3, per_cluster=60, d=3, spread=0.5)
+    # duplicate rows and a coarse grid make equal distances common
+    pts = np.round(np.vstack([X.points, X.points[:20]]) * 2.0) / 2.0
+    X = DataSet.from_points(pts)
+    params = DbscanParams(eps=1.0, min_pts=4)
+    part, core = dbscan(X, params, return_core=True)
+    model = rep_kmeans_model(X, part, core, params, refine=refine)
+    got = [[r for _, r in group] for group in model.clusters]
+    assert got == _per_center_radii(X, part, model)
+    assert all(type(r) is float for group in got for r in group)
+
+
+def test_the_model_scores_fewer_distances_than_a_full_recompute(
+        monkeypatch, count_distance_cells):
+    # the nested Lloyd runs rescore only the centers that moved; a full
+    # recompute scores trips x rows x k distances per run (measured: 0.55
+    # of that here)
+    X, _ = generate_blobs(seed=1, k=4, per_cluster=100, d=8)
+    params = DbscanParams(eps=3.0, min_pts=5)
+    part, core = dbscan(X, params, return_core=True)
+    full = []
+    original = kmeans_module.kmeans_centralized
+
+    def recorded(sub, kp, init_centers=None):
+        out = original(sub, kp, init_centers=init_centers)
+        full.append(out[3] * sub.n * kp.k)
+        return out
+
+    monkeypatch.setattr(kmeans_module, "kmeans_centralized", recorded)
+    rep_kmeans_model(X, part, core, params)
+    assert len(full) == 4
+    assert count_distance_cells["cells"] < 0.75 * sum(full)
 
 
 # -- distributed merge --------------------------------------------------------

@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parclust.comm import CommWorld
 from parclust.core import (DataSet, Partition, adjusted_rand_index,
-                           generate_blobs, sse_objective)
-from parclust.kmeans import KMeansParams, kmeans_centralized, pkm
+                           generate_blobs, squared_distances, sse_objective)
+from parclust.exactsum import (fixed_to_float, fixed_to_floats,
+                               grouped_sums_fixed, sum_fixed)
+from parclust.kmeans import (KMeansParams, _init_centers, kmeans_centralized,
+                             pkm)
 
 
 def _run_parallel(p, X, params, init_centers=None):
@@ -155,3 +160,118 @@ def test_report_carries_timings_and_shape():
     assert set(rep.timings_ms) == {"split", "compute", "comm"}
     assert rep.timings_ms["comm"] > 0.0
     assert len(rep.labels) == X.n
+
+
+# -- the incremental step against the full recompute ---------------------------
+
+
+def _lloyd_full(X, params, init_centers=None):
+    """The full-recompute Lloyd step on one node, as the body ran before it
+    became incremental: every trip scores every center, sums every row and
+    recomputes every center. Returns (centers, labels, j, iterations)."""
+    k, d = params.k, X.d
+    if init_centers is None:
+        centers = _init_centers(X, k, params.seed)
+    else:
+        centers = np.array(init_centers, dtype=np.float64)
+    j_prev = None
+    for t in range(1, params.max_iter + 1):
+        d2 = squared_distances(X.points, centers)
+        labels = np.argmin(d2, axis=1)
+        d2min = d2[np.arange(X.n), labels]
+        sums = grouped_sums_fixed(X.points, labels, k)
+        counts = np.bincount(labels, minlength=k).tolist()
+        j = fixed_to_float(sum_fixed(d2min))
+        if j_prev is not None and j_prev - j <= params.tol:
+            break
+        j_prev = j
+        centers = centers.copy()
+        empty = []
+        for i in range(k):
+            if counts[i]:
+                centers[i] = fixed_to_floats(sums[i * d:(i + 1) * d], counts[i])
+            else:
+                empty.append(i)
+        used = set()
+        for i in empty:
+            # the farthest row not yet picked, ties to the lowest row
+            row = next(r for r in np.argsort(-d2min, kind="stable").tolist()
+                       if r not in used)
+            if d2min[row] <= 0:
+                raise ValueError("cannot repair an empty cluster")
+            centers[i] = X.points[row]
+            used.add(row)
+    return centers, labels, j, t
+
+
+@st.composite
+def lloyd_cases(draw):
+    """Rows on a coarse grid, so duplicates and rows equidistant from two
+    centers are common, k up to n, and starts that may sit far from every
+    row, so that a cluster empties and is repaired."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(float)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=3, max_size=14))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicates
+    k = draw(st.integers(1, len(rows)))
+    params = KMeansParams(k=k, max_iter=draw(st.integers(1, 4)),
+                          tol=draw(st.sampled_from([0.0, 1e-9, 0.5])),
+                          seed=draw(st.integers(0, 2**16)))
+    init = None
+    if draw(st.booleans()):
+        far = st.lists(st.sampled_from([-40.0, 40.0]), min_size=d, max_size=d)
+        init = draw(st.lists(st.one_of(st.sampled_from(rows), far),
+                             min_size=k, max_size=k))
+    return DataSet.from_points(rows), params, init
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _outcome(run):
+    """What a run returns, or "cannot repair" when it refuses to repair."""
+    try:
+        return run()
+    except ValueError as exc:
+        if "cannot repair" not in str(exc):
+            raise
+        return "cannot repair"
+
+
+@given(lloyd_cases())
+# three equal starts: two clusters empty on trip 1, one on trip 2, and on
+# trip 3 only rows that sit on a centroid are left to repair with
+@example((DataSet.from_points([[1.0], [0.0], [0.0]]),
+          KMeansParams(k=3, max_iter=2), [[1.0]] * 3))
+@example((DataSet.from_points([[1.0], [0.0], [0.0]]),
+          KMeansParams(k=3, max_iter=3), [[1.0]] * 3))
+@settings(deadline=None, max_examples=150)
+def test_incremental_body_equals_the_full_recompute(case):
+    X, params, init = case
+    want = _outcome(lambda: _lloyd_full(X, params, init))
+    got = _outcome(lambda: kmeans_centralized(X, params, init))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        cents, part, j, iters = got
+        assert _same_bits(cents.centers, want[0])
+        assert _same_bits(part.labels, want[1])
+        assert (j, iters) == want[2:]
+    for p in (1, 2, 3):
+        rep = _outcome(lambda: _run_parallel(p, X, params, init))
+        if isinstance(want, str):
+            assert rep == want
+            continue
+        assert _same_bits(rep.centroids, want[0])
+        assert _same_bits(rep.labels, want[1])
+        assert (rep.j, rep.iterations) == want[2:]
+
+
+def test_a_run_makes_one_allreduce_per_iteration(count_collectives):
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=2)
+    rep = _run_parallel(2, X, KMeansParams(k=3, seed=9))
+    assert rep.iterations > 1
+    assert dict(count_collectives) == {"broadcast": 1, "gather": 1,
+                                       "allreduce_sum": rep.iterations}
