@@ -10,15 +10,22 @@ results bit for bit regardless of how the rows were blocked.
 
 One kernel, `grouped_sums_fixed`, computes every sum: per (group, column)
 for a row labelling, per column, or of a flat array. It never shifts a
-big integer per element. Following the small superaccumulator of Neal,
-"Fast exact summation using small and large superaccumulators"
-(arXiv:1505.05571), and the binned sums of Demmel & Nguyen's ReproBLAS,
-it splits each 53-bit mantissa into a high and a low integer part, sums
-each part in float64 into buckets keyed by (group, column, block of
-binades) with `np.bincount` (exact because the parts are small integers
-and a bucket holds a bounded number of terms), and shifts one big
-integer per non-empty bucket. NaN and infinity raise ValueError, and so
-does a quotient beyond the float64 range.
+big integer per element. It peels the rows into fixed-width slices by the
+error-free extraction of Rump, Ogita & Oishi ("Accurate floating-point
+summation, part I", SIAM J. Sci. Comput. 2008), which Demmel & Nguyen
+use for reproducible parallel sums ("Parallel reproducible summation",
+IEEE Trans. Comput. 2015). For a chunk of n rows, set bits = 52 -
+n.bit_length(), so that n * 2**bits <= 2**52. With top the largest
+magnitude left and 2**E > top its binade bound (from frexp), one slice
+is q = trunc(r * 2**s) with s = bits - E: integers |q| < 2**bits, whose
+float64 sums in any order stay below 2**52 and so are exact. Each
+non-zero sum is shifted once onto the 2**-1126 grid, and r - q * 2**-s
+is the exact remainder (q * 2**-s is r truncated to a multiple of
+2**-s), below 2**-s, so each slice takes at least `bits` binades off
+the top. Truncation, not rounding to nearest: a rounded slice of the
+largest finite value can round up past it, and its scaled slice
+overflow. NaN and infinity raise ValueError, and so does a quotient
+beyond the float64 range.
 """
 
 from __future__ import annotations
@@ -33,16 +40,8 @@ import numpy as np
 _GRID_BITS = 1126
 _MANT_SCALE = float(1 << 53)
 
-# A bucket covers 2**_BLOCK_BITS consecutive binades. With e0 the lowest
-# binade of its block and o = e - e0 < 2**_BLOCK_BITS, the value
-# m * 2**e is (hi * 2**26 + lo) * 2**(e0 - 53), where hi = floor(m *
-# 2**(27 + o)) and lo < 2**26 are integers found exactly in float64 and
-# |hi| <= 2**34. Float64 sums of such terms stay exact while a bucket
-# holds at most 2**19 of them (|partial sum| <= 2**53); each row adds at
-# most one term to a bucket, so rows are summed in chunks of this many.
-_BLOCK_BITS = 3
-_LO_BITS = 26
-_LO_SCALE = float(1 << _LO_BITS)
+# Rows are summed in chunks of at most this many; a chunk of n rows takes
+# slices of 52 - n.bit_length() bits (32 for a full chunk).
 MAX_BUCKET_TERMS = 1 << 19
 
 
@@ -94,65 +93,61 @@ def grouped_sums_fixed(a, groups=None, ngroups: int = 1) -> list[int]:
     if arr.ndim != 2:
         raise ValueError("grouped_sums_fixed expects a 2-D array")
     n, c = arr.shape
-    if groups is None:
-        groups = np.zeros(n, dtype=np.int64)
-    else:
+    if groups is not None:
         groups = np.asarray(groups, dtype=np.int64)
         if groups.shape != (n,):
             raise ValueError("groups must hold one label per row")
         if n and (groups.min() < 0 or groups.max() >= ngroups):
             raise ValueError("group label out of range [0, %d)" % ngroups)
-    if not np.isfinite(arr).all():
+    out = np.zeros(ngroups * c, dtype=object)  # Python ints
+    for start in range(0, n, MAX_BUCKET_TERMS):
+        stop = min(n, start + MAX_BUCKET_TERMS)
+        key = None
+        if groups is not None and ngroups > 1:
+            key = (groups[start:stop, None] * c
+                   + np.arange(c, dtype=np.int64)).ravel()
+        _accumulate(arr[start:stop], key, out)
+    return out.tolist()
+
+
+def _scale(x, s: int, out=None):
+    """x * 2**s, exact while the result is a normal double or zero."""
+    if -1022 <= s <= 1023:
+        return np.multiply(x, math.ldexp(1.0, s), out=out)
+    return np.ldexp(x, s, out=out)  # 2**s itself is beyond the normal range
+
+
+def _top(r) -> float:
+    """The largest magnitude in `r`; ValueError if it is NaN or infinite."""
+    top = max(float(r.max()), -float(r.min()))
+    if not math.isfinite(top):
         raise ValueError("non-finite value (NaN or infinity) in an exact sum: "
                          "the input or a quantity computed from it is out "
                          "of float64 range")
-    out = [0] * (ngroups * c)
-    for start in range(0, n, MAX_BUCKET_TERMS):
-        stop = min(n, start + MAX_BUCKET_TERMS)
-        _accumulate(arr[start:stop], groups[start:stop], c, out)
-    return out
+    return top
 
 
-def _accumulate(arr, groups, c, out) -> None:
-    """Add the exact sums of one chunk of at most MAX_BUCKET_TERMS rows to `out`."""
-    if arr.size == 0:
+def _accumulate(r, key, out) -> None:
+    """Add the exact sums of one chunk of at most MAX_BUCKET_TERMS rows to
+    `out`: per column, or per `key` (group * columns + column) when given."""
+    if r.size == 0:
         return
-    m, e = np.frexp(arr)
-    emin = int(e.min())
-    e -= emin
-    block = e >> _BLOCK_BITS
-    e &= (1 << _BLOCK_BITS) - 1
-    nblocks = int(block.max()) + 1
-    nbins = len(out) * nblocks
-    key = groups[:, None] * c + np.arange(c, dtype=np.int64)
-    key *= nblocks
-    key += block
-    del block
-    # split m * 2**(53 + o) into hi * 2**26 + lo, o being e's offset in
-    # its block (see the constants above)
-    e += _LO_BITS + 1
-    np.ldexp(m, e, out=m)
-    del e
-    hi = np.floor(m)
-    m -= hi
-    m *= _LO_SCALE
-    if nbins > key.size:
-        # sparse keys: number only the buckets in use, so memory follows
-        # the element count and not groups x columns x exponent span
-        keys, key = np.unique(key, return_inverse=True)
-        nbins = keys.size
-    else:
-        keys = None
-    hi_sum = np.bincount(key.ravel(), weights=hi.ravel(), minlength=nbins)
-    lo_sum = np.bincount(key.ravel(), weights=m.ravel(), minlength=nbins)
-    used = np.flatnonzero((hi_sum != 0.0) | (lo_sum != 0.0))
-    bucket = used if keys is None else keys[used]
-    slots = (bucket // nblocks).tolist()
-    shifts = (((bucket % nblocks) << _BLOCK_BITS) + (emin + 1073)).tolist()
-    his = hi_sum[used].astype(np.int64).tolist()
-    los = lo_sum[used].astype(np.int64).tolist()
-    for s, sh, h, l in zip(slots, shifts, his, los):
-        out[s] += ((h << _LO_BITS) + l) << sh
+    bits = 52 - r.shape[0].bit_length()
+    top = _top(r)
+    while top != 0.0:
+        s = bits - math.frexp(top)[1]
+        q = np.trunc(_scale(r, s))
+        shift = _GRID_BITS - s  # s <= 1124: a subnormal top has E >= -1073
+        if key is None:  # few columns: fold each total in turn
+            for j, t in enumerate(q.sum(axis=0).tolist()):
+                if t:
+                    out[j] += int(t) << shift
+        else:  # many groups: fold the non-zero totals in one array operation
+            sums = np.bincount(key, weights=q.ravel(), minlength=len(out))
+            used = np.flatnonzero(sums)
+            out[used] += sums[used].astype(np.int64).astype(object) << shift
+        r = r - _scale(q, -s, out=q)
+        top = _top(r)
 
 
 def sum_fixed(values) -> int:

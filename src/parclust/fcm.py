@@ -47,13 +47,16 @@ def initial_membership(n: int, k: int, seed: int) -> np.ndarray:
     return u / u.sum(axis=1, keepdims=True)
 
 
-def membership_update(shard: Shard, centers: np.ndarray, m: float) -> np.ndarray:
+def membership_update(shard: Shard, centers: np.ndarray, m: float,
+                      d2: np.ndarray | None = None) -> np.ndarray:
     """Standard inverse-distance membership update for the local rows.
 
     A point coinciding with one or more centroids gets membership 1 on
-    the lowest-index coincident centroid and 0 elsewhere.
+    the lowest-index coincident centroid and 0 elsewhere. `d2`, when
+    given, is `squared_distances(shard.points, centers)`.
     """
-    d2 = squared_distances(shard.points, centers)
+    if d2 is None:
+        d2 = squared_distances(shard.points, centers)
     u = np.zeros_like(d2)
     zero_rows = (d2 == 0.0).any(axis=1)
     if zero_rows.any():
@@ -90,9 +93,12 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
 
 
 def fcm_objective(ctx: NodeCtx, shard: Shard, u: np.ndarray,
-                  centers: np.ndarray, m: float) -> float:
-    """Weighted within-cluster scatter, reduced exactly over all nodes."""
-    d2 = squared_distances(shard.points, centers)
+                  centers: np.ndarray, m: float,
+                  d2: np.ndarray | None = None) -> float:
+    """Weighted within-cluster scatter, reduced exactly over all nodes.
+    `d2`, when given, is `squared_distances(shard.points, centers)`."""
+    if d2 is None:
+        d2 = squared_distances(shard.points, centers)
     local = sum_fixed((u ** m) * d2)
     total = ctx.allreduce_sum([local])
     return fixed_to_float(total[0])
@@ -107,8 +113,9 @@ def _pfcm_node(ctx: NodeCtx, shards, X, params):
     centers = None
     for t in range(1, params.max_iter + 1):
         centers = centroid_update(ctx, shard, u, params.m)
-        u = membership_update(shard, centers, params.m)
-        j = fcm_objective(ctx, shard, u, centers, params.m)
+        d2 = squared_distances(shard.points, centers)
+        u = membership_update(shard, centers, params.m, d2)
+        j = fcm_objective(ctx, shard, u, centers, params.m, d2)
         iters = t
         if j_prev is not None and abs(j_prev - j) <= params.tol:
             break

@@ -1,10 +1,11 @@
 """Shared fixtures."""
 
 import collections
+import sys
 
 import pytest
 
-from parclust import kmeans
+from parclust import fcm, kmeans, pca
 from parclust.comm import CommWorld
 
 
@@ -30,15 +31,21 @@ def count_collectives(monkeypatch):
 
 @pytest.fixture()
 def count_distance_cells(monkeypatch):
-    """A Counter of the distances the k-means body scores in this test:
-    `cells` sums rows x centers over every `squared_distances` call made
-    through `parclust.kmeans`."""
+    """A Counter of the distances scored in this test: rows x centers over
+    every `squared_distances` call, under "cells" for all of them and under
+    the calling module's name (`kmeans`, `fcm`, `pca`, `dbscan`)."""
     counts = collections.Counter()
-    original = kmeans.squared_distances
+    # `parclust.dbscan` is the function the package exports; the module is
+    # only in sys.modules
+    modules = {"kmeans": kmeans, "fcm": fcm, "pca": pca,
+               "dbscan": sys.modules["parclust.dbscan"]}
+    for name, module in modules.items():
+        def counted(points, centers, name=name,
+                    original=module.squared_distances):
+            cells = points.shape[0] * centers.shape[0]
+            counts["cells"] += cells
+            counts[name] += cells
+            return original(points, centers)
 
-    def counted(points, centers):
-        counts["cells"] += points.shape[0] * centers.shape[0]
-        return original(points, centers)
-
-    monkeypatch.setattr(kmeans, "squared_distances", counted)
+        monkeypatch.setattr(module, "squared_distances", counted)
     return counts

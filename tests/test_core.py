@@ -86,14 +86,18 @@ def _per_center_distances(points, centers):
 def distance_cases(draw):
     """Rows and centers whose coordinates span magnitudes from ones whose
     squares underflow to ones whose squares overflow; some centers copy a row
-    (zero distances). The block size is drawn, and the row count sits at or
-    next to a block boundary."""
+    (zero distances). The center count falls on either side of the
+    few-center switch, both block sizes are drawn, and the row count sits at
+    or next to a boundary of the blocks it is scored in, or below k."""
+    few = core_module._FEW_CENTERS
     d = draw(st.sampled_from(list(range(1, 10)) + [16, 17, 128, 129, 200]))
-    k = draw(st.integers(1, 80))
+    k = draw(st.one_of(st.integers(1, few), st.integers(few + 1, 80)))
     cells = draw(st.sampled_from([1, 64, 1000, DISTANCE_BLOCK_CELLS]))
-    step = max(1, cells // k)
-    n = draw(st.sampled_from([0, 1, step - 1, step, step + 1, 2 * step + 1])
-             .filter(lambda v: 0 <= v <= 300))
+    tile = draw(st.sampled_from([1, 64, 1000,
+                                 core_module._FEW_CENTER_TILE_CELLS]))
+    step = max(1, (tile if k <= few else cells) // k)
+    n = draw(st.sampled_from([0, 1, k - 1, step - 1, step, step + 1,
+                              2 * step + 1]).filter(lambda v: 0 <= v <= 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     exponents = rng.choice([-170, -3, 0, 3, 160], size=(n + k, 1),
                            p=[0.1, 0.2, 0.4, 0.2, 0.1])  # one per row
@@ -104,18 +108,21 @@ def distance_cases(draw):
     if n and draw(st.booleans()):
         copies = rng.choice(k, size=max(1, k // 4), replace=False)
         centers[copies] = points[rng.integers(0, n, size=copies.size)]
-    return points, centers, cells
+    return points, centers, cells, tile
 
 
 @given(distance_cases())
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 def test_squared_distances_are_bit_equal_to_per_center_sums(case):
-    points, centers, cells = case
+    points, centers, cells, tile = case
     with np.errstate(over="ignore", under="ignore"), \
-            mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells):
+            mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells), \
+            mock.patch.object(core_module, "_FEW_CENTER_TILE_CELLS", tile):
         got = squared_distances(points, centers)
         want = _per_center_distances(points, centers)
-    assert got.shape == want.shape
+    # callers assign whole columns of the result in place
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == want.shape == (len(points), len(centers))
     assert got.tobytes() == want.tobytes()
 
 

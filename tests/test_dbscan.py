@@ -508,7 +508,7 @@ def test_the_model_scores_fewer_distances_than_a_full_recompute(
     monkeypatch.setattr(kmeans_module, "kmeans_centralized", recorded)
     rep_kmeans_model(X, part, core, params)
     assert len(full) == 4
-    assert count_distance_cells["cells"] < 0.75 * sum(full)
+    assert count_distance_cells["kmeans"] < 0.75 * sum(full)
 
 
 # -- distributed merge --------------------------------------------------------

@@ -275,15 +275,24 @@ def test_non_finite_input_raises(bad):
         grouped_sums_fixed(a, [0, 1, 1, 0], 2)
 
 
+def _ones_below(e: int) -> float:
+    """The largest float64 below 2**e: all 53 mantissa bits set."""
+    return math.ldexp(1.0 - 2.0 ** -53, e)
+
+
 def test_row_chunks_below_the_bucket_bound_stay_exact(monkeypatch):
-    # a bound of 3 rows forces many chunks, each with its own buckets
+    # a bound of 3 rows forces many chunks, each taking slices of 50 bits
     monkeypatch.setattr(exactsum, "MAX_BUCKET_TERMS", 3)
     rng = np.random.default_rng(3)
     a = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-300, 300, size=(50, 3))
     a[::7, 0] = MAX_FINITE
     a[1::7, 0] = -MAX_FINITE
     a[2::5, 2] = 5e-324
+    # whole chunks whose every term fills the top slice of its column
+    a[9:15, 1] = _ones_below(40)
+    a[15:18] = -_ones_below(-1000)
     groups = rng.integers(0, 4, size=50)
+    groups[15:18] = 2
     got = grouped_sums_fixed(a, groups, 4)
     assert [Fraction(v, 1 << 1126) for v in got] == \
         _grouped_oracle(a, groups, 4)
@@ -291,16 +300,83 @@ def test_row_chunks_below_the_bucket_bound_stay_exact(monkeypatch):
 
 
 def test_buckets_filled_to_the_term_bound_stay_exact():
-    # every term but one has the largest mantissa at the top binade of the
-    # block, the worst case for a bucket's float sum; past the bound the
-    # partial sums would exceed 2**53 and round
-    top = (1 << exactsum._BLOCK_BITS) - 1
-    n = 2 * exactsum.MAX_BUCKET_TERMS + 5
-    a = np.full(n, math.ldexp(1.0 - 2.0 ** -53, -40 + top))
-    a[0] = math.ldexp(0.5, -40)  # pins the block to start at exponent -40
-    want = Fraction(float(a[0])) + (n - 1) * Fraction(float(a[1]))
-    assert Fraction(sum_fixed(a), 1 << 1126) == want
-    assert Fraction(sum_fixed(-a), 1 << 1126) == -want
+    # every term has the largest mantissa of the top binade, so each one
+    # truncates to 2**bits - 1 in the first slice, the worst case for a
+    # slice's float sum: n * 2**bits reaches 2**52 (2**51 for a full chunk);
+    # two bits more and the partial sums would pass 2**53 and round
+    x = _ones_below(-40)
+    for n in (exactsum.MAX_BUCKET_TERMS - 1, exactsum.MAX_BUCKET_TERMS,
+              2 * exactsum.MAX_BUCKET_TERMS + 5):
+        a = np.full(n, x)
+        assert Fraction(sum_fixed(a), 1 << 1126) == n * Fraction(x)
+        assert Fraction(sum_fixed(-a), 1 << 1126) == -n * Fraction(x)
+        got = grouped_sums_fixed(a.reshape(-1, 1), np.arange(n) % 2, 2)
+        assert [Fraction(v, 1 << 1126) for v in got] == \
+            [(n - n // 2) * Fraction(x), n // 2 * Fraction(x)]
+
+
+@pytest.mark.parametrize("column", [
+    [MAX_FINITE, 5e-324, -MAX_FINITE],       # both ends of the range
+    [MAX_FINITE, -5e-324, MAX_FINITE, 5e-324, MAX_FINITE],
+    [2.0 ** 1023, -(2.0 ** 1023), 2.0 ** 1023, 1.0],  # E = 1024 exactly
+    [2.0 ** 1023],
+    [5e-324, -1e-310, 2.2250738585072004e-308, 3e-320],  # subnormals only
+    [5e-324] * 7,
+    [0.0, 0.0, 0.0],
+    [-0.0, -0.0],
+    [0.0, -0.0, 0.0],
+])
+def test_extreme_columns_match_rational_oracle(column):
+    a = np.array(column).reshape(-1, 1)
+    want = sum(Fraction(v) for v in column)
+    assert Fraction(sum_fixed(column), 1 << 1126) == want
+    wide = np.hstack([a, -a, a[::-1]])
+    groups = np.arange(len(column)) % 3
+    got = grouped_sums_fixed(wide, groups, 3)
+    assert [Fraction(v, 1 << 1126) for v in got] == \
+        _grouped_oracle(wide, groups, 3)
+
+
+class _CountingNumpy:
+    """numpy, with each call of `trunc` (one a slice) counted."""
+
+    def __init__(self, slices):
+        self._slices = slices
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def trunc(self, *args, **kwargs):
+        self._slices[-1] += 1
+        return np.trunc(*args, **kwargs)
+
+
+def test_lloyd_pass_sums_take_at_most_three_slices(monkeypatch):
+    # each slice takes 52 - n.bit_length() binades off the top, so the
+    # exact sums of a Lloyd pass take 2 slices, a few 3; one slice per
+    # binade would take dozens
+    X0, _ = generate_blobs(seed=1, k=4, per_cluster=500, d=8, spread=1.0,
+                           separation=0.5)
+    X = DataSet.from_points(X0.points * np.array([16.0, 4.0] + [1.0] * 6))
+    slices = []
+    accumulate = exactsum._accumulate
+
+    def counted(*args):
+        slices.append(0)
+        return accumulate(*args)
+
+    monkeypatch.setattr(exactsum, "_accumulate", counted)
+    monkeypatch.setattr(exactsum, "np", _CountingNumpy(slices))
+    world = CommWorld(1)
+    try:
+        pkm(world, X, KMeansParams(k=4, max_iter=8))
+        pfcm(world, X, FcmParams(k=4, max_iter=8))
+        pddp_km(world, X, height=2, max_iter=8)
+    finally:
+        world.shutdown()
+    assert len(slices) > 100
+    assert max(slices) <= 3
+    assert slices.count(2) > len(slices) // 2
 
 
 def test_wide_exponent_span_with_many_slots_stays_small():

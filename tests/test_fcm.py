@@ -204,6 +204,15 @@ def test_parallel_run_is_invariant_to_node_count(p):
     assert np.array_equal(rep.centroids, base.centroids)
 
 
+def test_each_iteration_scores_one_distance_matrix(count_distance_cells):
+    # the membership update and the objective share the iteration's matrix
+    X, _ = generate_blobs(seed=3, k=3, per_cluster=40, d=4)
+    rep = _run(1, X, FcmParams(k=3, max_iter=30, seed=1))
+    assert rep.iterations > 1
+    assert count_distance_cells["cells"] == rep.iterations * X.n * 3
+    assert count_distance_cells["fcm"] == count_distance_cells["cells"]
+
+
 def test_two_blobs_defuzzify_to_ground_truth():
     spread = 0.5
     X, truth = generate_blobs(seed=2, k=2, per_cluster=50, d=2,
