@@ -21,7 +21,7 @@ from .kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, k_windows,
                        orthogonal_range_search, parallel_range_search)
 from .pca import (DbscanLocal, KMeansLocal, PrincipalBasis, cpca,
                   cpca_cluster, local_pca)
-from .pddp import PddpNode, PddpTree, pddp, pddp_km, pddp_report
+from .pddp import pddp_km, pddp_report
 from .report import REPORT_SCHEMA, ClusterReport
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "orthogonal_range_search", "parallel_range_search",
     "DbscanLocal", "KMeansLocal", "PrincipalBasis", "cpca", "cpca_cluster",
     "local_pca",
-    "PddpNode", "PddpTree", "pddp", "pddp_km", "pddp_report",
+    "pddp_km", "pddp_report",
     "REPORT_SCHEMA", "ClusterReport",
     "__version__",
 ]

@@ -206,14 +206,28 @@ def _pairwise_sq(pt, ct, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
-def sort_by_widest_column(points: np.ndarray) -> tuple[int, np.ndarray]:
-    """The column of largest range and a stable row order ascending on it.
+@dataclass(frozen=True)
+class KeySortedRows:
+    """Rows sorted stably by one key column, for queries over key bands.
 
-    The widest column spreads the rows most, so a band of keys around any
-    value holds the fewest of them; any column gives the same query answers.
+    A row within a distance or inside a box of another has its key within
+    the same bound, so a query tests only the band of sorted keys that the
+    bound admits. `build` keys on the widest column: it spreads the rows
+    most, so a band of keys around any value holds the fewest of them; any
+    column gives the same query answers.
     """
-    col = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
-    return col, np.argsort(points[:, col], kind="stable")
+
+    col: int
+    order: np.ndarray  # row positions in ascending key order
+    rows: np.ndarray  # points[order]
+    keys: np.ndarray  # rows[:, col], contiguous
+
+    @classmethod
+    def build(cls, points: np.ndarray) -> "KeySortedRows":
+        col = int(np.argmax(np.ptp(points, axis=0))) if len(points) else 0
+        order = np.argsort(points[:, col], kind="stable")
+        rows = points[order]
+        return cls(col, order, rows, np.ascontiguousarray(rows[:, col]))
 
 
 def components(n: int, u, v) -> np.ndarray:

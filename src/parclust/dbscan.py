@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx
-from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition,
-                   components, sort_by_widest_column, squared_distances)
+from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, KeySortedRows,
+                   Partition, components, squared_distances)
 from .report import ClusterReport
 
 
@@ -37,64 +37,51 @@ class DbscanParams:
             raise ValueError("min_pts must be >= 1")
 
 
-@dataclass(frozen=True)
-class _Slab:
-    """Rows sorted by one key column, for exact eps-neighbourhood queries."""
+def _neighbourhoods(slab: KeySortedRows, eps2: float):
+    """Every row's eps-neighbourhood in the key-sorted rows `slab`, found in
+    one blocked sweep.
 
-    order: np.ndarray  # row ids in ascending key order
-    rows: np.ndarray  # points[order]
-    keys: np.ndarray  # rows[:, col], contiguous
+    Returns CSR arrays (indptr, nbr) over slab positions: the rows whose
+    squared distance to row order[p] is <= eps2 are
+    nbr[indptr[p]:indptr[p + 1]], as int32 ids in slab order.
 
-    @classmethod
-    def build(cls, points: np.ndarray) -> "_Slab":
-        col, order = sort_by_widest_column(points)
-        rows = points[order]
-        return cls(order, rows, np.ascontiguousarray(rows[:, col]))
-
-    def neighbourhoods(self, eps2: float):
-        """Every row's eps-neighbourhood, found in one blocked sweep.
-
-        Returns CSR arrays (indptr, nbr) over slab positions: the rows whose
-        squared distance to row order[p] is <= eps2 are
-        nbr[indptr[p]:indptr[p + 1]], as int32 ids in slab order.
-
-        Each block of consecutive positions is scored in full against the
-        union of its rows' key bands, a band being the rows whose key lies
-        within `reach` of the row's own. A rounded sum of non-negative terms
-        is never below any one of them, so a row that passes has a key term
-        <= eps2, and so a key gap within sqrt(eps2) up to a few roundings
-        (the relative slack) or one whose square underflows (the absolute
-        slack). Every band thus holds all rows that can pass, and the full
-        test alone decides: the sets are exact.
-        """
-        keys = self.keys
-        n = keys.size
-        reach = math.sqrt(eps2) * (1.0 + 2.0 ** -20) + 2.0 ** -500
-        lo = np.searchsorted(keys, keys - reach, "left")
-        hi = np.searchsorted(keys, keys + reach, "right")
-        ids = self.order.astype(np.int32)
-        counts = np.empty(n, dtype=np.int64)
-        chunks = []
-        start = 0
-        with np.errstate(over="ignore"):  # an infinite square is no neighbour
-            while start < n:
-                # the longest block whose rows x union of bands fits the budget
-                width = hi[start:start + DISTANCE_BLOCK_CELLS] - lo[start]
-                cells = width * np.arange(1, width.size + 1)
-                stop = start + max(1, int(np.searchsorted(
-                    cells, DISTANCE_BLOCK_CELLS, "right")))
-                a, b = int(lo[start]), int(hi[stop - 1])
-                hit = squared_distances(self.rows[start:stop],
-                                        self.rows[a:b]) <= eps2
-                counts[start:stop] = np.count_nonzero(hit, axis=1)
-                cols = np.flatnonzero(hit)  # row-major, as nonzero's
-                cols %= b - a
-                chunks.append(ids[a:b][cols])
-                start = stop
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        nbr = np.concatenate(chunks) if chunks else ids[:0]
-        return indptr, nbr
+    Each block of consecutive positions is scored in full against the
+    union of its rows' key bands, a band being the rows whose key lies
+    within `reach` of the row's own. A rounded sum of non-negative terms
+    is never below any one of them, so a row that passes has a key term
+    <= eps2, and so a key gap within sqrt(eps2) up to a few roundings
+    (the relative slack) or one whose square underflows (the absolute
+    slack). Every band thus holds all rows that can pass, and the full
+    test alone decides: the sets are exact.
+    """
+    keys = slab.keys
+    n = keys.size
+    reach = math.sqrt(eps2) * (1.0 + 2.0 ** -20) + 2.0 ** -500
+    lo = np.searchsorted(keys, keys - reach, "left")
+    hi = np.searchsorted(keys, keys + reach, "right")
+    ids = slab.order.astype(np.int32)
+    counts = np.empty(n, dtype=np.int64)
+    chunks = []
+    start = 0
+    with np.errstate(over="ignore"):  # an infinite square is no neighbour
+        while start < n:
+            # the longest block whose rows x union of bands fits the budget
+            width = hi[start:start + DISTANCE_BLOCK_CELLS] - lo[start]
+            cells = width * np.arange(1, width.size + 1)
+            stop = start + max(1, int(np.searchsorted(
+                cells, DISTANCE_BLOCK_CELLS, "right")))
+            a, b = int(lo[start]), int(hi[stop - 1])
+            hit = squared_distances(slab.rows[start:stop],
+                                    slab.rows[a:b]) <= eps2
+            counts[start:stop] = np.count_nonzero(hit, axis=1)
+            cols = np.flatnonzero(hit)  # row-major, as nonzero's
+            cols %= b - a
+            chunks.append(ids[a:b][cols])
+            start = stop
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    nbr = np.concatenate(chunks) if chunks else ids[:0]
+    return indptr, nbr
 
 
 def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
@@ -111,8 +98,8 @@ def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
     boolean core-point mask).
     """
     n = X.n
-    slab = _Slab.build(X.points)
-    indptr, nbr = slab.neighbourhoods(params.eps * params.eps)
+    slab = KeySortedRows.build(X.points)
+    indptr, nbr = _neighbourhoods(slab, params.eps * params.eps)
     counts = np.diff(indptr)
     dense = counts >= params.min_pts  # by slab position
     core = np.zeros(n, dtype=bool)

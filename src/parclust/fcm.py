@@ -47,16 +47,13 @@ def initial_membership(n: int, k: int, seed: int) -> np.ndarray:
     return u / u.sum(axis=1, keepdims=True)
 
 
-def membership_update(shard: Shard, centers: np.ndarray, m: float,
-                      d2: np.ndarray | None = None) -> np.ndarray:
-    """Standard inverse-distance membership update for the local rows.
+def membership_update(d2: np.ndarray, m: float) -> np.ndarray:
+    """Standard inverse-distance membership update of the local rows, from
+    their (rows, k) squared distances to the centroids.
 
     A point coinciding with one or more centroids gets membership 1 on
-    the lowest-index coincident centroid and 0 elsewhere. `d2`, when
-    given, is `squared_distances(shard.points, centers)`.
+    the lowest-index coincident centroid and 0 elsewhere.
     """
-    if d2 is None:
-        d2 = squared_distances(shard.points, centers)
     u = np.zeros_like(d2)
     zero_rows = (d2 == 0.0).any(axis=1)
     if zero_rows.any():
@@ -92,38 +89,32 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
     return centers
 
 
-def fcm_objective(ctx: NodeCtx, shard: Shard, u: np.ndarray,
-                  centers: np.ndarray, m: float,
-                  d2: np.ndarray | None = None) -> float:
-    """Weighted within-cluster scatter, reduced exactly over all nodes.
-    `d2`, when given, is `squared_distances(shard.points, centers)`."""
-    if d2 is None:
-        d2 = squared_distances(shard.points, centers)
+def fcm_objective(ctx: NodeCtx, u: np.ndarray, d2: np.ndarray,
+                  m: float) -> float:
+    """Weighted within-cluster scatter of the local memberships `u` and
+    squared distances `d2`, reduced exactly over all nodes."""
     local = sum_fixed((u ** m) * d2)
     total = ctx.allreduce_sum([local])
     return fixed_to_float(total[0])
 
 
 def _pfcm_node(ctx: NodeCtx, shards, X, params):
+    """One rank's run; rank 0 returns (labels, centers, trace), the trace
+    holding each iteration's objective."""
     shard = shards[ctx.rank]
     u = initial_membership(X.n, params.k, params.seed)[shard.ids]
-    j_prev = None
-    j = 0.0
-    iters = 0
-    centers = None
-    for t in range(1, params.max_iter + 1):
+    trace: list[float] = []
+    for _ in range(params.max_iter):
         centers = centroid_update(ctx, shard, u, params.m)
         d2 = squared_distances(shard.points, centers)
-        u = membership_update(shard, centers, params.m, d2)
-        j = fcm_objective(ctx, shard, u, centers, params.m, d2)
-        iters = t
-        if j_prev is not None and abs(j_prev - j) <= params.tol:
+        u = membership_update(d2, params.m)
+        trace.append(fcm_objective(ctx, u, d2, params.m))
+        if len(trace) > 1 and abs(trace[-2] - trace[-1]) <= params.tol:
             break
-        j_prev = j
     labels = np.argmax(u, axis=1).astype(np.int64)  # ties to the lowest index
     gathered = ctx.gather(labels, root=0)
     if ctx.rank == 0:
-        return np.concatenate(gathered), centers, j, iters
+        return np.concatenate(gathered), centers, trace
     return None
 
 
@@ -136,7 +127,7 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
         shards = split_blocks(X, world.size)
         timings["split"] = (time.perf_counter() - t0) * 1e3
         out = world.spmd(_pfcm_node, shards, X, params)
-    labels, centers, j, iters = out[0]
+    labels, centers, trace = out[0]
     return ClusterReport(
         algo="pfcm",
         p=world.size,
@@ -146,7 +137,7 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
         d=X.d,
         labels=labels,
         centroids=centers,
-        j=j,
-        iterations=iters,
+        j=trace[-1],
+        iterations=len(trace),
         timings_ms=timings,
     )

@@ -53,13 +53,6 @@ def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:
     return X.points[np.sort(idx)].copy()
 
 
-def _assign(points: np.ndarray, centers: np.ndarray):
-    """Nearest-centroid labels (ties to the lowest index) and the min distances."""
-    d2 = squared_distances(points, centers)
-    labels = np.argmin(d2, axis=1).astype(np.int64)
-    return labels, d2[np.arange(points.shape[0]), labels]
-
-
 def _moved_stats(points, old, new, k) -> list[int]:
     """This block's exact change of the per-cluster sums and counts.
 
@@ -90,7 +83,8 @@ def _local_farthest(points, gids, d2min, used):
 
 
 def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
-    """One rank's Lloyd run; rank 0 returns (labels, centers, j, iterations).
+    """One rank's Lloyd run; rank 0 returns (labels, centers, trace), the
+    trace holding each iteration's objective.
 
     Each iteration makes one allreduce of this block's changes to the
     per-cluster sums and counts, and its exact objective. Which centers to
@@ -120,10 +114,8 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
     counts = [0] * k
     scored = centers  # the centers that d2's columns were computed for
     d2 = squared_distances(pts, scored)
-    j_prev = None
-    j = 0.0
-    iters = 0
-    for t in range(1, params.max_iter + 1):
+    trace: list[float] = []
+    for _ in range(params.max_iter):
         shifted = np.flatnonzero(np.any(centers != scored, axis=1))
         if shifted.size:
             d2[:, shifted] = squared_distances(pts, centers[shifted])
@@ -134,11 +126,9 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         stats.append(sum_fixed(d2min))
         g = ctx.allreduce_sum(stats)
         labels = new
-        j = fixed_to_float(g[-1])
-        iters = t
-        if j_prev is not None and (j_prev - j) <= params.tol:
+        trace.append(fixed_to_float(g[-1]))
+        if len(trace) > 1 and (trace[-2] - trace[-1]) <= params.tol:
             break
-        j_prev = j
         # the reduced changes are the same on every rank, so every rank
         # recomputes the same centers
         changed = {i // d for i in range(k * d) if g[i]}
@@ -170,7 +160,7 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
 
     gathered = ctx.gather(labels, root=0)
     if ctx.rank == 0:
-        return np.concatenate(gathered), centers, j, iters
+        return np.concatenate(gathered), centers, trace
     return None
 
 
@@ -184,9 +174,9 @@ def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
     """
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    labels, centers, j, iters = _pkm_node(
+    labels, centers, trace = _pkm_node(
         SerialCtx(), [Shard(X.points, X.ids)], X, params, init_centers)
-    return CentroidSet(centers), Partition(labels), j, iters
+    return CentroidSet(centers), Partition(labels), trace[-1], len(trace)
 
 
 def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
@@ -205,7 +195,7 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
         shards = split_blocks(X, world.size)
         timings["split"] = (time.perf_counter() - t0) * 1e3
         out = world.spmd(_pkm_node, shards, X, params, init_centers)
-    labels, centers, j, iters = out[0]
+    labels, centers, trace = out[0]
     return ClusterReport(
         algo="pkm",
         p=world.size,
@@ -215,7 +205,7 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
         d=X.d,
         labels=labels,
         centroids=centers,
-        j=j,
-        iterations=iters,
+        j=trace[-1],
+        iterations=len(trace),
         timings_ms=timings,
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard, split_blocks
-from .core import NOISE, DataSet, components, sort_by_widest_column
+from .core import NOISE, DataSet, KeySortedRows, components
 from .report import ClusterReport
 
 
@@ -144,36 +144,21 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
     return found
 
 
-@dataclass(frozen=True)
-class _KeyedShard:
-    """One shard's rows sorted by their widest column, for box queries."""
-
-    col: int
-    rows: np.ndarray  # the shard's rows in ascending key order
-    keys: np.ndarray  # rows[:, col], contiguous
-    ids: np.ndarray  # global ids of rows
-
-    @classmethod
-    def build(cls, shard: Shard) -> "_KeyedShard":
-        col, order = sort_by_widest_column(shard.points)
-        rows = shard.points[order]
-        return cls(col, rows, np.ascontiguousarray(rows[:, col]),
-                   shard.ids[order])
-
-
-def _round_hits(keyed: _KeyedShard, boxes) -> list[np.ndarray]:
+def _round_hits(keyed: KeySortedRows, ids: np.ndarray,
+                boxes) -> list[np.ndarray]:
     """Global ids of the shard rows inside each closed box of one round.
 
-    `boxes` is a pair of (b, d) arrays, lo and hi. A row inside a box has
-    its key in [lo, hi] on the key column, so it lies in the band that two
-    binary searches per round find in the sorted keys; the full test runs
-    over that band only. One box is tested at a time, so mask memory stays
-    at most that of one shard whatever b is.
+    `keyed` holds the shard's rows sorted by key and `ids` their global
+    ids in that order; `boxes` is a pair of (b, d) arrays, lo and hi. A
+    row inside a box has its key in [lo, hi] on the key column, so it lies
+    in the band that two binary searches per round find in the sorted keys;
+    the full test runs over that band only. One box is tested at a time, so
+    mask memory stays at most that of one shard whatever b is.
     """
     lo, hi = boxes
     start = np.searchsorted(keyed.keys, lo[:, keyed.col], "left").tolist()
     stop = np.searchsorted(keyed.keys, hi[:, keyed.col], "right").tolist()
-    rows, ids = keyed.rows, keyed.ids
+    rows = keyed.rows
     return [ids[a:b][np.all((rows[a:b] >= low) & (rows[a:b] <= high), axis=1)]
             for low, high, a, b in zip(lo, hi, start, stop)]
 
@@ -189,10 +174,12 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], job):
     value; the other ranks answer rounds until then and return None. Each
     rank sorts its shard once, before the first round.
     """
-    keyed = _KeyedShard.build(shards[ctx.rank])
+    shard = shards[ctx.rank]
+    keyed = KeySortedRows.build(shard.points)
+    ids = shard.ids[keyed.order]
     if ctx.rank != 0:
         while (boxes := ctx.broadcast(None)) is not None:
-            ctx.gather(_round_hits(keyed, boxes))
+            ctx.gather(_round_hits(keyed, ids, boxes))
         return None
     hits = None
     while True:
@@ -201,7 +188,7 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], job):
         except StopIteration as done:
             ctx.broadcast(None)
             return done.value
-        parts = ctx.gather(_round_hits(keyed, ctx.broadcast(boxes)))
+        parts = ctx.gather(_round_hits(keyed, ids, ctx.broadcast(boxes)))
         hits = [np.concatenate(box) for box in zip(*parts)]
 
 

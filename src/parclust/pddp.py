@@ -1,60 +1,32 @@
-"""Divisive partitioning along principal directions, plus the hybrid that
-feeds its leaves to parallel k-means as the initial centroids.
+"""Divisive partitioning along principal directions (Boley, DMKD 1998),
+plus the hybrid that seeds parallel k-means with its leaf means
+(Savaresi & Boley, SDM 2001).
 
-The covariance of each cluster comes from the package's one covariance
-kernel, `pca.exact_covariance` (exact sums of the rows and of their
-centered cross-products), so every node holds the same bit-identical d x d
-matrix, solves it with the one direct eigensolver, and agrees on the
-leading direction; the split is independent of the node count. Clusters
-split on the sign of the mean-centered projection. A leaf that is never
-split takes only the exact mean, `pca.exact_mean`.
+Both are one body on every rank. Each rank keeps its clusters left to
+right as (local rows, global size), and a row's leaf label is its
+cluster's position in that list. The covariance of each cluster comes
+from the package's one covariance kernel, `pca.exact_covariance` (exact
+sums of the rows and of their centered cross-products), so every node
+holds the same bit-identical d x d matrix, solves it with the one direct
+eigensolver, and agrees on the leading direction; the split is
+independent of the node count. Clusters split on the sign of the
+mean-centered projection. The leaf means come from one allreduce of
+exact per-leaf sums, so each is the exact mean of its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import time
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, SerialCtx, split_blocks
+from .comm import CommWorld, NodeCtx, split_blocks
 from .core import CentroidSet, DataSet, Partition, sse_objective
-from .exactsum import fixed_to_float, sum_fixed
-from .kmeans import KMeansParams, _assign, pkm
-from .pca import exact_covariance, exact_mean, principal_axes
+from .exactsum import fixed_to_floats, grouped_sums_fixed
+from .kmeans import KMeansParams, _pkm_node
+from .pca import exact_covariance, principal_axes
 from .report import ClusterReport
-
-
-@dataclass
-class PddpNode:
-    ids: np.ndarray  # global ids, ascending
-    size: int
-    mean: np.ndarray | None = None
-    direction: np.ndarray | None = None
-    left: "PddpNode | None" = None
-    right: "PddpNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
-
-
-@dataclass
-class PddpTree:
-    root: PddpNode
-    height: int
-
-    def leaves(self) -> list[PddpNode]:
-        """Leaf nodes in left-to-right order."""
-        out: list[PddpNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
 
 
 def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
@@ -68,132 +40,100 @@ def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
     return mean, None if C is None else principal_axes(C)[1][0]
 
 
-def _pddp_node(ctx: NodeCtx, shards, X, height):
-    shard = shards[ctx.rank]
-    pts = shard.points
-    is_root_rank = ctx.rank == 0
+def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
+    """One rank's divisive run, then the leaf means on every rank.
 
-    clusters = [np.arange(len(shard), dtype=np.int64)]  # local row indices
-    sizes = [X.n]
-    root = PddpNode(ids=np.arange(X.n, dtype=np.int64), size=X.n) \
-        if is_root_rank else None
-    nodes: list = [root]
-
+    Every cluster of two or more rows that has a direction and puts rows
+    on both sides of it is split once per level until `height` levels are
+    done; the left child comes first. Without `km_params`, rank 0 returns
+    the leaf labels of all rows and the (k, d) leaf means. With them, the
+    leaf means seed the Lloyd body on the same shards, and rank 0 returns
+    its (labels, centers, objective trace).
+    """
+    pts = shards[ctx.rank].points
+    clusters = [(np.arange(len(pts)), X.n)]  # (local rows, global size)
     for _level in range(height):
-        next_clusters, next_sizes, next_nodes = [], [], []
-        for rows, size, node in zip(clusters, sizes, nodes):
-            if size < 2:  # singletons pass through untouched
-                next_clusters.append(rows)
-                next_sizes.append(size)
-                next_nodes.append(node)
-                continue
-            sub = pts[rows]
-            mean, direction = _split_direction(ctx, sub)
-            if is_root_rank:
-                node.mean = mean
-                node.direction = direction
-            if direction is None:
-                next_clusters.append(rows)
-                next_sizes.append(size)
-                next_nodes.append(node)
-                continue
-            proj = (sub - mean) @ direction
-            left_mask = proj >= 0.0  # boundary points go left
-            counts = ctx.allreduce_sum([int(left_mask.sum()),
-                                        int((~left_mask).sum())])
-            if counts[0] == 0 or counts[1] == 0:
-                # every point landed on one side; keep the cluster whole
-                next_clusters.append(rows)
-                next_sizes.append(size)
-                next_nodes.append(node)
-                continue
-            left_rows, right_rows = rows[left_mask], rows[~left_mask]
-            lids = ctx.gather(shard.ids[left_rows], root=0)
-            rids = ctx.gather(shard.ids[right_rows], root=0)
-            lnode = rnode = None
-            if is_root_rank:
-                lnode = PddpNode(ids=np.sort(np.concatenate(lids)),
-                                 size=int(counts[0]))
-                rnode = PddpNode(ids=np.sort(np.concatenate(rids)),
-                                 size=int(counts[1]))
-                node.left, node.right = lnode, rnode
-            next_clusters.extend([left_rows, right_rows])
-            next_sizes.extend([int(counts[0]), int(counts[1])])
-            next_nodes.extend([lnode, rnode])
-        clusters, sizes, nodes = next_clusters, next_sizes, next_nodes
+        kept = []
+        for rows, size in clusters:
+            if size >= 2:  # singletons pass through untouched
+                sub = pts[rows]
+                mean, direction = _split_direction(ctx, sub)
+                if direction is not None:
+                    left = (sub - mean) @ direction >= 0.0  # boundary goes left
+                    sizes = ctx.allreduce_sum([int(left.sum()),
+                                               int((~left).sum())])
+                    if all(sizes):  # else the cluster stays whole
+                        kept += [(rows[left], sizes[0]), (rows[~left], sizes[1])]
+                        continue
+            kept.append((rows, size))
+        clusters = kept
 
-    if is_root_rank:
-        return root
+    k, d = len(clusters), X.d
+    leaf = np.empty(len(pts), dtype=np.int64)
+    for i, (rows, _) in enumerate(clusters):
+        leaf[rows] = i
+    sums = ctx.allreduce_sum(grouped_sums_fixed(pts, leaf, k))
+    means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
+                      for i, (_, size) in enumerate(clusters)], dtype=np.float64)
+    if km_params is not None:
+        return _pkm_node(ctx, shards, X, dataclasses.replace(km_params, k=k),
+                         means)
+    labels = ctx.gather(leaf, root=0)
+    if ctx.rank == 0:
+        return np.concatenate(labels), means
     return None
 
 
-def pddp(world: CommWorld, X: DataSet, height: int):
-    """Build the split tree and the leaf partition.
-
-    Every non-singleton, non-degenerate cluster is split once per level
-    until `height` levels are done; leaves are labeled left to right.
-    """
+def _run(world: CommWorld, X: DataSet, height: int, km_params=None):
+    """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    shards = split_blocks(X, world.size)
-    root = world.spmd(_pddp_node, shards, X, height)[0]
-    tree = PddpTree(root=root, height=height)
-    row_of = np.empty(X.n, dtype=np.int64)
-    row_of[X.ids] = np.arange(X.n)
-    labels = np.empty(X.n, dtype=np.int64)
-    for idx, leaf in enumerate(tree.leaves()):
-        if leaf.mean is None:  # never attempted: singleton or max-height leaf
-            leaf.mean = exact_mean(SerialCtx(), X.points[row_of[leaf.ids]])[1]
-        labels[row_of[leaf.ids]] = idx
-    return tree, Partition(labels)
+    with world.timed() as timings:
+        t0 = time.perf_counter()
+        shards = split_blocks(X, world.size)
+        timings["split"] = (time.perf_counter() - t0) * 1e3
+        out = world.spmd(_pddp_node, shards, X, height, km_params)[0]
+    return out, timings
 
 
 def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:
-    """Run pddp and package leaves as a report (objective uses leaf means)."""
-    with world.timed() as timings:
-        tree, part = pddp(world, X, height)
-    leaves = tree.leaves()
-    means = np.vstack([leaf.mean for leaf in leaves])
-    j = sse_objective(X, part, CentroidSet(means))
+    """Leaves labeled left to right, with their means as the centroids."""
+    (labels, means), timings = _run(world, X, height)
     return ClusterReport(
         algo="pddp",
         p=world.size,
         params={"height": height},
         n=X.n,
         d=X.d,
-        labels=part.labels,
+        labels=labels,
         centroids=means,
-        j=j,
+        j=sse_objective(X, Partition(labels), CentroidSet(means)),
         timings_ms=timings,
     )
 
 
 def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
             tol: float = 1e-9) -> ClusterReport:
-    """Hybrid: leaf means of the split tree seed parallel k-means.
+    """Hybrid: the leaf means seed parallel k-means in the same run.
 
-    The report carries both the seed-stage objective (leaf means used as
-    centroids for one assignment) and the final refined objective.
+    The report carries both the seed-stage objective (the first Lloyd
+    assignment, to the leaf means) and the final refined objective.
     """
-    with world.timed() as timings:
-        tree, _ = pddp(world, X, height)
-        means = np.vstack([leaf.mean for leaf in tree.leaves()])
-        k = means.shape[0]
-        params = KMeansParams(k=k, max_iter=max_iter, tol=tol, seed=0)
-        refined = pkm(world, X, params, init_centers=means)
-    timings["split"] = refined.timings_ms["split"]
-    _, d2min = _assign(X.points, means)
-    seed_j = fixed_to_float(sum_fixed(d2min))
+    # k is the leaf count, known only after the splits; checking the rest
+    # here refuses a bad max_iter or tol before the world runs
+    params = KMeansParams(k=1, max_iter=max_iter, tol=tol)
+    (labels, centers, trace), timings = _run(world, X, height, params)
     return ClusterReport(
         algo="pddp-km",
         p=world.size,
-        params={"height": height, "k": k, "max_iter": max_iter, "tol": tol},
+        params={"height": height, "k": len(centers), "max_iter": max_iter,
+                "tol": tol},
         n=X.n,
         d=X.d,
-        labels=refined.labels,
-        centroids=refined.centroids,
-        j=refined.j,
-        iterations=refined.iterations,
-        seed_j=seed_j,
+        labels=labels,
+        centroids=centers,
+        j=trace[-1],
+        iterations=len(trace),
+        seed_j=trace[0],
         timings_ms=timings,
     )

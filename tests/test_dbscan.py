@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from parclust import core as core_module
 from parclust.comm import CommWorld, split_blocks
-from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, Partition,
-                           adjusted_rand_index, generate_blobs,
-                           squared_distances)
+from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet,
+                           KeySortedRows, Partition, adjusted_rand_index,
+                           generate_blobs, squared_distances)
 from parclust.dbscan import (DbscanParams, DdbcParams, LocalDensityModel,
                              dbscan, ddbc, rep_kmeans_model,
                              specific_core_points)
@@ -198,7 +198,7 @@ def _slab_on(points, col):
     """The scan's slab, keyed on a chosen column rather than the widest."""
     order = np.argsort(points[:, col], kind="stable")
     rows = points[order]
-    return dbscan_module._Slab(order, rows, np.ascontiguousarray(rows[:, col]))
+    return KeySortedRows(col, order, rows, np.ascontiguousarray(rows[:, col]))
 
 
 def _sweep(slab, eps2, cells=DISTANCE_BLOCK_CELLS):
@@ -206,7 +206,7 @@ def _sweep(slab, eps2, cells=DISTANCE_BLOCK_CELLS):
     after checking the CSR layout: int32 ids in slab order."""
     with mock.patch.object(dbscan_module, "DISTANCE_BLOCK_CELLS", cells), \
             mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells):
-        indptr, nbr = slab.neighbourhoods(eps2)
+        indptr, nbr = dbscan_module._neighbourhoods(slab, eps2)
     n = slab.order.size
     assert nbr.dtype == np.int32 and indptr.shape == (n + 1,)
     assert indptr[0] == 0 and indptr[-1] == nbr.size
@@ -236,7 +236,7 @@ BLOCKINGS = (1, DISTANCE_BLOCK_CELLS)
 def test_slab_keeps_a_row_exactly_eps_away_on_the_key_column():
     points = np.array([[1e12], [1e12 + 1.0], [1e12 + 2.0], [1e12 + 2.0]])
     for cells in BLOCKINGS:
-        got = _sweep(dbscan_module._Slab.build(points), 1.0, cells)
+        got = _sweep(KeySortedRows.build(points), 1.0, cells)
         assert got[0] == [0, 1]
         assert got[1] == [0, 1, 2, 3]
 
@@ -248,7 +248,7 @@ def test_slab_finds_a_neighbour_past_the_rounded_reach():
     assert x > c + np.sqrt(eps2) and (x - c) * (x - c) <= eps2
     points = np.array([[c], [x], [x + 1.0]])
     for cells in BLOCKINGS:
-        got = _sweep(dbscan_module._Slab.build(points), eps2, cells)
+        got = _sweep(KeySortedRows.build(points), eps2, cells)
         assert got[0] == [0, 1]
         assert got[1] == [0, 1, 2]
 
@@ -270,7 +270,7 @@ def test_squares_that_underflow_stay_neighbours():
     eps2 = 1e-200 * 1e-200
     assert eps2 == 0.0
     for cells in BLOCKINGS:
-        got = _sweep(dbscan_module._Slab.build(points), eps2, cells)
+        got = _sweep(KeySortedRows.build(points), eps2, cells)
         assert got == [[0, 1], [0, 1], [2]]
 
 
@@ -316,13 +316,13 @@ def test_cover_equals_the_per_row_greedy_loop(points, eps, min_pts, data):
 def _count_sweeps(monkeypatch):
     """Rows of each neighbourhood sweep, in call order."""
     swept = []
-    real = dbscan_module._Slab.neighbourhoods
+    real = dbscan_module._neighbourhoods
 
     def counting(slab, eps2):
         swept.append(slab.order.size)
         return real(slab, eps2)
 
-    monkeypatch.setattr(dbscan_module._Slab, "neighbourhoods", counting)
+    monkeypatch.setattr(dbscan_module, "_neighbourhoods", counting)
     return swept
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from parclust.comm import CommWorld, Shard, split_blocks
 from parclust.core import (DataSet, adjusted_rand_index, generate_blobs,
-                           sse_objective, Partition, CentroidSet)
+                           squared_distances, sse_objective, Partition,
+                           CentroidSet)
 from parclust.fcm import (FcmParams, centroid_update, fcm_objective,
                           initial_membership, membership_update, pfcm)
 
@@ -39,21 +40,21 @@ def _run_node_fn(p, fn, *args):
 def test_membership_equidistant_point_splits_evenly():
     shard = _shard_of([[0.0]])
     centers = np.array([[-1.0], [1.0]])
-    u = membership_update(shard, centers, m=2.0)
+    u = membership_update(squared_distances(shard.points, centers), m=2.0)
     assert u[0].tolist() == [0.5, 0.5]
 
 
 def test_membership_at_centroid_is_crisp():
     shard = _shard_of([[2.0, 3.0]])
     centers = np.array([[2.0, 3.0], [9.0, 9.0], [0.0, 0.0]])
-    u = membership_update(shard, centers, m=2.0)
+    u = membership_update(squared_distances(shard.points, centers), m=2.0)
     assert u[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_membership_coincident_centroids_pick_lowest_index():
     shard = _shard_of([[1.0]])
     centers = np.array([[5.0], [1.0], [1.0]])
-    u = membership_update(shard, centers, m=2.0)
+    u = membership_update(squared_distances(shard.points, centers), m=2.0)
     assert u[0].tolist() == [0.0, 1.0, 0.0]
 
 
@@ -62,7 +63,7 @@ def test_membership_inverse_distance_scalar_case():
     # weights are (1/1, 1/4) and u = (0.8, 0.2)
     shard = _shard_of([[1.0]])
     centers = np.array([[0.0], [3.0]])
-    u = membership_update(shard, centers, m=2.0)
+    u = membership_update(squared_distances(shard.points, centers), m=2.0)
     assert u[0, 0] == pytest.approx((1 / 1) / (1 / 1 + 1 / 4))
     assert u[0].tolist() == pytest.approx([0.8, 0.2])
 
@@ -71,7 +72,7 @@ def test_membership_one_to_three_distance_ratio():
     # distances (1, 3) -> (1/1)/((1/1) + (1/9)) = 0.9
     shard = _shard_of([[1.0]])
     centers = np.array([[0.0], [4.0]])
-    u = membership_update(shard, centers, m=2.0)
+    u = membership_update(squared_distances(shard.points, centers), m=2.0)
     assert u[0].tolist() == pytest.approx([0.9, 0.1])
 
 
@@ -79,7 +80,7 @@ def test_membership_rows_sum_to_one():
     rng = np.random.default_rng(5)
     shard = _shard_of(rng.normal(size=(40, 3)))
     centers = rng.normal(size=(4, 3))
-    u = membership_update(shard, centers, m=1.7)
+    u = membership_update(squared_distances(shard.points, centers), m=1.7)
     assert np.allclose(u.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(u >= 0)
 
@@ -147,7 +148,7 @@ def test_crisp_objective_equals_sse():
     centers = np.array([[0.0, 0.0], [1.0, 1.0]])
 
     def fn(ctx):
-        return fcm_objective(ctx, _shard_of(X.points), u, centers, m=2.0)
+        return fcm_objective(ctx, u, squared_distances(X.points, centers), m=2.0)
 
     got = _run_node_fn(1, fn)[0]
     want = sse_objective(X, Partition(labels), CentroidSet(centers))
@@ -160,7 +161,7 @@ def test_objective_zero_when_each_point_sits_on_its_centroid():
     centers = np.array([[1.0], [2.0]])
 
     def fn(ctx):
-        return fcm_objective(ctx, _shard_of(pts), u, centers, m=2.0)
+        return fcm_objective(ctx, u, squared_distances(pts, centers), m=2.0)
 
     assert _run_node_fn(1, fn)[0] == 0.0
 
@@ -173,7 +174,7 @@ def test_objective_matches_double_loop_oracle():
     m = 2.0
 
     def fn(ctx):
-        return fcm_objective(ctx, _shard_of(pts), u, centers, m)
+        return fcm_objective(ctx, u, squared_distances(pts, centers), m)
 
     got = _run_node_fn(1, fn)[0]
     oracle = math.fsum(

@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parclust.comm import CommWorld, split_blocks
-from parclust.core import (NOISE, DataSet, Partition, adjusted_rand_index,
+from parclust.core import (NOISE, DataSet, KeySortedRows, adjusted_rand_index,
                            generate_blobs)
-from parclust import kwindows
 from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, Window,
-                               _KeyedShard, _round_hits, _search_node,
-                               _WindowDriver, k_windows,
-                               orthogonal_range_search, parallel_range_search)
+                               _round_hits, _search_node, _WindowDriver,
+                               k_windows, orthogonal_range_search,
+                               parallel_range_search)
 
 
 def _brute(points, lo, hi):
@@ -251,8 +250,10 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
     for p in sorted({1, 2, 3, n}):  # p == n: single-row shards
         if p > n:
             continue
-        parts = [_round_hits(_KeyedShard.build(shard), (lo, hi))
-                 for shard in split_blocks(X, p)]
+        parts = []
+        for shard in split_blocks(X, p):
+            keyed = KeySortedRows.build(shard.points)
+            parts.append(_round_hits(keyed, shard.ids[keyed.order], (lo, hi)))
         for k, box in enumerate(zip(*parts)):
             ids = np.concatenate(box)
             assert ids.dtype == np.int64
@@ -263,13 +264,13 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_each_rank_sorts_its_shard_once_per_call(p, monkeypatch):
     sorted_rows = []
-    real = kwindows.sort_by_widest_column
+    real = KeySortedRows.build
 
     def counting(points):
         sorted_rows.append(len(points))
         return real(points)
 
-    monkeypatch.setattr(kwindows, "sort_by_widest_column", counting)
+    monkeypatch.setattr(KeySortedRows, "build", staticmethod(counting))
     X, _ = generate_blobs(seed=1, k=4, per_cluster=60, d=4)
     world = CommWorld(p)
     try:

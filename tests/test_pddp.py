@@ -1,26 +1,25 @@
 """Divisive principal-direction splitting and the hybrid seeding flow."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parclust.comm import CommWorld
+from parclust.comm import CommWorld, SerialCtx, split_blocks
 from parclust.core import DataSet, adjusted_rand_index, generate_blobs
-from parclust.pddp import pddp, pddp_km, pddp_report
+from parclust.exactsum import fixed_to_float, sum_fixed
+from parclust.pca import exact_mean
+from parclust.pddp import _split_direction, pddp_km, pddp_report
 
 
-def _run_pddp(p, X, height, **kw):
+def _run(p, fn, X, height, **kw):
     world = CommWorld(p)
     try:
-        return pddp(world, X, height, **kw)
+        return fn(world, X, height, **kw)
     finally:
         world.shutdown()
-
-
-def _walk(node, visit):
-    visit(node)
-    if node.left is not None:
-        _walk(node.left, visit)
-        _walk(node.right, visit)
 
 
 # -- single splits -----------------------------------------------------------
@@ -28,71 +27,81 @@ def _walk(node, visit):
 
 def test_line_splits_on_projection_sign():
     X = DataSet.from_points([[-2.0], [-1.0], [1.0], [2.0]])
-    tree, part = _run_pddp(1, X, height=1)
-    assert tree.root.left.ids.tolist() == [2, 3]  # non-negative side
-    assert tree.root.right.ids.tolist() == [0, 1]
-    assert part.labels.tolist() == [1, 1, 0, 0]
+    rep = _run(1, pddp_report, X, 1)
+    assert rep.labels.tolist() == [1, 1, 0, 0]  # the non-negative side is first
+    assert rep.centroids.tolist() == [[1.5], [-1.5]]
 
 
 def test_symmetric_cloud_splits_evenly():
     rng = np.random.default_rng(2)
     half = rng.normal(size=(30, 2)) * 0.1 + np.array([5.0, 0.0])
     X = DataSet.from_points(np.vstack([half, -half]))
-    tree, _ = _run_pddp(1, X, height=1)
-    assert tree.root.left.size == tree.root.right.size == 30
+    rep = _run(1, pddp_report, X, 1)
+    assert np.bincount(rep.labels).tolist() == [30, 30]
 
 
 def test_singleton_input_passes_through():
     X = DataSet.from_points([[1.0, 2.0]])
-    tree, part = _run_pddp(1, X, height=3)
-    assert tree.root.is_leaf
-    assert part.labels.tolist() == [0]
+    rep = _run(1, pddp_report, X, 3)
+    assert rep.labels.tolist() == [0]
+    assert rep.centroids.tolist() == [[1.0, 2.0]]
+    assert rep.j == 0.0
 
 
 def test_identical_points_never_split():
     X = DataSet.from_points(np.ones((8, 2)))
-    tree, part = _run_pddp(2, X, height=2)
-    assert tree.root.is_leaf
-    assert np.all(part.labels == 0)
-    assert np.allclose(tree.root.mean, [1.0, 1.0])
+    rep = _run(2, pddp_report, X, 2)
+    assert np.all(rep.labels == 0)
+    assert rep.centroids.tolist() == [[1.0, 1.0]]
 
 
-# -- tree structure ----------------------------------------------------------
+# -- leaves ------------------------------------------------------------------
 
 
 def test_children_partition_their_parent():
+    # each leaf one level deeper lies inside one leaf, and the children of
+    # a leaf come before those of the next: leaves are labeled left to right
     X, _ = generate_blobs(seed=11, k=3, per_cluster=40, d=3, spread=1.0)
-    tree, part = _run_pddp(2, X, height=3)
+    parents = _run(2, pddp_report, X, 2).labels
+    children = _run(2, pddp_report, X, 3).labels
+    k = int(children.max()) + 1
+    assert np.array_equal(np.unique(children), np.arange(k))
+    assert k <= 2 ** 3
+    parent_of = {}
+    for child, parent in zip(children.tolist(), parents.tolist()):
+        assert parent_of.setdefault(child, parent) == parent
+    order = [parent_of[c] for c in range(k)]
+    assert order == sorted(order)
+    assert all(1 <= order.count(par) <= 2 for par in set(order))
 
-    def check(node):
-        if node.left is not None:
-            merged = np.sort(np.concatenate([node.left.ids, node.right.ids]))
-            assert np.array_equal(merged, node.ids)
-            assert node.left.size + node.right.size == node.size
 
-    _walk(tree.root, check)
-    leaves = tree.leaves()
-    assert len(leaves) <= 2 ** tree.height
-    all_ids = np.sort(np.concatenate([leaf.ids for leaf in leaves]))
-    assert np.array_equal(all_ids, np.arange(X.n))
-    # left-to-right leaf order is the label order
-    for idx, leaf in enumerate(leaves):
-        assert np.all(part.labels[leaf.ids] == idx)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("height", [1, 2, 5])
+def test_each_centroid_is_the_exact_mean_of_its_leaf(p, height):
+    # height 5 leaves singletons and leaves that reach the last level unsplit
+    X, _ = generate_blobs(seed=11, k=3, per_cluster=8, d=3, spread=1.0)
+    rep = _run(p, pddp_report, X, height)
+    assert rep.centroids.shape == (int(rep.labels.max()) + 1, 3)
+    for leaf, centroid in enumerate(rep.centroids):
+        want = exact_mean(SerialCtx(), X.points[rep.labels == leaf])[1]
+        assert np.array_equal(centroid, want)
 
 
 def test_height_one_is_a_single_split():
     X, _ = generate_blobs(seed=12, k=2, per_cluster=30, d=2)
-    tree, part = _run_pddp(1, X, height=1)
-    assert len(tree.leaves()) == 2
-    assert part.k == 2
+    rep = _run(1, pddp_report, X, 1)
+    assert rep.centroids.shape[0] == 2
+    assert rep.partition.k == 2
 
 
 def test_height_validation():
     X = DataSet.from_points([[0.0], [1.0]])
-    world = CommWorld(1)
+    world = CommWorld(2)
     try:
-        with pytest.raises(ValueError, match="height"):
-            pddp(world, X, height=0)
+        for fn in (pddp_report, pddp_km):
+            with pytest.raises(ValueError, match="height"):
+                fn(world, X, 0)
+            assert fn(world, X, 1).labels.tolist() == [1, 0]  # still runs
     finally:
         world.shutdown()
 
@@ -145,23 +154,33 @@ def test_tiny_eigengap_splits_along_the_leading_eigenvector(p):
     pts = pts @ np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
     centered = pts - pts.mean(axis=0)
     leading = np.linalg.eigh(centered.T @ centered / len(pts))[1][:, -1]
-    tree, _ = _run_pddp(p, DataSet.from_points(pts), height=1)
-    u = tree.root.direction
+    world = CommWorld(p)
+    try:
+        u = world.spmd(lambda ctx, shards: _split_direction(
+            ctx, shards[ctx.rank].points)[1],
+            split_blocks(DataSet.from_points(pts), p))[0]
+    finally:
+        world.shutdown()
     # the sine of the angle between the two lines, resolved below 1.49e-8
     assert np.arcsin(np.linalg.norm(u - (u @ leading) * leading)) <= 1e-8
 
 
 def test_trees_agree_across_node_counts():
     X, _ = generate_blobs(seed=11, k=3, per_cluster=40, d=3, spread=1.0)
-    tree1, part1 = _run_pddp(1, X, height=2)
-    tree4, part4 = _run_pddp(4, X, height=2)
-    assert np.array_equal(part1.labels, part4.labels)
-    for a, b in zip(tree1.leaves(), tree4.leaves()):
-        assert np.array_equal(a.ids, b.ids)
-        assert np.array_equal(a.mean, b.mean)
+    for fn in (pddp_report, pddp_km):
+        one, four = _run(1, fn, X, 2), _run(4, fn, X, 2)
+        assert np.array_equal(one.labels, four.labels)
+        assert np.array_equal(one.centroids, four.centroids)
+        assert (one.j, one.seed_j) == (four.j, four.seed_j)
 
 
 # -- hybrid seeding -----------------------------------------------------------
+
+
+def _seed_objective_oracle(points, means):
+    """Each row's squared distance to its nearest leaf mean, summed exactly."""
+    d2 = [min(float(np.sum((x - c) * (x - c))) for c in means) for x in points]
+    return fixed_to_float(sum_fixed(np.array(d2)))
 
 
 def test_clean_blobs_need_no_refinement():
@@ -185,8 +204,79 @@ def test_refinement_never_worsens_the_seed(seed):
     world = CommWorld(2)
     try:
         rep = pddp_km(world, X, height=2)
+        means = pddp_report(world, X, height=2).centroids
     finally:
         world.shutdown()
-    assert rep.j <= rep.seed_j
+    assert rep.j < rep.seed_j  # these draws do gain from refinement
+    assert rep.seed_j == _seed_objective_oracle(X.points, means)
     assert rep.algo == "pddp-km"
-    assert rep.seed_j is not None
+
+
+@pytest.mark.parametrize("bad", [{"max_iter": 0}, {"tol": math.nan},
+                                 {"tol": -1.0}])
+def test_a_bad_max_iter_or_tol_is_refused_before_the_world_runs(
+        bad, count_collectives):
+    X, _ = generate_blobs(seed=41, k=4, per_cluster=10, d=2)
+    world = CommWorld(2)
+    try:
+        with pytest.raises(ValueError, match="max_iter|tol"):
+            pddp_km(world, X, 2, **bad)
+        assert not count_collectives  # no split ran
+        assert pddp_km(world, X, 2).params["k"] == 4  # the world still runs
+    finally:
+        world.shutdown()
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_seed_objective_is_the_nearest_leaf_mean_objective(data):
+    # rows drawn from a small pool, so most draws hold duplicate rows
+    d = data.draw(st.integers(1, 3), label="d")
+    pool = data.draw(st.lists(
+        st.lists(st.integers(-4, 4).map(lambda v: v * 0.5), min_size=d,
+                 max_size=d), min_size=1, max_size=6), label="pool")
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=3,
+                               max_size=24), label="rows")
+    height = data.draw(st.integers(1, 3), label="height")
+    X = DataSet.from_points(np.array([pool[i] for i in picks]))
+    for p in (1, 2, 3):
+        means = _run(p, pddp_report, X, height).centroids
+        try:
+            rep = _run(p, pddp_km, X, height, max_iter=2)
+        except ValueError as exc:  # too few distinct rows for the leaf count
+            assert "cannot repair an empty cluster" in str(exc)
+            continue
+        assert rep.params["k"] == len(means)
+        assert rep.seed_j == _seed_objective_oracle(X.points, means)
+
+
+def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
+                                                  monkeypatch):
+    runs = []
+    real = CommWorld.spmd
+
+    def counted(world, fn, *args, **kw):
+        runs.append(fn.__name__)
+        return real(world, fn, *args, **kw)
+
+    monkeypatch.setattr(CommWorld, "spmd", counted)
+    X, _ = generate_blobs(seed=41, k=4, per_cluster=50, d=2,
+                          spread=0.5, separation=15.0)
+    world = CommWorld(2)
+    try:
+        rep = pddp_km(world, X, height=2)
+        km = dict(count_collectives)
+        count_collectives.clear()
+        tree = pddp_report(world, X, height=2)
+    finally:
+        world.shutdown()
+    splits = rep.params["k"] - 1  # every split adds one leaf
+    assert splits == 3
+    # per split: the exact mean, the cross-products and the side counts;
+    # then one allreduce of the leaf sums
+    assert km == {"broadcast": 1, "gather": 1,
+                  "allreduce_sum": 3 * splits + 1 + rep.iterations}
+    assert dict(count_collectives) == {"gather": 1,
+                                       "allreduce_sum": 3 * splits + 1}
+    assert tree.centroids.shape[0] == rep.params["k"]
+    assert runs == ["_pddp_node", "_pddp_node"]
