@@ -205,37 +205,32 @@ def _maximin_init(points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray
     """Deterministic spread-out seeding: heaviest point first, then the
     point farthest from every chosen center. Ties go to the lowest index."""
     chosen = [int(np.argmax(weights))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = squared_distances(points, points[chosen])[:, 0]
     while len(chosen) < k:
         nxt = int(np.argmax(d2))
         chosen.append(nxt)
-        diff = points - points[nxt]
-        d2 = np.minimum(d2, np.sum(diff * diff, axis=1))
+        d2 = np.minimum(d2,
+                        squared_distances(points, points[nxt:nxt + 1])[:, 0])
     return points[chosen].copy()
 
 
-def _weighted_kmeans(points: np.ndarray, weights: np.ndarray, k: int,
-                     max_iter: int = 100) -> np.ndarray:
-    """Lloyd iteration over weighted points; returns per-point labels."""
-    n = points.shape[0]
-    centers = _maximin_init(points, weights, k)
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = squared_distances(points, centers)
-        new_labels = np.argmin(d2, axis=1)
-        for i in range(k):
-            mask = new_labels == i
-            wsum = weights[mask].sum()
-            if wsum > 0:
-                centers[i] = (points[mask] * weights[mask, None]).sum(axis=0) / wsum
-            else:  # relocate to the farthest point to keep k clusters
-                far = int(np.argmax(d2[np.arange(n), new_labels]))
-                centers[i] = points[far]
-                new_labels[far] = i
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return labels
+def _merge_sketches(points: np.ndarray, counts: np.ndarray,
+                    k: int) -> np.ndarray:
+    """Each sketch's group in size-weighted k-means over the sketches.
+
+    Counts are integers, so this is the package's one Lloyd body over the
+    sketches repeated `count` times, seeded by `_maximin_init`; a sketch's
+    group is that of its first copy. Refusing k above the distinct
+    sketches keeps every group non-empty.
+    """
+    distinct = np.unique(points, axis=0).shape[0]
+    if k > distinct:
+        raise ValueError("k=%d exceeds the %d distinct cluster sketches"
+                         % (k, distinct))
+    X = DataSet.from_points(np.repeat(points, counts, axis=0))
+    _, part, _, _ = kmeans_centralized(
+        X, KMeansParams(k=k), init_centers=_maximin_init(points, counts, k))
+    return part.labels[np.cumsum(counts) - counts]
 
 
 def _representatives(proj: np.ndarray, labels: np.ndarray, reps_per_cluster: int,
@@ -294,37 +289,28 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
     proj_global = (shard.points - global_basis.mean) @ global_basis.components.T
     refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
-    sketches = []
-    for c in np.unique(refined[refined != NOISE]):
-        members = proj_global[refined == c]
-        centroid = members.mean(axis=0)
-        diff = members - centroid
-        radius = float(np.sqrt(np.max(np.sum(diff * diff, axis=1))))
-        sketches.append((int(c), centroid, int(members.shape[0]), radius))
-
-    all_sketches = ctx.gather(sketches, root=0)
+    # one sketch per local cluster: its centroid and size in the global space
+    keep = refined != NOISE
+    which = np.unique(refined[keep], return_inverse=True)[1]
+    members, counts = proj_global[keep], np.bincount(which)
+    centroids = np.empty((len(counts), members.shape[1]))
+    for i in range(len(counts)):
+        centroids[i] = members[which == i].mean(axis=0)
+    all_sketches = ctx.gather((centroids, counts), root=0)
     if ctx.rank == 0:
-        flat = [(rank, c, centroid, count)
-                for rank, group in enumerate(all_sketches)
-                for c, centroid, count, _radius in group]
-        if k > len(flat):
-            raise ValueError("k=%d exceeds the %d gathered cluster sketches"
-                             % (k, len(flat)))
-        pts = np.vstack([f[2] for f in flat])
-        wts = np.asarray([f[3] for f in flat], dtype=np.float64)
-        assign = _weighted_kmeans(pts, wts, k)
-        mapping = {(f[0], f[1]): int(assign[i]) for i, f in enumerate(flat)}
+        first = np.cumsum([0] + [len(c) for _, c in all_sketches])
+        group = _merge_sketches(np.vstack([p for p, _ in all_sketches]),
+                                np.concatenate([c for _, c in all_sketches]), k)
+        groups = [group[first[r]:first[r + 1]] for r in range(ctx.size)]
     else:
-        mapping = None
-    mapping = ctx.broadcast(mapping, root=0)
+        groups = None
+    groups = ctx.broadcast(groups, root=0)
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
-    for i, c in enumerate(refined.tolist()):
-        if c != NOISE:
-            final[i] = mapping[(ctx.rank, c)]
+    final[keep] = groups[ctx.rank][which]
     pieces = ctx.gather(final, root=0)
     if ctx.rank == 0:
-        return np.concatenate(pieces), len(mapping), n_reps
+        return np.concatenate(pieces), int(first[-1]), n_reps
     return None
 
 

@@ -10,8 +10,10 @@ sums of the rows and of their centered cross-products), so every node
 holds the same bit-identical d x d matrix, solves it with the one direct
 eigensolver, and agrees on the leading direction; the split is
 independent of the node count. Clusters split on the sign of the
-mean-centered projection. The leaf means come from one allreduce of
-exact per-leaf sums, so each is the exact mean of its rows.
+mean-centered projection, each row's terms added in coordinate order, so
+that sign is independent of the node count too. The leaf means come from
+one allreduce of exact per-leaf sums, so each is the exact mean of its
+rows.
 """
 
 from __future__ import annotations
@@ -40,41 +42,55 @@ def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
     return mean, None if C is None else principal_axes(C)[1][0]
 
 
+def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Each row's projection onto the direction, its terms added in
+    coordinate order: a value depends on its own row alone, so its sign is
+    the same however the rows are sharded (a BLAS product need not be)."""
+    proj = centered[:, 0] * direction[0]
+    for j in range(1, len(direction)):
+        proj += centered[:, j] * direction[j]
+    return proj
+
+
 def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
     """One rank's divisive run, then the leaf means on every rank.
 
     Every cluster of two or more rows that has a direction and puts rows
     on both sides of it is split once per level until `height` levels are
-    done; the left child comes first. Without `km_params`, rank 0 returns
-    the leaf labels of all rows and the (k, d) leaf means. With them, the
-    leaf means seed the Lloyd body on the same shards, and rank 0 returns
-    its (labels, centers, objective trace).
+    done; the left child comes first. A cluster that cannot split is final:
+    the same rows give the same outcome, so it is not tried again. Without
+    `km_params`, rank 0 returns the leaf labels of all rows and the (k, d)
+    leaf means. With them, the leaf means seed the Lloyd body on the same
+    shards, and rank 0 returns its (labels, centers, objective trace).
     """
     pts = shards[ctx.rank].points
-    clusters = [(np.arange(len(pts)), X.n)]  # (local rows, global size)
+    # (local rows, global size, live); singletons are final from the start
+    clusters = [(np.arange(len(pts)), X.n, X.n >= 2)]
     for _level in range(height):
         kept = []
-        for rows, size in clusters:
-            if size >= 2:  # singletons pass through untouched
+        for rows, size, live in clusters:
+            if live:
                 sub = pts[rows]
                 mean, direction = _split_direction(ctx, sub)
                 if direction is not None:
-                    left = (sub - mean) @ direction >= 0.0  # boundary goes left
+                    # ties go left
+                    left = _project(sub - mean, direction) >= 0.0
                     sizes = ctx.allreduce_sum([int(left.sum()),
                                                int((~left).sum())])
-                    if all(sizes):  # else the cluster stays whole
-                        kept += [(rows[left], sizes[0]), (rows[~left], sizes[1])]
+                    if all(sizes):
+                        kept += [(rows[left], sizes[0], sizes[0] >= 2),
+                                 (rows[~left], sizes[1], sizes[1] >= 2)]
                         continue
-            kept.append((rows, size))
+            kept.append((rows, size, False))  # whole, and final
         clusters = kept
 
     k, d = len(clusters), X.d
     leaf = np.empty(len(pts), dtype=np.int64)
-    for i, (rows, _) in enumerate(clusters):
+    for i, (rows, _, _) in enumerate(clusters):
         leaf[rows] = i
     sums = ctx.allreduce_sum(grouped_sums_fixed(pts, leaf, k))
     means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
-                      for i, (_, size) in enumerate(clusters)], dtype=np.float64)
+                      for i, (_, size, _) in enumerate(clusters)])
     if km_params is not None:
         return _pkm_node(ctx, shards, X, dataclasses.replace(km_params, k=k),
                          means)

@@ -207,8 +207,9 @@ def test_overflowing_input_exits_two(algo, nodes, tmp_path, capsys):
     data = tmp_path / "huge.csv"
     data.write_text("1e200,1\n-1e200,2\n1,3\n2,-1e200\n5,5\n6,6\n")
     k = [] if algo == "pddp" else ["--k", "2"]  # pddp refuses --k
-    rc = main(["run", "--algo", algo, "--data", str(data), "--nodes", nodes]
-              + k)
+    with pytest.warns(RuntimeWarning):
+        rc = main(["run", "--algo", algo, "--data", str(data), "--nodes",
+                   nodes] + k)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
@@ -385,6 +386,43 @@ def test_cpca_cluster_local_kmeans_failure_names_shard_and_stage(
     assert captured.err == (
         "error: %s: local kmeans clustering (k=3) in the node's own PCA space "
         "failed: cannot repair an empty cluster: %s\n" % (shard, why))
+
+
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_cpca_cluster_with_k_above_the_distinct_sketches_exits_two(
+        k, tmp_path, capsys):
+    # two copies of two blobs over two nodes: four sketches, two distinct
+    blobs = tmp_path / "blobs.csv"
+    assert main(["gen", "--seed", "3", "--clusters", "2", "--per-cluster",
+                 "30", "--dim", "2", "--spread", "0.3", "--out",
+                 str(blobs)]) == 0
+    capsys.readouterr()
+    data = tmp_path / "doubled.csv"
+    data.write_text(blobs.read_text() * 2)
+    rc = main(["run", "--algo", "cpca-cluster", "--local-algo", "dbscan",
+               "--eps", "1.0", "--min-pts", "3", "--k", k, "--nodes", "2",
+               "--variance-fraction", "0.999", "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: k=%s exceeds the 2 distinct cluster "
+                            "sketches\n" % k)
+
+
+def test_pddp_split_of_exact_ties_is_the_same_at_any_node_count(
+        tmp_path, capsys):
+    # the minor rows project to exactly 0: a BLAS product put them on
+    # either side depending on which rows shared the call
+    data = tmp_path / "ties.csv"
+    data.write_text("".join("%s,%s\n%s,%s\n" % (a, b, -a, -b) for a, b in
+                            [(1, 1), (2, 2), (3, 3), (0.1, -0.1),
+                             (0.2, -0.2)]))
+    docs = [_run_json(capsys, ["run", "--algo", "pddp", "--height", "1",
+                               "--nodes", nodes, "--data", str(data)])
+            for nodes in ("1", "10")]
+    assert docs[0]["labels"] == [0, 1, 0, 1, 0, 1, 0, 0, 0, 0]  # ties go left
+    for key in ("labels", "centroids", "j"):
+        assert docs[1][key] == docs[0][key]
 
 
 # -- bench --------------------------------------------------------------------

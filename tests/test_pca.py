@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parclust.comm import CommWorld, SerialCtx, split_blocks
 from parclust.core import DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.pca import (DbscanLocal, KMeansLocal, PrincipalBasis,
-                          _maximin_init, _pca_of_points, _weighted_kmeans,
+                          _maximin_init, _merge_sketches, _pca_of_points,
                           cpca, cpca_cluster, exact_covariance, local_pca,
                           principal_axes)
 
@@ -230,10 +230,9 @@ def test_maximin_starts_heavy_then_spreads():
 
 def test_weighted_kmeans_groups_paired_points():
     pts = np.array([[0.0], [0.1], [5.0], [5.1]])
-    wts = np.array([1.0, 2.0, 3.0, 1.0])
-    labels = _weighted_kmeans(pts, wts, 2)
-    assert labels[0] == labels[1] and labels[2] == labels[3]
-    assert labels[0] != labels[2]
+    counts = np.array([1, 2, 3, 1])
+    labels = _merge_sketches(pts, counts, 2)
+    assert labels.tolist() == [1, 1, 0, 0]  # the heaviest sketch seeds group 0
 
 
 # -- distributed clustering through the shared basis ------------------------
@@ -286,6 +285,37 @@ def test_more_groups_than_sketches_rejected():
                          variance_fraction=0.999)
     finally:
         world.shutdown()
+
+
+def _cpca_over_doubled_blobs(k):
+    """cpca-cluster at P=2 over two identical copies of two blobs: each
+    node holds the same rows and sends the same two sketches."""
+    B, _ = generate_blobs(seed=3, k=2, per_cluster=30, d=2, spread=0.3,
+                          separation=10.0)
+    X = DataSet.from_points(np.vstack([B.points, B.points]))
+    world = CommWorld(2)
+    try:
+        return cpca_cluster(world, split_blocks(X, 2),
+                            DbscanLocal(eps=1.0, min_pts=3), k=k,
+                            variance_fraction=0.999)
+    finally:
+        world.shutdown()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_more_groups_than_distinct_sketches_rejected(k):
+    # four sketches, two distinct: k=3 would split one blob by node and
+    # k=4 would return three clusters
+    with pytest.raises(ValueError, match="k=%d exceeds the 2 distinct "
+                       "cluster sketches" % k):
+        _cpca_over_doubled_blobs(k)
+
+
+def test_coincident_sketches_merge_into_one_group():
+    rep = _cpca_over_doubled_blobs(2)
+    assert rep.model["sketches"] == 4
+    assert rep.labels[:60].tolist() == rep.labels[60:].tolist()
+    assert rep.partition.k == 2
 
 
 def test_parameter_validation():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parclust.comm import CommWorld, SerialCtx, split_blocks
@@ -174,6 +174,37 @@ def test_trees_agree_across_node_counts():
         assert (one.j, one.seed_j) == (four.j, four.seed_j)
 
 
+@st.composite
+def _symmetric_sets(draw):
+    """Rows +-i*a and +-j*s*b for an integer vector a, an integer vector b
+    orthogonal to it and a small scale s. The mean is exactly 0, a leads
+    the covariance, and the rows along b project to within rounding of 0."""
+    d = draw(st.integers(2, 5), label="d")
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    a, c = np.array(draw(vec, label="a")), np.array(draw(vec, label="c"))
+    b = (a @ a) * c - (a @ c) * a  # c without its part along a
+    assume(b.any())
+    scale = draw(st.sampled_from([0.1, 0.01, 0.3]), label="s")
+    major = draw(st.sets(st.integers(1, 3), min_size=1), label="i")
+    minor = draw(st.sets(st.integers(1, 3), min_size=1), label="j")
+    rows = [sign * i * a for i in sorted(major) for sign in (1, -1)]
+    rows += [sign * j * scale * b for j in sorted(minor) for sign in (1, -1)]
+    order = draw(st.permutations(range(len(rows))), label="order")
+    return np.array([rows[i] for i in order], dtype=np.float64)
+
+
+@given(_symmetric_sets(), st.integers(1, 3))
+@settings(deadline=None, max_examples=40)
+def test_splits_of_symmetric_sets_agree_across_node_counts(points, height):
+    X = DataSet.from_points(points)
+    for fn in (pddp_report, pddp_km):
+        reports = [_run(p, fn, X, height) for p in (1, 2, 3, X.n)]
+        for rep in reports[1:]:
+            assert np.array_equal(rep.labels, reports[0].labels)
+            assert np.array_equal(rep.centroids, reports[0].centroids)
+            assert (rep.j, rep.seed_j) == (reports[0].j, reports[0].seed_j)
+
+
 # -- hybrid seeding -----------------------------------------------------------
 
 
@@ -248,6 +279,14 @@ def test_seed_objective_is_the_nearest_leaf_mean_objective(data):
             continue
         assert rep.params["k"] == len(means)
         assert rep.seed_j == _seed_objective_oracle(X.points, means)
+
+
+def test_a_cluster_that_cannot_split_is_not_tried_again(count_collectives):
+    X = DataSet.from_points(np.ones((12, 2)))
+    rep = _run(2, pddp_report, X, 5)
+    assert rep.labels.tolist() == [0] * 12
+    # the exact mean and the cross-products once, then the leaf sums
+    assert dict(count_collectives) == {"gather": 1, "allreduce_sum": 3}
 
 
 def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
