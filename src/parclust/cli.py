@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from .comm import CommWorld, split_blocks
 from .core import (DataSet, adjusted_rand_index, generate_blobs, load_csv,
@@ -35,29 +36,51 @@ _CPCA_KM = "cpca-cluster --local-algo kmeans"
 _CPCA_DB = "cpca-cluster --local-algo dbscan"
 _CPCA = (_CPCA_KM, _CPCA_DB)
 _DENSITY = ("dbscan", "ddbc", _CPCA_DB)
-#: Each flag that only some algorithms read: its argument name, its default
-#: and those algorithms. Any other algorithm refuses the flag rather than
-#: ignore it. --seed is read where it matters and accepted everywhere.
+
+
+class _Flag(NamedTuple):
+    kind: type | tuple  # the argument's type, or the tuple of its choices
+    default: object
+    readers: tuple
+    help: str | None = None
+
+
+#: Each flag that only some algorithms read, with its default and those
+#: algorithms. Any other algorithm refuses the flag rather than ignore it.
+#: Its argument name is the flag's, as argparse derives it. --seed is read
+#: where it matters and accepted everywhere.
 _FLAGS = {
-    "--k": ("k", 3, _KM + _FCM + _CPCA),
-    "--m": ("m", 2.0, _FCM),
-    "--tol": ("tol", 1e-9, _KM + _FCM + ("pddp-km",)),
-    "--max-iter": ("max_iter", 300, _KM + _FCM + (_CPCA_KM, "pddp-km")),
-    "--eps": ("eps", 0.5, _DENSITY),
-    "--min-pts": ("min_pts", 5, _DENSITY),
-    "--eps-global": ("eps_global", None, ("ddbc",)),  # None: 2 * eps
-    "--min-pts-global": ("min_pts_global", 1, ("ddbc",)),
-    "--local-model": ("local_model", "rep-kmeans", ("ddbc",)),
-    "--windows": ("windows", 3, ("kwindows",)),
-    "--half-width": ("half_width", 1.0, ("kwindows",)),
-    "--theta-move": ("theta_move", 0.01, ("kwindows",)),
-    "--theta-enlarge": ("theta_enlarge", 0.1, ("kwindows",)),
-    "--theta-merge": ("theta_merge", 0.2, ("kwindows",)),
-    "--height": ("height", 2, ("pddp", "pddp-km")),
-    "--variance-fraction": ("variance_fraction", 0.9, _CPCA),
-    "--reps-per-cluster": ("reps_per_cluster", 3, _CPCA),
-    "--local-algo": ("local_algo", "kmeans", _CPCA),
+    "--k": _Flag(int, 3, _KM + _FCM + _CPCA),
+    "--m": _Flag(float, 2.0, _FCM, "fuzzifier"),
+    "--tol": _Flag(float, 1e-9, _KM + _FCM + ("pddp-km",)),
+    "--max-iter": _Flag(int, 300, _KM + _FCM + (_CPCA_KM, "pddp-km")),
+    "--eps": _Flag(float, 0.5, _DENSITY),
+    "--min-pts": _Flag(int, 5, _DENSITY),
+    "--eps-global": _Flag(float, None, ("ddbc",),
+                          "representative eps (default: 2*eps)"),
+    "--min-pts-global": _Flag(int, 1, ("ddbc",),
+                              "representative min_pts (default: 1)"),
+    "--local-model": _Flag(("rep-kmeans", "rep-scor"), "rep-kmeans",
+                           ("ddbc",),
+                           "density model: refine with k-means (default) "
+                           "or keep core points"),
+    "--windows": _Flag(int, 3, ("kwindows",), "window count l"),
+    "--half-width": _Flag(float, 1.0, ("kwindows",),
+                          "initial window half-width a"),
+    "--theta-move": _Flag(float, 0.01, ("kwindows",)),
+    "--theta-enlarge": _Flag(float, 0.1, ("kwindows",)),
+    "--theta-merge": _Flag(float, 0.2, ("kwindows",)),
+    "--height": _Flag(int, 2, ("pddp", "pddp-km"), "split tree height"),
+    "--variance-fraction": _Flag(float, 0.9, _CPCA),
+    "--reps-per-cluster": _Flag(int, 3, _CPCA),
+    "--local-algo": _Flag(("kmeans", "dbscan"), "kmeans", _CPCA,
+                          "local clusterer for cpca-cluster"),
 }
+
+
+def _dest(flag: str) -> str:
+    """The argument name argparse gives `flag`."""
+    return flag[2:].replace("-", "_")
 
 
 def _reader(args) -> str:
@@ -65,7 +88,7 @@ def _reader(args) -> str:
     if args.algo != "cpca-cluster":
         return args.algo
     return "cpca-cluster --local-algo %s" % (args.local_algo
-                                             or _FLAGS["--local-algo"][1])
+                                             or _FLAGS["--local-algo"].default)
 
 
 class _UsageError(Exception):
@@ -115,43 +138,25 @@ def _add_run_flags(p) -> None:
     p.add_argument("--seed", type=int, default=0)
     # the rest default to None, "not given", so that an algorithm that does
     # not read one can refuse it; _FLAGS holds the defaults
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=float, help="fuzzifier")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", type=int)
-    p.add_argument("--eps-global", type=float,
-                   help="representative eps (default: 2*eps)")
-    p.add_argument("--min-pts-global", type=int,
-                   help="representative min_pts (default: 1)")
-    p.add_argument("--local-model", choices=("rep-kmeans", "rep-scor"),
-                   help="density model: refine with k-means (default) or "
-                        "keep core points")
-    p.add_argument("--windows", type=int, help="window count l")
-    p.add_argument("--half-width", type=float,
-                   help="initial window half-width a")
-    p.add_argument("--theta-move", type=float)
-    p.add_argument("--theta-enlarge", type=float)
-    p.add_argument("--theta-merge", type=float)
-    p.add_argument("--height", type=int, help="split tree height")
-    p.add_argument("--variance-fraction", type=float)
-    p.add_argument("--reps-per-cluster", type=int)
-    p.add_argument("--local-algo", choices=("kmeans", "dbscan"),
-                   help="local clusterer for cpca-cluster")
+    for flag, f in _FLAGS.items():
+        if isinstance(f.kind, tuple):
+            p.add_argument(flag, choices=f.kind, help=f.help)
+        else:
+            p.add_argument(flag, type=f.kind, help=f.help)
 
 
 def _with_defaults(args):
     """args with every flag its algorithm reads set; refuses any other flag."""
     filled = argparse.Namespace(**vars(args))
     reader = _reader(args)
-    for flag, (name, default, readers) in _FLAGS.items():
-        if reader not in readers:
+    for flag, f in _FLAGS.items():
+        name = _dest(flag)
+        if reader not in f.readers:
             if getattr(args, name) is not None:
                 raise _UsageError("%s does not read %s (read by: %s)"
-                                  % (reader, flag, ", ".join(readers)))
+                                  % (reader, flag, ", ".join(f.readers)))
         elif getattr(args, name) is None:
-            setattr(filled, name, default)
+            setattr(filled, name, f.default)
     return filled
 
 
@@ -271,9 +276,9 @@ def _cmd_bench(args) -> int:
         base_args = argparse.Namespace(**vars(args))
         base_args.algo = args.baseline
         reader = _reader(base_args)
-        for name, _default, readers in _FLAGS.values():
-            if reader not in readers:  # they configure the compared run
-                setattr(base_args, name, None)
+        for flag, f in _FLAGS.items():
+            if reader not in f.readers:  # they configure the compared run
+                setattr(base_args, _dest(flag), None)
         base = _run_algo(base_args, X, 1)
         baseline_part = base.partition
         out["baseline_j"] = base.j

@@ -9,6 +9,10 @@ the node count; a float payload, whose sum would, is refused. Collectives
 are the only way ranks exchange data: there is no point-to-point
 messaging.
 
+Each run measures itself: every rank times its own body and its own
+collectives, and `spmd` returns the run's `timings_ms` beside its
+results; `run` also times the split of the data into one block per rank.
+
 A one-node world starts no thread: its single rank runs on the calling
 thread against `SerialCtx`, whose collectives need no barrier. Centralized
 k-means runs the same way, so its result is the parallel body's at P=1.
@@ -16,7 +20,6 @@ k-means runs the same way, so its result is the parallel body's at P=1.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from dataclasses import dataclass
@@ -84,8 +87,6 @@ class CommWorld:
         self._closed = threading.Event()
         self._lock = threading.Lock()
         self._abort_reason: str | None = None
-        self._comm_seconds = [0.0] * n_nodes
-        self._wall_seconds = [0.0] * n_nodes
 
     # -- lifecycle -----------------------------------------------------
 
@@ -100,42 +101,23 @@ class CommWorld:
         self._barrier.abort()
         self.shutdown()
 
-    def comm_seconds_total(self) -> float:
-        return float(sum(self._comm_seconds))
-
-    def wall_seconds_total(self) -> float:
-        return float(sum(self._wall_seconds))
-
-    @contextlib.contextmanager
-    def timed(self):
-        """Yield a report's `timings_ms` dict and fill it for the runs inside.
-
-        On exit `comm` is the time ranks spent in communication and
-        `compute` the rest of their run time, both summed over ranks.
-        `split` starts at 0 for drivers that time their own data split.
-        """
-        comm_start = self.comm_seconds_total()
-        wall_start = self.wall_seconds_total()
-        timings = {"split": 0.0}
-        yield timings
-        comm_s = self.comm_seconds_total() - comm_start
-        wall_s = self.wall_seconds_total() - wall_start
-        timings["compute"] = (wall_s - comm_s) * 1e3
-        timings["comm"] = comm_s * 1e3
-
     # -- SPMD driver ---------------------------------------------------
 
-    def spmd(self, fn, *args, timeout: float = 120.0) -> list:
-        """Run fn(ctx, *args) once per rank and return the results in rank order.
+    def spmd(self, fn, *args, timeout: float = 120.0) -> tuple[list, dict]:
+        """Run fn(ctx, *args) once per rank; return (results, timings_ms).
+
+        The results are in rank order. `timings_ms` covers this run alone:
+        `comm` is the time ranks spent in collectives and `compute` the
+        rest of their run time, both summed over ranks, and `split` is 0.
 
         A one-node world calls fn(SerialCtx(), *args) on the calling
-        thread: nothing can wait on a peer, so there is no watchdog and
-        `timeout` is unused. Larger worlds run one thread per rank; after
-        the world is torn down, the lowest rank's own exception (not the
-        abort a peer's failure raised in it) is re-raised, so ranks that
-        fail at once report the same error on every run. A watchdog aborts
-        the run if ranks fail to finish within timeout. A failed run closes
-        the world, and a closed world refuses to run.
+        thread: nothing can wait on a peer, so `comm` is 0, there is no
+        watchdog and `timeout` is unused. Larger worlds run one thread per
+        rank; after the world is torn down, the lowest rank's own exception
+        (not the abort a peer's failure raised in it) is re-raised, so
+        ranks that fail at once report the same error on every run. A
+        watchdog aborts the run if ranks fail to finish within timeout. A
+        failed run closes the world, and a closed world refuses to run.
         """
         if self._closed.is_set():
             raise CommAbort("world is closed: %s"
@@ -143,25 +125,26 @@ class CommWorld:
         if self.size == 1:
             t0 = time.perf_counter()
             try:
-                return [fn(SerialCtx(), *args)]
+                result = fn(SerialCtx(), *args)
             except BaseException as exc:
                 self._abort("rank 0 failed: %r" % exc)
                 raise
-            finally:
-                self._wall_seconds[0] += time.perf_counter() - t0
+            return [result], _timings(time.perf_counter() - t0, 0.0)
         results = [None] * self.size
+        wall = [0.0] * self.size
+        ctxs = [NodeCtx(r, self) for r in range(self.size)]
         failures: dict[int, BaseException] = {}
 
         def runner(rank):
             t0 = time.perf_counter()
             try:
-                results[rank] = fn(NodeCtx(rank, self), *args)
+                results[rank] = fn(ctxs[rank], *args)
             except BaseException as exc:  # noqa: BLE001 - re-raised by driver
                 with self._lock:
                     failures[rank] = exc
                 self._abort("rank %d failed: %r" % (rank, exc))
             finally:
-                self._wall_seconds[rank] += time.perf_counter() - t0
+                wall[rank] = time.perf_counter() - t0
 
         threads = [threading.Thread(target=runner, args=(r,), daemon=True,
                                     name="node-%d" % r)
@@ -180,7 +163,17 @@ class CommWorld:
             ranked = [failures[r] for r in sorted(failures)]
             raise next((e for e in ranked if not isinstance(e, CommAbort)),
                        ranked[0])
-        return results
+        return results, _timings(sum(wall), sum(c.comm_seconds for c in ctxs))
+
+    def run(self, fn, X: DataSet, *args):
+        """Rank 0's result of fn(ctx, shards, X, *args) over X split into one
+        block per rank, and the run's `timings_ms` with that split timed."""
+        t0 = time.perf_counter()
+        shards = split_blocks(X, self.size)
+        split_ms = (time.perf_counter() - t0) * 1e3
+        results, timings = self.spmd(fn, shards, X, *args)
+        timings["split"] = split_ms
+        return results[0], timings
 
     # -- collective plumbing --------------------------------------------
 
@@ -191,15 +184,11 @@ class CommWorld:
             raise CommAbort(self._abort_reason or "world aborted") from None
 
     def _collective(self, rank, kind, root, payload):
-        t0 = time.perf_counter()
-        try:
-            self._slots[rank] = (kind, root, payload)
-            self._wait()
-            # the next action overwrites _result only after every rank,
-            # this one included, has posted its next slot
-            result = self._result[0]
-        finally:
-            self._comm_seconds[rank] += time.perf_counter() - t0
+        self._slots[rank] = (kind, root, payload)
+        self._wait()
+        # the next action overwrites _result only after every rank, this
+        # one included, has posted its next slot
+        result = self._result[0]
         if isinstance(result, _Abort):
             raise CommAbort(result.reason)
         return result
@@ -239,6 +228,12 @@ class CommWorld:
         return [sum(col) for col in zip(*payloads)]
 
 
+def _timings(wall_s: float, comm_s: float) -> dict:
+    """A run's `timings_ms` from its rank-summed wall and collective seconds."""
+    return {"split": 0.0, "compute": (wall_s - comm_s) * 1e3,
+            "comm": comm_s * 1e3}
+
+
 class NodeCtx:
     """Per-rank handle used by algorithm code to reach the runtime."""
 
@@ -246,6 +241,14 @@ class NodeCtx:
         self.rank = rank
         self.world = world
         self.size = world.size
+        self.comm_seconds = 0.0  # spent in this rank's collectives
+
+    def _post(self, kind: str, root: int, payload):
+        t0 = time.perf_counter()
+        try:
+            return self.world._collective(self.rank, kind, root, payload)
+        finally:
+            self.comm_seconds += time.perf_counter() - t0
 
     # collectives: every rank of the world must call the same operation.
 
@@ -253,17 +256,17 @@ class NodeCtx:
         """Value posted by `root`, returned on every rank."""
         if not 0 <= root < self.world.size:
             raise ValueError("broadcast root %d out of range" % root)
-        return self.world._collective(self.rank, "broadcast", root, payload)
+        return self._post("broadcast", root, payload)
 
     def allreduce_sum(self, vector):
         """Elementwise exact sum over ranks of a list of Python ints."""
-        return self.world._collective(self.rank, "allreduce_sum", 0, vector)
+        return self._post("allreduce_sum", 0, vector)
 
     def gather(self, payload, root: int = 0) -> list:
         """All payloads in rank order at `root`; an empty list elsewhere."""
         if not 0 <= root < self.world.size:
             raise ValueError("gather root %d out of range" % root)
-        out = self.world._collective(self.rank, "gather", root, payload)
+        out = self._post("gather", root, payload)
         return out if self.rank == root else []
 
 

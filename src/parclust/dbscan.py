@@ -303,9 +303,8 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
                          "can hold no core point; use fewer nodes"
                          % (sizes[0], min_pts))
-    with world.timed() as timings:
-        out = world.spmd(_ddbc_node, shards, params)
-    labels, n_reps = out[0]
+    results, timings = world.spmd(_ddbc_node, shards, params)
+    labels, n_reps = results[0]
     if n_reps == 0 and world.size > 1:
         raise ValueError("no shard of %d to %d rows holds a core point under "
                          "eps=%g and min_pts=%d, and an all-noise answer over "
@@ -313,7 +312,6 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
                          "show the clusters; use fewer nodes"
                          % (sizes[0], sizes[-1], params.local.eps, min_pts,
                             world.size))
-    k = int(np.unique(labels[labels != NOISE]).size)
     return ClusterReport(
         algo="ddbc",
         p=world.size,
@@ -324,6 +322,6 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
         n=sum(len(s) for s in shards),
         d=shards[0].points.shape[1],
         labels=labels,
-        model={"k": k, "representatives": int(n_reps)},
+        model={"k": Partition(labels).k, "representatives": int(n_reps)},
         timings_ms=timings,
     )

@@ -8,13 +8,13 @@ the rows were split over. A single-node world is the centralized run.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard, split_blocks
+from .comm import CommWorld, NodeCtx, Shard
 from .core import DataSet, squared_distances
 from .exactsum import fixed_ratios, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
@@ -122,17 +122,11 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
     """Parallel fuzzy c-means; defuzzified labels are argmax memberships."""
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    with world.timed() as timings:
-        t0 = time.perf_counter()
-        shards = split_blocks(X, world.size)
-        timings["split"] = (time.perf_counter() - t0) * 1e3
-        out = world.spmd(_pfcm_node, shards, X, params)
-    labels, centers, trace = out[0]
+    (labels, centers, trace), timings = world.run(_pfcm_node, X, params)
     return ClusterReport(
         algo="pfcm",
         p=world.size,
-        params={"k": params.k, "m": params.m, "max_iter": params.max_iter,
-                "tol": params.tol, "seed": params.seed},
+        params=dataclasses.asdict(params),
         n=X.n,
         d=X.d,
         labels=labels,

@@ -17,13 +17,13 @@ are recomputed, and a mean of unchanged sums is the same float.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, SerialCtx, Shard, split_blocks
+from .comm import CommWorld, NodeCtx, SerialCtx, Shard
 from .core import CentroidSet, DataSet, Partition, squared_distances
 from .exactsum import (fixed_to_float, fixed_to_floats, grouped_sums_fixed,
                        sum_fixed)
@@ -190,17 +190,12 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
     """
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    with world.timed() as timings:
-        t0 = time.perf_counter()
-        shards = split_blocks(X, world.size)
-        timings["split"] = (time.perf_counter() - t0) * 1e3
-        out = world.spmd(_pkm_node, shards, X, params, init_centers)
-    labels, centers, trace = out[0]
+    (labels, centers, trace), timings = world.run(_pkm_node, X, params,
+                                                  init_centers)
     return ClusterReport(
         algo="pkm",
         p=world.size,
-        params={"k": params.k, "max_iter": params.max_iter,
-                "tol": params.tol, "seed": params.seed},
+        params=dataclasses.asdict(params),
         n=X.n,
         d=X.d,
         labels=labels,

@@ -20,14 +20,14 @@ id, so lookups stay balanced on duplicate data.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard, split_blocks
-from .core import NOISE, DataSet, KeySortedRows, components
+from .comm import CommWorld, NodeCtx, Shard
+from .core import NOISE, DataSet, KeySortedRows, Partition, components
 from .report import ClusterReport
 
 
@@ -163,7 +163,7 @@ def _round_hits(keyed: KeySortedRows, ids: np.ndarray,
             for low, high, a, b in zip(lo, hi, start, stop)]
 
 
-def _search_node(ctx: NodeCtx, shards: list[Shard], job):
+def _search_node(ctx: NodeCtx, shards: list[Shard], _X: DataSet, job):
     """Answer the rounds of box queries of the generator `job`, run at rank 0.
 
     Each value `job` yields is one round, a pair of (b, d) lo and hi
@@ -172,7 +172,8 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], job):
     per box, in no particular order and without repeats (the shards are
     disjoint). When `job` returns, rank 0 broadcasts None and returns its
     value; the other ranks answer rounds until then and return None. Each
-    rank sorts its shard once, before the first round.
+    rank sorts its shard once, before the first round. `_X`, the rows the
+    shards were cut from, is unused: `CommWorld.run` passes it to every body.
     """
     shard = shards[ctx.rank]
     keyed = KeySortedRows.build(shard.points)
@@ -204,8 +205,8 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
     if query.lo.size != tree.d:
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
-    shards = split_blocks(DataSet(tree.points, tree.ids), world.size)
-    hits = world.spmd(_search_node, shards, _one_box(query.lo, query.hi))[0]
+    hits, _ = world.run(_search_node, DataSet(tree.points, tree.ids),
+                        _one_box(query.lo, query.hi))
     return set(hits.tolist())
 
 
@@ -358,24 +359,17 @@ class _WindowDriver:
 
 def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterReport:
     """Window clustering with every box query answered over key-sorted shards."""
-    with world.timed() as timings:
-        t0 = time.perf_counter()
-        shards = split_blocks(X, world.size)
-        timings["split"] = (time.perf_counter() - t0) * 1e3
-        labels, model = world.spmd(_search_node, shards,
-                                   _WindowDriver(X, params).run())[0]
-    k = int(np.unique(labels[labels != NOISE]).size)
+    (labels, model), timings = world.run(_search_node, X,
+                                         _WindowDriver(X, params).run())
     return ClusterReport(
         algo="kwindows",
         p=world.size,
-        params={"l": params.l, "a": params.a, "theta_move": params.theta_move,
-                "theta_enlarge": params.theta_enlarge,
-                "theta_merge": params.theta_merge, "seed": params.seed},
+        params=dataclasses.asdict(params),
         n=X.n,
         d=X.d,
         labels=labels,
         j=None,
         iterations=None,
-        model={"k": k, **model},
+        model={"k": Partition(labels).k, **model},
         timings_ms=timings,
     )

@@ -154,7 +154,8 @@ def cpca(world: CommWorld, shards, variance_fraction: float) -> PrincipalBasis:
     """Global basis of the rows of every shard, the same bits at any node
     count: two exact allreduces, then every node solves the same matrix."""
     _check_fraction(variance_fraction)
-    return world.spmd(_cpca_node, shards, variance_fraction)[0]
+    results, _ = world.spmd(_cpca_node, shards, variance_fraction)
+    return results[0]
 
 
 # -- clustering on top of the collective basis ---------------------------
@@ -326,10 +327,9 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
     _check_fraction(variance_fraction)
-    with world.timed() as timings:
-        out = world.spmd(_cpca_cluster_node, shards, clusterer, k,
-                         reps_per_cluster, variance_fraction, seed)
-    labels, n_sketches, n_reps = out[0]
+    results, timings = world.spmd(_cpca_cluster_node, shards, clusterer, k,
+                                  reps_per_cluster, variance_fraction, seed)
+    labels, n_sketches, n_reps = results[0]
     n = sum(len(s) for s in shards)
     return ClusterReport(
         algo="cpca-cluster",

@@ -19,11 +19,10 @@ rows.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, split_blocks
+from .comm import CommWorld, NodeCtx
 from .core import CentroidSet, DataSet, Partition, sse_objective
 from .exactsum import fixed_to_floats, grouped_sums_fixed
 from .kmeans import KMeansParams, _pkm_node
@@ -104,12 +103,7 @@ def _run(world: CommWorld, X: DataSet, height: int, km_params=None):
     """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    with world.timed() as timings:
-        t0 = time.perf_counter()
-        shards = split_blocks(X, world.size)
-        timings["split"] = (time.perf_counter() - t0) * 1e3
-        out = world.spmd(_pddp_node, shards, X, height, km_params)[0]
-    return out, timings
+    return world.run(_pddp_node, X, height, km_params)
 
 
 def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:

@@ -26,7 +26,6 @@ class ClusterReport:
     timings_ms: dict = field(default_factory=lambda: {"split": 0.0,
                                                       "compute": 0.0,
                                                       "comm": 0.0})
-    ari_vs_baseline: float | None = None
     model: dict | None = None
 
     @property
@@ -51,8 +50,6 @@ class ClusterReport:
         if self.seed_j is not None:
             out["seed_j"] = float(self.seed_j)
         out["timings_ms"] = {k: float(v) for k, v in self.timings_ms.items()}
-        if self.ari_vs_baseline is not None:
-            out["ari_vs_baseline"] = float(self.ari_vs_baseline)
         if self.model is not None:
             out["model"] = self.model
         return out

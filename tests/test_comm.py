@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parclust.comm import CommAbort, CommWorld, SerialCtx, Shard, split_blocks
-from parclust.core import DataSet
+from parclust.core import DataSet, generate_blobs
+from parclust.dbscan import DbscanParams, DdbcParams, ddbc
+from parclust.fcm import FcmParams, pfcm
+from parclust.kmeans import KMeansParams, pkm
+from parclust.kwindows import KWindowsParams, k_windows
+from parclust.pca import KMeansLocal, cpca_cluster
+from parclust.pddp import pddp_km, pddp_report
 
 
 def _world_run(p, fn, *args, timeout=30.0):
     world = CommWorld(p)
     try:
-        return world.spmd(fn, *args, timeout=timeout)
+        return world.spmd(fn, *args, timeout=timeout)[0]
     finally:
         world.shutdown()
 
@@ -277,16 +283,43 @@ def test_closed_world_refuses_to_run(p):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_timed_splits_run_time_into_compute_and_comm(p):
+def test_spmd_splits_run_time_into_compute_and_comm(p):
     world = CommWorld(p)
     try:
-        with world.timed() as timings:
-            world.spmd(lambda ctx: ctx.allreduce_sum([1]))
+        results, timings = world.spmd(lambda ctx: ctx.allreduce_sum([1]))
     finally:
         world.shutdown()
+    assert results == [[p]] * p
     assert list(timings) == ["split", "compute", "comm"]
     assert timings["split"] == 0.0 and timings["compute"] >= 0.0
     assert (timings["comm"] == 0.0) == (p == 1)
+
+
+#: Every parallel driver, run on a world over the rows of X.
+_DRIVERS = {
+    "pkm": lambda w, X: pkm(w, X, KMeansParams(k=2)),
+    "pfcm": lambda w, X: pfcm(w, X, FcmParams(k=2)),
+    "pddp": lambda w, X: pddp_report(w, X, 2),
+    "pddp-km": lambda w, X: pddp_km(w, X, 2),
+    "k-windows": lambda w, X: k_windows(w, X, KWindowsParams(l=3, a=1.0)),
+    "ddbc": lambda w, X: ddbc(w, split_blocks(X, w.size), DdbcParams(
+        local=DbscanParams(eps=1.0, min_pts=3))),
+    "cpca-cluster": lambda w, X: cpca_cluster(
+        w, split_blocks(X, w.size), KMeansLocal(), k=2),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_DRIVERS))
+def test_every_parallel_driver_reports_its_run_timings(algo):
+    X, _ = generate_blobs(seed=1, k=2, per_cluster=30, d=2)
+    world = CommWorld(2)
+    try:
+        timings = _DRIVERS[algo](world, X).timings_ms
+    finally:
+        world.shutdown()
+    assert set(timings) == {"split", "compute", "comm"}
+    assert timings["comm"] > 0.0
+    assert timings["compute"] >= 0.0 and timings["split"] >= 0.0
 
 
 def test_world_rejects_zero_nodes():
@@ -294,14 +327,38 @@ def test_world_rejects_zero_nodes():
         CommWorld(0)
 
 
-def test_comm_time_accumulates():
+def test_spmd_comm_time_lies_within_run_time():
     world = CommWorld(2)
     try:
-        world.spmd(lambda ctx: ctx.allreduce_sum([1]))
-        assert world.comm_seconds_total() > 0.0
-        assert world.wall_seconds_total() >= world.comm_seconds_total() * 0.5
+        timings = world.spmd(lambda ctx: ctx.allreduce_sum([1]))[1]
     finally:
         world.shutdown()
+    # each rank's collectives run inside its body, so compute is not negative
+    assert timings["comm"] > 0.0 and timings["compute"] >= 0.0
+
+
+def test_a_run_without_collectives_reports_no_comm_after_one_with():
+    world = CommWorld(2)
+    try:
+        assert world.spmd(lambda ctx: ctx.allreduce_sum([1]))[1]["comm"] > 0.0
+        # a run's timings are its own, not the world's running totals
+        assert world.spmd(lambda ctx: ctx.rank)[1]["comm"] == 0.0
+    finally:
+        world.shutdown()
+
+
+def test_run_splits_the_data_and_returns_rank_zeros_result():
+    X = _toy(10)
+    world = CommWorld(3)
+    try:
+        out, timings = world.run(
+            lambda ctx, shards, data: (ctx.rank, len(shards[ctx.rank]),
+                                       data is X), X)
+    finally:
+        world.shutdown()
+    assert out == (0, 4, True)
+    assert list(timings) == ["split", "compute", "comm"]
+    assert timings["split"] >= 0.0 and timings["comm"] == 0.0
 
 
 def test_shard_len():

@@ -29,7 +29,7 @@ def _run(p, X, params):
 def _run_node_fn(p, fn, *args):
     world = CommWorld(p)
     try:
-        return world.spmd(fn, *args)
+        return world.spmd(fn, *args)[0]
     finally:
         world.shutdown()
 

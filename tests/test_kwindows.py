@@ -207,8 +207,7 @@ def test_a_round_with_flat_boxes_equals_filter():
     for p in (1, 2, 3):
         world = CommWorld(p)
         try:
-            got = world.spmd(_search_node, split_blocks(X, p),
-                             _one_round(lo, hi))[0]
+            got = world.run(_search_node, X, _one_round(lo, hi))[0]
         finally:
             world.shutdown()
         assert got == [_brute(pts, a, b) for a, b in zip(lo, hi)], p

@@ -75,7 +75,7 @@ def _kernel_over(p, rows):
     world = CommWorld(p)
     try:
         return world.spmd(lambda ctx: exact_covariance(
-            ctx, np.array_split(rows, p)[ctx.rank]))
+            ctx, np.array_split(rows, p)[ctx.rank]))[0]
     finally:
         world.shutdown()
 

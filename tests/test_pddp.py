@@ -158,7 +158,7 @@ def test_tiny_eigengap_splits_along_the_leading_eigenvector(p):
     try:
         u = world.spmd(lambda ctx, shards: _split_direction(
             ctx, shards[ctx.rank].points)[1],
-            split_blocks(DataSet.from_points(pts), p))[0]
+            split_blocks(DataSet.from_points(pts), p))[0][0]
     finally:
         world.shutdown()
     # the sine of the angle between the two lines, resolved below 1.49e-8
