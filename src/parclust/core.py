@@ -206,6 +206,96 @@ def _pairwise_sq(pt, ct, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
+def lifted_rows(points: np.ndarray,
+                origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two lifts that `within_squared_distance` multiplies, of each
+    row's offset x = row - origin: ([x, s, 1], [-2x, 1, s]) with
+    s = Σ x_i², so the product of p's left lift and q's right lift is
+    |x_p|² + |x_q|² - 2 x_p·x_q = |x_p - x_q|². An origin amid the rows
+    keeps s, and so the filter's margin, small however far the rows lie
+    from zero. A square that overflows leaves s infinite."""
+    n, d = points.shape
+    lhs = np.empty((n, d + 2))
+    rhs = np.empty((n, d + 2))
+    with np.errstate(over="ignore"):
+        x = np.subtract(points, origin, out=lhs[:, :d])
+        lhs[:, d] = np.einsum("ij,ij->i", x, x)
+        np.multiply(x, -2.0, out=rhs[:, :d])
+    lhs[:, d + 1] = 1.0
+    rhs[:, d] = 1.0
+    rhs[:, d + 1] = lhs[:, d]
+    return lhs, rhs
+
+
+# The filter's margin, in units of (d + 2) * 2**-53 * (max s_p + max s_q);
+# see within_squared_distance.
+_FILTER_C = 8.0
+# Above this bound on s_p + s_q the product could overflow, so a call whose
+# norms reach it is scored by squared_distances alone.
+_FILTER_MAX_NORMS = 2.0 ** 1000
+
+
+def within_squared_distance(points: np.ndarray, centers: np.ndarray,
+                            eps2: float, lhs: np.ndarray,
+                            rhs: np.ndarray) -> np.ndarray:
+    """n x k booleans: `squared_distances(points, centers) <= eps2`, the
+    same bit for bit, from one BLAS product and a proven error bound.
+
+    `lhs` and `rhs` are `lifted_rows(points, origin)[0]` and
+    `lifted_rows(centers, origin)[1]` with one origin, or slices of the
+    lifts of a larger stack, as a sweep computes them once for all its
+    blocks. G = lhs @ rhs.T approximates each exact distance D, and a
+    bound m on |G - D| settles every cell with G < eps2 - m (D < eps2: a
+    hit) or G > eps2 + m (D > eps2: a miss). A row with a cell that is
+    neither is scored again by `squared_distances`, which decides its open
+    cells only.
+
+    The bound, in the standard model with u = 2**-53 and
+    γ_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1, Sections 3.1 and 3.5), for rows p and
+    q with offsets x and y rounded from p - origin and q - origin, and
+    P = Σ x_i² and Q = Σ y_i² in exact arithmetic:
+      - each norm is a sum of d rounded squares in any order:
+        |s_p - P| <= γ_d P, and the same for q;
+      - G is a dot product of length d + 2 in any order, with or without
+        FMA, as BLAS may compute it: |G - (s_p + s_q - 2 x·y)| <=
+        γ_{d+2} (s_p + s_q + 2 Σ|x_i y_i|) <= γ_{d+2} (s_p + s_q + P + Q);
+      - each x_i - y_i is within u (|x_i| + |y_i|) of p_i - q_i (to first
+        order), so |x - y|² is within 4 u (P + Q) of |p - q|²;
+      - D rounds each difference, each square and d - 1 additions of
+        non-negative terms: |D - |p - q|²| <= γ_{d+2} |p - q|², which is
+        below 2 γ_{d+2} (P + Q) to first order.
+    Summed, |G - D| <= γ_{d+2} (s_p + s_q + 4 (P + Q)) + 4 u (P + Q), below
+    6.4 (d + 2) u (s_p + s_q) while (d + 2) u < 2**-20. The margin
+    m = _FILTER_C (d + 2) u (max s_p + max s_q) leaves room for its own
+    roundings, and those of eps2 ± m do not matter: a float G below the
+    rounded eps2 - m lies below the exact one, and one above the rounded
+    eps2 + m lies above the exact one. The absolute slack (d + 2) 2**-1070
+    covers gradual underflow, which numpy and BLAS keep: a sum or
+    difference whose result is subnormal is exact, and each of the 4d
+    products that may underflow errs by at most 2**-1075 more, grown below
+    2x by the later roundings. With max s_p + max s_q above
+    _FILTER_MAX_NORMS (or infinite, when a square overflows), the product
+    could overflow, so no cell is settled and every row is scored exactly;
+    NaN would land in neither test.
+    """
+    d = points.shape[1]
+    with np.errstate(over="ignore"):  # an infinite square is no neighbour
+        norms = lhs[:, d].max(initial=0.0) + rhs[:, d + 1].max(initial=0.0)
+        if not norms <= _FILTER_MAX_NORMS:
+            return squared_distances(points, centers) <= eps2
+        m = _FILTER_C * (d + 2) * 2.0 ** -53 * norms + (d + 2) * 2.0 ** -1070
+        g = lhs @ rhs.T
+        hit = g < eps2 - m
+        sure = g > eps2 + m
+        sure |= hit
+        if not sure.all():
+            rows = np.flatnonzero(~sure.all(axis=1))
+            hit[rows] |= ~sure[rows] & (squared_distances(points[rows],
+                                                          centers) <= eps2)
+    return hit
+
+
 @dataclass(frozen=True)
 class KeySortedRows:
     """Rows sorted stably by one key column, for queries over key bands.

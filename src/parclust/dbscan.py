@@ -18,7 +18,8 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx
 from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, KeySortedRows,
-                   Partition, components, squared_distances)
+                   Partition, components, lifted_rows, squared_distances,
+                   within_squared_distance)
 from .report import ClusterReport
 
 
@@ -52,7 +53,8 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
     <= eps2, and so a key gap within sqrt(eps2) up to a few roundings
     (the relative slack) or one whose square underflows (the absolute
     slack). Every band thus holds all rows that can pass, and the full
-    test alone decides: the sets are exact.
+    test alone decides: the sets are exact. `core.within_squared_distance`
+    makes that test, with the slab's lifted rows computed once.
     """
     keys = slab.keys
     n = keys.size
@@ -60,24 +62,27 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
     lo = np.searchsorted(keys, keys - reach, "left")
     hi = np.searchsorted(keys, keys + reach, "right")
     ids = slab.order.astype(np.int32)
+    # the midrange of every column, so no offset exceeds half the spread
+    origin = (slab.rows.min(axis=0) / 2 + slab.rows.max(axis=0) / 2 if n
+              else np.zeros(slab.rows.shape[1]))
+    lhs, rhs = lifted_rows(slab.rows, origin)
     counts = np.empty(n, dtype=np.int64)
     chunks = []
     start = 0
-    with np.errstate(over="ignore"):  # an infinite square is no neighbour
-        while start < n:
-            # the longest block whose rows x union of bands fits the budget
-            width = hi[start:start + DISTANCE_BLOCK_CELLS] - lo[start]
-            cells = width * np.arange(1, width.size + 1)
-            stop = start + max(1, int(np.searchsorted(
-                cells, DISTANCE_BLOCK_CELLS, "right")))
-            a, b = int(lo[start]), int(hi[stop - 1])
-            hit = squared_distances(slab.rows[start:stop],
-                                    slab.rows[a:b]) <= eps2
-            counts[start:stop] = np.count_nonzero(hit, axis=1)
-            cols = np.flatnonzero(hit)  # row-major, as nonzero's
-            cols %= b - a
-            chunks.append(ids[a:b][cols])
-            start = stop
+    while start < n:
+        # the longest block whose rows x union of bands fits the budget
+        width = hi[start:start + DISTANCE_BLOCK_CELLS] - lo[start]
+        cells = width * np.arange(1, width.size + 1)
+        stop = start + max(1, int(np.searchsorted(
+            cells, DISTANCE_BLOCK_CELLS, "right")))
+        a, b = int(lo[start]), int(hi[stop - 1])
+        hit = within_squared_distance(slab.rows[start:stop], slab.rows[a:b],
+                                      eps2, lhs[start:stop], rhs[a:b])
+        counts[start:stop] = np.count_nonzero(hit, axis=1)
+        cols = np.flatnonzero(hit)  # row-major, as nonzero's
+        cols %= b - a
+        chunks.append(ids[a:b][cols])
+        start = stop
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     nbr = np.concatenate(chunks) if chunks else ids[:0]

@@ -98,6 +98,12 @@ def fcm_objective(ctx: NodeCtx, u: np.ndarray, d2: np.ndarray,
     return fixed_to_float(total[0])
 
 
+def _converged(trace, tol) -> bool:
+    """Whether the objective moved by at most tol in the last iteration,
+    the test that ends the loop before max_iter."""
+    return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= tol
+
+
 def _pfcm_node(ctx: NodeCtx, shards, X, params):
     """One rank's run; rank 0 returns (labels, centers, trace), the trace
     holding each iteration's objective."""
@@ -109,7 +115,7 @@ def _pfcm_node(ctx: NodeCtx, shards, X, params):
         d2 = squared_distances(shard.points, centers)
         u = membership_update(d2, params.m)
         trace.append(fcm_objective(ctx, u, d2, params.m))
-        if len(trace) > 1 and abs(trace[-2] - trace[-1]) <= params.tol:
+        if _converged(trace, params.tol):
             break
     labels = np.argmax(u, axis=1).astype(np.int64)  # ties to the lowest index
     gathered = ctx.gather(labels, root=0)
@@ -133,5 +139,6 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
         centroids=centers,
         j=trace[-1],
         iterations=len(trace),
+        converged=_converged(trace, params.tol),
         timings_ms=timings,
     )

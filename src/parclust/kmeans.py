@@ -74,6 +74,12 @@ def _moved_stats(points, old, new, k) -> list[int]:
     return out
 
 
+def _converged(trace, tol) -> bool:
+    """Whether the last Lloyd step lowered the objective by at most tol,
+    the test that ends the loop before max_iter."""
+    return len(trace) > 1 and trace[-2] - trace[-1] <= tol
+
+
 def _local_farthest(points, gids, d2min, used):
     """Best relocation candidate on this block: max distance, ties to lowest row."""
     for row in np.argsort(-d2min, kind="stable"):
@@ -127,7 +133,7 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         g = ctx.allreduce_sum(stats)
         labels = new
         trace.append(fixed_to_float(g[-1]))
-        if len(trace) > 1 and (trace[-2] - trace[-1]) <= params.tol:
+        if _converged(trace, params.tol):
             break
         # the reduced changes are the same on every rank, so every rank
         # recomputes the same centers
@@ -202,5 +208,6 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
         centroids=centers,
         j=trace[-1],
         iterations=len(trace),
+        converged=_converged(trace, params.tol),
         timings_ms=timings,
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .comm import CommWorld, NodeCtx
 from .core import CentroidSet, DataSet, Partition, sse_objective
 from .exactsum import fixed_to_floats, grouped_sums_fixed
-from .kmeans import KMeansParams, _pkm_node
+from .kmeans import KMeansParams, _converged, _pkm_node
 from .pca import exact_covariance, principal_axes
 from .report import ClusterReport
 
@@ -144,6 +144,7 @@ def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
         centroids=centers,
         j=trace[-1],
         iterations=len(trace),
+        converged=_converged(trace, tol),
         seed_j=trace[0],
         timings_ms=timings,
     )

@@ -27,6 +27,7 @@ class ClusterReport:
                                                       "compute": 0.0,
                                                       "comm": 0.0})
     model: dict | None = None
+    converged: bool | None = None  # whether the tolerance test ended the loop
 
     @property
     def partition(self) -> Partition:
@@ -47,6 +48,8 @@ class ClusterReport:
             out["j"] = float(self.j)
         if self.iterations is not None:
             out["iterations"] = int(self.iterations)
+        if self.converged is not None:
+            out["converged"] = bool(self.converged)
         if self.seed_j is not None:
             out["seed_j"] = float(self.seed_j)
         out["timings_ms"] = {k: float(v) for k, v in self.timings_ms.items()}
@@ -73,6 +76,7 @@ REPORT_SCHEMA = {
         },
         "j": {"type": "number", "minimum": 0},
         "iterations": {"type": "integer", "minimum": 1},
+        "converged": {"type": "boolean"},
         "seed_j": {"type": "number", "minimum": 0},
         "timings_ms": {
             "type": "object",

@@ -95,6 +95,23 @@ def test_every_algorithm_yields_a_valid_report(algo, extra, blob_csv, capsys):
     assert len(doc["labels"]) == 120
 
 
+@pytest.mark.parametrize("algo,extra", [
+    ("pkm", ["--k", "3", "--nodes", "2"]),
+    ("kmeans", ["--k", "3"]),
+    ("pfcm", ["--k", "3", "--nodes", "2"]),
+    ("fcm", ["--k", "3"]),
+    ("pddp-km", ["--height", "2", "--nodes", "2"]),
+])
+def test_a_run_cut_off_by_max_iter_reports_it_did_not_converge(
+        algo, extra, blob_csv, capsys):
+    argv = ["run", "--algo", algo, "--data", str(blob_csv)] + extra
+    cut = _run_json(capsys, argv + ["--max-iter", "1"])
+    jsonschema.validate(cut, REPORT_SCHEMA)
+    assert cut["iterations"] == 1 and cut["converged"] is False
+    full = _run_json(capsys, argv)
+    assert full["iterations"] > 1 and full["converged"] is True
+
+
 def test_parallel_kmeans_matches_centralized_via_cli(blob_csv, capsys):
     base = ["--data", str(blob_csv), "--k", "3", "--seed", "11"]
     central = _run_json(capsys, ["run", "--algo", "kmeans"] + base)

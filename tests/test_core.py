@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from parclust import core as core_module
 from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, CentroidSet, DataSet,
                            Partition, adjusted_rand_index, components,
-                           generate_blobs, load_csv, sse_objective,
-                           squared_distances, squared_euclidean, write_csv)
+                           generate_blobs, lifted_rows, load_csv,
+                           sse_objective, squared_distances, squared_euclidean,
+                           within_squared_distance, write_csv)
 from parclust.kmeans import KMeansParams, kmeans_centralized
 
 
@@ -139,6 +140,98 @@ def test_squared_distances_cross_the_default_block_boundary():
 def test_squared_distances_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         squared_distances(np.zeros((2, 3)), np.zeros((1, 2)))
+
+
+# -- the eps filter ------------------------------------------------------------
+
+
+@st.composite
+def filter_cases(draw):
+    """Rows and centers for `within_squared_distance`: a common offset of 0,
+    1e8 or 1e15 with a small spread, magnitudes of 1e150 to 1e160 whose
+    squared norms overflow, or rows of subnormal or nearly underflowing
+    coordinates among ordinary ones; some centers copy a row. eps2 is the
+    exact distance of a drawn pair, or one float step either side of it."""
+    d = draw(st.sampled_from([1, 2, 8, 40]))
+    n, k = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["offset", "huge", "tiny"]))
+    noise = rng.normal(size=(n + k, d))
+    if kind == "offset":
+        offset = draw(st.sampled_from([0.0, 1e8, 1e15]))
+        values = offset + draw(st.sampled_from([1e-6, 1.0, 1e3])) * noise
+    elif kind == "huge":
+        # near-parallel rows too, whose products overflow before their norms
+        shape = draw(st.sampled_from([0.0, 1.0])) + draw(
+            st.sampled_from([1e-3, 0.5, 1.0])) * noise
+        values = shape * 10.0 ** rng.uniform(150.0, 160.0, size=(n + k, 1))
+    else:
+        values = noise * 10.0 ** rng.choice([-322, -310, -160, -154, 0],
+                                            size=(n + k, 1))
+    points, centers = values[:n], values[n:]
+    if n and k and draw(st.booleans()):
+        centers[rng.integers(0, k)] = points[rng.integers(0, n)]
+    with np.errstate(over="ignore"):
+        finite = squared_distances(points, centers)
+    finite = finite[np.isfinite(finite)]
+    if finite.size:
+        dist = finite[draw(st.integers(0, finite.size - 1))]
+        eps2 = draw(st.sampled_from([dist, np.nextafter(dist, np.inf),
+                                     np.nextafter(dist, -np.inf)]))
+    else:
+        eps2 = draw(st.floats(0.0, 1e308))
+    return points, centers, float(eps2)
+
+
+@given(filter_cases(), st.integers(0, 23))
+@settings(deadline=None, max_examples=400)
+def test_the_eps_filter_equals_the_exact_test(case, origin_row):
+    points, centers, eps2 = case
+    with np.errstate(over="ignore"):
+        want = squared_distances(points, centers) <= eps2
+    n, d = points.shape
+    zero = np.zeros(d)
+    got = within_squared_distance(points, centers, eps2,
+                                  lifted_rows(points, zero)[0],
+                                  lifted_rows(centers, zero)[1])
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # lifts of a larger stack about one of its rows, sliced, as the sweep
+    # passes them
+    stack = np.vstack([points, centers])
+    origin = stack[origin_row % len(stack)] if len(stack) else zero
+    lhs, rhs = lifted_rows(stack, origin)
+    assert np.array_equal(within_squared_distance(
+        points, centers, eps2, lhs[:n], rhs[n:]), want)
+    # the product is within the docstring's bound of the exact distances
+    with np.errstate(over="ignore"):
+        norms = lhs[:n, d].max(initial=0.0) + rhs[n:, d + 1].max(initial=0.0)
+        exact = squared_distances(points, centers)
+    if norms <= core_module._FILTER_MAX_NORMS:
+        bound = 6.4 * (d + 2) * 2.0 ** -53 * norms + (d + 2) * 2.0 ** -1070
+        assert np.all(np.abs(lhs[:n] @ rhs[n:].T - exact) <= bound)
+
+
+def test_the_eps_filter_scores_only_rows_within_rounding_of_eps(monkeypatch):
+    # rows 1 and 2 lie exactly eps and one float step past eps from the
+    # center, which no product bound can settle; rows 0 and 3 are far
+    # inside and far outside, and the product decides them alone
+    scored = []
+    original = core_module.squared_distances
+
+    def counted(points, centers):
+        scored.append(len(points))
+        return original(points, centers)
+
+    monkeypatch.setattr(core_module, "squared_distances", counted)
+    points = np.array([[0.5, 0.0], [3.0, 4.0], [3.0, np.nextafter(4.0, 5.0)],
+                       [30.0, 0.0]])
+    center, origin = np.zeros((1, 2)), np.zeros(2)
+    got = within_squared_distance(points, center, 25.0,
+                                  lifted_rows(points, origin)[0],
+                                  lifted_rows(center, origin)[1])
+    assert got.ravel().tolist() == [True, True, False, False]
+    assert scored == [2]
 
 
 # -- connected components ----------------------------------------------------

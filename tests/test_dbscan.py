@@ -172,14 +172,15 @@ def _brute_neighbors(points, row, eps2):
 @st.composite
 def slab_cases(draw):
     """Points on a grid (duplicates, ties at exactly eps), possibly offset far
-    from zero, or free floats; a key column that may be constant; an eps that
-    may equal the key-column gap of two rows."""
+    from zero, or so far that their squared norms overflow, or free floats;
+    a key column that may be constant; an eps that may equal the key-column
+    gap of two rows."""
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 4))
     if draw(st.booleans()):
         grid = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-4, 4)))
         step = draw(st.sampled_from([1.0, 0.5, 0.1, 3e-7]))
-        offset = draw(st.sampled_from([0.0, 1e12, -1e12, 1e15]))
+        offset = draw(st.sampled_from([0.0, 1e12, -1e12, 1e15, 1e160]))
         points = offset + grid * step
     else:
         points = draw(hnp.arrays(np.float64, (n, d), elements=st.floats(
@@ -272,6 +273,23 @@ def test_squares_that_underflow_stay_neighbours():
     for cells in BLOCKINGS:
         got = _sweep(KeySortedRows.build(points), eps2, cells)
         assert got == [[0, 1], [0, 1], [2]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_eps_filter_decides_every_pair_of_a_merge_scan(monkeypatch, seed):
+    # the merge benchmark's shape: no pair lies within rounding of eps, so
+    # a margin too wide to settle them would show as rows scored exactly
+    scored = []
+    original = core_module.squared_distances
+
+    def counted(points, centers):
+        scored.append(len(points))
+        return original(points, centers)
+
+    monkeypatch.setattr(core_module, "squared_distances", counted)
+    X, _ = generate_blobs(seed=seed, k=4, per_cluster=500, d=8)
+    assert dbscan(X, DbscanParams(eps=3.0, min_pts=5)).k == 4
+    assert sum(scored) == 0
 
 
 def _greedy_cover_oracle(points, cluster_rows, params):
