@@ -3,13 +3,13 @@
 Simulates a small message-passing node group in one process (threads,
 rank 0 as coordinator) and runs partitional, fuzzy, window, density and
 divisive algorithms over it. Each algorithm has one body for every node
-count; at P=1 it runs on the thread-free SerialCtx, and the centralized
+count, and every rank runs it on the one rank context, `NodeCtx`; a
+one-node world runs its rank on the calling thread, and the centralized
 k-means is that body at P=1. Reductions use exact fixed-point sums, so
 the same input yields bit-identical objectives at any node count.
 """
 
-from .comm import (CommAbort, CommWorld, NodeCtx, SerialCtx, Shard,
-                   split_blocks)
+from .comm import CommAbort, CommWorld, NodeCtx, Shard, split_blocks
 from .core import (NOISE, CentroidSet, DataSet, Partition,
                    adjusted_rand_index, generate_blobs, load_csv,
                    sse_objective, squared_euclidean, write_csv)
@@ -27,7 +27,7 @@ from .report import REPORT_SCHEMA, ClusterReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommAbort", "CommWorld", "NodeCtx", "SerialCtx", "Shard", "split_blocks",
+    "CommAbort", "CommWorld", "NodeCtx", "Shard", "split_blocks",
     "NOISE", "CentroidSet", "DataSet", "Partition", "adjusted_rand_index",
     "generate_blobs", "load_csv", "sse_objective", "squared_euclidean",
     "write_csv",

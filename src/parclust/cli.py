@@ -168,19 +168,16 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
         raise _UsageError("%s is the single-node variant; use %s"
                           % (algo, _PARALLEL[algo]))
     args = _with_defaults(args)
-    if algo == "dbscan":
-        t0 = time.perf_counter()
-        part = dbscan(X, DbscanParams(eps=args.eps, min_pts=args.min_pts))
-        wall = (time.perf_counter() - t0) * 1e3
-        return ClusterReport(
-            algo="dbscan", p=1,
-            params={"eps": args.eps, "min_pts": args.min_pts},
-            n=X.n, d=X.d, labels=part.labels,
-            model={"k": part.k},
-            timings_ms={"split": 0.0, "compute": wall, "comm": 0.0})
-
     world = CommWorld(nodes)
     try:
+        if algo == "dbscan":
+            params = DbscanParams(eps=args.eps, min_pts=args.min_pts)
+            (part,), timings = world.spmd(lambda ctx: dbscan(X, params))
+            return ClusterReport(
+                algo="dbscan", p=1,
+                params={"eps": args.eps, "min_pts": args.min_pts},
+                n=X.n, d=X.d, labels=part.labels,
+                model={"k": part.k}, timings_ms=timings)
         if algo in ("kmeans", "pkm"):
             rep = pkm(world, X, KMeansParams(k=args.k, max_iter=args.max_iter,
                                              tol=args.tol,

@@ -1,21 +1,23 @@
 """Simulated P-node runtime whose ranks communicate through collectives.
 
-One thread per rank. Collectives are barriers: every rank posts its
-contribution, the last rank to arrive validates and combines them inside
-the barrier, and all ranks read the result after one wait. The only
-reduction sums equal-length vectors of Python ints. Integer addition is
-exact and associative, so a sum does not depend on the fold order or on
-the node count; a float payload, whose sum would, is refused. Collectives
-are the only way ranks exchange data: there is no point-to-point
-messaging.
+Every rank runs the same body on a `NodeCtx`, the only rank context.
+Collectives are barriers: every rank posts its contribution, the last
+rank to arrive validates and combines them inside the barrier, and all
+ranks read the result after one wait. The only reduction sums
+equal-length vectors of Python ints. Integer addition is exact and
+associative, so a sum does not depend on the fold order or on the node
+count; a float payload, whose sum would, is refused. Collectives are the
+only way ranks exchange data: there is no point-to-point messaging.
 
 Each run measures itself: every rank times its own body and its own
 collectives, and `spmd` returns the run's `timings_ms` beside its
 results; `run` also times the split of the data into one block per rank.
 
-A one-node world starts no thread: its single rank runs on the calling
-thread against `SerialCtx`, whose collectives need no barrier. Centralized
-k-means runs the same way, so its result is the parallel body's at P=1.
+Larger worlds run one thread per rank. A one-node world starts no
+thread: its single rank runs on the calling thread, through the same
+runner, and its collectives pass the same one-party barrier, validation
+and timing as a larger world's. Centralized k-means and one node's PCA run
+their bodies on such a world, so each result is the parallel body's at P=1.
 """
 
 from __future__ import annotations
@@ -110,26 +112,21 @@ class CommWorld:
         `comm` is the time ranks spent in collectives and `compute` the
         rest of their run time, both summed over ranks, and `split` is 0.
 
-        A one-node world calls fn(SerialCtx(), *args) on the calling
-        thread: nothing can wait on a peer, so `comm` is 0, there is no
-        watchdog and `timeout` is unused. Larger worlds run one thread per
-        rank; after the world is torn down, the lowest rank's own exception
-        (not the abort a peer's failure raised in it) is re-raised, so
-        ranks that fail at once report the same error on every run. A
-        watchdog aborts the run if ranks fail to finish within timeout. A
-        failed run closes the world, and a closed world refuses to run.
+        Every rank runs fn on a `NodeCtx` through the same runner, which
+        times its body and records its failure. A one-node world runs its
+        single rank on the calling thread, with no watchdog (`timeout` is
+        unused there); its collectives pass the same one-party barrier,
+        validation and timing as any other world's. Larger worlds run one
+        thread per rank, and a watchdog aborts the run if ranks fail to
+        finish within timeout. After the world is torn down, the lowest
+        rank's own exception (not the abort a peer's failure raised in it)
+        is re-raised, so ranks that fail at once report the same error on
+        every run. A failed run closes the world, and a closed world
+        refuses to run.
         """
         if self._closed.is_set():
             raise CommAbort("world is closed: %s"
                             % (self._abort_reason or "shut down"))
-        if self.size == 1:
-            t0 = time.perf_counter()
-            try:
-                result = fn(SerialCtx(), *args)
-            except BaseException as exc:
-                self._abort("rank 0 failed: %r" % exc)
-                raise
-            return [result], _timings(time.perf_counter() - t0, 0.0)
         results = [None] * self.size
         wall = [0.0] * self.size
         ctxs = [NodeCtx(r, self) for r in range(self.size)]
@@ -146,19 +143,23 @@ class CommWorld:
             finally:
                 wall[rank] = time.perf_counter() - t0
 
-        threads = [threading.Thread(target=runner, args=(r,), daemon=True,
-                                    name="node-%d" % r)
-                   for r in range(self.size)]
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + timeout
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-        if any(t.is_alive() for t in threads):
-            self._abort("watchdog timeout after %.1fs" % timeout)
+        if self.size == 1:
+            runner(0)  # on the calling thread: no thread, no watchdog
+        else:
+            threads = [threading.Thread(target=runner, args=(r,), daemon=True,
+                                        name="node-%d" % r)
+                       for r in range(self.size)]
             for t in threads:
-                t.join(1.0)
-            raise CommAbort("deadlock watchdog fired after %.1fs" % timeout)
+                t.start()
+            deadline = time.monotonic() + timeout
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+            if any(t.is_alive() for t in threads):
+                self._abort("watchdog timeout after %.1fs" % timeout)
+                for t in threads:
+                    t.join(1.0)
+                raise CommAbort("deadlock watchdog fired after %.1fs"
+                                % timeout)
         if failures:
             ranked = [failures[r] for r in sorted(failures)]
             raise next((e for e in ranked if not isinstance(e, CommAbort)),
@@ -268,34 +269,3 @@ class NodeCtx:
             raise ValueError("gather root %d out of range" % root)
         out = self._post("gather", root, payload)
         return out if self.rank == root else []
-
-
-class SerialCtx:
-    """Rank 0 of a one-node world, with the interface of NodeCtx and no thread.
-
-    Each collective returns what a one-node CommWorld returns, without a
-    barrier: the payload itself, a copy of the vector, or a one-element
-    gather.
-    """
-
-    rank = 0
-    size = 1
-
-    @staticmethod
-    def _root(kind: str, root: int) -> None:
-        if root != 0:
-            raise ValueError("%s root %d out of range" % (kind, root))
-
-    def broadcast(self, payload, root: int = 0):
-        self._root("broadcast", root)
-        return payload
-
-    def allreduce_sum(self, vector):
-        out = CommWorld._fold([vector])
-        if isinstance(out, _Abort):
-            raise CommAbort(out.reason)
-        return out
-
-    def gather(self, payload, root: int = 0) -> list:
-        self._root("gather", root)
-        return [payload]

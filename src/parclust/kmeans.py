@@ -1,6 +1,6 @@
 """Lloyd k-means as one bulk-synchronous body for any node count.
 
-The centralized run is that body on a single node (`SerialCtx`).
+The centralized run is that body on a one-node world.
 Per-cluster sums and the objective are accumulated exactly (see
 exactsum), so the parallel run reproduces the centralized one bit for
 bit for any node count.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, SerialCtx, Shard
+from .comm import CommWorld, NodeCtx
 from .core import CentroidSet, DataSet, Partition, squared_distances
 from .exactsum import (fixed_to_float, fixed_to_floats, grouped_sums_fixed,
                        sum_fixed)
@@ -180,8 +180,8 @@ def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
     """
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    labels, centers, trace = _pkm_node(
-        SerialCtx(), [Shard(X.points, X.ids)], X, params, init_centers)
+    (labels, centers, trace), _ = CommWorld(1).run(_pkm_node, X, params,
+                                                   init_centers)
     return CentroidSet(centers), Partition(labels), trace[-1], len(trace)
 
 

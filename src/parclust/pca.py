@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, SerialCtx, Shard
+from .comm import CommWorld, NodeCtx, Shard
 from .core import NOISE, DataSet, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
@@ -132,9 +132,11 @@ def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
 
 
 def _pca_of_points(points: np.ndarray, variance_fraction: float) -> PrincipalBasis:
-    """Basis of one node's rows: the covariance kernel on a one-node context."""
+    """Basis of one node's rows: the covariance kernel on a one-node world."""
     _check_fraction(variance_fraction)
-    return _truncated_basis(SerialCtx(), points, variance_fraction)[1]
+    results, _ = CommWorld(1).spmd(_truncated_basis, points,
+                                   variance_fraction)
+    return results[0][1]
 
 
 def local_pca(shard: Shard, variance_fraction: float):
@@ -261,8 +263,7 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
     except ValueError as exc:
         raise ValueError("node %d's %d-row shard: local %s clustering "
                          "(k=%d) in the %s PCA space failed: %s"
-                         % (rank, rows.shape[0],
-                            getattr(clusterer, "name", "custom"), k, space,
+                         % (rank, rows.shape[0], clusterer.name, k, space,
                             exc)) from None
 
 
@@ -283,7 +284,7 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
         raise ValueError(
             "no representatives for the global basis: local %s clustering in "
             "each node's own PCA space marked every row as noise on every "
-            "shard (%s)" % (getattr(clusterer, "name", "custom"), ", ".join(
+            "shard (%s)" % (clusterer.name, ", ".join(
                 "node %d: %d rows" % (r, len(s)) for r, s in enumerate(shards)))
         ) from None
 
@@ -336,7 +337,7 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
         p=world.size,
         params={"k": k, "reps_per_cluster": reps_per_cluster,
                 "variance_fraction": variance_fraction, "seed": seed,
-                "local_algo": getattr(clusterer, "name", "custom")},
+                "local_algo": clusterer.name},
         n=n,
         d=shards[0].points.shape[1],
         labels=labels,

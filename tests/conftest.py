@@ -11,18 +11,20 @@ from parclust.comm import CommWorld
 
 @pytest.fixture()
 def count_collectives(monkeypatch):
-    """A Counter of the collectives run in this test, by kind.
+    """The collectives run in this test, by kind: `count_collectives[world]`
+    is a Counter of the collectives of that world alone.
 
-    Each collective is counted once, on rank 0's call. Only worlds of two
-    or more nodes go through `CommWorld._collective`; a one-node world's
-    collectives are plain calls and are not counted.
+    Each collective is counted once, on rank 0's call. Worlds of every size
+    go through `CommWorld._collective`, so the one-node worlds a rank builds
+    inside its body (centralized k-means, one node's PCA) are counted too,
+    each under its own world and not under the world that ran the body.
     """
-    counts = collections.Counter()
+    counts = collections.defaultdict(collections.Counter)
     original = CommWorld._collective
 
     def counted(self, rank, kind, root, payload):
         if rank == 0:  # every rank makes the call; one thread writes
-            counts[kind] += 1
+            counts[self][kind] += 1
         return original(self, rank, kind, root, payload)
 
     monkeypatch.setattr(CommWorld, "_collective", counted)

@@ -271,7 +271,11 @@ def test_incremental_body_equals_the_full_recompute(case):
 
 def test_a_run_makes_one_allreduce_per_iteration(count_collectives):
     X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=2)
-    rep = _run_parallel(2, X, KMeansParams(k=3, seed=9))
+    world = CommWorld(2)
+    try:
+        rep = pkm(world, X, KMeansParams(k=3, seed=9))
+    finally:
+        world.shutdown()
     assert rep.iterations > 1
-    assert dict(count_collectives) == {"broadcast": 1, "gather": 1,
-                                       "allreduce_sum": rep.iterations}
+    assert count_collectives[world] == {"broadcast": 1, "gather": 1,
+                                        "allreduce_sum": rep.iterations}

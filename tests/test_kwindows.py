@@ -505,10 +505,11 @@ def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
     finally:
         world.shutdown()
     # one broadcast and one gather per round, one broadcast to finish
-    rounds = count_collectives["gather"]
+    counts = count_collectives[world]
+    rounds = counts["gather"]
     assert rounds == longest > 1
-    assert count_collectives["broadcast"] == rounds + 1
-    assert sum(count_collectives.values()) == 2 * rounds + 1
+    assert counts["broadcast"] == rounds + 1
+    assert sum(counts.values()) == 2 * rounds + 1
 
 
 @given(st.data())

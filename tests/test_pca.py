@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld, SerialCtx, split_blocks
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.pca import (DbscanLocal, KMeansLocal, PrincipalBasis,
                           _maximin_init, _merge_sketches, _pca_of_points,
@@ -96,7 +96,7 @@ def test_exact_covariance_is_the_rational_sum_rounded_once_at_any_p(rows):
 
 def test_exact_covariance_of_no_rows_is_refused():
     with pytest.raises(ValueError, match="no rows"):
-        exact_covariance(SerialCtx(), np.empty((0, 3)))
+        _kernel_over(1, np.empty((0, 3)))
 
 
 # -- eigenpairs --------------------------------------------------------------
@@ -191,7 +191,6 @@ def test_collective_basis_recovers_plane_across_nodes(count_collectives):
     assert central.r == 2
     assert _max_principal_angle(central.components, true_basis) <= 1e-6
     for p in (1, 2, 3, 8):
-        count_collectives.clear()
         world = CommWorld(p)
         try:
             basis = cpca(world, split_blocks(X, p), 0.999)
@@ -200,8 +199,8 @@ def test_collective_basis_recovers_plane_across_nodes(count_collectives):
         assert np.array_equal(basis.mean, central.mean)
         assert np.array_equal(basis.components, central.components)
         assert np.array_equal(basis.eigenvalues, central.eigenvalues)
-        # a one-node world's collectives are plain calls, not counted
-        assert dict(count_collectives) == ({"allreduce_sum": 2} if p > 1 else {})
+        # the exact mean and the cross-products, at every node count
+        assert count_collectives[world] == {"allreduce_sum": 2}
 
 
 def test_identical_blocks_reproduce_the_local_basis():

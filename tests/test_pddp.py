@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld, SerialCtx, split_blocks
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import DataSet, adjusted_rand_index, generate_blobs
 from parclust.exactsum import fixed_to_float, sum_fixed
 from parclust.pca import exact_mean
@@ -83,7 +83,8 @@ def test_each_centroid_is_the_exact_mean_of_its_leaf(p, height):
     rep = _run(p, pddp_report, X, height)
     assert rep.centroids.shape == (int(rep.labels.max()) + 1, 3)
     for leaf, centroid in enumerate(rep.centroids):
-        want = exact_mean(SerialCtx(), X.points[rep.labels == leaf])[1]
+        rows = X.points[rep.labels == leaf]
+        [(_, want)], _ = CommWorld(1).spmd(exact_mean, rows)
         assert np.array_equal(centroid, want)
 
 
@@ -252,7 +253,7 @@ def test_a_bad_max_iter_or_tol_is_refused_before_the_world_runs(
     try:
         with pytest.raises(ValueError, match="max_iter|tol"):
             pddp_km(world, X, 2, **bad)
-        assert not count_collectives  # no split ran
+        assert not count_collectives[world]  # no split ran
         assert pddp_km(world, X, 2).params["k"] == 4  # the world still runs
     finally:
         world.shutdown()
@@ -283,10 +284,14 @@ def test_seed_objective_is_the_nearest_leaf_mean_objective(data):
 
 def test_a_cluster_that_cannot_split_is_not_tried_again(count_collectives):
     X = DataSet.from_points(np.ones((12, 2)))
-    rep = _run(2, pddp_report, X, 5)
+    world = CommWorld(2)
+    try:
+        rep = pddp_report(world, X, 5)
+    finally:
+        world.shutdown()
     assert rep.labels.tolist() == [0] * 12
     # the exact mean and the cross-products once, then the leaf sums
-    assert dict(count_collectives) == {"gather": 1, "allreduce_sum": 3}
+    assert count_collectives[world] == {"gather": 1, "allreduce_sum": 3}
 
 
 def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
@@ -304,8 +309,8 @@ def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
     world = CommWorld(2)
     try:
         rep = pddp_km(world, X, height=2)
-        km = dict(count_collectives)
-        count_collectives.clear()
+        km = dict(count_collectives[world])
+        count_collectives[world].clear()
         tree = pddp_report(world, X, height=2)
     finally:
         world.shutdown()
@@ -315,7 +320,7 @@ def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
     # then one allreduce of the leaf sums
     assert km == {"broadcast": 1, "gather": 1,
                   "allreduce_sum": 3 * splits + 1 + rep.iterations}
-    assert dict(count_collectives) == {"gather": 1,
-                                       "allreduce_sum": 3 * splits + 1}
+    assert count_collectives[world] == {"gather": 1,
+                                        "allreduce_sum": 3 * splits + 1}
     assert tree.centroids.shape[0] == rep.params["k"]
     assert runs == ["_pddp_node", "_pddp_node"]
