@@ -1,8 +1,10 @@
 """Desk-scale parallel clustering toolkit.
 
 Simulates a small message-passing node group in one process (threads,
-rank 0 as coordinator) and runs partitional, fuzzy, window, density and
-divisive algorithms over it. Each algorithm has one body for every node
+rank 0 as coordinator and the root of every broadcast and gather) and runs
+partitional, fuzzy, window, density and divisive algorithms over it. Each
+rank owns one contiguous block of rows, so a row is named by its position
+in the dataset. Each algorithm has one body for every node
 count, and every rank runs it on the one rank context, `NodeCtx`; a
 one-node world runs its rank on the calling thread, and the centralized
 k-means is that body at P=1. Reductions use exact fixed-point sums, so

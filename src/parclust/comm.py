@@ -8,6 +8,12 @@ equal-length vectors of Python ints. Integer addition is exact and
 associative, so a sum does not depend on the fold order or on the node
 count; a float payload, whose sum would, is refused. Collectives are the
 only way ranks exchange data: there is no point-to-point messaging.
+Rank 0 is the root of every broadcast and gather.
+
+Each rank owns one contiguous block of rows (`split_blocks`), in rank
+order, so a row is named by its dataset position: the shard's `start`
+plus its position in the block. Per-row results gathered in rank order
+concatenate back into dataset order.
 
 Each run measures itself: every rank times its own body and its own
 collectives, and `spmd` returns the run's `timings_ms` beside its
@@ -42,13 +48,14 @@ class _Abort:
 
 @dataclass(frozen=True)
 class Shard:
-    """Contiguous block of dataset rows owned by one rank."""
+    """Contiguous block of dataset rows owned by one rank; `start` is the
+    dataset row of `points[0]`."""
 
     points: np.ndarray
-    ids: np.ndarray
+    start: int
 
     def __len__(self) -> int:
-        return int(self.ids.size)
+        return self.points.shape[0]
 
 
 def split_blocks(X: DataSet, p: int) -> list[Shard]:
@@ -64,7 +71,7 @@ def split_blocks(X: DataSet, p: int) -> list[Shard]:
     for r in range(p):
         size = base + (1 if r < extra else 0)
         stop = start + size
-        shards.append(Shard(X.points[start:stop], X.ids[start:stop]))
+        shards.append(Shard(X.points[start:stop], start))
         start = stop
     return shards
 
@@ -184,8 +191,8 @@ class CommWorld:
         except threading.BrokenBarrierError:
             raise CommAbort(self._abort_reason or "world aborted") from None
 
-    def _collective(self, rank, kind, root, payload):
-        self._slots[rank] = (kind, root, payload)
+    def _collective(self, rank, kind, payload):
+        self._slots[rank] = (kind, payload)
         self._wait()
         # the next action overwrites _result only after every rank, this
         # one included, has posted its next slot
@@ -201,16 +208,11 @@ class CommWorld:
             return _Abort("mismatched collectives on the same step: %s"
                           % sorted(kinds))
         kind = next(iter(kinds))
-        roots = {s[1] for s in slots}
-        if len(roots) != 1:
-            return _Abort("%s called with mismatched roots: %s"
-                          % (kind, sorted(roots)))
-        root = next(iter(roots))
-        payloads = [s[2] for s in slots]
+        payloads = [s[1] for s in slots]
         if kind == "broadcast":
-            return payloads[root]
+            return payloads[0]
         if kind == "gather":
-            return list(payloads)
+            return payloads
         if kind == "allreduce_sum":
             return CommWorld._fold(payloads)
         return _Abort("unknown collective kind %r" % kind)
@@ -244,28 +246,24 @@ class NodeCtx:
         self.size = world.size
         self.comm_seconds = 0.0  # spent in this rank's collectives
 
-    def _post(self, kind: str, root: int, payload):
+    def _post(self, kind: str, payload):
         t0 = time.perf_counter()
         try:
-            return self.world._collective(self.rank, kind, root, payload)
+            return self.world._collective(self.rank, kind, payload)
         finally:
             self.comm_seconds += time.perf_counter() - t0
 
     # collectives: every rank of the world must call the same operation.
 
-    def broadcast(self, payload, root: int = 0):
-        """Value posted by `root`, returned on every rank."""
-        if not 0 <= root < self.world.size:
-            raise ValueError("broadcast root %d out of range" % root)
-        return self._post("broadcast", root, payload)
+    def broadcast(self, payload):
+        """Value posted by rank 0, returned on every rank."""
+        return self._post("broadcast", payload)
 
     def allreduce_sum(self, vector):
         """Elementwise exact sum over ranks of a list of Python ints."""
-        return self._post("allreduce_sum", 0, vector)
+        return self._post("allreduce_sum", vector)
 
-    def gather(self, payload, root: int = 0) -> list:
-        """All payloads in rank order at `root`; an empty list elsewhere."""
-        if not 0 <= root < self.world.size:
-            raise ValueError("gather root %d out of range" % root)
-        out = self._post("gather", root, payload)
-        return out if self.rank == root else []
+    def gather(self, payload) -> list:
+        """All payloads in rank order at rank 0; an empty list elsewhere."""
+        out = self._post("gather", payload)
+        return out if self.rank == 0 else []

@@ -15,14 +15,13 @@ NOISE = -1
 
 @dataclass(frozen=True)
 class DataSet:
-    """An n x d float64 matrix with stable global row ids.
+    """An n x d float64 matrix; a row is named by its position.
 
-    Row ids are a permutation of 0..n-1 and survive sharding, so results
-    computed on distributed blocks can be reassembled in original order.
+    Shards are contiguous blocks of rows in rank order, so results computed
+    on them are reassembled in the original order by concatenation.
     """
 
     points: np.ndarray
-    ids: np.ndarray
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -30,18 +29,11 @@ class DataSet:
             raise ValueError("points must be a 2-D array with at least one column")
         if not np.all(np.isfinite(pts)):
             raise ValueError("dataset contains non-finite values")
-        ids = np.asarray(self.ids, dtype=np.int64)
-        if ids.shape != (pts.shape[0],):
-            raise ValueError("ids must have one entry per row")
-        if not np.array_equal(np.sort(ids), np.arange(pts.shape[0])):
-            raise ValueError("ids must be a permutation of 0..n-1")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "ids", ids)
 
     @classmethod
     def from_points(cls, points) -> "DataSet":
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        return cls(pts, np.arange(pts.shape[0], dtype=np.int64))
+        return cls(points)
 
     @property
     def n(self) -> int:
@@ -454,7 +446,9 @@ def load_csv(path) -> DataSet:
     number. Errors name the offending 1-based file row.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # make row 1 non-numeric and so be taken for a header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         raw = list(csv.reader(fh))
     if not raw:
         raise ValueError("%s: empty file" % path)
@@ -500,9 +494,8 @@ def load_csv(path) -> DataSet:
 
 
 def write_csv(X: DataSet, path) -> None:
-    """Write points in row-id order with 17 significant digits (exact round-trip)."""
-    order = np.argsort(X.ids)
+    """Write points in stored order with 17 significant digits (exact round-trip)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in X.points[order]:
+        for row in X.points:
             fh.write(",".join("%.17g" % v for v in row))
             fh.write("\n")

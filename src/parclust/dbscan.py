@@ -238,7 +238,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
     else:
         model = LocalDensityModel(())
 
-    models = ctx.gather(model, root=0)
+    models = ctx.gather(model)
     if ctx.rank == 0:
         # local clusters are nodes 0..n_local-1 in rank-major order, and
         # global cluster g of the representatives is node n_local + g
@@ -265,7 +265,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
                    centers, radii, group[owner])
     else:
         payload = None
-    groups, centers, radii, gids = ctx.broadcast(payload, root=0)
+    groups, centers, radii, gids = ctx.broadcast(payload)
 
     local = local_part.labels
     final = np.full(len(shard), NOISE, dtype=np.int64)
@@ -282,7 +282,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
         covered = inside.any(axis=1)
         final[noise_rows[covered]] = gids[pick[covered]]
 
-    gathered = ctx.gather(final, root=0)
+    gathered = ctx.gather(final)
     if ctx.rank == 0:
         return np.concatenate(gathered), int(gids.size)
     return None

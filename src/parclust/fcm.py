@@ -108,7 +108,8 @@ def _pfcm_node(ctx: NodeCtx, shards, X, params):
     """One rank's run; rank 0 returns (labels, centers, trace), the trace
     holding each iteration's objective."""
     shard = shards[ctx.rank]
-    u = initial_membership(X.n, params.k, params.seed)[shard.ids]
+    lo = shard.start
+    u = initial_membership(X.n, params.k, params.seed)[lo:lo + len(shard)]
     trace: list[float] = []
     for _ in range(params.max_iter):
         centers = centroid_update(ctx, shard, u, params.m)
@@ -118,7 +119,7 @@ def _pfcm_node(ctx: NodeCtx, shards, X, params):
         if _converged(trace, params.tol):
             break
     labels = np.argmax(u, axis=1).astype(np.int64)  # ties to the lowest index
-    gathered = ctx.gather(labels, root=0)
+    gathered = ctx.gather(labels)
     if ctx.rank == 0:
         return np.concatenate(gathered), centers, trace
     return None

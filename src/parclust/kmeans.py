@@ -80,11 +80,12 @@ def _converged(trace, tol) -> bool:
     return len(trace) > 1 and trace[-2] - trace[-1] <= tol
 
 
-def _local_farthest(points, gids, d2min, used):
-    """Best relocation candidate on this block: max distance, ties to lowest row."""
+def _local_farthest(points, start, d2min, used):
+    """Best relocation candidate on the block whose first row is dataset row
+    `start`: max distance, ties to lowest row."""
     for row in np.argsort(-d2min, kind="stable"):
-        if int(gids[row]) not in used:
-            return float(d2min[row]), int(gids[row]), points[row].copy()
+        if start + row not in used:
+            return float(d2min[row]), int(start + row), points[row].copy()
     return -np.inf, -1, None
 
 
@@ -112,7 +113,7 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
                 raise ValueError("init_centers must have shape (k, d)")
     else:
         centers0 = None
-    centers = np.array(ctx.broadcast(centers0, root=0), dtype=np.float64, copy=True)
+    centers = np.array(ctx.broadcast(centers0), dtype=np.float64, copy=True)
 
     rows = np.arange(len(shard))
     labels = np.full(len(shard), -1, dtype=np.int64)  # no cluster yet
@@ -149,8 +150,7 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         empty = [i for i in range(k) if counts[i] == 0]
         used: set[int] = set()
         for i in empty:
-            cands = ctx.gather(_local_farthest(pts, shard.ids, d2min, used),
-                               root=0)
+            cands = ctx.gather(_local_farthest(pts, shard.start, d2min, used))
             best = None
             if ctx.rank == 0:
                 # max keeps the first maximum, so ties go to the lowest rank
@@ -161,10 +161,10 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
                         "cannot repair an empty cluster: k=%d but the data has "
                         "only %d distinct rows"
                         % (k, np.unique(X.points, axis=0).shape[0]))
-            _, pick, centers[i] = ctx.broadcast(best, root=0)
+            _, pick, centers[i] = ctx.broadcast(best)
             used.add(pick)
 
-    gathered = ctx.gather(labels, root=0)
+    gathered = ctx.gather(labels)
     if ctx.rank == 0:
         return np.concatenate(gathered), centers, trace
     return None

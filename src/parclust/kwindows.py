@@ -1,21 +1,22 @@
 """Box-window clustering with box queries answered over key-sorted shards.
 
-Every rank holds one contiguous block of rows (`split_blocks`) and sorts it
-once per call by its widest column, the key. Rank 0 runs the window
+Every rank holds one contiguous block of rows (`split_blocks`) and sorts
+it once per call by its widest column, the key. Rank 0 runs the window
 phases. A window's path of box queries (movement, then enlargement)
 depends only on that window and the data (Alevizos, Tasoulis & Vrahatis,
 PPAM 2003), so all windows advance in lockstep: each round holds one box
-per unfinished window and costs one broadcast of the boxes and one gather
-of the ids each block has inside each box. A box can hold only the rows
-whose key lies within its key bounds, one band of the sorted block, so
-only that band is tested. A call costs as many rounds as its longest
-window path, and every search returns the same ids for any node count.
-Windows merge under one matrix of pairwise overlap extents.
+per unfinished window and costs one broadcast of the boxes and one
+gather of the rows each block has inside each box, named by dataset
+position. A box can hold only the rows whose key lies within its key
+bounds, one band of the sorted block, so only that band is tested. A
+call costs as many rounds as its longest window path, and every search
+returns the same rows for any node count. Windows merge under one matrix
+of pairwise overlap extents.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
-split coordinate with depth and breaking coordinate ties by global row
-id, so lookups stay balanced on duplicate data.
+split coordinate with depth and breaking coordinate ties by row
+position, so lookups stay balanced on duplicate data.
 """
 
 from __future__ import annotations
@@ -84,13 +85,11 @@ class MDBinaryTree:
         self.left = np.full(n, -1, dtype=np.int64)
         self.right = np.full(n, -1, dtype=np.int64)
         self._next = 0
-        # rows are addressed positionally; X.ids break ordering ties
-        self.ids = X.ids
         self.root = self._build(np.arange(n, dtype=np.int64), 0)
 
     def _build(self, rows: np.ndarray, depth: int) -> int:
         axis = depth % self.d
-        order = rows[np.lexsort((self.ids[rows], self.points[rows, axis]))]
+        order = rows[np.lexsort((rows, self.points[rows, axis]))]
         mid = order.size // 2
         idx = self._next
         self._next += 1
@@ -116,7 +115,7 @@ class MDBinaryTree:
 
 
 def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
-    """Single-rank tree walk returning the set of matching row ids.
+    """Single-rank tree walk returning the set of matching rows.
 
     Children are pruned only on the interval test, never on whether the
     node itself is inside the box.
@@ -132,10 +131,10 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
         row = tree.point_id[idx]
         p = tree.points[row]
         if np.all(lo <= p) and np.all(p <= hi):
-            found.add(int(tree.ids[row]))
+            found.add(int(row))
         axis = tree.axis[idx]
         c = p[axis]
-        # left holds (coord, id) lexicographically below the node, right above,
+        # left holds (coord, row) lexicographically below the node, right above,
         # so equal coordinates can appear on either side of the node
         if tree.left[idx] >= 0 and c >= lo[axis]:
             stack.append(int(tree.left[idx]))
@@ -144,12 +143,12 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
     return found
 
 
-def _round_hits(keyed: KeySortedRows, ids: np.ndarray,
+def _round_hits(keyed: KeySortedRows, at: np.ndarray,
                 boxes) -> list[np.ndarray]:
-    """Global ids of the shard rows inside each closed box of one round.
+    """Dataset rows of the shard rows inside each closed box of one round.
 
-    `keyed` holds the shard's rows sorted by key and `ids` their global
-    ids in that order; `boxes` is a pair of (b, d) arrays, lo and hi. A
+    `keyed` holds the shard's rows sorted by key and `at` their dataset
+    rows in that order; `boxes` is a pair of (b, d) arrays, lo and hi. A
     row inside a box has its key in [lo, hi] on the key column, so it lies
     in the band that two binary searches per round find in the sorted keys;
     the full test runs over that band only. One box is tested at a time, so
@@ -159,7 +158,7 @@ def _round_hits(keyed: KeySortedRows, ids: np.ndarray,
     start = np.searchsorted(keyed.keys, lo[:, keyed.col], "left").tolist()
     stop = np.searchsorted(keyed.keys, hi[:, keyed.col], "right").tolist()
     rows = keyed.rows
-    return [ids[a:b][np.all((rows[a:b] >= low) & (rows[a:b] <= high), axis=1)]
+    return [at[a:b][np.all((rows[a:b] >= low) & (rows[a:b] <= high), axis=1)]
             for low, high, a, b in zip(lo, hi, start, stop)]
 
 
@@ -168,19 +167,20 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], _X: DataSet, job):
 
     Each value `job` yields is one round, a pair of (b, d) lo and hi
     arrays: rank 0 broadcasts it once, every rank answers it with its
-    per-box hit arrays, gathered once, and `job` is sent one int64 id array
-    per box, in no particular order and without repeats (the shards are
-    disjoint). When `job` returns, rank 0 broadcasts None and returns its
-    value; the other ranks answer rounds until then and return None. Each
-    rank sorts its shard once, before the first round. `_X`, the rows the
-    shards were cut from, is unused: `CommWorld.run` passes it to every body.
+    per-box hit arrays, gathered once, and `job` is sent one int64 array of
+    dataset rows per box, in no particular order and without repeats (the
+    shards are disjoint); a shard's row i is dataset row `shard.start + i`.
+    When `job` returns, rank 0 broadcasts None and returns its value; the
+    other ranks answer rounds until then and return None. Each rank sorts
+    its shard once, before the first round. `_X`, the rows the shards were
+    cut from, is unused: `CommWorld.run` passes it to every body.
     """
     shard = shards[ctx.rank]
     keyed = KeySortedRows.build(shard.points)
-    ids = shard.ids[keyed.order]
+    at = shard.start + keyed.order
     if ctx.rank != 0:
         while (boxes := ctx.broadcast(None)) is not None:
-            ctx.gather(_round_hits(keyed, ids, boxes))
+            ctx.gather(_round_hits(keyed, at, boxes))
         return None
     hits = None
     while True:
@@ -189,7 +189,7 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], _X: DataSet, job):
         except StopIteration as done:
             ctx.broadcast(None)
             return done.value
-        parts = ctx.gather(_round_hits(keyed, ids, ctx.broadcast(boxes)))
+        parts = ctx.gather(_round_hits(keyed, at, ctx.broadcast(boxes)))
         hits = [np.concatenate(box) for box in zip(*parts)]
 
 
@@ -205,7 +205,7 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
     if query.lo.size != tree.d:
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
-    hits, _ = world.run(_search_node, DataSet(tree.points, tree.ids),
+    hits, _ = world.run(_search_node, DataSet(tree.points),
                         _one_box(query.lo, query.hi))
     return set(hits.tolist())
 
@@ -214,7 +214,7 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
 class Window:
     center: np.ndarray
     half_width: np.ndarray
-    # global ids of the rows inside, distinct, in no particular order
+    # dataset rows inside, distinct, in no particular order
     enclosed: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -234,9 +234,6 @@ class _WindowDriver:
     def __init__(self, X: DataSet, params: KWindowsParams):
         self.X = X
         self.params = params
-        # row lookup by global id; ids are a permutation so this inverts it
-        self.row_of = np.empty(X.n, dtype=np.int64)
-        self.row_of[X.ids] = np.arange(X.n)
 
     def _move(self, w: Window):
         """Movement: re-center on the mean of the enclosed rows until the
@@ -254,12 +251,11 @@ class _WindowDriver:
                 break
 
     def _mean(self, enclosed: np.ndarray) -> np.ndarray:
-        # fixed ascending-id order keeps the mean independent of node count
-        rows = self.row_of[np.sort(enclosed)]
-        return self.X.points[rows].mean(axis=0)
+        # ascending row order keeps the mean independent of node count
+        return self.X.points[np.sort(enclosed)].mean(axis=0)
 
     def _path(self, w: Window):
-        """One window's box queries: yields boxes, is sent each box's ids."""
+        """One window's box queries: yields boxes, is sent each box's rows."""
         yield from self._move(w)
         # safety cap: movement after a kept growth may shed points again
         for _ in range(50):
@@ -343,8 +339,7 @@ class _WindowDriver:
             g = group_label.setdefault(roots[i], len(group_label))
             # a window's rows are distinct, so the order they are claimed
             # in does not matter; earlier windows keep what they claimed
-            rows = self.row_of[w.enclosed]
-            labels[rows[labels[rows] == NOISE]] = g
+            labels[w.enclosed[labels[w.enclosed] == NOISE]] = g
         # a group can end up owning no points when earlier windows claim
         # everything it covers; compact so labels stay below k
         owned = labels != NOISE

@@ -298,7 +298,7 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
     centroids = np.empty((len(counts), members.shape[1]))
     for i in range(len(counts)):
         centroids[i] = members[which == i].mean(axis=0)
-    all_sketches = ctx.gather((centroids, counts), root=0)
+    all_sketches = ctx.gather((centroids, counts))
     if ctx.rank == 0:
         first = np.cumsum([0] + [len(c) for _, c in all_sketches])
         group = _merge_sketches(np.vstack([p for p, _ in all_sketches]),
@@ -306,11 +306,11 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
         groups = [group[first[r]:first[r + 1]] for r in range(ctx.size)]
     else:
         groups = None
-    groups = ctx.broadcast(groups, root=0)
+    groups = ctx.broadcast(groups)
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
     final[keep] = groups[ctx.rank][which]
-    pieces = ctx.gather(final, root=0)
+    pieces = ctx.gather(final)
     if ctx.rank == 0:
         return np.concatenate(pieces), int(first[-1]), n_reps
     return None

@@ -93,7 +93,7 @@ def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
     if km_params is not None:
         return _pkm_node(ctx, shards, X, dataclasses.replace(km_params, k=k),
                          means)
-    labels = ctx.gather(leaf, root=0)
+    labels = ctx.gather(leaf)
     if ctx.rank == 0:
         return np.concatenate(labels), means
     return None

@@ -88,7 +88,6 @@ REPORT_SCHEMA = {
                 "comm": {"type": "number", "minimum": 0},
             },
         },
-        "ari_vs_baseline": {"type": "number", "minimum": -1, "maximum": 1},
         "model": {"type": "object"},
     },
 }

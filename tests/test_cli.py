@@ -217,6 +217,17 @@ def test_bad_csv_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("header", ["", "x,y\n"])
+def test_a_byte_order_mark_drops_no_data_row(header, tmp_path, capsys):
+    # a mark read as text would make row 1 non-numeric, so a header
+    data = tmp_path / "bom.csv"
+    data.write_bytes(("\ufeff" + header + "1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+                     .encode("utf-8"))
+    doc = _run_json(capsys, ["run", "--algo", "kmeans", "--data", str(data),
+                             "--k", "1"])
+    assert doc["n"] == 3 and doc["centroids"] == [[3.0, 4.0]]
+
+
 @pytest.mark.parametrize("algo", ["pkm", "pfcm", "pddp"])
 @pytest.mark.parametrize("nodes", ["1", "2"])
 def test_overflowing_input_exits_two(algo, nodes, tmp_path, capsys):

@@ -67,17 +67,38 @@ def test_split_blocks_partition_properties(n, p):
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
     assert sorted(sizes, reverse=True) == sizes  # larger blocks first
-    glued = np.concatenate([s.ids for s in shards])
-    assert np.array_equal(glued, X.ids)
+    # each shard starts at the dataset row after the blocks before it
+    assert [s.start for s in shards] == np.cumsum([0] + sizes[:-1]).tolist()
     stacked = np.vstack([s.points for s in shards])
     assert np.array_equal(stacked, X.points)
+
+
+@pytest.mark.parametrize("algo", ["pkm", "pfcm", "k-windows"])
+def test_one_row_per_shard_gives_the_one_node_result(algo):
+    # at P = n every row's dataset position is its shard's start alone
+    X, _ = generate_blobs(seed=3, k=3, per_cluster=4, d=2)
+    run = {"pkm": lambda w: pkm(w, X, KMeansParams(k=3, seed=1)),
+           "pfcm": lambda w: pfcm(w, X, FcmParams(k=3, seed=1)),
+           "k-windows": lambda w: k_windows(w, X, KWindowsParams(
+               l=4, a=2.0, seed=1))}[algo]
+    docs = []
+    for p in (1, X.n):
+        world = CommWorld(p)
+        try:
+            docs.append(run(world).to_json_dict())
+        finally:
+            world.shutdown()
+    for doc in docs:
+        del doc["p"], doc["timings_ms"]
+    assert docs[0] == docs[1]  # labels, j, centroids and model alike
+    assert docs[0]["labels"] != [docs[0]["labels"][0]] * X.n
 
 
 # -- broadcast -------------------------------------------------------------
 
 
 def test_broadcast_single_rank_identity():
-    out = _world_run(1, lambda ctx: ctx.broadcast("payload", root=0))
+    out = _world_run(1, lambda ctx: ctx.broadcast("payload"))
     assert out == ["payload"]
 
 
@@ -85,26 +106,10 @@ def test_broadcast_root_value_everywhere():
     centroids = np.array([[1.0, 2.0], [3.0, 4.0]])
 
     def fn(ctx):
-        got = ctx.broadcast(centroids if ctx.rank == 0 else None, root=0)
+        got = ctx.broadcast(centroids if ctx.rank == 0 else None)
         return np.array_equal(got, centroids)
 
     assert _world_run(4, fn) == [True] * 4
-
-
-def test_broadcast_mismatched_roots_aborts_everywhere():
-    def fn(ctx):
-        ctx.broadcast("x", root=0 if ctx.rank == 0 else 1)
-
-    with pytest.raises(CommAbort):
-        _world_run(3, fn)
-
-
-def test_broadcast_root_out_of_range():
-    def fn(ctx):
-        ctx.broadcast("x", root=5)
-
-    with pytest.raises(ValueError):
-        _world_run(2, fn)
 
 
 # -- allreduce -------------------------------------------------------------
@@ -189,8 +194,8 @@ def test_allreduce_length_mismatch_aborts():
 def test_mismatched_collective_kinds_abort():
     def fn(ctx):
         if ctx.rank == 0:
-            return ctx.broadcast("a", root=0)
-        return ctx.gather("b", root=0)
+            return ctx.broadcast("a")
+        return ctx.gather("b")
 
     with pytest.raises(CommAbort):
         _world_run(2, fn)
@@ -200,18 +205,13 @@ def test_mismatched_collective_kinds_abort():
 
 
 def test_gather_single_rank():
-    assert _world_run(1, lambda ctx: ctx.gather("a", root=0)) == [["a"]]
+    assert _world_run(1, lambda ctx: ctx.gather("a")) == [["a"]]
 
 
 def test_gather_rank_order_at_root_empty_elsewhere():
-    out = _world_run(3, lambda ctx: ctx.gather("r%d" % ctx.rank, root=0))
+    out = _world_run(3, lambda ctx: ctx.gather("r%d" % ctx.rank))
     assert out[0] == ["r0", "r1", "r2"]
     assert out[1] == [] and out[2] == []
-
-
-def test_gather_at_nonzero_root():
-    out = _world_run(3, lambda ctx: ctx.gather(ctx.rank, root=2))
-    assert out[2] == [0, 1, 2] and out[0] == []
 
 
 # -- spmd driver -----------------------------------------------------------
@@ -225,7 +225,7 @@ def test_spmd_reraises_first_real_failure():
     def fn(ctx):
         if ctx.rank == 1:
             raise KeyError("boom")
-        ctx.broadcast(None, root=0)  # the abort releases this
+        ctx.broadcast(None)  # the abort releases this
 
     with pytest.raises(KeyError):
         _world_run(3, fn)
@@ -248,7 +248,7 @@ def test_spmd_watchdog_fires_on_deadlock():
     def fn(ctx):
         if ctx.rank == 0:
             return None  # never joins the collective
-        ctx.broadcast(None, root=0)
+        ctx.broadcast(None)
 
     world = CommWorld(2)
     try:
@@ -364,5 +364,5 @@ def test_run_splits_the_data_and_returns_rank_zeros_result():
 
 
 def test_shard_len():
-    s = Shard(np.zeros((3, 2)), np.arange(3))
+    s = Shard(np.zeros((3, 2)), 0)
     assert len(s) == 3

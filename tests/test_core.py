@@ -441,8 +441,6 @@ def test_blobs_rejects_bad_args():
 
 def test_dataset_validates_ids_and_finiteness():
     with pytest.raises(ValueError):
-        DataSet(np.zeros((2, 2)), np.array([0, 0]))
-    with pytest.raises(ValueError):
         DataSet.from_points([[np.nan, 0.0]])
     with pytest.raises(ValueError):
         DataSet.from_points(np.zeros(3))

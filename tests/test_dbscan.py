@@ -597,7 +597,7 @@ def test_local_clusters_never_split_in_the_merge():
         world.shutdown()
     for shard in shards:
         local = dbscan(DataSet.from_points(shard.points), params)
-        final = rep.labels[shard.ids]
+        final = rep.labels[shard.start:shard.start + len(shard)]
         for cid in np.unique(local.labels[local.labels != NOISE]):
             assert np.unique(final[local.labels == cid]).size == 1
 

@@ -15,7 +15,7 @@ from parclust.fcm import (FcmParams, centroid_update, fcm_objective,
 
 def _shard_of(points):
     pts = np.asarray(points, dtype=np.float64)
-    return Shard(pts, np.arange(pts.shape[0]))
+    return Shard(pts, 0)
 
 
 def _run(p, X, params):
@@ -118,7 +118,8 @@ def test_centroids_bit_identical_across_node_counts():
 
     def fn(ctx, shards):
         sh = shards[ctx.rank]
-        return centroid_update(ctx, sh, u_full[sh.ids], m=2.0)
+        return centroid_update(ctx, sh, u_full[sh.start:sh.start + len(sh)],
+                               m=2.0)
 
     ref = _run_node_fn(1, fn, split_blocks(X, 1))[0]
     for p in (2, 4):

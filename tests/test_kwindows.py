@@ -252,7 +252,8 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
         parts = []
         for shard in split_blocks(X, p):
             keyed = KeySortedRows.build(shard.points)
-            parts.append(_round_hits(keyed, shard.ids[keyed.order], (lo, hi)))
+            parts.append(_round_hits(keyed, shard.start + keyed.order,
+                                     (lo, hi)))
         for k, box in enumerate(zip(*parts)):
             ids = np.concatenate(box)
             assert ids.dtype == np.int64
@@ -459,7 +460,7 @@ def test_params_validation():
 
 def _serial_windows(X, params):
     """Per-window serial oracle: drives each window's path alone against a
-    brute-force mask, merges, and labels one id at a time in ascending id
+    brute-force mask, merges, and labels one row at a time in ascending row
     order. Returns (labels, model windows, longest path in queries)."""
     driver = _WindowDriver(X, params)
     seeds = np.random.default_rng(params.seed).choice(X.n, size=params.l,
@@ -475,7 +476,8 @@ def _serial_windows(X, params):
             except StopIteration:
                 break
             queries += 1
-            hits = X.ids[np.all((X.points >= lo) & (X.points <= hi), axis=1)]
+            hits = np.flatnonzero(np.all((X.points >= lo) & (X.points <= hi),
+                                         axis=1))
         longest = max(longest, queries)
     roots = _merge_groups_loop(windows, params.theta_merge)
     group_label = {}
@@ -483,8 +485,7 @@ def _serial_windows(X, params):
     for i, w in enumerate(windows):
         if w.enclosed.size:
             g = group_label.setdefault(roots[i], len(group_label))
-            for gid in sorted(w.enclosed.tolist()):
-                row = int(driver.row_of[gid])
+            for row in sorted(w.enclosed.tolist()):
                 if labels[row] == NOISE:
                     labels[row] = g
     present = sorted(set(labels) - {NOISE})

@@ -131,7 +131,7 @@ def test_four_blobs_fall_out_of_two_levels():
 def test_huge_coordinates_still_split(scale):
     # squared norms of the covariance products pass the float64 range here
     X0, truth = generate_blobs(seed=4, k=4, per_cluster=20, d=3)
-    X = DataSet(X0.points * scale, X0.ids)
+    X = DataSet(X0.points * scale)
     reports = []
     for p in (1, 2, 3):
         world = CommWorld(p)
