@@ -15,8 +15,9 @@ from .comm import CommAbort, CommWorld, NodeCtx, Shard, split_blocks
 from .core import (NOISE, CentroidSet, DataSet, Partition,
                    adjusted_rand_index, generate_blobs, load_csv,
                    sse_objective, squared_euclidean, write_csv)
-from .dbscan import (DbscanParams, DdbcParams, LocalDensityModel, dbscan,
-                     ddbc, rep_kmeans_model, specific_core_points)
+from .dbscan import (DbscanParams, DdbcParams, DensityScan, LocalDensityModel,
+                     dbscan, ddbc, density_scan, rep_kmeans_model,
+                     specific_core_points)
 from .fcm import FcmParams, initial_membership, membership_update, pfcm
 from .kmeans import KMeansParams, kmeans_centralized, pkm
 from .kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, k_windows,
@@ -33,8 +34,9 @@ __all__ = [
     "NOISE", "CentroidSet", "DataSet", "Partition", "adjusted_rand_index",
     "generate_blobs", "load_csv", "sse_objective", "squared_euclidean",
     "write_csv",
-    "DbscanParams", "DdbcParams", "LocalDensityModel", "dbscan", "ddbc",
-    "rep_kmeans_model", "specific_core_points",
+    "DbscanParams", "DdbcParams", "DensityScan", "LocalDensityModel",
+    "dbscan", "ddbc", "density_scan", "rep_kmeans_model",
+    "specific_core_points",
     "FcmParams", "initial_membership", "membership_update", "pfcm",
     "KMeansParams", "kmeans_centralized", "pkm",
     "KWindowsParams", "MDBinaryTree", "RangeQuery", "k_windows",

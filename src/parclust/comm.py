@@ -3,11 +3,13 @@
 Every rank runs the same body on a `NodeCtx`, the only rank context.
 Collectives are barriers: every rank posts its contribution, the last
 rank to arrive validates and combines them inside the barrier, and all
-ranks read the result after one wait. The only reduction sums
-equal-length vectors of Python ints. Integer addition is exact and
-associative, so a sum does not depend on the fold order or on the node
-count; a float payload, whose sum would, is refused. Collectives are the
-only way ranks exchange data: there is no point-to-point messaging.
+ranks read the result after one wait. A one-node world has no peer to
+wait for, so its rank validates and combines its own contribution at once.
+The only reduction sums equal-length vectors of Python ints. Integer
+addition is exact and associative, so a sum does not depend on the fold
+order or on the node count; a float payload, whose sum would, is refused.
+Collectives are the only way ranks exchange data: there is no
+point-to-point messaging.
 Rank 0 is the root of every broadcast and gather.
 
 Each rank owns one contiguous block of rows (`split_blocks`), in rank
@@ -21,9 +23,10 @@ results; `run` also times the split of the data into one block per rank.
 
 Larger worlds run one thread per rank. A one-node world starts no
 thread: its single rank runs on the calling thread, through the same
-runner, and its collectives pass the same one-party barrier, validation
-and timing as a larger world's. Centralized k-means and one node's PCA run
-their bodies on such a world, so each result is the parallel body's at P=1.
+runner, and its collectives pass the same validation and timing as a
+larger world's, without the barrier. Centralized k-means and one node's
+PCA run their bodies on such a world, so each result is the parallel
+body's at P=1.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ class CommWorld:
         Every rank runs fn on a `NodeCtx` through the same runner, which
         times its body and records its failure. A one-node world runs its
         single rank on the calling thread, with no watchdog (`timeout` is
-        unused there); its collectives pass the same one-party barrier,
-        validation and timing as any other world's. Larger worlds run one
+        unused there); its collectives pass the same validation and timing
+        as any other world's, without the barrier. Larger worlds run one
         thread per rank, and a watchdog aborts the run if ranks fail to
         finish within timeout. After the world is torn down, the lowest
         rank's own exception (not the abort a peer's failure raised in it)
@@ -193,10 +196,15 @@ class CommWorld:
 
     def _collective(self, rank, kind, payload):
         self._slots[rank] = (kind, payload)
-        self._wait()
-        # the next action overwrites _result only after every rank, this
-        # one included, has posted its next slot
-        result = self._result[0]
+        if self.size == 1:  # no peer to wait for: combine the one slot now
+            if self._barrier.broken:
+                raise CommAbort(self._abort_reason or "world aborted")
+            result = CommWorld._combine(self._slots)
+        else:
+            self._wait()
+            # the next action overwrites _result only after every rank,
+            # this one included, has posted its next slot
+            result = self._result[0]
         if isinstance(result, _Abort):
             raise CommAbort(result.reason)
         return result

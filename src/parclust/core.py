@@ -198,14 +198,23 @@ def _pairwise_sq(pt, ct, lo: int, hi: int) -> np.ndarray:
     return acc
 
 
+def column_midrange(points: np.ndarray) -> np.ndarray:
+    """The midrange of every column (zeros for no rows): an origin from
+    which no row's offset exceeds half its column's spread."""
+    if len(points) == 0:
+        return np.zeros(points.shape[1])
+    return points.min(axis=0) / 2 + points.max(axis=0) / 2
+
+
 def lifted_rows(points: np.ndarray,
                 origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two lifts that `within_squared_distance` multiplies, of each
-    row's offset x = row - origin: ([x, s, 1], [-2x, 1, s]) with
-    s = Σ x_i², so the product of p's left lift and q's right lift is
-    |x_p|² + |x_q|² - 2 x_p·x_q = |x_p - x_q|². An origin amid the rows
-    keeps s, and so the filter's margin, small however far the rows lie
-    from zero. A square that overflows leaves s infinite."""
+    """The two lifts that `within_squared_distance` and `nearest_centers`
+    multiply, of each row's offset x = row - origin: ([x, s, 1],
+    [-2x, 1, s]) with s = Σ x_i², so the product of p's left lift and q's
+    right lift is |x_p|² + |x_q|² - 2 x_p·x_q = |x_p - x_q|². An origin
+    amid the rows (`column_midrange`) keeps s, and so the product's margin,
+    small however far the rows lie from zero. A square that overflows
+    leaves s infinite."""
     n, d = points.shape
     lhs = np.empty((n, d + 2))
     rhs = np.empty((n, d + 2))
@@ -219,28 +228,22 @@ def lifted_rows(points: np.ndarray,
     return lhs, rhs
 
 
-# The filter's margin, in units of (d + 2) * 2**-53 * (max s_p + max s_q);
-# see within_squared_distance.
+# The product's margin, in units of (d + 2) * 2**-53 * (max s_p + max s_q);
+# see product_margin.
 _FILTER_C = 8.0
 # Above this bound on s_p + s_q the product could overflow, so a call whose
-# norms reach it is scored by squared_distances alone.
+# norms reach it settles no cell and scores every row by squared_distances.
 _FILTER_MAX_NORMS = 2.0 ** 1000
 
 
-def within_squared_distance(points: np.ndarray, centers: np.ndarray,
-                            eps2: float, lhs: np.ndarray,
-                            rhs: np.ndarray) -> np.ndarray:
-    """n x k booleans: `squared_distances(points, centers) <= eps2`, the
-    same bit for bit, from one BLAS product and a proven error bound.
+def product_margin(lhs: np.ndarray, rhs: np.ndarray) -> float | None:
+    """A bound m on |G - D| over every cell of G = lhs @ rhs.T, where D is
+    the `squared_distances` value of the cell's row and center; None when
+    the norms are too large for the product to be trusted.
 
     `lhs` and `rhs` are `lifted_rows(points, origin)[0]` and
     `lifted_rows(centers, origin)[1]` with one origin, or slices of the
-    lifts of a larger stack, as a sweep computes them once for all its
-    blocks. G = lhs @ rhs.T approximates each exact distance D, and a
-    bound m on |G - D| settles every cell with G < eps2 - m (D < eps2: a
-    hit) or G > eps2 + m (D > eps2: a miss). A row with a cell that is
-    neither is scored again by `squared_distances`, which decides its open
-    cells only.
+    lifts of a larger stack.
 
     The bound, in the standard model with u = 2**-53 and
     γ_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
@@ -259,33 +262,104 @@ def within_squared_distance(points: np.ndarray, centers: np.ndarray,
         below 2 γ_{d+2} (P + Q) to first order.
     Summed, |G - D| <= γ_{d+2} (s_p + s_q + 4 (P + Q)) + 4 u (P + Q), below
     6.4 (d + 2) u (s_p + s_q) while (d + 2) u < 2**-20. The margin
-    m = _FILTER_C (d + 2) u (max s_p + max s_q) leaves room for its own
-    roundings, and those of eps2 ± m do not matter: a float G below the
-    rounded eps2 - m lies below the exact one, and one above the rounded
-    eps2 + m lies above the exact one. The absolute slack (d + 2) 2**-1070
-    covers gradual underflow, which numpy and BLAS keep: a sum or
-    difference whose result is subnormal is exact, and each of the 4d
-    products that may underflow errs by at most 2**-1075 more, grown below
-    2x by the later roundings. With max s_p + max s_q above
-    _FILTER_MAX_NORMS (or infinite, when a square overflows), the product
-    could overflow, so no cell is settled and every row is scored exactly;
-    NaN would land in neither test.
+    m = _FILTER_C (d + 2) u (max s_p + max s_q) is 1.25 times that, which
+    leaves room for the roundings of the thresholds the callers form from
+    it. The absolute slack (d + 2) 2**-1070 covers gradual underflow,
+    which numpy and BLAS keep: a sum or difference whose result is
+    subnormal is exact, and each of the 4d products that may underflow
+    errs by at most 2**-1075 more, grown below 2x by the later roundings.
+    With max s_p + max s_q above _FILTER_MAX_NORMS (or infinite, when a
+    square overflows), the product could overflow, so there is no bound.
     """
-    d = points.shape[1]
-    with np.errstate(over="ignore"):  # an infinite square is no neighbour
+    d = lhs.shape[1] - 2
+    with np.errstate(over="ignore"):  # an infinite square has no bound
         norms = lhs[:, d].max(initial=0.0) + rhs[:, d + 1].max(initial=0.0)
-        if not norms <= _FILTER_MAX_NORMS:
+    if not norms <= _FILTER_MAX_NORMS:
+        return None
+    return _FILTER_C * (d + 2) * 2.0 ** -53 * norms + (d + 2) * 2.0 ** -1070
+
+
+def within_squared_distance(points: np.ndarray, centers: np.ndarray,
+                            eps2: float, lhs: np.ndarray,
+                            rhs: np.ndarray) -> np.ndarray:
+    """n x k booleans: `squared_distances(points, centers) <= eps2`, the
+    same bit for bit, from one BLAS product and a proven error bound.
+
+    `lhs` and `rhs` are the lifts of `product_margin`, as a sweep computes
+    them once for all its blocks. G = lhs @ rhs.T approximates each exact
+    distance D, and the margin m settles every cell with G < eps2 - m
+    (D < eps2: a hit) or G > eps2 + m (D > eps2: a miss). A row with a cell
+    that is neither is scored again by `squared_distances`, which decides
+    its open cells only. The roundings of eps2 ± m do not matter: a float
+    G below the rounded eps2 - m lies below the exact one, and one above
+    the rounded eps2 + m lies above the exact one. Without a margin every
+    row is scored exactly; NaN would land in neither test.
+    """
+    m = product_margin(lhs, rhs)
+    if m is None:
+        with np.errstate(over="ignore"):  # an infinite square is no neighbour
             return squared_distances(points, centers) <= eps2
-        m = _FILTER_C * (d + 2) * 2.0 ** -53 * norms + (d + 2) * 2.0 ** -1070
-        g = lhs @ rhs.T
-        hit = g < eps2 - m
-        sure = g > eps2 + m
-        sure |= hit
-        if not sure.all():
-            rows = np.flatnonzero(~sure.all(axis=1))
-            hit[rows] |= ~sure[rows] & (squared_distances(points[rows],
-                                                          centers) <= eps2)
+    g = lhs @ rhs.T
+    hit = g < eps2 - m
+    sure = g > eps2 + m
+    sure |= hit
+    if not sure.all():
+        rows = np.flatnonzero(~sure.all(axis=1))
+        hit[rows] |= ~sure[rows] & (squared_distances(points[rows],
+                                                      centers) <= eps2)
     return hit
+
+
+def nearest_centers(points: np.ndarray, centers: np.ndarray, lhs: np.ndarray,
+                    rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, d2min): each row's nearest center, ties to the lowest index,
+    and its squared distance; the same bits as
+    `np.argmin(squared_distances(points, centers), axis=1)` and the values
+    it picks, from one BLAS product and a proven error bound.
+
+    `lhs` and `rhs` are the lifts of `product_margin`, which bounds
+    |G - D| by m for every cell of G = lhs @ rhs.T. A row's nearest center
+    c has G_c <= D_c + m <= D_j + m <= G_j + 2m for every center j, so c
+    is among the centers with G within 2m of the row's least G. A row with
+    one such candidate, its argmin of G, is settled: that candidate is its
+    nearest, and no other center ties with it, because a tying center
+    would be a candidate too. Two argmins find the least G of the other
+    centers, which decides whether there is a second candidate.
+
+    The rounded threshold least G + 2m does not drop c: |G - D| is at most
+    0.8 m (see product_margin), so G_c is within 1.6 m of the least G, and
+    the sum rounds off at most u (least G + 2m). The least G is at most
+    about 2 (max s_p + max s_q), so that is below m / 12 + 2u m, well
+    inside the remaining 0.4 m. Rows with two or more candidates, or every
+    row when there is no margin, are scored by `squared_distances`, and
+    take the lowest index among their exact minima. `d2min` is
+    `row_squared_distances` of each row and its center.
+    """
+    m = product_margin(lhs, rhs)
+    if m is None:
+        labels = np.zeros(len(points), dtype=np.int64)
+        open_rows = np.arange(len(points))
+    else:
+        g = lhs @ rhs.T
+        labels = np.argmin(g, axis=1)
+        rows = np.arange(len(points))
+        least = g[rows, labels]
+        g[rows, labels] = np.inf  # the least G of the other centers next
+        runner_up = g[rows, np.argmin(g, axis=1)]
+        least += 2.0 * m
+        open_rows = np.flatnonzero(runner_up <= least)
+    if open_rows.size:
+        labels[open_rows] = np.argmin(
+            squared_distances(points[open_rows], centers), axis=1)
+    return labels, row_squared_distances(points, centers[labels])
+
+
+def row_squared_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to the same row of `others`: the
+    `squared_distances` value of that pair, bit for bit, as both add the
+    squared differences in numpy's pairwise order."""
+    diff = points - others
+    return np.sum(np.multiply(diff, diff, out=diff), axis=1)
 
 
 @dataclass(frozen=True)

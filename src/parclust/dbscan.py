@@ -4,10 +4,11 @@ clusters model representatives at the facilitator.
 
 Each scan finds every row's eps-neighbourhood in one blocked sweep over rows
 sorted by one column, and records which rows are core points; the density
-models reuse that mask instead of querying again. The labels do not depend
-on the order of the rows: clusters are the connected components of the core
-rows, numbered by their smallest core row, and a border row joins the
-cluster of smallest number among its core neighbours."""
+models reuse that mask and those neighbourhoods instead of querying or
+scoring distances again. The labels do not depend on the order of the
+rows: clusters are the connected components of the core rows, numbered by
+their smallest core row, and a border row joins the cluster of smallest
+number among its core neighbours."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx
 from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, KeySortedRows,
-                   Partition, components, lifted_rows, squared_distances,
+                   Partition, column_midrange, components, lifted_rows,
+                   row_squared_distances, squared_distances,
                    within_squared_distance)
 from .report import ClusterReport
 
@@ -62,10 +64,7 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
     lo = np.searchsorted(keys, keys - reach, "left")
     hi = np.searchsorted(keys, keys + reach, "right")
     ids = slab.order.astype(np.int32)
-    # the midrange of every column, so no offset exceeds half the spread
-    origin = (slab.rows.min(axis=0) / 2 + slab.rows.max(axis=0) / 2 if n
-              else np.zeros(slab.rows.shape[1]))
-    lhs, rhs = lifted_rows(slab.rows, origin)
+    lhs, rhs = lifted_rows(slab.rows, column_midrange(slab.rows))
     counts = np.empty(n, dtype=np.int64)
     chunks = []
     start = 0
@@ -89,7 +88,28 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
     return indptr, nbr
 
 
-def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
+@dataclass(frozen=True)
+class DensityScan:
+    """One scan of a dataset: its partition, its core-point mask, and every
+    row's eps-neighbourhood as the sweep found it.
+
+    The neighbourhoods are the sweep's CSR arrays over slab positions;
+    `position[row]` is the row's slab position, so `neighbours(row)` are
+    the rows whose squared distance to it is <= eps2, the row included.
+    """
+
+    partition: Partition
+    core: np.ndarray  # bool per row
+    indptr: np.ndarray
+    nbr: np.ndarray
+    position: np.ndarray
+
+    def neighbours(self, row: int) -> np.ndarray:
+        p = self.position[row]
+        return self.nbr[self.indptr[p]:self.indptr[p + 1]]
+
+
+def density_scan(X: DataSet, params: DbscanParams) -> DensityScan:
     """Classical density scan with closed eps-balls, in an order-free form.
 
     A point counts itself as a neighbour, and a row is core when its
@@ -98,9 +118,8 @@ def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
     order of their smallest core row. A non-core row takes the smallest
     cluster number among its core neighbours; one with no core neighbour is
     noise. No rule depends on the order rows are visited in, so runs are
-    bit-reproducible. Every row's neighbourhood is found once, in one sweep.
-    Returns the Partition, or with return_core=True the pair (Partition,
-    boolean core-point mask).
+    bit-reproducible. Every row's neighbourhood is found once, in one sweep,
+    and the scan keeps them for the density models.
     """
     n = X.n
     slab = KeySortedRows.build(X.points)
@@ -122,37 +141,40 @@ def dbscan(X: DataSet, params: DbscanParams, return_core: bool = False):
     least = np.minimum.reduceat(cluster[nbr], indptr[:-1])
     labels = np.empty(n, dtype=np.int64)
     labels[slab.order] = np.where(least == n, NOISE, least)
-    part = Partition(labels)
-    return (part, core) if return_core else part
+    position = np.empty(n, dtype=np.int64)
+    position[slab.order] = np.arange(n)
+    return DensityScan(Partition(labels), core, indptr, nbr, position)
 
 
-def specific_core_points(X: DataSet, cluster_rows, core: np.ndarray,
+def dbscan(X: DataSet, params: DbscanParams) -> Partition:
+    """The partition of `density_scan(X, params)`."""
+    return density_scan(X, params).partition
+
+
+def specific_core_points(scan: DensityScan, cluster_rows,
                          params: DbscanParams) -> list[int]:
     """Greedy eps-separated cover of one cluster's core points.
 
-    `core` is the scan's core-point mask over X. Core rows are visited in
-    ascending order; one is kept only if it lies strictly more than eps from
-    every point already kept. A running minimum squared distance to the
-    kept points decides that, so no neighbourhood is queried.
+    `scan` is the density scan of the rows `cluster_rows` index. Core rows
+    are visited in ascending order; one is kept only if it lies strictly
+    more than eps from every point already kept, that is, if no kept row's
+    neighbourhood holds it. Each kept row marks its neighbourhood covered,
+    so no distance is scored: the sweep's relation is exactly
+    `squared_distances <= eps2`, and a squared distance does not depend on
+    which of its two rows comes first.
     """
     rows = np.sort(np.asarray(cluster_rows, dtype=np.int64))
-    rows = rows[core[rows]]
+    rows = rows[scan.core[rows]]
     if rows.size == 0:
         raise ValueError("cluster has no core points under eps=%g min_pts=%d"
                          % (params.eps, params.min_pts))
-    eps2 = params.eps * params.eps
-    cand = X.points[rows]
-    nearest = np.full(rows.size, np.inf)
+    covered = np.zeros(scan.core.size, dtype=bool)
     selected: list[int] = []
-    i = 0
-    while True:
-        selected.append(int(rows[i]))
-        diff = cand - cand[i]
-        np.minimum(nearest, np.sum(diff * diff, axis=1), out=nearest)
-        later = np.flatnonzero(nearest[i + 1:] > eps2)
-        if later.size == 0:
-            return selected
-        i += 1 + int(later[0])
+    for row in rows.tolist():
+        if not covered[row]:
+            selected.append(row)
+            covered[scan.neighbours(row)] = True
+    return selected
 
 
 @dataclass(frozen=True)
@@ -167,12 +189,11 @@ class LocalDensityModel:
                 yield cid, center, radius
 
 
-def rep_kmeans_model(X: DataSet, partition: Partition, core: np.ndarray,
-                     params: DbscanParams,
+def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
                      refine: bool = True) -> LocalDensityModel:
     """Compress each cluster into |specific core points| centers.
 
-    `partition` and the core-point mask `core` come from one scan of X.
+    `scan` is `density_scan(X, params)`.
 
     With refine=True the centers come from k-means seeded at the specific
     core points; otherwise the specific core points themselves are kept.
@@ -183,10 +204,10 @@ def rep_kmeans_model(X: DataSet, partition: Partition, core: np.ndarray,
 
     pts = X.points
     groups = []
-    labels = partition.labels
+    labels = scan.partition.labels
     for cid in np.unique(labels[labels != NOISE]).tolist():
         rows = np.nonzero(labels == cid)[0]
-        scor = specific_core_points(X, rows, core, params)
+        scor = specific_core_points(scan, rows, params)
         seeds = pts[scor]
         sub = DataSet.from_points(pts[rows])
         if refine:
@@ -198,8 +219,7 @@ def rep_kmeans_model(X: DataSet, partition: Partition, core: np.ndarray,
         else:
             centers = seeds
             assigned = np.argmin(squared_distances(sub.points, centers), axis=1)
-        d2 = squared_distances(sub.points, centers)[
-            np.arange(sub.n), assigned]
+        d2 = row_squared_distances(sub.points, centers[assigned])
         radius2 = np.zeros(centers.shape[0])  # an empty center keeps 0.0
         np.maximum.at(radius2, assigned, d2)
         groups.append(tuple(zip(centers.copy(), np.sqrt(radius2).tolist())))
@@ -231,9 +251,10 @@ class DdbcParams:
 def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
     shard = shards[ctx.rank]
     local_X = DataSet.from_points(shard.points)
-    local_part, core = dbscan(local_X, params.local, return_core=True)
+    scan = density_scan(local_X, params.local)
+    local_part = scan.partition
     if local_part.k > 0:
-        model = rep_kmeans_model(local_X, local_part, core, params.local,
+        model = rep_kmeans_model(local_X, scan, params.local,
                                  refine=params.refine_model)
     else:
         model = LocalDensityModel(())

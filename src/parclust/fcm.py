@@ -40,10 +40,22 @@ class FcmParams:
             raise ValueError("tol must be finite and >= 0, not %r" % self.tol)
 
 
-def initial_membership(n: int, k: int, seed: int) -> np.ndarray:
-    """Row-stochastic n x k matrix; row j depends only on (seed, j)."""
+def initial_membership(n: int, k: int, seed: int, start: int = 0,
+                       stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 (all n by default) of a row-stochastic n x k
+    matrix; row j depends only on (seed, j).
+
+    Row j is normalized from draws j*k .. j*k + k - 1 of one stream, so the
+    generator skips the start*k draws before the block and draws only its
+    own rows.
+    """
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ValueError("rows %d..%d are not a block of %d rows"
+                         % (start, stop, n))
     rng = np.random.default_rng(seed)
-    u = rng.random((n, k))
+    rng.bit_generator.advance(start * k)
+    u = rng.random((stop - start, k))
     return u / u.sum(axis=1, keepdims=True)
 
 
@@ -108,8 +120,8 @@ def _pfcm_node(ctx: NodeCtx, shards, X, params):
     """One rank's run; rank 0 returns (labels, centers, trace), the trace
     holding each iteration's objective."""
     shard = shards[ctx.rank]
-    lo = shard.start
-    u = initial_membership(X.n, params.k, params.seed)[lo:lo + len(shard)]
+    u = initial_membership(X.n, params.k, params.seed, shard.start,
+                           shard.start + len(shard))
     trace: list[float] = []
     for _ in range(params.max_iter):
         centers = centroid_update(ctx, shard, u, params.m)

@@ -5,8 +5,12 @@ Per-cluster sums and the objective are accumulated exactly (see
 exactsum), so the parallel run reproduces the centralized one bit for
 bit for any node count.
 
-The Lloyd step is incremental. The distance matrix is kept between
-iterations, and only the columns of centers that moved are scored again:
+Each rank assigns its rows in one of two ways, with the same labels and
+distances bit for bit. With more than 16 centers, `core.nearest_centers`
+settles nearly every row from one BLAS product against rows lifted once
+per run, and rescores only rows whose nearest center is within rounding
+of another. With at most 16, the distance matrix is kept between
+iterations and only the columns of centers that moved are scored again:
 every `squared_distances` value depends on its own point and center
 alone, so a kept column equals a fresh one bit for bit. The exact
 per-cluster sums and counts are kept too, and each iteration sums only
@@ -24,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx
-from .core import CentroidSet, DataSet, Partition, squared_distances
+from .core import (_FEW_CENTERS, CentroidSet, DataSet, Partition,
+                   column_midrange, lifted_rows, nearest_centers,
+                   squared_distances)
 from .exactsum import (fixed_to_float, fixed_to_floats, grouped_sums_fixed,
                        sum_fixed)
 from .report import ClusterReport
@@ -56,22 +62,53 @@ def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:
 def _moved_stats(points, old, new, k) -> list[int]:
     """This block's exact change of the per-cluster sums and counts.
 
-    Only the rows whose label differs are summed: each goes into group
-    `new` and, unless it had no cluster yet (label -1), into group
-    `k + old`, in one grouped call; the change is the first half minus the
-    second. Returns k * d sum changes in cluster-major order, then k count
-    changes.
+    Only the rows whose label differs are summed, in one grouped call: each
+    goes into group `new` and, unless it had no cluster yet (label -1),
+    negated into group `old`; negation is exact, so each group's sum is
+    what joined it minus what left it. Returns k * d sum changes in
+    cluster-major order, then k count changes.
     """
     moved = np.flatnonzero(old != new)
     src, dst = old[moved], new[moved]
     had = src >= 0
-    both = grouped_sums_fixed(points[np.concatenate((moved, moved[had]))],
-                              np.concatenate((dst, k + src[had])), 2 * k)
-    half = len(both) // 2
-    out = [a - b for a, b in zip(both[:half], both[half:])]
+    out = grouped_sums_fixed(
+        np.concatenate((points[moved], -points[moved[had]])),
+        np.concatenate((dst, src[had])), k)
     out.extend((np.bincount(dst, minlength=k)
                 - np.bincount(src[had], minlength=k)).tolist())
     return out
+
+
+def _assignment(points, centers):
+    """The function from the current centers to (labels, d2min) of the
+    rows `points`: each row's nearest center, ties to the lowest index,
+    and its squared distance, the same bits as argmin and pick of
+    `squared_distances(points, centers)`.
+
+    More than _FEW_CENTERS centers go to `nearest_centers`, with the rows
+    lifted once about their midrange. Fewer keep the distance matrix and
+    rescore only the columns of centers that moved, or the whole matrix
+    when every center moved.
+    """
+    if len(centers) > _FEW_CENTERS:
+        origin = column_midrange(points)
+        lhs = lifted_rows(points, origin)[0]
+        return lambda c: nearest_centers(points, c, lhs,
+                                         lifted_rows(c, origin)[1])
+    rows = np.arange(len(points))
+    scored, d2 = centers, squared_distances(points, centers)
+
+    def refresh(c):
+        nonlocal scored, d2
+        shifted = np.flatnonzero(np.any(c != scored, axis=1))
+        if shifted.size == len(c):
+            d2 = squared_distances(points, c)
+        elif shifted.size:
+            d2[:, shifted] = squared_distances(points, c[shifted])
+        scored = c
+        new = np.argmin(d2, axis=1)
+        return new, d2[rows, new]
+    return refresh
 
 
 def _converged(trace, tol) -> bool:
@@ -115,20 +152,13 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         centers0 = None
     centers = np.array(ctx.broadcast(centers0), dtype=np.float64, copy=True)
 
-    rows = np.arange(len(shard))
     labels = np.full(len(shard), -1, dtype=np.int64)  # no cluster yet
     sums = [0] * (k * d)  # exact per-cluster sums and counts over all blocks
     counts = [0] * k
-    scored = centers  # the centers that d2's columns were computed for
-    d2 = squared_distances(pts, scored)
+    assign = _assignment(pts, centers)
     trace: list[float] = []
     for _ in range(params.max_iter):
-        shifted = np.flatnonzero(np.any(centers != scored, axis=1))
-        if shifted.size:
-            d2[:, shifted] = squared_distances(pts, centers[shifted])
-        scored = centers
-        new = np.argmin(d2, axis=1)
-        d2min = d2[rows, new]
+        new, d2min = assign(centers)
         stats = _moved_stats(pts, labels, new, k)
         stats.append(sum_fixed(d2min))
         g = ctx.allreduce_sum(stats)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parclust.comm import CommAbort, CommWorld, Shard, split_blocks
 from parclust.core import DataSet, generate_blobs
-from parclust.dbscan import DbscanParams, DdbcParams, ddbc
+from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
 from parclust.kwindows import KWindowsParams, k_windows
@@ -291,8 +291,64 @@ def test_spmd_splits_run_time_into_compute_and_comm(p):
     assert results == [[p]] * p
     assert list(timings) == ["split", "compute", "comm"]
     assert timings["split"] == 0.0 and timings["compute"] >= 0.0
-    # a one-node world's collective passes the same timed barrier
+    # a one-node world's collective is timed like any other
     assert timings["comm"] > 0.0
+
+
+# -- one-node collectives ----------------------------------------------------
+
+
+def _no_barrier(monkeypatch):
+    """Fail any wait at a barrier: a one-node world's rank has no peer."""
+    def refused(self):
+        raise AssertionError("a one-node collective waited at the barrier")
+
+    monkeypatch.setattr(CommWorld, "_wait", refused)
+
+
+def test_a_one_node_collective_skips_the_barrier_but_not_its_checks(
+        monkeypatch):
+    _no_barrier(monkeypatch)
+    world = CommWorld(1)
+    try:
+        results, timings = world.spmd(lambda ctx: (
+            ctx.broadcast("x"), ctx.gather(2), ctx.allreduce_sum([3, 4])))
+    finally:
+        world.shutdown()
+    assert results == [("x", [2], [3, 4])]
+    assert timings["comm"] > 0.0
+    with pytest.raises(CommAbort, match="lists of Python ints"):
+        _world_run(1, lambda ctx: ctx.allreduce_sum([1.5]))
+
+
+def test_a_collective_on_an_aborted_one_node_world_raises(monkeypatch):
+    _no_barrier(monkeypatch)
+
+    def fn(ctx):
+        ctx.world._abort("torn down")
+        return ctx.broadcast("late")
+
+    with pytest.raises(CommAbort, match="torn down"):
+        _world_run(1, fn)
+
+
+def test_collectives_of_nested_one_node_worlds_are_counted(
+        monkeypatch, count_collectives):
+    _no_barrier(monkeypatch)
+    X, _ = generate_blobs(seed=1, k=2, per_cluster=30, d=2)
+    params = DbscanParams(eps=1.0, min_pts=3)
+    world = CommWorld(1)
+    try:
+        ddbc(world, split_blocks(X, 1), DdbcParams(local=params))
+    finally:
+        world.shutdown()
+    assert count_collectives[world] == {"gather": 2, "broadcast": 1}
+    nested = [counts for w, counts in count_collectives.items()
+              if w is not world]
+    # one k-means run per local cluster, each on its own one-node world
+    assert len(nested) == dbscan(X, params).k > 1
+    assert all(counts["broadcast"] == 1 and counts["allreduce_sum"] >= 1
+               for counts in nested)
 
 
 #: Every parallel driver, run on a world over the rows of X.

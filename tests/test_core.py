@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from parclust import core as core_module
 from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, CentroidSet, DataSet,
-                           Partition, adjusted_rand_index, components,
-                           generate_blobs, lifted_rows, load_csv,
-                           sse_objective, squared_distances, squared_euclidean,
+                           Partition, adjusted_rand_index, column_midrange,
+                           components, generate_blobs, lifted_rows, load_csv,
+                           nearest_centers, product_margin,
+                           row_squared_distances, sse_objective,
+                           squared_distances, squared_euclidean,
                            within_squared_distance, write_csv)
 from parclust.kmeans import KMeansParams, kmeans_centralized
 
@@ -232,6 +234,96 @@ def test_the_eps_filter_scores_only_rows_within_rounding_of_eps(monkeypatch):
                                   lifted_rows(center, origin)[1])
     assert got.ravel().tolist() == [True, True, False, False]
     assert scored == [2]
+
+
+# -- the nearest-center kernel ------------------------------------------------
+
+
+@st.composite
+def nearest_cases(draw):
+    """Rows and 17 to 80 centers for `nearest_centers`: integer grids with
+    some centers copied, so that equal distances are common, or normal
+    draws, each offset by up to 1e12; or magnitudes whose norms pass
+    _FILTER_MAX_NORMS. Returns (points, centers, huge)."""
+    d = draw(st.sampled_from([1, 2, 3, 8, 9, 17]))
+    n, k = draw(st.integers(0, 60)), draw(st.integers(17, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["grid", "normal", "huge"]))
+    if kind == "huge":
+        values = rng.normal(size=(n + k, d)) * 10.0 ** rng.uniform(
+            152.0, 160.0, size=(n + k, 1))
+    else:
+        if kind == "grid":
+            values = rng.integers(-2, 3, size=(n + k, d)) * draw(
+                st.sampled_from([1.0, 0.5, 3e-7]))
+        else:
+            values = rng.normal(size=(n + k, d)) * draw(
+                st.sampled_from([1e-3, 1.0, 1e3]))
+        values = values + draw(st.sampled_from([0.0, 1e3, 1e8, 1e12]))
+    points, centers = values[:n], values[n:]
+    if draw(st.booleans()):
+        centers[rng.integers(0, k, size=k // 3)] = centers[
+            rng.integers(0, k, size=k // 3)]
+    return points, centers, kind == "huge"
+
+
+@given(nearest_cases())
+@settings(deadline=None, max_examples=300)
+def test_nearest_centers_equal_the_argmin_of_the_exact_distances(case):
+    points, centers, huge = case
+    origin = column_midrange(points)
+    lhs, rhs = lifted_rows(points, origin)[0], lifted_rows(centers, origin)[1]
+    scored = []
+
+    def counted(rows, c):
+        scored.append(len(rows))
+        return squared_distances(rows, c)
+
+    with np.errstate(over="ignore"):  # huge rows square to infinity
+        with mock.patch.object(core_module, "squared_distances", counted):
+            labels, d2min = nearest_centers(points, centers, lhs, rhs)
+        exact = squared_distances(points, centers)
+    want = np.argmin(exact, axis=1)  # ties to the lowest index
+    assert labels.tolist() == want.tolist()
+    assert d2min.tobytes() == exact[np.arange(len(points)), want].tobytes()
+    if huge:  # no margin: every row takes the exact path
+        assert product_margin(lhs, rhs) is None
+        assert sum(scored) == len(points)
+
+
+def test_nearest_centers_rescore_only_rows_with_a_near_tie(monkeypatch):
+    # row 0 lies exactly between centers 3 and 4, and row 1 one float step
+    # nearer to 4, which no product bound can tell; row 2 is near center 5
+    # alone, and the product decides it
+    scored = []
+    original = core_module.squared_distances
+
+    def counted(points, centers):
+        scored.append(len(points))
+        return original(points, centers)
+
+    monkeypatch.setattr(core_module, "squared_distances", counted)
+    centers = np.arange(20.0)[:, None] * 10.0
+    points = np.array([[35.0], [np.nextafter(35.0, 40.0)], [50.5]])
+    origin = column_midrange(points)
+    labels, d2min = nearest_centers(points, centers,
+                                    lifted_rows(points, origin)[0],
+                                    lifted_rows(centers, origin)[1])
+    assert labels.tolist() == [3, 4, 5]
+    assert d2min.tolist() == [25.0, (40.0 - points[1, 0]) ** 2, 0.25]
+    assert scored == [2]
+
+
+@pytest.mark.parametrize("d", list(range(1, 10)) + [17, 129, 300])
+def test_row_distances_equal_the_distance_matrix(d):
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3, 3, (40, d))
+    centers = rng.normal(size=(20, d))
+    for k in (5, 20):  # the few-center tiles and the row blocks
+        exact = squared_distances(points, centers[:k])
+        pick = rng.integers(0, k, size=40)
+        got = row_squared_distances(points, centers[pick])
+        assert got.tobytes() == exact[np.arange(40), pick].tobytes()
 
 
 # -- connected components ----------------------------------------------------

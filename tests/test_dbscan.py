@@ -16,7 +16,7 @@ from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet,
                            KeySortedRows, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances)
 from parclust.dbscan import (DbscanParams, DdbcParams, LocalDensityModel,
-                             dbscan, ddbc, rep_kmeans_model,
+                             dbscan, ddbc, density_scan, rep_kmeans_model,
                              specific_core_points)
 
 # the package re-exports the function `dbscan`, which hides the module
@@ -93,8 +93,9 @@ def test_matches_core_graph_oracle():
     outliers = np.array([[20.0, -20.0], [25.0, 25.0], [-18.0, 12.0],
                          [3.0, -19.0], [-15.0, -15.0]])
     pts = np.vstack([a, b, outliers])
-    part, core = dbscan(DataSet.from_points(pts),
-                        DbscanParams(eps=0.9, min_pts=4), return_core=True)
+    scan = density_scan(DataSet.from_points(pts),
+                        DbscanParams(eps=0.9, min_pts=4))
+    part, core = scan.partition, scan.core
     labels, oracle_core = _density_oracle(pts, 0.9, 4)
     assert part.labels.tolist() == labels.tolist()
     assert core.tolist() == oracle_core.tolist()
@@ -111,9 +112,9 @@ def test_scan_equals_the_density_oracle_exactly(n, d, data):
                     | st.floats(0.5, 2.0), label="eps")
     min_pts = data.draw(st.integers(1, 7), label="min_pts")
     points = grid.astype(np.float64)
-    part, core = dbscan(DataSet.from_points(points.reshape(n, d)),
-                        DbscanParams(eps=eps, min_pts=min_pts),
-                        return_core=True)
+    scan = density_scan(DataSet.from_points(points.reshape(n, d)),
+                        DbscanParams(eps=eps, min_pts=min_pts))
+    part, core = scan.partition, scan.core
     labels, oracle_core = _density_oracle(points.reshape(n, d), eps, min_pts)
     assert part.labels.tolist() == labels.tolist()
     assert core.tolist() == oracle_core.tolist()
@@ -125,8 +126,9 @@ def test_a_border_row_joins_the_smallest_cluster_it_touches():
     # though the left one comes first in key order
     points = np.array([[0.0], [2.0], [2.05], [2.1], [2.15],
                        [-2.0], [-2.05], [-2.1], [-2.15]])
-    part, core = dbscan(DataSet.from_points(points),
-                        DbscanParams(eps=2.0, min_pts=4), return_core=True)
+    scan = density_scan(DataSet.from_points(points),
+                        DbscanParams(eps=2.0, min_pts=4))
+    part, core = scan.partition, scan.core
     assert core.tolist() == [False] + [True] * 8
     assert part.labels.tolist() == [0] * 5 + [1] * 4
 
@@ -318,17 +320,18 @@ def _greedy_cover_oracle(points, cluster_rows, params):
 def test_cover_equals_the_per_row_greedy_loop(points, eps, min_pts, data):
     X = DataSet.from_points(points)
     params = DbscanParams(eps=eps, min_pts=min_pts)
-    part, core = dbscan(X, params, return_core=True)
+    scan = density_scan(X, params)
+    core = scan.core
     brute_core = [_brute_neighbors(X.points, r, eps * eps).size >= min_pts
                   for r in range(X.n)]
     assert core.tolist() == brute_core
     rows = data.draw(st.lists(st.integers(0, X.n - 1), unique=True))
     want = _greedy_cover_oracle(X.points, rows, params)
     if want:
-        assert specific_core_points(X, rows, core, params) == want
+        assert specific_core_points(scan, rows, params) == want
     else:
         with pytest.raises(ValueError, match="no core points"):
-            specific_core_points(X, rows, core, params)
+            specific_core_points(scan, rows, params)
 
 
 def _count_sweeps(monkeypatch):
@@ -354,10 +357,10 @@ def test_scan_queries_each_row_once(monkeypatch):
 def test_cover_and_model_run_no_query(monkeypatch):
     X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=3, spread=0.6)
     params = DbscanParams(eps=1.0, min_pts=4)
-    part, core = dbscan(X, params, return_core=True)
+    scan = density_scan(X, params)
     swept = _count_sweeps(monkeypatch)
     for refine in (True, False):
-        rep_kmeans_model(X, part, core, params, refine=refine)
+        rep_kmeans_model(X, scan, params, refine=refine)
     assert swept == []
 
 
@@ -378,14 +381,10 @@ def test_single_node_merge_queries_rows_and_representatives_once(monkeypatch):
 # -- specific core points ----------------------------------------------------
 
 
-def _scan_core(X, params):
-    return dbscan(X, params, return_core=True)[1]
-
-
 def test_small_cluster_collapses_to_lowest_row():
     X = DataSet.from_points([[0.0], [0.1], [0.2]])
     params = DbscanParams(eps=0.5, min_pts=2)
-    assert specific_core_points(X, [0, 1, 2], _scan_core(X, params),
+    assert specific_core_points(density_scan(X, params), [0, 1, 2],
                                 params) == [0]
 
 
@@ -394,7 +393,7 @@ def test_only_kept_points_block_later_candidates():
     # from row 0 even though it is within eps of the skipped row 1
     X = DataSet.from_points([[0.0], [0.5], [1.5]])
     params = DbscanParams(eps=1.0, min_pts=1)
-    sel = specific_core_points(X, [0, 1, 2], _scan_core(X, params), params)
+    sel = specific_core_points(density_scan(X, params), [0, 1, 2], params)
     assert sel == [0, 2]
 
 
@@ -402,7 +401,7 @@ def test_cover_is_separated_and_covering():
     X, _ = generate_blobs(seed=5, k=1, per_cluster=80, d=2, spread=0.6)
     params = DbscanParams(eps=0.5, min_pts=4)
     rows = np.arange(X.n)
-    sel = specific_core_points(X, rows, _scan_core(X, params), params)
+    sel = specific_core_points(density_scan(X, params), rows, params)
     pts = X.points
     for i, a in enumerate(sel):
         for b in sel[i + 1:]:
@@ -418,7 +417,7 @@ def test_cover_is_separated_and_covering():
 def test_non_core_rows_never_selected():
     X = DataSet.from_points([[0.0], [0.1], [50.0]])
     params = DbscanParams(eps=0.5, min_pts=2)
-    sel = specific_core_points(X, [0, 1, 2], _scan_core(X, params), params)
+    sel = specific_core_points(density_scan(X, params), [0, 1, 2], params)
     assert 2 not in sel
 
 
@@ -426,7 +425,7 @@ def test_cluster_without_core_points_rejected():
     X = DataSet.from_points([[0.0], [10.0]])
     params = DbscanParams(eps=0.5, min_pts=2)
     with pytest.raises(ValueError, match="no core points"):
-        specific_core_points(X, [0, 1], _scan_core(X, params), params)
+        specific_core_points(density_scan(X, params), [0, 1], params)
 
 
 # -- per-cluster density models ----------------------------------------------
@@ -436,7 +435,7 @@ def test_single_ball_cluster_models_as_mean_and_spread():
     pts = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2], [0.2, 0.2]])
     X = DataSet.from_points(pts)
     params = DbscanParams(eps=1.0, min_pts=2)
-    model = rep_kmeans_model(X, *dbscan(X, params, return_core=True), params)
+    model = rep_kmeans_model(X, density_scan(X, params), params)
     assert len(model.clusters) == 1 and len(model.clusters[0]) == 1
     center, radius = model.clusters[0][0]
     assert np.allclose(center, [0.1, 0.1])
@@ -446,7 +445,7 @@ def test_single_ball_cluster_models_as_mean_and_spread():
 def test_singleton_clusters_have_zero_radius():
     X = DataSet.from_points([[0.0], [10.0], [20.0]])
     params = DbscanParams(eps=1.0, min_pts=1)
-    model = rep_kmeans_model(X, *dbscan(X, params, return_core=True), params,
+    model = rep_kmeans_model(X, density_scan(X, params), params,
                              refine=False)
     assert len(model.clusters) == 3
     for group in model.clusters:
@@ -457,8 +456,9 @@ def test_singleton_clusters_have_zero_radius():
 def test_every_clustered_point_is_covered(refine):
     X, _ = generate_blobs(seed=6, k=2, per_cluster=60, d=2, spread=0.5)
     params = DbscanParams(eps=0.6, min_pts=4)
-    part, core = dbscan(X, params, return_core=True)
-    model = rep_kmeans_model(X, part, core, params, refine=refine)
+    scan = density_scan(X, params)
+    part = scan.partition
+    model = rep_kmeans_model(X, scan, params, refine=refine)
     labels = part.labels
     ids = np.unique(labels[labels != NOISE]).tolist()
     assert len(model.clusters) == len(ids)
@@ -500,8 +500,9 @@ def test_radii_equal_the_per_center_loop(refine, seed):
     pts = np.round(np.vstack([X.points, X.points[:20]]) * 2.0) / 2.0
     X = DataSet.from_points(pts)
     params = DbscanParams(eps=1.0, min_pts=4)
-    part, core = dbscan(X, params, return_core=True)
-    model = rep_kmeans_model(X, part, core, params, refine=refine)
+    scan = density_scan(X, params)
+    part = scan.partition
+    model = rep_kmeans_model(X, scan, params, refine=refine)
     got = [[r for _, r in group] for group in model.clusters]
     assert got == _per_center_radii(X, part, model)
     assert all(type(r) is float for group in got for r in group)
@@ -509,24 +510,39 @@ def test_radii_equal_the_per_center_loop(refine, seed):
 
 def test_the_model_scores_fewer_distances_than_a_full_recompute(
         monkeypatch, count_distance_cells):
-    # the nested Lloyd runs rescore only the centers that moved; a full
-    # recompute scores trips x rows x k distances per run (measured: 0.55
-    # of that here)
+    # nested runs with more than 16 centers assign every row from one
+    # product and send none to squared_distances here; those with at most
+    # 16 rescore only the centers that moved, against trips x rows x k
+    # distances for a full recompute
     X, _ = generate_blobs(seed=1, k=4, per_cluster=100, d=8)
     params = DbscanParams(eps=3.0, min_pts=5)
-    part, core = dbscan(X, params, return_core=True)
-    full = []
+    scan = density_scan(X, params)
+    rescored = []
+    exact = core_module.squared_distances
+
+    def counted(points, centers):
+        rescored.append(len(points))
+        return exact(points, centers)
+
+    monkeypatch.setattr(core_module, "squared_distances", counted)
+    runs = []
     original = kmeans_module.kmeans_centralized
 
     def recorded(sub, kp, init_centers=None):
+        cells, calls = count_distance_cells["kmeans"], len(rescored)
         out = original(sub, kp, init_centers=init_centers)
-        full.append(out[3] * sub.n * kp.k)
+        runs.append((kp.k, count_distance_cells["kmeans"] - cells,
+                     sum(rescored[calls:]), out[3] * sub.n * kp.k))
         return out
 
     monkeypatch.setattr(kmeans_module, "kmeans_centralized", recorded)
-    rep_kmeans_model(X, part, core, params)
-    assert len(full) == 4
-    assert count_distance_cells["kmeans"] < 0.75 * sum(full)
+    rep_kmeans_model(X, scan, params)
+    many = [run for run in runs if run[0] > 16]
+    few = [run for run in runs if run[0] <= 16]
+    assert len(runs) == 4 and many and few
+    assert all(cells == 0 and rows == 0 for _, cells, rows, _ in many)
+    assert (sum(cells for _, cells, _, _ in few)
+            < 0.75 * sum(full for _, _, _, full in few))
 
 
 # -- distributed merge --------------------------------------------------------

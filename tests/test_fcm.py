@@ -194,6 +194,25 @@ def test_initial_membership_is_row_stochastic_and_rowwise_stable():
     assert np.array_equal(u, again)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 97])
+def test_each_block_draws_its_rows_of_the_full_draw(p):
+    # every rank draws only its own block; the rows are the full draw's
+    n, k = 97, 4
+    full = initial_membership(n, k, seed=5)
+    for shard in split_blocks(DataSet.from_points(np.zeros((n, 1))), p):
+        block = initial_membership(n, k, 5, shard.start,
+                                   shard.start + len(shard))
+        assert block.tobytes() == full[shard.start:shard.start
+                                       + len(shard)].tobytes()
+
+
+def test_a_block_outside_the_rows_is_refused():
+    with pytest.raises(ValueError, match="not a block"):
+        initial_membership(10, 3, 0, 4, 11)
+    with pytest.raises(ValueError, match="not a block"):
+        initial_membership(10, 3, 0, 5, 4)
+
+
 @pytest.mark.parametrize("p", [2, 4])
 def test_parallel_run_is_invariant_to_node_count(p):
     X, _ = generate_blobs(seed=7, k=3, per_cluster=32, d=2)
