@@ -15,7 +15,8 @@ Rank 0 is the root of every broadcast and gather.
 Each rank owns one contiguous block of rows (`split_blocks`), in rank
 order, so a row is named by its dataset position: the shard's `start`
 plus its position in the block. Per-row results gathered in rank order
-concatenate back into dataset order.
+concatenate back into dataset order. `run` hands a body the shards, not
+the dataset, and arguments that are the same on every rank.
 
 Each run measures itself: every rank times its own body and its own
 collectives, and `spmd` returns the run's `timings_ms` beside its
@@ -177,12 +178,12 @@ class CommWorld:
         return results, _timings(sum(wall), sum(c.comm_seconds for c in ctxs))
 
     def run(self, fn, X: DataSet, *args):
-        """Rank 0's result of fn(ctx, shards, X, *args) over X split into one
+        """Rank 0's result of fn(ctx, shards, *args) over X split into one
         block per rank, and the run's `timings_ms` with that split timed."""
         t0 = time.perf_counter()
         shards = split_blocks(X, self.size)
         split_ms = (time.perf_counter() - t0) * 1e3
-        results, timings = self.spmd(fn, shards, X, *args)
+        results, timings = self.spmd(fn, shards, *args)
         timings["split"] = split_ms
         return results[0], timings
 

@@ -116,11 +116,11 @@ def _converged(trace, tol) -> bool:
     return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= tol
 
 
-def _pfcm_node(ctx: NodeCtx, shards, X, params):
-    """One rank's run; rank 0 returns (labels, centers, trace), the trace
-    holding each iteration's objective."""
+def _pfcm_node(ctx: NodeCtx, shards, n, params):
+    """One rank's run over the `n` rows of all shards; rank 0 returns
+    (labels, centers, trace), the trace holding each iteration's objective."""
     shard = shards[ctx.rank]
-    u = initial_membership(X.n, params.k, params.seed, shard.start,
+    u = initial_membership(n, params.k, params.seed, shard.start,
                            shard.start + len(shard))
     trace: list[float] = []
     for _ in range(params.max_iter):
@@ -141,7 +141,7 @@ def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
     """Parallel fuzzy c-means; defuzzified labels are argmax memberships."""
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    (labels, centers, trace), timings = world.run(_pfcm_node, X, params)
+    (labels, centers, trace), timings = world.run(_pfcm_node, X, X.n, params)
     return ClusterReport(
         algo="pfcm",
         p=world.size,

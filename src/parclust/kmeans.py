@@ -59,6 +59,19 @@ def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:
     return X.points[np.sort(idx)].copy()
 
 
+def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:
+    """The first centers of a run, drawn with the seed or checked, before
+    the world runs: every rank is handed the same (k, d) array."""
+    if params.k > X.n:
+        raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
+    if init_centers is None:
+        return _init_centers(X, params.k, params.seed)
+    centers = np.array(init_centers, dtype=np.float64, copy=True)
+    if centers.shape != (params.k, X.d):
+        raise ValueError("init_centers must have shape (k, d)")
+    return centers
+
+
 def _moved_stats(points, old, new, k) -> list[int]:
     """This block's exact change of the per-cluster sums and counts.
 
@@ -126,9 +139,10 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
-def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
-    """One rank's Lloyd run; rank 0 returns (labels, centers, trace), the
-    trace holding each iteration's objective.
+def _pkm_node(ctx: NodeCtx, shards, params, centers):
+    """One rank's Lloyd run from the (k, d) start `centers`, the same on
+    every rank; rank 0 returns (labels, centers, trace), the trace holding
+    each iteration's objective. `params` gives max_iter and tol.
 
     Each iteration makes one allreduce of this block's changes to the
     per-cluster sums and counts, and its exact objective. Which centers to
@@ -136,22 +150,12 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
     reduced changes and the replicated centers only, never from this
     block's own rows: a center moves on every rank when rows of any block
     change cluster. Rank 0 returns the last assignment's labels with the
-    last update's centers.
+    last update's centers. A relocation that finds no free row off a
+    centroid refuses, with the distinct rows counted over every block.
     """
     shard = shards[ctx.rank]
     pts = shard.points
-    k, d = params.k, X.d
-    if ctx.rank == 0:
-        if init_centers is None:
-            centers0 = _init_centers(X, k, params.seed)
-        else:
-            centers0 = np.array(init_centers, dtype=np.float64, copy=True)
-            if centers0.shape != (k, d):
-                raise ValueError("init_centers must have shape (k, d)")
-    else:
-        centers0 = None
-    centers = np.array(ctx.broadcast(centers0), dtype=np.float64, copy=True)
-
+    k, d = centers.shape
     labels = np.full(len(shard), -1, dtype=np.int64)  # no cluster yet
     sums = [0] * (k * d)  # exact per-cluster sums and counts over all blocks
     counts = [0] * k
@@ -181,17 +185,18 @@ def _pkm_node(ctx: NodeCtx, shards, X, params, init_centers):
         used: set[int] = set()
         for i in empty:
             cands = ctx.gather(_local_farthest(pts, shard.start, d2min, used))
-            best = None
-            if ctx.rank == 0:
-                # max keeps the first maximum, so ties go to the lowest rank
-                best = max(cands, key=lambda c: c[0])
-                if best[0] <= 0:
-                    # every free row already sits on a centroid
+            # max keeps the first maximum, so ties go to the lowest rank
+            best = ctx.broadcast(max(cands, key=lambda c: c[0]) if cands
+                                 else None)
+            if best[0] <= 0:  # every free row already sits on a centroid
+                rows = ctx.gather(np.unique(pts, axis=0))
+                if ctx.rank == 0:
                     raise ValueError(
                         "cannot repair an empty cluster: k=%d but the data has "
                         "only %d distinct rows"
-                        % (k, np.unique(X.points, axis=0).shape[0]))
-            _, pick, centers[i] = ctx.broadcast(best)
+                        % (k, len(np.unique(np.concatenate(rows), axis=0))))
+                return None
+            _, pick, centers[i] = best
             used.add(pick)
 
     gathered = ctx.gather(labels)
@@ -208,10 +213,8 @@ def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
     max_iter. Empty clusters are repaired by relocating the centroid to
     the point farthest from its assigned centroid.
     """
-    if params.k > X.n:
-        raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    (labels, centers, trace), _ = CommWorld(1).run(_pkm_node, X, params,
-                                                   init_centers)
+    (labels, centers, trace), _ = CommWorld(1).run(
+        _pkm_node, X, params, _start(X, params, init_centers))
     return CentroidSet(centers), Partition(labels), trace[-1], len(trace)
 
 
@@ -219,15 +222,13 @@ def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
         init_centers=None) -> ClusterReport:
     """Parallel k-means over a simulated node group.
 
-    Rank 0 draws (or receives) the initial centroids and broadcasts
-    them; every iteration reduces the changes to the per-cluster sums and
-    counts, and the objective, in one collective. Output is independent
-    of world size.
+    The initial centroids are drawn (or checked) before the world runs and
+    handed to every rank; every iteration reduces the changes to the
+    per-cluster sums and counts, and the objective, in one collective.
+    Output is independent of world size.
     """
-    if params.k > X.n:
-        raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    (labels, centers, trace), timings = world.run(_pkm_node, X, params,
-                                                  init_centers)
+    (labels, centers, trace), timings = world.run(
+        _pkm_node, X, params, _start(X, params, init_centers))
     return ClusterReport(
         algo="pkm",
         p=world.size,

@@ -162,18 +162,18 @@ def _round_hits(keyed: KeySortedRows, at: np.ndarray,
             for low, high, a, b in zip(lo, hi, start, stop)]
 
 
-def _search_node(ctx: NodeCtx, shards: list[Shard], _X: DataSet, job):
-    """Answer the rounds of box queries of the generator `job`, run at rank 0.
+def _search_node(ctx: NodeCtx, shards: list[Shard], driver):
+    """Rank 0's value of `driver(query)`, with every rank answering its
+    rounds of box queries.
 
-    Each value `job` yields is one round, a pair of (b, d) lo and hi
-    arrays: rank 0 broadcasts it once, every rank answers it with its
-    per-box hit arrays, gathered once, and `job` is sent one int64 array of
-    dataset rows per box, in no particular order and without repeats (the
-    shards are disjoint); a shard's row i is dataset row `shard.start + i`.
-    When `job` returns, rank 0 broadcasts None and returns its value; the
+    `query(boxes)` is one round: `boxes` is a pair of (b, d) lo and hi
+    arrays, which rank 0 broadcasts once; every rank answers it with its
+    per-box hit arrays, gathered once, and `query` returns one int64 array
+    of dataset rows per box, in no particular order and without repeats
+    (the shards are disjoint); a shard's row i is dataset row
+    `shard.start + i`. When `driver` returns, rank 0 broadcasts None; the
     other ranks answer rounds until then and return None. Each rank sorts
-    its shard once, before the first round. `_X`, the rows the shards were
-    cut from, is unused: `CommWorld.run` passes it to every body.
+    its shard once, before the first round.
     """
     shard = shards[ctx.rank]
     keyed = KeySortedRows.build(shard.points)
@@ -182,21 +182,14 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], _X: DataSet, job):
         while (boxes := ctx.broadcast(None)) is not None:
             ctx.gather(_round_hits(keyed, at, boxes))
         return None
-    hits = None
-    while True:
-        try:
-            boxes = job.send(hits)
-        except StopIteration as done:
-            ctx.broadcast(None)
-            return done.value
+
+    def query(boxes):
         parts = ctx.gather(_round_hits(keyed, at, ctx.broadcast(boxes)))
-        hits = [np.concatenate(box) for box in zip(*parts)]
+        return [np.concatenate(box) for box in zip(*parts)]
 
-
-def _one_box(lo, hi):
-    """A job of one round that queries the single box (lo, hi)."""
-    hits = yield lo[None, :], hi[None, :]
-    return hits[0]
+    out = driver(query)
+    ctx.broadcast(None)
+    return out
 
 
 def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
@@ -206,7 +199,7 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
     hits, _ = world.run(_search_node, DataSet(tree.points),
-                        _one_box(query.lo, query.hi))
+                        lambda q: q((query.lo[None], query.hi[None]))[0])
     return set(hits.tolist())
 
 
@@ -225,7 +218,8 @@ class Window:
 class _WindowDriver:
     """Window paths in lockstep, then merge and labeling, executed at rank 0.
 
-    `run()` is a `_search_node` job. A window's path (movement, then
+    `run` is a `_search_node` driver, and reads the rows of X for the
+    seeds and the window means. A window's path (movement, then
     enlargement with movement after each kept growth) depends only on
     that window and the data, so every live window takes one step of its
     path per round and a call costs as many rounds as its longest path.
@@ -276,12 +270,13 @@ class _WindowDriver:
                 return
 
     @staticmethod
-    def _lockstep(paths: list):
-        """Advance every unfinished path one box per round until all finish."""
+    def _lockstep(paths: list, query):
+        """Advance every unfinished path one box per round, each round one
+        `query`, until all finish."""
         live = [(path, next(path)) for path in paths]
         while live:
-            hits = yield (np.array([box[0] for _, box in live]),
-                          np.array([box[1] for _, box in live]))
+            hits = query((np.array([box[0] for _, box in live]),
+                          np.array([box[1] for _, box in live])))
             step = []
             for (path, _), found in zip(live, hits):
                 try:
@@ -321,15 +316,13 @@ class _WindowDriver:
         return components(len(windows), merged.ravel(),
                           merged[::-1].ravel()).tolist()
 
-    def run(self):
+    def run(self, query):
         X, params = self.X, self.params
-        if params.l > X.n:
-            raise ValueError("l=%d exceeds the %d available rows" % (params.l, X.n))
         rng = np.random.default_rng(params.seed)
         seeds = rng.choice(X.n, size=params.l, replace=False)
         windows = [Window(X.points[r].copy(), np.full(X.d, params.a, dtype=np.float64))
                    for r in np.sort(seeds)]
-        yield from self._lockstep([self._path(w) for w in windows])
+        self._lockstep([self._path(w) for w in windows], query)
         roots = self._merge_groups(windows, params.theta_merge)
         group_label: dict[int, int] = {}
         labels = np.full(X.n, NOISE, dtype=np.int64)
@@ -354,8 +347,10 @@ class _WindowDriver:
 
 def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterReport:
     """Window clustering with every box query answered over key-sorted shards."""
+    if params.l > X.n:
+        raise ValueError("l=%d exceeds the %d available rows" % (params.l, X.n))
     (labels, model), timings = world.run(_search_node, X,
-                                         _WindowDriver(X, params).run())
+                                         _WindowDriver(X, params).run)
     return ClusterReport(
         algo="kwindows",
         p=world.size,

@@ -18,8 +18,6 @@ rows.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .comm import CommWorld, NodeCtx
@@ -51,8 +49,9 @@ def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return proj
 
 
-def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
-    """One rank's divisive run, then the leaf means on every rank.
+def _pddp_node(ctx: NodeCtx, shards, n, height, km_params):
+    """One rank's divisive run over the `n` rows of all shards, then the
+    leaf means on every rank.
 
     Every cluster of two or more rows that has a direction and puts rows
     on both sides of it is split once per level until `height` levels are
@@ -64,7 +63,7 @@ def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
     """
     pts = shards[ctx.rank].points
     # (local rows, global size, live); singletons are final from the start
-    clusters = [(np.arange(len(pts)), X.n, X.n >= 2)]
+    clusters = [(np.arange(len(pts)), n, n >= 2)]
     for _level in range(height):
         kept = []
         for rows, size, live in clusters:
@@ -83,7 +82,7 @@ def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
             kept.append((rows, size, False))  # whole, and final
         clusters = kept
 
-    k, d = len(clusters), X.d
+    k, d = len(clusters), pts.shape[1]
     leaf = np.empty(len(pts), dtype=np.int64)
     for i, (rows, _, _) in enumerate(clusters):
         leaf[rows] = i
@@ -91,8 +90,7 @@ def _pddp_node(ctx: NodeCtx, shards, X, height, km_params):
     means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
                       for i, (_, size, _) in enumerate(clusters)])
     if km_params is not None:
-        return _pkm_node(ctx, shards, X, dataclasses.replace(km_params, k=k),
-                         means)
+        return _pkm_node(ctx, shards, km_params, means)
     labels = ctx.gather(leaf)
     if ctx.rank == 0:
         return np.concatenate(labels), means
@@ -103,7 +101,7 @@ def _run(world: CommWorld, X: DataSet, height: int, km_params=None):
     """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    return world.run(_pddp_node, X, height, km_params)
+    return world.run(_pddp_node, X, X.n, height, km_params)
 
 
 def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:
@@ -129,8 +127,9 @@ def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
     The report carries both the seed-stage objective (the first Lloyd
     assignment, to the leaf means) and the final refined objective.
     """
-    # k is the leaf count, known only after the splits; checking the rest
-    # here refuses a bad max_iter or tol before the world runs
+    # the Lloyd body takes k from the leaf means, known only after the
+    # splits; checking the rest here refuses a bad max_iter or tol before
+    # the world runs
     params = KMeansParams(k=1, max_iter=max_iter, tol=tol)
     (labels, centers, trace), timings = _run(world, X, height, params)
     return ClusterReport(

@@ -1,6 +1,8 @@
 """Command line behavior: gen/run/bench, exit codes, JSON contract."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import parclust
 from parclust import cli
 from parclust.cli import main
 from parclust.core import Partition, adjusted_rand_index, load_csv
@@ -497,19 +500,24 @@ def test_bench_rejects_bad_node_lists(blob_csv, capsys):
 
 
 def test_installed_entry_point_round_trips(tmp_path):
+    # the subprocess imports the package this test imported, wherever the
+    # test runner found it
+    src = str(pathlib.Path(parclust.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     data = tmp_path / "cli.csv"
     gen = subprocess.run(
         [sys.executable, "-m", "parclust.cli", "gen", "--seed", "2",
          "--clusters", "2", "--per-cluster", "25", "--dim", "2",
          "--out", str(data)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert gen.returncode == 0
     assert gen.stdout == ""  # diagnostics stay on stderr
 
     run = subprocess.run(
         [sys.executable, "-m", "parclust.cli", "run", "--algo", "pkm",
          "--data", str(data), "--nodes", "2", "--k", "2", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert run.returncode == 0
     assert run.stdout.endswith("\n") and not run.stdout.endswith("\n\n")
     doc = _strict_json(run.stdout)

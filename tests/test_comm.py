@@ -347,7 +347,8 @@ def test_collectives_of_nested_one_node_worlds_are_counted(
               if w is not world]
     # one k-means run per local cluster, each on its own one-node world
     assert len(nested) == dbscan(X, params).k > 1
-    assert all(counts["broadcast"] == 1 and counts["allreduce_sum"] >= 1
+    # the start is handed in, so no run broadcasts it
+    assert all("broadcast" not in counts and counts["allreduce_sum"] >= 1
                for counts in nested)
 
 
@@ -410,11 +411,11 @@ def test_run_splits_the_data_and_returns_rank_zeros_result():
     world = CommWorld(3)
     try:
         out, timings = world.run(
-            lambda ctx, shards, data: (ctx.rank, len(shards[ctx.rank]),
-                                       data is X), X)
+            lambda ctx, shards, tag: (ctx.rank, len(shards[ctx.rank]), tag),
+            X, "same on every rank")
     finally:
         world.shutdown()
-    assert out == (0, 4, True)
+    assert out == (0, 4, "same on every rank")
     assert list(timings) == ["split", "compute", "comm"]
     assert timings["split"] >= 0.0 and timings["comm"] == 0.0
 

@@ -277,5 +277,27 @@ def test_a_run_makes_one_allreduce_per_iteration(count_collectives):
     finally:
         world.shutdown()
     assert rep.iterations > 1
-    assert count_collectives[world] == {"broadcast": 1, "gather": 1,
+    assert count_collectives[world] == {"gather": 1,
                                         "allreduce_sum": rep.iterations}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_the_empty_cluster_refusal_counts_distinct_rows_over_all_blocks(p):
+    # at P=3 every block holds both rows, so per-block counts would add to 6
+    X = DataSet.from_points([[0.0, 0.0], [1.0, 1.0]] * 3)
+    with pytest.raises(ValueError) as exc:
+        _run_parallel(p, X, KMeansParams(k=3))
+    assert str(exc.value) == ("cannot repair an empty cluster: k=3 but the "
+                              "data has only 2 distinct rows")
+
+
+def test_a_bad_start_is_refused_before_the_world_runs(count_collectives):
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=10, d=2)
+    world = CommWorld(2)
+    try:
+        with pytest.raises(ValueError, match="init_centers must have shape"):
+            pkm(world, X, KMeansParams(k=3), init_centers=X.points[:2])
+        assert not count_collectives[world]
+        assert pkm(world, X, KMeansParams(k=3)).p == 2  # the world still runs
+    finally:
+        world.shutdown()

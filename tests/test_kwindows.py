@@ -190,9 +190,8 @@ def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
 
 
 def _one_round(lo, hi):
-    """A search job of one round of boxes: returns one id set per box."""
-    hits = yield lo, hi
-    return [set(ids.tolist()) for ids in hits]
+    """A search driver of one round of boxes: returns one id set per box."""
+    return lambda query: [set(ids.tolist()) for ids in query((lo, hi))]
 
 
 def test_a_round_with_flat_boxes_equals_filter():
@@ -451,6 +450,20 @@ def test_params_validation():
     try:
         with pytest.raises(ValueError):
             k_windows(world, X, KWindowsParams(l=5, a=1.0))
+    finally:
+        world.shutdown()
+
+
+def test_more_windows_than_rows_is_refused_before_the_world_runs(
+        count_collectives):
+    X = DataSet.from_points([[0.0], [1.0], [5.0]])
+    world = CommWorld(2)
+    try:
+        with pytest.raises(ValueError, match="l=4 exceeds the 3 available"):
+            k_windows(world, X, KWindowsParams(l=4, a=1.0))
+        assert not count_collectives[world]
+        # the world still runs
+        assert k_windows(world, X, KWindowsParams(l=3, a=1.0)).p == 2
     finally:
         world.shutdown()
 

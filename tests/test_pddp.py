@@ -318,7 +318,7 @@ def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
     assert splits == 3
     # per split: the exact mean, the cross-products and the side counts;
     # then one allreduce of the leaf sums
-    assert km == {"broadcast": 1, "gather": 1,
+    assert km == {"gather": 1,
                   "allreduce_sum": 3 * splits + 1 + rep.iterations}
     assert count_collectives[world] == {"gather": 1,
                                         "allreduce_sum": 3 * splits + 1}
