@@ -15,8 +15,9 @@ Rank 0 is the root of every broadcast and gather.
 Each rank owns one contiguous block of rows (`split_blocks`), in rank
 order, so a row is named by its dataset position: the shard's `start`
 plus its position in the block. Per-row results gathered in rank order
-concatenate back into dataset order. `run` hands a body the shards, not
-the dataset, and arguments that are the same on every rank.
+concatenate back into dataset order, which is what `NodeCtx.gather_rows`
+hands rank 0. `run` hands a body the shards, not the dataset, and
+arguments that are the same on every rank.
 
 Each run measures itself: every rank times its own body and its own
 collectives, and `spmd` returns the run's `timings_ms` beside its
@@ -97,21 +98,20 @@ class CommWorld:
         # the action holds the slots and the result, not the world, so no
         # reference cycle keeps a dropped world alive until a gc pass
         self._barrier = threading.Barrier(n_nodes, action=combine)
-        self._closed = threading.Event()
         self._lock = threading.Lock()
         self._abort_reason: str | None = None
 
     # -- lifecycle -----------------------------------------------------
 
     def shutdown(self) -> None:
-        """Close the world; later spmd() calls raise CommAbort."""
-        self._closed.set()
+        """Close the world by breaking its barrier; later spmd() calls
+        raise CommAbort."""
+        self._barrier.abort()
 
     def _abort(self, reason: str) -> None:
         with self._lock:
             if self._abort_reason is None:
                 self._abort_reason = reason
-        self._barrier.abort()
         self.shutdown()
 
     # -- SPMD driver ---------------------------------------------------
@@ -132,10 +132,10 @@ class CommWorld:
         finish within timeout. After the world is torn down, the lowest
         rank's own exception (not the abort a peer's failure raised in it)
         is re-raised, so ranks that fail at once report the same error on
-        every run. A failed run closes the world, and a closed world
-        refuses to run.
+        every run. A failed run closes the world, and a closed world (one
+        whose barrier is broken) refuses to run.
         """
-        if self._closed.is_set():
+        if self._barrier.broken:
             raise CommAbort("world is closed: %s"
                             % (self._abort_reason or "shut down"))
         results = [None] * self.size
@@ -276,3 +276,9 @@ class NodeCtx:
         """All payloads in rank order at rank 0; an empty list elsewhere."""
         out = self._post("gather", payload)
         return out if self.rank == 0 else []
+
+    def gather_rows(self, rows):
+        """Every rank's per-row array concatenated in rank order, which is
+        dataset order, at rank 0; None elsewhere. One gather."""
+        parts = self.gather(rows)
+        return np.concatenate(parts) if self.rank == 0 else None

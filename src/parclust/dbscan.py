@@ -179,14 +179,17 @@ def specific_core_points(scan: DensityScan, cluster_rows,
 
 @dataclass(frozen=True)
 class LocalDensityModel:
-    """Per local cluster: representative centers with covering radii."""
+    """A scan's clusters as covering balls: center i, of radius radii[i],
+    covers rows of local cluster cluster[i], out of clusters 0..k-1.
 
-    clusters: tuple  # tuple of tuples of (center ndarray, radius float)
+    `centers` is (m, d), `cluster` and `radii` are (m,); the balls run by
+    cluster, then by center. A scan with no cluster has k = 0 and m = 0.
+    """
 
-    def entries(self):
-        for cid, group in enumerate(self.clusters):
-            for center, radius in group:
-                yield cid, center, radius
+    k: int
+    cluster: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
 
 
 def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
@@ -198,14 +201,19 @@ def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
     With refine=True the centers come from k-means seeded at the specific
     core points; otherwise the specific core points themselves are kept.
     Radii are the largest distance from a center to a point assigned to
-    it, so every clustered point is covered by some ball.
+    it, so every clustered point is covered by some ball. Each cluster's
+    centers and radii are stacked into the model's arrays, cluster by
+    cluster.
     """
     from .kmeans import KMeansParams, kmeans_centralized  # local to avoid a cycle
 
     pts = X.points
-    groups = []
     labels = scan.partition.labels
-    for cid in np.unique(labels[labels != NOISE]).tolist():
+    ids = np.unique(labels[labels != NOISE]).tolist()
+    # (cluster, centers, radii) per cluster, after an empty part that makes
+    # a scan without a cluster stack to a (0, d) model
+    parts = [(np.empty(0, np.int64), pts[:0], np.empty(0))]
+    for i, cid in enumerate(ids):
         rows = np.nonzero(labels == cid)[0]
         scor = specific_core_points(scan, rows, params)
         seeds = pts[scor]
@@ -222,8 +230,11 @@ def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
         d2 = row_squared_distances(sub.points, centers[assigned])
         radius2 = np.zeros(centers.shape[0])  # an empty center keeps 0.0
         np.maximum.at(radius2, assigned, d2)
-        groups.append(tuple(zip(centers.copy(), np.sqrt(radius2).tolist())))
-    return LocalDensityModel(tuple(groups))
+        parts.append((np.full(centers.shape[0], i, dtype=np.int64), centers,
+                      np.sqrt(radius2)))
+    cluster, centers, radii = zip(*parts)
+    return LocalDensityModel(len(ids), np.concatenate(cluster),
+                             np.vstack(centers), np.concatenate(radii))
 
 
 @dataclass(frozen=True)
@@ -249,35 +260,29 @@ class DdbcParams:
 
 
 def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
+    """One rank's scan and density model, merged at rank 0; every rank
+    returns (labels, representatives), with the labels at rank 0 only."""
     shard = shards[ctx.rank]
     local_X = DataSet.from_points(shard.points)
     scan = density_scan(local_X, params.local)
-    local_part = scan.partition
-    if local_part.k > 0:
-        model = rep_kmeans_model(local_X, scan, params.local,
-                                 refine=params.refine_model)
-    else:
-        model = LocalDensityModel(())
-
-    models = ctx.gather(model)
+    models = ctx.gather(rep_kmeans_model(local_X, scan, params.local,
+                                         refine=params.refine_model))
     if ctx.rank == 0:
         # local clusters are nodes 0..n_local-1 in rank-major order, and
-        # global cluster g of the representatives is node n_local + g
-        first = np.cumsum([0] + [len(m.clusters) for m in models])
+        # global cluster g of the representatives is node n_local + g;
+        # representatives run rank-major, then as each model stacks them
+        first = np.cumsum([0] + [m.k for m in models])
         n_local = int(first[-1])
-        reps = [(first[rank] + cid, center, radius)
-                for rank, m in enumerate(models)
-                for cid, center, radius in m.entries()]
-        owner = np.array([r[0] for r in reps], dtype=np.int64)
-        centers = np.array([r[1] for r in reps]).reshape(
-            len(reps), shard.points.shape[1])
-        radii = np.array([r[2] for r in reps], dtype=np.float64)
+        owner = np.concatenate([first[r] + m.cluster
+                                for r, m in enumerate(models)])
+        centers = np.vstack([m.centers for m in models])
+        radii = np.concatenate([m.radii for m in models])
         g = dbscan(DataSet.from_points(centers),
                    DbscanParams(eps=params.resolved_eps_global(),
                                 min_pts=params.min_pts_global)).labels
         # co-occurring representatives merge their local clusters
         u, v = owner[g != NOISE], n_local + g[g != NOISE]
-        root = components(n_local + len(reps), np.concatenate([u, v]),
+        root = components(n_local + len(owner), np.concatenate([u, v]),
                           np.concatenate([v, u]))[:n_local]
         # each root is its group's first local cluster, so numbering the
         # roots in order numbers the groups by first appearance
@@ -288,7 +293,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
         payload = None
     groups, centers, radii, gids = ctx.broadcast(payload)
 
-    local = local_part.labels
+    local = scan.partition.labels
     final = np.full(len(shard), NOISE, dtype=np.int64)
     final[local != NOISE] = groups[ctx.rank][local[local != NOISE]]
     # local noise joins the cluster of the nearest covering representative
@@ -303,10 +308,7 @@ def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
         covered = inside.any(axis=1)
         final[noise_rows[covered]] = gids[pick[covered]]
 
-    gathered = ctx.gather(final)
-    if ctx.rank == 0:
-        return np.concatenate(gathered), int(gids.size)
-    return None
+    return ctx.gather_rows(final), int(gids.size)
 
 
 def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:

@@ -117,8 +117,9 @@ def _converged(trace, tol) -> bool:
 
 
 def _pfcm_node(ctx: NodeCtx, shards, n, params):
-    """One rank's run over the `n` rows of all shards; rank 0 returns
-    (labels, centers, trace), the trace holding each iteration's objective."""
+    """One rank's run over the `n` rows of all shards; every rank returns
+    (labels, centers, trace), with the labels at rank 0 only, the trace
+    holding each iteration's objective."""
     shard = shards[ctx.rank]
     u = initial_membership(n, params.k, params.seed, shard.start,
                            shard.start + len(shard))
@@ -131,10 +132,7 @@ def _pfcm_node(ctx: NodeCtx, shards, n, params):
         if _converged(trace, params.tol):
             break
     labels = np.argmax(u, axis=1).astype(np.int64)  # ties to the lowest index
-    gathered = ctx.gather(labels)
-    if ctx.rank == 0:
-        return np.concatenate(gathered), centers, trace
-    return None
+    return ctx.gather_rows(labels), centers, trace
 
 
 def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:

@@ -141,16 +141,17 @@ def _local_farthest(points, start, d2min, used):
 
 def _pkm_node(ctx: NodeCtx, shards, params, centers):
     """One rank's Lloyd run from the (k, d) start `centers`, the same on
-    every rank; rank 0 returns (labels, centers, trace), the trace holding
-    each iteration's objective. `params` gives max_iter and tol.
+    every rank; every rank returns (labels, centers, trace), with the
+    labels at rank 0 only, the trace holding each iteration's objective.
+    `params` gives max_iter and tol.
 
     Each iteration makes one allreduce of this block's changes to the
     per-cluster sums and counts, and its exact objective. Which centers to
     recompute, and so which distance columns to refresh, follows from the
     reduced changes and the replicated centers only, never from this
     block's own rows: a center moves on every rank when rows of any block
-    change cluster. Rank 0 returns the last assignment's labels with the
-    last update's centers. A relocation that finds no free row off a
+    change cluster. The labels are the last assignment's, the centers
+    the last update's. A relocation that finds no free row off a
     centroid refuses, with the distinct rows counted over every block.
     """
     shard = shards[ctx.rank]
@@ -189,20 +190,17 @@ def _pkm_node(ctx: NodeCtx, shards, params, centers):
             best = ctx.broadcast(max(cands, key=lambda c: c[0]) if cands
                                  else None)
             if best[0] <= 0:  # every free row already sits on a centroid
-                rows = ctx.gather(np.unique(pts, axis=0))
+                rows = ctx.gather_rows(np.unique(pts, axis=0))
                 if ctx.rank == 0:
                     raise ValueError(
                         "cannot repair an empty cluster: k=%d but the data has "
                         "only %d distinct rows"
-                        % (k, len(np.unique(np.concatenate(rows), axis=0))))
+                        % (k, len(np.unique(rows, axis=0))))
                 return None
             _, pick, centers[i] = best
             used.add(pick)
 
-    gathered = ctx.gather(labels)
-    if ctx.rank == 0:
-        return np.concatenate(gathered), centers, trace
-    return None
+    return ctx.gather_rows(labels), centers, trace
 
 
 def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):

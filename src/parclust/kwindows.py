@@ -230,9 +230,9 @@ class _WindowDriver:
         self.params = params
 
     def _move(self, w: Window):
-        """Movement: re-center on the mean of the enclosed rows until the
-        count grows by less than theta_move."""
-        w.enclosed = yield w.bounds()
+        """Movement from `w.enclosed`, the rows its current box holds, which
+        the caller has already queried: re-center on the mean of the
+        enclosed rows until the count grows by less than theta_move."""
         steps = 0
         while w.enclosed.size:
             steps += 1
@@ -249,7 +249,11 @@ class _WindowDriver:
         return self.X.points[np.sort(enclosed)].mean(axis=0)
 
     def _path(self, w: Window):
-        """One window's box queries: yields boxes, is sent each box's rows."""
+        """One window's box queries: yields boxes, is sent each box's rows.
+
+        A kept enlargement keeps the rows its trial box found, so movement
+        goes on from them without asking for that box again."""
+        w.enclosed = yield w.bounds()
         yield from self._move(w)
         # safety cap: movement after a kept growth may shed points again
         for _ in range(50):
@@ -260,10 +264,10 @@ class _WindowDriver:
                 before = w.enclosed.size
                 trial = w.half_width.copy()
                 trial[t] *= 1.0 + self.params.theta_enlarge
-                count = (yield w.center - trial, w.center + trial).size
-                if count > before and \
-                        count - before >= self.params.theta_enlarge * before:
-                    w.half_width = trial
+                found = yield w.center - trial, w.center + trial
+                if found.size > before and found.size - before >= \
+                        self.params.theta_enlarge * before:
+                    w.half_width, w.enclosed = trial, found
                     yield from self._move(w)
                     kept = True
             if not kept:
@@ -338,8 +342,8 @@ class _WindowDriver:
         owned = labels != NOISE
         labels[owned] = np.searchsorted(np.unique(labels[owned]), labels[owned])
         model = {
-            "windows": [{"center": [float(v) for v in w.center],
-                         "half_width": [float(v) for v in w.half_width],
+            "windows": [{"center": w.center.tolist(),
+                         "half_width": w.half_width.tolist(),
                          "count": w.enclosed.size} for w in windows],
         }
         return labels, model

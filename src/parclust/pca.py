@@ -269,6 +269,9 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
 
 def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
                        variance_fraction, seed):
+    """One rank's local and global clustering, its sketches merged at rank
+    0; every rank returns (labels, sketches, representatives), with the
+    labels at rank 0 only."""
     shard = shards[ctx.rank]
     _, proj_local = local_pca(shard, variance_fraction)
     local_labels = _local_labels(clusterer, ctx.rank, proj_local, k,
@@ -310,10 +313,7 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
     final[keep] = groups[ctx.rank][which]
-    pieces = ctx.gather(final)
-    if ctx.rank == 0:
-        return np.concatenate(pieces), int(first[-1]), n_reps
-    return None
+    return ctx.gather_rows(final), sum(map(len, groups)), n_reps
 
 
 def cpca_cluster(world: CommWorld, shards, clusterer, k: int,

@@ -57,9 +57,10 @@ def _pddp_node(ctx: NodeCtx, shards, n, height, km_params):
     on both sides of it is split once per level until `height` levels are
     done; the left child comes first. A cluster that cannot split is final:
     the same rows give the same outcome, so it is not tried again. Without
-    `km_params`, rank 0 returns the leaf labels of all rows and the (k, d)
-    leaf means. With them, the leaf means seed the Lloyd body on the same
-    shards, and rank 0 returns its (labels, centers, objective trace).
+    `km_params`, every rank returns the leaf labels of all rows, at rank 0
+    only, and the (k, d) leaf means. With them, the leaf means seed the
+    Lloyd body on the same shards, and every rank returns its (labels,
+    centers, objective trace), with the labels at rank 0 only.
     """
     pts = shards[ctx.rank].points
     # (local rows, global size, live); singletons are final from the start
@@ -91,10 +92,7 @@ def _pddp_node(ctx: NodeCtx, shards, n, height, km_params):
                       for i, (_, size, _) in enumerate(clusters)])
     if km_params is not None:
         return _pkm_node(ctx, shards, km_params, means)
-    labels = ctx.gather(leaf)
-    if ctx.rank == 0:
-        return np.concatenate(labels), means
-    return None
+    return ctx.gather_rows(leaf), means
 
 
 def _run(world: CommWorld, X: DataSet, height: int, km_params=None):

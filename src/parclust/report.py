@@ -40,10 +40,10 @@ class ClusterReport:
             "params": self.params,
             "n": int(self.n),
             "d": int(self.d),
-            "labels": [int(v) for v in self.labels],
+            "labels": self.labels.tolist(),
         }
         if self.centroids is not None:
-            out["centroids"] = [[float(v) for v in row] for row in self.centroids]
+            out["centroids"] = self.centroids.tolist()
         if self.j is not None:
             out["j"] = float(self.j)
         if self.iterations is not None:

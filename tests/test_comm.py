@@ -214,6 +214,22 @@ def test_gather_rank_order_at_root_empty_elsewhere():
     assert out[1] == [] and out[2] == []
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_gather_rows_is_dataset_order_at_root_none_elsewhere(
+        p, count_collectives):
+    X = _toy(7)
+    world = CommWorld(p)
+    try:
+        out, _ = world.spmd(
+            lambda ctx, shards: ctx.gather_rows(shards[ctx.rank].points),
+            split_blocks(X, p))
+    finally:
+        world.shutdown()
+    assert np.array_equal(out[0], X.points)
+    assert out[1:] == [None] * (p - 1)
+    assert count_collectives[world] == {"gather": 1}
+
+
 # -- spmd driver -----------------------------------------------------------
 
 

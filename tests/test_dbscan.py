@@ -15,8 +15,8 @@ from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet,
                            KeySortedRows, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances)
-from parclust.dbscan import (DbscanParams, DdbcParams, LocalDensityModel,
-                             dbscan, ddbc, density_scan, rep_kmeans_model,
+from parclust.dbscan import (DbscanParams, DdbcParams, dbscan, ddbc,
+                             density_scan, rep_kmeans_model,
                              specific_core_points)
 
 # the package re-exports the function `dbscan`, which hides the module
@@ -436,10 +436,9 @@ def test_single_ball_cluster_models_as_mean_and_spread():
     X = DataSet.from_points(pts)
     params = DbscanParams(eps=1.0, min_pts=2)
     model = rep_kmeans_model(X, density_scan(X, params), params)
-    assert len(model.clusters) == 1 and len(model.clusters[0]) == 1
-    center, radius = model.clusters[0][0]
-    assert np.allclose(center, [0.1, 0.1])
-    assert radius == pytest.approx(float(np.sqrt(0.02)))
+    assert model.k == 1 and model.cluster.tolist() == [0]
+    assert np.allclose(model.centers[0], [0.1, 0.1])
+    assert model.radii[0] == pytest.approx(float(np.sqrt(0.02)))
 
 
 def test_singleton_clusters_have_zero_radius():
@@ -447,9 +446,9 @@ def test_singleton_clusters_have_zero_radius():
     params = DbscanParams(eps=1.0, min_pts=1)
     model = rep_kmeans_model(X, density_scan(X, params), params,
                              refine=False)
-    assert len(model.clusters) == 3
-    for group in model.clusters:
-        assert len(group) == 1 and group[0][1] == 0.0
+    assert model.k == 3
+    assert model.cluster.tolist() == [0, 1, 2]
+    assert model.radii.tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("refine", [True, False])
@@ -461,12 +460,13 @@ def test_every_clustered_point_is_covered(refine):
     model = rep_kmeans_model(X, scan, params, refine=refine)
     labels = part.labels
     ids = np.unique(labels[labels != NOISE]).tolist()
-    assert len(model.clusters) == len(ids)
-    for cid, group in zip(ids, model.clusters):
+    assert model.k == len(ids)
+    for i, cid in enumerate(ids):
+        mine = model.cluster == i
         for row in np.nonzero(labels == cid)[0]:
             p = X.points[row]
             assert any(float(np.linalg.norm(p - c)) <= r + 1e-9
-                       for c, r in group)
+                       for c, r in zip(model.centers[mine], model.radii[mine]))
 
 
 def _per_center_radii(X, partition, model):
@@ -475,10 +475,9 @@ def _per_center_radii(X, partition, model):
     (ties to the lowest) it is; 0.0 for a center without members."""
     labels = partition.labels
     out = []
-    for cid, group in zip(np.unique(labels[labels != NOISE]).tolist(),
-                          model.clusters):
+    for i, cid in enumerate(np.unique(labels[labels != NOISE]).tolist()):
         points = X.points[labels == cid]
-        centers = np.array([c for c, _ in group])
+        centers = model.centers[model.cluster == i]
         assigned = np.argmin(squared_distances(points, centers), axis=1)
         radii = []
         for i in range(centers.shape[0]):
@@ -503,9 +502,9 @@ def test_radii_equal_the_per_center_loop(refine, seed):
     scan = density_scan(X, params)
     part = scan.partition
     model = rep_kmeans_model(X, scan, params, refine=refine)
-    got = [[r for _, r in group] for group in model.clusters]
+    got = [model.radii[model.cluster == i].tolist() for i in range(model.k)]
     assert got == _per_center_radii(X, part, model)
-    assert all(type(r) is float for group in got for r in group)
+    assert model.radii.dtype == np.float64
 
 
 def test_the_model_scores_fewer_distances_than_a_full_recompute(
@@ -647,8 +646,28 @@ def test_merge_params_validation_and_default_reach():
         DdbcParams(local=DbscanParams(eps=1e154, min_pts=2))
 
 
-def test_model_entries_iterate_rank_major():
-    model = LocalDensityModel(((
-        (np.zeros(2), 1.0),), ((np.ones(2), 0.5), (np.full(2, 2.0), 0.25))))
-    got = [(cid, r) for cid, _c, r in model.entries()]
-    assert got == [(0, 1.0), (1, 0.5), (1, 0.25)]
+def test_a_scan_without_a_cluster_models_as_empty_arrays():
+    rng = np.random.default_rng(4)
+    blobs, _ = generate_blobs(seed=4, k=2, per_cluster=50, d=2, spread=0.3,
+                              separation=6.0)
+    # 100 rows on a grid of step 2 far from the blobs: none is near another
+    grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0)), axis=-1)
+    sparse = 2.0 * grid.reshape(-1, 2) + 100.0 + rng.uniform(0, 0.5, (100, 2))
+    params = DbscanParams(eps=0.6, min_pts=4)
+    X = DataSet.from_points(sparse)
+    model = rep_kmeans_model(X, density_scan(X, params), params)
+    assert model.k == 0 and model.centers.shape == (0, 2)
+    assert model.cluster.size == 0 and model.radii.size == 0
+    # at P=2 the second shard holds the sparse rows alone
+    X = DataSet.from_points(np.vstack([blobs.points, sparse]))
+    reports = []
+    for p in (1, 2):
+        world = CommWorld(p)
+        try:
+            reports.append(ddbc(world, split_blocks(X, p),
+                                DdbcParams(local=params)))
+        finally:
+            world.shutdown()
+    assert reports[0].model["k"] == 2
+    assert np.array_equal(reports[1].labels, reports[0].labels)
+    assert reports[1].model == reports[0].model

@@ -526,6 +526,27 @@ def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
     assert sum(counts.values()) == 2 * rounds + 1
 
 
+def test_a_kept_enlargement_does_not_ask_for_its_box_again():
+    X, _ = generate_blobs(seed=21, k=2, per_cluster=60, d=2, spread=0.25,
+                          separation=7.5)
+    w = Window(X.points[0].copy(), np.full(2, 0.1))
+    path = _WindowDriver(X, KWindowsParams(l=1, a=0.1))._path(w)
+    boxes, hits = [], None
+    while True:
+        try:
+            lo, hi = path.send(hits)
+        except StopIteration:
+            break
+        boxes.append((lo.tolist(), hi.tolist()))
+        hits = np.flatnonzero(np.all((X.points >= lo) & (X.points <= hi),
+                                     axis=1))
+    # the path keeps at least one enlargement, and each box it asks for
+    # differs from the one before
+    assert w.half_width.tolist() == pytest.approx([0.121, 0.1])
+    assert len(boxes) == 10
+    assert all(a != b for a, b in zip(boxes, boxes[1:]))
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=40)
 def test_lockstep_equals_each_window_run_alone(data):
