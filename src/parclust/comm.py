@@ -16,12 +16,14 @@ Each rank owns one contiguous block of rows (`split_blocks`), in rank
 order, so a row is named by its dataset position: the shard's `start`
 plus its position in the block. Per-row results gathered in rank order
 concatenate back into dataset order, which is what `NodeCtx.gather_rows`
-hands rank 0. `run` hands a body the shards, not the dataset, and
-arguments that are the same on every rank.
+hands rank 0. `run` is the one place that pairs blocks with ranks: it
+hands each rank only its own block, not the dataset or its peers' blocks,
+and arguments that are the same on every rank, and it refuses blocks that
+do not fit the world before any rank runs.
 
 Each run measures itself: every rank times its own body and its own
 collectives, and `spmd` returns the run's `timings_ms` beside its
-results; `run` also times the split of the data into one block per rank.
+results; `run` also times the split of a dataset into one block per rank.
 
 Larger worlds run one thread per rank. A one-node world starts no
 thread: its single rank runs on the calling thread, through the same
@@ -36,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,13 +180,28 @@ class CommWorld:
                        ranked[0])
         return results, _timings(sum(wall), sum(c.comm_seconds for c in ctxs))
 
-    def run(self, fn, X: DataSet, *args):
-        """Rank 0's result of fn(ctx, shards, *args) over X split into one
-        block per rank, and the run's `timings_ms` with that split timed."""
+    def run(self, fn, rows, *args):
+        """Rank 0's result of fn(ctx, shard, *args), each rank handed its own
+        block of `rows`, and the run's `timings_ms`.
+
+        `rows` is a DataSet, split here into one block per rank and timed
+        as `split`, or a list of blocks used as given, with `split` 0.
+        Blocks that are not one per rank, in rank order and contiguous from
+        row 0, are refused with ValueError before any rank runs.
+        """
         t0 = time.perf_counter()
-        shards = split_blocks(X, self.size)
-        split_ms = (time.perf_counter() - t0) * 1e3
-        results, timings = self.spmd(fn, shards, *args)
+        split = isinstance(rows, DataSet)
+        blocks = split_blocks(rows, self.size) if split else rows
+        split_ms = (time.perf_counter() - t0) * 1e3 if split else 0.0
+        starts = [s.start for s in blocks]
+        # block r starts where blocks 0..r-1 end
+        if len(blocks) != self.size or starts != list(
+                accumulate((len(s) for s in blocks[:-1]), initial=0)):
+            raise ValueError("blocks starting at rows %s do not fit a %d-node "
+                             "world: one block per rank, contiguous from row 0"
+                             % (starts, self.size))
+        results, timings = self.spmd(
+            lambda ctx, *a: fn(ctx, blocks[ctx.rank], *a), *args)
         timings["split"] = split_ms
         return results[0], timings
 

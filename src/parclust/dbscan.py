@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kmeans
 from .comm import CommWorld, NodeCtx
 from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, KeySortedRows,
                    Partition, column_midrange, components, lifted_rows,
@@ -205,8 +206,6 @@ def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
     centers and radii are stacked into the model's arrays, cluster by
     cluster.
     """
-    from .kmeans import KMeansParams, kmeans_centralized  # local to avoid a cycle
-
     pts = X.points
     labels = scan.partition.labels
     ids = np.unique(labels[labels != NOISE]).tolist()
@@ -219,9 +218,10 @@ def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
         seeds = pts[scor]
         sub = DataSet.from_points(pts[rows])
         if refine:
-            kp = KMeansParams(k=len(scor), max_iter=300, tol=1e-9, seed=0)
-            centers_set, assign, _, _ = kmeans_centralized(sub, kp,
-                                                           init_centers=seeds)
+            kp = kmeans.KMeansParams(k=len(scor), max_iter=300, tol=1e-9,
+                                     seed=0)
+            centers_set, assign, _, _ = kmeans.kmeans_centralized(
+                sub, kp, init_centers=seeds)
             centers = centers_set.centers
             assigned = assign.labels
         else:
@@ -259,10 +259,10 @@ class DdbcParams:
             raise ValueError("min_pts_global must be >= 1")
 
 
-def _ddbc_node(ctx: NodeCtx, shards, params: DdbcParams):
-    """One rank's scan and density model, merged at rank 0; every rank
-    returns (labels, representatives), with the labels at rank 0 only."""
-    shard = shards[ctx.rank]
+def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
+    """One rank's scan and density model of its block, merged at rank 0;
+    every rank returns (labels, representatives), with the labels at rank
+    0 only."""
     local_X = DataSet.from_points(shard.points)
     scan = density_scan(local_X, params.local)
     models = ctx.gather(rep_kmeans_model(local_X, scan, params.local,
@@ -331,8 +331,7 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
                          "can hold no core point; use fewer nodes"
                          % (sizes[0], min_pts))
-    results, timings = world.spmd(_ddbc_node, shards, params)
-    labels, n_reps = results[0]
+    (labels, n_reps), timings = world.run(_ddbc_node, shards, params)
     if n_reps == 0 and world.size > 1:
         raise ValueError("no shard of %d to %d rows holds a core point under "
                          "eps=%g and min_pts=%d, and an all-noise answer over "

@@ -116,11 +116,10 @@ def _converged(trace, tol) -> bool:
     return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= tol
 
 
-def _pfcm_node(ctx: NodeCtx, shards, n, params):
-    """One rank's run over the `n` rows of all shards; every rank returns
+def _pfcm_node(ctx: NodeCtx, shard, n, params):
+    """One rank's run over its block of the `n` rows; every rank returns
     (labels, centers, trace), with the labels at rank 0 only, the trace
     holding each iteration's objective."""
-    shard = shards[ctx.rank]
     u = initial_membership(n, params.k, params.seed, shard.start,
                            shard.start + len(shard))
     trace: list[float] = []

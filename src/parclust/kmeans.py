@@ -139,11 +139,11 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
-def _pkm_node(ctx: NodeCtx, shards, params, centers):
-    """One rank's Lloyd run from the (k, d) start `centers`, the same on
-    every rank; every rank returns (labels, centers, trace), with the
-    labels at rank 0 only, the trace holding each iteration's objective.
-    `params` gives max_iter and tol.
+def _pkm_node(ctx: NodeCtx, shard, params, centers):
+    """One rank's Lloyd run over its block from the (k, d) start
+    `centers`, the same on every rank; every rank returns (labels,
+    centers, trace), with the labels at rank 0 only, the trace holding
+    each iteration's objective. `params` gives max_iter and tol.
 
     Each iteration makes one allreduce of this block's changes to the
     per-cluster sums and counts, and its exact objective. Which centers to
@@ -154,7 +154,6 @@ def _pkm_node(ctx: NodeCtx, shards, params, centers):
     the last update's. A relocation that finds no free row off a
     centroid refuses, with the distinct rows counted over every block.
     """
-    shard = shards[ctx.rank]
     pts = shard.points
     k, d = centers.shape
     labels = np.full(len(shard), -1, dtype=np.int64)  # no cluster yet

@@ -162,7 +162,7 @@ def _round_hits(keyed: KeySortedRows, at: np.ndarray,
             for low, high, a, b in zip(lo, hi, start, stop)]
 
 
-def _search_node(ctx: NodeCtx, shards: list[Shard], driver):
+def _search_node(ctx: NodeCtx, shard: Shard, driver):
     """Rank 0's value of `driver(query)`, with every rank answering its
     rounds of box queries.
 
@@ -175,7 +175,6 @@ def _search_node(ctx: NodeCtx, shards: list[Shard], driver):
     other ranks answer rounds until then and return None. Each rank sorts
     its shard once, before the first round.
     """
-    shard = shards[ctx.rank]
     keyed = KeySortedRows.build(shard.points)
     at = shard.start + keyed.order
     if ctx.rank != 0:

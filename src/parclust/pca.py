@@ -6,7 +6,8 @@ rows spread over the nodes, each reduced exactly in one allreduce, so
 every node holds the same bit-identical covariance at any node count.
 Bases are its leading eigenvectors, from the one direct symmetric solver
 `principal_axes`. The collective basis of `cpca` is therefore the basis
-of all rows, bit for bit, and costs O(d^2) integers of traffic.
+of all rows, bit for bit, and costs O(d^2) integers of traffic; one
+node's basis is `cpca` on a one-node world.
 """
 
 from __future__ import annotations
@@ -132,11 +133,8 @@ def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
 
 
 def _pca_of_points(points: np.ndarray, variance_fraction: float) -> PrincipalBasis:
-    """Basis of one node's rows: the covariance kernel on a one-node world."""
-    _check_fraction(variance_fraction)
-    results, _ = CommWorld(1).spmd(_truncated_basis, points,
-                                   variance_fraction)
-    return results[0][1]
+    """Basis of one node's rows: the collective basis on a one-node world."""
+    return cpca(CommWorld(1), [Shard(points, 0)], variance_fraction)
 
 
 def local_pca(shard: Shard, variance_fraction: float):
@@ -148,16 +146,15 @@ def local_pca(shard: Shard, variance_fraction: float):
     return basis, projected
 
 
-def _cpca_node(ctx: NodeCtx, shards, variance_fraction):
-    return _truncated_basis(ctx, shards[ctx.rank].points, variance_fraction)[1]
+def _cpca_node(ctx: NodeCtx, shard, variance_fraction):
+    return _truncated_basis(ctx, shard.points, variance_fraction)[1]
 
 
 def cpca(world: CommWorld, shards, variance_fraction: float) -> PrincipalBasis:
     """Global basis of the rows of every shard, the same bits at any node
     count: two exact allreduces, then every node solves the same matrix."""
     _check_fraction(variance_fraction)
-    results, _ = world.spmd(_cpca_node, shards, variance_fraction)
-    return results[0]
+    return world.run(_cpca_node, shards, variance_fraction)[0]
 
 
 # -- clustering on top of the collective basis ---------------------------
@@ -267,12 +264,12 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
                             exc)) from None
 
 
-def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
+def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k, reps_per_cluster,
                        variance_fraction, seed):
-    """One rank's local and global clustering, its sketches merged at rank
-    0; every rank returns (labels, sketches, representatives), with the
-    labels at rank 0 only."""
-    shard = shards[ctx.rank]
+    """One rank's local and global clustering of its block, its sketches
+    merged at rank 0; every rank returns (labels, sketches,
+    representatives), with the labels at rank 0 only. Raises NoRowsError
+    on every rank when no rank has a representative."""
     _, proj_local = local_pca(shard, variance_fraction)
     local_labels = _local_labels(clusterer, ctx.rank, proj_local, k,
                                  "node's own")
@@ -280,17 +277,7 @@ def _cpca_cluster_node(ctx: NodeCtx, shards, clusterer, k, reps_per_cluster,
     rng = np.random.default_rng((seed, ctx.rank))
     rep_rows = _representatives(proj_local, local_labels, reps_per_cluster, rng)
     rep_points = shard.points[rep_rows]  # original space, representatives only
-    try:
-        n_reps, global_basis = _truncated_basis(ctx, rep_points,
-                                                variance_fraction)
-    except NoRowsError:
-        raise ValueError(
-            "no representatives for the global basis: local %s clustering in "
-            "each node's own PCA space marked every row as noise on every "
-            "shard (%s)" % (clusterer.name, ", ".join(
-                "node %d: %d rows" % (r, len(s)) for r, s in enumerate(shards)))
-        ) from None
-
+    n_reps, global_basis = _truncated_basis(ctx, rep_points, variance_fraction)
     proj_global = (shard.points - global_basis.mean) @ global_basis.components.T
     refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
@@ -328,17 +315,24 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
     _check_fraction(variance_fraction)
-    results, timings = world.spmd(_cpca_cluster_node, shards, clusterer, k,
-                                  reps_per_cluster, variance_fraction, seed)
-    labels, n_sketches, n_reps = results[0]
-    n = sum(len(s) for s in shards)
+    try:
+        (labels, n_sketches, n_reps), timings = world.run(
+            _cpca_cluster_node, shards, clusterer, k, reps_per_cluster,
+            variance_fraction, seed)
+    except NoRowsError:
+        raise ValueError(
+            "no representatives for the global basis: local %s clustering in "
+            "each node's own PCA space marked every row as noise on every "
+            "shard (%s)" % (clusterer.name, ", ".join(
+                "node %d: %d rows" % (r, len(s)) for r, s in enumerate(shards)))
+        ) from None
     return ClusterReport(
         algo="cpca-cluster",
         p=world.size,
         params={"k": k, "reps_per_cluster": reps_per_cluster,
                 "variance_fraction": variance_fraction, "seed": seed,
                 "local_algo": clusterer.name},
-        n=n,
+        n=sum(len(s) for s in shards),
         d=shards[0].points.shape[1],
         labels=labels,
         model={"sketches": int(n_sketches), "representatives": int(n_reps)},

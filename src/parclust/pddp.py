@@ -49,8 +49,8 @@ def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return proj
 
 
-def _pddp_node(ctx: NodeCtx, shards, n, height, km_params):
-    """One rank's divisive run over the `n` rows of all shards, then the
+def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
+    """One rank's divisive run over its block of the `n` rows, then the
     leaf means on every rank.
 
     Every cluster of two or more rows that has a direction and puts rows
@@ -59,10 +59,10 @@ def _pddp_node(ctx: NodeCtx, shards, n, height, km_params):
     the same rows give the same outcome, so it is not tried again. Without
     `km_params`, every rank returns the leaf labels of all rows, at rank 0
     only, and the (k, d) leaf means. With them, the leaf means seed the
-    Lloyd body on the same shards, and every rank returns its (labels,
+    Lloyd body on the same block, and every rank returns its (labels,
     centers, objective trace), with the labels at rank 0 only.
     """
-    pts = shards[ctx.rank].points
+    pts = shard.points
     # (local rows, global size, live); singletons are final from the start
     clusters = [(np.arange(len(pts)), n, n >= 2)]
     for _level in range(height):
@@ -91,7 +91,7 @@ def _pddp_node(ctx: NodeCtx, shards, n, height, km_params):
     means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
                       for i, (_, size, _) in enumerate(clusters)])
     if km_params is not None:
-        return _pkm_node(ctx, shards, km_params, means)
+        return _pkm_node(ctx, shard, km_params, means)
     return ctx.gather_rows(leaf), means
 
 

@@ -15,7 +15,7 @@ from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
 from parclust.kwindows import KWindowsParams, k_windows
-from parclust.pca import KMeansLocal, cpca_cluster
+from parclust.pca import KMeansLocal, cpca, cpca_cluster
 from parclust.pddp import pddp_km, pddp_report
 
 
@@ -424,16 +424,57 @@ def test_a_run_without_collectives_reports_no_comm_after_one_with():
 
 def test_run_splits_the_data_and_returns_rank_zeros_result():
     X = _toy(10)
+    blocks = split_blocks(X, 3)
     world = CommWorld(3)
+
+    def body(ctx, shard, tag):
+        return ctx.gather((ctx.rank, shard)), tag
+
     try:
-        out, timings = world.run(
-            lambda ctx, shards, tag: (ctx.rank, len(shards[ctx.rank]), tag),
-            X, "same on every rank")
+        (split, tag), timings = world.run(body, X, "same on every rank")
+        (passed, _), passed_timings = world.run(body, blocks, None)
     finally:
         world.shutdown()
-    assert out == (0, 4, "same on every rank")
+    # each rank is handed its own block, as split_blocks cuts it
+    assert [(r, s.start, len(s)) for r, s in split] == \
+        [(r, s.start, len(s)) for r, s in enumerate(blocks)]
+    assert tag == "same on every rank"
     assert list(timings) == ["split", "compute", "comm"]
-    assert timings["split"] >= 0.0 and timings["comm"] == 0.0
+    assert timings["split"] >= 0.0
+    # a list of blocks passes through as given, with no split to time
+    assert [r for r, _ in passed] == [0, 1, 2]
+    assert all(s is b for (_, s), b in zip(passed, blocks))
+    assert passed_timings["split"] == 0.0
+
+
+#: Drivers that take a list of blocks, one per rank of the world.
+_BLOCK_DRIVERS = {
+    "ddbc": lambda w, blocks: ddbc(w, blocks, DdbcParams(
+        local=DbscanParams(eps=1.0, min_pts=3))),
+    "cpca-cluster": lambda w, blocks: cpca_cluster(w, blocks, KMeansLocal(),
+                                                   k=3),
+    "cpca": lambda w, blocks: cpca(w, blocks, 0.9),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
+def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
+        algo, count_collectives):
+    X, _ = generate_blobs(1, 3, 40, 2)
+    a, b = split_blocks(X, 2)
+    world = CommWorld(2)
+    try:
+        # too many, too few, out of rank order, and skipping a row
+        for blocks in (split_blocks(X, 4), split_blocks(X, 1), [b, a],
+                       [a, Shard(b.points[1:], b.start + 1)]):
+            with pytest.raises(ValueError, match="do not fit a 2-node world"):
+                _BLOCK_DRIVERS[algo](world, blocks)
+        assert count_collectives[world] == {}
+        # the world is still open
+        rep = _BLOCK_DRIVERS["ddbc"](world, split_blocks(X, 2))
+    finally:
+        world.shutdown()
+    assert rep.n == X.n and rep.labels.shape == (X.n,)
 
 
 def test_shard_len():

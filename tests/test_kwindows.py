@@ -422,6 +422,35 @@ def test_windows_identical_for_every_node_count():
         assert rep.model["windows"] == reps[0].model["windows"]
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=40)
+def test_reports_are_equal_at_one_two_three_and_one_node_per_row(data):
+    # at P = n every rank holds a one-row block; n <= 16 keeps that many
+    # threads small
+    d = data.draw(st.integers(1, 3), label="d")
+    coords = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                         max_size=d),
+                                min_size=2, max_size=16), label="coords")
+    scale = data.draw(st.sampled_from([1.0, 0.5, 1e-3]), label="scale")
+    X = DataSet.from_points(np.asarray(coords, dtype=np.float64) * scale)
+    params = KWindowsParams(
+        l=data.draw(st.integers(1, X.n), label="l"),
+        a=data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]), label="a"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    reps = []
+    for p in sorted({1, 2, 3, X.n}):
+        if p > X.n:
+            continue
+        world = CommWorld(p)
+        try:
+            reps.append(k_windows(world, X, params))
+        finally:
+            world.shutdown()
+    for rep in reps[1:]:
+        assert np.array_equal(rep.labels, reps[0].labels), rep.p
+        assert rep.model == reps[0].model, rep.p
+
+
 def test_labels_stay_compact_after_merges():
     X, _ = generate_blobs(seed=13, k=2, per_cluster=30, d=2,
                           spread=0.5, separation=12.0)
