@@ -92,8 +92,7 @@ def squared_euclidean(x, y) -> float:
     b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch: %s vs %s" % (a.shape, b.shape))
-    diff = a - b
-    return float(np.sum(diff * diff))
+    return float(row_squared_distances(a.reshape(1, -1), b.reshape(1, -1))[0])
 
 
 #: Distances one step of `squared_distances` scores at once, as rows x
@@ -116,14 +115,16 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """n x k squared distances from every point to every center, as a
     C-ordered float64 array.
 
-    Each value equals `np.sum(diff * diff)` of its point and center bit for
-    bit, so values and ties do not depend on which other points and centers
-    are scored with it. Rows go in blocks of about DISTANCE_BLOCK_CELLS
-    distances, each scored one coordinate at a time as a (rows, k) term.
-    With at most _FEW_CENTERS centers, blocks are (k, rows) tiles of about
-    _FEW_CENTER_TILE_CELLS distances instead, written transposed into the
-    result: `c - p` squares to the same bits as `p - c`, and the terms are
-    added in the same order, so the values are the same.
+    Each value adds its squared coordinate differences in coordinate order,
+    as `row_squared_distances` does, so it depends on its own point and
+    center alone: values and ties do not depend on which other points and
+    centers are scored with it. Rows go in blocks of about
+    DISTANCE_BLOCK_CELLS distances, each scored one coordinate at a time as
+    a (rows, k) term. With at most _FEW_CENTERS centers, blocks are
+    (k, rows) tiles of about _FEW_CENTER_TILE_CELLS distances instead,
+    written transposed into the result: `c - p` squares to the same bits as
+    `p - c`, and the terms are added in the same order, so the values are
+    the same.
     """
     if points.shape[1] != centers.shape[1]:
         raise ValueError("dimension mismatch: %d vs %d"
@@ -138,63 +139,24 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     for lo in range(0, n, step):
         pt = np.ascontiguousarray(points[lo:lo + step].T)
         if few:
-            d2[lo:lo + step] = _pairwise_sq(ct, pt, 0, ct.shape[0]).T
+            d2[lo:lo + step] = _summed_squares(ct, pt).T
         else:
-            d2[lo:lo + step] = _pairwise_sq(pt, ct, 0, ct.shape[0])
+            d2[lo:lo + step] = _summed_squares(pt, ct)
     return d2
 
 
-def _sq_term(pt, ct, j, out=None) -> np.ndarray:
-    """(pt columns, ct columns) squares of coordinate j's differences."""
-    t = np.subtract(pt[j][:, None], ct[j], out=out)
-    return np.multiply(t, t, out=t)
-
-
-def _lane(pt, ct, lo, stop, tmp) -> np.ndarray:
-    """Terms lo, lo + 8, ... below stop, added in turn."""
-    acc = _sq_term(pt, ct, lo)
-    for j in range(lo + 8, stop, 8):
-        acc += _sq_term(pt, ct, j, tmp)
-    return acc
-
-
-def _pairwise_sq(pt, ct, lo: int, hi: int) -> np.ndarray:
-    """Sum of the squared terms of coordinates lo..hi-1 in numpy's pairwise order.
-
-    numpy adds fewer than 8 terms in turn; up to 128 in 8 interleaved lanes
-    joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in turn; more by
-    halving at a multiple of 8. Its reduction starts from 0.0, which leaves
-    a sum of squares unchanged. Each lane is summed whole before the next,
-    so only a few (rows, k) arrays are live at once.
-    """
-    n = hi - lo
-    if n < 8:
-        acc = _sq_term(pt, ct, lo)
-        tmp = np.empty_like(acc) if n > 1 else None
-        for j in range(lo + 1, hi):
-            acc += _sq_term(pt, ct, j, tmp)
-        return acc
-    if n <= 128:
-        stop = lo + n - n % 8
-        tmp = np.empty((pt.shape[1], ct.shape[1]))
-        a = _lane(pt, ct, lo, stop, tmp)
-        a += _lane(pt, ct, lo + 1, stop, tmp)
-        b = _lane(pt, ct, lo + 2, stop, tmp)
-        b += _lane(pt, ct, lo + 3, stop, tmp)
-        a += b
-        b = _lane(pt, ct, lo + 4, stop, tmp)
-        b += _lane(pt, ct, lo + 5, stop, tmp)
-        c = _lane(pt, ct, lo + 6, stop, tmp)
-        c += _lane(pt, ct, lo + 7, stop, tmp)
-        b += c
-        a += b
-        for j in range(stop, hi):
-            a += _sq_term(pt, ct, j, tmp)
-        return a
-    half = n // 2
-    half -= half % 8
-    acc = _pairwise_sq(pt, ct, lo, lo + half)
-    acc += _pairwise_sq(pt, ct, lo + half, hi)
+def _summed_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a columns, b columns) squared distances between the columns of
+    the d-row arrays a and b: each coordinate's squared differences are
+    added in turn, coordinate 0 first, with one temporary reused for every
+    term."""
+    acc = np.subtract(a[0][:, None], b[0])
+    acc *= acc
+    term = np.empty_like(acc)
+    for j in range(1, a.shape[0]):
+        np.subtract(a[j][:, None], b[j], out=term)
+        term *= term
+        acc += term
     return acc
 
 
@@ -355,11 +317,17 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray, lhs: np.ndarray,
 
 
 def row_squared_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Each row's squared distance to the same row of `others`: the
+    """Each row's squared distance to the same row of `others` (or to
+    `others` itself, when it is one row that broadcasts): the
     `squared_distances` value of that pair, bit for bit, as both add the
-    squared differences in numpy's pairwise order."""
+    squared differences in coordinate order. The sum starts from 0.0,
+    which leaves a sum of squares unchanged."""
     diff = points - others
-    return np.sum(np.multiply(diff, diff, out=diff), axis=1)
+    diff *= diff
+    total = np.zeros(diff.shape[0])
+    for column in diff.T:
+        total += column
+    return total
 
 
 @dataclass(frozen=True)
@@ -434,8 +402,8 @@ def sse_objective(X: DataSet, partition: Partition, centroids: CentroidSet) -> f
         used = labels[mask]
         if used.max() >= centroids.k or used.min() < 0:
             raise ValueError("label out of range for centroid set")
-        diff = X.points[mask] - centroids.centers[used]
-        return fixed_to_float(sum_fixed(np.sum(diff * diff, axis=1)))
+        d2 = row_squared_distances(X.points[mask], centroids.centers[used])
+        return fixed_to_float(sum_fixed(d2))
     return 0.0
 
 

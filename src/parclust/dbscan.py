@@ -327,7 +327,7 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
     """
     sizes = sorted(len(s) for s in shards)
     min_pts = params.local.min_pts
-    if sizes[0] < min_pts:
+    if sizes and sizes[0] < min_pts:  # world.run refuses an empty list
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
                          "can hold no core point; use fewer nodes"
                          % (sizes[0], min_pts))

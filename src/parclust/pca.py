@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comm import CommWorld, NodeCtx, Shard
-from .core import NOISE, DataSet, squared_distances
+from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
 from .kmeans import KMeansParams, kmeans_centralized
@@ -240,8 +240,8 @@ def _representatives(proj: np.ndarray, labels: np.ndarray, reps_per_cluster: int
     for c in np.unique(labels[labels != NOISE]):
         members = np.nonzero(labels == c)[0]
         centroid = proj[members].mean(axis=0)
-        diff = proj[members] - centroid
-        nearest = members[int(np.argmin(np.sum(diff * diff, axis=1)))]
+        nearest = members[int(np.argmin(
+            row_squared_distances(proj[members], centroid)))]
         rows.append(int(nearest))
         others = members[members != nearest]
         extra = min(reps_per_cluster - 1, others.size)

@@ -464,8 +464,8 @@ def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
     a, b = split_blocks(X, 2)
     world = CommWorld(2)
     try:
-        # too many, too few, out of rank order, and skipping a row
-        for blocks in (split_blocks(X, 4), split_blocks(X, 1), [b, a],
+        # too many, too few, none, out of rank order, and skipping a row
+        for blocks in (split_blocks(X, 4), split_blocks(X, 1), [], [b, a],
                        [a, Shard(b.points[1:], b.start + 1)]):
             with pytest.raises(ValueError, match="do not fit a 2-node world"):
                 _BLOCK_DRIVERS[algo](world, blocks)

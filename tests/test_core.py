@@ -14,7 +14,10 @@ from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, CentroidSet, DataSet,
                            row_squared_distances, sse_objective,
                            squared_distances, squared_euclidean,
                            within_squared_distance, write_csv)
-from parclust.kmeans import KMeansParams, kmeans_centralized
+from parclust.comm import CommWorld
+from parclust.fcm import FcmParams, pfcm
+from parclust.kmeans import KMeansParams, kmeans_centralized, pkm
+from parclust.pddp import pddp_km
 
 
 # -- distances and the objective -----------------------------------------
@@ -77,11 +80,13 @@ def test_sse_rejects_out_of_range_labels():
 
 
 def _per_center_distances(points, centers):
-    """The reference: one `np.sum(diff * diff, axis=1)` per center."""
+    """The reference: per center, each row's squared differences added in
+    coordinate order, as the last of their running sums (an accumulate is
+    sequential by definition)."""
     d2 = np.empty((points.shape[0], centers.shape[0]))
     for i in range(centers.shape[0]):
         diff = points - centers[i]
-        d2[:, i] = np.sum(diff * diff, axis=1)
+        d2[:, i] = np.cumsum(diff * diff, axis=1)[:, -1]
     return d2
 
 
@@ -319,11 +324,45 @@ def test_row_distances_equal_the_distance_matrix(d):
     rng = np.random.default_rng(d)
     points = rng.normal(size=(40, d)) * 10.0 ** rng.uniform(-3, 3, (40, d))
     centers = rng.normal(size=(20, d))
+    X = DataSet.from_points(points)
     for k in (5, 20):  # the few-center tiles and the row blocks
         exact = squared_distances(points, centers[:k])
         pick = rng.integers(0, k, size=40)
+        want = exact[np.arange(40), pick]
         got = row_squared_distances(points, centers[pick])
-        assert got.tobytes() == exact[np.arange(40), pick].tobytes()
+        assert got.tobytes() == want.tobytes()
+        pairs = [squared_euclidean(p, centers[c]) for p, c in zip(points, pick)]
+        assert np.array(pairs).tobytes() == want.tobytes()
+        # the terms sse_objective sums exactly
+        with mock.patch.object(core_module, "sum_fixed",
+                               wraps=core_module.sum_fixed) as summed:
+            sse_objective(X, Partition(pick), CentroidSet(centers[:k]))
+        assert summed.call_args.args[0].tobytes() == want.tobytes()
+
+
+def test_lloyd_reports_at_d9_are_bit_equal_at_one_two_three_nodes():
+    # at d >= 8 coordinate order and numpy's pairwise order part ways, and
+    # columns that span four decades make the order show in the last bits
+    X, _ = generate_blobs(seed=3, k=4, per_cluster=60, d=9)
+    X = DataSet.from_points(X.points * np.logspace(-2, 2, 9))
+    runs = {
+        "pkm": lambda w: pkm(w, X, KMeansParams(k=4, seed=11)),
+        "pfcm": lambda w: pfcm(w, X, FcmParams(k=4, seed=11)),
+        "pddp-km": lambda w: pddp_km(w, X, height=2),
+    }
+    for name, run in runs.items():
+        reports = []
+        for p in (1, 2, 3):
+            world = CommWorld(p)
+            try:
+                reports.append(run(world))
+            finally:
+                world.shutdown()
+        ref = reports[0]
+        for rep in reports[1:]:
+            assert rep.labels.tobytes() == ref.labels.tobytes(), name
+            assert rep.centroids.tobytes() == ref.centroids.tobytes(), name
+            assert np.float64(rep.j).tobytes() == np.float64(ref.j).tobytes()
 
 
 # -- connected components ----------------------------------------------------
