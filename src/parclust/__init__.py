@@ -1,14 +1,16 @@
 """Desk-scale parallel clustering toolkit.
 
-Simulates a small message-passing node group in one process (threads,
-rank 0 as coordinator and the root of every broadcast and gather) and runs
+Simulates a small message-passing node group in one process (ranks are
+coroutines that one scheduler drives on the calling thread, rank 0 the
+coordinator and the root of every broadcast and gather) and runs
 partitional, fuzzy, window, density and divisive algorithms over it. Each
 rank owns one contiguous block of rows, so a row is named by its position
-in the dataset. Each algorithm has one body for every node
-count, and every rank runs it on the one rank context, `NodeCtx`; a
-one-node world runs its rank on the calling thread, and the centralized
-k-means is that body at P=1. Reductions use exact fixed-point sums, so
-the same input yields bit-identical objectives at any node count.
+in the dataset. Each algorithm has one `async def` body for every node
+count, and every rank runs it on the one rank context, `NodeCtx`, entered
+only through `CommWorld.run`; a one-node world runs the same scheduler
+loop with one rank, and the centralized k-means is that body at P=1.
+Reductions use exact fixed-point sums, so the same input yields
+bit-identical objectives at any node count.
 """
 
 from .comm import CommAbort, CommWorld, NodeCtx, Shard, split_blocks

@@ -13,7 +13,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from .comm import CommWorld, split_blocks
+from .comm import CommWorld
 from .core import (DataSet, adjusted_rand_index, generate_blobs, load_csv,
                    write_csv)
 from .dbscan import DbscanParams, DdbcParams, dbscan, ddbc
@@ -160,6 +160,11 @@ def _with_defaults(args):
     return filled
 
 
+async def _dbscan_node(ctx, shard, params):
+    """The central scan as the body of a one-node run."""
+    return dbscan(DataSet(shard.points), params)
+
+
 def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
     if nodes < 1:
         raise _UsageError("--nodes must be >= 1")
@@ -172,7 +177,7 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
     try:
         if algo == "dbscan":
             params = DbscanParams(eps=args.eps, min_pts=args.min_pts)
-            (part,), timings = world.spmd(lambda ctx: dbscan(X, params))
+            part, timings = world.run(_dbscan_node, X, params)
             return ClusterReport(
                 algo="dbscan", p=1,
                 params={"eps": args.eps, "min_pts": args.min_pts},
@@ -196,27 +201,21 @@ def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:
                 l=args.windows, a=args.half_width,
                 theta_move=args.theta_move, theta_enlarge=args.theta_enlarge,
                 theta_merge=args.theta_merge, seed=args.seed))
-        if algo in ("cpca-cluster", "ddbc"):
-            t0 = time.perf_counter()
-            shards = split_blocks(X, nodes)
-            split_ms = (time.perf_counter() - t0) * 1e3
-            if algo == "ddbc":
-                rep = ddbc(world, shards, DdbcParams(
-                    local=DbscanParams(eps=args.eps, min_pts=args.min_pts),
-                    eps_global=args.eps_global,
-                    min_pts_global=args.min_pts_global,
-                    refine_model=args.local_model != "rep-scor"))
+        if algo == "ddbc":
+            return ddbc(world, X, DdbcParams(
+                local=DbscanParams(eps=args.eps, min_pts=args.min_pts),
+                eps_global=args.eps_global,
+                min_pts_global=args.min_pts_global,
+                refine_model=args.local_model != "rep-scor"))
+        if algo == "cpca-cluster":
+            if args.local_algo == "kmeans":
+                local = KMeansLocal(seed=args.seed, max_iter=args.max_iter)
             else:
-                if args.local_algo == "kmeans":
-                    local = KMeansLocal(seed=args.seed, max_iter=args.max_iter)
-                else:
-                    local = DbscanLocal(eps=args.eps, min_pts=args.min_pts)
-                rep = cpca_cluster(world, shards, local, args.k,
-                                   reps_per_cluster=args.reps_per_cluster,
-                                   variance_fraction=args.variance_fraction,
-                                   seed=args.seed)
-            rep.timings_ms["split"] = split_ms
-            return rep
+                local = DbscanLocal(eps=args.eps, min_pts=args.min_pts)
+            return cpca_cluster(world, X, local, args.k,
+                                reps_per_cluster=args.reps_per_cluster,
+                                variance_fraction=args.variance_fraction,
+                                seed=args.seed)
         if algo == "pddp":
             return pddp_report(world, X, args.height)
         if algo == "pddp-km":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kmeans
-from .comm import CommWorld, NodeCtx
+from .comm import CommWorld, NodeCtx, blocks_of
 from .core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet, KeySortedRows,
                    Partition, column_midrange, components, lifted_rows,
                    row_squared_distances, squared_distances,
@@ -259,14 +259,19 @@ class DdbcParams:
             raise ValueError("min_pts_global must be >= 1")
 
 
-def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
+async def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
     """One rank's scan and density model of its block, merged at rank 0;
     every rank returns (labels, representatives), with the labels at rank
-    0 only."""
+    0 only. A block of fewer than min_pts rows, which can hold no core
+    point, is refused."""
+    if len(shard) < params.local.min_pts:
+        raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
+                         "can hold no core point; use fewer nodes"
+                         % (len(shard), params.local.min_pts))
     local_X = DataSet.from_points(shard.points)
     scan = density_scan(local_X, params.local)
-    models = ctx.gather(rep_kmeans_model(local_X, scan, params.local,
-                                         refine=params.refine_model))
+    models = await ctx.gather(rep_kmeans_model(local_X, scan, params.local,
+                                               refine=params.refine_model))
     if ctx.rank == 0:
         # local clusters are nodes 0..n_local-1 in rank-major order, and
         # global cluster g of the representatives is node n_local + g;
@@ -291,7 +296,7 @@ def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
                    centers, radii, group[owner])
     else:
         payload = None
-    groups, centers, radii, gids = ctx.broadcast(payload)
+    groups, centers, radii, gids = await ctx.broadcast(payload)
 
     local = scan.partition.labels
     final = np.full(len(shard), NOISE, dtype=np.int64)
@@ -308,11 +313,12 @@ def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
         covered = inside.any(axis=1)
         final[noise_rows[covered]] = gids[pick[covered]]
 
-    return ctx.gather_rows(final), int(gids.size)
+    return await ctx.gather_rows(final), int(gids.size)
 
 
-def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
-    """Distributed density clustering.
+def ddbc(world: CommWorld, rows, params: DdbcParams) -> ClusterReport:
+    """Distributed density clustering of `rows`, a DataSet or a list of
+    blocks, as `CommWorld.run` takes them.
 
     Each node scans its block and compresses every local cluster into a
     density model; the facilitator density-clusters all representative
@@ -325,20 +331,16 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
     has fewer than `min_pts` rows, or when no shard of a multi-node run
     holds a core point.
     """
-    sizes = sorted(len(s) for s in shards)
-    min_pts = params.local.min_pts
-    if sizes and sizes[0] < min_pts:  # world.run refuses an empty list
-        raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
-                         "can hold no core point; use fewer nodes"
-                         % (sizes[0], min_pts))
-    (labels, n_reps), timings = world.run(_ddbc_node, shards, params)
+    (labels, n_reps), timings = world.run(_ddbc_node, rows, params)
+    blocks = blocks_of(rows, world.size)
     if n_reps == 0 and world.size > 1:
+        sizes = sorted(map(len, blocks))
         raise ValueError("no shard of %d to %d rows holds a core point under "
                          "eps=%g and min_pts=%d, and an all-noise answer over "
                          "%d nodes cannot be told from shards too small to "
                          "show the clusters; use fewer nodes"
-                         % (sizes[0], sizes[-1], params.local.eps, min_pts,
-                            world.size))
+                         % (sizes[0], sizes[-1], params.local.eps,
+                            params.local.min_pts, world.size))
     return ClusterReport(
         algo="ddbc",
         p=world.size,
@@ -346,8 +348,8 @@ def ddbc(world: CommWorld, shards, params: DdbcParams) -> ClusterReport:
                 "eps_global": params.resolved_eps_global(),
                 "min_pts_global": params.min_pts_global,
                 "local_model": "rep-kmeans" if params.refine_model else "rep-scor"},
-        n=sum(len(s) for s in shards),
-        d=shards[0].points.shape[1],
+        n=len(labels),
+        d=blocks[0].points.shape[1],
         labels=labels,
         model={"k": Partition(labels).k, "representatives": int(n_reps)},
         timings_ms=timings,

@@ -78,8 +78,8 @@ def membership_update(d2: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
-                    m: float) -> np.ndarray:
+async def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
+                          m: float) -> np.ndarray:
     """Weighted means from one global reduction.
 
     The reduced vector holds the k x d numerators, then the k denominators.
@@ -91,7 +91,7 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
     for i in range(k):
         local += grouped_sums_fixed(shard.points * w[:, i:i + 1])
     local += grouped_sums_fixed(w)
-    g = ctx.allreduce_sum(local)
+    g = await ctx.allreduce_sum(local)
     dens = g[k * d:]
     centers = np.empty((k, d), dtype=np.float64)
     for i in range(k):
@@ -101,12 +101,12 @@ def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
     return centers
 
 
-def fcm_objective(ctx: NodeCtx, u: np.ndarray, d2: np.ndarray,
-                  m: float) -> float:
+async def fcm_objective(ctx: NodeCtx, u: np.ndarray, d2: np.ndarray,
+                        m: float) -> float:
     """Weighted within-cluster scatter of the local memberships `u` and
     squared distances `d2`, reduced exactly over all nodes."""
     local = sum_fixed((u ** m) * d2)
-    total = ctx.allreduce_sum([local])
+    total = await ctx.allreduce_sum([local])
     return fixed_to_float(total[0])
 
 
@@ -116,7 +116,7 @@ def _converged(trace, tol) -> bool:
     return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= tol
 
 
-def _pfcm_node(ctx: NodeCtx, shard, n, params):
+async def _pfcm_node(ctx: NodeCtx, shard, n, params):
     """One rank's run over its block of the `n` rows; every rank returns
     (labels, centers, trace), with the labels at rank 0 only, the trace
     holding each iteration's objective."""
@@ -124,14 +124,14 @@ def _pfcm_node(ctx: NodeCtx, shard, n, params):
                            shard.start + len(shard))
     trace: list[float] = []
     for _ in range(params.max_iter):
-        centers = centroid_update(ctx, shard, u, params.m)
+        centers = await centroid_update(ctx, shard, u, params.m)
         d2 = squared_distances(shard.points, centers)
         u = membership_update(d2, params.m)
-        trace.append(fcm_objective(ctx, u, d2, params.m))
+        trace.append(await fcm_objective(ctx, u, d2, params.m))
         if _converged(trace, params.tol):
             break
     labels = np.argmax(u, axis=1).astype(np.int64)  # ties to the lowest index
-    return ctx.gather_rows(labels), centers, trace
+    return await ctx.gather_rows(labels), centers, trace
 
 
 def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:

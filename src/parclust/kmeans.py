@@ -139,7 +139,7 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
-def _pkm_node(ctx: NodeCtx, shard, params, centers):
+async def _pkm_node(ctx: NodeCtx, shard, params, centers):
     """One rank's Lloyd run over its block from the (k, d) start
     `centers`, the same on every rank; every rank returns (labels,
     centers, trace), with the labels at rank 0 only, the trace holding
@@ -165,7 +165,7 @@ def _pkm_node(ctx: NodeCtx, shard, params, centers):
         new, d2min = assign(centers)
         stats = _moved_stats(pts, labels, new, k)
         stats.append(sum_fixed(d2min))
-        g = ctx.allreduce_sum(stats)
+        g = await ctx.allreduce_sum(stats)
         labels = new
         trace.append(fixed_to_float(g[-1]))
         if _converged(trace, params.tol):
@@ -184,12 +184,13 @@ def _pkm_node(ctx: NodeCtx, shard, params, centers):
         empty = [i for i in range(k) if counts[i] == 0]
         used: set[int] = set()
         for i in empty:
-            cands = ctx.gather(_local_farthest(pts, shard.start, d2min, used))
+            cands = await ctx.gather(
+                _local_farthest(pts, shard.start, d2min, used))
             # max keeps the first maximum, so ties go to the lowest rank
-            best = ctx.broadcast(max(cands, key=lambda c: c[0]) if cands
-                                 else None)
+            best = await ctx.broadcast(max(cands, key=lambda c: c[0])
+                                       if cands else None)
             if best[0] <= 0:  # every free row already sits on a centroid
-                rows = ctx.gather_rows(np.unique(pts, axis=0))
+                rows = await ctx.gather_rows(np.unique(pts, axis=0))
                 if ctx.rank == 0:
                     raise ValueError(
                         "cannot repair an empty cluster: k=%d but the data has "
@@ -199,7 +200,7 @@ def _pkm_node(ctx: NodeCtx, shard, params, centers):
             _, pick, centers[i] = best
             used.add(pick)
 
-    return ctx.gather_rows(labels), centers, trace
+    return await ctx.gather_rows(labels), centers, trace
 
 
 def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):

@@ -162,12 +162,12 @@ def _round_hits(keyed: KeySortedRows, at: np.ndarray,
             for low, high, a, b in zip(lo, hi, start, stop)]
 
 
-def _search_node(ctx: NodeCtx, shard: Shard, driver):
-    """Rank 0's value of `driver(query)`, with every rank answering its
-    rounds of box queries.
+async def _search_node(ctx: NodeCtx, shard: Shard, driver):
+    """Rank 0's value of `await driver(query)`, with every rank answering
+    its rounds of box queries.
 
-    `query(boxes)` is one round: `boxes` is a pair of (b, d) lo and hi
-    arrays, which rank 0 broadcasts once; every rank answers it with its
+    `await query(boxes)` is one round: `boxes` is a pair of (b, d) lo and
+    hi arrays, which rank 0 broadcasts once; every rank answers it with its
     per-box hit arrays, gathered once, and `query` returns one int64 array
     of dataset rows per box, in no particular order and without repeats
     (the shards are disjoint); a shard's row i is dataset row
@@ -178,16 +178,17 @@ def _search_node(ctx: NodeCtx, shard: Shard, driver):
     keyed = KeySortedRows.build(shard.points)
     at = shard.start + keyed.order
     if ctx.rank != 0:
-        while (boxes := ctx.broadcast(None)) is not None:
-            ctx.gather(_round_hits(keyed, at, boxes))
+        while (boxes := await ctx.broadcast(None)) is not None:
+            await ctx.gather(_round_hits(keyed, at, boxes))
         return None
 
-    def query(boxes):
-        parts = ctx.gather(_round_hits(keyed, at, ctx.broadcast(boxes)))
+    async def query(boxes):
+        boxes = await ctx.broadcast(boxes)
+        parts = await ctx.gather(_round_hits(keyed, at, boxes))
         return [np.concatenate(box) for box in zip(*parts)]
 
-    out = driver(query)
-    ctx.broadcast(None)
+    out = await driver(query)
+    await ctx.broadcast(None)
     return out
 
 
@@ -197,8 +198,10 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
     if query.lo.size != tree.d:
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
-    hits, _ = world.run(_search_node, DataSet(tree.points),
-                        lambda q: q((query.lo[None], query.hi[None]))[0])
+    async def one_box(ask):
+        return (await ask((query.lo[None], query.hi[None])))[0]
+
+    hits, _ = world.run(_search_node, DataSet(tree.points), one_box)
     return set(hits.tolist())
 
 
@@ -273,12 +276,12 @@ class _WindowDriver:
                 return
 
     @staticmethod
-    def _lockstep(paths: list, query):
+    async def _lockstep(paths: list, query):
         """Advance every unfinished path one box per round, each round one
         `query`, until all finish."""
         live = [(path, next(path)) for path in paths]
         while live:
-            hits = query((np.array([box[0] for _, box in live]),
+            hits = await query((np.array([box[0] for _, box in live]),
                           np.array([box[1] for _, box in live])))
             step = []
             for (path, _), found in zip(live, hits):
@@ -319,13 +322,13 @@ class _WindowDriver:
         return components(len(windows), merged.ravel(),
                           merged[::-1].ravel()).tolist()
 
-    def run(self, query):
+    async def run(self, query):
         X, params = self.X, self.params
         rng = np.random.default_rng(params.seed)
         seeds = rng.choice(X.n, size=params.l, replace=False)
         windows = [Window(X.points[r].copy(), np.full(X.d, params.a, dtype=np.float64))
                    for r in np.sort(seeds)]
-        self._lockstep([self._path(w) for w in windows], query)
+        await self._lockstep([self._path(w) for w in windows], query)
         roots = self._merge_groups(windows, params.theta_merge)
         group_label: dict[int, int] = {}
         labels = np.full(X.n, NOISE, dtype=np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard
+from .comm import CommWorld, NodeCtx, Shard, blocks_of
 from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
@@ -77,16 +77,16 @@ class NoRowsError(ValueError):
     """Every node holds zero of the rows to be reduced."""
 
 
-def exact_mean(ctx: NodeCtx, rows):
+async def exact_mean(ctx: NodeCtx, rows):
     """(n, mean) of the rows spread over the nodes, in one allreduce of
     the exact column sums plus the row count; each mean is rounded once."""
-    *sums, n = ctx.allreduce_sum(grouped_sums_fixed(rows) + [len(rows)])
+    *sums, n = await ctx.allreduce_sum(grouped_sums_fixed(rows) + [len(rows)])
     if n == 0:
         raise NoRowsError("no rows to average")
     return n, np.array(fixed_to_floats(sums, n), dtype=np.float64)
 
 
-def exact_covariance(ctx: NodeCtx, rows):
+async def exact_covariance(ctx: NodeCtx, rows):
     """(n, mean, C) of the rows spread over the nodes.
 
     A second allreduce sums the upper triangle of the centered
@@ -94,13 +94,13 @@ def exact_covariance(ctx: NodeCtx, rows):
     at any node count, each entry rounded once. C is None when every
     cross-product sum is the integer 0 (all rows equal to the mean).
     """
-    n, mean = exact_mean(ctx, rows)
+    n, mean = await exact_mean(ctx, rows)
     centered = rows - mean
     d = centered.shape[1]
     cross: list[int] = []
     for j in range(d):  # one column at a time: no n x d^2 product in memory
         cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
-    cross = ctx.allreduce_sum(cross)
+    cross = await ctx.allreduce_sum(cross)
     if not any(cross):
         return n, mean, None
     upper = np.triu_indices(d)
@@ -115,11 +115,11 @@ def _check_fraction(variance_fraction: float) -> None:
         raise ValueError("variance_fraction must lie in (0, 1]")
 
 
-def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
+async def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
     """(n, basis) of the rows spread over the nodes: the smallest basis of
     their exact covariance whose cumulative eigenvalue share reaches the
     target."""
-    n, mean, C = exact_covariance(ctx, rows)
+    n, mean, C = await exact_covariance(ctx, rows)
     d = mean.shape[0]
     total = 0.0 if C is None else float(np.trace(C))
     if total <= 0.0:
@@ -146,15 +146,16 @@ def local_pca(shard: Shard, variance_fraction: float):
     return basis, projected
 
 
-def _cpca_node(ctx: NodeCtx, shard, variance_fraction):
-    return _truncated_basis(ctx, shard.points, variance_fraction)[1]
+async def _cpca_node(ctx: NodeCtx, shard, variance_fraction):
+    return (await _truncated_basis(ctx, shard.points, variance_fraction))[1]
 
 
-def cpca(world: CommWorld, shards, variance_fraction: float) -> PrincipalBasis:
-    """Global basis of the rows of every shard, the same bits at any node
-    count: two exact allreduces, then every node solves the same matrix."""
+def cpca(world: CommWorld, rows, variance_fraction: float) -> PrincipalBasis:
+    """Global basis of `rows`, a DataSet or a list of blocks, the same bits
+    at any node count: two exact allreduces, then every node solves the
+    same matrix."""
     _check_fraction(variance_fraction)
-    return world.run(_cpca_node, shards, variance_fraction)[0]
+    return world.run(_cpca_node, rows, variance_fraction)[0]
 
 
 # -- clustering on top of the collective basis ---------------------------
@@ -264,8 +265,8 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
                             exc)) from None
 
 
-def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k, reps_per_cluster,
-                       variance_fraction, seed):
+async def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k,
+                             reps_per_cluster, variance_fraction, seed):
     """One rank's local and global clustering of its block, its sketches
     merged at rank 0; every rank returns (labels, sketches,
     representatives), with the labels at rank 0 only. Raises NoRowsError
@@ -277,7 +278,8 @@ def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k, reps_per_cluster,
     rng = np.random.default_rng((seed, ctx.rank))
     rep_rows = _representatives(proj_local, local_labels, reps_per_cluster, rng)
     rep_points = shard.points[rep_rows]  # original space, representatives only
-    n_reps, global_basis = _truncated_basis(ctx, rep_points, variance_fraction)
+    n_reps, global_basis = await _truncated_basis(ctx, rep_points,
+                                                  variance_fraction)
     proj_global = (shard.points - global_basis.mean) @ global_basis.components.T
     refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
@@ -288,7 +290,7 @@ def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k, reps_per_cluster,
     centroids = np.empty((len(counts), members.shape[1]))
     for i in range(len(counts)):
         centroids[i] = members[which == i].mean(axis=0)
-    all_sketches = ctx.gather((centroids, counts))
+    all_sketches = await ctx.gather((centroids, counts))
     if ctx.rank == 0:
         first = np.cumsum([0] + [len(c) for _, c in all_sketches])
         group = _merge_sketches(np.vstack([p for p, _ in all_sketches]),
@@ -296,20 +298,21 @@ def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k, reps_per_cluster,
         groups = [group[first[r]:first[r + 1]] for r in range(ctx.size)]
     else:
         groups = None
-    groups = ctx.broadcast(groups)
+    groups = await ctx.broadcast(groups)
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
     final[keep] = groups[ctx.rank][which]
-    return ctx.gather_rows(final), sum(map(len, groups)), n_reps
+    return await ctx.gather_rows(final), sum(map(len, groups)), n_reps
 
 
-def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
+def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
                  reps_per_cluster: int = 3, variance_fraction: float = 0.9,
                  seed: int = 0) -> ClusterReport:
     """Cluster in local PCA space, agree on a global basis from the exact
     covariance of every node's representatives, re-cluster in that space,
     and merge per-node cluster sketches with size-weighted k-means at the
-    facilitator."""
+    facilitator. `rows` is a DataSet or a list of blocks, as
+    `CommWorld.run` takes them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if reps_per_cluster < 1:
@@ -317,14 +320,15 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
     _check_fraction(variance_fraction)
     try:
         (labels, n_sketches, n_reps), timings = world.run(
-            _cpca_cluster_node, shards, clusterer, k, reps_per_cluster,
+            _cpca_cluster_node, rows, clusterer, k, reps_per_cluster,
             variance_fraction, seed)
     except NoRowsError:
         raise ValueError(
             "no representatives for the global basis: local %s clustering in "
             "each node's own PCA space marked every row as noise on every "
             "shard (%s)" % (clusterer.name, ", ".join(
-                "node %d: %d rows" % (r, len(s)) for r, s in enumerate(shards)))
+                "node %d: %d rows" % (r, len(s))
+                for r, s in enumerate(blocks_of(rows, world.size))))
         ) from None
     return ClusterReport(
         algo="cpca-cluster",
@@ -332,8 +336,8 @@ def cpca_cluster(world: CommWorld, shards, clusterer, k: int,
         params={"k": k, "reps_per_cluster": reps_per_cluster,
                 "variance_fraction": variance_fraction, "seed": seed,
                 "local_algo": clusterer.name},
-        n=sum(len(s) for s in shards),
-        d=shards[0].points.shape[1],
+        n=len(labels),
+        d=blocks_of(rows, world.size)[0].points.shape[1],
         labels=labels,
         model={"sketches": int(n_sketches), "representatives": int(n_reps)},
         timings_ms=timings,

@@ -28,14 +28,14 @@ from .pca import exact_covariance, principal_axes
 from .report import ClusterReport
 
 
-def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
+async def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
     """Global mean and leading covariance direction of one cluster.
 
     Every rank solves the same bit-identical exact covariance. Returns
     (mean, direction); the direction is None when the cluster has zero
     covariance (all points identical).
     """
-    _, mean, C = exact_covariance(ctx, local_rows)
+    _, mean, C = await exact_covariance(ctx, local_rows)
     return mean, None if C is None else principal_axes(C)[1][0]
 
 
@@ -49,7 +49,7 @@ def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return proj
 
 
-def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
+async def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
     """One rank's divisive run over its block of the `n` rows, then the
     leaf means on every rank.
 
@@ -70,12 +70,12 @@ def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
         for rows, size, live in clusters:
             if live:
                 sub = pts[rows]
-                mean, direction = _split_direction(ctx, sub)
+                mean, direction = await _split_direction(ctx, sub)
                 if direction is not None:
                     # ties go left
                     left = _project(sub - mean, direction) >= 0.0
-                    sizes = ctx.allreduce_sum([int(left.sum()),
-                                               int((~left).sum())])
+                    sizes = await ctx.allreduce_sum([int(left.sum()),
+                                                     int((~left).sum())])
                     if all(sizes):
                         kept += [(rows[left], sizes[0], sizes[0] >= 2),
                                  (rows[~left], sizes[1], sizes[1] >= 2)]
@@ -87,12 +87,12 @@ def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
     leaf = np.empty(len(pts), dtype=np.int64)
     for i, (rows, _, _) in enumerate(clusters):
         leaf[rows] = i
-    sums = ctx.allreduce_sum(grouped_sums_fixed(pts, leaf, k))
+    sums = await ctx.allreduce_sum(grouped_sums_fixed(pts, leaf, k))
     means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
                       for i, (_, size, _) in enumerate(clusters)])
     if km_params is not None:
-        return _pkm_node(ctx, shard, km_params, means)
-    return ctx.gather_rows(leaf), means
+        return await _pkm_node(ctx, shard, km_params, means)
+    return await ctx.gather_rows(leaf), means
 
 
 def _run(world: CommWorld, X: DataSet, height: int, km_params=None):

@@ -14,18 +14,18 @@ def count_collectives(monkeypatch):
     """The collectives run in this test, by kind: `count_collectives[world]`
     is a Counter of the collectives of that world alone.
 
-    Each collective is counted once, on rank 0's call. Worlds of every size
-    go through `CommWorld._collective`, so the one-node worlds a rank builds
-    inside its body (centralized k-means, one node's PCA) are counted too,
-    each under its own world and not under the world that ran the body.
+    Each collective is counted once, when the scheduler combines the posts
+    of every rank. Worlds of every size go through `CommWorld._collective`,
+    so the one-node worlds a rank builds inside its body (centralized
+    k-means, one node's PCA) are counted too, each under its own world and
+    not under the world that ran the body.
     """
     counts = collections.defaultdict(collections.Counter)
     original = CommWorld._collective
 
-    def counted(self, rank, kind, payload):
-        if rank == 0:  # every rank makes the call; one thread writes
-            counts[self][kind] += 1
-        return original(self, rank, kind, payload)
+    def counted(self, posts):
+        counts[self][posts[0][0]] += 1
+        return original(self, posts)
 
     monkeypatch.setattr(CommWorld, "_collective", counted)
     return counts

@@ -1,6 +1,7 @@
-"""Runtime contracts: block splitting, collectives, the SPMD driver, teardown."""
+"""Runtime contracts: block splitting, collectives, the scheduler, teardown."""
 
-import sys
+import gc
+import inspect
 import threading
 import time
 
@@ -19,19 +20,33 @@ from parclust.pca import KMeansLocal, cpca, cpca_cluster
 from parclust.pddp import pddp_km, pddp_report
 
 
-def _world_run(p, fn, *args, timeout=30.0):
+def _toy(n, d=2):
+    return DataSet.from_points(np.arange(n * d, dtype=float).reshape(n, d))
+
+
+def _every_rank(p, fn, rows):
+    """Every rank's result of fn(ctx, shard) over the blocks of `rows`, in
+    rank order; a result that is awaitable is awaited first."""
+    results = [None] * p
+
+    async def body(ctx, shard):
+        out = fn(ctx, shard)
+        results[ctx.rank] = await out if inspect.isawaitable(out) else out
+
     world = CommWorld(p)
     try:
-        return world.spmd(fn, *args, timeout=timeout)[0]
+        world.run(body, rows)
     finally:
         world.shutdown()
+    return results
+
+
+def _world_run(p, fn):
+    """Every rank's result of fn(ctx), taken as `_every_rank` takes it."""
+    return _every_rank(p, lambda ctx, _: fn(ctx), _toy(p))
 
 
 # -- split_blocks ----------------------------------------------------------
-
-
-def _toy(n, d=2):
-    return DataSet.from_points(np.arange(n * d, dtype=float).reshape(n, d))
 
 
 def test_split_single_node_gets_everything():
@@ -105,8 +120,8 @@ def test_broadcast_single_rank_identity():
 def test_broadcast_root_value_everywhere():
     centroids = np.array([[1.0, 2.0], [3.0, 4.0]])
 
-    def fn(ctx):
-        got = ctx.broadcast(centroids if ctx.rank == 0 else None)
+    async def fn(ctx):
+        got = await ctx.broadcast(centroids if ctx.rank == 0 else None)
         return np.array_equal(got, centroids)
 
     assert _world_run(4, fn) == [True] * 4
@@ -168,18 +183,11 @@ def test_allreduce_python_ints_stay_exact():
 
 
 def test_back_to_back_allreduces_each_read_their_own_result():
-    # one barrier wait per collective: a fast rank posts its next slot
-    # while slower ranks may still be reading the previous result; more
-    # ranks than cores and frequent thread switches make that overlap likely
-    def fn(ctx):
-        return [ctx.allreduce_sum([ctx.rank + i])[0] for i in range(300)]
+    async def fn(ctx):
+        return [(await ctx.allreduce_sum([ctx.rank + i]))[0]
+                for i in range(300)]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = _world_run(6, fn, timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
+    out = _world_run(6, fn)
     assert out == [[6 * i + 15 for i in range(300)]] * 6
 
 
@@ -218,19 +226,14 @@ def test_gather_rank_order_at_root_empty_elsewhere():
 def test_gather_rows_is_dataset_order_at_root_none_elsewhere(
         p, count_collectives):
     X = _toy(7)
-    world = CommWorld(p)
-    try:
-        out, _ = world.spmd(
-            lambda ctx, shards: ctx.gather_rows(shards[ctx.rank].points),
-            split_blocks(X, p))
-    finally:
-        world.shutdown()
+    out = _every_rank(p, lambda ctx, shard: ctx.gather_rows(shard.points), X)
     assert np.array_equal(out[0], X.points)
     assert out[1:] == [None] * (p - 1)
-    assert count_collectives[world] == {"gather": 1}
+    [counts] = count_collectives.values()
+    assert counts == {"gather": 1}
 
 
-# -- spmd driver -----------------------------------------------------------
+# -- the scheduler -----------------------------------------------------------
 
 
 def test_spmd_returns_results_in_rank_order():
@@ -238,10 +241,10 @@ def test_spmd_returns_results_in_rank_order():
 
 
 def test_spmd_reraises_first_real_failure():
-    def fn(ctx):
+    async def fn(ctx):
         if ctx.rank == 1:
             raise KeyError("boom")
-        ctx.broadcast(None)  # the abort releases this
+        await ctx.broadcast(None)  # closed when rank 1 fails
 
     with pytest.raises(KeyError):
         _world_run(3, fn)
@@ -260,40 +263,69 @@ def test_spmd_reraises_the_lowest_failing_rank_not_the_earliest():
             _world_run(3, fn)
 
 
-def test_spmd_watchdog_fires_on_deadlock():
-    def fn(ctx):
-        if ctx.rank == 0:
+@pytest.mark.parametrize("early, waiting", [(0, 1), (1, 0), (2, 0)])
+def test_a_rank_that_returns_early_is_refused_at_once_by_rank(early, waiting):
+    steps = []
+
+    async def fn(ctx):
+        if ctx.rank == early:
             return None  # never joins the collective
-        ctx.broadcast(None)
+        steps.append(ctx.rank)
+        await ctx.broadcast(None)
+        steps.append(ctx.rank)  # never reached: no rank is resumed again
 
-    world = CommWorld(2)
-    try:
-        with pytest.raises(CommAbort):
-            world.spmd(fn, timeout=0.5)
-    finally:
-        world.shutdown()
+    with pytest.raises(CommAbort, match="rank %d returned while rank %d waits "
+                       "at a broadcast" % (early, waiting)):
+        _world_run(3, fn)
+    assert steps == [r for r in range(3) if r != early]
 
 
-def test_single_node_runs_on_the_calling_thread():
+def test_a_body_that_skips_an_await_falls_out_of_step_and_is_refused():
+    async def fn(ctx):
+        total = await ctx.allreduce_sum([1])
+        if ctx.rank == 1:
+            return ctx.allreduce_sum(total)  # the await is missing
+        return await ctx.allreduce_sum(total)
+
+    # the skipped collective is never posted, so rank 1 returns while rank
+    # 0 waits, and no rank's result (here a coroutine) is handed back
+    with pytest.warns(RuntimeWarning, match="never awaited"):
+        with pytest.raises(CommAbort, match="rank 1 returned while rank 0 "
+                           "waits at a allreduce_sum"):
+            _world_run(2, fn)
+        gc.collect()
+
+
+def test_every_rank_at_every_p_runs_on_the_calling_thread():
     caller = threading.current_thread()
-    assert _world_run(1, lambda ctx: threading.current_thread() is caller) \
-        == [True]
+
+    async def fn(ctx):
+        before = threading.current_thread() is caller
+        await ctx.allreduce_sum([1])
+        return before and threading.current_thread() is caller
+
+    for p in (1, 2, 3):
+        assert _world_run(p, fn) == [True] * p
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_closed_world_refuses_to_run(p):
     ran = []
+
+    async def boom(ctx, _):
+        return {}["boom"]
+
     world = CommWorld(p)
     for _ in range(2):  # a live world serves several runs
-        world.spmd(lambda ctx: ctx.allreduce_sum([1]))
+        world.run(lambda ctx, _: ctx.allreduce_sum([1]), _toy(p))
     with pytest.raises(KeyError):
-        world.spmd(lambda ctx: {}["boom"])
+        world.run(boom, _toy(p))
     with pytest.raises(CommAbort, match="closed: rank . failed"):
-        world.spmd(lambda ctx: ran.append(ctx.rank))
+        world.run(lambda ctx, _: ran.append(ctx.rank), _toy(p))
     world = CommWorld(p)
     world.shutdown()
     with pytest.raises(CommAbort, match="closed: shut down"):
-        world.spmd(lambda ctx: ran.append(ctx.rank))
+        world.run(lambda ctx, _: ran.append(ctx.rank), _toy(p))
     assert ran == []
 
 
@@ -301,10 +333,11 @@ def test_closed_world_refuses_to_run(p):
 def test_spmd_splits_run_time_into_compute_and_comm(p):
     world = CommWorld(p)
     try:
-        results, timings = world.spmd(lambda ctx: ctx.allreduce_sum([1]))
+        result, timings = world.run(lambda ctx, _: ctx.allreduce_sum([1]),
+                                    split_blocks(_toy(p), p))
     finally:
         world.shutdown()
-    assert results == [[p]] * p
+    assert result == [p]
     assert list(timings) == ["split", "compute", "comm"]
     assert timings["split"] == 0.0 and timings["compute"] >= 0.0
     # a one-node world's collective is timed like any other
@@ -314,43 +347,32 @@ def test_spmd_splits_run_time_into_compute_and_comm(p):
 # -- one-node collectives ----------------------------------------------------
 
 
-def _no_barrier(monkeypatch):
-    """Fail any wait at a barrier: a one-node world's rank has no peer."""
-    def refused(self):
-        raise AssertionError("a one-node collective waited at the barrier")
+def test_a_one_node_collective_passes_the_same_checks_and_timing():
+    async def fn(ctx, _):
+        return (await ctx.broadcast("x"), await ctx.gather(2),
+                await ctx.allreduce_sum([3, 4]))
 
-    monkeypatch.setattr(CommWorld, "_wait", refused)
-
-
-def test_a_one_node_collective_skips_the_barrier_but_not_its_checks(
-        monkeypatch):
-    _no_barrier(monkeypatch)
     world = CommWorld(1)
     try:
-        results, timings = world.spmd(lambda ctx: (
-            ctx.broadcast("x"), ctx.gather(2), ctx.allreduce_sum([3, 4])))
+        result, timings = world.run(fn, _toy(1))
     finally:
         world.shutdown()
-    assert results == [("x", [2], [3, 4])]
+    assert result == ("x", [2], [3, 4])
     assert timings["comm"] > 0.0
     with pytest.raises(CommAbort, match="lists of Python ints"):
         _world_run(1, lambda ctx: ctx.allreduce_sum([1.5]))
 
 
-def test_a_collective_on_an_aborted_one_node_world_raises(monkeypatch):
-    _no_barrier(monkeypatch)
+def test_a_collective_on_an_aborted_one_node_world_raises():
+    async def fn(ctx):
+        ctx.world.shutdown()
+        return await ctx.broadcast("late")
 
-    def fn(ctx):
-        ctx.world._abort("torn down")
-        return ctx.broadcast("late")
-
-    with pytest.raises(CommAbort, match="torn down"):
+    with pytest.raises(CommAbort, match="closed: shut down"):
         _world_run(1, fn)
 
 
-def test_collectives_of_nested_one_node_worlds_are_counted(
-        monkeypatch, count_collectives):
-    _no_barrier(monkeypatch)
+def test_collectives_of_nested_one_node_worlds_are_counted(count_collectives):
     X, _ = generate_blobs(seed=1, k=2, per_cluster=30, d=2)
     params = DbscanParams(eps=1.0, min_pts=3)
     world = CommWorld(1)
@@ -404,20 +426,25 @@ def test_world_rejects_zero_nodes():
 def test_spmd_comm_time_lies_within_run_time():
     world = CommWorld(2)
     try:
-        timings = world.spmd(lambda ctx: ctx.allreduce_sum([1]))[1]
+        timings = world.run(lambda ctx, _: ctx.allreduce_sum([1]), _toy(2))[1]
     finally:
         world.shutdown()
-    # each rank's collectives run inside its body, so compute is not negative
+    # the ranks' steps and the combines are timed apart, each not negative
     assert timings["comm"] > 0.0 and timings["compute"] >= 0.0
+
+
+async def _rank_of(ctx, _):
+    return ctx.rank
 
 
 def test_a_run_without_collectives_reports_no_comm_after_one_with():
     for p in (1, 2):
         world = CommWorld(p)
         try:
-            assert world.spmd(lambda ctx: ctx.allreduce_sum([1]))[1]["comm"] > 0
+            assert world.run(lambda ctx, _: ctx.allreduce_sum([1]),
+                             _toy(p))[1]["comm"] > 0
             # a run's timings are its own, not the world's running totals
-            assert world.spmd(lambda ctx: ctx.rank)[1]["comm"] == 0.0
+            assert world.run(_rank_of, _toy(p))[1]["comm"] == 0.0
         finally:
             world.shutdown()
 
@@ -427,8 +454,8 @@ def test_run_splits_the_data_and_returns_rank_zeros_result():
     blocks = split_blocks(X, 3)
     world = CommWorld(3)
 
-    def body(ctx, shard, tag):
-        return ctx.gather((ctx.rank, shard)), tag
+    async def body(ctx, shard, tag):
+        return await ctx.gather((ctx.rank, shard)), tag
 
     try:
         (split, tag), timings = world.run(body, X, "same on every rank")
@@ -475,6 +502,22 @@ def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
     finally:
         world.shutdown()
     assert rep.n == X.n and rep.labels.shape == (X.n,)
+
+
+@pytest.mark.parametrize("algo", ["ddbc", "cpca-cluster"])
+def test_block_drivers_take_a_dataset_as_run_does(algo):
+    X, _ = generate_blobs(1, 3, 40, 2)
+    docs = []
+    for rows in (X, split_blocks(X, 3)):
+        world = CommWorld(3)
+        try:
+            docs.append(_BLOCK_DRIVERS[algo](world, rows).to_json_dict())
+        finally:
+            world.shutdown()
+    split, given = (doc.pop("timings_ms")["split"] for doc in docs)
+    assert docs[0] == docs[1]
+    # run times the split of a dataset, and blocks need none
+    assert split > 0.0 and given == 0.0
 
 
 def test_shard_len():

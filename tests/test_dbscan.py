@@ -631,6 +631,22 @@ def test_a_merge_makes_two_gathers_and_one_broadcast(p, count_collectives):
     assert count_collectives[world] == {"gather": 2, "broadcast": 1}
 
 
+def test_misfit_blocks_are_refused_before_the_min_pts_check():
+    # four 30-row blocks, each too small for min_pts=31: on a 2-node world
+    # the refusal names the misfit, on a 4-node world the block size
+    X, _ = generate_blobs(seed=1, k=2, per_cluster=60, d=2)
+    params = DdbcParams(local=DbscanParams(eps=1.0, min_pts=31))
+    for p, why in ((2, "do not fit a 2-node world"),
+                   (4, "a shard of 30 rows is smaller than min_pts=31 and "
+                       "can hold no core point; use fewer nodes")):
+        world = CommWorld(p)
+        try:
+            with pytest.raises(ValueError, match=why):
+                ddbc(world, split_blocks(X, 4), params)
+        finally:
+            world.shutdown()
+
+
 def test_merge_params_validation_and_default_reach():
     local = DbscanParams(eps=0.5, min_pts=3)
     assert DdbcParams(local=local).resolved_eps_global() == 1.0

@@ -26,10 +26,12 @@ def _run(p, X, params):
         world.shutdown()
 
 
-def _run_node_fn(p, fn, *args):
+def _run_node_fn(p, fn, points):
+    """Rank 0's result of the body fn(ctx, shard) run over the rows
+    `points` on a p-node world."""
     world = CommWorld(p)
     try:
-        return world.spmd(fn, *args)[0]
+        return world.run(fn, DataSet.from_points(points))[0]
     finally:
         world.shutdown()
 
@@ -92,10 +94,10 @@ def test_crisp_memberships_reduce_to_cluster_means():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
     u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
-    def fn(ctx):
-        return centroid_update(ctx, _shard_of(pts), u, m=2.0)
+    async def fn(ctx, shard):
+        return await centroid_update(ctx, shard, u, m=2.0)
 
-    centers = _run_node_fn(1, fn)[0]
+    centers = _run_node_fn(1, fn, pts)
     assert np.array_equal(centers, [[1.0, 0.0], [10.0, 10.0]])
 
 
@@ -103,10 +105,10 @@ def test_single_point_owns_every_cluster_with_weight():
     pts = np.array([[3.0, 4.0]])
     u = np.array([[0.3, 0.7]])
 
-    def fn(ctx):
-        return centroid_update(ctx, _shard_of(pts), u, m=2.0)
+    async def fn(ctx, shard):
+        return await centroid_update(ctx, shard, u, m=2.0)
 
-    centers = _run_node_fn(1, fn)[0]
+    centers = _run_node_fn(1, fn, pts)
     assert np.allclose(centers, [[3.0, 4.0], [3.0, 4.0]])
 
 
@@ -114,16 +116,14 @@ def test_centroids_bit_identical_across_node_counts():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(48, 3))
     u_full = initial_membership(48, 3, seed=9)
-    X = DataSet.from_points(pts)
 
-    def fn(ctx, shards):
-        sh = shards[ctx.rank]
-        return centroid_update(ctx, sh, u_full[sh.start:sh.start + len(sh)],
-                               m=2.0)
+    async def fn(ctx, sh):
+        return await centroid_update(
+            ctx, sh, u_full[sh.start:sh.start + len(sh)], m=2.0)
 
-    ref = _run_node_fn(1, fn, split_blocks(X, 1))[0]
+    ref = _run_node_fn(1, fn, pts)
     for p in (2, 4):
-        got = _run_node_fn(p, fn, split_blocks(X, p))[0]
+        got = _run_node_fn(p, fn, pts)
         assert np.array_equal(got, ref)
 
 
@@ -131,11 +131,11 @@ def test_degenerate_membership_column_raises():
     pts = np.array([[0.0], [1.0]])
     u = np.array([[1.0, 0.0], [1.0, 0.0]])  # column 1 carries no weight
 
-    def fn(ctx):
-        return centroid_update(ctx, _shard_of(pts), u, m=2.0)
+    async def fn(ctx, shard):
+        return await centroid_update(ctx, shard, u, m=2.0)
 
     with pytest.raises(ValueError, match="degenerate membership column 1"):
-        _run_node_fn(1, fn)
+        _run_node_fn(1, fn, pts)
 
 
 # -- objective -------------------------------------------------------------
@@ -148,10 +148,11 @@ def test_crisp_objective_equals_sse():
     u[np.arange(X.n), labels] = 1.0
     centers = np.array([[0.0, 0.0], [1.0, 1.0]])
 
-    def fn(ctx):
-        return fcm_objective(ctx, u, squared_distances(X.points, centers), m=2.0)
+    async def fn(ctx, _):
+        return await fcm_objective(ctx, u, squared_distances(X.points, centers),
+                                   m=2.0)
 
-    got = _run_node_fn(1, fn)[0]
+    got = _run_node_fn(1, fn, X.points)
     want = sse_objective(X, Partition(labels), CentroidSet(centers))
     assert got == want  # m-power of crisp weights changes nothing
 
@@ -161,10 +162,11 @@ def test_objective_zero_when_each_point_sits_on_its_centroid():
     u = np.array([[1.0, 0.0], [0.0, 1.0]])
     centers = np.array([[1.0], [2.0]])
 
-    def fn(ctx):
-        return fcm_objective(ctx, u, squared_distances(pts, centers), m=2.0)
+    async def fn(ctx, _):
+        return await fcm_objective(ctx, u, squared_distances(pts, centers),
+                                   m=2.0)
 
-    assert _run_node_fn(1, fn)[0] == 0.0
+    assert _run_node_fn(1, fn, pts) == 0.0
 
 
 def test_objective_matches_double_loop_oracle():
@@ -174,10 +176,10 @@ def test_objective_matches_double_loop_oracle():
     u = initial_membership(12, 3, seed=1)
     m = 2.0
 
-    def fn(ctx):
-        return fcm_objective(ctx, u, squared_distances(pts, centers), m)
+    async def fn(ctx, _):
+        return await fcm_objective(ctx, u, squared_distances(pts, centers), m)
 
-    got = _run_node_fn(1, fn)[0]
+    got = _run_node_fn(1, fn, pts)
     oracle = math.fsum(
         (u[i, c] ** m) * float(np.sum((pts[i] - centers[c]) ** 2))
         for i in range(12) for c in range(3))

@@ -191,7 +191,9 @@ def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
 
 def _one_round(lo, hi):
     """A search driver of one round of boxes: returns one id set per box."""
-    return lambda query: [set(ids.tolist()) for ids in query((lo, hi))]
+    async def driver(query):
+        return [set(ids.tolist()) for ids in await query((lo, hi))]
+    return driver
 
 
 def test_a_round_with_flat_boxes_equals_filter():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld, split_blocks
+from parclust.comm import CommWorld, Shard, split_blocks
 from parclust.core import DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.pca import (DbscanLocal, KMeansLocal, PrincipalBasis,
                           _maximin_init, _merge_sketches, _pca_of_points,
@@ -72,10 +72,17 @@ def _covariance_oracle(rows):
 
 
 def _kernel_over(p, rows):
+    """Every rank's exact covariance, in rank order, of the rows split by
+    np.array_split (a block may be empty)."""
+    blocks = np.array_split(rows, p)
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+
+    async def body(ctx, shard):
+        return await ctx.gather(await exact_covariance(ctx, shard.points))
+
     world = CommWorld(p)
     try:
-        return world.spmd(lambda ctx: exact_covariance(
-            ctx, np.array_split(rows, p)[ctx.rank]))[0]
+        return world.run(body, list(map(Shard, blocks, starts)))[0]
     finally:
         world.shutdown()
 

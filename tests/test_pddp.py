@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld, split_blocks
+from parclust.comm import CommWorld
 from parclust.core import DataSet, adjusted_rand_index, generate_blobs
 from parclust.exactsum import fixed_to_float, sum_fixed
 from parclust.pca import exact_mean
@@ -75,6 +75,14 @@ def test_children_partition_their_parent():
     assert all(1 <= order.count(par) <= 2 for par in set(order))
 
 
+async def _mean_node(ctx, shard):
+    return await exact_mean(ctx, shard.points)
+
+
+async def _direction_node(ctx, shard):
+    return (await _split_direction(ctx, shard.points))[1]
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("height", [1, 2, 5])
 def test_each_centroid_is_the_exact_mean_of_its_leaf(p, height):
@@ -84,7 +92,7 @@ def test_each_centroid_is_the_exact_mean_of_its_leaf(p, height):
     assert rep.centroids.shape == (int(rep.labels.max()) + 1, 3)
     for leaf, centroid in enumerate(rep.centroids):
         rows = X.points[rep.labels == leaf]
-        [(_, want)], _ = CommWorld(1).spmd(exact_mean, rows)
+        _, want = CommWorld(1).run(_mean_node, DataSet.from_points(rows))[0]
         assert np.array_equal(centroid, want)
 
 
@@ -157,9 +165,7 @@ def test_tiny_eigengap_splits_along_the_leading_eigenvector(p):
     leading = np.linalg.eigh(centered.T @ centered / len(pts))[1][:, -1]
     world = CommWorld(p)
     try:
-        u = world.spmd(lambda ctx, shards: _split_direction(
-            ctx, shards[ctx.rank].points)[1],
-            split_blocks(DataSet.from_points(pts), p))[0][0]
+        u = world.run(_direction_node, DataSet.from_points(pts))[0]
     finally:
         world.shutdown()
     # the sine of the angle between the two lines, resolved below 1.49e-8
@@ -297,13 +303,13 @@ def test_a_cluster_that_cannot_split_is_not_tried_again(count_collectives):
 def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
                                                   monkeypatch):
     runs = []
-    real = CommWorld.spmd
+    real = CommWorld.run
 
-    def counted(world, fn, *args, **kw):
+    def counted(world, fn, *args):
         runs.append(world)
-        return real(world, fn, *args, **kw)
+        return real(world, fn, *args)
 
-    monkeypatch.setattr(CommWorld, "spmd", counted)
+    monkeypatch.setattr(CommWorld, "run", counted)
     X, _ = generate_blobs(seed=41, k=4, per_cluster=50, d=2,
                           spread=0.5, separation=15.0)
     world = CommWorld(2)
