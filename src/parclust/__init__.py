@@ -4,16 +4,18 @@ Simulates a small message-passing node group in one process (ranks are
 coroutines that one scheduler drives on the calling thread, rank 0 the
 coordinator and the root of every broadcast and gather) and runs
 partitional, fuzzy, window, density and divisive algorithms over it. Each
-rank owns one contiguous block of rows, so a row is named by its position
-in the dataset. Each algorithm has one `async def` body for every node
-count, and every rank runs it on the one rank context, `NodeCtx`, entered
-only through `CommWorld.run`; a one-node world runs the same scheduler
-loop with one rank, and the centralized k-means is that body at P=1.
+rank owns one block, a plain 2-D array of rows, and the blocks in rank
+order make up the dataset, so a row is named by the dataset row of its
+block's first row, `ctx.start`, plus its position in the block. Each
+algorithm has one `async def` body for every node count, and every rank
+runs it on the one rank context, `NodeCtx`, entered only through
+`CommWorld.run`; a one-node world runs the same scheduler loop with one
+rank, and the centralized k-means is that body at P=1.
 Reductions use exact fixed-point sums, so the same input yields
 bit-identical objectives at any node count.
 """
 
-from .comm import CommAbort, CommWorld, NodeCtx, Shard, split_blocks
+from .comm import CommAbort, CommWorld, NodeCtx, split_blocks
 from .core import (NOISE, CentroidSet, DataSet, Partition,
                    adjusted_rand_index, generate_blobs, load_csv,
                    sse_objective, squared_euclidean, write_csv)
@@ -32,7 +34,7 @@ from .report import REPORT_SCHEMA, ClusterReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "CommAbort", "CommWorld", "NodeCtx", "Shard", "split_blocks",
+    "CommAbort", "CommWorld", "NodeCtx", "split_blocks",
     "NOISE", "CentroidSet", "DataSet", "Partition", "adjusted_rand_index",
     "generate_blobs", "load_csv", "sse_objective", "squared_euclidean",
     "write_csv",

@@ -160,9 +160,9 @@ def _with_defaults(args):
     return filled
 
 
-async def _dbscan_node(ctx, shard, params):
+async def _dbscan_node(ctx, points, params):
     """The central scan as the body of a one-node run."""
-    return dbscan(DataSet(shard.points), params)
+    return dbscan(DataSet(points), params)
 
 
 def _run_algo(args, X: DataSet, nodes: int) -> ClusterReport:

@@ -15,15 +15,16 @@ Collectives are the only way ranks exchange data: there is no
 point-to-point messaging.
 Rank 0 is the root of every broadcast and gather.
 
-Each rank owns one contiguous block of rows (`split_blocks`), in rank
-order, so a row is named by its dataset position: the shard's `start`
-plus its position in the block. Per-row results gathered in rank order
-concatenate back into dataset order, which is what `NodeCtx.gather_rows`
-hands rank 0. `run` is the only way into a run and the one place that
-pairs blocks with ranks: it hands each rank only its own block, not the
-dataset or its peers' blocks, and arguments that are the same on every
-rank, and it refuses blocks that do not fit the world before any rank
-runs.
+A block is a plain 2-D array of rows, and a list of blocks, one per rank
+in rank order, is the dataset its concatenation defines: rank r's first
+row is dataset row `ctx.start`, the number of rows in the blocks before
+it, so a row is named by `ctx.start` plus its position in the block.
+Per-row results gathered in rank order concatenate back into dataset
+order, which is what `NodeCtx.gather_rows` hands rank 0. `run` is the
+only way into a run and the one place that pairs blocks with ranks: it
+hands each rank only its own block, not the dataset or its peers'
+blocks, and arguments that are the same on every rank, and it refuses a
+list that is not one block per rank before any rank runs.
 
 A rank that returns while another waits at a collective is refused at
 once, so a rank that skips an `await` falls out of step and is refused
@@ -45,7 +46,6 @@ from __future__ import annotations
 import inspect
 import time
 import types
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -57,42 +57,24 @@ class CommAbort(RuntimeError):
     """A rank broke a collective contract or ran on a closed world."""
 
 
-class _Abort:
-    def __init__(self, reason):
-        self.reason = reason
-
-
-@dataclass(frozen=True)
-class Shard:
-    """Contiguous block of dataset rows owned by one rank; `start` is the
-    dataset row of `points[0]`."""
-
-    points: np.ndarray
-    start: int
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def split_blocks(X: DataSet, p: int) -> list[Shard]:
-    """Split a dataset into P contiguous row blocks with sizes differing by <= 1."""
+def split_blocks(X: DataSet, p: int) -> list[np.ndarray]:
+    """Split a dataset into P in-order row blocks, views of `X.points`,
+    with sizes differing by <= 1."""
     if p < 1:
         raise ValueError("node count must be >= 1")
     if p > X.n:
         raise ValueError("cannot split %d rows over %d nodes without empty shards"
                          % (X.n, p))
     base, extra = divmod(X.n, p)
-    shards = []
-    start = 0
+    blocks, start = [], 0
     for r in range(p):
-        size = base + (1 if r < extra else 0)
-        stop = start + size
-        shards.append(Shard(X.points[start:stop], start))
+        stop = start + base + (r < extra)  # the first `extra` are longer
+        blocks.append(X.points[start:stop])
         start = stop
-    return shards
+    return blocks
 
 
-def blocks_of(rows, p: int) -> list[Shard]:
+def blocks_of(rows, p: int) -> list[np.ndarray]:
     """`rows` as `CommWorld.run` hands them to a `p`-node world: a DataSet
     split into one block per rank, or a list of blocks as given."""
     return split_blocks(rows, p) if isinstance(rows, DataSet) else rows
@@ -121,15 +103,15 @@ class CommWorld:
             self._closed = "shut down"
 
     def run(self, fn, rows, *args):
-        """Rank 0's result of fn(ctx, shard, *args), each rank handed its own
-        block of `rows`, and the run's `timings_ms`.
+        """Rank 0's result of fn(ctx, points, *args), each rank handed its
+        own block of `rows` as `points`, and the run's `timings_ms`.
 
         `fn` is called once per rank and returns that rank's coroutine (it
         is an `async def` body). `rows` is a DataSet, split here into one
-        block per rank and timed as `split`, or a list of blocks used as
-        given, with `split` 0. Blocks that are not one per rank, in rank
-        order and contiguous from row 0, are refused with ValueError before
-        any rank runs.
+        block per rank and timed as `split`, or a list of 2-D row arrays
+        used as given, with `split` 0; rank r's `ctx.start` is the number
+        of rows in blocks 0..r-1. A list that is not one block per rank is
+        refused with ValueError before any rank runs.
 
         Each step resumes the ranks in rank order until each posts a
         collective, then combines the posts and sends every rank the
@@ -145,19 +127,16 @@ class CommWorld:
         split = isinstance(rows, DataSet)
         blocks = blocks_of(rows, self.size)
         split_ms = (time.perf_counter() - t0) * 1e3 if split else 0.0
-        starts = [s.start for s in blocks]
-        # block r starts where blocks 0..r-1 end
-        if len(blocks) != self.size or starts != list(
-                accumulate((len(s) for s in blocks[:-1]), initial=0)):
-            raise ValueError("blocks starting at rows %s do not fit a %d-node "
-                             "world: one block per rank, contiguous from row 0"
-                             % (starts, self.size))
+        if len(blocks) != self.size:
+            raise ValueError("%d blocks do not fit a %d-node world: one block "
+                             "per rank" % (len(blocks), self.size))
+        starts = accumulate((len(b) for b in blocks), initial=0)
         ranks: list = []
         rank = 0  # the rank being created or resumed, named if it fails
         compute = comm = 0.0
         try:
-            for rank in range(self.size):
-                coro = fn(NodeCtx(rank, self), blocks[rank], *args)
+            for rank, (start, points) in enumerate(zip(starts, blocks)):
+                coro = fn(NodeCtx(rank, self, start), points, *args)
                 if not inspect.iscoroutine(coro):
                     raise TypeError("a rank body must return a coroutine (an "
                                     "async def function), not %r" % (coro,))
@@ -201,48 +180,45 @@ class CommWorld:
     def _collective(self, posts):
         """The result every rank receives from one collective, given the
         (kind, payload) each rank posted, in rank order."""
-        result = CommWorld._combine(posts)
-        if isinstance(result, _Abort):
-            raise CommAbort(result.reason)
-        return result
-
-    @staticmethod
-    def _combine(slots):
-        kinds = {s[0] for s in slots}
+        kinds = {kind for kind, _ in posts}
         if len(kinds) != 1:
-            return _Abort("mismatched collectives on the same step: %s"
-                          % sorted(kinds))
-        kind = next(iter(kinds))
-        payloads = [s[1] for s in slots]
+            raise CommAbort("mismatched collectives on the same step: %s"
+                            % sorted(kinds))
+        kind = posts[0][0]
+        payloads = [payload for _, payload in posts]
         if kind == "broadcast":
             return payloads[0]
         if kind == "gather":
             return payloads
         if kind == "allreduce_sum":
             return CommWorld._fold(payloads)
-        return _Abort("unknown collective kind %r" % kind)
+        raise CommAbort("unknown collective kind %r" % kind)
 
     @staticmethod
     def _fold(payloads):
         for v in payloads:
             if not isinstance(v, (list, tuple)) or set(map(type, v)) - {int}:
-                return _Abort("allreduce_sum takes lists of Python ints only, "
-                              "so that every sum is exact at any node count")
+                raise CommAbort("allreduce_sum takes lists of Python ints "
+                                "only, so that every sum is exact at any node "
+                                "count")
         lengths = {len(v) for v in payloads}
         if len(lengths) != 1:
-            return _Abort("allreduce_sum length mismatch: %s" % sorted(lengths))
+            raise CommAbort("allreduce_sum length mismatch: %s"
+                            % sorted(lengths))
         if len(payloads) == 1:  # a one-node sum is its payload
             return list(payloads[0])
         return [sum(col) for col in zip(*payloads)]
 
 
 class NodeCtx:
-    """Per-rank handle used by algorithm code to reach the runtime."""
+    """Per-rank handle used by algorithm code to reach the runtime; `start`
+    is the dataset row of the first row of the rank's block."""
 
-    def __init__(self, rank: int, world: CommWorld):
+    def __init__(self, rank: int, world: CommWorld, start: int):
         self.rank = rank
         self.world = world
         self.size = world.size
+        self.start = start
 
     # collectives: every rank of the world must await the same operation.
 

@@ -17,8 +17,9 @@ NOISE = -1
 class DataSet:
     """An n x d float64 matrix; a row is named by its position.
 
-    Shards are contiguous blocks of rows in rank order, so results computed
-    on them are reassembled in the original order by concatenation.
+    A rank's block is a run of consecutive rows, and the blocks in rank
+    order make up the dataset, so results computed on them are reassembled
+    in the original order by concatenation.
     """
 
     points: np.ndarray
@@ -460,13 +461,20 @@ def generate_blobs(seed: int, k: int, per_cluster: int, d: int,
     """
     if k < 1 or per_cluster < 1 or d < 1:
         raise ValueError("k, per_cluster and d must be positive")
-    if spread <= 0 or separation <= 0:
-        raise ValueError("spread and separation must be positive")
+    if not (np.isfinite(spread) and np.isfinite(separation)
+            and spread > 0 and separation > 0):
+        raise ValueError("spread and separation must be finite and positive, "
+                         "not %r and %r" % (spread, separation))
     rng = np.random.default_rng(seed)
     side = separation * max(k, 2)
     centers: list[np.ndarray] = []
     rejects = 0
     while len(centers) < k:
+        # every squared distance between two centers is at most d * side**2
+        if not np.isfinite(d * side * side):
+            raise ValueError("no room for %d centers %g apart at d=%d: "
+                             "squared distances in a box of side %g overflow "
+                             "float64" % (k, separation, d, side))
         cand = rng.uniform(0.0, side, size=d)
         if all(np.linalg.norm(cand - c) >= separation for c in centers):
             centers.append(cand)

@@ -259,16 +259,16 @@ class DdbcParams:
             raise ValueError("min_pts_global must be >= 1")
 
 
-async def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
+async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
     """One rank's scan and density model of its block, merged at rank 0;
     every rank returns (labels, representatives), with the labels at rank
     0 only. A block of fewer than min_pts rows, which can hold no core
     point, is refused."""
-    if len(shard) < params.local.min_pts:
+    if len(points) < params.local.min_pts:
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
                          "can hold no core point; use fewer nodes"
-                         % (len(shard), params.local.min_pts))
-    local_X = DataSet.from_points(shard.points)
+                         % (len(points), params.local.min_pts))
+    local_X = DataSet.from_points(points)
     scan = density_scan(local_X, params.local)
     models = await ctx.gather(rep_kmeans_model(local_X, scan, params.local,
                                                refine=params.refine_model))
@@ -299,12 +299,12 @@ async def _ddbc_node(ctx: NodeCtx, shard, params: DdbcParams):
     groups, centers, radii, gids = await ctx.broadcast(payload)
 
     local = scan.partition.labels
-    final = np.full(len(shard), NOISE, dtype=np.int64)
+    final = np.full(len(points), NOISE, dtype=np.int64)
     final[local != NOISE] = groups[ctx.rank][local[local != NOISE]]
     # local noise joins the cluster of the nearest covering representative
     noise_rows = np.nonzero(final == NOISE)[0]
     if noise_rows.size and gids.size:
-        dist = np.sqrt(squared_distances(shard.points[noise_rows], centers))
+        dist = np.sqrt(squared_distances(points[noise_rows], centers))
         inside = dist <= radii
         # first covering representative at the least distance; an infinite
         # distance inside an infinite radius still beats every outside one
@@ -349,7 +349,7 @@ def ddbc(world: CommWorld, rows, params: DdbcParams) -> ClusterReport:
                 "min_pts_global": params.min_pts_global,
                 "local_model": "rep-kmeans" if params.refine_model else "rep-scor"},
         n=len(labels),
-        d=blocks[0].points.shape[1],
+        d=blocks[0].shape[1],
         labels=labels,
         model={"k": Partition(labels).k, "representatives": int(n_reps)},
         timings_ms=timings,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard
+from .comm import CommWorld, NodeCtx
 from .core import DataSet, squared_distances
 from .exactsum import fixed_ratios, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
@@ -78,18 +78,19 @@ def membership_update(d2: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-async def centroid_update(ctx: NodeCtx, shard: Shard, u: np.ndarray,
+async def centroid_update(ctx: NodeCtx, points: np.ndarray, u: np.ndarray,
                           m: float) -> np.ndarray:
-    """Weighted means from one global reduction.
+    """Weighted means of every rank's rows `points`, with memberships `u`,
+    from one global reduction.
 
     The reduced vector holds the k x d numerators, then the k denominators.
     """
     k = u.shape[1]
-    d = shard.points.shape[1]
+    d = points.shape[1]
     w = u ** m
     local: list[int] = []
     for i in range(k):
-        local += grouped_sums_fixed(shard.points * w[:, i:i + 1])
+        local += grouped_sums_fixed(points * w[:, i:i + 1])
     local += grouped_sums_fixed(w)
     g = await ctx.allreduce_sum(local)
     dens = g[k * d:]
@@ -116,16 +117,16 @@ def _converged(trace, tol) -> bool:
     return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= tol
 
 
-async def _pfcm_node(ctx: NodeCtx, shard, n, params):
+async def _pfcm_node(ctx: NodeCtx, points, n, params):
     """One rank's run over its block of the `n` rows; every rank returns
     (labels, centers, trace), with the labels at rank 0 only, the trace
     holding each iteration's objective."""
-    u = initial_membership(n, params.k, params.seed, shard.start,
-                           shard.start + len(shard))
+    u = initial_membership(n, params.k, params.seed, ctx.start,
+                           ctx.start + len(points))
     trace: list[float] = []
     for _ in range(params.max_iter):
-        centers = await centroid_update(ctx, shard, u, params.m)
-        d2 = squared_distances(shard.points, centers)
+        centers = await centroid_update(ctx, points, u, params.m)
+        d2 = squared_distances(points, centers)
         u = membership_update(d2, params.m)
         trace.append(await fcm_objective(ctx, u, d2, params.m))
         if _converged(trace, params.tol):

@@ -139,7 +139,7 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
-async def _pkm_node(ctx: NodeCtx, shard, params, centers):
+async def _pkm_node(ctx: NodeCtx, pts, params, centers):
     """One rank's Lloyd run over its block from the (k, d) start
     `centers`, the same on every rank; every rank returns (labels,
     centers, trace), with the labels at rank 0 only, the trace holding
@@ -154,9 +154,8 @@ async def _pkm_node(ctx: NodeCtx, shard, params, centers):
     the last update's. A relocation that finds no free row off a
     centroid refuses, with the distinct rows counted over every block.
     """
-    pts = shard.points
     k, d = centers.shape
-    labels = np.full(len(shard), -1, dtype=np.int64)  # no cluster yet
+    labels = np.full(len(pts), -1, dtype=np.int64)  # no cluster yet
     sums = [0] * (k * d)  # exact per-cluster sums and counts over all blocks
     counts = [0] * k
     assign = _assignment(pts, centers)
@@ -185,7 +184,7 @@ async def _pkm_node(ctx: NodeCtx, shard, params, centers):
         used: set[int] = set()
         for i in empty:
             cands = await ctx.gather(
-                _local_farthest(pts, shard.start, d2min, used))
+                _local_farthest(pts, ctx.start, d2min, used))
             # max keeps the first maximum, so ties go to the lowest rank
             best = await ctx.broadcast(max(cands, key=lambda c: c[0])
                                        if cands else None)

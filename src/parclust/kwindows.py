@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard
+from .comm import CommWorld, NodeCtx
 from .core import NOISE, DataSet, KeySortedRows, Partition, components
 from .report import ClusterReport
 
@@ -145,14 +145,14 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
 
 def _round_hits(keyed: KeySortedRows, at: np.ndarray,
                 boxes) -> list[np.ndarray]:
-    """Dataset rows of the shard rows inside each closed box of one round.
+    """Dataset rows of the block rows inside each closed box of one round.
 
-    `keyed` holds the shard's rows sorted by key and `at` their dataset
+    `keyed` holds the block's rows sorted by key and `at` their dataset
     rows in that order; `boxes` is a pair of (b, d) arrays, lo and hi. A
     row inside a box has its key in [lo, hi] on the key column, so it lies
     in the band that two binary searches per round find in the sorted keys;
     the full test runs over that band only. One box is tested at a time, so
-    mask memory stays at most that of one shard whatever b is.
+    mask memory stays at most that of one block whatever b is.
     """
     lo, hi = boxes
     start = np.searchsorted(keyed.keys, lo[:, keyed.col], "left").tolist()
@@ -162,7 +162,7 @@ def _round_hits(keyed: KeySortedRows, at: np.ndarray,
             for low, high, a, b in zip(lo, hi, start, stop)]
 
 
-async def _search_node(ctx: NodeCtx, shard: Shard, driver):
+async def _search_node(ctx: NodeCtx, points: np.ndarray, driver):
     """Rank 0's value of `await driver(query)`, with every rank answering
     its rounds of box queries.
 
@@ -170,13 +170,13 @@ async def _search_node(ctx: NodeCtx, shard: Shard, driver):
     hi arrays, which rank 0 broadcasts once; every rank answers it with its
     per-box hit arrays, gathered once, and `query` returns one int64 array
     of dataset rows per box, in no particular order and without repeats
-    (the shards are disjoint); a shard's row i is dataset row
-    `shard.start + i`. When `driver` returns, rank 0 broadcasts None; the
+    (the blocks are disjoint); row i of a rank's block `points` is dataset
+    row `ctx.start + i`. When `driver` returns, rank 0 broadcasts None; the
     other ranks answer rounds until then and return None. Each rank sorts
-    its shard once, before the first round.
+    its block once, before the first round.
     """
-    keyed = KeySortedRows.build(shard.points)
-    at = shard.start + keyed.order
+    keyed = KeySortedRows.build(points)
+    at = ctx.start + keyed.order
     if ctx.rank != 0:
         while (boxes := await ctx.broadcast(None)) is not None:
             await ctx.gather(_round_hits(keyed, at, boxes))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, Shard, blocks_of
+from .comm import CommWorld, NodeCtx, blocks_of
 from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
@@ -134,20 +134,20 @@ async def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
 
 def _pca_of_points(points: np.ndarray, variance_fraction: float) -> PrincipalBasis:
     """Basis of one node's rows: the collective basis on a one-node world."""
-    return cpca(CommWorld(1), [Shard(points, 0)], variance_fraction)
+    return cpca(CommWorld(1), [points], variance_fraction)
 
 
-def local_pca(shard: Shard, variance_fraction: float):
-    """Basis of one node's block plus the block projected onto it."""
-    if len(shard) < 2:
-        raise ValueError("local PCA needs at least 2 rows, got %d" % len(shard))
-    basis = _pca_of_points(shard.points, variance_fraction)
-    projected = (shard.points - basis.mean) @ basis.components.T
+def local_pca(points: np.ndarray, variance_fraction: float):
+    """Basis of one node's rows `points` plus the rows projected onto it."""
+    if len(points) < 2:
+        raise ValueError("local PCA needs at least 2 rows, got %d" % len(points))
+    basis = _pca_of_points(points, variance_fraction)
+    projected = (points - basis.mean) @ basis.components.T
     return basis, projected
 
 
-async def _cpca_node(ctx: NodeCtx, shard, variance_fraction):
-    return (await _truncated_basis(ctx, shard.points, variance_fraction))[1]
+async def _cpca_node(ctx: NodeCtx, points, variance_fraction):
+    return (await _truncated_basis(ctx, points, variance_fraction))[1]
 
 
 def cpca(world: CommWorld, rows, variance_fraction: float) -> PrincipalBasis:
@@ -265,22 +265,22 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
                             exc)) from None
 
 
-async def _cpca_cluster_node(ctx: NodeCtx, shard, clusterer, k,
+async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
                              reps_per_cluster, variance_fraction, seed):
     """One rank's local and global clustering of its block, its sketches
     merged at rank 0; every rank returns (labels, sketches,
     representatives), with the labels at rank 0 only. Raises NoRowsError
     on every rank when no rank has a representative."""
-    _, proj_local = local_pca(shard, variance_fraction)
+    _, proj_local = local_pca(points, variance_fraction)
     local_labels = _local_labels(clusterer, ctx.rank, proj_local, k,
                                  "node's own")
 
     rng = np.random.default_rng((seed, ctx.rank))
     rep_rows = _representatives(proj_local, local_labels, reps_per_cluster, rng)
-    rep_points = shard.points[rep_rows]  # original space, representatives only
+    rep_points = points[rep_rows]  # original space, representatives only
     n_reps, global_basis = await _truncated_basis(ctx, rep_points,
                                                   variance_fraction)
-    proj_global = (shard.points - global_basis.mean) @ global_basis.components.T
+    proj_global = (points - global_basis.mean) @ global_basis.components.T
     refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
     # one sketch per local cluster: its centroid and size in the global space
@@ -318,6 +318,7 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
     _check_fraction(variance_fraction)
+    blocks = blocks_of(rows, world.size)
     try:
         (labels, n_sketches, n_reps), timings = world.run(
             _cpca_cluster_node, rows, clusterer, k, reps_per_cluster,
@@ -327,8 +328,7 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
             "no representatives for the global basis: local %s clustering in "
             "each node's own PCA space marked every row as noise on every "
             "shard (%s)" % (clusterer.name, ", ".join(
-                "node %d: %d rows" % (r, len(s))
-                for r, s in enumerate(blocks_of(rows, world.size))))
+                "node %d: %d rows" % (r, len(b)) for r, b in enumerate(blocks)))
         ) from None
     return ClusterReport(
         algo="cpca-cluster",
@@ -337,7 +337,7 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
                 "variance_fraction": variance_fraction, "seed": seed,
                 "local_algo": clusterer.name},
         n=len(labels),
-        d=blocks_of(rows, world.size)[0].points.shape[1],
+        d=blocks[0].shape[1],
         labels=labels,
         model={"sketches": int(n_sketches), "representatives": int(n_reps)},
         timings_ms=timings,

@@ -49,7 +49,7 @@ def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return proj
 
 
-async def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
+async def _pddp_node(ctx: NodeCtx, pts, n, height, km_params):
     """One rank's divisive run over its block of the `n` rows, then the
     leaf means on every rank.
 
@@ -62,7 +62,6 @@ async def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
     Lloyd body on the same block, and every rank returns its (labels,
     centers, objective trace), with the labels at rank 0 only.
     """
-    pts = shard.points
     # (local rows, global size, live); singletons are final from the start
     clusters = [(np.arange(len(pts)), n, n >= 2)]
     for _level in range(height):
@@ -91,7 +90,7 @@ async def _pddp_node(ctx: NodeCtx, shard, n, height, km_params):
     means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
                       for i, (_, size, _) in enumerate(clusters)])
     if km_params is not None:
-        return await _pkm_node(ctx, shard, km_params, means)
+        return await _pkm_node(ctx, pts, km_params, means)
     return await ctx.gather_rows(leaf), means
 
 

@@ -68,6 +68,20 @@ def test_gen_into_missing_directory_is_a_runtime_error(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "nope" / "d.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--separation", "nan"), ("--separation", "inf"), ("--separation", "1e308"),
+    ("--spread", "nan")])
+def test_gen_with_a_spread_or_separation_out_of_range_exits_two(
+        flag, value, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["gen", flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 # -- run ----------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommAbort, CommWorld, Shard, split_blocks
+from parclust.comm import CommAbort, CommWorld, split_blocks
 from parclust.core import DataSet, generate_blobs
 from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from parclust.fcm import FcmParams, pfcm
@@ -25,12 +25,12 @@ def _toy(n, d=2):
 
 
 def _every_rank(p, fn, rows):
-    """Every rank's result of fn(ctx, shard) over the blocks of `rows`, in
+    """Every rank's result of fn(ctx, points) over the blocks of `rows`, in
     rank order; a result that is awaitable is awaited first."""
     results = [None] * p
 
-    async def body(ctx, shard):
-        out = fn(ctx, shard)
+    async def body(ctx, points):
+        out = fn(ctx, points)
         results[ctx.rank] = await out if inspect.isawaitable(out) else out
 
     world = CommWorld(p)
@@ -50,18 +50,19 @@ def _world_run(p, fn):
 
 
 def test_split_single_node_gets_everything():
-    shards = split_blocks(_toy(10), 1)
-    assert len(shards) == 1 and len(shards[0]) == 10
+    X = _toy(10)
+    [block] = split_blocks(X, 1)
+    assert block.shape == (10, 2) and np.shares_memory(block, X.points)
 
 
 def test_split_ceiling_rule():
-    shards = split_blocks(_toy(10), 3)
-    assert [len(s) for s in shards] == [4, 3, 3]
+    blocks = split_blocks(_toy(10), 3)
+    assert [b.shape for b in blocks] == [(4, 2), (3, 2), (3, 2)]
 
 
 def test_split_singletons():
-    shards = split_blocks(_toy(7), 7)
-    assert [len(s) for s in shards] == [1] * 7
+    blocks = split_blocks(_toy(7), 7)
+    assert [len(b) for b in blocks] == [1] * 7
 
 
 def test_split_rejects_bad_counts():
@@ -77,20 +78,19 @@ def test_split_blocks_partition_properties(n, p):
     if p > n:
         p = n
     X = _toy(n)
-    shards = split_blocks(X, p)
-    sizes = [len(s) for s in shards]
-    assert sum(sizes) == n
+    blocks = split_blocks(X, p)
+    sizes = [len(b) for b in blocks]
+    assert len(blocks) == p and sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
     assert sorted(sizes, reverse=True) == sizes  # larger blocks first
-    # each shard starts at the dataset row after the blocks before it
-    assert [s.start for s in shards] == np.cumsum([0] + sizes[:-1]).tolist()
-    stacked = np.vstack([s.points for s in shards])
-    assert np.array_equal(stacked, X.points)
+    # views of the dataset's rows, in order: no row is copied
+    assert all(np.shares_memory(b, X.points) for b in blocks)
+    assert np.array_equal(np.vstack(blocks), X.points)
 
 
 @pytest.mark.parametrize("algo", ["pkm", "pfcm", "k-windows"])
 def test_one_row_per_shard_gives_the_one_node_result(algo):
-    # at P = n every row's dataset position is its shard's start alone
+    # at P = n every row's dataset position is its rank's ctx.start alone
     X, _ = generate_blobs(seed=3, k=3, per_cluster=4, d=2)
     run = {"pkm": lambda w: pkm(w, X, KMeansParams(k=3, seed=1)),
            "pfcm": lambda w: pfcm(w, X, FcmParams(k=3, seed=1)),
@@ -226,7 +226,7 @@ def test_gather_rank_order_at_root_empty_elsewhere():
 def test_gather_rows_is_dataset_order_at_root_none_elsewhere(
         p, count_collectives):
     X = _toy(7)
-    out = _every_rank(p, lambda ctx, shard: ctx.gather_rows(shard.points), X)
+    out = _every_rank(p, lambda ctx, points: ctx.gather_rows(points), X)
     assert np.array_equal(out[0], X.points)
     assert out[1:] == [None] * (p - 1)
     [counts] = count_collectives.values()
@@ -454,24 +454,47 @@ def test_run_splits_the_data_and_returns_rank_zeros_result():
     blocks = split_blocks(X, 3)
     world = CommWorld(3)
 
-    async def body(ctx, shard, tag):
-        return await ctx.gather((ctx.rank, shard)), tag
+    async def body(ctx, points, tag):
+        return await ctx.gather((ctx.rank, ctx.start, points)), tag
 
     try:
         (split, tag), timings = world.run(body, X, "same on every rank")
         (passed, _), passed_timings = world.run(body, blocks, None)
     finally:
         world.shutdown()
-    # each rank is handed its own block, as split_blocks cuts it
-    assert [(r, s.start, len(s)) for r, s in split] == \
-        [(r, s.start, len(s)) for r, s in enumerate(blocks)]
+    # each rank is handed its own block, an in-order view of X's rows, as
+    # split_blocks cuts it, and the dataset row of its first row
+    assert [(r, start) for r, start, _ in split] == [(0, 0), (1, 4), (2, 7)]
+    for (_, start, points), block in zip(split, blocks):
+        assert np.shares_memory(points, X.points)
+        assert np.array_equal(points, X.points[start:start + len(block)])
     assert tag == "same on every rank"
     assert list(timings) == ["split", "compute", "comm"]
     assert timings["split"] >= 0.0
     # a list of blocks passes through as given, with no split to time
-    assert [r for r, _ in passed] == [0, 1, 2]
-    assert all(s is b for (_, s), b in zip(passed, blocks))
+    assert [(r, start) for r, start, _ in passed] == [(0, 0), (1, 4), (2, 7)]
+    assert all(points is b for (_, _, points), b in zip(passed, blocks))
     assert passed_timings["split"] == 0.0
+
+
+def test_uneven_blocks_start_after_the_rows_before_them():
+    X = _toy(8)
+    blocks = [X.points[:1], X.points[1:6], X.points[6:]]
+
+    async def body(ctx, points):
+        return await ctx.gather(ctx.start), await ctx.gather_rows(points)
+
+    world = CommWorld(3)
+    try:
+        (starts, rows), _ = world.run(body, blocks)
+        # a list need not be split_blocks' cut: any block sizes, and any
+        # rows, in list order
+        (_, swapped), _ = world.run(body, blocks[::-1])
+    finally:
+        world.shutdown()
+    assert starts == [0, 1, 6]
+    assert np.array_equal(rows, X.points)
+    assert np.array_equal(swapped, np.vstack(blocks[::-1]))
 
 
 #: Drivers that take a list of blocks, one per rank of the world.
@@ -491,9 +514,8 @@ def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
     a, b = split_blocks(X, 2)
     world = CommWorld(2)
     try:
-        # too many, too few, none, out of rank order, and skipping a row
-        for blocks in (split_blocks(X, 4), split_blocks(X, 1), [], [b, a],
-                       [a, Shard(b.points[1:], b.start + 1)]):
+        # too many, too few and none
+        for blocks in (split_blocks(X, 4), split_blocks(X, 1), []):
             with pytest.raises(ValueError, match="do not fit a 2-node world"):
                 _BLOCK_DRIVERS[algo](world, blocks)
         assert count_collectives[world] == {}
@@ -520,6 +542,28 @@ def test_block_drivers_take_a_dataset_as_run_does(algo):
     assert split > 0.0 and given == 0.0
 
 
-def test_shard_len():
-    s = Shard(np.zeros((3, 2)), 0)
-    assert len(s) == 3
+
+def _without_timings(out):
+    """A driver's result as comparable data: a report without its
+    `timings_ms`, or a basis's arrays."""
+    if hasattr(out, "to_json_dict"):
+        doc = out.to_json_dict()
+        del doc["timings_ms"]
+        return doc
+    return [a.tobytes() for a in (out.mean, out.components, out.eigenvalues)]
+
+
+@pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
+def test_a_block_list_is_the_dataset_its_concatenation_defines(algo):
+    X, _ = generate_blobs(1, 3, 40, 2)
+    a, b = split_blocks(X, 2)
+    # out of split order, and skipping a row: each list is a dataset
+    for blocks in ([b, a], [a, b[1:]]):
+        out = []
+        for rows in (blocks, DataSet(np.vstack(blocks))):
+            world = CommWorld(2)
+            try:
+                out.append(_without_timings(_BLOCK_DRIVERS[algo](world, rows)))
+            finally:
+                world.shutdown()
+        assert out[0] == out[1]

@@ -567,6 +567,29 @@ def test_blobs_rejects_bad_args():
         generate_blobs(seed=0, k=2, per_cluster=10, d=2, spread=-1.0)
 
 
+@pytest.mark.parametrize("spread,separation", [
+    (np.nan, 10.0), (np.inf, 10.0), (0.0, 10.0), (1.0, np.nan),
+    (1.0, np.inf), (1.0, -np.inf), (1.0, 0.0)])
+def test_blobs_refuse_a_spread_or_separation_not_finite_and_positive(
+        spread, separation):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        generate_blobs(seed=0, k=2, per_cluster=10, d=2, spread=spread,
+                       separation=separation)
+
+
+def test_blobs_refuse_a_box_whose_squared_distances_overflow():
+    # the first box is already too wide
+    with pytest.raises(ValueError, match="overflow float64"):
+        generate_blobs(seed=0, k=3, per_cluster=2, d=2, separation=1e308)
+    # ten centers do not fit in the first box of one dimension, and
+    # doubling its side would overflow
+    with pytest.raises(ValueError, match="box of side 2e\\+154 overflow"):
+        generate_blobs(seed=0, k=10, per_cluster=2, d=1, separation=1e153)
+    # the same centers fit with room to double, and no distance overflows
+    X, _ = generate_blobs(seed=0, k=10, per_cluster=2, d=1, separation=1e152)
+    assert np.isfinite(X.points).all()
+
+
 # -- dataset type ----------------------------------------------------------
 
 

@@ -606,13 +606,15 @@ def test_local_clusters_never_split_in_the_merge():
     params = DbscanParams(eps=0.45, min_pts=5)
     world = CommWorld(3)
     try:
-        shards = split_blocks(X, 3)
-        rep = ddbc(world, shards, DdbcParams(local=params))
+        blocks = split_blocks(X, 3)
+        rep = ddbc(world, blocks, DdbcParams(local=params))
     finally:
         world.shutdown()
-    for shard in shards:
-        local = dbscan(DataSet.from_points(shard.points), params)
-        final = rep.labels[shard.start:shard.start + len(shard)]
+    start = 0
+    for block in blocks:
+        local = dbscan(DataSet.from_points(block), params)
+        final = rep.labels[start:start + len(block)]
+        start += len(block)
         for cid in np.unique(local.labels[local.labels != NOISE]):
             assert np.unique(final[local.labels == cid]).size == 1
 

@@ -5,17 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from parclust.comm import CommWorld, Shard, split_blocks
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DataSet, adjusted_rand_index, generate_blobs,
                            squared_distances, sse_objective, Partition,
                            CentroidSet)
 from parclust.fcm import (FcmParams, centroid_update, fcm_objective,
                           initial_membership, membership_update, pfcm)
-
-
-def _shard_of(points):
-    pts = np.asarray(points, dtype=np.float64)
-    return Shard(pts, 0)
 
 
 def _run(p, X, params):
@@ -27,7 +22,7 @@ def _run(p, X, params):
 
 
 def _run_node_fn(p, fn, points):
-    """Rank 0's result of the body fn(ctx, shard) run over the rows
+    """Rank 0's result of the body fn(ctx, points) run over the rows
     `points` on a p-node world."""
     world = CommWorld(p)
     try:
@@ -40,49 +35,49 @@ def _run_node_fn(p, fn, points):
 
 
 def test_membership_equidistant_point_splits_evenly():
-    shard = _shard_of([[0.0]])
+    pts = np.array([[0.0]])
     centers = np.array([[-1.0], [1.0]])
-    u = membership_update(squared_distances(shard.points, centers), m=2.0)
+    u = membership_update(squared_distances(pts, centers), m=2.0)
     assert u[0].tolist() == [0.5, 0.5]
 
 
 def test_membership_at_centroid_is_crisp():
-    shard = _shard_of([[2.0, 3.0]])
+    pts = np.array([[2.0, 3.0]])
     centers = np.array([[2.0, 3.0], [9.0, 9.0], [0.0, 0.0]])
-    u = membership_update(squared_distances(shard.points, centers), m=2.0)
+    u = membership_update(squared_distances(pts, centers), m=2.0)
     assert u[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_membership_coincident_centroids_pick_lowest_index():
-    shard = _shard_of([[1.0]])
+    pts = np.array([[1.0]])
     centers = np.array([[5.0], [1.0], [1.0]])
-    u = membership_update(squared_distances(shard.points, centers), m=2.0)
+    u = membership_update(squared_distances(pts, centers), m=2.0)
     assert u[0].tolist() == [0.0, 1.0, 0.0]
 
 
 def test_membership_inverse_distance_scalar_case():
     # point 1 vs centroids {0, 3}: distances (1, 2), so for m = 2 the
     # weights are (1/1, 1/4) and u = (0.8, 0.2)
-    shard = _shard_of([[1.0]])
+    pts = np.array([[1.0]])
     centers = np.array([[0.0], [3.0]])
-    u = membership_update(squared_distances(shard.points, centers), m=2.0)
+    u = membership_update(squared_distances(pts, centers), m=2.0)
     assert u[0, 0] == pytest.approx((1 / 1) / (1 / 1 + 1 / 4))
     assert u[0].tolist() == pytest.approx([0.8, 0.2])
 
 
 def test_membership_one_to_three_distance_ratio():
     # distances (1, 3) -> (1/1)/((1/1) + (1/9)) = 0.9
-    shard = _shard_of([[1.0]])
+    pts = np.array([[1.0]])
     centers = np.array([[0.0], [4.0]])
-    u = membership_update(squared_distances(shard.points, centers), m=2.0)
+    u = membership_update(squared_distances(pts, centers), m=2.0)
     assert u[0].tolist() == pytest.approx([0.9, 0.1])
 
 
 def test_membership_rows_sum_to_one():
     rng = np.random.default_rng(5)
-    shard = _shard_of(rng.normal(size=(40, 3)))
+    pts = rng.normal(size=(40, 3))
     centers = rng.normal(size=(4, 3))
-    u = membership_update(squared_distances(shard.points, centers), m=1.7)
+    u = membership_update(squared_distances(pts, centers), m=1.7)
     assert np.allclose(u.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(u >= 0)
 
@@ -94,8 +89,8 @@ def test_crisp_memberships_reduce_to_cluster_means():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
     u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
-    async def fn(ctx, shard):
-        return await centroid_update(ctx, shard, u, m=2.0)
+    async def fn(ctx, points):
+        return await centroid_update(ctx, points, u, m=2.0)
 
     centers = _run_node_fn(1, fn, pts)
     assert np.array_equal(centers, [[1.0, 0.0], [10.0, 10.0]])
@@ -105,8 +100,8 @@ def test_single_point_owns_every_cluster_with_weight():
     pts = np.array([[3.0, 4.0]])
     u = np.array([[0.3, 0.7]])
 
-    async def fn(ctx, shard):
-        return await centroid_update(ctx, shard, u, m=2.0)
+    async def fn(ctx, points):
+        return await centroid_update(ctx, points, u, m=2.0)
 
     centers = _run_node_fn(1, fn, pts)
     assert np.allclose(centers, [[3.0, 4.0], [3.0, 4.0]])
@@ -117,9 +112,9 @@ def test_centroids_bit_identical_across_node_counts():
     pts = rng.normal(size=(48, 3))
     u_full = initial_membership(48, 3, seed=9)
 
-    async def fn(ctx, sh):
+    async def fn(ctx, points):
         return await centroid_update(
-            ctx, sh, u_full[sh.start:sh.start + len(sh)], m=2.0)
+            ctx, points, u_full[ctx.start:ctx.start + len(points)], m=2.0)
 
     ref = _run_node_fn(1, fn, pts)
     for p in (2, 4):
@@ -131,8 +126,8 @@ def test_degenerate_membership_column_raises():
     pts = np.array([[0.0], [1.0]])
     u = np.array([[1.0, 0.0], [1.0, 0.0]])  # column 1 carries no weight
 
-    async def fn(ctx, shard):
-        return await centroid_update(ctx, shard, u, m=2.0)
+    async def fn(ctx, points):
+        return await centroid_update(ctx, points, u, m=2.0)
 
     with pytest.raises(ValueError, match="degenerate membership column 1"):
         _run_node_fn(1, fn, pts)
@@ -201,11 +196,12 @@ def test_each_block_draws_its_rows_of_the_full_draw(p):
     # every rank draws only its own block; the rows are the full draw's
     n, k = 97, 4
     full = initial_membership(n, k, seed=5)
-    for shard in split_blocks(DataSet.from_points(np.zeros((n, 1))), p):
-        block = initial_membership(n, k, 5, shard.start,
-                                   shard.start + len(shard))
-        assert block.tobytes() == full[shard.start:shard.start
-                                       + len(shard)].tobytes()
+    start = 0
+    for block in split_blocks(DataSet.from_points(np.zeros((n, 1))), p):
+        stop = start + len(block)
+        u = initial_membership(n, k, 5, start, stop)
+        assert u.tobytes() == full[start:stop].tobytes()
+        start = stop
 
 
 def test_a_block_outside_the_rows_is_refused():

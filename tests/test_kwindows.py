@@ -251,10 +251,11 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
         if p > n:
             continue
         parts = []
-        for shard in split_blocks(X, p):
-            keyed = KeySortedRows.build(shard.points)
-            parts.append(_round_hits(keyed, shard.start + keyed.order,
-                                     (lo, hi)))
+        start = 0
+        for block in split_blocks(X, p):
+            keyed = KeySortedRows.build(block)
+            parts.append(_round_hits(keyed, start + keyed.order, (lo, hi)))
+            start += len(block)
         for k, box in enumerate(zip(*parts)):
             ids = np.concatenate(box)
             assert ids.dtype == np.int64

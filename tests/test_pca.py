@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld, Shard, split_blocks
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import DataSet, Partition, adjusted_rand_index, generate_blobs
 from parclust.pca import (DbscanLocal, KMeansLocal, PrincipalBasis,
                           _maximin_init, _merge_sketches, _pca_of_points,
@@ -74,15 +74,12 @@ def _covariance_oracle(rows):
 def _kernel_over(p, rows):
     """Every rank's exact covariance, in rank order, of the rows split by
     np.array_split (a block may be empty)."""
-    blocks = np.array_split(rows, p)
-    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
-
-    async def body(ctx, shard):
-        return await ctx.gather(await exact_covariance(ctx, shard.points))
+    async def body(ctx, points):
+        return await ctx.gather(await exact_covariance(ctx, points))
 
     world = CommWorld(p)
     try:
-        return world.run(body, list(map(Shard, blocks, starts)))[0]
+        return world.run(body, np.array_split(rows, p))[0]
     finally:
         world.shutdown()
 
@@ -181,11 +178,11 @@ def test_basis_requires_orthonormal_components():
 def test_local_basis_needs_two_rows():
     world = CommWorld(1)
     try:
-        shard = split_blocks(DataSet.from_points([[0.0, 0.0]]), 1)[0]
+        [block] = split_blocks(DataSet.from_points([[0.0, 0.0]]), 1)
     finally:
         world.shutdown()
     with pytest.raises(ValueError, match="at least 2 rows"):
-        local_pca(shard, 0.9)
+        local_pca(block, 0.9)
 
 
 # -- collective basis ------------------------------------------------------
@@ -215,9 +212,9 @@ def test_identical_blocks_reproduce_the_local_basis():
     X = DataSet.from_points(np.vstack([pts, pts]))
     world = CommWorld(2)
     try:
-        shards = split_blocks(X, 2)
-        local_basis, _ = local_pca(shards[0], 0.999)
-        merged = cpca(world, shards, 0.999)
+        blocks = split_blocks(X, 2)
+        local_basis, _ = local_pca(blocks[0], 0.999)
+        merged = cpca(world, blocks, 0.999)
     finally:
         world.shutdown()
     assert _max_principal_angle(merged.components, local_basis.components) <= 1e-8

@@ -75,12 +75,12 @@ def test_children_partition_their_parent():
     assert all(1 <= order.count(par) <= 2 for par in set(order))
 
 
-async def _mean_node(ctx, shard):
-    return await exact_mean(ctx, shard.points)
+async def _mean_node(ctx, points):
+    return await exact_mean(ctx, points)
 
 
-async def _direction_node(ctx, shard):
-    return (await _split_direction(ctx, shard.points))[1]
+async def _direction_node(ctx, points):
+    return (await _split_direction(ctx, points))[1]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

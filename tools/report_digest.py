@@ -5,7 +5,13 @@ blobs (3 clusters of 100 rows, seed 1) at d = 2 and d = 9, at P = 1, 2
 and 3 where the algorithm allows more than one node. A line holds the
 algorithm, P, d, the exit code and a hash of the report with
 `timings_ms` dropped (of the error message, for a run that fails).
-Two source trees give equal reports exactly where their digests match:
+Then the drivers that also take a list of blocks (`ddbc` with either
+local model, `cpca-cluster` with either local clusterer, and the `cpca`
+basis) run on the same blobs cut by `split_blocks` at P = 1, 2 and 3, a
+path the CLI never takes; a line holds the driver, P, d, "ok" or
+"error" and a hash of the report without `timings_ms`, of the basis's
+arrays, or of the error. Two source trees give equal results exactly
+where their digests match:
 
     python tools/report_digest.py > before.txt   # in one checkout
     python tools/report_digest.py > after.txt    # in the other
@@ -27,7 +33,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from parclust import cli  # noqa: E402
+from parclust.comm import CommWorld, split_blocks  # noqa: E402
 from parclust.core import generate_blobs, write_csv  # noqa: E402
+from parclust.dbscan import DbscanParams, DdbcParams, ddbc  # noqa: E402
+from parclust.pca import (DbscanLocal, KMeansLocal, cpca,  # noqa: E402
+                          cpca_cluster)
 
 # every algorithm, once per value of a flag that picks its local body
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
@@ -35,6 +45,10 @@ _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "ddbc --local-model rep-scor", "pddp", "pddp-km")
 # the density algorithms' eps: a few neighbours in unit-spread blobs
 _EPS = {2: 0.5, 9: 2.0}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -48,14 +62,47 @@ def _run(argv: list[str]) -> tuple[int, str]:
         text = json.dumps(doc, sort_keys=True)
     else:
         text = err.getvalue()
-    return code, hashlib.sha256(text.encode()).hexdigest()[:16]
+    return code, _digest(text.encode())
+
+
+def _block_drivers(eps: float) -> dict:
+    """Each driver that takes a list of blocks, with the CLI's defaults."""
+    local = DbscanParams(eps=eps, min_pts=5)
+    return {
+        "ddbc": lambda w, b: ddbc(w, b, DdbcParams(local=local)),
+        "ddbc --local-model rep-scor": lambda w, b: ddbc(
+            w, b, DdbcParams(local=local, refine_model=False)),
+        "cpca-cluster": lambda w, b: cpca_cluster(w, b, KMeansLocal(), 3),
+        "cpca-cluster --local-algo dbscan": lambda w, b: cpca_cluster(
+            w, b, DbscanLocal(eps, 5), 3),
+        "cpca": lambda w, b: cpca(w, b, 0.9),
+    }
+
+
+def _run_blocks(driver, X, p: int) -> tuple[str, str]:
+    """"ok" and the digest of the driver's result on `split_blocks(X, p)`,
+    or "error" and the digest of its error."""
+    world = CommWorld(p)
+    try:
+        out = driver(world, split_blocks(X, p))
+    except (ValueError, RuntimeError) as exc:
+        return "error", _digest(("%s: %s" % (type(exc).__name__, exc)).encode())
+    finally:
+        world.shutdown()
+    if hasattr(out, "to_json_dict"):
+        doc = out.to_json_dict()
+        doc.pop("timings_ms", None)
+        return "ok", _digest(json.dumps(doc, sort_keys=True).encode())
+    return "ok", _digest(b"".join(a.tobytes() for a in (
+        out.mean, out.components, out.eigenvalues)))
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for d in sorted(_EPS):
+            X = generate_blobs(1, 3, 100, d)[0]
             data = str(Path(tmp) / ("blobs_d%d.csv" % d))
-            write_csv(generate_blobs(1, 3, 100, d)[0], data)
+            write_csv(X, data)
             for name in _RUNS:
                 algo, *extra = name.split()
                 if name in cli._DENSITY or algo in cli._DENSITY:
@@ -67,6 +114,11 @@ def main() -> int:
                     code, digest = _run(argv)
                     print("%-32s P=%d d=%d exit=%d %s"
                           % (name, p, d, code, digest))
+            for name, driver in _block_drivers(_EPS[d]).items():
+                for p in (1, 2, 3):
+                    print("%-39s P=%d d=%d %-5s %s"
+                          % (("blocks " + name, p, d)
+                             + _run_blocks(driver, X, p)))
     return 0
 
 
