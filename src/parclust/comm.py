@@ -24,7 +24,8 @@ order, which is what `NodeCtx.gather_rows` hands rank 0. `run` is the
 only way into a run and the one place that pairs blocks with ranks: it
 hands each rank only its own block, not the dataset or its peers'
 blocks, and arguments that are the same on every rank, and it refuses a
-list that is not one block per rank before any rank runs.
+list that is not one block per rank, or whose blocks are not 2-D arrays
+of one width, before any rank runs.
 
 A rank that returns while another waits at a collective is refused at
 once, so a rank that skips an `await` falls out of step and is refused
@@ -110,8 +111,9 @@ class CommWorld:
         is an `async def` body). `rows` is a DataSet, split here into one
         block per rank and timed as `split`, or a list of 2-D row arrays
         used as given, with `split` 0; rank r's `ctx.start` is the number
-        of rows in blocks 0..r-1. A list that is not one block per rank is
-        refused with ValueError before any rank runs.
+        of rows in blocks 0..r-1. A list that is not one block per rank, or
+        whose blocks are not 2-D arrays as wide as block 0, is refused with
+        ValueError before any rank runs.
 
         Each step resumes the ranks in rank order until each posts a
         collective, then combines the posts and sends every rank the
@@ -130,6 +132,11 @@ class CommWorld:
         if len(blocks) != self.size:
             raise ValueError("%d blocks do not fit a %d-node world: one block "
                              "per rank" % (len(blocks), self.size))
+        for i, b in enumerate(blocks):
+            if not (isinstance(b, np.ndarray) and b.ndim == 2
+                    and b.shape[1:] == np.shape(blocks[0])[1:]):
+                raise ValueError("block %d of shape %s is not a 2-D row array "
+                                 "as wide as block 0" % (i, np.shape(b)))
         starts = accumulate((len(b) for b in blocks), initial=0)
         ranks: list = []
         rank = 0  # the rank being created or resumed, named if it fails

@@ -26,6 +26,12 @@ the top. Truncation, not rounding to nearest: a rounded slice of the
 largest finite value can round up past it, and its scaled slice
 overflow. NaN and infinity raise ValueError, and so does a quotient
 beyond the float64 range.
+
+Each chunk is copied once, as columns x rows, into a private C-contiguous
+array, and every slice is peeled off that copy in place through one
+reused buffer, so the input is never written and a column total sums
+one contiguous row. No BLAS call is made: a BLAS product may split its
+work over threads of its own.
 """
 
 from __future__ import annotations
@@ -104,9 +110,9 @@ def grouped_sums_fixed(a, groups=None, ngroups: int = 1) -> list[int]:
         stop = min(n, start + MAX_BUCKET_TERMS)
         key = None
         if groups is not None and ngroups > 1:
-            key = (groups[start:stop, None] * c
-                   + np.arange(c, dtype=np.int64)).ravel()
-        _accumulate(arr[start:stop], key, out)
+            key = (groups[start:stop] * c
+                   + np.arange(c, dtype=np.int64)[:, None]).ravel()
+        _accumulate(arr[start:stop].T.copy(), key, out)
     return out.tolist()
 
 
@@ -129,24 +135,28 @@ def _top(r) -> float:
 
 def _accumulate(r, key, out) -> None:
     """Add the exact sums of one chunk of at most MAX_BUCKET_TERMS rows to
-    `out`: per column, or per `key` (group * columns + column) when given."""
+    `out`: per column, or per `key` (group * columns + column) when given.
+
+    `r` is the chunk's private copy as columns x rows, C-contiguous, which
+    the slices are peeled off in place; `key` is laid out the same way."""
     if r.size == 0:
         return
-    bits = 52 - r.shape[0].bit_length()
+    bits = 52 - r.shape[1].bit_length()
+    q = np.empty_like(r)
     top = _top(r)
     while top != 0.0:
         s = bits - math.frexp(top)[1]
-        q = np.trunc(_scale(r, s))
+        np.trunc(_scale(r, s, out=q), out=q)
         shift = _GRID_BITS - s  # s <= 1124: a subnormal top has E >= -1073
         if key is None:  # few columns: fold each total in turn
-            for j, t in enumerate(q.sum(axis=0).tolist()):
+            for j, t in enumerate(q.sum(axis=1).tolist()):
                 if t:
                     out[j] += int(t) << shift
         else:  # many groups: fold the non-zero totals in one array operation
             sums = np.bincount(key, weights=q.ravel(), minlength=len(out))
             used = np.flatnonzero(sums)
             out[used] += sums[used].astype(np.int64).astype(object) << shift
-        r = r - _scale(q, -s, out=q)
+        np.subtract(r, _scale(q, -s, out=q), out=r)
         top = _top(r)
 
 

@@ -14,7 +14,7 @@ from parclust.comm import CommAbort, CommWorld, split_blocks
 from parclust.core import DataSet, generate_blobs
 from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from parclust.fcm import FcmParams, pfcm
-from parclust.kmeans import KMeansParams, pkm
+from parclust.kmeans import KMeansParams, _pkm_node, pkm
 from parclust.kwindows import KWindowsParams, k_windows
 from parclust.pca import KMeansLocal, cpca, cpca_cluster
 from parclust.pddp import pddp_km, pddp_report
@@ -524,6 +524,38 @@ def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
     finally:
         world.shutdown()
     assert rep.n == X.n and rep.labels.shape == (X.n,)
+
+
+def _pkm_blocks(world, blocks):
+    """The pkm body on `blocks`, started from the first three rows."""
+    params = KMeansParams(k=3, max_iter=4)
+    return world.run(_pkm_node, blocks, params, np.array(blocks[0][:3]))
+
+
+@pytest.mark.parametrize("run", [
+    _BLOCK_DRIVERS["ddbc"], _BLOCK_DRIVERS["cpca-cluster"],
+    _BLOCK_DRIVERS["cpca"], _pkm_blocks], ids=["ddbc", "cpca-cluster", "cpca",
+                                              "pkm"])
+def test_blocks_that_are_not_rows_of_one_width_are_refused_before_it_runs(
+        run, count_collectives):
+    X, _ = generate_blobs(1, 3, 40, 3)
+    a, b = split_blocks(X, 2)
+    world = CommWorld(2)
+    try:
+        for blocks, why in (
+                ([a[:, :2], b], r"block 1 of shape \(60, 3\)"),
+                ([a, b[:, :2]], r"block 1 of shape \(60, 2\)"),
+                ([a[:, 0], b], r"block 0 of shape \(60,\)"),
+                ([a, b[:, 0]], r"block 1 of shape \(60,\)"),
+                ([a, b.tolist()], r"block 1 of shape \(60, 3\)")):
+            with pytest.raises(ValueError, match=why):
+                run(world, blocks)
+        assert count_collectives[world] == {}
+        # the world is still open
+        rep = _BLOCK_DRIVERS["ddbc"](world, [a, b])
+    finally:
+        world.shutdown()
+    assert rep.n == X.n and rep.d == 3
 
 
 @pytest.mark.parametrize("algo", ["ddbc", "cpca-cluster"])

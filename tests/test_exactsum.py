@@ -249,6 +249,57 @@ def test_grouped_sums_add_over_a_row_split(case, data):
         grouped_sums_fixed(a, groups, ngroups)
 
 
+def _layouts(a):
+    """`a` as C-order, Fortran-order and strided copies; the strided one
+    is every other row of a NaN-padded array, so a read outside it raises."""
+    n, c = a.shape
+    padded = np.full((2 * n, c + 1), np.nan)
+    padded[::2, 1:] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "strided": padded[::2, 1:]}
+
+
+@given(grouped_inputs())
+@settings(deadline=None, max_examples=200)
+def test_sums_do_not_depend_on_the_layout(case):
+    a, groups, ngroups = case
+    want = _grouped_oracle(a, groups, ngroups)
+    want_cols = _grouped_oracle(a, np.zeros(len(a), dtype=np.int64), 1)
+    for name, x in _layouts(a).items():
+        got = grouped_sums_fixed(x, groups, ngroups)
+        assert [Fraction(v, 1 << 1126) for v in got] == want, name
+        got = grouped_sums_fixed(x)
+        assert [Fraction(v, 1 << 1126) for v in got] == want_cols, name
+
+
+@pytest.mark.parametrize("bucket", [None, 3])
+@pytest.mark.parametrize("view", ["C", "F", "rows-and-columns", "T",
+                                  "read-only"])
+def test_the_kernel_never_writes_to_its_input(view, bucket, monkeypatch):
+    # slices are peeled off in place, so only a private copy may be written
+    if bucket is not None:  # many chunks
+        monkeypatch.setattr(exactsum, "MAX_BUCKET_TERMS", bucket)
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(41, 5)) * 10.0 ** rng.integers(-300, 300,
+                                                             size=(41, 5))
+    base[::6, 2] = MAX_FINITE
+    base[1::6, 3] = -5e-324
+    if view == "F":
+        base = np.asfortranarray(base)
+    x = {"rows-and-columns": base[::2, 1:], "T": base.T}.get(view, base)
+    if view == "read-only":
+        base.setflags(write=False)
+    before = base.copy()
+    groups = rng.integers(0, 4, size=len(x))
+    got = [grouped_sums_fixed(x), grouped_sums_fixed(x, groups, 4),
+           sum_fixed(x[:, 0]), sum_fixed(x)]
+    assert base.tobytes() == before.tobytes()
+    assert [Fraction(v, 1 << 1126) for v in got[1]] == \
+        _grouped_oracle(x, groups, 4)
+    assert got[0][0] == got[2]
+    assert got[3] == sum(got[0])
+
+
 def test_grouped_sums_reject_bad_groups():
     a = np.ones((3, 2))
     with pytest.raises(ValueError):
