@@ -1,17 +1,21 @@
 """Box-window clustering with box queries answered over key-sorted shards.
 
 Every rank holds one contiguous block of rows (`split_blocks`) and sorts
-it once per call by its widest column, the key. Rank 0 runs the window
-phases. A window's path of box queries (movement, then enlargement)
-depends only on that window and the data (Alevizos, Tasoulis & Vrahatis,
-PPAM 2003), so all windows advance in lockstep: each round holds one box
-per unfinished window and costs one broadcast of the boxes and one
-gather of the rows each block has inside each box, named by dataset
+it once per call by its widest column, the key, into one column-major
+copy. Rank 0 runs the window phases. A window's path of box queries
+(movement, then enlargement) depends only on that window and the data
+(Alevizos, Tasoulis & Vrahatis, PPAM 2003), so all windows advance in
+lockstep: each round holds one list of boxes per unfinished window (its
+movement box, or every enlargement trial still open, asked at once since
+they all grow the same window) and costs one broadcast of the boxes and
+one gather of the rows each block has inside each box, named by dataset
 position. A box can hold only the rows whose key lies within its key
-bounds, one band of the sorted block, so only that band is tested. A
-call costs as many rounds as its longest window path, and every search
-returns the same rows for any node count. Windows merge under one matrix
-of pairwise overlap extents.
+bounds, one band of the sorted block, so only that band is tested, one
+coordinate row at a time, and a box with an empty band is not tested at
+all. A call costs as many rounds as its longest window path, and every
+search returns the same rows for any node count. Windows merge under one
+matrix of pairwise overlap extents, with volumes that neither overflow
+nor underflow.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
@@ -143,23 +147,31 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
     return found
 
 
-def _round_hits(keyed: KeySortedRows, at: np.ndarray,
+def _round_hits(cols: np.ndarray, col: int, at: np.ndarray,
                 boxes) -> list[np.ndarray]:
     """Dataset rows of the block rows inside each closed box of one round.
 
-    `keyed` holds the block's rows sorted by key and `at` their dataset
-    rows in that order; `boxes` is a pair of (b, d) arrays, lo and hi. A
-    row inside a box has its key in [lo, hi] on the key column, so it lies
-    in the band that two binary searches per round find in the sorted keys;
-    the full test runs over that band only. One box is tested at a time, so
-    mask memory stays at most that of one block whatever b is.
+    `cols` holds the block's rows sorted by key as a C-contiguous (d, rows)
+    array, so `cols[col]` is the sorted key column, and `at` holds their
+    dataset rows in that order; `boxes` is a pair of (b, d) arrays, lo and
+    hi. A row inside a box has its key in [lo, hi] on the key column, so it
+    lies in the band that two binary searches per round find in the sorted
+    keys; only the boxes with a non-empty band are tested, each over its
+    band alone, and one coordinate row at a time, so the d tests reduce as
+    d - 1 contiguous ANDs. Every other box gets an empty int64 array.
     """
     lo, hi = boxes
-    start = np.searchsorted(keyed.keys, lo[:, keyed.col], "left").tolist()
-    stop = np.searchsorted(keyed.keys, hi[:, keyed.col], "right").tolist()
-    rows = keyed.rows
-    return [at[a:b][np.all((rows[a:b] >= low) & (rows[a:b] <= high), axis=1)]
-            for low, high, a, b in zip(lo, hi, start, stop)]
+    start = np.searchsorted(cols[col], lo[:, col], "left").tolist()
+    stop = np.searchsorted(cols[col], hi[:, col], "right").tolist()
+    hits = [at[:0]] * len(lo)
+    for i, (low, high, a, b) in enumerate(zip(lo[:, :, None], hi[:, :, None],
+                                              start, stop)):
+        if a < b:
+            band = cols[:, a:b]
+            inside = np.logical_and.reduce((band >= low) & (band <= high),
+                                           axis=0)
+            hits[i] = at[a:b][inside]
+    return hits
 
 
 async def _search_node(ctx: NodeCtx, points: np.ndarray, driver):
@@ -173,18 +185,19 @@ async def _search_node(ctx: NodeCtx, points: np.ndarray, driver):
     (the blocks are disjoint); row i of a rank's block `points` is dataset
     row `ctx.start + i`. When `driver` returns, rank 0 broadcasts None; the
     other ranks answer rounds until then and return None. Each rank sorts
-    its block once, before the first round.
+    its block once, before the first round, and lays it out by column.
     """
     keyed = KeySortedRows.build(points)
+    cols = np.ascontiguousarray(keyed.rows.T)
     at = ctx.start + keyed.order
     if ctx.rank != 0:
         while (boxes := await ctx.broadcast(None)) is not None:
-            await ctx.gather(_round_hits(keyed, at, boxes))
+            await ctx.gather(_round_hits(cols, keyed.col, at, boxes))
         return None
 
     async def query(boxes):
         boxes = await ctx.broadcast(boxes)
-        parts = await ctx.gather(_round_hits(keyed, at, boxes))
+        parts = await ctx.gather(_round_hits(cols, keyed.col, at, boxes))
         return [np.concatenate(box) for box in zip(*parts)]
 
     out = await driver(query)
@@ -203,6 +216,28 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
 
     hits, _ = world.run(_search_node, DataSet(tree.points), one_box)
     return set(hits.tolist())
+
+
+def _products(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's product of its positive factors, taken in order, as a
+    mantissa in [0.5, 1) and an integer exponent.
+
+    The running product is renormalized with `np.frexp` after each factor,
+    so it never overflows or underflows; scaling by a power of two changes
+    no rounding, so wherever the plain float product stays normal,
+    mantissa * 2**exponent equals it.
+    """
+    mant, exp = np.frexp(factors)
+    m, e = mant[:, 0], exp.sum(axis=1)
+    for t in range(1, factors.shape[1]):
+        m, k = np.frexp(m * mant[:, t])
+        e += k
+    return m, e
+
+
+def _exceeds(x, y) -> np.ndarray:
+    """x > y for the (mantissa, exponent) pairs of `_products`."""
+    return (x[1] > y[1]) | ((x[1] == y[1]) & (x[0] > y[0]))
 
 
 @dataclass
@@ -225,6 +260,8 @@ class _WindowDriver:
     enlargement with movement after each kept growth) depends only on
     that window and the data, so every live window takes one step of its
     path per round and a call costs as many rounds as its longest path.
+    A step asks for a list of boxes: one for movement, and every
+    remaining enlargement trial at once.
     """
 
     def __init__(self, X: DataSet, params: KWindowsParams):
@@ -242,7 +279,7 @@ class _WindowDriver:
                 raise RuntimeError("movement failed to stabilize")
             prev = w.enclosed.size
             w.center = self._mean(w.enclosed)
-            w.enclosed = yield w.bounds()
+            w.enclosed, = yield [w.bounds()]
             if w.enclosed.size - prev < self.params.theta_move * prev:
                 break
 
@@ -251,44 +288,54 @@ class _WindowDriver:
         return self.X.points[np.sort(enclosed)].mean(axis=0)
 
     def _path(self, w: Window):
-        """One window's box queries: yields boxes, is sent each box's rows.
+        """One window's box queries: yields lists of boxes, is sent the rows
+        of each box in the same order.
 
-        A kept enlargement keeps the rows its trial box found, so movement
-        goes on from them without asking for that box again."""
-        w.enclosed = yield w.bounds()
+        Until a trial is kept, every enlargement trial grows the same center
+        and half-widths, so the trials of all remaining coordinates are asked
+        in one step; the first kept trial wins and the answers after it are
+        dropped. A kept enlargement keeps the rows its trial box found, so
+        movement goes on from them without asking for that box again."""
+        d, theta = self.X.d, self.params.theta_enlarge
+        w.enclosed, = yield [w.bounds()]
         yield from self._move(w)
         # safety cap: movement after a kept growth may shed points again
         for _ in range(50):
-            kept = False
-            for t in range(self.X.d):
-                if not w.enclosed.size:
-                    return
-                before = w.enclosed.size
-                trial = w.half_width.copy()
-                trial[t] *= 1.0 + self.params.theta_enlarge
-                found = yield w.center - trial, w.center + trial
-                if found.size > before and found.size - before >= \
-                        self.params.theta_enlarge * before:
-                    w.half_width, w.enclosed = trial, found
-                    yield from self._move(w)
-                    kept = True
+            kept, t = False, 0
+            while t < d and w.enclosed.size:
+                before, grown, t = w.enclosed.size, range(t, d), d
+                trials = []
+                for s in grown:
+                    trial = w.half_width.copy()
+                    trial[s] *= 1.0 + theta
+                    trials.append(trial)
+                found = yield [(w.center - h, w.center + h) for h in trials]
+                for s, trial, hits in zip(grown, trials, found):
+                    if hits.size > before and \
+                            hits.size - before >= theta * before:
+                        w.half_width, w.enclosed = trial, hits
+                        yield from self._move(w)
+                        kept, t = True, s + 1
+                        break
             if not kept:
                 return
 
     @staticmethod
     async def _lockstep(paths: list, query):
-        """Advance every unfinished path one box per round, each round one
-        `query`, until all finish."""
+        """Advance every unfinished path one step per round, each round one
+        `query` of all the boxes the steps ask for, until all finish."""
         live = [(path, next(path)) for path in paths]
         while live:
-            hits = await query((np.array([box[0] for _, box in live]),
-                          np.array([box[1] for _, box in live])))
-            step = []
-            for (path, _), found in zip(live, hits):
+            boxes = [box for _, asked in live for box in asked]
+            hits = await query((np.array([lo for lo, _ in boxes]),
+                                np.array([hi for _, hi in boxes])))
+            step, at = [], 0
+            for path, asked in live:
                 try:
-                    step.append((path, path.send(found)))
+                    step.append((path, path.send(hits[at:at + len(asked)])))
                 except StopIteration:
                     pass
+                at += len(asked)
             live = step
 
     @staticmethod
@@ -299,6 +346,8 @@ class _WindowDriver:
         Two windows that caught rows merge when they overlap by a positive
         extent on every coordinate and the volume they share exceeds
         theta_merge times the smaller window's; merging is transitive.
+        Volumes are `_products` of the extents, so a volume beyond float64's
+        range still compares by its true size.
         """
         merged = np.zeros((2, 0), dtype=np.int64)  # pairs of windows, by column
         live = np.array([i for i, w in enumerate(windows) if w.enclosed.size],
@@ -312,12 +361,14 @@ class _WindowDriver:
             ext = (np.minimum(hi[:, None], hi[None]) -
                    np.maximum(lo[:, None], lo[None]))
             a, b = np.nonzero(np.triu(~np.any(ext <= 0, axis=2), 1))
-            # each product multiplies one pair's d factors in order, as a
-            # product over that pair alone would
-            inter = np.prod(ext[a, b], axis=1)
-            smaller = np.minimum(np.prod(ext[a, a], axis=1),
-                                 np.prod(ext[b, b], axis=1))
-            ok = inter > theta_merge * smaller
+            # inter > theta * min(vol_a, vol_b) holds exactly where it
+            # holds for either volume, since a rounded product is monotone
+            inter = _products(ext[a, b])
+            ok = np.zeros(a.size, dtype=bool)
+            for i in (a, b):
+                scaled = np.append(ext[i, i], np.full((i.size, 1), theta_merge),
+                                   axis=1)
+                ok |= _exceeds(inter, _products(scaled))
             merged = live[np.stack([a[ok], b[ok]])]
         return components(len(windows), merged.ravel(),
                           merged[::-1].ravel()).tolist()

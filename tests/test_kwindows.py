@@ -3,6 +3,7 @@ window clustering."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,30 @@ def _brute(points, lo, hi):
     return set(np.nonzero(mask)[0].tolist())
 
 
+def _rounded(q):
+    """Fraction q > 0 rounded to 53 significant bits, ties to even: a
+    float64 product without float64's exponent range."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if q < Fraction(2) ** e:
+        e -= 1  # now 2**e <= q < 2**(e + 1)
+    unit = Fraction(2) ** (e - 52)
+    return round(q / unit) * unit
+
+
+def _product(factors):
+    """The factors multiplied in order, each partial product rounded by
+    `_rounded`: equal to the float product wherever that stays normal."""
+    out = Fraction(1)
+    for f in factors:
+        out = _rounded(out * Fraction(f))
+    return out
+
+
 def _merge_groups_loop(windows, theta_merge):
     """Oracle for `_WindowDriver._merge_groups`: every pair of windows that
-    caught rows, compared one at a time in ascending (i, j) order; a merge
-    relabels the later of the two groups with the earlier's smallest window."""
+    caught rows, compared one at a time in ascending (i, j) order, with
+    products that neither overflow nor underflow; a merge relabels the later
+    of the two groups with the earlier's smallest window."""
     group = list(range(len(windows)))
     live = [i for i, w in enumerate(windows) if w.enclosed.size]
     for a in range(len(live)):
@@ -37,10 +58,9 @@ def _merge_groups_loop(windows, theta_merge):
             ext = np.minimum(hi_i, hi_j) - np.maximum(lo_i, lo_j)
             if np.any(ext <= 0):
                 continue
-            inter = float(np.prod(ext))
-            vol_i = float(np.prod(hi_i - lo_i))
-            vol_j = float(np.prod(hi_j - lo_j))
-            if inter > theta_merge * min(vol_i, vol_j):
+            inter = _product(ext)
+            smaller = min(_product(hi_i - lo_i), _product(hi_j - lo_j))
+            if inter > _product([theta_merge, smaller]):
                 keep, gone = sorted((group[i], group[j]))
                 group = [keep if g == gone else g for g in group]
     return group
@@ -218,7 +238,7 @@ def test_a_round_with_flat_boxes_equals_filter():
 @given(st.data())
 @settings(deadline=None, max_examples=100)
 def test_banded_round_hits_equal_the_mask_box_for_box(data):
-    d = data.draw(st.integers(1, 3), label="d")
+    d = data.draw(st.integers(1, 9), label="d")  # more columns than 8, too
     coords = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
                                          max_size=d),
                                 min_size=1, max_size=12), label="coords")
@@ -254,11 +274,14 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
         start = 0
         for block in split_blocks(X, p):
             keyed = KeySortedRows.build(block)
-            parts.append(_round_hits(keyed, start + keyed.order, (lo, hi)))
+            cols = np.ascontiguousarray(keyed.rows.T)
+            parts.append(_round_hits(cols, keyed.col, start + keyed.order,
+                                     (lo, hi)))
             start += len(block)
         for k, box in enumerate(zip(*parts)):
+            # empty bands, skipped, answer with int64 arrays too
+            assert all(part.dtype == np.int64 for part in box), (p, k)
             ids = np.concatenate(box)
-            assert ids.dtype == np.int64
             assert np.unique(ids).size == ids.size, (p, k)
             assert set(ids.tolist()) == _brute(pts, lo[k], hi[k]), (p, k)
 
@@ -285,20 +308,12 @@ def test_each_rank_sorts_its_shard_once_per_call(p, monkeypatch):
 # -- merging windows ---------------------------------------------------------
 
 
-def _recorded(fn, *args):
-    """fn(*args) and the set of distinct warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, {(w.category, str(w.message)) for w in caught}
-
-
 @given(st.data())
 @settings(deadline=None, max_examples=150)
 def test_merge_groups_equal_the_pairwise_loop(data):
     d = data.draw(st.integers(1, 8), label="d")
-    # at d = 8, half-widths of 1e40 overflow every volume to inf and those
-    # of 1e-45 underflow them to 0
+    # at d = 8, half-widths of 1e40 put every float64 volume above the
+    # range and those of 1e-45 below it
     scale = data.draw(st.sampled_from([1.0, 1e40, 1e-45]), label="scale")
     grid = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
     halves = st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=d,
@@ -317,29 +332,53 @@ def test_merge_groups_equal_the_pairwise_loop(data):
         caught = np.arange(data.draw(st.integers(0, 1), label="caught"))
         windows.append(Window(center.copy(), half.copy(), caught))
     theta = data.draw(st.sampled_from([0.01, 0.2, 0.5, 0.99]), label="theta")
-    want, want_warnings = _recorded(_merge_groups_loop, windows, theta)
-    got, got_warnings = _recorded(_WindowDriver._merge_groups, windows, theta)
-    assert got == want
-    assert got_warnings == want_warnings
-
-
-def test_volumes_that_overflow_warn_as_the_pairwise_loop_does():
-    half = np.full(8, 1e40)  # every volume is (2e40)^8, above float64's range
-    apart = [Window(np.full(8, c), half, np.arange(1)) for c in (0.0, 1e41)]
-    # these two touch on the last coordinate only: an extent of exactly 0
-    touching = [Window(np.zeros(8), half, np.arange(1)),
-                Window(np.array([0.0] * 7 + [2e40]), half, np.arange(1))]
-    overlapping = [Window(np.full(8, c), half, np.arange(1))
-                   for c in (0.0, 1e40)]
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no product is taken for these
-        for windows in (apart, touching):
-            assert _WindowDriver._merge_groups(windows, 0.2) == [0, 1]
-            assert _merge_groups_loop(windows, 0.2) == [0, 1]
-    for merge in (_merge_groups_loop, _WindowDriver._merge_groups):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            # inf > 0.2 * inf is false, so they stay apart
-            assert merge(overlapping, 0.2) == [0, 1]
+        warnings.simplefilter("error")  # no product over- or underflows
+        assert _WindowDriver._merge_groups(windows, theta) == \
+            _merge_groups_loop(windows, theta)
+
+
+@pytest.mark.parametrize("scale", [1e40, 1e-45])
+def test_volumes_beyond_float_range_compare_by_their_true_size(scale):
+    # every volume is (2 * scale)^8, beyond float64's range either way, where
+    # plain products made inf > 0.2 * inf and 0 > 0.2 * 0, both false
+    half = np.full(8, scale)
+
+    def pair(offset):
+        return [Window(np.zeros(8), half, np.arange(1)),
+                Window(np.asarray(offset, dtype=np.float64) * scale, half,
+                       np.arange(1))]
+
+    cases = [(pair([10.0] * 8), [0, 1]),  # apart
+             (pair([0.0] * 7 + [2.0]), [0, 1]),  # touching: an extent of 0
+             (pair([0.0] * 7 + [1.0]), [0, 0]),  # sharing 1/2 > 0.2
+             (pair([1.0] * 8), [0, 1])]  # sharing 2**-8 < 0.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for windows, want in cases:
+            assert _WindowDriver._merge_groups(windows, 0.2) == want
+            assert _merge_groups_loop(windows, 0.2) == want
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("power", [127, -140])
+def test_a_scaled_input_gives_the_unscaled_labels(p, power):
+    # scaling rows and half-width by a power of two scales every box and
+    # mean exactly; only the merge's float64 volumes would leave the range
+    X, _ = generate_blobs(2, 4, 250, 8)
+    scaled = DataSet.from_points(np.ldexp(X.points, power))
+    world = CommWorld(p)
+    try:
+        want = k_windows(world, X, KWindowsParams(l=16, a=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = k_windows(world, scaled,
+                            KWindowsParams(l=16, a=math.ldexp(3.0, power)))
+    finally:
+        world.shutdown()
+    assert want.model["k"] == 4
+    assert np.array_equal(got.labels, want.labels)
+    assert got.model["k"] == want.model["k"]
 
 
 @given(st.data())
@@ -503,27 +542,75 @@ def test_more_windows_than_rows_is_refused_before_the_world_runs(
 # -- lockstep rounds against each window run alone ----------------------------
 
 
-def _serial_windows(X, params):
-    """Per-window serial oracle: drives each window's path alone against a
-    brute-force mask, merges, and labels one row at a time in ascending row
-    order. Returns (labels, model windows, longest path in queries)."""
-    driver = _WindowDriver(X, params)
+def _inside(X, lo, hi):
+    """Dataset rows inside the closed box, by a brute-force mask."""
+    return np.flatnonzero(np.all((X.points >= lo) & (X.points <= hi), axis=1))
+
+
+def _sequential_path(X, params, w):
+    """Oracle for `_WindowDriver._path`: one window's box queries, one box
+    per query, each enlargement trial asked only after the one before it
+    was decided. Yields boxes, is sent each box's rows."""
+    def move():
+        steps = 0
+        while w.enclosed.size:
+            steps += 1
+            if steps > X.n + 1:
+                raise RuntimeError("movement failed to stabilize")
+            prev = w.enclosed.size
+            w.center = X.points[np.sort(w.enclosed)].mean(axis=0)
+            w.enclosed = yield w.bounds()
+            if w.enclosed.size - prev < params.theta_move * prev:
+                break
+
+    w.enclosed = yield w.bounds()
+    yield from move()
+    for _ in range(50):
+        kept = False
+        for t in range(X.d):
+            if not w.enclosed.size:
+                return
+            before = w.enclosed.size
+            trial = w.half_width.copy()
+            trial[t] *= 1.0 + params.theta_enlarge
+            found = yield w.center - trial, w.center + trial
+            if found.size > before and found.size - before >= \
+                    params.theta_enlarge * before:
+                w.half_width, w.enclosed = trial, found
+                yield from move()
+                kept = True
+        if not kept:
+            return
+
+
+def _seed_windows(X, params):
     seeds = np.random.default_rng(params.seed).choice(X.n, size=params.l,
                                                       replace=False)
-    windows = [Window(X.points[r].copy(), np.full(X.d, params.a))
-               for r in np.sort(seeds)]
-    longest = 0
-    for w in windows:
-        path, queries, hits = driver._path(w), 0, None
-        while True:
-            try:
-                lo, hi = path.send(hits)
-            except StopIteration:
-                break
-            queries += 1
-            hits = np.flatnonzero(np.all((X.points >= lo) & (X.points <= hi),
-                                         axis=1))
-        longest = max(longest, queries)
+    return [Window(X.points[r].copy(), np.full(X.d, params.a))
+            for r in np.sort(seeds)]
+
+
+def _run_alone(path, answer):
+    """Drive one path to its end, sending it `answer(asked)` for what it
+    asks each time; returns everything it asked, in order."""
+    asked, sent = [], None
+    while True:
+        try:
+            asked.append(path.send(sent))
+        except StopIteration:
+            return asked
+        sent = answer(asked[-1])
+
+
+def _serial_windows(X, params):
+    """Per-window serial oracle: drives each window's `_sequential_path`
+    alone against a brute-force mask, merges, and labels one row at a time
+    in ascending row order. Returns (labels, model windows, longest path in
+    queries)."""
+    windows = _seed_windows(X, params)
+    longest = max(len(_run_alone(_sequential_path(X, params, w),
+                                 lambda box: _inside(X, *box)))
+                  for w in windows)
     roots = _merge_groups_loop(windows, params.theta_merge)
     group_label = {}
     labels = [NOISE] * X.n
@@ -540,11 +627,19 @@ def _serial_windows(X, params):
     return np.array(labels, dtype=np.int64), model, longest
 
 
+def _longest_steps(X, params):
+    """The most steps any window's `_WindowDriver._path` takes when driven
+    alone against a brute-force mask."""
+    driver = _WindowDriver(X, params)
+    return max(len(_run_alone(driver._path(w),
+                              lambda boxes: [_inside(X, *b) for b in boxes]))
+               for w in _seed_windows(X, params))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
     X, _ = generate_blobs(seed=1, k=4, per_cluster=60, d=4)
     params = KWindowsParams(l=12, a=3.0, seed=2)
-    _, _, longest = _serial_windows(X, params)
     world = CommWorld(p)
     try:
         k_windows(world, X, params)
@@ -553,30 +648,57 @@ def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
     # one broadcast and one gather per round, one broadcast to finish
     counts = count_collectives[world]
     rounds = counts["gather"]
-    assert rounds == longest > 1
+    assert rounds == _longest_steps(X, params) > 1
+    assert rounds < _serial_windows(X, params)[2]
     assert counts["broadcast"] == rounds + 1
     assert sum(counts.values()) == 2 * rounds + 1
+
+
+def test_the_benchmark_call_asks_every_enlargement_trial_in_one_round(
+        count_collectives):
+    X, _ = generate_blobs(1, 4, 250, 8)
+    params = KWindowsParams(l=16, a=3.0)
+    world = CommWorld(2)
+    try:
+        k_windows(world, X, params)
+    finally:
+        world.shutdown()
+    # one box per round took 12 rounds
+    assert _serial_windows(X, params)[2] == 12
+    assert count_collectives[world]["gather"] <= 6
 
 
 def test_a_kept_enlargement_does_not_ask_for_its_box_again():
     X, _ = generate_blobs(seed=21, k=2, per_cluster=60, d=2, spread=0.25,
                           separation=7.5)
+    params = KWindowsParams(l=1, a=0.1)
     w = Window(X.points[0].copy(), np.full(2, 0.1))
-    path = _WindowDriver(X, KWindowsParams(l=1, a=0.1))._path(w)
-    boxes, hits = [], None
-    while True:
-        try:
-            lo, hi = path.send(hits)
-        except StopIteration:
-            break
-        boxes.append((lo.tolist(), hi.tolist()))
-        hits = np.flatnonzero(np.all((X.points >= lo) & (X.points <= hi),
-                                     axis=1))
-    # the path keeps at least one enlargement, and each box it asks for
-    # differs from the one before
-    assert w.half_width.tolist() == pytest.approx([0.121, 0.1])
-    assert len(boxes) == 10
-    assert all(a != b for a, b in zip(boxes, boxes[1:]))
+    steps = _run_alone(_WindowDriver(X, params)._path(w),
+                       lambda boxes: [_inside(X, *b) for b in boxes])
+    alone = Window(X.points[0].copy(), np.full(2, 0.1))
+    queries = _run_alone(_sequential_path(X, params, alone),
+                         lambda box: _inside(X, *box))
+    # the path keeps at least one enlargement, as the sequential one does
+    assert w.half_width.tolist() == alone.half_width.tolist() == \
+        pytest.approx([0.121, 0.1])
+    assert np.array_equal(np.sort(w.enclosed), np.sort(alone.enclosed))
+    # each step starts with the sequential path's next boxes; what follows
+    # them are the trials made moot by the kept one just before
+    queries = [(lo.tolist(), hi.tolist()) for lo, hi in queries]
+    at = 0
+    for step in steps:
+        matched = 0
+        for lo, hi in step:
+            if at + matched == len(queries) or \
+                    (lo.tolist(), hi.tolist()) != queries[at + matched]:
+                break
+            matched += 1
+        assert matched, at
+        at += matched
+    assert at == len(queries) == 10 and len(steps) == 9
+    # each box it asks for differs from the one before, so a kept trial's
+    # box is not asked for again
+    assert all(a != b for a, b in zip(queries, queries[1:]))
 
 
 @given(st.data())

@@ -2,7 +2,8 @@
 
 Each algorithm runs in-process through `parclust.cli.main` on generated
 blobs (3 clusters of 100 rows, seed 1) at d = 2 and d = 9, at P = 1, 2
-and 3 where the algorithm allows more than one node. A line holds the
+and 3 where the algorithm allows more than one node; k-windows runs
+again with 16 windows at half-widths 0.5, 2 and 3. A line holds the
 algorithm, P, d, the exit code and a hash of the report with
 `timings_ms` dropped (of the error message, for a run that fails).
 Then the drivers that also take a list of blocks (`ddbc` with either
@@ -39,10 +40,15 @@ from parclust.dbscan import DbscanParams, DdbcParams, ddbc  # noqa: E402
 from parclust.pca import (DbscanLocal, KMeansLocal, cpca,  # noqa: E402
                           cpca_cluster)
 
-# every algorithm, once per value of a flag that picks its local body
+# every algorithm, once per value of a flag that picks its local body, and
+# k-windows with enough windows and half-widths for paths of many
+# enlargements
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "cpca-cluster --local-algo dbscan", "dbscan", "ddbc",
-         "ddbc --local-model rep-scor", "pddp", "pddp-km")
+         "ddbc --local-model rep-scor", "pddp", "pddp-km",
+         "kwindows --windows 16 --half-width 0.5",
+         "kwindows --windows 16 --half-width 2",
+         "kwindows --windows 16 --half-width 3")
 # the density algorithms' eps: a few neighbours in unit-spread blobs
 _EPS = {2: 0.5, 9: 2.0}
 
