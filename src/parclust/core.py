@@ -408,21 +408,13 @@ def sse_objective(X: DataSet, partition: Partition, centroids: CentroidSet) -> f
     return 0.0
 
 
-def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel by order of first appearance, for set-partition comparison."""
-    out = np.empty(labels.shape[0], dtype=np.int64)
-    seen: dict[int, int] = {}
-    for i, v in enumerate(labels.tolist()):
-        out[i] = seen.setdefault(v, len(seen))
-    return out
-
-
 def adjusted_rand_index(a: Partition, b: Partition) -> float:
     """Chance-corrected pair-counting agreement between two partitions.
 
-    Noise is treated as an ordinary label. When the correction term is
-    degenerate (e.g. both sides are all singletons), returns 1.0 if the
-    partitions are identical as set partitions and 0.0 otherwise.
+    Noise is treated as an ordinary label. The correction term vanishes
+    only when both sides are one and the same set partition (n <= 1, all
+    singletons on both sides, or one block on both), and then this
+    returns 1.0.
     """
     la, lb = a.labels, b.labels
     if la.shape[0] != lb.shape[0]:
@@ -446,8 +438,10 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
     num = 2 * (total * sum_ij - sum_a * sum_b)
     den = total * (sum_a + sum_b) - 2 * sum_a * sum_b
     if den == 0:
-        same = np.array_equal(_canonical_labels(la), _canonical_labels(lb))
-        return 1.0 if same else 0.0
+        # den = sum_a*(total - sum_b) + sum_b*(total - sum_a), each pair
+        # sum in [0, total]: zero only for equal all-singleton or one-block
+        # partitions
+        return 1.0
     return num / den
 
 

@@ -1,10 +1,13 @@
 """Principal component extraction and PCA-guided distributed clustering.
 
-Every PCA in the package rests on one kernel, `exact_covariance`: the
-column sums and the upper triangle of the centered cross-products of
-rows spread over the nodes, each reduced exactly in one allreduce, so
-every node holds the same bit-identical covariance at any node count.
-Bases are its leading eigenvectors, from the one direct symmetric solver
+Every PCA in the package rests on one kernel, `exact_covariance`: for
+each of many row sets spread over the nodes, the column sums and row
+count, then the upper triangle of the centered cross-products, each
+reduced exactly, so every node holds the same bit-identical covariance
+of every set at any node count. Each set keeps its own exact-sum calls;
+only the payloads are concatenated, so any number of sets costs two
+allreduces (`exact_means` is the first of them alone). Bases are the
+leading eigenvectors, from the one direct symmetric solver
 `principal_axes`. The collective basis of `cpca` is therefore the basis
 of all rows, bit for bit, and costs O(d^2) integers of traffic; one
 node's basis is `cpca` on a one-node world.
@@ -77,37 +80,52 @@ class NoRowsError(ValueError):
     """Every node holds zero of the rows to be reduced."""
 
 
-async def exact_mean(ctx: NodeCtx, rows):
-    """(n, mean) of the rows spread over the nodes, in one allreduce of
-    the exact column sums plus the row count; each mean is rounded once."""
-    *sums, n = await ctx.allreduce_sum(grouped_sums_fixed(rows) + [len(rows)])
-    if n == 0:
-        raise NoRowsError("no rows to average")
-    return n, np.array(fixed_to_floats(sums, n), dtype=np.float64)
+def _runs(values: list, width: int) -> list:
+    """`values` cut into consecutive runs of `width`, one run per set."""
+    return [values[i:i + width] for i in range(0, len(values), width)]
 
 
-async def exact_covariance(ctx: NodeCtx, rows):
-    """(n, mean, C) of the rows spread over the nodes.
+async def exact_means(ctx: NodeCtx, sets):
+    """(n, mean) of each (rows, d) array in `sets`, every set spread over
+    the nodes, from one allreduce of each set's exact column sums and row
+    count; each mean is rounded once, and is None for a set with no rows
+    on any node."""
+    sums: list[int] = []
+    for rows in sets:
+        sums += grouped_sums_fixed(rows) + [len(rows)]
+    sums = await ctx.allreduce_sum(sums)
+    return [(n, np.array(fixed_to_floats(total, n)) if n else None)
+            for *total, n in _runs(sums, sets[0].shape[1] + 1)]
 
-    A second allreduce sums the upper triangle of the centered
-    cross-products exactly, so every node holds the same (d, d) matrix C
-    at any node count, each entry rounded once. C is None when every
-    cross-product sum is the integer 0 (all rows equal to the mean).
+
+async def exact_covariance(ctx: NodeCtx, sets):
+    """(n, mean, C) of each (rows, d) array in `sets`, from two allreduces
+    whatever the number of sets.
+
+    After `exact_means`, the second allreduce sums the upper triangle of
+    each set's centered cross-products exactly, so every node holds the
+    same (d, d) matrix C at any node count, each entry rounded once. C is
+    None when every cross-product sum is the integer 0 (all rows equal to
+    the mean, or no rows).
     """
-    n, mean = await exact_mean(ctx, rows)
-    centered = rows - mean
-    d = centered.shape[1]
+    stats = await exact_means(ctx, sets)
     cross: list[int] = []
-    for j in range(d):  # one column at a time: no n x d^2 product in memory
-        cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
-    cross = await ctx.allreduce_sum(cross)
-    if not any(cross):
-        return n, mean, None
+    for rows, (n, mean) in zip(sets, stats):
+        centered = rows - mean if n else rows
+        for j in range(rows.shape[1]):  # no n x d^2 product in memory
+            cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
+    d = sets[0].shape[1]
     upper = np.triu_indices(d)
-    C = np.empty((d, d))
-    C[upper] = fixed_to_floats(cross, n)
-    C.T[upper] = C[upper]
-    return n, mean, C
+    out = []
+    for (n, mean), part in zip(stats, _runs(await ctx.allreduce_sum(cross),
+                                            len(upper[0]))):
+        C = None
+        if any(part):
+            C = np.empty((d, d))
+            C[upper] = fixed_to_floats(part, n)
+            C.T[upper] = C[upper]
+        out.append((n, mean, C))
+    return out
 
 
 def _check_fraction(variance_fraction: float) -> None:
@@ -118,8 +136,10 @@ def _check_fraction(variance_fraction: float) -> None:
 async def _truncated_basis(ctx: NodeCtx, rows, variance_fraction: float):
     """(n, basis) of the rows spread over the nodes: the smallest basis of
     their exact covariance whose cumulative eigenvalue share reaches the
-    target."""
-    n, mean, C = await exact_covariance(ctx, rows)
+    target. Raises NoRowsError when no node holds a row."""
+    [(n, mean, C)] = await exact_covariance(ctx, [rows])
+    if n == 0:
+        raise NoRowsError("no rows to average")
     d = mean.shape[0]
     total = 0.0 if C is None else float(np.trace(C))
     if total <= 0.0:

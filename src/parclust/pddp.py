@@ -2,18 +2,21 @@
 plus the hybrid that seeds parallel k-means with its leaf means
 (Savaresi & Boley, SDM 2001).
 
-Both are one body on every rank. Each rank keeps its clusters left to
-right as (local rows, global size), and a row's leaf label is its
-cluster's position in that list. The covariance of each cluster comes
-from the package's one covariance kernel, `pca.exact_covariance` (exact
-sums of the rows and of their centered cross-products), so every node
-holds the same bit-identical d x d matrix, solves it with the one direct
-eigensolver, and agrees on the leading direction; the split is
-independent of the node count. Clusters split on the sign of the
-mean-centered projection, each row's terms added in coordinate order, so
-that sign is independent of the node count too. The leaf means come from
-one allreduce of exact per-leaf sums, so each is the exact mean of its
-rows.
+Both are one body on every rank, one level at a time. Each rank keeps a
+leaf label per row and a live mask per cluster, clusters left to right.
+Every live cluster of a level is reduced at once by the package's one
+covariance kernel, `pca.exact_covariance` (exact sums of the rows and of
+their centered cross-products, two allreduces for the whole level), so
+every node holds the same bit-identical d x d matrix per cluster, solves
+it with the one direct eigensolver, and agrees on the leading direction;
+the split is independent of the node count. A cluster splits on the
+sign of its mean-centered projection, each row's terms added in
+coordinate order, so that sign is independent of the node count too.
+A cluster without a direction is final, and so is one that holds the
+same rows as its parent; the levels stop once no cluster is live, so a
+height beyond the tree's depth costs nothing. One allreduce of exact
+per-leaf sums then gives each leaf's size and exact mean; a split that
+put every row on one side left an empty leaf, dropped there.
 """
 
 from __future__ import annotations
@@ -22,21 +25,9 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx
 from .core import CentroidSet, DataSet, Partition, sse_objective
-from .exactsum import fixed_to_floats, grouped_sums_fixed
 from .kmeans import KMeansParams, _converged, _pkm_node
-from .pca import exact_covariance, principal_axes
+from .pca import exact_covariance, exact_means, principal_axes
 from .report import ClusterReport
-
-
-async def _split_direction(ctx: NodeCtx, local_rows: np.ndarray):
-    """Global mean and leading covariance direction of one cluster.
-
-    Every rank solves the same bit-identical exact covariance. Returns
-    (mean, direction); the direction is None when the cluster has zero
-    covariance (all points identical).
-    """
-    _, mean, C = await exact_covariance(ctx, local_rows)
-    return mean, None if C is None else principal_axes(C)[1][0]
 
 
 def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -49,46 +40,49 @@ def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return proj
 
 
-async def _pddp_node(ctx: NodeCtx, pts, n, height, km_params):
-    """One rank's divisive run over its block of the `n` rows, then the
-    leaf means on every rank.
+async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
+    """One rank's divisive run over its block, then the leaf means on
+    every rank.
 
-    Every cluster of two or more rows that has a direction and puts rows
-    on both sides of it is split once per level until `height` levels are
-    done; the left child comes first. A cluster that cannot split is final:
-    the same rows give the same outcome, so it is not tried again. Without
-    `km_params`, every rank returns the leaf labels of all rows, at rank 0
-    only, and the (k, d) leaf means. With them, the leaf means seed the
-    Lloyd body on the same block, and every rank returns its (labels,
-    centers, objective trace), with the labels at rank 0 only.
+    Each level reduces every live cluster at once. A cluster with a
+    direction splits on the sign of its rows' projections onto it, the
+    left child first; one without a direction, or with the same rows as
+    its parent (a split that put every row on one side), is final and is
+    not reduced again. The levels stop at `height` or when no cluster is
+    live. Without `km_params`, every rank returns the leaf labels of all
+    rows, at rank 0 only, and the (k, d) leaf means. With them, the leaf
+    means seed the Lloyd body on the same block, and every rank returns
+    its (labels, centers, objective trace), with the labels at rank 0
+    only.
     """
-    # (local rows, global size, live); singletons are final from the start
-    clusters = [(np.arange(len(pts)), n, n >= 2)]
+    leaf = np.zeros(len(pts), dtype=np.int64)  # each row's cluster
+    # the size of each cluster's parent; 0 for the root, whose size is not
+    # 0 when it has a direction
+    live, parent_n = np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64)
     for _level in range(height):
-        kept = []
-        for rows, size, live in clusters:
-            if live:
-                sub = pts[rows]
-                mean, direction = await _split_direction(ctx, sub)
-                if direction is not None:
-                    # ties go left
-                    left = _project(sub - mean, direction) >= 0.0
-                    sizes = await ctx.allreduce_sum([int(left.sum()),
-                                                     int((~left).sum())])
-                    if all(sizes):
-                        kept += [(rows[left], sizes[0], sizes[0] >= 2),
-                                 (rows[~left], sizes[1], sizes[1] >= 2)]
-                        continue
-            kept.append((rows, size, False))  # whole, and final
-        clusters = kept
+        ids = np.flatnonzero(live)
+        if not ids.size:
+            break
+        members = [np.flatnonzero(leaf == c) for c in ids]
+        stats = await exact_covariance(ctx, [pts[m] for m in members])
+        split_n = np.zeros(len(live), dtype=np.int64)  # 0: does not split
+        right = np.zeros(len(pts), dtype=np.int64)
+        for c, rows, (n, mean, C) in zip(ids, members, stats):
+            if C is not None and n != parent_n[c]:
+                direction = principal_axes(C)[1][0]
+                # ties go left
+                right[rows] = _project(pts[rows] - mean, direction) < 0.0
+                split_n[c] = n
+        children = 1 + (split_n > 0)
+        leaf = (np.cumsum(children) - children)[leaf] + right
+        live = np.repeat(split_n > 0, children)
+        parent_n = np.repeat(split_n, children)
 
-    k, d = len(clusters), pts.shape[1]
-    leaf = np.empty(len(pts), dtype=np.int64)
-    for i, (rows, _, _) in enumerate(clusters):
-        leaf[rows] = i
-    sums = await ctx.allreduce_sum(grouped_sums_fixed(pts, leaf, k))
-    means = np.array([fixed_to_floats(sums[i * d:(i + 1) * d], size)
-                      for i, (_, size, _) in enumerate(clusters)])
+    stats = await exact_means(ctx, [pts[leaf == c] for c in range(len(live))])
+    # drop the empty leaf of each split that put every row on one side
+    kept = np.array([n > 0 for n, _ in stats])
+    leaf = (np.cumsum(kept) - 1)[leaf]
+    means = np.array([mean for n, mean in stats if n])
     if km_params is not None:
         return await _pkm_node(ctx, pts, km_params, means)
     return await ctx.gather_rows(leaf), means
@@ -98,7 +92,7 @@ def _run(world: CommWorld, X: DataSet, height: int, km_params=None):
     """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    return world.run(_pddp_node, X, X.n, height, km_params)
+    return world.run(_pddp_node, X, height, km_params)
 
 
 def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:

@@ -525,6 +525,12 @@ def test_ari_all_singletons_degenerate_case():
     assert adjusted_rand_index(a, b) == 1.0  # same set partition
     c = Partition(np.array([0, 0, 1, 2]))
     assert adjusted_rand_index(a, c) == 0.0
+    # n <= 1, and one block on both sides
+    for n in (0, 1):
+        assert adjusted_rand_index(Partition(np.zeros(n, dtype=np.int64)),
+                                   Partition(np.full(n, 5))) == 1.0
+    assert adjusted_rand_index(Partition(np.zeros(4, dtype=np.int64)),
+                               Partition(np.full(4, -1))) == 1.0
 
 
 def test_ari_length_mismatch():

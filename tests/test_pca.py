@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parclust.comm import CommWorld, split_blocks
@@ -38,10 +38,9 @@ def _rank2_embedded(seed, n=400, d=6, scales=(3.0, 1.5)):
 
 
 @st.composite
-def _spread_rows(draw):
-    """Rows with duplicates, d = 1, constant columns, all-equal rows, and
-    column scales from 1e-150 to 1e150, plus a split count P."""
-    d = draw(st.integers(1, 4))
+def _spread_rows(draw, d):
+    """Rows with duplicates, constant columns, all-equal rows, and column
+    scales from 1e-150 to 1e150."""
     distinct = draw(st.lists(
         st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
                  min_size=d, max_size=d), min_size=1, max_size=4))
@@ -54,53 +53,85 @@ def _spread_rows(draw):
     return rows * np.array([10.0 ** e for e in scales])
 
 
+@st.composite
+def _row_sets(draw):
+    """One to three sets of `_spread_rows` of one width d (d = 1 too), one
+    of which may be empty or one row repeated."""
+    d = draw(st.integers(1, 4))
+    sets = draw(st.lists(_spread_rows(d), min_size=1, max_size=3))
+    odd = draw(st.sampled_from([None, "empty", "constant"]))
+    if odd is not None:
+        i = draw(st.integers(0, len(sets) - 1))
+        sets[i] = (np.empty((0, d)) if odd == "empty"
+                   else np.repeat(sets[i][:1], len(sets[i]), axis=0))
+    return sets
+
+
 def _covariance_oracle(rows):
-    """Each mean and each cross-product mean as the exact rational sum,
-    rounded once; None for C when every cross-product sums to 0."""
+    """(n, mean, C): each mean and each cross-product mean as the exact
+    rational sum, rounded once; None for C when every cross-product sums
+    to 0, and for the mean too when there are no rows."""
     n, d = rows.shape
+    if n == 0:
+        return 0, None, None
     mean = np.array([float(sum(Fraction(v) for v in rows[:, j]) / n)
                      for j in range(d)])
     centered = rows - mean
     sums = {(a, b): sum(map(Fraction, centered[:, a] * centered[:, b]))
             for a in range(d) for b in range(a, d)}
     if not any(sums.values()):
-        return mean, None
+        return n, mean, None
     C = np.empty((d, d))
     for (a, b), total in sums.items():
         C[a, b] = C[b, a] = float(total / n)
-    return mean, C
+    return n, mean, C
 
 
-def _kernel_over(p, rows):
-    """Every rank's exact covariance, in rank order, of the rows split by
-    np.array_split (a block may be empty)."""
-    async def body(ctx, points):
-        return await ctx.gather(await exact_covariance(ctx, points))
+def _kernel_over(p, sets):
+    """Every rank's exact covariances of the sets, in rank order, each set
+    split by np.array_split (a block may be empty), and the world."""
+    async def body(ctx, _points, pieces):  # the sets come as `pieces`
+        return await ctx.gather(await exact_covariance(ctx, pieces[ctx.rank]))
 
+    pieces = list(zip(*(np.array_split(rows, p) for rows in sets)))
     world = CommWorld(p)
     try:
-        return world.run(body, np.array_split(rows, p))[0]
+        return world.run(body, [np.empty((0, 1))] * p, pieces)[0], world
     finally:
         world.shutdown()
 
 
-@given(_spread_rows())
-@settings(deadline=None, max_examples=150)
-def test_exact_covariance_is_the_rational_sum_rounded_once_at_any_p(rows):
-    mean, C = _covariance_oracle(rows)
+def _same(got, want):
+    """Equal bits, or both None."""
+    if want is None:
+        return got is None
+    return got is not None and got.tobytes() == want.tobytes()
+
+
+@given(sets=_row_sets())
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_exact_covariance_is_the_rational_sum_rounded_once_at_any_p(
+        sets, count_collectives):
+    oracle = [_covariance_oracle(rows) for rows in sets]
     for p in (1, 2, 3):
-        for n, got_mean, got_C in _kernel_over(p, rows):
-            assert n == len(rows)
-            assert got_mean.tobytes() == mean.tobytes()
-            if C is None:
-                assert got_C is None
-            else:
-                assert got_C.tobytes() == C.tobytes()
+        ranks, world = _kernel_over(p, sets)
+        # two allreduces whatever the number of sets, and the test's gather
+        assert count_collectives[world] == {"allreduce_sum": 2, "gather": 1}
+        for stats in ranks:
+            assert len(stats) == len(sets)
+            for got, want in zip(stats, oracle):
+                assert got[0] == want[0]
+                assert _same(got[1], want[1]) and _same(got[2], want[2])
 
 
-def test_exact_covariance_of_no_rows_is_refused():
-    with pytest.raises(ValueError, match="no rows"):
-        _kernel_over(1, np.empty((0, 3)))
+def test_cpca_of_no_rows_is_refused():
+    world = CommWorld(2)
+    try:
+        with pytest.raises(ValueError, match="no rows"):
+            cpca(world, [np.empty((0, 3))] * 2, 0.9)
+    finally:
+        world.shutdown()
 
 
 # -- eigenpairs --------------------------------------------------------------

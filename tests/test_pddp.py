@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from parclust.comm import CommWorld
 from parclust.core import DataSet, adjusted_rand_index, generate_blobs
 from parclust.exactsum import fixed_to_float, sum_fixed
-from parclust.pca import exact_mean
-from parclust.pddp import _split_direction, pddp_km, pddp_report
+from parclust.pca import exact_covariance, exact_means, principal_axes
+from parclust.pddp import pddp_km, pddp_report
 
 
 def _run(p, fn, X, height, **kw):
@@ -76,11 +76,12 @@ def test_children_partition_their_parent():
 
 
 async def _mean_node(ctx, points):
-    return await exact_mean(ctx, points)
+    return (await exact_means(ctx, [points]))[0]
 
 
 async def _direction_node(ctx, points):
-    return (await _split_direction(ctx, points))[1]
+    [(_, _, C)] = await exact_covariance(ctx, [points])
+    return principal_axes(C)[1][0]
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -296,8 +297,53 @@ def test_a_cluster_that_cannot_split_is_not_tried_again(count_collectives):
     finally:
         world.shutdown()
     assert rep.labels.tolist() == [0] * 12
-    # the exact mean and the cross-products once, then the leaf sums
+    # the exact mean and the cross-products once, then the leaf means
     assert count_collectives[world] == {"gather": 1, "allreduce_sum": 3}
+
+
+@pytest.mark.parametrize("height", [1, 2, 10**6])
+def test_a_split_that_puts_every_row_on_one_side_keeps_them_whole(
+        height, count_collectives):
+    # the mean of the first two rows rounds to 1e16, so neither projects
+    # below 0; that split leaves an empty leaf, dropped at the end, and the
+    # same two rows again, final at the next level
+    X = DataSet.from_points([[1e16], [1e16 + 2.0], [5.0], [7.0]])
+    world = CommWorld(2)
+    try:
+        rep = pddp_report(world, X, height)
+    finally:
+        world.shutdown()
+    if height == 1:
+        assert rep.labels.tolist() == [0, 0, 1, 1]
+        assert rep.centroids.tolist() == [[1e16], [6.0]]
+    else:
+        assert rep.labels.tolist() == [0, 0, 2, 1]
+        assert rep.centroids.tolist() == [[1e16], [7.0], [5.0]]
+    levels = {1: 1, 2: 2, 10**6: 3}[height]
+    assert count_collectives[world] == {"gather": 1,
+                                        "allreduce_sum": 2 * levels + 1}
+
+
+def test_a_huge_height_stops_when_every_cluster_is_final(count_collectives):
+    X, _ = generate_blobs(seed=7, k=3, per_cluster=100, d=2)
+    world = CommWorld(2)
+    try:
+        runs = [None]  # runs[h]: the allreduces and the report at height h
+        while len(runs) < 3 or runs[-1][0] != runs[-2][0]:
+            rep = pddp_report(world, X, len(runs))
+            runs.append((count_collectives[world].pop("allreduce_sum"), rep))
+        deep = pddp_report(world, X, 10**6)
+    finally:
+        world.shutdown()
+    # the first height at which every cluster is final: one level more
+    # makes no more allreduces
+    final = len(runs) - 2
+    allreduces, rep = runs[final]
+    assert final > 5 and allreduces == 2 * final + 1
+    assert count_collectives[world]["allreduce_sum"] == allreduces
+    assert np.array_equal(deep.labels, rep.labels)
+    assert np.array_equal(deep.centroids, rep.centroids)
+    assert deep.j == rep.j
 
 
 def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
@@ -320,14 +366,14 @@ def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
         tree = pddp_report(world, X, height=2)
     finally:
         world.shutdown()
-    splits = rep.params["k"] - 1  # every split adds one leaf
-    assert splits == 3
-    # per split: the exact mean, the cross-products and the side counts;
-    # then one allreduce of the leaf sums
+    assert rep.params["k"] == 4  # both levels split every cluster
+    levels = 2
+    # per level: the exact means and the cross-products of every live
+    # cluster at once; then one allreduce of the leaf means
     assert km == {"gather": 1,
-                  "allreduce_sum": 3 * splits + 1 + rep.iterations}
+                  "allreduce_sum": 2 * levels + 1 + rep.iterations}
     assert count_collectives[world] == {"gather": 1,
-                                        "allreduce_sum": 3 * splits + 1}
+                                        "allreduce_sum": 2 * levels + 1}
     assert tree.centroids.shape[0] == rep.params["k"]
     # one run on the world per driver call, and none nested
     assert runs == [world, world]

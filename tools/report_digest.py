@@ -3,7 +3,9 @@
 Each algorithm runs in-process through `parclust.cli.main` on generated
 blobs (3 clusters of 100 rows, seed 1) at d = 2 and d = 9, at P = 1, 2
 and 3 where the algorithm allows more than one node; k-windows runs
-again with 16 windows at half-widths 0.5, 2 and 3. A line holds the
+again with 16 windows at half-widths 0.5, 2 and 3, and pddp and pddp-km
+again at heights 1, 3 and 5, deep enough for singletons, leaves that
+cannot split and levels that stop early. A line holds the
 algorithm, P, d, the exit code and a hash of the report with
 `timings_ms` dropped (of the error message, for a run that fails).
 Then the drivers that also take a list of blocks (`ddbc` with either
@@ -40,15 +42,17 @@ from parclust.dbscan import DbscanParams, DdbcParams, ddbc  # noqa: E402
 from parclust.pca import (DbscanLocal, KMeansLocal, cpca,  # noqa: E402
                           cpca_cluster)
 
-# every algorithm, once per value of a flag that picks its local body, and
+# every algorithm, once per value of a flag that picks its local body;
 # k-windows with enough windows and half-widths for paths of many
-# enlargements
+# enlargements; the divisive trees at heights other than the default 2
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "cpca-cluster --local-algo dbscan", "dbscan", "ddbc",
          "ddbc --local-model rep-scor", "pddp", "pddp-km",
          "kwindows --windows 16 --half-width 0.5",
          "kwindows --windows 16 --half-width 2",
-         "kwindows --windows 16 --half-width 3")
+         "kwindows --windows 16 --half-width 3",
+         *("%s --height %d" % (algo, h) for algo in ("pddp", "pddp-km")
+           for h in (1, 3, 5)))
 # the density algorithms' eps: a few neighbours in unit-spread blobs
 _EPS = {2: 0.5, 9: 2.0}
 
