@@ -40,21 +40,14 @@ import math
 
 import numpy as np
 
-# frexp writes every finite float64 as mantissa * 2**exp with |mantissa|
-# in [0.5, 1) and exp >= -1073, so mantissa * 2**53 is an exact integer
-# and the left shift below is never negative. The grid is 2**-1126.
+# The grid is 2**-1126: frexp writes every finite float64 as
+# mantissa * 2**exp with |mantissa| in [0.5, 1) and exp >= -1073, so every
+# finite float64 is an integer multiple of it.
 _GRID_BITS = 1126
-_MANT_SCALE = float(1 << 53)
 
 # Rows are summed in chunks of at most this many; a chunk of n rows takes
 # slices of 52 - n.bit_length() bits (32 for a full chunk).
 MAX_BUCKET_TERMS = 1 << 19
-
-
-def fixed_from_float(x: float) -> int:
-    """Exact fixed-point image of one finite float64."""
-    m, e = math.frexp(x)
-    return int(m * _MANT_SCALE) << (e + 1073)
 
 
 def fixed_to_float(acc: int, count: int = 1) -> float:

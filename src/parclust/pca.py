@@ -23,7 +23,8 @@ from .comm import CommWorld, NodeCtx, blocks_of
 from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
-from .kmeans import KMeansParams, kmeans_centralized
+from .kmeans import (KMeansParams, _init_centers, _pkm_node,
+                     kmeans_centralized)
 from .report import ClusterReport
 
 
@@ -184,9 +185,14 @@ def cpca(world: CommWorld, rows, variance_fraction: float) -> PrincipalBasis:
 class KMeansLocal:
     """Local clusterer plugin: seeded centralized k-means.
 
-    Runs RESTARTS restarts with derived seeds and keeps the lowest
-    objective; a single random init on a small shard falls into bad
-    minima often enough to poison the merged result.
+    Runs RESTARTS restarts with derived seeds and keeps the first with the
+    lowest objective; a single random init on a small shard falls into
+    bad minima often enough to poison the merged result. The restarts
+    are the runs of one Lloyd body on one nested one-node world, in
+    lockstep: each trip makes one allreduce for every restart still
+    running, so a call makes as many as its longest restart's trips, and
+    each restart gives the same bits as a run of its own. A call fails
+    with the error of its first restart that fails on its own.
     """
 
     name = "kmeans"
@@ -198,16 +204,23 @@ class KMeansLocal:
         self.max_iter = max_iter
 
     def __call__(self, X: DataSet, k: int) -> np.ndarray:
-        best = None
-        for i in range(self.RESTARTS):
-            params = KMeansParams(k=min(k, X.n), max_iter=self.max_iter,
-                                  tol=self.TOL,
-                                  seed=int(np.random.default_rng(
-                                      (self.seed, i)).integers(2**31)))
-            _, part, j, _ = kmeans_centralized(X, params)
-            if best is None or j < best[0]:
-                best = (j, part.labels)
-        return best[1]
+        params = KMeansParams(k=min(k, X.n), max_iter=self.max_iter,
+                              tol=self.TOL)
+        starts = np.stack([_init_centers(X, params.k, int(
+            np.random.default_rng((self.seed, i)).integers(2**31)))
+            for i in range(self.RESTARTS)])
+        try:
+            (labels, _, traces), _ = CommWorld(1).run(_pkm_node, X, params,
+                                                      starts)
+        except ValueError:
+            # the error of the first restart that fails on its own, which
+            # lockstep may meet after another restart's
+            for start in starts:
+                CommWorld(1).run(_pkm_node, X, params, start[None])
+            raise
+        # min keeps the first of equal objectives
+        return labels[:, min(range(self.RESTARTS),
+                             key=lambda run: traces[run][-1])]
 
 
 class DbscanLocal:

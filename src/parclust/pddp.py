@@ -51,9 +51,9 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
     not reduced again. The levels stop at `height` or when no cluster is
     live. Without `km_params`, every rank returns the leaf labels of all
     rows, at rank 0 only, and the (k, d) leaf means. With them, the leaf
-    means seed the Lloyd body on the same block, and every rank returns
-    its (labels, centers, objective trace), with the labels at rank 0
-    only.
+    means seed one run of the Lloyd body on the same block, and every rank
+    returns that body's (labels, centers, traces), with the labels at
+    rank 0 only.
     """
     leaf = np.zeros(len(pts), dtype=np.int64)  # each row's cluster
     # the size of each cluster's parent; 0 for the root, whose size is not
@@ -84,7 +84,7 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
     leaf = (np.cumsum(kept) - 1)[leaf]
     means = np.array([mean for n, mean in stats if n])
     if km_params is not None:
-        return await _pkm_node(ctx, pts, km_params, means)
+        return await _pkm_node(ctx, pts, km_params, means[None])
     return await ctx.gather_rows(leaf), means
 
 
@@ -122,16 +122,16 @@ def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
     # splits; checking the rest here refuses a bad max_iter or tol before
     # the world runs
     params = KMeansParams(k=1, max_iter=max_iter, tol=tol)
-    (labels, centers, trace), timings = _run(world, X, height, params)
+    (labels, centers, [trace]), timings = _run(world, X, height, params)
     return ClusterReport(
         algo="pddp-km",
         p=world.size,
-        params={"height": height, "k": len(centers), "max_iter": max_iter,
+        params={"height": height, "k": centers.shape[1], "max_iter": max_iter,
                 "tol": tol},
         n=X.n,
         d=X.d,
-        labels=labels,
-        centroids=centers,
+        labels=labels[:, 0],
+        centroids=centers[0],
         j=trace[-1],
         iterations=len(trace),
         converged=_converged(trace, tol),

@@ -527,9 +527,9 @@ def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
 
 
 def _pkm_blocks(world, blocks):
-    """The pkm body on `blocks`, started from the first three rows."""
+    """The pkm body on `blocks`, one run started from the first three rows."""
     params = KMeansParams(k=3, max_iter=4)
-    return world.run(_pkm_node, blocks, params, np.array(blocks[0][:3]))
+    return world.run(_pkm_node, blocks, params, np.array(blocks[0][:3])[None])
 
 
 @pytest.mark.parametrize("run", [

@@ -15,9 +15,8 @@ from hypothesis.extra import numpy as hnp
 from parclust import exactsum
 from parclust.comm import CommWorld
 from parclust.core import DataSet, generate_blobs
-from parclust.exactsum import (fixed_from_float, fixed_ratio, fixed_ratios,
-                               fixed_to_float, fixed_to_floats,
-                               grouped_sums_fixed, sum_fixed)
+from parclust.exactsum import (fixed_ratio, fixed_ratios, fixed_to_float,
+                               fixed_to_floats, grouped_sums_fixed, sum_fixed)
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
 from parclust.pddp import pddp_km
@@ -29,6 +28,15 @@ edge_floats = st.one_of(
     finite_floats,
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                      MAX_FINITE, -MAX_FINITE, 1.0, -1.0]))
+
+
+def fixed_from_float(x: float) -> int:
+    """The exact image of one finite float64 on the 2**-1126 grid, one
+    value at a time: the oracle of the grouped sums. frexp writes x as
+    m * 2**e with |m| in [0.5, 1) and e >= -1073, so m * 2**53 is an exact
+    integer and the shift is never negative."""
+    m, e = math.frexp(x)
+    return int(m * float(1 << 53)) << (e + 1073)
 
 
 @given(finite_floats)

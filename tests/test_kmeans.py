@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DataSet, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances, sse_objective)
 from parclust.exactsum import (fixed_to_float, fixed_to_floats,
                                grouped_sums_fixed, sum_fixed)
-from parclust.kmeans import (KMeansParams, _init_centers, kmeans_centralized,
-                             pkm)
+from parclust.kmeans import (KMeansParams, _init_centers, _pkm_node,
+                             kmeans_centralized, pkm)
+from parclust.pca import KMeansLocal, cpca_cluster
 
 
 def _run_parallel(p, X, params, init_centers=None):
@@ -301,3 +302,216 @@ def test_a_bad_start_is_refused_before_the_world_runs(count_collectives):
         assert pkm(world, X, KMeansParams(k=3)).p == 2  # the world still runs
     finally:
         world.shutdown()
+
+
+# -- the run axis: restarts in lockstep ----------------------------------------
+
+
+def _runs(p, X, params, starts):
+    """The Lloyd body's (labels, centers, traces) from the (R, k, d) stack
+    `starts` on a p-node world over the rows of X."""
+    world = CommWorld(p)
+    try:
+        return world.run(_pkm_node, X, params, np.asarray(starts))[0]
+    finally:
+        world.shutdown()
+
+
+def _refusal(run):
+    """The message of a run that refuses to repair an empty cluster, or
+    None when it does not."""
+    try:
+        run()
+    except ValueError as exc:
+        if "cannot repair" not in str(exc):
+            raise
+        return str(exc)
+    return None
+
+
+@st.composite
+def run_axis_cases(draw):
+    """Rows on a coarse grid with duplicates, k up to n (so past 16 for
+    the larger draws), and one to four starts that may sit far from every
+    row, so that runs empty and repair clusters, converge at different
+    trips, or refuse."""
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3).map(float)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=3, max_size=24))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicates
+    k = draw(st.integers(1, len(rows)))
+    params = KMeansParams(k=k, max_iter=draw(st.integers(1, 6)),
+                          tol=draw(st.sampled_from([0.0, 1e-9, 0.5])))
+    far = st.lists(st.sampled_from([-40.0, 40.0]), min_size=d, max_size=d)
+    start = st.lists(st.one_of(st.sampled_from(rows), far),
+                     min_size=k, max_size=k)
+    starts = draw(st.lists(start, min_size=1, max_size=4))
+    return DataSet.from_points(rows), params, starts
+
+
+#: Cases that the property must cover, each checked for its feature below.
+_LINE = DataSet.from_points([[0.0], [1.0], [9.0], [10.0]])
+_GRID20 = [[float(i), float(i % 3)] for i in range(20)]
+_RUN_AXIS_EXAMPLES = {
+    # the first start converges on trip 3, the second on trip 4
+    "converge apart": (_LINE, KMeansParams(k=2), [[[0.0], [10.0]],
+                                                  [[0.0], [1.0]]]),
+    # 17 centers a run: the runs go to nearest_centers one at a time
+    "k > 16": (DataSet.from_points(_GRID20), KMeansParams(k=17, max_iter=5),
+               [_GRID20[:17], _GRID20[3:], _GRID20[::-1][:17]]),
+    # a duplicated row: the second start's two centers tie, so its
+    # cluster 1 empties and is repaired; the first start's does not
+    "one run repairs": (DataSet.from_points([[0.0], [0.0], [5.0]]),
+                        KMeansParams(k=2), [[[0.0], [5.0]], [[0.0], [0.0]]]),
+    # three clusters over two distinct rows: the first start finds every
+    # row on a centroid and refuses on trip 1, the second repairs onto
+    # rows and stops at max_iter
+    "one run refuses": (DataSet.from_points([[0.0], [0.0], [1.0]]),
+                        KMeansParams(k=3, max_iter=1),
+                        [[[0.0], [1.0], [40.0]], [[40.0], [41.0], [42.0]]]),
+}
+
+
+def _run_axis_check(case):
+    X, params, starts = case
+    for p in (1, 2, 3):
+        solos = [_refusal(lambda s=s: _runs(p, X, params, [s]))
+                 for s in starts]
+        refusals = {m for m in solos if m is not None}
+        out = []
+        got = _refusal(lambda: out.append(_runs(p, X, params, starts)))
+        if refusals:
+            # every refusal message names k and the distinct rows alone
+            assert [got] == list(refusals)
+            continue
+        assert got is None
+        [(labels, centers, traces)] = out
+        assert labels.shape == (X.n, len(starts))
+        assert centers.shape == (len(starts), params.k, X.d)
+        for r, start in enumerate(starts):
+            one_labels, one_centers, [one_trace] = _runs(p, X, params,
+                                                         [start])
+            assert _same_bits(labels[:, r].copy(), one_labels[:, 0].copy())
+            assert _same_bits(centers[r], one_centers[0])
+            # the trace, so the iteration count too
+            assert [t.hex() for t in traces[r]] == [t.hex() for t in one_trace]
+
+
+@given(run_axis_cases())
+@settings(deadline=None, max_examples=120)
+def test_each_run_of_a_stack_equals_a_run_of_its_own(case):
+    _run_axis_check(case)
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_AXIS_EXAMPLES))
+def test_each_run_of_a_stack_equals_a_run_of_its_own_on(name,
+                                                        count_collectives):
+    X, params, starts = _RUN_AXIS_EXAMPLES[name]
+    # each start on its own: (refusal, repairs, iterations)
+    solo = []
+    for s in starts:
+        before, out = set(count_collectives), []
+        msg = _refusal(lambda: out.append(_runs(1, X, params, [s])))
+        [world] = set(count_collectives) - before
+        solo.append((msg, count_collectives[world]["broadcast"],
+                     len(out[0][2][0]) if out else None))
+    msgs, repairs, iterations = zip(*solo)
+    # the case has the feature it is named for
+    if name == "converge apart":
+        assert iterations == (3, 4) and repairs == (0, 0)
+    elif name == "k > 16":
+        assert params.k > 16 and len(starts) > 1 and None not in iterations
+    elif name == "one run repairs":
+        assert repairs == (0, 1) and None not in iterations
+    else:
+        assert msgs[0] is not None and msgs[1] is None and repairs[1] > 0
+    _run_axis_check((X, params, starts))
+
+
+# -- KMeansLocal: the restarts of one nested world ----------------------------
+
+
+def _best_of_restarts(X, k, seed, max_iter):
+    """The labels of KMeansLocal as it ran its restarts one nested world at
+    a time: the first restart with the lowest objective."""
+    best = None
+    for i in range(KMeansLocal.RESTARTS):
+        params = KMeansParams(k=min(k, X.n), max_iter=max_iter,
+                              tol=KMeansLocal.TOL,
+                              seed=int(np.random.default_rng(
+                                  (seed, i)).integers(2**31)))
+        _, part, j, _ = kmeans_centralized(X, params)
+        if best is None or j < best[0]:
+            best = (j, part.labels)
+    return best[1]
+
+
+@st.composite
+def local_cases(draw):
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-4, 4).map(float)
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=2, max_size=30))
+    return (DataSet.from_points(rows), draw(st.integers(1, 20)),
+            draw(st.integers(0, 2**16)), draw(st.sampled_from([1, 2, 4, 300])))
+
+
+def _error(run):
+    """The message of a run that fails with ValueError, or None."""
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(local_cases())
+@example((generate_blobs(seed=3, k=3, per_cluster=40, d=2)[0], 3, 0, 300))
+@example((generate_blobs(seed=3, k=3, per_cluster=40, d=2)[0], 3, 5, 4))
+# the first restart refuses to repair on trip 1; a later one starts only on
+# zeros, so its squared distance to 1e200 overflows on that same trip
+@example((DataSet.from_points([[0.0]] * 3 + [[1e200]]), 3, 0, 4))
+@settings(deadline=None, max_examples=80)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_kmeans_local_keeps_the_labels_of_the_best_of_its_restarts(case):
+    X, k, seed, max_iter = case
+    local = KMeansLocal(seed=seed, max_iter=max_iter)
+    want = _error(lambda: _best_of_restarts(X, k, seed, max_iter))
+    got = _error(lambda: local(X, k))
+    assert got == want
+    if want is None:
+        assert _same_bits(np.asarray(local(X, k)),
+                          _best_of_restarts(X, k, seed, max_iter))
+
+
+@pytest.mark.parametrize("max_iter", [1, 4, 300])
+def test_kmeans_local_runs_one_nested_world_of_its_longest_restart(
+        max_iter, count_collectives):
+    X, _ = generate_blobs(seed=4, k=3, per_cluster=40, d=2)
+    trips = [kmeans_centralized(X, KMeansParams(
+        k=3, max_iter=max_iter, tol=KMeansLocal.TOL, seed=int(
+            np.random.default_rng((0, i)).integers(2**31))))[3]
+        for i in range(KMeansLocal.RESTARTS)]
+    count_collectives.clear()
+    KMeansLocal(max_iter=max_iter)(X, 3)
+    [counts] = count_collectives.values()
+    assert counts == {"allreduce_sum": max(trips), "gather": 1}
+    if max_iter == 300:
+        assert min(trips) < max(trips)  # the restarts stop apart
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_cpca_cluster_runs_one_lloyd_world_per_local_step(p,
+                                                          count_collectives):
+    X, _ = generate_blobs(seed=1, k=3, per_cluster=40, d=3)
+    world = CommWorld(p)
+    try:
+        cpca_cluster(world, split_blocks(X, p), KMeansLocal(), k=3)
+    finally:
+        world.shutdown()
+    nested = [c for w, c in count_collectives.items() if w is not world]
+    # a Lloyd world ends with a gather, a one-node PCA world makes none:
+    # two local steps a node and the merge
+    assert sum("gather" in c for c in nested) == 2 * p + 1
+    assert sum("gather" not in c for c in nested) == p

@@ -2,7 +2,9 @@
 
 Each algorithm runs in-process through `parclust.cli.main` on generated
 blobs (3 clusters of 100 rows, seed 1) at d = 2 and d = 9, at P = 1, 2
-and 3 where the algorithm allows more than one node; k-windows runs
+and 3 where the algorithm allows more than one node; cpca-cluster runs
+again with its local k-means capped at 1 and 4 Lloyd trips, so that its
+restarts stop at the cap as well as at convergence; k-windows runs
 again with 16 windows at half-widths 0.5, 2 and 3, and pddp and pddp-km
 again at heights 1, 3 and 5, deep enough for singletons, leaves that
 cannot split and levels that stop early. A line holds the
@@ -43,9 +45,12 @@ from parclust.pca import (DbscanLocal, KMeansLocal, cpca,  # noqa: E402
                           cpca_cluster)
 
 # every algorithm, once per value of a flag that picks its local body;
+# cpca-cluster's local k-means capped at 1 and 4 trips, where restarts stop
+# at the cap and not at convergence;
 # k-windows with enough windows and half-widths for paths of many
 # enlargements; the divisive trees at heights other than the default 2
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
+         "cpca-cluster --max-iter 1", "cpca-cluster --max-iter 4",
          "cpca-cluster --local-algo dbscan", "dbscan", "ddbc",
          "ddbc --local-model rep-scor", "pddp", "pddp-km",
          "kwindows --windows 16 --half-width 0.5",
