@@ -9,8 +9,10 @@ order make up the dataset, so a row is named by the dataset row of its
 block's first row, `ctx.start`, plus its position in the block. Each
 algorithm has one `async def` body for every node count, and every rank
 runs it on the one rank context, `NodeCtx`, entered only through
-`CommWorld.run`; a one-node world runs the same scheduler loop with one
-rank, and the centralized k-means is that body at P=1.
+`CommWorld.run`; every driver takes its rows as `run` does, a DataSet or
+a list of blocks, so the result of any blocking can be asked for; a
+one-node world runs the same scheduler loop with one rank, and the
+centralized k-means is that body at P=1.
 Reductions use exact fixed-point sums, so the same input yields
 bit-identical objectives at any node count.
 """

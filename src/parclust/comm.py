@@ -20,12 +20,14 @@ in rank order, is the dataset its concatenation defines: rank r's first
 row is dataset row `ctx.start`, the number of rows in the blocks before
 it, so a row is named by `ctx.start` plus its position in the block.
 Per-row results gathered in rank order concatenate back into dataset
-order, which is what `NodeCtx.gather_rows` hands rank 0. `run` is the
-only way into a run and the one place that pairs blocks with ranks: it
-hands each rank only its own block, not the dataset or its peers'
-blocks, and arguments that are the same on every rank, and it refuses a
-list that is not one block per rank, or whose blocks are not 2-D arrays
-of one width, before any rank runs.
+order, which is what `NodeCtx.gather_rows` hands rank 0. A block may be
+empty. `run` is the only way into a run and the one place that pairs
+blocks with ranks: it hands each rank only its own block, not the
+dataset or its peers' blocks, and arguments that are the same on every
+rank. Every driver takes its rows as `run` does, and `blocks_of` is the
+one check of a list, which `run` and the drivers share: a list that is
+not one block per rank, whose blocks are not 2-D arrays of one width,
+or that holds a NaN or an infinity is refused before any rank runs.
 
 A rank that returns while another waits at a collective is refused at
 once, so a rank that skips an `await` falls out of step and is refused
@@ -60,25 +62,44 @@ class CommAbort(RuntimeError):
 
 def split_blocks(X: DataSet, p: int) -> list[np.ndarray]:
     """Split a dataset into P in-order row blocks, views of `X.points`,
-    with sizes differing by <= 1."""
+    with sizes differing by <= 1, the first n % P longer; past n nodes the
+    last blocks are empty."""
     if p < 1:
         raise ValueError("node count must be >= 1")
-    if p > X.n:
-        raise ValueError("cannot split %d rows over %d nodes without empty shards"
-                         % (X.n, p))
-    base, extra = divmod(X.n, p)
-    blocks, start = [], 0
-    for r in range(p):
-        stop = start + base + (r < extra)  # the first `extra` are longer
-        blocks.append(X.points[start:stop])
-        start = stop
-    return blocks
+    return np.array_split(X.points, p)
 
 
 def blocks_of(rows, p: int) -> list[np.ndarray]:
     """`rows` as `CommWorld.run` hands them to a `p`-node world: a DataSet
-    split into one block per rank, or a list of blocks as given."""
-    return split_blocks(rows, p) if isinstance(rows, DataSet) else rows
+    split into one block per rank, or a list of blocks as given.
+
+    This is the one check of a list: one block per rank, each a 2-D array
+    as wide as block 0 and every value finite, or ValueError naming the
+    first block that is not. A DataSet was checked when it was built.
+    """
+    if isinstance(rows, DataSet):
+        return split_blocks(rows, p)
+    if len(rows) != p:
+        raise ValueError("%d blocks do not fit a %d-node world: one block "
+                         "per rank" % (len(rows), p))
+    for i, b in enumerate(rows):
+        if not (isinstance(b, np.ndarray) and b.ndim == 2
+                and b.shape[1:] == np.shape(rows[0])[1:]):
+            raise ValueError("block %d of shape %s is not a 2-D row array "
+                             "as wide as block 0" % (i, np.shape(b)))
+        if not np.isfinite(np.asarray(b, dtype=np.float64)).all():
+            raise ValueError("block %d contains non-finite values (NaN or "
+                             "infinity)" % i)
+    return rows
+
+
+def dataset_of(rows, p: int) -> DataSet:
+    """The DataSet `rows` define for a `p`-node world: a DataSet itself,
+    never copied, or the concatenation of a list that `blocks_of`
+    accepts. For drivers that read the whole dataset outside the ranks."""
+    if isinstance(rows, DataSet):
+        return rows
+    return DataSet(np.concatenate(blocks_of(rows, p)))
 
 
 @types.coroutine
@@ -111,9 +132,8 @@ class CommWorld:
         is an `async def` body). `rows` is a DataSet, split here into one
         block per rank and timed as `split`, or a list of 2-D row arrays
         used as given, with `split` 0; rank r's `ctx.start` is the number
-        of rows in blocks 0..r-1. A list that is not one block per rank, or
-        whose blocks are not 2-D arrays as wide as block 0, is refused with
-        ValueError before any rank runs.
+        of rows in blocks 0..r-1. A list that `blocks_of` refuses is
+        refused with its ValueError before any rank runs.
 
         Each step resumes the ranks in rank order until each posts a
         collective, then combines the posts and sends every rank the
@@ -126,17 +146,8 @@ class CommWorld:
         if self._closed is not None:
             raise CommAbort("world is closed: %s" % self._closed)
         t0 = time.perf_counter()
-        split = isinstance(rows, DataSet)
-        blocks = blocks_of(rows, self.size)
-        split_ms = (time.perf_counter() - t0) * 1e3 if split else 0.0
-        if len(blocks) != self.size:
-            raise ValueError("%d blocks do not fit a %d-node world: one block "
-                             "per rank" % (len(blocks), self.size))
-        for i, b in enumerate(blocks):
-            if not (isinstance(b, np.ndarray) and b.ndim == 2
-                    and b.shape[1:] == np.shape(blocks[0])[1:]):
-                raise ValueError("block %d of shape %s is not a 2-D row array "
-                                 "as wide as block 0" % (i, np.shape(b)))
+        blocks = blocks_of(rows, self.size)  # a list comes back as given
+        split_ms = 0.0 if blocks is rows else (time.perf_counter() - t0) * 1e3
         starts = accumulate((len(b) for b in blocks), initial=0)
         ranks: list = []
         rank = 0  # the rank being created or resumed, named if it fails

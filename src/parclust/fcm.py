@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx
-from .core import DataSet, squared_distances
+from .comm import CommWorld, NodeCtx, dataset_of
+from .core import squared_distances
 from .exactsum import fixed_ratios, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
 
@@ -117,12 +117,14 @@ def _converged(trace, tol) -> bool:
     return len(trace) > 1 and abs(trace[-2] - trace[-1]) <= tol
 
 
-async def _pfcm_node(ctx: NodeCtx, points, n, params):
-    """One rank's run over its block of the `n` rows; every rank returns
-    (labels, centers, trace), with the labels at rank 0 only, the trace
-    holding each iteration's objective."""
-    u = initial_membership(n, params.k, params.seed, ctx.start,
-                           ctx.start + len(points))
+async def _pfcm_node(ctx: NodeCtx, points, params):
+    """One rank's run over its block; every rank returns (labels, centers,
+    trace), with the labels at rank 0 only, the trace holding each
+    iteration's objective. Row j's start memberships depend on (seed, j)
+    alone, so the block draws them as the last rows of a dataset that
+    ends with it."""
+    u = initial_membership(ctx.start + len(points), params.k, params.seed,
+                           ctx.start)
     trace: list[float] = []
     for _ in range(params.max_iter):
         centers = await centroid_update(ctx, points, u, params.m)
@@ -135,11 +137,14 @@ async def _pfcm_node(ctx: NodeCtx, points, n, params):
     return await ctx.gather_rows(labels), centers, trace
 
 
-def pfcm(world: CommWorld, X: DataSet, params: FcmParams) -> ClusterReport:
-    """Parallel fuzzy c-means; defuzzified labels are argmax memberships."""
+def pfcm(world: CommWorld, rows, params: FcmParams) -> ClusterReport:
+    """Parallel fuzzy c-means of `rows`, a DataSet or a list of blocks, as
+    `CommWorld.run` takes them; defuzzified labels are argmax
+    memberships."""
+    X = dataset_of(rows, world.size)
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
-    (labels, centers, trace), timings = world.run(_pfcm_node, X, X.n, params)
+    (labels, centers, trace), timings = world.run(_pfcm_node, rows, params)
     return ClusterReport(
         algo="pfcm",
         p=world.size,

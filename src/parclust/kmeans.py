@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx
+from .comm import CommWorld, NodeCtx, dataset_of
 from .core import (_FEW_CENTERS, CentroidSet, DataSet, Partition,
                    column_midrange, lifted_rows, nearest_centers,
                    squared_distances)
@@ -288,17 +288,19 @@ def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
             len(trace))
 
 
-def pkm(world: CommWorld, X: DataSet, params: KMeansParams,
+def pkm(world: CommWorld, rows, params: KMeansParams,
         init_centers=None) -> ClusterReport:
-    """Parallel k-means over a simulated node group.
+    """Parallel k-means of `rows`, a DataSet or a list of blocks, as
+    `CommWorld.run` takes them.
 
-    The initial centroids are drawn (or checked) before the world runs and
-    handed to every rank; every iteration reduces the changes to the
-    per-cluster sums and counts, and the objective, in one collective.
-    Output is independent of world size.
+    The initial centroids are drawn (or checked) from the whole dataset
+    before the world runs and handed to every rank; every iteration
+    reduces the changes to the per-cluster sums and counts, and the
+    objective, in one collective. Output is independent of the blocking.
     """
+    X = dataset_of(rows, world.size)
     (labels, centers, [trace]), timings = world.run(
-        _pkm_node, X, params, _start(X, params, init_centers)[None])
+        _pkm_node, rows, params, _start(X, params, init_centers)[None])
     return ClusterReport(
         algo="pkm",
         p=world.size,

@@ -1,6 +1,6 @@
 """Box-window clustering with box queries answered over key-sorted shards.
 
-Every rank holds one contiguous block of rows (`split_blocks`) and sorts
+Every rank holds one contiguous block of rows (`blocks_of`) and sorts
 it once per call by its widest column, the key, into one column-major
 copy. Rank 0 runs the window phases. A window's path of box queries
 (movement, then enlargement) depends only on that window and the data
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx
+from .comm import CommWorld, NodeCtx, dataset_of
 from .core import NOISE, DataSet, KeySortedRows, Partition, components
 from .report import ClusterReport
 
@@ -402,11 +402,14 @@ class _WindowDriver:
         return labels, model
 
 
-def k_windows(world: CommWorld, X: DataSet, params: KWindowsParams) -> ClusterReport:
-    """Window clustering with every box query answered over key-sorted shards."""
+def k_windows(world: CommWorld, rows, params: KWindowsParams) -> ClusterReport:
+    """Window clustering of `rows`, a DataSet or a list of blocks, as
+    `CommWorld.run` takes them, with every box query answered over
+    key-sorted shards; rank 0's windows read the whole dataset."""
+    X = dataset_of(rows, world.size)
     if params.l > X.n:
         raise ValueError("l=%d exceeds the %d available rows" % (params.l, X.n))
-    (labels, model), timings = world.run(_search_node, X,
+    (labels, model), timings = world.run(_search_node, rows,
                                          _WindowDriver(X, params).run)
     return ClusterReport(
         algo="kwindows",

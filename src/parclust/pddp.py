@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx
-from .core import CentroidSet, DataSet, Partition, sse_objective
+from .comm import CommWorld, NodeCtx, dataset_of
+from .core import CentroidSet, Partition, sse_objective
 from .kmeans import KMeansParams, _converged, _pkm_node
 from .pca import exact_covariance, exact_means, principal_axes
 from .report import ClusterReport
@@ -88,16 +88,19 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
     return await ctx.gather_rows(leaf), means
 
 
-def _run(world: CommWorld, X: DataSet, height: int, km_params=None):
+def _run(world: CommWorld, rows, height: int, km_params=None):
     """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    return world.run(_pddp_node, X, height, km_params)
+    return world.run(_pddp_node, rows, height, km_params)
 
 
-def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:
-    """Leaves labeled left to right, with their means as the centroids."""
-    (labels, means), timings = _run(world, X, height)
+def pddp_report(world: CommWorld, rows, height: int) -> ClusterReport:
+    """The leaves of `rows`, a DataSet or a list of blocks, as
+    `CommWorld.run` takes them, labeled left to right, with their means as
+    the centroids."""
+    X = dataset_of(rows, world.size)
+    (labels, means), timings = _run(world, rows, height)
     return ClusterReport(
         algo="pddp",
         p=world.size,
@@ -111,9 +114,10 @@ def pddp_report(world: CommWorld, X: DataSet, height: int) -> ClusterReport:
     )
 
 
-def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
+def pddp_km(world: CommWorld, rows, height: int, max_iter: int = 300,
             tol: float = 1e-9) -> ClusterReport:
-    """Hybrid: the leaf means seed parallel k-means in the same run.
+    """Hybrid: the leaf means seed parallel k-means of `rows`, a DataSet or
+    a list of blocks, as `CommWorld.run` takes them, in the same run.
 
     The report carries both the seed-stage objective (the first Lloyd
     assignment, to the leaf means) and the final refined objective.
@@ -122,14 +126,14 @@ def pddp_km(world: CommWorld, X: DataSet, height: int, max_iter: int = 300,
     # splits; checking the rest here refuses a bad max_iter or tol before
     # the world runs
     params = KMeansParams(k=1, max_iter=max_iter, tol=tol)
-    (labels, centers, [trace]), timings = _run(world, X, height, params)
+    (labels, centers, [trace]), timings = _run(world, rows, height, params)
     return ClusterReport(
         algo="pddp-km",
         p=world.size,
         params={"height": height, "k": centers.shape[1], "max_iter": max_iter,
                 "tol": tol},
-        n=X.n,
-        d=X.d,
+        n=len(labels),
+        d=centers.shape[2],
         labels=labels[:, 0],
         centroids=centers[0],
         j=trace[-1],

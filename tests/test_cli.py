@@ -384,15 +384,17 @@ def test_more_clusters_than_distinct_rows_exits_two(tmp_path, capsys):
         assert "error: cannot repair an empty cluster" in captured.err
 
 
-def test_more_nodes_than_rows_exits_two(tmp_path, capsys):
+def test_more_nodes_than_rows_gives_the_one_node_report(tmp_path, capsys):
     data = tmp_path / "five.csv"
     data.write_text("0,0\n1,1\n2,2\n3,3\n4,4\n")
-    rc = main(["run", "--algo", "kwindows", "--data", str(data), "--windows",
-               "1", "--nodes", "8"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "error: cannot split 5 rows over 8 nodes" in captured.err
+    docs = [_run_json(capsys, ["run", "--algo", "kwindows", "--data",
+                               str(data), "--windows", "1", "--nodes", nodes])
+            for nodes in ("8", "1")]
+    # three of the eight blocks are empty
+    assert [doc.pop("p") for doc in docs] == [8, 1]
+    for doc in docs:
+        del doc["timings_ms"]
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("nodes, shards", [

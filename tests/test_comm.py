@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommAbort, CommWorld, split_blocks
+from parclust.comm import CommAbort, CommWorld, blocks_of, split_blocks
 from parclust.core import DataSet, generate_blobs
 from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from parclust.fcm import FcmParams, pfcm
-from parclust.kmeans import KMeansParams, _pkm_node, pkm
+from parclust.kmeans import KMeansParams, pkm
 from parclust.kwindows import KWindowsParams, k_windows
 from parclust.pca import KMeansLocal, cpca, cpca_cluster
 from parclust.pddp import pddp_km, pddp_report
@@ -68,23 +68,22 @@ def test_split_singletons():
 def test_split_rejects_bad_counts():
     with pytest.raises(ValueError):
         split_blocks(_toy(3), 0)
-    with pytest.raises(ValueError):
-        split_blocks(_toy(3), 4)
+    # more nodes than rows is not a bad count: the last blocks are empty
+    assert [len(b) for b in split_blocks(_toy(3), 4)] == [1, 1, 1, 0]
 
 
 @given(st.integers(1, 40), st.integers(1, 40))
 @settings(deadline=None)
 def test_split_blocks_partition_properties(n, p):
-    if p > n:
-        p = n
     X = _toy(n)
     blocks = split_blocks(X, p)
     sizes = [len(b) for b in blocks]
     assert len(blocks) == p and sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
     assert sorted(sizes, reverse=True) == sizes  # larger blocks first
-    # views of the dataset's rows, in order: no row is copied
-    assert all(np.shares_memory(b, X.points) for b in blocks)
+    # views of the dataset's rows, in order: no row is copied; past n
+    # nodes the last blocks are empty
+    assert all(np.shares_memory(b, X.points) for b in blocks if len(b))
     assert np.array_equal(np.vstack(blocks), X.points)
 
 
@@ -497,13 +496,19 @@ def test_uneven_blocks_start_after_the_rows_before_them():
     assert np.array_equal(swapped, np.vstack(blocks[::-1]))
 
 
-#: Drivers that take a list of blocks, one per rank of the world.
+#: Every driver, run on a world over `rows`, a DataSet or a list of blocks
+#: one per rank, as `CommWorld.run` takes them.
 _BLOCK_DRIVERS = {
-    "ddbc": lambda w, blocks: ddbc(w, blocks, DdbcParams(
+    "pkm": lambda w, rows: pkm(w, rows, KMeansParams(k=3)),
+    "pfcm": lambda w, rows: pfcm(w, rows, FcmParams(k=3)),
+    "pddp": lambda w, rows: pddp_report(w, rows, 2),
+    "pddp-km": lambda w, rows: pddp_km(w, rows, 2),
+    "k-windows": lambda w, rows: k_windows(w, rows, KWindowsParams(l=3,
+                                                                   a=1.0)),
+    "ddbc": lambda w, rows: ddbc(w, rows, DdbcParams(
         local=DbscanParams(eps=1.0, min_pts=3))),
-    "cpca-cluster": lambda w, blocks: cpca_cluster(w, blocks, KMeansLocal(),
-                                                   k=3),
-    "cpca": lambda w, blocks: cpca(w, blocks, 0.9),
+    "cpca-cluster": lambda w, rows: cpca_cluster(w, rows, KMeansLocal(), k=3),
+    "cpca": lambda w, rows: cpca(w, rows, 0.9),
 }
 
 
@@ -511,7 +516,6 @@ _BLOCK_DRIVERS = {
 def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
         algo, count_collectives):
     X, _ = generate_blobs(1, 3, 40, 2)
-    a, b = split_blocks(X, 2)
     world = CommWorld(2)
     try:
         # too many, too few and none
@@ -526,18 +530,9 @@ def test_blocks_that_do_not_fit_the_world_are_refused_before_it_runs(
     assert rep.n == X.n and rep.labels.shape == (X.n,)
 
 
-def _pkm_blocks(world, blocks):
-    """The pkm body on `blocks`, one run started from the first three rows."""
-    params = KMeansParams(k=3, max_iter=4)
-    return world.run(_pkm_node, blocks, params, np.array(blocks[0][:3])[None])
-
-
-@pytest.mark.parametrize("run", [
-    _BLOCK_DRIVERS["ddbc"], _BLOCK_DRIVERS["cpca-cluster"],
-    _BLOCK_DRIVERS["cpca"], _pkm_blocks], ids=["ddbc", "cpca-cluster", "cpca",
-                                              "pkm"])
+@pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
 def test_blocks_that_are_not_rows_of_one_width_are_refused_before_it_runs(
-        run, count_collectives):
+        algo, count_collectives):
     X, _ = generate_blobs(1, 3, 40, 3)
     a, b = split_blocks(X, 2)
     world = CommWorld(2)
@@ -549,7 +544,7 @@ def test_blocks_that_are_not_rows_of_one_width_are_refused_before_it_runs(
                 ([a, b[:, 0]], r"block 1 of shape \(60,\)"),
                 ([a, b.tolist()], r"block 1 of shape \(60, 3\)")):
             with pytest.raises(ValueError, match=why):
-                run(world, blocks)
+                _BLOCK_DRIVERS[algo](world, blocks)
         assert count_collectives[world] == {}
         # the world is still open
         rep = _BLOCK_DRIVERS["ddbc"](world, [a, b])
@@ -558,21 +553,28 @@ def test_blocks_that_are_not_rows_of_one_width_are_refused_before_it_runs(
     assert rep.n == X.n and rep.d == 3
 
 
-@pytest.mark.parametrize("algo", ["ddbc", "cpca-cluster"])
-def test_block_drivers_take_a_dataset_as_run_does(algo):
+@pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
+def test_blocks_with_non_finite_values_are_refused_before_it_runs(
+        algo, count_collectives):
     X, _ = generate_blobs(1, 3, 40, 2)
-    docs = []
-    for rows in (X, split_blocks(X, 3)):
-        world = CommWorld(3)
-        try:
-            docs.append(_BLOCK_DRIVERS[algo](world, rows).to_json_dict())
-        finally:
-            world.shutdown()
-    split, given = (doc.pop("timings_ms")["split"] for doc in docs)
-    assert docs[0] == docs[1]
-    # run times the split of a dataset, and blocks need none
-    assert split > 0.0 and given == 0.0
-
+    a, b = split_blocks(X, 2)
+    world = CommWorld(2)
+    try:
+        for bad in (np.nan, np.inf, -np.inf):
+            c = b.copy()
+            c[7, 1] = bad
+            with pytest.raises(ValueError, match=r"^block 1 contains "
+                               r"non-finite values \(NaN or infinity\)$"):
+                _BLOCK_DRIVERS[algo](world, [a, c])
+        assert count_collectives[world] == {}
+        # the world is still open
+        rep = _BLOCK_DRIVERS["ddbc"](world, [a, b])
+    finally:
+        world.shutdown()
+    assert rep.n == X.n
+    # finite rows of another dtype pass the check as given
+    blocks = [a, b.astype(object)]
+    assert blocks_of(blocks, 2) is blocks
 
 
 def _without_timings(out):
@@ -583,6 +585,23 @@ def _without_timings(out):
         del doc["timings_ms"]
         return doc
     return [a.tobytes() for a in (out.mean, out.components, out.eigenvalues)]
+
+
+@pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
+def test_block_drivers_take_a_dataset_as_run_does(algo):
+    X, _ = generate_blobs(1, 3, 40, 2)
+    outs = []
+    for rows in (X, split_blocks(X, 3)):
+        world = CommWorld(3)
+        try:
+            outs.append(_BLOCK_DRIVERS[algo](world, rows))
+        finally:
+            world.shutdown()
+    assert _without_timings(outs[0]) == _without_timings(outs[1])
+    if algo != "cpca":  # a basis carries no timings
+        split, given = (out.timings_ms["split"] for out in outs)
+        # run times the split of a dataset, and blocks need none
+        assert split > 0.0 and given == 0.0
 
 
 @pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
@@ -599,3 +618,38 @@ def test_a_block_list_is_the_dataset_its_concatenation_defines(algo):
             finally:
                 world.shutdown()
         assert out[0] == out[1]
+
+
+#: The drivers whose result is claimed the same for any blocking of the rows
+_INVARIANT = ("cpca", "k-windows", "pddp", "pddp-km", "pfcm", "pkm")
+
+
+@st.composite
+def _blockings(draw):
+    """Blob rows and an in-order cut of them into 1 to 8 blocks, some of
+    them uneven, of one row or empty, and more blocks than rows."""
+    X, _ = generate_blobs(draw(st.integers(0, 99)), 3, draw(st.integers(1, 8)),
+                          draw(st.integers(1, 3)))
+    p = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, X.n), min_size=p - 1,
+                                max_size=p - 1)))
+    bounds = [0, *cuts, X.n]
+    return X, [X.points[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+@given(_blockings())
+@settings(deadline=None, max_examples=50)
+def test_any_blocking_gives_the_one_node_result(blocking):
+    X, blocks = blocking
+    for algo in _INVARIANT:
+        out = []
+        for rows, p in ((blocks, len(blocks)), (X, 1)):
+            world = CommWorld(p)
+            try:
+                result = _without_timings(_BLOCK_DRIVERS[algo](world, rows))
+            finally:
+                world.shutdown()
+            if isinstance(result, dict):
+                del result["p"]
+            out.append(result)
+        assert out[0] == out[1], algo

@@ -10,17 +10,25 @@ again at heights 1, 3 and 5, deep enough for singletons, leaves that
 cannot split and levels that stop early. A line holds the
 algorithm, P, d, the exit code and a hash of the report with
 `timings_ms` dropped (of the error message, for a run that fails).
-Then the drivers that also take a list of blocks (`ddbc` with either
-local model, `cpca-cluster` with either local clusterer, and the `cpca`
-basis) run on the same blobs cut by `split_blocks` at P = 1, 2 and 3, a
-path the CLI never takes; a line holds the driver, P, d, "ok" or
-"error" and a hash of the report without `timings_ms`, of the basis's
-arrays, or of the error. Two source trees give equal results exactly
-where their digests match:
+Then every driver (`pkm`, `pfcm`, `pddp_report`, `pddp_km`, `k_windows`,
+`ddbc` with either local model, `cpca_cluster` with either local
+clusterer, and the `cpca` basis) runs with the CLI's defaults on the same
+blobs, passed as a list of blocks: cut by `split_blocks` at P = 1, 2 and
+3, and cut unevenly into blocks of 1, 0 and n - 1 rows, a path the CLI
+never takes; a line holds the driver, P (the block sizes for the uneven
+cut), d, "ok" or "error" and a hash of the report without `timings_ms`,
+of the basis's arrays, or of the error. Two source trees give equal
+results exactly where their digests match:
 
     python tools/report_digest.py > before.txt   # in one checkout
     python tools/report_digest.py > after.txt    # in the other
     diff before.txt after.txt
+
+`tests/report_digest.txt` holds this tree's output, and
+`tests/test_report_digest.py` checks that it still holds; a change that
+alters a report's bits regenerates it:
+
+    python tools/report_digest.py > tests/report_digest.txt
 
 The blob CSVs go to a temporary directory, removed on exit.
 """
@@ -41,8 +49,12 @@ from parclust import cli  # noqa: E402
 from parclust.comm import CommWorld, split_blocks  # noqa: E402
 from parclust.core import generate_blobs, write_csv  # noqa: E402
 from parclust.dbscan import DbscanParams, DdbcParams, ddbc  # noqa: E402
+from parclust.fcm import FcmParams, pfcm  # noqa: E402
+from parclust.kmeans import KMeansParams, pkm  # noqa: E402
+from parclust.kwindows import KWindowsParams, k_windows  # noqa: E402
 from parclust.pca import (DbscanLocal, KMeansLocal, cpca,  # noqa: E402
                           cpca_cluster)
+from parclust.pddp import pddp_km, pddp_report  # noqa: E402
 
 # every algorithm, once per value of a flag that picks its local body;
 # cpca-cluster's local k-means capped at 1 and 4 trips, where restarts stop
@@ -81,7 +93,7 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 
 def _block_drivers(eps: float) -> dict:
-    """Each driver that takes a list of blocks, with the CLI's defaults."""
+    """Every driver, with the CLI's defaults."""
     local = DbscanParams(eps=eps, min_pts=5)
     return {
         "ddbc": lambda w, b: ddbc(w, b, DdbcParams(local=local)),
@@ -91,15 +103,20 @@ def _block_drivers(eps: float) -> dict:
         "cpca-cluster --local-algo dbscan": lambda w, b: cpca_cluster(
             w, b, DbscanLocal(eps, 5), 3),
         "cpca": lambda w, b: cpca(w, b, 0.9),
+        "pkm": lambda w, b: pkm(w, b, KMeansParams(k=3)),
+        "pfcm": lambda w, b: pfcm(w, b, FcmParams(k=3)),
+        "pddp": lambda w, b: pddp_report(w, b, 2),
+        "pddp-km": lambda w, b: pddp_km(w, b, 2),
+        "kwindows": lambda w, b: k_windows(w, b, KWindowsParams(l=3, a=1.0)),
     }
 
 
-def _run_blocks(driver, X, p: int) -> tuple[str, str]:
-    """"ok" and the digest of the driver's result on `split_blocks(X, p)`,
+def _run_blocks(driver, blocks: list) -> tuple[str, str]:
+    """"ok" and the digest of the driver's result on the list `blocks`,
     or "error" and the digest of its error."""
-    world = CommWorld(p)
+    world = CommWorld(len(blocks))
     try:
-        out = driver(world, split_blocks(X, p))
+        out = driver(world, blocks)
     except (ValueError, RuntimeError) as exc:
         return "error", _digest(("%s: %s" % (type(exc).__name__, exc)).encode())
     finally:
@@ -129,11 +146,14 @@ def main() -> int:
                     code, digest = _run(argv)
                     print("%-32s P=%d d=%d exit=%d %s"
                           % (name, p, d, code, digest))
+            uneven = [X.points[:1], X.points[1:1], X.points[1:]]
+            cuts = [(str(p), split_blocks(X, p)) for p in (1, 2, 3)]
+            cuts.append(("+".join(str(len(b)) for b in uneven), uneven))
             for name, driver in _block_drivers(_EPS[d]).items():
-                for p in (1, 2, 3):
-                    print("%-39s P=%d d=%d %-5s %s"
+                for p, blocks in cuts:
+                    print("%-39s P=%s d=%d %-5s %s"
                           % (("blocks " + name, p, d)
-                             + _run_blocks(driver, X, p)))
+                             + _run_blocks(driver, blocks)))
     return 0
 
 
