@@ -93,6 +93,21 @@ def blocks_of(rows, p: int) -> list[np.ndarray]:
     return rows
 
 
+def row_width(rows) -> int:
+    """The column count of `rows`, a DataSet or a list that `blocks_of`
+    has accepted; nothing is checked again."""
+    return rows.d if isinstance(rows, DataSet) else rows[0].shape[1]
+
+
+def block_sizes(rows, p: int) -> list[int]:
+    """The row count of each block a `p`-node world is handed for `rows`,
+    a DataSet or a list that `blocks_of` has accepted; nothing is checked
+    again."""
+    if isinstance(rows, DataSet):
+        rows = split_blocks(rows, p)
+    return [len(b) for b in rows]
+
+
 def dataset_of(rows, p: int) -> DataSet:
     """The DataSet `rows` define for a `p`-node world: a DataSet itself,
     never copied, or the concatenation of a list that `blocks_of`

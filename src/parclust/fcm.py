@@ -64,13 +64,17 @@ def membership_update(d2: np.ndarray, m: float) -> np.ndarray:
     their (rows, k) squared distances to the centroids.
 
     A point coinciding with one or more centroids gets membership 1 on
-    the lowest-index coincident centroid and 0 elsewhere.
+    the lowest-index coincident centroid and 0 elsewhere. Without such a
+    point, every row takes the inverse-distance weights directly, with no
+    masked copies.
     """
-    u = np.zeros_like(d2)
     zero_rows = (d2 == 0.0).any(axis=1)
-    if zero_rows.any():
-        hit = np.argmax(d2[zero_rows] == 0.0, axis=1)
-        u[np.nonzero(zero_rows)[0], hit] = 1.0
+    if not zero_rows.any():
+        w = d2 ** (-1.0 / (m - 1.0))
+        return w / w.sum(axis=1, keepdims=True)
+    u = np.zeros_like(d2)
+    hit = np.argmax(d2[zero_rows] == 0.0, axis=1)
+    u[np.nonzero(zero_rows)[0], hit] = 1.0
     reg = ~zero_rows
     if reg.any():
         w = d2[reg] ** (-1.0 / (m - 1.0))

@@ -28,6 +28,16 @@ in one grouped call over every live run's clusters; integer addition is
 exact, so the updated sums equal a full recount. Only the centers whose
 sums or counts changed are recomputed, and a mean of unchanged sums is
 the same float.
+
+The sums of data rows are kept on the data's own grid (`exactsum.
+data_grid`), which the drivers work out from every row before the world
+runs and hand to every rank, so they are integers of a few dozen bits
+rather than on the 2**-1126 grid; their quotients are the same floats.
+A run whose trip changed no sum and no count, and left no cluster empty,
+is at Lloyd's fixed point: the next trip would repeat it bit for bit and
+end the run by the tol test. That trip is recorded without being run,
+so `iterations` counts it, and a run that converges makes one allreduce
+fewer than it has iterations.
 """
 
 from __future__ import annotations
@@ -42,7 +52,8 @@ from .comm import CommWorld, NodeCtx, dataset_of
 from .core import (_FEW_CENTERS, CentroidSet, DataSet, Partition,
                    column_midrange, lifted_rows, nearest_centers,
                    squared_distances)
-from .exactsum import fixed_to_float, fixed_to_floats, grouped_sums_fixed
+from .exactsum import (data_grid, fixed_to_float, fixed_to_floats,
+                       grouped_sums_fixed)
 from .report import ClusterReport
 
 
@@ -82,10 +93,10 @@ def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:
     return centers
 
 
-def _moved_stats(points, old, new, groups) -> list[int]:
+def _moved_stats(points, old, new, groups, grid) -> list[int]:
     """This block's exact change of the per-cluster sums and counts, from
     the (rows, runs) labels of some runs before and after a trip, each a
-    (run, cluster) group below `groups`.
+    (run, cluster) group below `groups`; the sums are on the grid 2**grid.
 
     Only the (row, run) cells whose label differs are summed, in one
     grouped call: each moved row goes into its group `new` and, unless it
@@ -101,7 +112,7 @@ def _moved_stats(points, old, new, groups) -> list[int]:
     had = src >= 0
     out = grouped_sums_fixed(
         np.concatenate((points[rows], -points[rows[had]])),
-        np.concatenate((dst, src[had])), groups)
+        np.concatenate((dst, src[had])), groups, grid)
     out.extend((np.bincount(dst, minlength=groups)
                 - np.bincount(src[had], minlength=groups)).tolist())
     return out
@@ -180,28 +191,39 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
-async def _pkm_node(ctx: NodeCtx, pts, params, starts):
+async def _pkm_node(ctx: NodeCtx, pts, params, starts, grid):
     """One rank's R Lloyd runs over its block, in lockstep, from the
     (R, k, d) stack of starts `starts`, the same on every rank; every rank
     returns (labels, centers, traces): the (rows, R) labels of every
     (row, run), at rank 0 only, the (R, k, d) centers, and one trace per
     run holding each of its iterations' objectives. `params` gives
-    max_iter and tol. Each run gives the same bits as a run of its own
-    (R = 1) from its start.
+    max_iter and tol, and `grid`, the same on every rank, the exponent of
+    a grid that holds every value of every block (`data_grid`). Each run
+    gives the same bits as a run of its own (R = 1) from its start.
 
     Each iteration makes one allreduce, of the live runs' changes to the
     per-cluster sums and counts (one grouped exact sum over every (run,
-    cluster) group), then their exact objectives (one exact sum per run).
-    Which centers to recompute, and so which distance columns to refresh,
-    follows from the reduced changes and the replicated centers only,
-    never from this block's own rows: a center moves on every rank when
-    rows of any block change cluster. A run whose objective passes the
-    tol test leaves the live set, its labels, centers and trace frozen;
-    the loop ends when no run is live, or at max_iter. A run's labels are
-    its last assignment's, its centers its last update's. Empty clusters
-    are repaired run by run in run order, each with the run's own
-    distances and picked rows; a relocation that finds no free row off a
-    centroid refuses, with the distinct rows counted over every block.
+    cluster) group, on the data's grid), then their exact objectives (one
+    exact sum per run, on the default grid: squared distances are not
+    data values). Which centers to recompute, and so which distance
+    columns to refresh, follows from the reduced changes and the
+    replicated centers only, never from this block's own rows: a center
+    moves on every rank when rows of any block change cluster. A run
+    whose objective passes the tol test leaves the live set, its labels,
+    centers and trace frozen; the loop ends when no run is live, or at
+    max_iter. A run's labels are its last assignment's, its centers its
+    last update's. Empty clusters are repaired run by run in run order,
+    each with the run's own distances and picked rows; a relocation that
+    finds no free row off a centroid refuses, with the distinct rows
+    counted over every block.
+
+    A run whose reduced changes are all zero, with no empty cluster and a
+    trip left, is at Lloyd's fixed point: its centers stay, so the next
+    trip would repeat its labels, distances and objective bit for bit,
+    and the tol test would end the run there. The run records that
+    objective once more instead, as that trip would have, and leaves the
+    live set without the trip, so its labels, centers, trace and
+    iteration count are the same and it makes one allreduce fewer.
     """
     runs, k, d = starts.shape
     kd = k * d
@@ -213,11 +235,11 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     traces: list[list[float]] = [[] for _ in range(runs)]
     assign = _assignment(pts, starts)
     centers, live = starts, list(range(runs))
-    for _ in range(params.max_iter):
+    for trip in range(1, params.max_iter + 1):
         new, d2min = assign(centers, live)
         every = len(live) == runs
         stats = _moved_stats(pts, labels if every else labels[:, live], new,
-                             runs * k)
+                             runs * k, grid)
         stats += grouped_sums_fixed(d2min)
         g = await ctx.allreduce_sum(stats)
         if every:
@@ -233,13 +255,16 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
             trace.append(fixed_to_float(g[runs * (kd + k) + j]))
             if _converged(trace, params.tol):
                 continue
-            still.append(run)
             gs = g[run * kd:(run + 1) * kd]
             gc = g[runs * kd + run * k:runs * kd + (run + 1) * k]
             run_sums, run_counts = sums[run], counts[run]
-            run_centers = centers[run]  # a view, written in place
             changed = {i // d for i in range(kd) if gs[i]}
             changed.update(i for i in range(k) if gc[i])
+            if not changed and trip < params.max_iter and all(run_counts):
+                trace.append(trace[-1])  # the fixed point's trip
+                continue
+            still.append(run)
+            run_centers = centers[run]  # a view, written in place
             for i in changed:
                 cluster = slice(i * d, (i + 1) * d)
                 run_sums[cluster] = [a + b for a, b in
@@ -247,7 +272,7 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
                 run_counts[i] += gc[i]
                 if run_counts[i]:
                     run_centers[i] = fixed_to_floats(run_sums[cluster],
-                                                     run_counts[i])
+                                                     run_counts[i], grid)
             used: set[int] = set()
             for i in [i for i in range(k) if run_counts[i] == 0]:
                 cands = await ctx.gather(
@@ -279,11 +304,13 @@ def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
 
     Returns (CentroidSet, Partition, objective, iterations). Stops when
     the objective decreases by at most tol between iterations, or at
-    max_iter. Empty clusters are repaired by relocating the centroid to
-    the point farthest from its assigned centroid.
+    max_iter; `iterations` counts a fixed point's last trip, which is
+    recorded without being run. Empty clusters are repaired by relocating
+    the centroid to the point farthest from its assigned centroid.
     """
     (labels, centers, [trace]), _ = CommWorld(1).run(
-        _pkm_node, X, params, _start(X, params, init_centers)[None])
+        _pkm_node, X, params, _start(X, params, init_centers)[None],
+        data_grid(X.points))
     return (CentroidSet(centers[0]), Partition(labels[:, 0]), trace[-1],
             len(trace))
 
@@ -293,14 +320,16 @@ def pkm(world: CommWorld, rows, params: KMeansParams,
     """Parallel k-means of `rows`, a DataSet or a list of blocks, as
     `CommWorld.run` takes them.
 
-    The initial centroids are drawn (or checked) from the whole dataset
-    before the world runs and handed to every rank; every iteration
-    reduces the changes to the per-cluster sums and counts, and the
-    objective, in one collective. Output is independent of the blocking.
+    The initial centroids and the data grid are worked out from the
+    whole dataset before the world runs and handed to every rank; every
+    trip reduces the changes to the per-cluster sums and counts, and the
+    objective, in one collective, and a fixed point's last iteration is
+    recorded without a trip. Output is independent of the blocking.
     """
     X = dataset_of(rows, world.size)
     (labels, centers, [trace]), timings = world.run(
-        _pkm_node, rows, params, _start(X, params, init_centers)[None])
+        _pkm_node, rows, params, _start(X, params, init_centers)[None],
+        data_grid(X.points))
     return ClusterReport(
         algo="pkm",
         p=world.size,

@@ -271,14 +271,20 @@ class _WindowDriver:
     def _move(self, w: Window):
         """Movement from `w.enclosed`, the rows its current box holds, which
         the caller has already queried: re-center on the mean of the
-        enclosed rows until the count grows by less than theta_move."""
+        enclosed rows until the count grows by less than theta_move. A
+        mean equal to the center gives the same box, which holds the rows
+        enclosed, a growth of 0: it ends the movement without a query."""
         steps = 0
         while w.enclosed.size:
             steps += 1
             if steps > self.X.n + 1:
                 raise RuntimeError("movement failed to stabilize")
             prev = w.enclosed.size
-            w.center = self._mean(w.enclosed)
+            center = self._mean(w.enclosed)
+            same = center.tolist() == w.center.tolist()  # 0.0 == -0.0
+            w.center = center
+            if same:
+                break
             w.enclosed, = yield [w.bounds()]
             if w.enclosed.size - prev < self.params.theta_move * prev:
                 break
@@ -295,15 +301,24 @@ class _WindowDriver:
         and half-widths, so the trials of all remaining coordinates are asked
         in one step; the first kept trial wins and the answers after it are
         dropped. A kept enlargement keeps the rows its trial box found, so
-        movement goes on from them without asking for that box again."""
+        movement goes on from them without asking for that box again.
+        Whether a trial is kept depends only on its box, the rows and the
+        window's current box, so the coordinates whose trials were refused
+        since the window last changed are not asked again: they would be
+        refused again. A kept trial changes the window, as its box holds
+        more rows than the window's."""
         d, theta = self.X.d, self.params.theta_enlarge
         w.enclosed, = yield [w.bounds()]
         yield from self._move(w)
+        refused: set[int] = set()  # since the window last changed
         # safety cap: movement after a kept growth may shed points again
         for _ in range(50):
             kept, t = False, 0
             while t < d and w.enclosed.size:
-                before, grown, t = w.enclosed.size, range(t, d), d
+                # never empty: a keep clears `refused`, and the sweeps
+                # after it refuse only coordinates past the kept one
+                grown = [s for s in range(t, d) if s not in refused]
+                before, t = w.enclosed.size, d
                 trials = []
                 for s in grown:
                     trial = w.half_width.copy()
@@ -315,8 +330,10 @@ class _WindowDriver:
                             hits.size - before >= theta * before:
                         w.half_width, w.enclosed = trial, hits
                         yield from self._move(w)
+                        refused.clear()
                         kept, t = True, s + 1
                         break
+                    refused.add(s)
             if not kept:
                 return
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, blocks_of
+from .comm import CommWorld, NodeCtx, block_sizes, row_width
 from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
-from .exactsum import fixed_to_floats, grouped_sums_fixed
+from .exactsum import data_grid, fixed_to_floats, grouped_sums_fixed
 from .kmeans import (KMeansParams, _init_centers, _pkm_node,
                      kmeans_centralized)
 from .report import ClusterReport
@@ -200,23 +200,26 @@ class KMeansLocal:
     TOL = 1e-9
 
     def __init__(self, seed: int = 0, max_iter: int = 300):
-        self.seed = seed
         self.max_iter = max_iter
+        # each restart's seed, derived once: every call draws its starts
+        # from the same seeds
+        self.seeds = [int(np.random.default_rng((seed, i)).integers(2**31))
+                      for i in range(self.RESTARTS)]
 
     def __call__(self, X: DataSet, k: int) -> np.ndarray:
         params = KMeansParams(k=min(k, X.n), max_iter=self.max_iter,
                               tol=self.TOL)
-        starts = np.stack([_init_centers(X, params.k, int(
-            np.random.default_rng((self.seed, i)).integers(2**31)))
-            for i in range(self.RESTARTS)])
+        starts = np.stack([_init_centers(X, params.k, seed)
+                           for seed in self.seeds])
+        grid = data_grid(X.points)
         try:
             (labels, _, traces), _ = CommWorld(1).run(_pkm_node, X, params,
-                                                      starts)
+                                                      starts, grid)
         except ValueError:
             # the error of the first restart that fails on its own, which
             # lockstep may meet after another restart's
             for start in starts:
-                CommWorld(1).run(_pkm_node, X, params, start[None])
+                CommWorld(1).run(_pkm_node, X, params, start[None], grid)
             raise
         # min keeps the first of equal objectives
         return labels[:, min(range(self.RESTARTS),
@@ -351,7 +354,6 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
     _check_fraction(variance_fraction)
-    blocks = blocks_of(rows, world.size)
     try:
         (labels, n_sketches, n_reps), timings = world.run(
             _cpca_cluster_node, rows, clusterer, k, reps_per_cluster,
@@ -361,7 +363,8 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
             "no representatives for the global basis: local %s clustering in "
             "each node's own PCA space marked every row as noise on every "
             "shard (%s)" % (clusterer.name, ", ".join(
-                "node %d: %d rows" % (r, len(b)) for r, b in enumerate(blocks)))
+                "node %d: %d rows" % (r, n)
+                for r, n in enumerate(block_sizes(rows, world.size))))
         ) from None
     return ClusterReport(
         algo="cpca-cluster",
@@ -370,7 +373,7 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
                 "variance_fraction": variance_fraction, "seed": seed,
                 "local_algo": clusterer.name},
         n=len(labels),
-        d=blocks[0].shape[1],
+        d=row_width(rows),
         labels=labels,
         model={"sketches": int(n_sketches), "representatives": int(n_reps)},
         timings_ms=timings,

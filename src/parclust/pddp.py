@@ -25,6 +25,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, dataset_of
 from .core import CentroidSet, Partition, sse_objective
+from .exactsum import data_grid
 from .kmeans import KMeansParams, _converged, _pkm_node
 from .pca import exact_covariance, exact_means, principal_axes
 from .report import ClusterReport
@@ -40,7 +41,7 @@ def _project(centered: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return proj
 
 
-async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
+async def _pddp_node(ctx: NodeCtx, pts, height, km):
     """One rank's divisive run over its block, then the leaf means on
     every rank.
 
@@ -49,11 +50,11 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
     left child first; one without a direction, or with the same rows as
     its parent (a split that put every row on one side), is final and is
     not reduced again. The levels stop at `height` or when no cluster is
-    live. Without `km_params`, every rank returns the leaf labels of all
-    rows, at rank 0 only, and the (k, d) leaf means. With them, the leaf
-    means seed one run of the Lloyd body on the same block, and every rank
-    returns that body's (labels, centers, traces), with the labels at
-    rank 0 only.
+    live. Without `km`, every rank returns the leaf labels of all rows, at
+    rank 0 only, and the (k, d) leaf means. With `km`, a pair of the Lloyd
+    body's params and data grid, the leaf means seed one run of that body
+    on the same block, and every rank returns its (labels, centers,
+    traces), with the labels at rank 0 only.
     """
     leaf = np.zeros(len(pts), dtype=np.int64)  # each row's cluster
     # the size of each cluster's parent; 0 for the root, whose size is not
@@ -83,16 +84,16 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km_params):
     kept = np.array([n > 0 for n, _ in stats])
     leaf = (np.cumsum(kept) - 1)[leaf]
     means = np.array([mean for n, mean in stats if n])
-    if km_params is not None:
-        return await _pkm_node(ctx, pts, km_params, means[None])
+    if km is not None:
+        return await _pkm_node(ctx, pts, km[0], means[None], km[1])
     return await ctx.gather_rows(leaf), means
 
 
-def _run(world: CommWorld, rows, height: int, km_params=None):
+def _run(world: CommWorld, rows, height: int, km=None):
     """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    return world.run(_pddp_node, rows, height, km_params)
+    return world.run(_pddp_node, rows, height, km)
 
 
 def pddp_report(world: CommWorld, rows, height: int) -> ClusterReport:
@@ -126,7 +127,9 @@ def pddp_km(world: CommWorld, rows, height: int, max_iter: int = 300,
     # splits; checking the rest here refuses a bad max_iter or tol before
     # the world runs
     params = KMeansParams(k=1, max_iter=max_iter, tol=tol)
-    (labels, centers, [trace]), timings = _run(world, rows, height, params)
+    grid = data_grid(dataset_of(rows, world.size).points)
+    (labels, centers, [trace]), timings = _run(world, rows, height,
+                                               (params, grid))
     return ClusterReport(
         algo="pddp-km",
         p=world.size,

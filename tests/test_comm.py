@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import sys
 import threading
 import time
 
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parclust import comm as comm_module
 from parclust.comm import CommAbort, CommWorld, blocks_of, split_blocks
 from parclust.core import DataSet, generate_blobs
 from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
 from parclust.kwindows import KWindowsParams, k_windows
-from parclust.pca import KMeansLocal, cpca, cpca_cluster
+from parclust.pca import DbscanLocal, KMeansLocal, cpca, cpca_cluster
 from parclust.pddp import pddp_km, pddp_report
 
 
@@ -653,3 +655,62 @@ def test_any_blocking_gives_the_one_node_result(blocking):
                 del result["p"]
             out.append(result)
         assert out[0] == out[1], algo
+
+
+@pytest.mark.parametrize("algo", ["ddbc", "cpca-cluster", "cpca"])
+def test_a_list_goes_through_its_check_once_per_driver_call(algo,
+                                                            monkeypatch):
+    # the nested one-node worlds check their own lists, never the caller's
+    checked = []
+    original = comm_module.blocks_of
+
+    def counted(rows, p):
+        checked.append(rows)
+        return original(rows, p)
+
+    for name, module in list(sys.modules.items()):  # every import of it
+        if name.startswith("parclust") and \
+                getattr(module, "blocks_of", None) is original:
+            monkeypatch.setattr(module, "blocks_of", counted)
+    X, _ = generate_blobs(1, 3, 40, 2)
+    blocks = split_blocks(X, 2)
+    world = CommWorld(2)
+    try:
+        rep = _BLOCK_DRIVERS[algo](world, blocks)
+    finally:
+        world.shutdown()
+    assert sum(rows is blocks for rows in checked) == 1
+    if algo != "cpca":
+        assert (rep.n, rep.d) == (X.n, X.d)
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_the_refusals_that_name_the_shards_are_unchanged(as_list):
+    # 20 rows alternating (0, 0) and (5, 5): 4 shards of 5 rows, each with
+    # at most 3 copies of a point, hold no core point under min_pts 5
+    alt = DataSet.from_points([[0.0, 0.0], [5.0, 5.0]] * 10)
+    rows = split_blocks(alt, 4) if as_list else alt
+    world = CommWorld(4)
+    try:
+        with pytest.raises(ValueError) as exc:
+            ddbc(world, rows, DdbcParams(local=DbscanParams(eps=0.5,
+                                                            min_pts=5)))
+    finally:
+        world.shutdown()
+    assert str(exc.value) == (
+        "no shard of 5 to 5 rows holds a core point under eps=0.5 and "
+        "min_pts=5, and an all-noise answer over 4 nodes cannot be told from "
+        "shards too small to show the clusters; use fewer nodes")
+    # local density clustering that marks every row as noise
+    X, _ = generate_blobs(1, 3, 60, 2)
+    rows = split_blocks(X, 3) if as_list else X
+    world = CommWorld(3)
+    try:
+        with pytest.raises(ValueError) as exc:
+            cpca_cluster(world, rows, DbscanLocal(1e-6, 3), k=2)
+    finally:
+        world.shutdown()
+    assert str(exc.value) == (
+        "no representatives for the global basis: local dbscan clustering in "
+        "each node's own PCA space marked every row as noise on every shard "
+        "(node 0: 60 rows, node 1: 60 rows, node 2: 60 rows)")

@@ -15,8 +15,8 @@ from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DISTANCE_BLOCK_CELLS, NOISE, DataSet,
                            KeySortedRows, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances)
-from parclust.dbscan import (DbscanParams, DdbcParams, dbscan, ddbc,
-                             density_scan, rep_kmeans_model,
+from parclust.dbscan import (SWEEP_BLOCK_CELLS, DbscanParams, DdbcParams,
+                             dbscan, ddbc, density_scan, rep_kmeans_model,
                              specific_core_points)
 
 # the package re-exports the function `dbscan`, which hides the module
@@ -204,10 +204,11 @@ def _slab_on(points, col):
     return KeySortedRows(col, order, rows, np.ascontiguousarray(rows[:, col]))
 
 
-def _sweep(slab, eps2, cells=DISTANCE_BLOCK_CELLS):
+def _sweep(slab, eps2, cells=SWEEP_BLOCK_CELLS):
     """Each row's neighbour ids from one sweep, blocked at `cells` distances,
-    after checking the CSR layout: int32 ids in slab order."""
-    with mock.patch.object(dbscan_module, "DISTANCE_BLOCK_CELLS", cells), \
+    after checking the CSR layout: int32 ids in slab order. The exact
+    rescoring of open rows is blocked at `cells` too."""
+    with mock.patch.object(dbscan_module, "SWEEP_BLOCK_CELLS", cells), \
             mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells):
         indptr, nbr = dbscan_module._neighbourhoods(slab, eps2)
     n = slab.order.size
@@ -223,7 +224,8 @@ def _sweep(slab, eps2, cells=DISTANCE_BLOCK_CELLS):
     return [sets[row] for row in range(n)]
 
 
-@given(slab_cases(), st.sampled_from([1, 2, 5, 40, DISTANCE_BLOCK_CELLS]))
+@given(slab_cases(), st.sampled_from([1, 2, 5, 40, DISTANCE_BLOCK_CELLS,
+                                      SWEEP_BLOCK_CELLS]))
 @settings(deadline=None, max_examples=300)
 def test_slab_query_equals_brute_force(case, cells):
     points, col, eps2 = case
@@ -233,7 +235,7 @@ def test_slab_query_equals_brute_force(case, cells):
 
 
 # one row a block, where each row's own band decides, and the default blocks
-BLOCKINGS = (1, DISTANCE_BLOCK_CELLS)
+BLOCKINGS = (1, SWEEP_BLOCK_CELLS)
 
 
 def test_slab_keeps_a_row_exactly_eps_away_on_the_key_column():
@@ -261,7 +263,7 @@ def test_slab_with_a_constant_key_column_scores_every_pair():
     rng = np.random.default_rng(3)
     points = np.column_stack([np.full(300, 7.0), rng.normal(size=(300, 2))])
     slab = _slab_on(points, 0)
-    for cells in (7, 1000, DISTANCE_BLOCK_CELLS):
+    for cells in (7, 1000, SWEEP_BLOCK_CELLS):
         got = _sweep(slab, 0.25, cells)
         for row in range(points.shape[0]):
             assert got[row] == _brute_neighbors(points, row, 0.25).tolist()

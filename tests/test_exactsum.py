@@ -15,10 +15,12 @@ from hypothesis.extra import numpy as hnp
 from parclust import exactsum
 from parclust.comm import CommWorld
 from parclust.core import DataSet, generate_blobs
-from parclust.exactsum import (fixed_ratio, fixed_ratios, fixed_to_float,
-                               fixed_to_floats, grouped_sums_fixed, sum_fixed)
+from parclust.exactsum import (data_grid, fixed_ratio, fixed_ratios,
+                               fixed_to_float, fixed_to_floats,
+                               grouped_sums_fixed, sum_fixed)
 from parclust.fcm import FcmParams, pfcm
-from parclust.kmeans import KMeansParams, pkm
+from parclust.kmeans import KMeansParams, _init_centers, _pkm_node, pkm
+from parclust.pca import KMeansLocal
 from parclust.pddp import pddp_km
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -225,11 +227,11 @@ def _grouped_oracle(a, groups, ngroups):
 
 
 @st.composite
-def grouped_inputs(draw, max_rows=40):
+def grouped_inputs(draw, max_rows=40, elements=edge_floats):
     n = draw(st.integers(0, max_rows))
     c = draw(st.integers(1, 4))
     ngroups = draw(st.integers(1, 5))
-    a = draw(hnp.arrays(np.float64, (n, c), elements=edge_floats))
+    a = draw(hnp.arrays(np.float64, (n, c), elements=elements))
     # groups may be left empty: labels are drawn from a subset
     groups = draw(hnp.arrays(np.int64, (n,),
                              elements=st.integers(0, ngroups - 1)))
@@ -244,6 +246,47 @@ def test_grouped_sums_match_rational_oracle(case):
     want = _grouped_oracle(a, groups, ngroups)
     assert len(got) == len(want)
     assert [Fraction(v, 1 << 1126) for v in got] == want
+
+
+# values spread over 1e-300..1e300 of either sign, among the edge floats
+spread_floats = st.one_of(
+    edge_floats,
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+              st.integers(-300, 300)))
+
+
+@given(grouped_inputs(elements=spread_floats), st.integers(1, 1 << 20))
+@settings(deadline=None, max_examples=300)
+def test_sums_on_the_data_grid_are_the_default_sums_rescaled(case, count):
+    a, groups, ngroups = case
+    g = data_grid(a)
+    assert -1126 <= g <= -53
+    got = grouped_sums_fixed(a, groups, ngroups, grid=g)
+    want = grouped_sums_fixed(a, groups, ngroups)
+    assert [v << (g + 1126) for v in got] == want
+
+    def floats(accs, **grid):
+        try:
+            return fixed_to_floats(accs, count, **grid)
+        except ValueError as exc:  # a quotient beyond float64, both sides
+            return str(exc)
+    assert floats(got, grid=g) == floats(want)
+
+
+def test_a_value_below_the_grid_is_refused():
+    half = 0.5 + 2.0 ** -53  # its last bit is 2**-53
+    assert data_grid(np.array([[half]])) == -53
+    assert grouped_sums_fixed([[half]], grid=-53) == [(1 << 52) + 1]
+    for a, grid in (([[half]], -52), ([[1.5]], 0), ([[1e6], [1e-6]], -60),
+                    ([[5e-324]], -1073), ([[0.0, 3.0], [2.0, 0.25]], -1)):
+        with pytest.raises(ValueError, match="below the grid"):
+            grouped_sums_fixed(a, grid=grid)
+        with pytest.raises(ValueError, match="below the grid"):
+            grouped_sums_fixed(a, np.zeros(len(a), dtype=np.int64), 2,
+                               grid=grid)
+    # zeros and an empty array need no grid finer than 2**-53
+    assert data_grid(np.zeros((3, 2))) == data_grid(np.empty((0, 2))) == -53
+    assert data_grid(np.array([5e-324, 1.0])) == -1126
 
 
 @given(grouped_inputs(), st.data())
@@ -495,3 +538,44 @@ def test_wide_magnitude_runs_are_bit_identical_across_node_counts(name, top,
         assert np.array_equal(rep.labels, ref.labels), p
         assert rep.j == ref.j, p
         assert np.array_equal(rep.centroids, ref.centroids), p
+
+
+@pytest.mark.filterwarnings("error")
+def test_wide_magnitude_local_kmeans_keeps_its_best_restart_at_any_p():
+    # each restart is a run of its own, as pkm runs it at any node count
+    X = _wide_magnitude_data(1e150)
+    labels = KMeansLocal(max_iter=50)(X, 3)
+    for p in (1, 2, 3):
+        world = CommWorld(p)
+        try:
+            reports = [pkm(world, X, KMeansParams(
+                k=3, max_iter=50, tol=KMeansLocal.TOL, seed=int(
+                    np.random.default_rng((0, i)).integers(2**31))))
+                for i in range(KMeansLocal.RESTARTS)]
+        finally:
+            world.shutdown()
+        best = min(range(len(reports)), key=lambda i: reports[i].j)
+        assert np.array_equal(reports[best].labels, labels), p
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_lloyd_on_the_data_grid_gives_the_default_grids_bits(p):
+    # four restarts in lockstep over data from 1e-250 to 1e150, whose grid
+    # is far coarser than the default one
+    X = _wide_magnitude_data(1e150)
+    grid = data_grid(X.points)
+    assert grid > -1000
+    starts = np.stack([_init_centers(X, 3, seed) for seed in range(4)])
+    params = KMeansParams(k=3, max_iter=50)
+    out = []
+    for g in (grid, -1126):
+        world = CommWorld(p)
+        try:
+            out.append(world.run(_pkm_node, X, params, starts, g)[0])
+        finally:
+            world.shutdown()
+    (labels, centers, traces), (want_labels, want_centers, want_traces) = out
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(centers, want_centers)
+    assert traces == want_traces

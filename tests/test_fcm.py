@@ -82,6 +82,36 @@ def test_membership_rows_sum_to_one():
     assert np.all(u >= 0)
 
 
+def _masked_membership(d2, m):
+    """The masked form of the update, rows on a centroid set apart first:
+    the oracle of `membership_update`."""
+    u = np.zeros_like(d2)
+    zero_rows = (d2 == 0.0).any(axis=1)
+    hit = np.argmax(d2[zero_rows] == 0.0, axis=1)
+    u[np.nonzero(zero_rows)[0], hit] = 1.0
+    reg = ~zero_rows
+    w = d2[reg] ** (-1.0 / (m - 1.0))
+    u[reg] = w / w.sum(axis=1, keepdims=True)
+    return u
+
+
+@pytest.mark.parametrize("on_centroid", [False, True])
+@pytest.mark.parametrize("m", [1.1, 1.7, 2.0, 3.5])
+def test_membership_equals_the_masked_update_bit_for_bit(m, on_centroid):
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+    centers = rng.normal(size=(5, 4))
+    if on_centroid:  # rows 3 and 200 sit on centroids, one on two of them
+        centers[1] = centers[4] = pts[3]
+        centers[2] = pts[200]
+    d2 = squared_distances(pts, centers)
+    assert (d2 == 0.0).any() == on_centroid
+    want = _masked_membership(d2, m)
+    got = membership_update(d2, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # -- centroid update -------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DataSet, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances, sse_objective)
-from parclust.exactsum import (fixed_to_float, fixed_to_floats,
+from parclust.exactsum import (data_grid, fixed_to_float, fixed_to_floats,
                                grouped_sums_fixed, sum_fixed)
 from parclust.kmeans import (KMeansParams, _init_centers, _pkm_node,
                              kmeans_centralized, pkm)
@@ -248,6 +248,11 @@ def _outcome(run):
           KMeansParams(k=3, max_iter=2), [[1.0]] * 3))
 @example((DataSet.from_points([[1.0], [0.0], [0.0]]),
           KMeansParams(k=3, max_iter=3), [[1.0]] * 3))
+# trip 1 moves center 0 onto the two zeros and repairs empty cluster 1 onto
+# them as well, so trip 2 changes no sum or count while cluster 1 stays
+# empty: not a fixed point, as the repair on trip 2 moves center 1 again
+@example((DataSet.from_points([[0.0], [0.0], [10.0], [11.0]]),
+          KMeansParams(k=3, max_iter=4), [[-1.0], [100.0], [10.5]]))
 @settings(deadline=None, max_examples=150)
 def test_incremental_body_equals_the_full_recompute(case):
     X, params, init = case
@@ -277,9 +282,38 @@ def test_a_run_makes_one_allreduce_per_iteration(count_collectives):
         rep = pkm(world, X, KMeansParams(k=3, seed=9))
     finally:
         world.shutdown()
-    assert rep.iterations > 1
+    assert rep.iterations > 1 and rep.converged
+    # one allreduce a trip run: the last iteration is Lloyd's fixed point,
+    # recorded without its trip
     assert count_collectives[world] == {"gather": 1,
-                                        "allreduce_sum": rep.iterations}
+                                        "allreduce_sum": rep.iterations - 1}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_a_run_at_its_fixed_point_records_its_next_trip_without_running_it(
+        p, count_collectives):
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=40, d=2)
+    start = _init_centers(X, 3, 9)[None]
+    labels, centers, [trace] = _runs(p, X, KMeansParams(k=3, seed=9), start)
+    n = len(trace)
+    assert n > 2 and trace[-1] == trace[-2] and trace[-2] < trace[-3]
+    [counts] = count_collectives.values()
+    assert counts["allreduce_sum"] == n - 1
+    # the trip not run: one trip from the final centers repeats the labels,
+    # the objective and the centers, bit for bit
+    again = _runs(p, X, KMeansParams(k=3, max_iter=1), centers)
+    assert _same_bits(again[0], labels) and _same_bits(again[1], centers)
+    assert again[2] == [[trace[-1]]]
+    # capped at the recorded trip the run is the same; capped at the fixed
+    # point's own trip it has no trip left and records nothing more
+    for cap in (n, n - 1):
+        count_collectives.clear()
+        capped = _runs(p, X, KMeansParams(k=3, seed=9, max_iter=cap), start)
+        assert _same_bits(capped[0], labels)
+        assert _same_bits(capped[1], centers)
+        assert capped[2] == [trace[:cap]]
+        [counts] = count_collectives.values()
+        assert counts["allreduce_sum"] == n - 1
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -312,7 +346,8 @@ def _runs(p, X, params, starts):
     `starts` on a p-node world over the rows of X."""
     world = CommWorld(p)
     try:
-        return world.run(_pkm_node, X, params, np.asarray(starts))[0]
+        return world.run(_pkm_node, X, params, np.asarray(starts),
+                         data_grid(X.points))[0]
     finally:
         world.shutdown()
 
@@ -489,14 +524,22 @@ def test_kmeans_local_keeps_the_labels_of_the_best_of_its_restarts(case):
 def test_kmeans_local_runs_one_nested_world_of_its_longest_restart(
         max_iter, count_collectives):
     X, _ = generate_blobs(seed=4, k=3, per_cluster=40, d=2)
-    trips = [kmeans_centralized(X, KMeansParams(
-        k=3, max_iter=max_iter, tol=KMeansLocal.TOL, seed=int(
-            np.random.default_rng((0, i)).integers(2**31))))[3]
-        for i in range(KMeansLocal.RESTARTS)]
+    iterations, trips = [], []  # each restart's, run on its own
+    for i in range(KMeansLocal.RESTARTS):
+        count_collectives.clear()
+        iterations.append(kmeans_centralized(X, KMeansParams(
+            k=3, max_iter=max_iter, tol=KMeansLocal.TOL, seed=int(
+                np.random.default_rng((0, i)).integers(2**31))))[3])
+        [counts] = count_collectives.values()
+        trips.append(counts["allreduce_sum"])
     count_collectives.clear()
     KMeansLocal(max_iter=max_iter)(X, 3)
     [counts] = count_collectives.values()
     assert counts == {"allreduce_sum": max(trips), "gather": 1}
+    # a restart that reaches its fixed point with a trip left records that
+    # trip without running it; with max_iter 4 one restart is cut off first
+    saved = [n - t for n, t in zip(iterations, trips)]
+    assert saved == {1: [0] * 8, 4: [1] * 7 + [0], 300: [1] * 8}[max_iter]
     if max_iter == 300:
         assert min(trips) < max(trips)  # the restarts stop apart
 
