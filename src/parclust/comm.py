@@ -24,10 +24,15 @@ order, which is what `NodeCtx.gather_rows` hands rank 0. A block may be
 empty. `run` is the only way into a run and the one place that pairs
 blocks with ranks: it hands each rank only its own block, not the
 dataset or its peers' blocks, and arguments that are the same on every
-rank. Every driver takes its rows as `run` does, and `blocks_of` is the
-one check of a list, which `run` and the drivers share: a list that is
-not one block per rank, whose blocks are not 2-D arrays of one width,
-or that holds a NaN or an infinity is refused before any rank runs.
+rank. One fact of the whole dataset comes with the run as `ctx.start`
+does: `ctx.grid()`, the coarsest power-of-two grid holding every value
+of every block (`exactsum.data_grid`), on which Lloyd keeps its exact
+sums of data rows; a run works it out on its first call, so a body that
+never asks pays nothing. Every driver takes its rows as `run` does, and
+`blocks_of` is the one check of a list, which `run` and the drivers
+share: a list that is not one block per rank, whose blocks are not 2-D
+arrays of one width, or that holds a NaN or an infinity is refused
+before any rank runs.
 
 A rank that returns while another waits at a collective is refused at
 once, so a rank that skips an `await` falls out of step and is refused
@@ -46,6 +51,7 @@ each result is the parallel body's at P=1.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 import types
@@ -54,6 +60,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import DataSet
+from .exactsum import data_grid
 
 
 class CommAbort(RuntimeError):
@@ -91,21 +98,6 @@ def blocks_of(rows, p: int) -> list[np.ndarray]:
             raise ValueError("block %d contains non-finite values (NaN or "
                              "infinity)" % i)
     return rows
-
-
-def row_width(rows) -> int:
-    """The column count of `rows`, a DataSet or a list that `blocks_of`
-    has accepted; nothing is checked again."""
-    return rows.d if isinstance(rows, DataSet) else rows[0].shape[1]
-
-
-def block_sizes(rows, p: int) -> list[int]:
-    """The row count of each block a `p`-node world is handed for `rows`,
-    a DataSet or a list that `blocks_of` has accepted; nothing is checked
-    again."""
-    if isinstance(rows, DataSet):
-        rows = split_blocks(rows, p)
-    return [len(b) for b in rows]
 
 
 def dataset_of(rows, p: int) -> DataSet:
@@ -147,8 +139,10 @@ class CommWorld:
         is an `async def` body). `rows` is a DataSet, split here into one
         block per rank and timed as `split`, or a list of 2-D row arrays
         used as given, with `split` 0; rank r's `ctx.start` is the number
-        of rows in blocks 0..r-1. A list that `blocks_of` refuses is
-        refused with its ValueError before any rank runs.
+        of rows in blocks 0..r-1, and every rank's `ctx.grid()` is the
+        data grid of all the blocks, worked out on the run's first call
+        only. A list that `blocks_of` refuses is refused with its
+        ValueError before any rank runs.
 
         Each step resumes the ranks in rank order until each posts a
         collective, then combines the posts and sends every rank the
@@ -164,12 +158,15 @@ class CommWorld:
         blocks = blocks_of(rows, self.size)  # a list comes back as given
         split_ms = 0.0 if blocks is rows else (time.perf_counter() - t0) * 1e3
         starts = accumulate((len(b) for b in blocks), initial=0)
+        # every rank's ctx.grid(), worked out on the run's first call
+        grid = functools.cache(lambda: min(
+            data_grid(np.asarray(b, dtype=np.float64)) for b in blocks))
         ranks: list = []
         rank = 0  # the rank being created or resumed, named if it fails
         compute = comm = 0.0
         try:
             for rank, (start, points) in enumerate(zip(starts, blocks)):
-                coro = fn(NodeCtx(rank, self, start), points, *args)
+                coro = fn(NodeCtx(rank, self, start, grid), points, *args)
                 if not inspect.iscoroutine(coro):
                     raise TypeError("a rank body must return a coroutine (an "
                                     "async def function), not %r" % (coro,))
@@ -245,13 +242,22 @@ class CommWorld:
 
 class NodeCtx:
     """Per-rank handle used by algorithm code to reach the runtime; `start`
-    is the dataset row of the first row of the rank's block."""
+    is the dataset row of the first row of the rank's block, and `grid()`
+    the data grid of every block of the run."""
 
-    def __init__(self, rank: int, world: CommWorld, start: int):
+    def __init__(self, rank: int, world: CommWorld, start: int, grid):
         self.rank = rank
         self.world = world
         self.size = world.size
         self.start = start
+        self._grid = grid  # the run's cached grid, shared by its ranks
+
+    def grid(self) -> int:
+        """The exponent g of the coarsest grid 2**g that holds every value
+        of every block of the run, read as float64: the least
+        `exactsum.data_grid` of the blocks, the same on every rank. No
+        collective: the run works it out on its first call and keeps it."""
+        return self._grid()
 
     # collectives: every rank of the world must await the same operation.
 

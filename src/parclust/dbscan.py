@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kmeans
-from .comm import CommWorld, NodeCtx, block_sizes, row_width
+from .comm import CommWorld, NodeCtx
 from .core import (NOISE, DataSet, KeySortedRows, Partition,
                    column_midrange, components, lifted_rows,
                    row_squared_distances, squared_distances,
@@ -270,9 +270,10 @@ class DdbcParams:
 
 async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
     """One rank's scan and density model of its block, merged at rank 0;
-    every rank returns (labels, representatives), with the labels at rank
-    0 only. A block of fewer than min_pts rows, which can hold no core
-    point, is refused."""
+    every rank returns (labels, representatives, d), with the labels at
+    rank 0 only. A block of fewer than min_pts rows, which can hold no
+    core point, is refused, and so, at rank 0 after one gather of the
+    block sizes, is a multi-node run with no representative."""
     if len(points) < params.local.min_pts:
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
                          "can hold no core point; use fewer nodes"
@@ -306,6 +307,16 @@ async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
     else:
         payload = None
     groups, centers, radii, gids = await ctx.broadcast(payload)
+    if not gids.size and ctx.size > 1:
+        sizes = sorted(await ctx.gather(len(points)))
+        if ctx.rank == 0:
+            raise ValueError(
+                "no shard of %d to %d rows holds a core point under eps=%g "
+                "and min_pts=%d, and an all-noise answer over %d nodes "
+                "cannot be told from shards too small to show the clusters; "
+                "use fewer nodes" % (sizes[0], sizes[-1], params.local.eps,
+                                     params.local.min_pts, ctx.size))
+        return None
 
     local = scan.partition.labels
     final = np.full(len(points), NOISE, dtype=np.int64)
@@ -322,7 +333,7 @@ async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
         covered = inside.any(axis=1)
         final[noise_rows[covered]] = gids[pick[covered]]
 
-    return await ctx.gather_rows(final), int(gids.size)
+    return await ctx.gather_rows(final), int(gids.size), points.shape[1]
 
 
 def ddbc(world: CommWorld, rows, params: DdbcParams) -> ClusterReport:
@@ -340,15 +351,7 @@ def ddbc(world: CommWorld, rows, params: DdbcParams) -> ClusterReport:
     has fewer than `min_pts` rows, or when no shard of a multi-node run
     holds a core point.
     """
-    (labels, n_reps), timings = world.run(_ddbc_node, rows, params)
-    if n_reps == 0 and world.size > 1:
-        sizes = sorted(block_sizes(rows, world.size))
-        raise ValueError("no shard of %d to %d rows holds a core point under "
-                         "eps=%g and min_pts=%d, and an all-noise answer over "
-                         "%d nodes cannot be told from shards too small to "
-                         "show the clusters; use fewer nodes"
-                         % (sizes[0], sizes[-1], params.local.eps,
-                            params.local.min_pts, world.size))
+    (labels, n_reps, d), timings = world.run(_ddbc_node, rows, params)
     return ClusterReport(
         algo="ddbc",
         p=world.size,
@@ -357,7 +360,7 @@ def ddbc(world: CommWorld, rows, params: DdbcParams) -> ClusterReport:
                 "min_pts_global": params.min_pts_global,
                 "local_model": "rep-kmeans" if params.refine_model else "rep-scor"},
         n=len(labels),
-        d=row_width(rows),
+        d=d,
         labels=labels,
         model={"k": Partition(labels).k, "representatives": int(n_reps)},
         timings_ms=timings,

@@ -29,10 +29,10 @@ exact, so the updated sums equal a full recount. Only the centers whose
 sums or counts changed are recomputed, and a mean of unchanged sums is
 the same float.
 
-The sums of data rows are kept on the data's own grid (`exactsum.
-data_grid`), which the drivers work out from every row before the world
-runs and hand to every rank, so they are integers of a few dozen bits
-rather than on the 2**-1126 grid; their quotients are the same floats.
+The sums of data rows are kept on the data's own grid, which every rank
+reads from its run (`NodeCtx.grid`, the least `exactsum.data_grid` of
+the blocks), so they are integers of a few dozen bits rather than on the
+2**-1126 grid; their quotients are the same floats.
 A run whose trip changed no sum and no count, and left no cluster empty,
 is at Lloyd's fixed point: the next trip would repeat it bit for bit and
 end the run by the tol test. That trip is recorded without being run,
@@ -52,8 +52,7 @@ from .comm import CommWorld, NodeCtx, dataset_of
 from .core import (_FEW_CENTERS, CentroidSet, DataSet, Partition,
                    column_midrange, lifted_rows, nearest_centers,
                    squared_distances)
-from .exactsum import (data_grid, fixed_to_float, fixed_to_floats,
-                       grouped_sums_fixed)
+from .exactsum import fixed_to_float, fixed_to_floats, grouped_sums_fixed
 from .report import ClusterReport
 
 
@@ -82,7 +81,8 @@ def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:
 
 def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:
     """The first centers of a run, drawn with the seed or checked, before
-    the world runs: every rank is handed the same (k, d) array."""
+    the world runs: every rank is handed the same (k, d) array of finite
+    values."""
     if params.k > X.n:
         raise ValueError("k=%d exceeds the %d available rows" % (params.k, X.n))
     if init_centers is None:
@@ -90,6 +90,9 @@ def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:
     centers = np.array(init_centers, dtype=np.float64, copy=True)
     if centers.shape != (params.k, X.d):
         raise ValueError("init_centers must have shape (k, d)")
+    if not np.isfinite(centers).all():
+        raise ValueError("init_centers contains non-finite values (NaN or "
+                         "infinity)")
     return centers
 
 
@@ -191,24 +194,23 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
-async def _pkm_node(ctx: NodeCtx, pts, params, starts, grid):
+async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     """One rank's R Lloyd runs over its block, in lockstep, from the
     (R, k, d) stack of starts `starts`, the same on every rank; every rank
     returns (labels, centers, traces): the (rows, R) labels of every
     (row, run), at rank 0 only, the (R, k, d) centers, and one trace per
     run holding each of its iterations' objectives. `params` gives
-    max_iter and tol, and `grid`, the same on every rank, the exponent of
-    a grid that holds every value of every block (`data_grid`). Each run
-    gives the same bits as a run of its own (R = 1) from its start.
+    max_iter and tol. Each run gives the same bits as a run of its own
+    (R = 1) from its start.
 
     Each iteration makes one allreduce, of the live runs' changes to the
     per-cluster sums and counts (one grouped exact sum over every (run,
-    cluster) group, on the data's grid), then their exact objectives (one
-    exact sum per run, on the default grid: squared distances are not
-    data values). Which centers to recompute, and so which distance
-    columns to refresh, follows from the reduced changes and the
-    replicated centers only, never from this block's own rows: a center
-    moves on every rank when rows of any block change cluster. A run
+    cluster) group, on the run's data grid `ctx.grid()`), then their
+    exact objectives (one exact sum per run, on the default grid: squared
+    distances are not data values). Which centers to recompute, and so
+    which distance columns to refresh, follows from the reduced changes
+    and the replicated centers only, never from this block's own rows: a
+    center moves on every rank when rows of any block change cluster. A run
     whose objective passes the tol test leaves the live set, its labels,
     centers and trace frozen; the loop ends when no run is live, or at
     max_iter. A run's labels are its last assignment's, its centers its
@@ -227,6 +229,7 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts, grid):
     """
     runs, k, d = starts.shape
     kd = k * d
+    grid = ctx.grid()
     # each (row, run)'s flat label run * k + cluster, -1 for no cluster yet
     labels = np.full((len(pts), runs), -1, dtype=np.int64)
     # each run's exact per-cluster sums and counts over all blocks
@@ -309,8 +312,7 @@ def kmeans_centralized(X: DataSet, params: KMeansParams, init_centers=None):
     the centroid to the point farthest from its assigned centroid.
     """
     (labels, centers, [trace]), _ = CommWorld(1).run(
-        _pkm_node, X, params, _start(X, params, init_centers)[None],
-        data_grid(X.points))
+        _pkm_node, X, params, _start(X, params, init_centers)[None])
     return (CentroidSet(centers[0]), Partition(labels[:, 0]), trace[-1],
             len(trace))
 
@@ -320,16 +322,15 @@ def pkm(world: CommWorld, rows, params: KMeansParams,
     """Parallel k-means of `rows`, a DataSet or a list of blocks, as
     `CommWorld.run` takes them.
 
-    The initial centroids and the data grid are worked out from the
-    whole dataset before the world runs and handed to every rank; every
-    trip reduces the changes to the per-cluster sums and counts, and the
-    objective, in one collective, and a fixed point's last iteration is
-    recorded without a trip. Output is independent of the blocking.
+    The initial centroids are drawn from the whole dataset, or checked,
+    before the world runs and handed to every rank; every trip reduces
+    the changes to the per-cluster sums and counts, and the objective, in
+    one collective, and a fixed point's last iteration is recorded
+    without a trip. Output is independent of the blocking.
     """
     X = dataset_of(rows, world.size)
     (labels, centers, [trace]), timings = world.run(
-        _pkm_node, rows, params, _start(X, params, init_centers)[None],
-        data_grid(X.points))
+        _pkm_node, rows, params, _start(X, params, init_centers)[None])
     return ClusterReport(
         algo="pkm",
         p=world.size,

@@ -33,6 +33,7 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, dataset_of
 from .core import NOISE, DataSet, KeySortedRows, Partition, components
+from .kmeans import _init_centers
 from .report import ClusterReport
 
 
@@ -392,23 +393,20 @@ class _WindowDriver:
 
     async def run(self, query):
         X, params = self.X, self.params
-        rng = np.random.default_rng(params.seed)
-        seeds = rng.choice(X.n, size=params.l, replace=False)
-        windows = [Window(X.points[r].copy(), np.full(X.d, params.a, dtype=np.float64))
-                   for r in np.sort(seeds)]
+        windows = [Window(c, np.full(X.d, params.a, dtype=np.float64))
+                   for c in _init_centers(X, params.l, params.seed)]
         await self._lockstep([self._path(w) for w in windows], query)
         roots = self._merge_groups(windows, params.theta_merge)
-        group_label: dict[int, int] = {}
         labels = np.full(X.n, NOISE, dtype=np.int64)
-        for i, w in enumerate(windows):
-            if not w.enclosed.size:
-                continue  # a window that caught nothing represents nothing
-            g = group_label.setdefault(roots[i], len(group_label))
+        for w, root in zip(windows, roots):
             # a window's rows are distinct, so the order they are claimed
-            # in does not matter; earlier windows keep what they claimed
-            labels[w.enclosed[labels[w.enclosed] == NOISE]] = g
-        # a group can end up owning no points when earlier windows claim
-        # everything it covers; compact so labels stay below k
+            # in does not matter; earlier windows keep what they claimed,
+            # labeled with their group's merge root
+            labels[w.enclosed[labels[w.enclosed] == NOISE]] = root
+        # a root is its group's smallest window, one that caught rows, so
+        # roots come in the groups' order of first appearance; a group can
+        # end up owning no points when earlier windows claim everything it
+        # covers; compact so labels stay below k, in that order
         owned = labels != NOISE
         labels[owned] = np.searchsorted(np.unique(labels[owned]), labels[owned])
         model = {

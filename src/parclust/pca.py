@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, block_sizes, row_width
+from .comm import CommWorld, NodeCtx
 from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
-from .exactsum import data_grid, fixed_to_floats, grouped_sums_fixed
+from .exactsum import fixed_to_floats, grouped_sums_fixed
 from .kmeans import (KMeansParams, _init_centers, _pkm_node,
                      kmeans_centralized)
 from .report import ClusterReport
@@ -211,15 +211,14 @@ class KMeansLocal:
                               tol=self.TOL)
         starts = np.stack([_init_centers(X, params.k, seed)
                            for seed in self.seeds])
-        grid = data_grid(X.points)
         try:
             (labels, _, traces), _ = CommWorld(1).run(_pkm_node, X, params,
-                                                      starts, grid)
+                                                      starts)
         except ValueError:
             # the error of the first restart that fails on its own, which
             # lockstep may meet after another restart's
             for start in starts:
-                CommWorld(1).run(_pkm_node, X, params, start[None], grid)
+                CommWorld(1).run(_pkm_node, X, params, start[None])
             raise
         # min keeps the first of equal objectives
         return labels[:, min(range(self.RESTARTS),
@@ -305,8 +304,9 @@ async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
                              reps_per_cluster, variance_fraction, seed):
     """One rank's local and global clustering of its block, its sketches
     merged at rank 0; every rank returns (labels, sketches,
-    representatives), with the labels at rank 0 only. Raises NoRowsError
-    on every rank when no rank has a representative."""
+    representatives, d), with the labels at rank 0 only. When no rank has
+    a representative, rank 0 refuses after one gather of the block
+    sizes."""
     _, proj_local = local_pca(points, variance_fraction)
     local_labels = _local_labels(clusterer, ctx.rank, proj_local, k,
                                  "node's own")
@@ -314,8 +314,19 @@ async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
     rng = np.random.default_rng((seed, ctx.rank))
     rep_rows = _representatives(proj_local, local_labels, reps_per_cluster, rng)
     rep_points = points[rep_rows]  # original space, representatives only
-    n_reps, global_basis = await _truncated_basis(ctx, rep_points,
-                                                  variance_fraction)
+    try:
+        n_reps, global_basis = await _truncated_basis(ctx, rep_points,
+                                                      variance_fraction)
+    except NoRowsError:
+        sizes = await ctx.gather(len(points))
+        if ctx.rank == 0:
+            raise ValueError(
+                "no representatives for the global basis: local %s "
+                "clustering in each node's own PCA space marked every row as "
+                "noise on every shard (%s)" % (clusterer.name, ", ".join(
+                    "node %d: %d rows" % (r, n) for r, n in enumerate(sizes)))
+            ) from None
+        return None
     proj_global = (points - global_basis.mean) @ global_basis.components.T
     refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
@@ -338,7 +349,8 @@ async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
     final[keep] = groups[ctx.rank][which]
-    return await ctx.gather_rows(final), sum(map(len, groups)), n_reps
+    return (await ctx.gather_rows(final), sum(map(len, groups)), n_reps,
+            points.shape[1])
 
 
 def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
@@ -354,18 +366,9 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
     if reps_per_cluster < 1:
         raise ValueError("reps_per_cluster must be >= 1")
     _check_fraction(variance_fraction)
-    try:
-        (labels, n_sketches, n_reps), timings = world.run(
-            _cpca_cluster_node, rows, clusterer, k, reps_per_cluster,
-            variance_fraction, seed)
-    except NoRowsError:
-        raise ValueError(
-            "no representatives for the global basis: local %s clustering in "
-            "each node's own PCA space marked every row as noise on every "
-            "shard (%s)" % (clusterer.name, ", ".join(
-                "node %d: %d rows" % (r, n)
-                for r, n in enumerate(block_sizes(rows, world.size))))
-        ) from None
+    (labels, n_sketches, n_reps, d), timings = world.run(
+        _cpca_cluster_node, rows, clusterer, k, reps_per_cluster,
+        variance_fraction, seed)
     return ClusterReport(
         algo="cpca-cluster",
         p=world.size,
@@ -373,7 +376,7 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
                 "variance_fraction": variance_fraction, "seed": seed,
                 "local_algo": clusterer.name},
         n=len(labels),
-        d=row_width(rows),
+        d=d,
         labels=labels,
         model={"sketches": int(n_sketches), "representatives": int(n_reps)},
         timings_ms=timings,

@@ -25,7 +25,6 @@ import numpy as np
 
 from .comm import CommWorld, NodeCtx, dataset_of
 from .core import CentroidSet, Partition, sse_objective
-from .exactsum import data_grid
 from .kmeans import KMeansParams, _converged, _pkm_node
 from .pca import exact_covariance, exact_means, principal_axes
 from .report import ClusterReport
@@ -51,10 +50,10 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km):
     its parent (a split that put every row on one side), is final and is
     not reduced again. The levels stop at `height` or when no cluster is
     live. Without `km`, every rank returns the leaf labels of all rows, at
-    rank 0 only, and the (k, d) leaf means. With `km`, a pair of the Lloyd
-    body's params and data grid, the leaf means seed one run of that body
-    on the same block, and every rank returns its (labels, centers,
-    traces), with the labels at rank 0 only.
+    rank 0 only, and the (k, d) leaf means. With `km`, the Lloyd body's
+    params, the leaf means seed one run of that body on the same block,
+    and every rank returns its (labels, centers, traces), with the labels
+    at rank 0 only.
     """
     leaf = np.zeros(len(pts), dtype=np.int64)  # each row's cluster
     # the size of each cluster's parent; 0 for the root, whose size is not
@@ -85,7 +84,7 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km):
     leaf = (np.cumsum(kept) - 1)[leaf]
     means = np.array([mean for n, mean in stats if n])
     if km is not None:
-        return await _pkm_node(ctx, pts, km[0], means[None], km[1])
+        return await _pkm_node(ctx, pts, km, means[None])
     return await ctx.gather_rows(leaf), means
 
 
@@ -127,9 +126,7 @@ def pddp_km(world: CommWorld, rows, height: int, max_iter: int = 300,
     # splits; checking the rest here refuses a bad max_iter or tol before
     # the world runs
     params = KMeansParams(k=1, max_iter=max_iter, tol=tol)
-    grid = data_grid(dataset_of(rows, world.size).points)
-    (labels, centers, [trace]), timings = _run(world, rows, height,
-                                               (params, grid))
+    (labels, centers, [trace]), timings = _run(world, rows, height, params)
     return ClusterReport(
         algo="pddp-km",
         p=world.size,

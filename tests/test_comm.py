@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from parclust import comm as comm_module
 from parclust.comm import CommAbort, CommWorld, blocks_of, split_blocks
 from parclust.core import DataSet, generate_blobs
 from parclust.dbscan import DbscanParams, DdbcParams, dbscan, ddbc
+from parclust.exactsum import data_grid
 from parclust.fcm import FcmParams, pfcm
 from parclust.kmeans import KMeansParams, pkm
 from parclust.kwindows import KWindowsParams, k_windows
@@ -498,6 +500,59 @@ def test_uneven_blocks_start_after_the_rows_before_them():
     assert np.array_equal(swapped, np.vstack(blocks[::-1]))
 
 
+# -- the run's data grid ------------------------------------------------------
+
+MAX_FINITE = sys.float_info.max
+
+
+@st.composite
+def _grid_blockings(draw):
+    """Rows of float64 edge values (zeros, subnormals, the largest finite
+    values) or of int64, and an in-order cut of them into 1 to 6 blocks:
+    empty blocks, blocks of one row and more blocks than rows among them."""
+    shape = (draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        rows = draw(hnp.arrays(np.int64, shape))
+    else:
+        rows = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                             2.2250738585072009e-308, MAX_FINITE,
+                             -MAX_FINITE]))))
+    p = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, shape[0]), min_size=p - 1,
+                                max_size=p - 1)))
+    bounds = [0, *cuts, shape[0]]
+    return [rows[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+@given(_grid_blockings())
+@settings(deadline=None, max_examples=200)
+def test_every_rank_reads_the_data_grid_of_all_the_blocks(blocks):
+    want = data_grid(np.concatenate(blocks).astype(np.float64))
+    assert _every_rank(len(blocks), lambda ctx, _: ctx.grid(), blocks) == \
+        [want] * len(blocks)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_the_grid_is_worked_out_once_a_run_and_only_when_asked(p,
+                                                               monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return data_grid(points)
+
+    monkeypatch.setattr(comm_module, "data_grid", counted)
+    X = _toy(10)
+    assert _every_rank(p, lambda ctx, _: ctx.rank, X) == list(range(p))
+    assert calls == []
+    grids = _every_rank(p, lambda ctx, _: (ctx.grid(), ctx.grid()), X)
+    assert grids == [(-53, -53)] * p
+    # one data_grid call per block, on the first ctx.grid() of the run
+    assert calls == [len(b) for b in split_blocks(X, p)]
+
+
 #: Every driver, run on a world over `rows`, a DataSet or a list of blocks
 #: one per rank, as `CommWorld.run` takes them.
 _BLOCK_DRIVERS = {
@@ -512,6 +567,30 @@ _BLOCK_DRIVERS = {
     "cpca-cluster": lambda w, rows: cpca_cluster(w, rows, KMeansLocal(), k=3),
     "cpca": lambda w, rows: cpca(w, rows, 0.9),
 }
+
+#: The drivers that never run Lloyd's body, in their own world or in a
+#: nested one
+_WITHOUT_LLOYD = {
+    **{algo: _BLOCK_DRIVERS[algo]
+       for algo in ("cpca", "k-windows", "pddp", "pfcm")},
+    "ddbc --local-model rep-scor": lambda w, rows: ddbc(w, rows, DdbcParams(
+        local=DbscanParams(eps=1.0, min_pts=3), refine_model=False)),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_WITHOUT_LLOYD))
+def test_a_driver_without_lloyd_never_works_out_the_grid(algo, monkeypatch):
+    def refused(points):
+        raise AssertionError("the data grid was worked out")
+
+    monkeypatch.setattr(comm_module, "data_grid", refused)
+    X, _ = generate_blobs(1, 3, 40, 2)
+    for rows in (X, split_blocks(X, 2)):
+        world = CommWorld(2)
+        try:
+            _WITHOUT_LLOYD[algo](world, rows)
+        finally:
+            world.shutdown()
 
 
 @pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from parclust import exactsum
+from parclust import comm, exactsum
 from parclust.comm import CommWorld
 from parclust.core import DataSet, generate_blobs
 from parclust.exactsum import (data_grid, fixed_ratio, fixed_ratios,
@@ -560,19 +560,21 @@ def test_wide_magnitude_local_kmeans_keeps_its_best_restart_at_any_p():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_lloyd_on_the_data_grid_gives_the_default_grids_bits(p):
+def test_lloyd_on_the_data_grid_gives_the_default_grids_bits(p, monkeypatch):
     # four restarts in lockstep over data from 1e-250 to 1e150, whose grid
-    # is far coarser than the default one
+    # is far coarser than the default one; the oracle's run reads the
+    # default grid in its place
     X = _wide_magnitude_data(1e150)
-    grid = data_grid(X.points)
-    assert grid > -1000
+    assert data_grid(X.points) > -1000
     starts = np.stack([_init_centers(X, 3, seed) for seed in range(4)])
     params = KMeansParams(k=3, max_iter=50)
     out = []
-    for g in (grid, -1126):
+    for oracle in (False, True):
+        if oracle:
+            monkeypatch.setattr(comm, "data_grid", lambda points: -1126)
         world = CommWorld(p)
         try:
-            out.append(world.run(_pkm_node, X, params, starts, g)[0])
+            out.append(world.run(_pkm_node, X, params, starts)[0])
         finally:
             world.shutdown()
     (labels, centers, traces), (want_labels, want_centers, want_traces) = out

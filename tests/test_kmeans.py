@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DataSet, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances, sse_objective)
-from parclust.exactsum import (data_grid, fixed_to_float, fixed_to_floats,
+from parclust.exactsum import (fixed_to_float, fixed_to_floats,
                                grouped_sums_fixed, sum_fixed)
 from parclust.kmeans import (KMeansParams, _init_centers, _pkm_node,
                              kmeans_centralized, pkm)
@@ -338,6 +338,27 @@ def test_a_bad_start_is_refused_before_the_world_runs(count_collectives):
         world.shutdown()
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_start_is_refused_before_the_world_runs(
+        p, bad, count_collectives):
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=10, d=2)
+    start = X.points[:3].copy()
+    start[1, 0] = bad
+    refusal = r"^init_centers contains non-finite values \(NaN or infinity\)$"
+    world = CommWorld(p)
+    try:
+        with pytest.raises(ValueError, match=refusal):
+            pkm(world, X, KMeansParams(k=3), init_centers=start)
+        with pytest.raises(ValueError, match=refusal):
+            kmeans_centralized(X, KMeansParams(k=3), init_centers=start)
+        assert not count_collectives
+        # the world still runs
+        assert pkm(world, X, KMeansParams(k=3), X.points[:3]).p == p
+    finally:
+        world.shutdown()
+
+
 # -- the run axis: restarts in lockstep ----------------------------------------
 
 
@@ -346,8 +367,7 @@ def _runs(p, X, params, starts):
     `starts` on a p-node world over the rows of X."""
     world = CommWorld(p)
     try:
-        return world.run(_pkm_node, X, params, np.asarray(starts),
-                         data_grid(X.points))[0]
+        return world.run(_pkm_node, X, params, np.asarray(starts))[0]
     finally:
         world.shutdown()
 

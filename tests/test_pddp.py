@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parclust.comm import CommWorld
+from parclust import pddp
+from parclust.comm import CommWorld, split_blocks
 from parclust.core import DataSet, adjusted_rand_index, generate_blobs
 from parclust.exactsum import fixed_to_float, sum_fixed
 from parclust.pca import exact_covariance, exact_means, principal_axes
@@ -377,3 +378,18 @@ def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
     assert tree.centroids.shape[0] == rep.params["k"]
     # one run on the world per driver call, and none nested
     assert runs == [world, world]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_pddp_km_reads_a_list_of_blocks_only_through_its_run(p, monkeypatch):
+    X, _ = generate_blobs(seed=41, k=4, per_cluster=50, d=2,
+                          spread=0.5, separation=15.0)
+    want = _run(p, pddp_km, X, 2).to_json_dict()
+
+    def refused(rows, p):
+        raise AssertionError("the dataset was built outside the run")
+
+    monkeypatch.setattr(pddp, "dataset_of", refused)
+    got = _run(p, pddp_km, split_blocks(X, p), 2).to_json_dict()
+    del want["timings_ms"], got["timings_ms"]
+    assert got == want

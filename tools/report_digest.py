@@ -20,7 +20,9 @@ blobs, passed as a list of blocks: cut by `split_blocks` at P = 1, 2 and
 3, and cut unevenly into blocks of 1, 0 and n - 1 rows, a path the CLI
 never takes; a line holds the driver, P (the block sizes for the uneven
 cut), d, "ok" or "error" and a hash of the report without `timings_ms`,
-of the basis's arrays, or of the error. Two source trees give equal
+of the basis's arrays, or of the error. `pkm` and `pddp_km` run again
+at P = 2 and 3 on int64 blocks, the blobs scaled by 8 and rounded, whose
+Lloyd grid is read from integer rows. Two source trees give equal
 results exactly where their digests match:
 
     python tools/report_digest.py > before.txt   # in one checkout
@@ -45,6 +47,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -156,11 +160,19 @@ def main() -> int:
             uneven = [X.points[:1], X.points[1:1], X.points[1:]]
             cuts = [(str(p), split_blocks(X, p)) for p in (1, 2, 3)]
             cuts.append(("+".join(str(len(b)) for b in uneven), uneven))
-            for name, driver in _block_drivers(_EPS[d]).items():
+            drivers = _block_drivers(_EPS[d])
+            for name, driver in drivers.items():
                 for p, blocks in cuts:
                     print("%-39s P=%s d=%d %-5s %s"
                           % (("blocks " + name, p, d)
                              + _run_blocks(driver, blocks)))
+            ints = np.rint(X.points * 8).astype(np.int64)
+            for name in ("pkm", "pddp-km"):
+                for p in (2, 3):
+                    print("%-39s P=%d d=%d %-5s %s"
+                          % (("int64 blocks " + name, p, d)
+                             + _run_blocks(drivers[name],
+                                           np.array_split(ints, p))))
     return 0
 
 
