@@ -5,17 +5,22 @@ it once per call by its widest column, the key, into one column-major
 copy. Rank 0 runs the window phases. A window's path of box queries
 (movement, then enlargement) depends only on that window and the data
 (Alevizos, Tasoulis & Vrahatis, PPAM 2003), so all windows advance in
-lockstep: each round holds one list of boxes per unfinished window (its
-movement box, or every enlargement trial still open, asked at once since
-they all grow the same window) and costs one broadcast of the boxes and
-one gather of the rows each block has inside each box, named by dataset
-position. A box can hold only the rows whose key lies within its key
-bounds, one band of the sorted block, so only that band is tested, one
-coordinate row at a time, and a box with an empty band is not tested at
-all. A call costs as many rounds as its longest window path, and every
-search returns the same rows for any node count. Windows merge under one
-matrix of pairwise overlap extents, with volumes that neither overflow
-nor underflow.
+lockstep: each round holds one request per unfinished window and costs
+one broadcast of the requests and one gather of the rows each block
+answers, named by dataset position. A request is the window's box plus
+grown bounds on the coordinates asked to grow: none for a movement, and
+for an enlargement sweep every trial still open, each of which grows one
+coordinate of the same box. A row inside a trial's box is inside the
+window's box, or outside it on the trial's coordinate alone and within
+that coordinate's grown bounds: the request's shell, each row tagged with
+its coordinate. So one band test answers every trial of a sweep, and the
+driver reads each trial's size from one count of the tags. Rows of a
+request have their key within its grown key bounds, one band of the
+sorted block, so only that band is tested, one coordinate row at a time,
+and a request with an empty band is not tested at all. A call costs as
+many rounds as its longest window path, and every search returns the
+same rows for any node count. Windows merge under one matrix of pairwise
+overlap extents, with volumes that neither overflow nor underflow.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
@@ -149,57 +154,82 @@ def orthogonal_range_search(tree: MDBinaryTree, query: RangeQuery) -> set[int]:
 
 
 def _round_hits(cols: np.ndarray, col: int, at: np.ndarray,
-                boxes) -> list[np.ndarray]:
-    """Dataset rows of the block rows inside each closed box of one round.
+                requests: np.ndarray) -> list[tuple]:
+    """Each request's answer from the block: the dataset rows inside its
+    box, and its shell rows with their tags.
 
     `cols` holds the block's rows sorted by key as a C-contiguous (d, rows)
     array, so `cols[col]` is the sorted key column, and `at` holds their
-    dataset rows in that order; `boxes` is a pair of (b, d) arrays, lo and
-    hi. A row inside a box has its key in [lo, hi] on the key column, so it
-    lies in the band that two binary searches per round find in the sorted
-    keys; only the boxes with a non-empty band are tested, each over its
-    band alone, and one coordinate row at a time, so the d tests reduce as
-    d - 1 contiguous ANDs. Every other box gets an empty int64 array.
+    dataset rows in that order. `requests` is a (b, 4, d) array: each
+    request's box lo and hi, then its grown lo and hi, which contain the
+    box's bounds and equal them on every coordinate not asked to grow. The
+    shell is the rows within the grown bounds that lie outside the box on
+    exactly one coordinate, each tagged with that coordinate; it is empty,
+    and not sought, when no coordinate grows. The rows a request answers
+    have their key within its grown key bounds, so they lie in the band
+    that two binary searches per round find in the sorted keys; only the
+    requests with a non-empty band are tested, each over its band alone
+    and one coordinate row at a time, so the d tests reduce as d - 1
+    contiguous ANDs, and the rows within the grown bounds are counted
+    once for the coordinates they lie outside the box on. Every other
+    request gets three empty int64 arrays.
     """
-    lo, hi = boxes
-    start = np.searchsorted(cols[col], lo[:, col], "left").tolist()
-    stop = np.searchsorted(cols[col], hi[:, col], "right").tolist()
-    hits = [at[:0]] * len(lo)
-    for i, (low, high, a, b) in enumerate(zip(lo[:, :, None], hi[:, :, None],
-                                              start, stop)):
+    lo, hi, grown_lo, grown_hi = requests.transpose(1, 0, 2)
+    start = np.searchsorted(cols[col], grown_lo[:, col], "left").tolist()
+    stop = np.searchsorted(cols[col], grown_hi[:, col], "right").tolist()
+    grows = np.any((grown_lo < lo) | (grown_hi > hi), axis=1).tolist()
+    counts = np.min_scalar_type(cols.shape[0])  # holds 0..d
+    hits = [(at[:0],) * 3] * len(requests)
+    # bounds: the request's four bounds as (d, 1) columns of the band
+    for i, (bounds, a, b) in enumerate(zip(requests[:, :, :, None], start,
+                                           stop)):
         if a < b:
             band = cols[:, a:b]
-            inside = np.logical_and.reduce((band >= low) & (band <= high),
-                                           axis=0)
-            hits[i] = at[a:b][inside]
+            near = np.logical_and.reduce((band >= bounds[2]) &
+                                         (band <= bounds[3]), axis=0)
+            rows = at[a:b][near]
+            if not grows[i]:  # every row near the box is inside it
+                hits[i] = rows, at[:0], at[:0]
+                continue
+            band = band.compress(near, axis=1)
+            outside = (band < bounds[0]) | (band > bounds[1])
+            count = np.add.reduce(outside, axis=0, dtype=counts)
+            shell = count == 1
+            hits[i] = (rows[count == 0], rows[shell],
+                       outside[:, shell].argmax(axis=0))
     return hits
 
 
 async def _search_node(ctx: NodeCtx, points: np.ndarray, driver):
     """Rank 0's value of `await driver(query)`, with every rank answering
-    its rounds of box queries.
+    its rounds of box requests.
 
-    `await query(boxes)` is one round: `boxes` is a pair of (b, d) lo and
-    hi arrays, which rank 0 broadcasts once; every rank answers it with its
-    per-box hit arrays, gathered once, and `query` returns one int64 array
-    of dataset rows per box, in no particular order and without repeats
-    (the blocks are disjoint); row i of a rank's block `points` is dataset
-    row `ctx.start + i`. When `driver` returns, rank 0 broadcasts None; the
-    other ranks answer rounds until then and return None. Each rank sorts
-    its block once, before the first round, and lays it out by column.
+    `await query(requests)` is one round: `requests` is a (b, 4, d) array
+    of box and grown bounds as `_round_hits` reads them, which rank 0
+    broadcasts once; every rank answers each request, gathered once, and
+    `query` returns one triple of int64 arrays per request: the dataset
+    rows inside its box, its shell rows and their tags, each part in no
+    particular order and without repeated rows (the blocks are disjoint);
+    row i of a rank's block `points` is dataset row `ctx.start + i`. When
+    `driver` returns, rank 0 broadcasts None; the other ranks answer
+    rounds until then and return None. Each rank sorts its block once,
+    before the first round, and lays it out by column.
     """
     keyed = KeySortedRows.build(points)
     cols = np.ascontiguousarray(keyed.rows.T)
     at = ctx.start + keyed.order
     if ctx.rank != 0:
-        while (boxes := await ctx.broadcast(None)) is not None:
-            await ctx.gather(_round_hits(cols, keyed.col, at, boxes))
+        while (requests := await ctx.broadcast(None)) is not None:
+            await ctx.gather(_round_hits(cols, keyed.col, at, requests))
         return None
 
-    async def query(boxes):
-        boxes = await ctx.broadcast(boxes)
-        parts = await ctx.gather(_round_hits(cols, keyed.col, at, boxes))
-        return [np.concatenate(box) for box in zip(*parts)]
+    async def query(requests):
+        requests = await ctx.broadcast(requests)
+        parts = await ctx.gather(_round_hits(cols, keyed.col, at, requests))
+        if len(parts) == 1:  # one block's answers need no joining
+            return parts[0]
+        return [tuple(map(np.concatenate, zip(*answers)))
+                for answers in zip(*parts)]
 
     out = await driver(query)
     await ctx.broadcast(None)
@@ -213,7 +243,8 @@ def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
     async def one_box(ask):
-        return (await ask((query.lo[None], query.hi[None])))[0]
+        lo, hi = query.lo, query.hi
+        return (await ask(np.array([(lo, hi, lo, hi)])))[0][0]
 
     hits, _ = world.run(_search_node, DataSet(tree.points), one_box)
     return set(hits.tolist())
@@ -252,6 +283,14 @@ class Window:
     def bounds(self):
         return self.center - self.half_width, self.center + self.half_width
 
+    def request(self, grown=None) -> np.ndarray:
+        """The (4, d) box request of this window: its box, then the box of
+        half-widths `grown` around the same center, or the box again."""
+        lo, hi = self.bounds()
+        if grown is None:
+            return np.array((lo, hi, lo, hi))
+        return np.array((lo, hi, self.center - grown, self.center + grown))
+
 
 class _WindowDriver:
     """Window paths in lockstep, then merge and labeling, executed at rank 0.
@@ -261,8 +300,8 @@ class _WindowDriver:
     enlargement with movement after each kept growth) depends only on
     that window and the data, so every live window takes one step of its
     path per round and a call costs as many rounds as its longest path.
-    A step asks for a list of boxes: one for movement, and every
-    remaining enlargement trial at once.
+    A step asks one request: the window's box for movement, and for an
+    enlargement sweep that box grown on every coordinate still open.
     """
 
     def __init__(self, X: DataSet, params: KWindowsParams):
@@ -286,7 +325,7 @@ class _WindowDriver:
             w.center = center
             if same:
                 break
-            w.enclosed, = yield [w.bounds()]
+            w.enclosed, _, _ = yield w.request()
             if w.enclosed.size - prev < self.params.theta_move * prev:
                 break
 
@@ -295,21 +334,24 @@ class _WindowDriver:
         return self.X.points[np.sort(enclosed)].mean(axis=0)
 
     def _path(self, w: Window):
-        """One window's box queries: yields lists of boxes, is sent the rows
-        of each box in the same order.
+        """One window's box queries: yields one request per step, is sent
+        its answer (the rows inside its box, its shell rows and their tags).
 
         Until a trial is kept, every enlargement trial grows the same center
-        and half-widths, so the trials of all remaining coordinates are asked
-        in one step; the first kept trial wins and the answers after it are
-        dropped. A kept enlargement keeps the rows its trial box found, so
-        movement goes on from them without asking for that box again.
-        Whether a trial is kept depends only on its box, the rows and the
-        window's current box, so the coordinates whose trials were refused
-        since the window last changed are not asked again: they would be
-        refused again. A kept trial changes the window, as its box holds
-        more rows than the window's."""
+        and half-widths, so the trials of all remaining coordinates are one
+        request, a sweep: the window's box, grown on those coordinates. A
+        trial's box holds the box's rows and the shell rows tagged with its
+        coordinate, since it equals the box off that coordinate and contains
+        it there, so one count of the tags sizes every trial. The first kept
+        trial wins and the trials after it are dropped. A kept enlargement
+        keeps its trial's rows, so movement goes on from them without asking
+        for that box again. Whether a trial is kept depends only on its box,
+        the rows and the window's current box, so the coordinates whose
+        trials were refused since the window last changed are not asked
+        again: they would be refused again. A kept trial changes the window,
+        as its box holds more rows than the window's."""
         d, theta = self.X.d, self.params.theta_enlarge
-        w.enclosed, = yield [w.bounds()]
+        w.enclosed, _, _ = yield w.request()
         yield from self._move(w)
         refused: set[int] = set()  # since the window last changed
         # safety cap: movement after a kept growth may shed points again
@@ -320,16 +362,17 @@ class _WindowDriver:
                 # after it refuse only coordinates past the kept one
                 grown = [s for s in range(t, d) if s not in refused]
                 before, t = w.enclosed.size, d
-                trials = []
+                trial = w.half_width.copy()
+                trial[grown] *= 1.0 + theta
+                inside, shell, tag = yield w.request(trial)
+                # gained[s]: rows trial s holds beyond the window's box
+                gained = np.bincount(tag, minlength=d).tolist()
                 for s in grown:
-                    trial = w.half_width.copy()
-                    trial[s] *= 1.0 + theta
-                    trials.append(trial)
-                found = yield [(w.center - h, w.center + h) for h in trials]
-                for s, trial, hits in zip(grown, trials, found):
-                    if hits.size > before and \
-                            hits.size - before >= theta * before:
-                        w.half_width, w.enclosed = trial, hits
+                    if gained[s] >= theta * before:  # so gained[s] > 0
+                        half = w.half_width.copy()
+                        half[s] = trial[s]
+                        w.half_width = half
+                        w.enclosed = np.concatenate((inside, shell[tag == s]))
                         yield from self._move(w)
                         refused.clear()
                         kept, t = True, s + 1
@@ -341,19 +384,16 @@ class _WindowDriver:
     @staticmethod
     async def _lockstep(paths: list, query):
         """Advance every unfinished path one step per round, each round one
-        `query` of all the boxes the steps ask for, until all finish."""
+        `query` of the requests the steps ask, until all finish."""
         live = [(path, next(path)) for path in paths]
         while live:
-            boxes = [box for _, asked in live for box in asked]
-            hits = await query((np.array([lo for lo, _ in boxes]),
-                                np.array([hi for _, hi in boxes])))
-            step, at = [], 0
-            for path, asked in live:
+            answers = await query(np.array([asked for _, asked in live]))
+            step = []
+            for (path, _), answer in zip(live, answers):
                 try:
-                    step.append((path, path.send(hits[at:at + len(asked)])))
+                    step.append((path, path.send(answer)))
                 except StopIteration:
                     pass
-                at += len(asked)
             live = step
 
     @staticmethod

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from parclust import kwindows
 from parclust.comm import CommWorld, split_blocks
 from parclust.core import (NOISE, DataSet, KeySortedRows, adjusted_rand_index,
                            generate_blobs)
@@ -210,10 +211,34 @@ def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
 
 
 def _one_round(lo, hi):
-    """A search driver of one round of boxes: returns one id set per box."""
+    """A search driver of one round of boxes, requests that grow no
+    coordinate: returns one id set per box."""
     async def driver(query):
-        return [set(ids.tolist()) for ids in await query((lo, hi))]
+        answers = await query(np.stack((lo, hi, lo, hi), axis=1))
+        return [set(inside.tolist()) for inside, _, _ in answers]
     return driver
+
+
+def _grown(request):
+    """The coordinates a request grows."""
+    lo, hi, grown_lo, grown_hi = request
+    return np.flatnonzero((grown_lo < lo) | (grown_hi > hi)).tolist()
+
+
+def _trial_box(request, s):
+    """A request's box, grown on coordinate s alone."""
+    lo, hi, grown_lo, grown_hi = (np.array(b) for b in request)
+    lo[s], hi[s] = grown_lo[s], grown_hi[s]
+    return lo, hi
+
+
+def _trial_boxes(request):
+    """The boxes a request stands for: its box when it grows no coordinate,
+    else one trial box per grown coordinate, in coordinate order."""
+    grown = _grown(request)
+    if not grown:
+        return [(request[0], request[1])]
+    return [_trial_box(request, s) for s in grown]
 
 
 def test_a_round_with_flat_boxes_equals_filter():
@@ -264,8 +289,28 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
     boxes += [(row, row),  # lo == hi on every coordinate, the key's too
               (pts.min(axis=0) - 2.0, pts.min(axis=0) - 1.0),  # below
               (pts.max(axis=0) + 1.0, pts.max(axis=0) + 2.0)]  # above
-    lo = np.array([box[0] for box in boxes])
-    hi = np.array([box[1] for box in boxes])
+    # each box grows on no coordinate (a movement box), on one, on some, or
+    # on every one, so on every block's key; a grown face lies on a data
+    # coordinate or just outside the data, and may equal the box's face
+    requests = []
+    for lo, hi in boxes:
+        grow = data.draw(st.sampled_from(["none", "one", "some", "all"]),
+                         label="grow")
+        if grow == "one":
+            grown = [data.draw(st.integers(0, d - 1), label="coordinate")]
+        elif grow == "some":
+            grown = data.draw(st.lists(st.integers(0, d - 1), max_size=d,
+                                       unique=True), label="coordinates")
+        else:
+            grown = list(range(d)) if grow == "all" else []
+        grown_lo, grown_hi = lo.copy(), hi.copy()
+        for t in grown:
+            grown_lo[t] = min(lo[t], data.draw(face(t)))
+            grown_hi[t] = max(hi[t], data.draw(face(t)))
+        requests.append((lo, hi, grown_lo, grown_hi))
+    below = pts.min(axis=0) - 2.0  # grown on every coordinate, yet off the
+    requests.append((below, below + 1.0, below - 1.0, below + 1.0))  # data
+    requests = np.array(requests)
     X = DataSet.from_points(pts)
     for p in sorted({1, 2, 3, n}):  # p == n: single-row shards
         if p > n:
@@ -276,14 +321,23 @@ def test_banded_round_hits_equal_the_mask_box_for_box(data):
             keyed = KeySortedRows.build(block)
             cols = np.ascontiguousarray(keyed.rows.T)
             parts.append(_round_hits(cols, keyed.col, start + keyed.order,
-                                     (lo, hi)))
+                                     requests))
             start += len(block)
-        for k, box in enumerate(zip(*parts)):
+        for k, answers in enumerate(zip(*parts)):
             # empty bands, skipped, answer with int64 arrays too
-            assert all(part.dtype == np.int64 for part in box), (p, k)
-            ids = np.concatenate(box)
+            assert all(part.dtype == np.int64 for answer in answers
+                       for part in answer), (p, k)
+            inside, shell, tag = map(np.concatenate, zip(*answers))
+            ids = np.concatenate((inside, shell))
             assert np.unique(ids).size == ids.size, (p, k)
-            assert set(ids.tolist()) == _brute(pts, lo[k], hi[k]), (p, k)
+            assert set(inside.tolist()) == _brute(pts, *requests[k, :2]), (p, k)
+            # trial s holds the box's rows and the shell's tagged s, and a
+            # coordinate that does not grow has no shell
+            assert set(tag.tolist()) <= set(_grown(requests[k])), (p, k)
+            for s in range(d):
+                trial = set(inside.tolist()) | set(shell[tag == s].tolist())
+                assert trial == _brute(pts, *_trial_box(requests[k], s)), \
+                    (p, k, s)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -627,13 +681,30 @@ def _serial_windows(X, params):
     return np.array(labels, dtype=np.int64), model, longest
 
 
+def _answer(X, request):
+    """A request's answer from brute-force masks of its box and of each of
+    its trial boxes: the box's rows, then the rows each trial box holds
+    beyond them, tagged with the trial's coordinate."""
+    inside = _inside(X, request[0], request[1])
+    shell = [np.setdiff1d(_inside(X, *_trial_box(request, s)), inside)
+             for s in _grown(request)]
+    tag = [np.full(rows.size, s) for s, rows in zip(_grown(request), shell)]
+    return (inside, np.concatenate([inside[:0]] + shell),
+            np.concatenate([inside[:0]] + tag))
+
+
+def _path_steps(X, params, w):
+    """Window w's `_WindowDriver._path` driven alone against `_answer`: each
+    step as the list of boxes its request stands for."""
+    return [_trial_boxes(request)
+            for request in _run_alone(_WindowDriver(X, params)._path(w),
+                                      lambda request: _answer(X, request))]
+
+
 def _longest_steps(X, params):
     """The most steps any window's `_WindowDriver._path` takes when driven
     alone against a brute-force mask."""
-    driver = _WindowDriver(X, params)
-    return max(len(_run_alone(driver._path(w),
-                              lambda boxes: [_inside(X, *b) for b in boxes]))
-               for w in _seed_windows(X, params))
+    return max(len(_path_steps(X, params, w)) for w in _seed_windows(X, params))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -668,13 +739,38 @@ def test_the_benchmark_call_asks_every_enlargement_trial_in_one_round(
     assert count_collectives[world]["gather"] <= 6
 
 
+def test_the_benchmark_call_asks_each_sweep_as_one_request(monkeypatch):
+    X, _ = generate_blobs(1, 4, 250, 8)
+    rounds = []
+    real = kwindows._round_hits
+
+    def recording(cols, col, at, requests):
+        rounds.append(requests.copy())
+        return real(cols, col, at, requests)
+
+    monkeypatch.setattr(kwindows, "_round_hits", recording)
+    world = CommWorld(1)
+    try:
+        k_windows(world, X, KWindowsParams(l=16, a=3.0))
+    finally:
+        world.shutdown()
+    requests = [request for asked in rounds for request in asked]
+    sweeps = [request for request in requests if _grown(request)]
+    assert len(requests) == 65 and len(sweeps) == 16
+    # one box per trial asked 177 boxes: 49 movement boxes and the 8 trials
+    # of each of the 16 sweeps; every sweep is one request of all 8 trials,
+    # and no round asks more than one request per window
+    assert sum(len(_trial_boxes(request)) for request in requests) == 177
+    assert all(_grown(sweep) == list(range(8)) for sweep in sweeps)
+    assert all(len(asked) <= 16 for asked in rounds)
+
+
 def test_a_kept_enlargement_does_not_ask_for_its_box_again():
     X, _ = generate_blobs(seed=21, k=2, per_cluster=60, d=2, spread=0.25,
                           separation=7.5)
     params = KWindowsParams(l=1, a=0.1)
     w = Window(X.points[0].copy(), np.full(2, 0.1))
-    steps = _run_alone(_WindowDriver(X, params)._path(w),
-                       lambda boxes: [_inside(X, *b) for b in boxes])
+    steps = _path_steps(X, params, w)
     alone = Window(X.points[0].copy(), np.full(2, 0.1))
     queries = _run_alone(_sequential_path(X, params, alone),
                          lambda box: _inside(X, *box))
@@ -774,18 +870,19 @@ def _boxes_asked_again(X, params):
         seen, state, sent = set(), None, None
         while True:
             try:
-                asked = path.send(sent)
+                request = path.send(sent)
             except StopIteration:
                 break
             now = (w.center.tobytes(), w.half_width.tobytes())
             if now != state:
                 seen, state = set(), now
+            asked = _trial_boxes(request)
             for lo, hi in asked:
                 box = (lo.tobytes(), hi.tobytes())
                 again += box in seen
                 seen.add(box)
             total += len(asked)
-            sent = [_inside(X, lo, hi) for lo, hi in asked]
+            sent = _answer(X, request)
     return again, total
 
 

@@ -5,7 +5,9 @@ blobs (3 clusters of 100 rows, seed 1) at d = 2 and d = 9, at P = 1, 2
 and 3 where the algorithm allows more than one node; cpca-cluster runs
 again with its local k-means capped at 1 and 4 Lloyd trips, so that its
 restarts stop at the cap as well as at convergence; k-windows runs
-again with 16 windows at half-widths 0.5, 2 and 3, pddp and pddp-km
+again with 16 windows at half-widths 0.5, 2 and 3, and at half-width 1
+with --theta-enlarge 0.05, where at d = 9 an enlargement sweep keeps a
+trial after refusing an earlier one, pddp and pddp-km
 again at heights 1, 3 and 5, deep enough for singletons, leaves that
 cannot split and levels that stop early, and kmeans and pkm again with
 --max-iter 4 and 3: their runs reach Lloyd's fixed point at iteration 4
@@ -67,7 +69,8 @@ from parclust.pddp import pddp_km, pddp_report  # noqa: E402
 # cpca-cluster's local k-means capped at 1 and 4 trips, where restarts stop
 # at the cap and not at convergence;
 # k-windows with enough windows and half-widths for paths of many
-# enlargements; the divisive trees at heights other than the default 2;
+# enlargements, and a smaller theta_enlarge for sweeps that keep a trial
+# after refusing an earlier one; the divisive trees at heights other than the default 2;
 # Lloyd capped at its fixed point's iteration (4 on both inputs) and at the
 # one before it
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
@@ -77,6 +80,7 @@ _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "kwindows --windows 16 --half-width 0.5",
          "kwindows --windows 16 --half-width 2",
          "kwindows --windows 16 --half-width 3",
+         "kwindows --windows 16 --half-width 1 --theta-enlarge 0.05",
          *("%s --height %d" % (algo, h) for algo in ("pddp", "pddp-km")
            for h in (1, 3, 5)),
          *("%s --max-iter %d" % (algo, cap) for algo in ("kmeans", "pkm")
