@@ -4,16 +4,19 @@ Every rank runs the same body, an `async def` function, on a `NodeCtx`,
 the only rank context. Ranks are coroutines that one scheduler,
 `CommWorld.run`, drives on the calling thread in bulk-synchronous steps:
 it resumes every rank in rank order until the rank posts a collective
-(`await ctx.allreduce_sum(v)`, `ctx.gather`, `ctx.broadcast` or
-`ctx.gather_rows`), checks that all ranks posted the same kind, combines
-their contributions and sends every rank its result. A one-node world
-runs the same loop with one rank.
+(`await ctx.allreduce_sum(v)`, `ctx.gather`, `ctx.broadcast`, or the
+composites `ctx.gather_rows` and `ctx.decide`), checks that all ranks
+posted the same kind, combines their contributions and sends every rank
+its result. A one-node world runs the same loop with one rank.
 The only reduction sums equal-length vectors of Python ints. Integer
 addition is exact and associative, so a sum does not depend on the fold
 order or on the node count; a float payload, whose sum would, is refused.
 Collectives are the only way ranks exchange data: there is no
 point-to-point messaging.
-Rank 0 is the root of every broadcast and gather.
+Rank 0 is the root of every broadcast and gather, and the one rank that
+decides: `ctx.decide(payload, rule)` gathers every rank's payload, runs
+`rule` on them at rank 0 alone and broadcasts its result, so a body
+never branches on its rank to merge or to refuse.
 
 A block is a plain 2-D array of rows, and a list of blocks, one per rank
 in rank order, is the dataset its concatenation defines: rank r's first
@@ -279,3 +282,11 @@ class NodeCtx:
         dataset order, at rank 0; None elsewhere. One gather."""
         parts = await self.gather(rows)
         return np.concatenate(parts) if self.rank == 0 else None
+
+    async def decide(self, payload, rule):
+        """`rule` of every rank's payload, in rank order, run at rank 0
+        only and returned on every rank: one gather, then one broadcast of
+        rank 0's result. A rule that raises fails the run with its own
+        exception at rank 0, after the gather and before the broadcast."""
+        parts = await self.gather(payload)
+        return await self.broadcast(rule(parts) if self.rank == 0 else None)

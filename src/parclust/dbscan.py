@@ -269,20 +269,26 @@ class DdbcParams:
 
 
 async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
-    """One rank's scan and density model of its block, merged at rank 0;
-    every rank returns (labels, representatives, d), with the labels at
-    rank 0 only. A block of fewer than min_pts rows, which can hold no
-    core point, is refused, and so, at rank 0 after one gather of the
-    block sizes, is a multi-node run with no representative."""
+    """One rank's scan and density model of its block; every rank returns
+    (labels, representatives, d), with the labels at rank 0 only.
+
+    The models meet in one decision (`ctx.decide`): rank 0's rule stacks
+    every rank's representatives, density-clusters them under eps_global
+    and min_pts_global, and joins the local clusters whose
+    representatives share a global cluster; every rank gets its own
+    clusters' groups and every representative. A block of fewer than
+    min_pts rows, which can hold no core point, is refused before any
+    collective, and a multi-node run with no representative is refused
+    by rank 0's rule over every block size, after one gather.
+    """
     if len(points) < params.local.min_pts:
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
                          "can hold no core point; use fewer nodes"
                          % (len(points), params.local.min_pts))
     local_X = DataSet.from_points(points)
     scan = density_scan(local_X, params.local)
-    models = await ctx.gather(rep_kmeans_model(local_X, scan, params.local,
-                                               refine=params.refine_model))
-    if ctx.rank == 0:
+
+    def merge(models):  # rank 0's rule over every rank's model
         # local clusters are nodes 0..n_local-1 in rank-major order, and
         # global cluster g of the representatives is node n_local + g;
         # representatives run rank-major, then as each model stacks them
@@ -302,21 +308,20 @@ async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
         # each root is its group's first local cluster, so numbering the
         # roots in order numbers the groups by first appearance
         group = (np.cumsum(root == np.arange(n_local)) - 1)[root]
-        payload = ([group[first[r]:first[r + 1]] for r in range(ctx.size)],
-                   centers, radii, group[owner])
-    else:
-        payload = None
-    groups, centers, radii, gids = await ctx.broadcast(payload)
+        return ([group[first[r]:first[r + 1]] for r in range(ctx.size)],
+                centers, radii, group[owner])
+
+    groups, centers, radii, gids = await ctx.decide(rep_kmeans_model(
+        local_X, scan, params.local, refine=params.refine_model), merge)
     if not gids.size and ctx.size > 1:
-        sizes = sorted(await ctx.gather(len(points)))
-        if ctx.rank == 0:
+        def refuse(sizes):  # rank 0's rule over every block size
             raise ValueError(
                 "no shard of %d to %d rows holds a core point under eps=%g "
                 "and min_pts=%d, and an all-noise answer over %d nodes "
                 "cannot be told from shards too small to show the clusters; "
-                "use fewer nodes" % (sizes[0], sizes[-1], params.local.eps,
+                "use fewer nodes" % (min(sizes), max(sizes), params.local.eps,
                                      params.local.min_pts, ctx.size))
-        return None
+        return await ctx.decide(len(points), refuse)
 
     local = scan.partition.labels
     final = np.full(len(points), NOISE, dtype=np.int64)

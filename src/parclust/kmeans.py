@@ -194,6 +194,15 @@ def _local_farthest(points, start, d2min, used):
     return -np.inf, -1, None
 
 
+def _cannot_repair(k: int, uniques):
+    """Rank 0's refusal of an empty cluster that no free row can fill,
+    given each block's distinct rows `uniques`: it names k and the
+    distinct rows of the whole data."""
+    raise ValueError("cannot repair an empty cluster: k=%d but the data has "
+                     "only %d distinct rows"
+                     % (k, len(np.unique(np.concatenate(uniques), axis=0))))
+
+
 async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     """One rank's R Lloyd runs over its block, in lockstep, from the
     (R, k, d) stack of starts `starts`, the same on every rank; every rank
@@ -215,9 +224,11 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     centers and trace frozen; the loop ends when no run is live, or at
     max_iter. A run's labels are its last assignment's, its centers its
     last update's. Empty clusters are repaired run by run in run order,
-    each with the run's own distances and picked rows; a relocation that
-    finds no free row off a centroid refuses, with the distinct rows
-    counted over every block.
+    each with the run's own distances and picked rows: every rank offers
+    its farthest free row and rank 0's rule (`ctx.decide`) picks the
+    farthest of all, ties to the lowest rank. A relocation that finds no
+    free row off a centroid refuses: rank 0's rule counts the distinct
+    rows over every block and raises, after one gather.
 
     A run whose reduced changes are all zero, with no empty cluster and a
     trip left, is at Lloyd's fixed point: its centers stay, so the next
@@ -278,19 +289,14 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
                                                      run_counts[i], grid)
             used: set[int] = set()
             for i in [i for i in range(k) if run_counts[i] == 0]:
-                cands = await ctx.gather(
-                    _local_farthest(pts, ctx.start, d2min[:, j], used))
                 # max keeps the first maximum, so ties go to the lowest rank
-                best = await ctx.broadcast(max(cands, key=lambda c: c[0])
-                                           if cands else None)
+                best = await ctx.decide(
+                    _local_farthest(pts, ctx.start, d2min[:, j], used),
+                    lambda cands: max(cands, key=lambda c: c[0]))
                 if best[0] <= 0:  # every free row already sits on a centroid
-                    rows = await ctx.gather_rows(np.unique(pts, axis=0))
-                    if ctx.rank == 0:
-                        raise ValueError(
-                            "cannot repair an empty cluster: k=%d but the "
-                            "data has only %d distinct rows"
-                            % (k, len(np.unique(rows, axis=0))))
-                    return None
+                    return await ctx.decide(
+                        np.unique(pts, axis=0),
+                        lambda uniques: _cannot_repair(k, uniques))
                 _, pick, run_centers[i] = best
                 used.add(pick)
         live = still

@@ -302,11 +302,21 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
 
 async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
                              reps_per_cluster, variance_fraction, seed):
-    """One rank's local and global clustering of its block, its sketches
-    merged at rank 0; every rank returns (labels, sketches,
-    representatives, d), with the labels at rank 0 only. When no rank has
-    a representative, rank 0 refuses after one gather of the block
-    sizes."""
+    """One rank's local and global clustering of its block; every rank
+    returns (labels, sketches, representatives, d), with the labels at
+    rank 0 only.
+
+    The sketches meet in one decision (`ctx.decide`): rank 0's rule
+    merges every rank's sketches by size-weighted k-means
+    (`_merge_sketches`), and every rank gets each rank's sketch groups. A
+    block of fewer than 2 rows, which has no local PCA, is refused before
+    any collective, naming the node; when no rank has a representative,
+    rank 0's rule refuses over every block size, after one gather.
+    """
+    if len(points) < 2:
+        raise ValueError("node %d's %d-row shard is too small for a local "
+                         "PCA, which needs at least 2 rows; use fewer nodes"
+                         % (ctx.rank, len(points)))
     _, proj_local = local_pca(points, variance_fraction)
     local_labels = _local_labels(clusterer, ctx.rank, proj_local, k,
                                  "node's own")
@@ -318,15 +328,14 @@ async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
         n_reps, global_basis = await _truncated_basis(ctx, rep_points,
                                                       variance_fraction)
     except NoRowsError:
-        sizes = await ctx.gather(len(points))
-        if ctx.rank == 0:
+        def refuse(sizes):  # rank 0's rule over every block size
             raise ValueError(
                 "no representatives for the global basis: local %s "
                 "clustering in each node's own PCA space marked every row as "
                 "noise on every shard (%s)" % (clusterer.name, ", ".join(
                     "node %d: %d rows" % (r, n) for r, n in enumerate(sizes)))
             ) from None
-        return None
+        return await ctx.decide(len(points), refuse)
     proj_global = (points - global_basis.mean) @ global_basis.components.T
     refined = _local_labels(clusterer, ctx.rank, proj_global, k, "global")
 
@@ -337,15 +346,14 @@ async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
     centroids = np.empty((len(counts), members.shape[1]))
     for i in range(len(counts)):
         centroids[i] = members[which == i].mean(axis=0)
-    all_sketches = await ctx.gather((centroids, counts))
-    if ctx.rank == 0:
-        first = np.cumsum([0] + [len(c) for _, c in all_sketches])
-        group = _merge_sketches(np.vstack([p for p, _ in all_sketches]),
-                                np.concatenate([c for _, c in all_sketches]), k)
-        groups = [group[first[r]:first[r + 1]] for r in range(ctx.size)]
-    else:
-        groups = None
-    groups = await ctx.broadcast(groups)
+
+    def merge(sketches):  # rank 0's rule over every rank's sketches
+        first = np.cumsum([0] + [len(c) for _, c in sketches])
+        group = _merge_sketches(np.vstack([p for p, _ in sketches]),
+                                np.concatenate([c for _, c in sketches]), k)
+        return [group[first[r]:first[r + 1]] for r in range(ctx.size)]
+
+    groups = await ctx.decide((centroids, counts), merge)
 
     final = np.full(refined.shape[0], NOISE, dtype=np.int64)
     final[keep] = groups[ctx.rank][which]

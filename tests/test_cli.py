@@ -417,6 +417,22 @@ def test_cpca_cluster_whose_local_scans_find_only_noise_exits_two(
         "on every shard (%s)\n" % shards)
 
 
+def test_cpca_cluster_over_shards_of_one_row_exits_two(tmp_path, capsys):
+    data = tmp_path / "sixty.csv"
+    assert main(["gen", "--seed", "3", "--clusters", "2", "--per-cluster",
+                 "30", "--dim", "2", "--out", str(data)]) == 0
+    capsys.readouterr()
+    rc = main(["run", "--algo", "cpca-cluster", "--nodes", "100", "--data",
+               str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    # 60 rows over 100 nodes: rank 0, the first to fail, holds one row
+    assert captured.err == (
+        "error: node 0's 1-row shard is too small for a local PCA, which "
+        "needs at least 2 rows; use fewer nodes\n")
+
+
 @pytest.mark.parametrize("nodes, shard, why", [
     ("1", "node 0's 6-row shard", "k=3 but the data has only 2 distinct rows"),
     # all three 2-row shards fail; the lowest rank's error is the one shown

@@ -236,6 +236,55 @@ def test_gather_rows_is_dataset_order_at_root_none_elsewhere(
     assert counts == {"gather": 1}
 
 
+# -- decide ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, n", [(1, 7), (2, 7), (3, 7), (5, 2)])
+def test_decide_runs_the_rule_once_at_rank_0_and_hands_every_rank_its_result(
+        p, n, count_collectives):
+    # at P=5 over 2 rows, ranks 2-4 hold empty blocks
+    calls = []
+
+    def body(ctx, points):
+        def rule(parts):
+            calls.append((ctx.rank, parts))
+            return ("decided", len(parts))
+        return ctx.decide((ctx.rank, ctx.start, len(points)), rule)
+
+    out = _every_rank(p, body, _toy(n))
+    sizes = [len(b) for b in np.array_split(np.arange(n), p)]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    assert calls == [(0, list(zip(range(p), starts, sizes)))]
+    assert out == [("decided", p)] * p
+    [counts] = count_collectives.values()
+    assert counts == {"gather": 1, "broadcast": 1}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5])
+def test_a_rule_that_raises_fails_the_run_with_rank_0s_exception(
+        p, count_collectives):
+    refusal = ValueError("refused at rank 0")
+    calls = []
+
+    def refuse(parts):
+        calls.append(parts)
+        raise refusal
+
+    async def body(ctx, points):
+        await ctx.decide(ctx.rank, refuse)
+        raise AssertionError("rank %d went on past a refusal" % ctx.rank)
+
+    world = CommWorld(p)
+    with pytest.raises(ValueError) as exc:
+        world.run(body, _toy(2))
+    assert exc.value is refusal
+    assert calls == [list(range(p))]
+    # one gather and no broadcast, and the world is closed
+    assert count_collectives[world] == {"gather": 1}
+    with pytest.raises(CommAbort, match="closed: rank 0 failed"):
+        world.run(body, _toy(2))
+
+
 # -- the scheduler -----------------------------------------------------------
 
 
@@ -764,7 +813,8 @@ def test_a_list_goes_through_its_check_once_per_driver_call(algo,
 
 
 @pytest.mark.parametrize("as_list", [False, True])
-def test_the_refusals_that_name_the_shards_are_unchanged(as_list):
+def test_the_refusals_that_name_the_shards_are_unchanged(as_list,
+                                                         count_collectives):
     # 20 rows alternating (0, 0) and (5, 5): 4 shards of 5 rows, each with
     # at most 3 copies of a point, hold no core point under min_pts 5
     alt = DataSet.from_points([[0.0, 0.0], [5.0, 5.0]] * 10)
@@ -780,6 +830,8 @@ def test_the_refusals_that_name_the_shards_are_unchanged(as_list):
         "no shard of 5 to 5 rows holds a core point under eps=0.5 and "
         "min_pts=5, and an all-noise answer over 4 nodes cannot be told from "
         "shards too small to show the clusters; use fewer nodes")
+    # the merge's gather and broadcast, then the refusal's one gather
+    assert count_collectives[world] == {"gather": 2, "broadcast": 1}
     # local density clustering that marks every row as noise
     X, _ = generate_blobs(1, 3, 60, 2)
     rows = split_blocks(X, 3) if as_list else X
@@ -793,3 +845,6 @@ def test_the_refusals_that_name_the_shards_are_unchanged(as_list):
         "no representatives for the global basis: local dbscan clustering in "
         "each node's own PCA space marked every row as noise on every shard "
         "(node 0: 60 rows, node 1: 60 rows, node 2: 60 rows)")
+    assert exc.value.__suppress_context__
+    # the global basis's two allreduces, then the refusal's one gather
+    assert count_collectives[world] == {"allreduce_sum": 2, "gather": 1}

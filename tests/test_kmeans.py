@@ -317,13 +317,18 @@ def test_a_run_at_its_fixed_point_records_its_next_trip_without_running_it(
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_the_empty_cluster_refusal_counts_distinct_rows_over_all_blocks(p):
+def test_the_empty_cluster_refusal_counts_distinct_rows_over_all_blocks(
+        p, count_collectives):
     # at P=3 every block holds both rows, so per-block counts would add to 6
     X = DataSet.from_points([[0.0, 0.0], [1.0, 1.0]] * 3)
     with pytest.raises(ValueError) as exc:
         _run_parallel(p, X, KMeansParams(k=3))
     assert str(exc.value) == ("cannot repair an empty cluster: k=3 but the "
                               "data has only 2 distinct rows")
+    # one trip, the repair's gather and broadcast, then the refusal's one
+    # gather
+    [counts] = count_collectives.values()
+    assert counts == {"allreduce_sum": 1, "gather": 2, "broadcast": 1}
 
 
 def test_a_bad_start_is_refused_before_the_world_runs(count_collectives):

@@ -352,6 +352,23 @@ def test_coincident_sketches_merge_into_one_group():
     assert rep.partition.k == 2
 
 
+@pytest.mark.parametrize("sizes, shard", [((1, 5, 5), "node 0's 1-row"),
+                                           ((5, 0, 5), "node 1's 0-row")])
+def test_a_shard_without_a_local_pca_is_refused_before_any_collective(
+        sizes, shard, count_collectives):
+    X, _ = generate_blobs(seed=2, k=2, per_cluster=20, d=2)
+    blocks = np.split(X.points[:sum(sizes)], np.cumsum(sizes)[:-1])
+    world = CommWorld(3)
+    try:
+        with pytest.raises(ValueError) as exc:
+            cpca_cluster(world, blocks, KMeansLocal(), k=2)
+    finally:
+        world.shutdown()
+    assert str(exc.value) == ("%s shard is too small for a local PCA, which "
+                              "needs at least 2 rows; use fewer nodes" % shard)
+    assert not count_collectives[world]
+
+
 def test_parameter_validation():
     X, _ = generate_blobs(seed=2, k=1, per_cluster=10, d=2)
     world = CommWorld(1)

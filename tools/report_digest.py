@@ -12,7 +12,12 @@ again at heights 1, 3 and 5, deep enough for singletons, leaves that
 cannot split and levels that stop early, and kmeans and pkm again with
 --max-iter 4 and 3: their runs reach Lloyd's fixed point at iteration 4
 on both inputs, so the cap falls on that iteration, which is recorded
-without its trip, and on the one before it. A line holds the
+without its trip, and on the one before it. Two runs pin rank 0's
+refusals: ddbc with --eps 1e-9 --min-pts 2 finds no core point, so it
+reports all noise at P = 1 and refuses at P = 2 and 3, and cpca-cluster
+with its local dbscan at --eps 1e-9 finds no representative and refuses
+at every P. A density run gets the eps of its d unless it sets its own
+--eps. A line holds the
 algorithm, P, d, the exit code and a hash of the report with
 `timings_ms` dropped (of the error message, for a run that fails).
 Then every driver (`pkm`, `pfcm`, `pddp_report`, `pddp_km`, `k_windows`,
@@ -72,11 +77,14 @@ from parclust.pddp import pddp_km, pddp_report  # noqa: E402
 # enlargements, and a smaller theta_enlarge for sweeps that keep a trial
 # after refusing an earlier one; the divisive trees at heights other than the default 2;
 # Lloyd capped at its fixed point's iteration (4 on both inputs) and at the
-# one before it
+# one before it; an eps under which no row has a neighbour, so that rank 0
+# refuses the runs over more than one node (ddbc) or every run (cpca-cluster)
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "cpca-cluster --max-iter 1", "cpca-cluster --max-iter 4",
          "cpca-cluster --local-algo dbscan", "dbscan", "ddbc",
          "ddbc --local-model rep-scor", "pddp", "pddp-km",
+         "ddbc --eps 1e-9 --min-pts 2",
+         "cpca-cluster --local-algo dbscan --eps 1e-9",
          "kwindows --windows 16 --half-width 0.5",
          "kwindows --windows 16 --half-width 2",
          "kwindows --windows 16 --half-width 3",
@@ -85,7 +93,8 @@ _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
            for h in (1, 3, 5)),
          *("%s --max-iter %d" % (algo, cap) for algo in ("kmeans", "pkm")
            for cap in (4, 3)))
-# the density algorithms' eps: a few neighbours in unit-spread blobs
+# the density algorithms' eps, for a run that sets none: a few neighbours
+# in unit-spread blobs
 _EPS = {2: 0.5, 9: 2.0}
 
 
@@ -152,7 +161,8 @@ def main() -> int:
             write_csv(X, data)
             for name in _RUNS:
                 algo, *extra = name.split()
-                if name in cli._DENSITY or algo in cli._DENSITY:
+                if ((name in cli._DENSITY or algo in cli._DENSITY)
+                        and "--eps" not in extra):
                     extra += ["--eps", str(_EPS[d])]
                 nodes = (1,) if algo in cli._PARALLEL else (1, 2, 3)
                 for p in nodes:
