@@ -355,30 +355,42 @@ class KeySortedRows:
         return cls(col, order, rows, np.ascontiguousarray(rows[:, col]))
 
 
-def components(n: int, u, v) -> np.ndarray:
+def components(n: int, u, v, starts=None, keep=None) -> np.ndarray:
     """Each node's smallest component member, over nodes 0..n-1.
 
     Edge i joins nodes u[i] and v[i], and the list must be symmetric: every
-    edge also appears as (v[i], u[i]). Rounds of hooking and shortcutting
-    (Shiloach & Vishkin, J. Algorithms 1982) run until no label moves. Each
-    run of equal u takes the least label among its v's in one reduceat, and
-    the root of u's tree drops to the least label offered to it; pointer
-    jumping then flattens every tree, so each label is a root again. A label
-    only ever falls to a smaller node of the same component, so the one root
-    left in each component is its smallest member. Edges grouped by u make
-    the fewest runs. Labels are int32 below 2**31 nodes, as compact as the
-    scan's neighbour ids, so a round's gather of them stays small.
+    edge also appears as (v[i], u[i]). Given `starts`, the edges come in
+    runs, as a CSR neighbour list holds them: run i joins node u[i] to each
+    node of v[starts[i]:starts[i + 1]] (the last run to the end of v), and
+    no run is empty. Given `keep`, one bool per node, only edges between
+    two kept nodes count, and a node not kept is its own component.
+
+    Rounds of hooking and shortcutting (Shiloach & Vishkin, J. Algorithms
+    1982) run until no label moves. Each run takes the least label among
+    its v's in one reduceat, and the root of its head's tree drops to the
+    least label offered to it; pointer jumping then flattens every tree, so
+    each label is a root again. A label only ever falls to a smaller node
+    of the same component, so the one root left in each component is its
+    smallest member. Edges grouped by u make the fewest runs. Labels are
+    int32 below 2**31 nodes, as compact as the scan's neighbour ids, so a
+    round's gather of them stays small. A node not kept offers the label n
+    to every run, which lowers no root, and its own run lowers nothing.
     """
     label = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
-    u = np.asarray(u)
-    if u.size == 0:
+    u, v = np.asarray(u), np.asarray(v)
+    if v.size == 0:
         return label
-    starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
-    heads = u[starts]
+    if starts is None:
+        starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
+        u = u[starts]
+    kept = None if keep is None else keep[u]
     while True:
-        least = np.minimum.reduceat(label[v], starts)
-        roots = label[heads]
+        least = np.minimum.reduceat(
+            (label if keep is None else np.where(keep, label, n))[v], starts)
+        roots = label[u]
         lower = least < roots
+        if kept is not None:
+            lower &= kept
         if not lower.any():
             return label
         np.minimum.at(label, roots[lower], least[lower])

@@ -138,11 +138,9 @@ def density_scan(X: DataSet, params: DbscanParams) -> DensityScan:
     dense = counts >= params.min_pts  # by slab position
     core = np.zeros(n, dtype=bool)
     core[slab.order] = dense
-    # every neighbour pair, grouped by row, as int32 ids like nbr's; a pair
-    # that is not core-core becomes a self-loop, which joins nothing
-    u = np.repeat(slab.order.astype(np.int32), counts)
-    root = components(n, u, np.where(np.repeat(dense, counts) & core[nbr],
-                                     nbr, u))
+    # the core-core pairs, straight from the sweep's runs: position p's run
+    # is row order[p]'s neighbours, never empty as it holds the row itself
+    root = components(n, slab.order, nbr, starts=indptr[:-1], keep=core)
     # a core row that is its own root is the smallest of its cluster
     number = np.cumsum(core & (root == np.arange(n))) - 1
     cluster = np.full(n, n, dtype=np.int32)  # n: not a core row

@@ -18,16 +18,21 @@ distances bit for bit. With more than 16 centers a run, each run goes to
 `core.nearest_centers`, which settles nearly every row from one BLAS
 product against rows lifted once per call, and rescores only rows whose
 nearest center is within rounding of another. With at most 16, one
-distance matrix over every run's centers is kept between iterations and
-only the columns of centers that moved are scored again: every
-`squared_distances` value depends on its own point and center alone, so
-a kept column equals a fresh one, and a wide matrix equals R narrow
-ones, bit for bit. The exact per-cluster sums and counts are kept too,
-and each iteration sums only the (row, run) cells that changed cluster,
-in one grouped call over every live run's clusters; integer addition is
-exact, so the updated sums equal a full recount. Only the centers whose
-sums or counts changed are recomputed, and a mean of unchanged sums is
-the same float.
+center-major block of distances, a row per center of every run, is kept
+between iterations and only the rows of centers that moved are scored
+again: every `squared_distances` value depends on its own point and
+center alone, so a kept row equals a fresh one, and a tall block equals
+R short ones, bit for bit. Each run's nearest distances are one minimum
+over its k rows of the block, and each label the lowest index that
+reaches it, as argmin picks.
+
+The exact per-cluster sums and counts are kept too. The first trip sums
+each run's clusters straight from the rank's rows; a later one sums
+only the (row, run) cells that changed cluster, as Python ints when they
+are few and in one grouped call over every live run's clusters when
+not. Integer addition is exact, so the updated sums equal a full
+recount. Only the centers whose sums or counts changed are recomputed,
+and a mean of unchanged sums is the same float.
 
 The sums of data rows are kept on the data's own grid, which every rank
 reads from its run (`NodeCtx.grid`, the least `exactsum.data_grid` of
@@ -96,29 +101,74 @@ def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:
     return centers
 
 
+#: A trip that moves at most this many (row, run) cells sums them as
+#: Python ints (`_few_moved_stats`), a grouped call for more.
+_FEW_MOVED = 24
+
+
 def _moved_stats(points, old, new, groups, grid) -> list[int]:
     """This block's exact change of the per-cluster sums and counts, from
     the (rows, runs) labels of some runs before and after a trip, each a
     (run, cluster) group below `groups`; the sums are on the grid 2**grid.
+    `old` is None before the first trip, when no row has a cluster yet.
 
-    Only the (row, run) cells whose label differs are summed, in one
-    grouped call: each moved row goes into its group `new` and, unless it
-    had no cluster yet (label -1), negated into its group `old`; negation
-    is exact, so each group's sum is what joined it minus what left it.
+    On the first trip every row joins its group in every run, and each
+    run's clusters are summed straight from the block's rows, in one
+    grouped call a run. On a later trip only the (row, run) cells whose
+    label differs are summed: each moved row goes into its group `new` and
+    negated into its group `old`; negation is exact, so each group's sum is
+    what joined it minus what left it. At most _FEW_MOVED cells are summed
+    as Python ints (`_few_moved_stats`), more in one grouped call.
     Returns `groups` * d sum changes in group-major order, then `groups`
     count changes.
     """
+    if old is None:
+        k = groups // new.shape[1]
+        out = []
+        for run, labels in enumerate(new.T):
+            out += grouped_sums_fixed(points, labels - run * k, k, grid)
+        return out + np.bincount(new.ravel(), minlength=groups).tolist()
     runs = old.shape[1]
     moved = np.flatnonzero(old != new)  # flat (row, run) cells
-    rows = moved // runs if runs > 1 else moved
+    rows = points[moved // runs if runs > 1 else moved]
     src, dst = old.ravel()[moved], new.ravel()[moved]
-    had = src >= 0
-    out = grouped_sums_fixed(
-        np.concatenate((points[rows], -points[rows[had]])),
-        np.concatenate((dst, src[had])), groups, grid)
+    if len(rows) <= _FEW_MOVED:
+        out = _few_moved_stats(rows, src, dst, groups, grid)
+        if out is not None:
+            return out
+    out = grouped_sums_fixed(np.concatenate((rows, -rows)),
+                             np.concatenate((dst, src)), groups, grid)
     out.extend((np.bincount(dst, minlength=groups)
-                - np.bincount(src[had], minlength=groups)).tolist())
+                - np.bincount(src, minlength=groups)).tolist())
     return out
+
+
+def _few_moved_stats(rows, src, dst, groups, grid) -> list[int] | None:
+    """`_moved_stats` of a few moved `rows`, from group `src` to group
+    `dst`, summed as Python ints; None when a value is not known to be on
+    the grid 2**grid, or its image there would overflow a float.
+
+    A value x = m * 2**e (frexp, 53-bit m) is on the grid when e - 53 >=
+    grid, and x * 2**-grid is then an integral float, below 2**1024 when
+    e - grid <= 1024, which `int()` converts exactly. Data rows are finite
+    and on their run's data grid, so only data spread over more than
+    about 970 binades fails the test; rows that fail it go back to the
+    grouped call, which sums them or refuses a bit below the grid."""
+    e = np.frexp(rows)[1]
+    if e.size and (e.min() - 53 < grid or e.max() - grid > 1024):
+        return None
+    d = rows.shape[1]
+    sums, counts = [0] * (groups * d), [0] * groups
+    for row, a, b in zip(np.ldexp(rows, -grid).tolist(), dst.tolist(),
+                         src.tolist()):
+        counts[a] += 1
+        counts[b] -= 1
+        a, b = a * d, b * d
+        for j, x in enumerate(row):
+            x = int(x)
+            sums[a + j] += x
+            sums[b + j] -= x
+    return sums + counts
 
 
 def _assignment(points, starts):
@@ -132,10 +182,17 @@ def _assignment(points, starts):
 
     With more than _FEW_CENTERS centers a run, each live run goes to
     `nearest_centers`, with the rows lifted once about their midrange.
-    With fewer, one (rows, R * k) distance matrix is kept and only the
-    columns of centers that moved are scored again, or the whole matrix
-    when every center moved; a row's cell of label c is at row * R * k + c
-    of the flat matrix.
+    With fewer, one center-major (R * k, rows) block of
+    `squared_distances(centers, points)` is kept, the same bits as the
+    rows-major matrix transposed (`c - p` squares to the bits of `p - c`),
+    and only the rows of centers that moved are scored again, or the whole
+    block when every center moved. Each live run's d2min is one
+    `np.minimum.reduce` over its k rows, the picked value itself, and its
+    labels a sweep from the highest index down that sets each index
+    wherever its row equals the minimum, so ties go to the lowest index.
+    The labels and distances come out as (live runs, rows) arrays; the
+    labels are returned as a C-ordered (rows, live runs) copy, which
+    `_moved_stats` reads flat.
     """
     runs, k, d = starts.shape
     firsts = np.arange(runs) * k  # each run's first label
@@ -157,25 +214,29 @@ def _assignment(points, starts):
             return np.hstack(labels), np.hstack(d2min)
         return nearest
     scored = starts.reshape(runs * k, d)
-    d2 = squared_distances(points, scored)
-    cells = (np.arange(len(points)) * (runs * k))[:, None]
+    block = squared_distances(scored, points)
 
     def refresh(c, live):
-        nonlocal scored, d2
+        nonlocal scored, block
         flat = c.reshape(runs * k, d)
         shifted = np.flatnonzero(np.any(flat != scored, axis=1))
         if shifted.size == len(flat):
-            d2 = squared_distances(points, flat)
+            block = squared_distances(flat, points)
         elif shifted.size:
-            d2[:, shifted] = squared_distances(points, flat[shifted])
+            block[shifted] = squared_distances(flat[shifted], points)
         scored = flat
-        cube = d2.reshape(len(points), runs, k)
-        if len(live) < runs:  # a copy of the live runs' columns only
-            cube = cube[:, live]
-        new = np.argmin(cube, axis=2)
+        cube = block.reshape(runs, k, len(points))
+        if len(live) < runs:  # a copy of the live runs' rows only
+            cube = cube[live]
+        d2min = np.minimum.reduce(cube, axis=1)
+        # from the highest index down, so the lowest at the minimum is last
+        new = np.full(d2min.shape, k - 1, dtype=np.int64)
+        for i in range(k - 2, -1, -1):
+            np.copyto(new, i, where=cube[:, i] == d2min)
         if runs > 1:
-            new += firsts[live]
-        return new, d2.ravel()[cells + new]
+            new += firsts[live, None]
+        # labels as (rows, live runs) in C order, a view for one run
+        return np.ascontiguousarray(new.T), d2min.T
     return refresh
 
 
@@ -213,11 +274,11 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     (R = 1) from its start.
 
     Each iteration makes one allreduce, of the live runs' changes to the
-    per-cluster sums and counts (one grouped exact sum over every (run,
-    cluster) group, on the run's data grid `ctx.grid()`), then their
-    exact objectives (one exact sum per run, on the default grid: squared
-    distances are not data values). Which centers to recompute, and so
-    which distance columns to refresh, follows from the reduced changes
+    per-cluster sums and counts (exact sums over every (run, cluster)
+    group, on the run's data grid `ctx.grid()`; see `_moved_stats`), then
+    their exact objectives (one exact sum per run, on the default grid:
+    squared distances are not data values). Which centers to recompute,
+    and so which distance rows to refresh, follows from the reduced changes
     and the replicated centers only, never from this block's own rows: a
     center moves on every rank when rows of any block change cluster. A run
     whose objective passes the tol test leaves the live set, its labels,
@@ -241,8 +302,8 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     runs, k, d = starts.shape
     kd = k * d
     grid = ctx.grid()
-    # each (row, run)'s flat label run * k + cluster, -1 for no cluster yet
-    labels = np.full((len(pts), runs), -1, dtype=np.int64)
+    # each (row, run)'s flat label run * k + cluster, from the first trip on
+    labels = None
     # each run's exact per-cluster sums and counts over all blocks
     sums = [[0] * kd for _ in range(runs)]
     counts = [[0] * k for _ in range(runs)]

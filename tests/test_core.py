@@ -422,6 +422,24 @@ def test_components_equal_a_breadth_first_search(case, grouped):
     assert got.tolist() == _bfs_components(n, edges)
 
 
+@given(edge_lists(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_components_of_csr_runs_among_kept_nodes(case, data):
+    # the layout the density scan passes: one run of neighbours per node
+    # that has any, and a mask of the nodes whose edges count
+    n, edges = case
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool)
+    u, v = _both_ways(edges)
+    order = np.argsort(u, kind="stable")
+    u, v = u[order], v[order]
+    heads, starts = np.unique(u, return_index=True)
+    got = components(n, heads, v, starts=starts, keep=keep)
+    assert got.dtype == np.int32
+    assert got.tolist() == _bfs_components(
+        n, [(a, b) for a, b in edges if keep[a] and keep[b]])
+
+
 @given(st.integers(2000, 4000), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=10)
 def test_components_of_a_shuffled_path(n, seed):

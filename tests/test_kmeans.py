@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parclust import kmeans as kmeans_module
 from parclust.comm import CommWorld, split_blocks
 from parclust.core import (DataSet, Partition, adjusted_rand_index,
                            generate_blobs, squared_distances, sse_objective)
-from parclust.exactsum import (fixed_to_float, fixed_to_floats,
+from parclust.exactsum import (data_grid, fixed_to_float, fixed_to_floats,
                                grouped_sums_fixed, sum_fixed)
-from parclust.kmeans import (KMeansParams, _init_centers, _pkm_node,
+from parclust.kmeans import (_FEW_MOVED, KMeansParams, _assignment,
+                             _init_centers, _moved_stats, _pkm_node,
                              kmeans_centralized, pkm)
 from parclust.pca import KMeansLocal, cpca_cluster
 
@@ -489,6 +491,140 @@ def test_each_run_of_a_stack_equals_a_run_of_its_own_on(name,
     _run_axis_check((X, params, starts))
 
 
+# -- one trip's pieces: the few-center selection and the moved sums -----------
+
+
+@pytest.mark.parametrize("runs", [1, 2, 8])
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_the_few_center_selection_equals_argmin_and_pick(runs, k):
+    rng = np.random.default_rng(runs * 100 + k)
+    # rows on a coarse grid, so exact ties are common, and one row whose
+    # squared distance to every center overflows to infinity
+    points = rng.integers(-3, 4, size=(60, 2)).astype(float)
+    points[7] = [1e200, -1e200]
+    starts = points[rng.integers(8, 60, size=(runs, k))]
+    if k > 1:
+        starts[:, 1] = starts[:, 0]  # duplicate centers: every row ties
+    assign = _assignment(points, starts)
+    centers = starts
+    for live in [list(range(runs)), [0], [runs - 1], list(range(0, runs, 3))]:
+        labels, d2min = assign(centers, live)
+        assert labels.shape == d2min.shape == (60, len(live))
+        assert labels.flags.c_contiguous  # `_moved_stats` reads it flat
+        for j, run in enumerate(live):
+            d2 = squared_distances(points, centers[run])
+            want = np.argmin(d2, axis=1)
+            assert (labels[:, j] == run * k + want).all()
+            assert _same_bits(d2min[:, j].copy(), d2[np.arange(60), want])
+        assert np.isinf(d2min[7]).all() and (labels[7] % k == 0).all()
+        # some centers move: only their rows of the block are scored again
+        centers = centers.copy()
+        centers[rng.random(runs) < 0.5, rng.integers(0, k)] += 0.5
+
+
+def _moved_stats_oracle(points, old, new, groups, grid):
+    """`_moved_stats` as one grouped call over every moved cell, the form
+    it had before its first-trip and few-cell paths; old labels of -1 mean
+    no cluster yet."""
+    runs = old.shape[1]
+    moved = np.flatnonzero(old != new)
+    rows = moved // runs if runs > 1 else moved
+    src, dst = old.ravel()[moved], new.ravel()[moved]
+    had = src >= 0
+    out = grouped_sums_fixed(
+        np.concatenate((points[rows], -points[rows[had]])),
+        np.concatenate((dst, src[had])), groups, grid)
+    out.extend((np.bincount(dst, minlength=groups)
+                - np.bincount(src[had], minlength=groups)).tolist())
+    return out
+
+
+def _labels_with_moves(rng, n, runs, k, cells):
+    """(old, new) (n, runs) labels run * k + cluster that differ in exactly
+    `cells` (row, run) cells."""
+    old = rng.integers(0, k, size=(n, runs)) + np.arange(runs) * k
+    new = old.copy()
+    flat = rng.choice(n * runs, cells, replace=False)
+    new.ravel()[flat] = (new.ravel()[flat] % k + 1) % k + flat % runs * k
+    return old, new
+
+
+@pytest.fixture
+def grouped_calls(monkeypatch):
+    """The number of grouped exact-sum calls `kmeans` makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grouped_sums_fixed(*args, **kwargs)
+
+    monkeypatch.setattr(kmeans_module, "grouped_sums_fixed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_a_first_trip_sums_each_run_from_the_rows(runs, grouped_calls):
+    X, _ = generate_blobs(seed=5, k=3, per_cluster=30, d=3)
+    grid = data_grid(X.points)
+    k = 4
+    new = (np.random.default_rng(runs).integers(0, k, size=(X.n, runs))
+           + np.arange(runs) * k)
+    want = _moved_stats_oracle(X.points, np.full_like(new, -1), new,
+                               runs * k, grid)
+    grouped_calls.clear()
+    assert _moved_stats(X.points, None, new, runs * k, grid) == want
+    assert len(grouped_calls) == runs  # one grouped call a run
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("cells", [0, 1, _FEW_MOVED, _FEW_MOVED + 1, 100])
+def test_moved_sums_equal_one_grouped_call(runs, cells, grouped_calls):
+    X, _ = generate_blobs(seed=6, k=3, per_cluster=40, d=3)
+    grid = data_grid(X.points)
+    k = 5
+    old, new = _labels_with_moves(np.random.default_rng(cells), X.n, runs, k,
+                                  cells)
+    want = _moved_stats_oracle(X.points, old, new, runs * k, grid)
+    grouped_calls.clear()
+    assert _moved_stats(X.points, old, new, runs * k, grid) == want
+    # at most _FEW_MOVED cells are summed as Python ints
+    assert len(grouped_calls) == (cells > _FEW_MOVED)
+
+
+def test_few_moved_rows_that_overflow_on_the_grid_take_the_grouped_call(
+        grouped_calls):
+    # 2**-1000 puts the data grid at 2**-1052, where the image of a value
+    # of 2**-28 or more is beyond float64: rows 2 and 3 of every 4 overflow
+    points = np.array([[2.0**-1000, 2.0**-30], [1e-20, -3e-15], [1.0, 2.5],
+                       [3e100, 0.0]] * 3)
+    grid = data_grid(points)
+    old = np.arange(12)[:, None] % 3
+    for moving, calls in ([0, 1, 2, 3], 1), ([0, 1], 0):
+        new = old.copy()
+        rows = np.flatnonzero(np.isin(np.arange(12) % 4, moving))
+        new[rows] = (old[rows] + 1) % 3
+        grouped_calls.clear()
+        assert (_moved_stats(points, old, new, 3, grid)
+                == _moved_stats_oracle(points, old, new, 3, grid))
+        assert len(grouped_calls) == calls
+
+
+@pytest.mark.parametrize("cells", [3, _FEW_MOVED + 1])
+def test_moved_rows_with_a_bit_below_the_grid_are_refused_alike(cells):
+    X, _ = generate_blobs(seed=7, k=2, per_cluster=30, d=2)
+    grid = -2  # blob rows hold bits below a quarter
+    old, new = _labels_with_moves(np.random.default_rng(cells), X.n, 2, 3,
+                                  cells)
+    errors = []
+    for stats in (_moved_stats, _moved_stats_oracle):
+        with pytest.raises(ValueError) as exc:
+            stats(X.points, old, new, 6, grid)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert "below the grid" in errors[0]
+
+
 # -- KMeansLocal: the restarts of one nested world ----------------------------
 
 
@@ -543,6 +679,25 @@ def test_kmeans_local_keeps_the_labels_of_the_best_of_its_restarts(case):
     if want is None:
         assert _same_bits(np.asarray(local(X, k)),
                           _best_of_restarts(X, k, seed, max_iter))
+
+
+def test_kmeans_local_draws_its_start_rows_once_per_row_count_and_k(
+        monkeypatch):
+    X, _ = generate_blobs(seed=3, k=3, per_cluster=40, d=2)
+    Y = DataSet.from_points(X.points[::-1] * 2.0)  # other rows, the same n
+    draws = []
+    rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: draws.append(seed) or rng(seed))
+    local = KMeansLocal(seed=7, max_iter=4)
+    draws.clear()
+    for data, k, drawn in (X, 3, 8), (Y, 3, 0), (X, 2, 8), (Y, 2, 0):
+        got = local(data, k)
+        assert len(draws) == drawn
+        draws.clear()
+        # the starts are the rows of the draw, as a fresh instance takes them
+        assert _same_bits(np.asarray(got), _best_of_restarts(data, k, 7, 4))
+        draws.clear()
 
 
 @pytest.mark.parametrize("max_iter", [1, 4, 300])
