@@ -281,13 +281,16 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray, lhs: np.ndarray,
     it picks, from one BLAS product and a proven error bound.
 
     `lhs` and `rhs` are the lifts of `product_margin`, which bounds
-    |G - D| by m for every cell of G = lhs @ rhs.T. A row's nearest center
-    c has G_c <= D_c + m <= D_j + m <= G_j + 2m for every center j, so c
-    is among the centers with G within 2m of the row's least G. A row with
-    one such candidate, its argmin of G, is settled: that candidate is its
-    nearest, and no other center ties with it, because a tying center
-    would be a candidate too. Two argmins find the least G of the other
-    centers, which decides whether there is a second candidate.
+    |G - D| by m for every cell of G = lhs @ rhs.T in any summation order,
+    so the product is formed center-major, as Gᵀ = rhs @ lhs.T, and each
+    row's least G is one `np.minimum.reduce` over the centers. A row's
+    nearest center c has G_c <= D_c + m <= D_j + m <= G_j + 2m for every
+    center j, so c is among the row's candidates, the centers with G
+    within 2m of its least G. A row with one candidate is settled: that
+    candidate is its nearest, and no other center ties with it, because a
+    tying center would be a candidate too. Each row is labelled with its
+    first candidate (`argmax` of its candidate mask); a mask with no more
+    candidates than rows means no row has two.
 
     The rounded threshold least G + 2m does not drop c: |G - D| is at most
     0.8 m (see product_margin), so G_c is within 1.6 m of the least G, and
@@ -303,14 +306,14 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray, lhs: np.ndarray,
         labels = np.zeros(len(points), dtype=np.int64)
         open_rows = np.arange(len(points))
     else:
-        g = lhs @ rhs.T
-        labels = np.argmin(g, axis=1)
-        rows = np.arange(len(points))
-        least = g[rows, labels]
-        g[rows, labels] = np.inf  # the least G of the other centers next
-        runner_up = g[rows, np.argmin(g, axis=1)]
+        gt = rhs @ lhs.T
+        least = np.minimum.reduce(gt, axis=0)
         least += 2.0 * m
-        open_rows = np.flatnonzero(runner_up <= least)
+        candidate = gt <= least
+        labels = np.argmax(candidate, axis=0)
+        open_rows = labels[:0]
+        if np.count_nonzero(candidate) > len(points):
+            open_rows = np.flatnonzero(np.count_nonzero(candidate, axis=0) > 1)
     if open_rows.size:
         labels[open_rows] = np.argmin(
             squared_distances(points[open_rows], centers), axis=1)
@@ -355,6 +358,12 @@ class KeySortedRows:
         return cls(col, order, rows, np.ascontiguousarray(rows[:, col]))
 
 
+#: Labels that one `np.take` of `components` gathers at once. `np.take`
+#: casts its indices to intp, so an int32 list gathered in one call would
+#: be copied whole at twice its size; chunks bound that copy.
+_TAKE_CHUNK = 1 << 15
+
+
 def components(n: int, u, v, starts=None, keep=None) -> np.ndarray:
     """Each node's smallest component member, over nodes 0..n-1.
 
@@ -372,9 +381,15 @@ def components(n: int, u, v, starts=None, keep=None) -> np.ndarray:
     each label is a root again. A label only ever falls to a smaller node
     of the same component, so the one root left in each component is its
     smallest member. Edges grouped by u make the fewest runs. Labels are
-    int32 below 2**31 nodes, as compact as the scan's neighbour ids, so a
-    round's gather of them stays small. A node not kept offers the label n
-    to every run, which lowers no root, and its own run lowers nothing.
+    int32 below 2**31 nodes, as compact as the scan's neighbour lists. A
+    round gathers the labels of v with `np.take` into one buffer reused
+    by every round, _TAKE_CHUNK at a time: `np.take` is about twice as
+    fast as fancy indexing here, and the chunks keep its intp copy of the
+    indices small, so an int32 v costs no copy of its own size. The mode
+    "wrap" leaves every node below n as it is and writes straight into the
+    buffer, where the default mode "raise" fills it through a copy of its
+    own. A node not kept offers the label n to every run, which lowers no
+    root, and its own run lowers nothing.
     """
     label = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
     u, v = np.asarray(u), np.asarray(v)
@@ -384,9 +399,13 @@ def components(n: int, u, v, starts=None, keep=None) -> np.ndarray:
         starts = np.concatenate(([0], np.flatnonzero(u[1:] != u[:-1]) + 1))
         u = u[starts]
     kept = None if keep is None else keep[u]
+    offered = np.empty(v.size, dtype=label.dtype)
     while True:
-        least = np.minimum.reduceat(
-            (label if keep is None else np.where(keep, label, n))[v], starts)
+        source = label if keep is None else np.where(keep, label, n)
+        for lo in range(0, v.size, _TAKE_CHUNK):
+            np.take(source, v[lo:lo + _TAKE_CHUNK],
+                    out=offered[lo:lo + _TAKE_CHUNK], mode="wrap")
+        least = np.minimum.reduceat(offered, starts)
         roots = label[u]
         lower = least < roots
         if kept is not None:

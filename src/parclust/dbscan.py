@@ -5,10 +5,14 @@ clusters model representatives at the facilitator.
 Each scan finds every row's eps-neighbourhood in one blocked sweep over rows
 sorted by one column, and records which rows are core points; the density
 models reuse that mask and those neighbourhoods instead of querying or
-scoring distances again. The labels do not depend on the order of the
-rows: clusters are the connected components of the core rows, numbered by
-their smallest core row, and a border row joins the cluster of smallest
-number among its core neighbours."""
+scoring distances again. A neighbourhood is kept as a list of positions
+in that sorted order, int32 below 2**31 rows, so the scan never maps a
+pair back to its dataset row. The labels do not depend on the order of
+the rows: clusters are the connected components of the core rows,
+numbered by their smallest core row, and a border row joins the cluster of
+smallest number among its core neighbours. A core row's cluster is its
+own, so only the non-core rows, whose lists are shorter than min_pts, are
+looked up pair by pair."""
 
 from __future__ import annotations
 
@@ -54,9 +58,15 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
     """Every row's eps-neighbourhood in the key-sorted rows `slab`, found in
     one blocked sweep.
 
-    Returns CSR arrays (indptr, nbr) over slab positions: the rows whose
-    squared distance to row order[p] is <= eps2 are
-    nbr[indptr[p]:indptr[p + 1]], as int32 ids in slab order.
+    Returns CSR arrays (indptr, nbr) over slab positions: the positions q
+    with squared distance <= eps2 between rows order[p] and order[q] are
+    nbr[indptr[p]:indptr[p + 1]], ascending, as int32 below 2**31 rows
+    (int64 above). The lists hold positions, not dataset rows, so no pair
+    is gathered through `order`: a hit at flat index f of a block's
+    (rows, band) matrix, whose band of w positions starts at position a,
+    lies in row i = f // w, which starts at cell i * w, and is position
+    f - i * w + a; each row's count is where its first cell falls among
+    the sorted hits.
 
     Each block of consecutive positions is scored in full against the
     union of its rows' key bands, a band being the rows whose key lies
@@ -70,12 +80,12 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
     """
     keys = slab.keys
     n = keys.size
+    index = np.int32 if n < 2**31 else np.int64
     reach = math.sqrt(eps2) * (1.0 + 2.0 ** -20) + 2.0 ** -500
     lo = np.searchsorted(keys, keys - reach, "left")
     hi = np.searchsorted(keys, keys + reach, "right")
-    ids = slab.order.astype(np.int32)
     lhs, rhs = lifted_rows(slab.rows, column_midrange(slab.rows))
-    counts = np.empty(n, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     chunks = []
     start = 0
     while start < n:
@@ -87,14 +97,14 @@ def _neighbourhoods(slab: KeySortedRows, eps2: float):
         a, b = int(lo[start]), int(hi[stop - 1])
         hit = within_squared_distance(slab.rows[start:stop], slab.rows[a:b],
                                       eps2, lhs[start:stop], rhs[a:b])
-        counts[start:stop] = np.count_nonzero(hit, axis=1)
-        cols = np.flatnonzero(hit)  # row-major, as nonzero's
-        cols %= b - a
-        chunks.append(ids[a:b][cols])
+        flat = np.flatnonzero(hit)  # ascending: row by row, then by column
+        firsts = np.arange(0, hit.size + 1, b - a)  # each row's first cell
+        ends = np.searchsorted(flat, firsts)
+        indptr[start + 1:stop + 1] = indptr[start] + ends[1:]
+        flat -= np.repeat(firsts[:-1] - a, np.diff(ends))
+        chunks.append(flat.astype(index))
         start = stop
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    nbr = np.concatenate(chunks) if chunks else ids[:0]
+    nbr = np.concatenate(chunks) if chunks else np.empty(0, index)
     return indptr, nbr
 
 
@@ -103,20 +113,23 @@ class DensityScan:
     """One scan of a dataset: its partition, its core-point mask, and every
     row's eps-neighbourhood as the sweep found it.
 
-    The neighbourhoods are the sweep's CSR arrays over slab positions;
-    `position[row]` is the row's slab position, so `neighbours(row)` are
-    the rows whose squared distance to it is <= eps2, the row included.
+    The neighbourhoods are the sweep's CSR arrays over slab positions:
+    `order[p]` is the row at position p and `position[row]` the row's
+    position, so `neighbours(row)` are the dataset rows whose squared
+    distance to it is <= eps2, the row included, mapped from the
+    positions of its list when asked for.
     """
 
     partition: Partition
     core: np.ndarray  # bool per row
     indptr: np.ndarray
     nbr: np.ndarray
+    order: np.ndarray
     position: np.ndarray
 
     def neighbours(self, row: int) -> np.ndarray:
         p = self.position[row]
-        return self.nbr[self.indptr[p]:self.indptr[p + 1]]
+        return self.order[self.nbr[self.indptr[p]:self.indptr[p + 1]]]
 
 
 def density_scan(X: DataSet, params: DbscanParams) -> DensityScan:
@@ -130,28 +143,46 @@ def density_scan(X: DataSet, params: DbscanParams) -> DensityScan:
     noise. No rule depends on the order rows are visited in, so runs are
     bit-reproducible. Every row's neighbourhood is found once, in one sweep,
     and the scan keeps them for the density models.
+
+    The scan works in slab positions throughout: `components` joins the
+    core positions through the sweep's lists, each component's root is
+    numbered by the least dataset row among its core positions, and a core
+    position takes its own cluster. Only the non-core positions, whose
+    lists are shorter than min_pts, look up their neighbours' clusters, in
+    one reduceat over their runs alone.
     """
     n = X.n
     slab = KeySortedRows.build(X.points)
+    order = slab.order
     indptr, nbr = _neighbourhoods(slab, params.eps * params.eps)
     counts = np.diff(indptr)
     dense = counts >= params.min_pts  # by slab position
     core = np.zeros(n, dtype=bool)
-    core[slab.order] = dense
+    core[order] = dense
     # the core-core pairs, straight from the sweep's runs: position p's run
-    # is row order[p]'s neighbours, never empty as it holds the row itself
-    root = components(n, slab.order, nbr, starts=indptr[:-1], keep=core)
-    # a core row that is its own root is the smallest of its cluster
-    number = np.cumsum(core & (root == np.arange(n))) - 1
-    cluster = np.full(n, n, dtype=np.int32)  # n: not a core row
-    cluster[core] = number[root[core]]
-    # each row's least cluster among its neighbours: its own for a core row
-    least = np.minimum.reduceat(cluster[nbr], indptr[:-1])
+    # is its neighbours, never empty as it holds p itself
+    root = components(n, np.arange(n), nbr, starts=indptr[:-1],
+                      keep=dense)[dense]
+    # each component's least core row, at its root; clusters are numbered
+    # in the order of those rows
+    least_row = np.full(n, n, dtype=np.int64)
+    np.minimum.at(least_row, root, order[dense])
+    first = np.zeros(n + 1, dtype=bool)
+    first[least_row] = True
+    cluster = np.full(n, n, dtype=np.int64)  # n: not a core position
+    cluster[dense] = (np.cumsum(first) - 1)[least_row[root]]
+    # each non-core position's least cluster among its neighbours, whose
+    # runs are gathered back to back
+    edge = np.flatnonzero(~dense)
+    lens = counts[edge]
+    heads = np.cumsum(lens) - lens
+    runs = np.arange(lens.sum()) + np.repeat(indptr[edge] - heads, lens)
+    cluster[edge] = np.minimum.reduceat(cluster[nbr[runs]], heads)
     labels = np.empty(n, dtype=np.int64)
-    labels[slab.order] = np.where(least == n, NOISE, least)
+    labels[order] = np.where(cluster == n, NOISE, cluster)
     position = np.empty(n, dtype=np.int64)
-    position[slab.order] = np.arange(n)
-    return DensityScan(Partition(labels), core, indptr, nbr, position)
+    position[order] = np.arange(n)
+    return DensityScan(Partition(labels), core, indptr, nbr, order, position)
 
 
 def dbscan(X: DataSet, params: DbscanParams) -> Partition:

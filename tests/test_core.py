@@ -409,32 +409,39 @@ def edge_lists(draw):
     return n, draw(st.permutations(edges))
 
 
-@given(edge_lists(), st.booleans())
+# labels gathered a few at a time put a chunk boundary of `components`'
+# gather at every place in the list, down to one label a chunk
+take_chunks = st.sampled_from([1, 2, 3, 7, core_module._TAKE_CHUNK])
+
+
+@given(edge_lists(), st.booleans(), take_chunks)
 @settings(deadline=None, max_examples=300)
-def test_components_equal_a_breadth_first_search(case, grouped):
+def test_components_equal_a_breadth_first_search(case, grouped, chunk):
     n, edges = case
     u, v = _both_ways(edges)
     if grouped:  # the layout the scan passes: each node's edges in one run
         order = np.argsort(u, kind="stable")
         u, v = u[order], v[order]
-    got = components(n, u, v)
+    with mock.patch.object(core_module, "_TAKE_CHUNK", chunk):
+        got = components(n, u, v)
     assert got.dtype == np.int32
     assert got.tolist() == _bfs_components(n, edges)
 
 
-@given(edge_lists(), st.data())
+@given(edge_lists(), take_chunks, st.data())
 @settings(deadline=None, max_examples=300)
-def test_components_of_csr_runs_among_kept_nodes(case, data):
-    # the layout the density scan passes: one run of neighbours per node
-    # that has any, and a mask of the nodes whose edges count
+def test_components_of_csr_runs_among_kept_nodes(case, chunk, data):
+    # the layout the density scan passes: one run of int32 neighbours per
+    # node that has any, and a mask of the nodes whose edges count
     n, edges = case
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=n,
                                        max_size=n)), dtype=bool)
     u, v = _both_ways(edges)
     order = np.argsort(u, kind="stable")
-    u, v = u[order], v[order]
+    u, v = u[order], v[order].astype(np.int32)
     heads, starts = np.unique(u, return_index=True)
-    got = components(n, heads, v, starts=starts, keep=keep)
+    with mock.patch.object(core_module, "_TAKE_CHUNK", chunk):
+        got = components(n, heads, v, starts=starts, keep=keep)
     assert got.dtype == np.int32
     assert got.tolist() == _bfs_components(
         n, [(a, b) for a, b in edges if keep[a] and keep[b]])
@@ -452,6 +459,31 @@ def test_components_of_a_shuffled_path(n, seed):
     order = np.argsort(u, kind="stable")
     got = components(n, u[order], v[order])
     assert got.tolist() == _bfs_components(n, edges) == [0] * n
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("masked", [False, True])
+def test_components_gather_over_several_take_chunks(dtype, masked):
+    # a random graph of mean degree 1.2, near the birth of its giant
+    # component, so components of every size; listed as the scan lists
+    # its pairs, one ascending run a node, its own node included
+    rng = np.random.default_rng(17)
+    n = 40000
+    edges = list(zip(rng.integers(0, n, size=24000).tolist(),
+                     rng.integers(0, n, size=24000).tolist()))
+    u, v = _both_ways(edges + [(i, i) for i in range(n)])
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order].astype(dtype)
+    assert v.size > 2 * core_module._TAKE_CHUNK
+    heads, starts = np.unique(u, return_index=True)
+    keep = rng.random(n) < 0.8 if masked else None
+    got = components(n, heads, v, starts=starts, keep=keep)
+    assert got.dtype == np.int32
+    if masked:
+        edges = [(x, y) for x, y in edges if keep[x] and keep[y]]
+    assert got.tolist() == _bfs_components(n, edges)
+    plain = components(n, u, v, keep=keep)
+    assert plain.tolist() == got.tolist()
 
 
 class _Proxy:

@@ -1,6 +1,7 @@
 """Density scan, core-point covers, density models, distributed merge."""
 
 import importlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -139,6 +140,80 @@ def test_scan_is_deterministic():
     assert np.array_equal(dbscan(X, params).labels, dbscan(X, params).labels)
 
 
+def test_a_dense_scan_over_several_blocks_and_take_chunks_equals_the_oracle():
+    # so many pairs that `components` gathers them in several chunks, and
+    # bands so wide that the sweep scores several blocks; a sparse cloud
+    # around the blobs holds border and noise rows
+    rng = np.random.default_rng(11)
+    points = np.vstack([rng.normal(size=(350, 3)) * 0.6,
+                        rng.normal(size=(350, 3)) * 0.6 + [4.0, 0.0, 0.0],
+                        rng.uniform(-4.0, 8.0, size=(100, 3))])
+    X = DataSet.from_points(points)
+    params = DbscanParams(eps=1.2, min_pts=12)
+    scan = density_scan(X, params)
+    assert scan.nbr.size > 3 * core_module._TAKE_CHUNK
+    slab = KeySortedRows.build(points)
+    bands = (np.searchsorted(slab.keys, slab.keys + 1.2, "right")
+             - np.searchsorted(slab.keys, slab.keys - 1.2, "left"))
+    assert bands.sum() > 3 * SWEEP_BLOCK_CELLS
+    labels, oracle_core = _density_oracle(points, 1.2, 12)
+    assert scan.partition.labels.tolist() == labels.tolist()
+    assert scan.core.tolist() == oracle_core.tolist()
+    assert 0 < np.count_nonzero(~scan.core & (labels != NOISE))
+    assert 0 < np.count_nonzero(labels == NOISE)
+
+
+def test_border_rows_and_rows_with_only_non_core_neighbours():
+    # row 0 lies exactly eps from a core row of each cluster and is not
+    # core; the right cluster holds the least core row, 2, so it is
+    # cluster 0, though the left one comes first in key order. Row 1
+    # touches only row 0, and rows 12 and 13 only each other: none of them
+    # is core, so all three are noise
+    right = [[2.0 + 0.05 * i, 0.0] for i in range(5)]
+    left = [[-2.0 - 0.05 * i, 0.0] for i in range(5)]
+    points = np.array([[0.0, 0.0], [0.0, 1.5]] + right + left
+                      + [[40.0, 0.0], [41.0, 0.0]])
+    scan = density_scan(DataSet.from_points(points),
+                        DbscanParams(eps=2.0, min_pts=5))
+    labels, oracle_core = _density_oracle(points, 2.0, 5)
+    assert scan.core.tolist() == oracle_core.tolist()
+    assert scan.partition.labels.tolist() == labels.tolist()
+    assert scan.core.tolist() == [False, False] + [True] * 10 + [False] * 2
+    assert scan.partition.labels.tolist() == (
+        [0, NOISE] + [0] * 5 + [1] * 5 + [NOISE] * 2)
+    assert sorted(scan.neighbours(0).tolist()) == [0, 1, 2, 7]
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                  elements=st.integers(-6, 6).map(lambda v: v * 0.5)),
+       st.sampled_from([0.5, 0.75, 1.0, 1.5]), st.integers(1, 4))
+@settings(deadline=None, max_examples=100)
+def test_scan_neighbours_are_the_brute_force_rows(points, eps, min_pts):
+    scan = density_scan(DataSet.from_points(points),
+                        DbscanParams(eps=eps, min_pts=min_pts))
+    for row in range(points.shape[0]):
+        got = scan.neighbours(row)
+        assert got.tolist() == sorted(got.tolist(), key=scan.position.__getitem__)
+        assert sorted(got.tolist()) == _brute_neighbors(points, row,
+                                                        eps * eps).tolist()
+
+
+def test_the_merge_scan_peaks_below_its_memory_guard():
+    # the benchmark's seed-1 merge input: the sweep's int32 position lists
+    # and one reused gather buffer; the scan peaked at 2.25 MB before it
+    # kept positions, and at 3.46 MB when it built every pair's row ids
+    X, _ = generate_blobs(seed=1, k=4, per_cluster=500, d=8)
+    params = DbscanParams(eps=3.0, min_pts=5)
+    density_scan(X, params)
+    tracemalloc.start()
+    try:
+        density_scan(X, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         DbscanParams(eps=0.0, min_pts=2)
@@ -206,8 +281,9 @@ def _slab_on(points, col):
 
 def _sweep(slab, eps2, cells=SWEEP_BLOCK_CELLS):
     """Each row's neighbour ids from one sweep, blocked at `cells` distances,
-    after checking the CSR layout: int32 ids in slab order. The exact
-    rescoring of open rows is blocked at `cells` too."""
+    after checking the CSR layout: ascending int32 slab positions, mapped
+    to rows through `slab.order`. The exact rescoring of open rows is
+    blocked at `cells` too."""
     with mock.patch.object(dbscan_module, "SWEEP_BLOCK_CELLS", cells), \
             mock.patch.object(core_module, "DISTANCE_BLOCK_CELLS", cells):
         indptr, nbr = dbscan_module._neighbourhoods(slab, eps2)
@@ -218,7 +294,7 @@ def _sweep(slab, eps2, cells=SWEEP_BLOCK_CELLS):
     pos[slab.order] = np.arange(n)
     sets = {}
     for p in range(n):
-        ids = nbr[indptr[p]:indptr[p + 1]]
+        ids = slab.order[nbr[indptr[p]:indptr[p + 1]]]
         assert np.all(np.diff(pos[ids]) > 0)  # slab order
         sets[int(slab.order[p])] = np.sort(ids).tolist()
     return [sets[row] for row in range(n)]

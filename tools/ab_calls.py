@@ -1,6 +1,7 @@
 """Time the benchmark calls of two checkouts in one process, alternately.
 
     python tools/ab_calls.py TREE_A TREE_B --workload merge --rounds 21
+    python tools/ab_calls.py TREE_A TREE_B --workload merge --calls dbscan,ddbc
 
 TREE_A and TREE_B are roots of parclust checkouts. Each tree's
 `src/parclust` and `perfbench/workloads.py` are loaded as module objects
@@ -10,7 +11,10 @@ before each of its passes. Both trees build their inputs from the same
 seed, and every pass of B must give the reports of A, timings aside.
 
 A round runs one pass at each node count for both trees; the tree that
-goes first alternates from round to round. After one warm-up round, the
+goes first alternates from round to round. `--calls` names the calls of
+the workload that a pass runs, so a change to one kernel gets more rounds
+in the same time; a node count with none of them is left out, and "pass"
+is the named calls' sum. After one warm-up round, the
 tool prints, for each node count and each call, the medians of A and B,
 their ratio B/A and the number of rounds in which B was faster, then one
 JSON line with the same figures. The process pins itself to one CPU and
@@ -64,11 +68,12 @@ class Tree:
         spec.loader.exec_module(self.wl)
         self.modules = _library_modules()
 
-    def passes(self, workload, p, inp):
-        """One pass at node count p: its outcomes, with this tree's library
-        active throughout."""
+    def passes(self, workload, p, inp, calls):
+        """One pass of the calls named `calls` at node count p: their
+        outcomes, with this tree's library active throughout."""
         _activate(self.modules)
-        outs = self.wl.run_pass(workload, p, inp)
+        outs = [self.wl.run_call(call, p, inp)
+                for call in self.wl.PASSES[workload][p] if call.algo in calls]
         self.modules = _library_modules()  # and any module it imported
         return outs
 
@@ -88,6 +93,8 @@ def main(argv=None) -> int:
                     choices=("lloyd", "merge", "windows"))
     ap.add_argument("--rounds", type=int, default=21)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--calls", metavar="NAME[,NAME]",
+                    help="run only these calls of each pass (default: all)")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -100,7 +107,15 @@ def main(argv=None) -> int:
         _activate(tree.modules)
         inputs.append(tree.wl.make_inputs(args.workload, args.seed,
                                           tree.wl.SCALES["full"]))
-    counts = trees[0].wl.NODE_COUNTS
+    passes = trees[0].wl.PASSES[args.workload]
+    algos = {call.algo for calls in passes.values() for call in calls}
+    calls = algos if args.calls is None else set(args.calls.split(","))
+    if not calls <= algos:
+        ap.error("--calls: %s is not a call of %s, whose calls are %s"
+                 % (",".join(sorted(calls - algos)), args.workload,
+                    ",".join(sorted(algos))))
+    counts = [p for p in trees[0].wl.NODE_COUNTS
+              if any(call.algo in calls for call in passes[p])]
     # (p, call) -> (seconds of A per round, seconds of B per round)
     times: dict[tuple[int, str], tuple[list[float], list[float]]] = {}
 
@@ -114,7 +129,7 @@ def main(argv=None) -> int:
         for p in counts:
             outs = [None, None]
             for i in order:
-                outs[i] = trees[i].passes(args.workload, p, inputs[i])
+                outs[i] = trees[i].passes(args.workload, p, inputs[i], calls)
             for a, b in zip(*outs):
                 if _fields(a) != _fields(b):
                     raise SystemExit("ab_calls: %s at P=%d reports differently "
@@ -126,7 +141,8 @@ def main(argv=None) -> int:
                     record((p, a.algo), a.seconds, b.seconds)
 
     summary = {"workload": args.workload, "seed": args.seed,
-               "rounds": args.rounds, "a": str(trees[0].root),
+               "rounds": args.rounds, "calls_run": sorted(calls),
+               "a": str(trees[0].root),
                "b": str(trees[1].root), "calls": {}}
     print("%s seed %d, %d rounds after one warm-up; medians in ms, ratio B/A"
           % (args.workload, args.seed, args.rounds))
