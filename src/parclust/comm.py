@@ -15,8 +15,11 @@ Collectives are the only way ranks exchange data: there is no
 point-to-point messaging.
 Rank 0 is the root of every broadcast and gather, and the one rank that
 decides: `ctx.decide(payload, rule)` gathers every rank's payload, runs
-`rule` on them at rank 0 alone and broadcasts its result, so a body
-never branches on its rank to merge or to refuse.
+`rule` on them at rank 0 alone and broadcasts its result. Every role of
+rank 0, to merge, to refuse or to draw k-windows' next round of box
+requests, is a `decide` rule, so a body never branches on its rank, and
+it posts a raw gather or broadcast only through the composites
+`gather_rows` and `decide`.
 
 A block is a plain 2-D array of rows, and a list of blocks, one per rank
 in rank order, is the dataset its concatenation defines: rank r's first

@@ -528,44 +528,32 @@ def load_csv(path) -> DataSet:
     if not raw:
         raise ValueError("%s: empty file" % path)
 
-    def parse_row(row, file_row):
-        vals = []
-        for col, cell in enumerate(row, start=1):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError("%s: non-numeric value %r at row %d, column %d"
-                                 % (path, cell, file_row, col)) from None
-            if not np.isfinite(v):
-                raise ValueError("%s: non-finite value at row %d, column %d"
-                                 % (path, file_row, col))
-            vals.append(v)
-        return vals
+    def number(cell):
+        """float(cell), or None for a field that is not a number."""
+        try:
+            return float(cell)
+        except ValueError:
+            return None
 
-    def is_numeric_row(row):
-        if not row:
-            return False
-        for cell in row:
-            try:
-                float(cell)
-            except ValueError:
-                return False
-        return True
-
-    header = not is_numeric_row(raw[0])
-    start = 1 if header else 0
-    body = raw[start:]
-    if not body:
+    values = [[number(cell) for cell in row] for row in raw]
+    # row 1 is a header when it is blank or holds a field that is no number
+    start = 1 if not values[0] or None in values[0] else 0
+    if len(raw) == start:
         raise ValueError("%s: no data rows" % path)
-    width = len(body[0])
-    rows = []
-    for offset, row in enumerate(body):
-        file_row = start + offset + 1
+    width = len(raw[start])
+    for file_row, (row, vals) in enumerate(zip(raw[start:], values[start:]),
+                                           start + 1):
         if len(row) != width:
             raise ValueError("%s: expected %d fields but found %d at row %d"
                              % (path, width, len(row), file_row))
-        rows.append(parse_row(row, file_row))
-    return DataSet.from_points(np.asarray(rows, dtype=np.float64))
+        for col, (cell, v) in enumerate(zip(row, vals), start=1):
+            if v is None:
+                raise ValueError("%s: non-numeric value %r at row %d, column %d"
+                                 % (path, cell, file_row, col))
+            if not np.isfinite(v):
+                raise ValueError("%s: non-finite value at row %d, column %d"
+                                 % (path, file_row, col))
+    return DataSet.from_points(np.asarray(values[start:], dtype=np.float64))
 
 
 def write_csv(X: DataSet, path) -> None:

@@ -256,10 +256,8 @@ def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
         seeds = pts[scor]
         sub = DataSet.from_points(pts[rows])
         if refine:
-            kp = kmeans.KMeansParams(k=len(scor), max_iter=300, tol=1e-9,
-                                     seed=0)
             centers_set, assign, _, _ = kmeans.kmeans_centralized(
-                sub, kp, init_centers=seeds)
+                sub, kmeans.KMeansParams(k=len(scor)), init_centers=seeds)
             centers = centers_set.centers
             assigned = assign.labels
         else:

@@ -77,11 +77,15 @@ class KMeansParams:
             raise ValueError("tol must be finite and >= 0, not %r" % self.tol)
 
 
+def _start_rows(n: int, k: int, seed: int) -> np.ndarray:
+    """Lloyd's start draw: k distinct row indices below n, sampled without
+    replacement with `seed`, in ascending order."""
+    return np.sort(np.random.default_rng(seed).choice(n, k, replace=False))
+
+
 def _init_centers(X: DataSet, k: int, seed: int) -> np.ndarray:
-    """k distinct rows sampled without replacement."""
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(X.n, size=k, replace=False)
-    return X.points[np.sort(idx)].copy()
+    """The rows of `_start_rows`, a new (k, d) array."""
+    return X.points[_start_rows(X.n, k, seed)]
 
 
 def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:

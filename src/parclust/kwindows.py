@@ -1,26 +1,28 @@
 """Box-window clustering with box queries answered over key-sorted shards.
 
-Every rank holds one contiguous block of rows (`blocks_of`) and sorts
-it once per call by its widest column, the key, into one column-major
-copy. Rank 0 runs the window phases. A window's path of box queries
-(movement, then enlargement) depends only on that window and the data
-(Alevizos, Tasoulis & Vrahatis, PPAM 2003), so all windows advance in
-lockstep: each round holds one request per unfinished window and costs
-one broadcast of the requests and one gather of the rows each block
-answers, named by dataset position. A request is the window's box plus
-grown bounds on the coordinates asked to grow: none for a movement, and
-for an enlargement sweep every trial still open, each of which grows one
-coordinate of the same box. A row inside a trial's box is inside the
-window's box, or outside it on the trial's coordinate alone and within
-that coordinate's grown bounds: the request's shell, each row tagged with
-its coordinate. So one band test answers every trial of a sweep, and the
-driver reads each trial's size from one count of the tags. Rows of a
-request have their key within its grown key bounds, one band of the
-sorted block, so only that band is tested, one coordinate row at a time,
-and a request with an empty band is not tested at all. A call costs as
-many rounds as its longest window path, and every search returns the
-same rows for any node count. Windows merge under one matrix of pairwise
-overlap extents, with volumes that neither overflow nor underflow.
+Every rank holds one contiguous block of rows (`blocks_of`) and sorts it
+once per call by its widest column, the key, into one column-major copy.
+The window phases are one generator of rounds, which rank 0's rule
+advances. A window's path of box queries (movement, then enlargement)
+depends only on that window and the data (Alevizos, Tasoulis & Vrahatis,
+PPAM 2003), so all windows advance in lockstep: each round holds one
+request per unfinished window and is one decision (`NodeCtx.decide`): a
+gather of the rows each block answers, named by dataset position, and a
+broadcast of the next round's requests. The first round is drawn before
+the world runs. A request is the window's box plus grown bounds on the
+coordinates asked to grow: none for a movement, and for an enlargement
+sweep every trial still open, each of which grows one coordinate of the
+same box. A row inside a trial's box is inside the window's box, or
+outside it on the trial's coordinate alone and within that coordinate's
+grown bounds: the request's shell, each row tagged with its coordinate.
+So one band test answers every trial of a sweep, and the driver reads
+each trial's size from one count of the tags. Rows of a request have
+their key within its grown key bounds, one band of the sorted block, so
+only that band is tested, one coordinate row at a time, and a request
+with an empty band is not tested at all. A call costs as many rounds as
+its longest window path, and every search returns the same rows for any
+node count. Windows merge under one matrix of pairwise overlap extents,
+with volumes that neither overflow nor underflow.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
@@ -200,53 +202,57 @@ def _round_hits(cols: np.ndarray, col: int, at: np.ndarray,
     return hits
 
 
-async def _search_node(ctx: NodeCtx, points: np.ndarray, driver):
-    """Rank 0's value of `await driver(query)`, with every rank answering
-    its rounds of box requests.
+async def _search_node(ctx: NodeCtx, points: np.ndarray, rounds, requests):
+    """The value `rounds` returns, with every rank answering its rounds of
+    box requests, the same loop on every rank.
 
-    `await query(requests)` is one round: `requests` is a (b, 4, d) array
-    of box and grown bounds as `_round_hits` reads them, which rank 0
-    broadcasts once; every rank answers each request, gathered once, and
-    `query` returns one triple of int64 arrays per request: the dataset
-    rows inside its box, its shell rows and their tags, each part in no
-    particular order and without repeated rows (the blocks are disjoint);
-    row i of a rank's block `points` is dataset row `ctx.start + i`. When
-    `driver` returns, rank 0 broadcasts None; the other ranks answer
-    rounds until then and return None. Each rank sorts its block once,
-    before the first round, and lays it out by column.
+    `rounds` is a generator already started, whose first round is
+    `requests`: a (b, 4, d) array of box and grown bounds as `_round_hits`
+    reads them. Each round is one `decide`: every rank answers each
+    request from its block, and rank 0's rule sends `rounds` one triple
+    of int64 arrays per request, the dataset rows inside its box, its
+    shell rows and their tags, each part in no particular order and
+    without repeated rows (the blocks are disjoint), and hands every rank
+    the next round, or None and the value `rounds` returned. Row i of a
+    rank's block `points` is dataset row `ctx.start + i`. Each rank sorts
+    its block once, before the first round, and lays it out by column.
     """
     keyed = KeySortedRows.build(points)
     cols = np.ascontiguousarray(keyed.rows.T)
     at = ctx.start + keyed.order
-    if ctx.rank != 0:
-        while (requests := await ctx.broadcast(None)) is not None:
-            await ctx.gather(_round_hits(cols, keyed.col, at, requests))
-        return None
 
-    async def query(requests):
-        requests = await ctx.broadcast(requests)
-        parts = await ctx.gather(_round_hits(cols, keyed.col, at, requests))
-        if len(parts) == 1:  # one block's answers need no joining
-            return parts[0]
-        return [tuple(map(np.concatenate, zip(*answers)))
-                for answers in zip(*parts)]
+    def step(parts):
+        answers = parts[0] if len(parts) == 1 else [  # joined over blocks
+            tuple(map(np.concatenate, zip(*each))) for each in zip(*parts)]
+        try:
+            return rounds.send(answers), None
+        except StopIteration as stop:
+            return None, stop.value
 
-    out = await driver(query)
-    await ctx.broadcast(None)
+    while requests is not None:
+        requests, out = await ctx.decide(
+            _round_hits(cols, keyed.col, at, requests), step)
     return out
+
+
+def _search(world: CommWorld, rows, rounds):
+    """`world.run` of `_search_node` over `rows`: the value the generator
+    `rounds` returns and the run's timings. Its first round is drawn here,
+    before the world runs."""
+    return world.run(_search_node, rows, rounds, next(rounds))
 
 
 def parallel_range_search(world: CommWorld, tree: MDBinaryTree,
                           query: RangeQuery) -> set[int]:
-    """Box search over the tree's rows split into one block per node."""
+    """Box search over the tree's rows split into one block per node: one
+    round of one request, a `decide`."""
     if query.lo.size != tree.d:
         raise ValueError("query dimension %d does not match data dimension %d"
                          % (query.lo.size, tree.d))
-    async def one_box(ask):
-        lo, hi = query.lo, query.hi
-        return (await ask(np.array([(lo, hi, lo, hi)])))[0][0]
+    def one_box(lo, hi):
+        return (yield np.array([(lo, hi, lo, hi)]))[0][0]
 
-    hits, _ = world.run(_search_node, DataSet(tree.points), one_box)
+    hits, _ = _search(world, DataSet(tree.points), one_box(query.lo, query.hi))
     return set(hits.tolist())
 
 
@@ -292,180 +298,168 @@ class Window:
         return np.array((lo, hi, self.center - grown, self.center + grown))
 
 
-class _WindowDriver:
-    """Window paths in lockstep, then merge and labeling, executed at rank 0.
-
-    `run` is a `_search_node` driver, and reads the rows of X for the
-    seeds and the window means. A window's path (movement, then
-    enlargement with movement after each kept growth) depends only on
-    that window and the data, so every live window takes one step of its
-    path per round and a call costs as many rounds as its longest path.
-    A step asks one request: the window's box for movement, and for an
-    enlargement sweep that box grown on every coordinate still open.
-    """
-
-    def __init__(self, X: DataSet, params: KWindowsParams):
-        self.X = X
-        self.params = params
-
-    def _move(self, w: Window):
-        """Movement from `w.enclosed`, the rows its current box holds, which
-        the caller has already queried: re-center on the mean of the
-        enclosed rows until the count grows by less than theta_move. A
-        mean equal to the center gives the same box, which holds the rows
-        enclosed, a growth of 0: it ends the movement without a query."""
-        steps = 0
-        while w.enclosed.size:
-            steps += 1
-            if steps > self.X.n + 1:
-                raise RuntimeError("movement failed to stabilize")
-            prev = w.enclosed.size
-            center = self._mean(w.enclosed)
-            same = center.tolist() == w.center.tolist()  # 0.0 == -0.0
-            w.center = center
-            if same:
-                break
-            w.enclosed, _, _ = yield w.request()
-            if w.enclosed.size - prev < self.params.theta_move * prev:
-                break
-
-    def _mean(self, enclosed: np.ndarray) -> np.ndarray:
+def _move(X: DataSet, params: KWindowsParams, w: Window):
+    """Movement from `w.enclosed`, the rows its current box holds, which
+    the caller has already queried: re-center on the mean of the enclosed
+    rows until the count grows by less than theta_move. A mean equal to
+    the center gives the same box, which holds the rows enclosed, a
+    growth of 0: it ends the movement without a query."""
+    steps = 0
+    while w.enclosed.size:
+        steps += 1
+        if steps > X.n + 1:
+            raise RuntimeError("movement failed to stabilize")
+        prev = w.enclosed.size
         # ascending row order keeps the mean independent of node count
-        return self.X.points[np.sort(enclosed)].mean(axis=0)
-
-    def _path(self, w: Window):
-        """One window's box queries: yields one request per step, is sent
-        its answer (the rows inside its box, its shell rows and their tags).
-
-        Until a trial is kept, every enlargement trial grows the same center
-        and half-widths, so the trials of all remaining coordinates are one
-        request, a sweep: the window's box, grown on those coordinates. A
-        trial's box holds the box's rows and the shell rows tagged with its
-        coordinate, since it equals the box off that coordinate and contains
-        it there, so one count of the tags sizes every trial. The first kept
-        trial wins and the trials after it are dropped. A kept enlargement
-        keeps its trial's rows, so movement goes on from them without asking
-        for that box again. Whether a trial is kept depends only on its box,
-        the rows and the window's current box, so the coordinates whose
-        trials were refused since the window last changed are not asked
-        again: they would be refused again. A kept trial changes the window,
-        as its box holds more rows than the window's."""
-        d, theta = self.X.d, self.params.theta_enlarge
+        center = X.points[np.sort(w.enclosed)].mean(axis=0)
+        same = center.tolist() == w.center.tolist()  # 0.0 == -0.0
+        w.center = center
+        if same:
+            break
         w.enclosed, _, _ = yield w.request()
-        yield from self._move(w)
-        refused: set[int] = set()  # since the window last changed
-        # safety cap: movement after a kept growth may shed points again
-        for _ in range(50):
-            kept, t = False, 0
-            while t < d and w.enclosed.size:
-                # never empty: a keep clears `refused`, and the sweeps
-                # after it refuse only coordinates past the kept one
-                grown = [s for s in range(t, d) if s not in refused]
-                before, t = w.enclosed.size, d
-                trial = w.half_width.copy()
-                trial[grown] *= 1.0 + theta
-                inside, shell, tag = yield w.request(trial)
-                # gained[s]: rows trial s holds beyond the window's box
-                gained = np.bincount(tag, minlength=d).tolist()
-                for s in grown:
-                    if gained[s] >= theta * before:  # so gained[s] > 0
-                        half = w.half_width.copy()
-                        half[s] = trial[s]
-                        w.half_width = half
-                        w.enclosed = np.concatenate((inside, shell[tag == s]))
-                        yield from self._move(w)
-                        refused.clear()
-                        kept, t = True, s + 1
-                        break
-                    refused.add(s)
-            if not kept:
-                return
+        if w.enclosed.size - prev < params.theta_move * prev:
+            break
 
-    @staticmethod
-    async def _lockstep(paths: list, query):
-        """Advance every unfinished path one step per round, each round one
-        `query` of the requests the steps ask, until all finish."""
-        live = [(path, next(path)) for path in paths]
-        while live:
-            answers = await query(np.array([asked for _, asked in live]))
-            step = []
-            for (path, _), answer in zip(live, answers):
-                try:
-                    step.append((path, path.send(answer)))
-                except StopIteration:
-                    pass
-            live = step
 
-    @staticmethod
-    def _merge_groups(windows: list[Window], theta_merge: float) -> list[int]:
-        """Each window's smallest merged window index under the
-        overlap-volume rule.
+def _path(X: DataSet, params: KWindowsParams, w: Window):
+    """One window's box queries: yields one request per step, is sent its
+    answer (the rows inside its box, its shell rows and their tags).
 
-        Two windows that caught rows merge when they overlap by a positive
-        extent on every coordinate and the volume they share exceeds
-        theta_merge times the smaller window's; merging is transitive.
-        Volumes are `_products` of the extents, so a volume beyond float64's
-        range still compares by its true size.
-        """
-        merged = np.zeros((2, 0), dtype=np.int64)  # pairs of windows, by column
-        live = np.array([i for i, w in enumerate(windows) if w.enclosed.size],
-                        dtype=np.int64)
-        if live.size > 1:
-            center = np.array([windows[i].center for i in live])
-            half = np.array([windows[i].half_width for i in live])
-            lo, hi = center - half, center + half
-            # ext[a, b]: the overlap extents of live windows a and b, so
-            # ext[a, a] are the widths of window a
-            ext = (np.minimum(hi[:, None], hi[None]) -
-                   np.maximum(lo[:, None], lo[None]))
-            a, b = np.nonzero(np.triu(~np.any(ext <= 0, axis=2), 1))
-            # inter > theta * min(vol_a, vol_b) holds exactly where it
-            # holds for either volume, since a rounded product is monotone
-            inter = _products(ext[a, b])
-            ok = np.zeros(a.size, dtype=bool)
-            for i in (a, b):
-                scaled = np.append(ext[i, i], np.full((i.size, 1), theta_merge),
-                                   axis=1)
-                ok |= _exceeds(inter, _products(scaled))
-            merged = live[np.stack([a[ok], b[ok]])]
-        return components(len(windows), merged.ravel(),
-                          merged[::-1].ravel()).tolist()
+    Until a trial is kept, every enlargement trial grows the same center
+    and half-widths, so the trials of all remaining coordinates are one
+    request, a sweep: the window's box, grown on those coordinates. A
+    trial's box holds the box's rows and the shell rows tagged with its
+    coordinate, since it equals the box off that coordinate and contains
+    it there, so one count of the tags sizes every trial. The first kept
+    trial wins and the trials after it are dropped. A kept enlargement
+    keeps its trial's rows, so movement goes on from them without asking
+    for that box again. Whether a trial is kept depends only on its box,
+    the rows and the window's current box, so the coordinates whose
+    trials were refused since the window last changed are not asked
+    again: they would be refused again. A kept trial changes the window,
+    as its box holds more rows than the window's."""
+    d, theta = X.d, params.theta_enlarge
+    w.enclosed, _, _ = yield w.request()
+    yield from _move(X, params, w)
+    refused: set[int] = set()  # since the window last changed
+    # safety cap: movement after a kept growth may shed points again
+    for _ in range(50):
+        kept, t = False, 0
+        while t < d and w.enclosed.size:
+            # never empty: a keep clears `refused`, and the sweeps
+            # after it refuse only coordinates past the kept one
+            grown = [s for s in range(t, d) if s not in refused]
+            before, t = w.enclosed.size, d
+            trial = w.half_width.copy()
+            trial[grown] *= 1.0 + theta
+            inside, shell, tag = yield w.request(trial)
+            # gained[s]: rows trial s holds beyond the window's box
+            gained = np.bincount(tag, minlength=d).tolist()
+            for s in grown:
+                if gained[s] >= theta * before:  # so gained[s] > 0
+                    half = w.half_width.copy()
+                    half[s] = trial[s]
+                    w.half_width = half
+                    w.enclosed = np.concatenate((inside, shell[tag == s]))
+                    yield from _move(X, params, w)
+                    refused.clear()
+                    kept, t = True, s + 1
+                    break
+                refused.add(s)
+        if not kept:
+            return
 
-    async def run(self, query):
-        X, params = self.X, self.params
-        windows = [Window(c, np.full(X.d, params.a, dtype=np.float64))
-                   for c in _init_centers(X, params.l, params.seed)]
-        await self._lockstep([self._path(w) for w in windows], query)
-        roots = self._merge_groups(windows, params.theta_merge)
-        labels = np.full(X.n, NOISE, dtype=np.int64)
-        for w, root in zip(windows, roots):
-            # a window's rows are distinct, so the order they are claimed
-            # in does not matter; earlier windows keep what they claimed,
-            # labeled with their group's merge root
-            labels[w.enclosed[labels[w.enclosed] == NOISE]] = root
-        # a root is its group's smallest window, one that caught rows, so
-        # roots come in the groups' order of first appearance; a group can
-        # end up owning no points when earlier windows claim everything it
-        # covers; compact so labels stay below k, in that order
-        owned = labels != NOISE
-        labels[owned] = np.searchsorted(np.unique(labels[owned]), labels[owned])
-        model = {
-            "windows": [{"center": w.center.tolist(),
-                         "half_width": w.half_width.tolist(),
-                         "count": w.enclosed.size} for w in windows],
-        }
-        return labels, model
+
+def _merge_groups(windows: list[Window], theta_merge: float) -> list[int]:
+    """Each window's smallest merged window index under the overlap-volume
+    rule.
+
+    Two windows that caught rows merge when they overlap by a positive
+    extent on every coordinate and the volume they share exceeds
+    theta_merge times the smaller window's; merging is transitive.
+    Volumes are `_products` of the extents, so a volume beyond float64's
+    range still compares by its true size.
+    """
+    merged = np.zeros((2, 0), dtype=np.int64)  # pairs of windows, by column
+    live = np.array([i for i, w in enumerate(windows) if w.enclosed.size],
+                    dtype=np.int64)
+    if live.size > 1:
+        center = np.array([windows[i].center for i in live])
+        half = np.array([windows[i].half_width for i in live])
+        lo, hi = center - half, center + half
+        # ext[a, b]: the overlap extents of live windows a and b, so
+        # ext[a, a] are the widths of window a
+        ext = (np.minimum(hi[:, None], hi[None]) -
+               np.maximum(lo[:, None], lo[None]))
+        a, b = np.nonzero(np.triu(~np.any(ext <= 0, axis=2), 1))
+        # inter > theta * min(vol_a, vol_b) holds exactly where it holds
+        # for either volume, since a rounded product is monotone
+        inter = _products(ext[a, b])
+        ok = np.zeros(a.size, dtype=bool)
+        for i in (a, b):
+            scaled = np.append(ext[i, i], np.full((i.size, 1), theta_merge),
+                               axis=1)
+            ok |= _exceeds(inter, _products(scaled))
+        merged = live[np.stack([a[ok], b[ok]])]
+    return components(len(windows), merged.ravel(),
+                      merged[::-1].ravel()).tolist()
+
+
+def _windows(X: DataSet, params: KWindowsParams):
+    """The window phases as a generator of rounds, reading the rows of X
+    for the seeds and the window means: yields each round's (b, 4, d)
+    requests, is sent their answers, and returns (labels, model).
+
+    A window's path (movement, then enlargement with movement after each
+    kept growth) depends only on that window and the data, so every live
+    window takes one step of its path per round, each step one request,
+    and a call costs as many rounds as its longest path. The windows
+    then merge and label the rows.
+    """
+    windows = [Window(c, np.full(X.d, params.a, dtype=np.float64))
+               for c in _init_centers(X, params.l, params.seed)]
+    live = [(path, next(path))
+            for path in (_path(X, params, w) for w in windows)]
+    while live:
+        answers = yield np.array([asked for _, asked in live])
+        step = []
+        for (path, _), answer in zip(live, answers):
+            try:
+                step.append((path, path.send(answer)))
+            except StopIteration:
+                pass
+        live = step
+    roots = _merge_groups(windows, params.theta_merge)
+    labels = np.full(X.n, NOISE, dtype=np.int64)
+    for w, root in zip(windows, roots):
+        # a window's rows are distinct, so the order they are claimed in
+        # does not matter; earlier windows keep what they claimed, labeled
+        # with their group's merge root
+        labels[w.enclosed[labels[w.enclosed] == NOISE]] = root
+    # a root is its group's smallest window, one that caught rows, so roots
+    # come in the groups' order of first appearance; a group can end up
+    # owning no points when earlier windows claim everything it covers;
+    # compact so labels stay below k, in that order
+    owned = labels != NOISE
+    labels[owned] = np.searchsorted(np.unique(labels[owned]), labels[owned])
+    model = {
+        "windows": [{"center": w.center.tolist(),
+                     "half_width": w.half_width.tolist(),
+                     "count": w.enclosed.size} for w in windows],
+    }
+    return labels, model
 
 
 def k_windows(world: CommWorld, rows, params: KWindowsParams) -> ClusterReport:
     """Window clustering of `rows`, a DataSet or a list of blocks, as
-    `CommWorld.run` takes them, with every box query answered over
-    key-sorted shards; rank 0's windows read the whole dataset."""
+    `CommWorld.run` takes them: `_windows` over the whole dataset, its
+    first round drawn before the world runs. Each round is one `decide`,
+    two collectives: its box queries are answered over key-sorted shards,
+    and its rule, at rank 0, advances the windows to the next round."""
     X = dataset_of(rows, world.size)
     if params.l > X.n:
         raise ValueError("l=%d exceeds the %d available rows" % (params.l, X.n))
-    (labels, model), timings = world.run(_search_node, rows,
-                                         _WindowDriver(X, params).run)
+    (labels, model), timings = _search(world, rows, _windows(X, params))
     return ClusterReport(
         algo="kwindows",
         p=world.size,

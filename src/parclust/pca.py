@@ -23,7 +23,7 @@ from .comm import CommWorld, NodeCtx
 from .core import NOISE, DataSet, row_squared_distances, squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
-from .kmeans import KMeansParams, _pkm_node, kmeans_centralized
+from .kmeans import KMeansParams, _pkm_node, _start_rows, kmeans_centralized
 from .report import ClusterReport
 
 
@@ -204,8 +204,8 @@ class KMeansLocal:
         # from the same seeds
         self.seeds = [int(np.random.default_rng((seed, i)).integers(2**31))
                       for i in range(self.RESTARTS)]
-        # (n, k) -> each restart's start rows, the sorted draw of
-        # `kmeans._init_centers`: a node's two calls share n and k
+        # (n, k) -> each restart's start rows, `kmeans._start_rows`: a
+        # node's two calls share n and k
         self.picks: dict[tuple[int, int], np.ndarray] = {}
 
     def __call__(self, X: DataSet, k: int) -> np.ndarray:
@@ -213,10 +213,8 @@ class KMeansLocal:
                               tol=self.TOL)
         picks = self.picks.get((X.n, params.k))
         if picks is None:
-            picks = self.picks[X.n, params.k] = np.stack([np.sort(
-                np.random.default_rng(seed).choice(X.n, params.k,
-                                                   replace=False))
-                for seed in self.seeds])
+            picks = self.picks[X.n, params.k] = np.stack(
+                [_start_rows(X.n, params.k, seed) for seed in self.seeds])
         starts = X.points[picks]
         try:
             (labels, _, traces), _ = CommWorld(1).run(_pkm_node, X, params,

@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parclust import kwindows
-from parclust.comm import CommWorld, split_blocks
-from parclust.core import (NOISE, DataSet, KeySortedRows, adjusted_rand_index,
-                           generate_blobs)
+from parclust.comm import CommAbort, CommWorld, split_blocks
+from parclust.core import (NOISE, DataSet, KeySortedRows, Partition,
+                           adjusted_rand_index, generate_blobs)
 from parclust.kwindows import (KWindowsParams, MDBinaryTree, RangeQuery, Window,
-                               _round_hits, _search_node, _WindowDriver,
-                               k_windows, orthogonal_range_search,
+                               _merge_groups, _path, _round_hits, _search,
+                               _windows, k_windows, orthogonal_range_search,
                                parallel_range_search)
 
 
@@ -45,7 +45,7 @@ def _product(factors):
 
 
 def _merge_groups_loop(windows, theta_merge):
-    """Oracle for `_WindowDriver._merge_groups`: every pair of windows that
+    """Oracle for `_merge_groups`: every pair of windows that
     caught rows, compared one at a time in ascending (i, j) order, with
     products that neither overflow nor underflow; a merge relabels the later
     of the two groups with the earlier's smallest window."""
@@ -211,12 +211,10 @@ def test_parallel_search_equals_filter_on_grid_with_duplicates(data):
 
 
 def _one_round(lo, hi):
-    """A search driver of one round of boxes, requests that grow no
+    """A rounds generator of one round of boxes, requests that grow no
     coordinate: returns one id set per box."""
-    async def driver(query):
-        answers = await query(np.stack((lo, hi, lo, hi), axis=1))
-        return [set(inside.tolist()) for inside, _, _ in answers]
-    return driver
+    answers = yield np.stack((lo, hi, lo, hi), axis=1)
+    return [set(inside.tolist()) for inside, _, _ in answers]
 
 
 def _grown(request):
@@ -253,7 +251,7 @@ def test_a_round_with_flat_boxes_equals_filter():
     for p in (1, 2, 3):
         world = CommWorld(p)
         try:
-            got = world.run(_search_node, X, _one_round(lo, hi))[0]
+            got = _search(world, X, _one_round(lo, hi))[0]
         finally:
             world.shutdown()
         assert got == [_brute(pts, a, b) for a, b in zip(lo, hi)], p
@@ -388,7 +386,7 @@ def test_merge_groups_equal_the_pairwise_loop(data):
     theta = data.draw(st.sampled_from([0.01, 0.2, 0.5, 0.99]), label="theta")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no product over- or underflows
-        assert _WindowDriver._merge_groups(windows, theta) == \
+        assert _merge_groups(windows, theta) == \
             _merge_groups_loop(windows, theta)
 
 
@@ -410,7 +408,7 @@ def test_volumes_beyond_float_range_compare_by_their_true_size(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for windows, want in cases:
-            assert _WindowDriver._merge_groups(windows, 0.2) == want
+            assert _merge_groups(windows, 0.2) == want
             assert _merge_groups_loop(windows, 0.2) == want
 
 
@@ -462,7 +460,7 @@ def test_merge_decision_at_the_edge_theta_equals_the_pairwise_loop(data):
     while np.nextafter(edge, 1.0) * smaller < inter:
         edge = np.nextafter(edge, 1.0)
     for theta in (float(edge), float(np.nextafter(edge, 1.0))):
-        assert _WindowDriver._merge_groups(windows, theta) == \
+        assert _merge_groups(windows, theta) == \
             _merge_groups_loop(windows, theta)
     assert _merge_groups_loop(windows, float(edge)) == [0, 0]
     assert _merge_groups_loop(windows, float(np.nextafter(edge, 1.0))) == [0, 1]
@@ -602,7 +600,7 @@ def _inside(X, lo, hi):
 
 
 def _sequential_path(X, params, w):
-    """Oracle for `_WindowDriver._path`: one window's box queries, one box
+    """Oracle for `_path`: one window's box queries, one box
     per query, each enlargement trial asked only after the one before it
     was decided. Yields boxes, is sent each box's rows."""
     def move():
@@ -694,21 +692,51 @@ def _answer(X, request):
 
 
 def _path_steps(X, params, w):
-    """Window w's `_WindowDriver._path` driven alone against `_answer`: each
+    """Window w's `_path` driven alone against `_answer`: each
     step as the list of boxes its request stands for."""
     return [_trial_boxes(request)
-            for request in _run_alone(_WindowDriver(X, params)._path(w),
+            for request in _run_alone(_path(X, params, w),
                                       lambda request: _answer(X, request))]
 
 
 def _longest_steps(X, params):
-    """The most steps any window's `_WindowDriver._path` takes when driven
-    alone against a brute-force mask."""
+    """The most steps any window's `_path` takes when driven alone against
+    a brute-force mask."""
     return max(len(_path_steps(X, params, w)) for w in _seed_windows(X, params))
 
 
+def _windows_alone(X, params):
+    """(labels, model) of `_windows` driven with no world, each request of
+    each round answered by `_answer`."""
+    rounds = _windows(X, params)
+    requests = next(rounds)
+    while True:
+        try:
+            requests = rounds.send([_answer(X, r) for r in requests])
+        except StopIteration as stop:
+            return stop.value
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_windows_alone_give_the_labels_and_model_of_every_world(seed):
+    X, _ = generate_blobs(seed=seed, k=3, per_cluster=30, d=3)
+    params = KWindowsParams(l=8, a=1.0, seed=seed)
+    labels, model = _windows_alone(X, params)
+    assert Partition(labels).k > 1
+    # an uneven block list whose middle block is empty
+    uneven = [X.points[:7], X.points[7:7], X.points[7:]]
+    for p, rows in (1, X), (2, X), (3, X), (3, uneven):
+        world = CommWorld(p)
+        try:
+            rep = k_windows(world, rows, params)
+        finally:
+            world.shutdown()
+        assert np.array_equal(rep.labels, labels), p
+        assert rep.model == {"k": Partition(labels).k, **model}, p
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
+def test_a_call_costs_two_collectives_per_round(p, count_collectives):
     X, _ = generate_blobs(seed=1, k=4, per_cluster=60, d=4)
     params = KWindowsParams(l=12, a=3.0, seed=2)
     world = CommWorld(p)
@@ -716,13 +744,34 @@ def test_a_call_costs_two_collectives_per_round_plus_one(p, count_collectives):
         k_windows(world, X, params)
     finally:
         world.shutdown()
-    # one broadcast and one gather per round, one broadcast to finish
+    # one decide per round: a gather of the answers, a broadcast of the
+    # next round or of the result
     counts = count_collectives[world]
-    rounds = counts["gather"]
-    assert rounds == _longest_steps(X, params) > 1
+    rounds = _longest_steps(X, params)
+    assert counts["broadcast"] == counts["gather"] == rounds > 1
     assert rounds < _serial_windows(X, params)[2]
-    assert counts["broadcast"] == rounds + 1
-    assert sum(counts.values()) == 2 * rounds + 1
+    assert sum(counts.values()) == 2 * rounds
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_round_that_raises_fails_the_search_and_closes_the_world(
+        p, count_collectives):
+    X, _ = generate_blobs(seed=1, k=2, per_cluster=10, d=2)
+    lo, hi = X.points.min(axis=0), X.points.max(axis=0)
+
+    def rounds():
+        answers = yield np.array([(lo, hi, lo, hi)])
+        assert np.sort(answers[0][0]).tolist() == list(range(X.n))
+        raise ValueError("no second round")
+
+    world = CommWorld(p)
+    with pytest.raises(ValueError, match="no second round"):
+        _search(world, X, rounds())
+    # the rule failed at rank 0 after the gather, before the broadcast
+    assert count_collectives[world] == {"gather": 1}
+    with pytest.raises(CommAbort, match="closed"):
+        _search(world, X, _one_round(lo[None], hi[None]))
+    assert count_collectives[world] == {"gather": 1}
 
 
 def test_the_benchmark_call_asks_every_enlargement_trial_in_one_round(
@@ -844,7 +893,7 @@ def test_a_group_that_owns_no_rows_is_compacted_away():
     labels, model, _ = _serial_windows(X, params)
     windows = [Window(np.array(w["center"]), np.array(w["half_width"]),
                       np.arange(min(w["count"], 1))) for w in model]
-    roots = _WindowDriver._merge_groups(windows, params.theta_merge)
+    roots = _merge_groups(windows, params.theta_merge)
     assert roots == _merge_groups_loop(windows, params.theta_merge)
     groups = {roots[i] for i, w in enumerate(windows) if w.enclosed.size}
     used = np.unique(labels[labels != NOISE])
@@ -866,7 +915,7 @@ def _boxes_asked_again(X, params):
     brute-force mask."""
     again = total = 0
     for w in _seed_windows(X, params):
-        path = _WindowDriver(X, params)._path(w)
+        path = _path(X, params, w)
         seen, state, sent = set(), None, None
         while True:
             try:
