@@ -2,7 +2,7 @@
 
 Simulates a small message-passing node group in one process (ranks are
 coroutines that one scheduler drives on the calling thread, rank 0 the
-coordinator and the root of every broadcast and gather) and runs
+coordinator whose rule decides every `decide`) and runs
 partitional, fuzzy, window, density and divisive algorithms over it. Each
 rank owns one block, a plain 2-D array of rows, and the blocks in rank
 order make up the dataset, so a row is named by the dataset row of its

@@ -3,31 +3,28 @@
 Every rank runs the same body, an `async def` function, on a `NodeCtx`,
 the only rank context. Ranks are coroutines that one scheduler,
 `CommWorld.run`, drives on the calling thread in bulk-synchronous steps:
-it resumes every rank in rank order until the rank posts a collective
-(`await ctx.allreduce_sum(v)`, `ctx.gather`, `ctx.broadcast`, or the
-composites `ctx.gather_rows` and `ctx.decide`), checks that all ranks
-posted the same kind, combines their contributions and sends every rank
-its result. A one-node world runs the same loop with one rank.
-The only reduction sums equal-length vectors of Python ints. Integer
+it resumes every rank in rank order until the rank posts a collective,
+checks that all ranks posted the same kind, applies the rule rank 0
+posted once to every rank's payload in rank order and sends every rank
+the result. A one-node world runs the same loop with one rank.
+There are two collectives. `await ctx.allreduce_sum(v)` sums
+equal-length vectors of Python ints, the only reduction. Integer
 addition is exact and associative, so a sum does not depend on the fold
 order or on the node count; a float payload, whose sum would, is refused.
-Collectives are the only way ranks exchange data: there is no
-point-to-point messaging.
-Rank 0 is the root of every broadcast and gather, and the one rank that
-decides: `ctx.decide(payload, rule)` gathers every rank's payload, runs
-`rule` on them at rank 0 alone and broadcasts its result. Every role of
-rank 0, to merge, to refuse or to draw k-windows' next round of box
-requests, is a `decide` rule, so a body never branches on its rank, and
-it posts a raw gather or broadcast only through the composites
-`gather_rows` and `decide`.
+`await ctx.decide(payload, rule)` is rank 0's decision: its `rule` of
+every rank's payload, returned on every rank. Every role of rank 0, to
+merge, to refuse or to draw k-windows' next round of box requests, is a
+`decide` rule, so a body never branches on its rank; `ctx.gather_rows`
+is the decision that concatenates. Collectives are the only way ranks
+exchange data: there is no point-to-point messaging.
 
 A block is a plain 2-D array of rows, and a list of blocks, one per rank
 in rank order, is the dataset its concatenation defines: rank r's first
 row is dataset row `ctx.start`, the number of rows in the blocks before
 it, so a row is named by `ctx.start` plus its position in the block.
-Per-row results gathered in rank order concatenate back into dataset
-order, which is what `NodeCtx.gather_rows` hands rank 0. A block may be
-empty. `run` is the only way into a run and the one place that pairs
+Per-row results joined in rank order concatenate back into dataset
+order, which is what `NodeCtx.gather_rows` hands every rank. A block may
+be empty. `run` is the only way into a run and the one place that pairs
 blocks with ranks: it hands each rank only its own block, not the
 dataset or its peers' blocks, and arguments that are the same on every
 rank. One fact of the whole dataset comes with the run as `ctx.start`
@@ -37,8 +34,8 @@ sums of data rows; a run works it out on its first call, so a body that
 never asks pays nothing. Every driver takes its rows as `run` does, and
 `blocks_of` is the one check of a list, which `run` and the drivers
 share: a list that is not one block per rank, whose blocks are not 2-D
-arrays of one width, or that holds a NaN or an infinity is refused
-before any rank runs.
+arrays of integers or floats of one width, or that holds a NaN or an
+infinity is refused before any rank runs.
 
 A rank that returns while another waits at a collective is refused at
 once, so a rank that skips an `await` falls out of step and is refused
@@ -48,17 +45,18 @@ run.
 
 Each run measures itself and returns its `timings_ms` beside rank 0's
 result: a rank's compute is the time from each resume to its next post
-or its return, summed over ranks, `comm` is the time spent combining
-collectives, and `split` the time spent splitting a dataset into one
-block per rank. Centralized k-means and one node's PCA run their bodies
-on a one-node world, synchronously inside the calling rank's step, so
-each result is the parallel body's at P=1.
+or its return, summed over ranks, plus, for rank 0, its decide rules;
+`comm` is the time spent folding sums, and `split` the time spent
+splitting a dataset into one block per rank. Centralized k-means and one
+node's PCA run their bodies on a one-node world, synchronously inside the
+calling rank's step, so each result is the parallel body's at P=1.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import operator
 import time
 import types
 from itertools import accumulate
@@ -77,9 +75,19 @@ def split_blocks(X: DataSet, p: int) -> list[np.ndarray]:
     """Split a dataset into P in-order row blocks, views of `X.points`,
     with sizes differing by <= 1, the first n % P longer; past n nodes the
     last blocks are empty."""
+    return np.array_split(X.points, _node_count(p))
+
+
+def _node_count(p) -> int:
+    """`p` as a node count, an integer >= 1 (`operator.index`), or
+    ValueError."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError("node count %r is not an integer" % (p,)) from None
     if p < 1:
         raise ValueError("node count must be >= 1")
-    return np.array_split(X.points, p)
+    return p
 
 
 def blocks_of(rows, p: int) -> list[np.ndarray]:
@@ -87,8 +95,9 @@ def blocks_of(rows, p: int) -> list[np.ndarray]:
     split into one block per rank, or a list of blocks as given.
 
     This is the one check of a list: one block per rank, each a 2-D array
-    as wide as block 0 and every value finite, or ValueError naming the
-    first block that is not. A DataSet was checked when it was built.
+    of integers or floats as wide as block 0 and every value finite, or
+    ValueError naming the first block that is not. A DataSet was checked
+    when it was built.
     """
     if isinstance(rows, DataSet):
         return split_blocks(rows, p)
@@ -100,7 +109,10 @@ def blocks_of(rows, p: int) -> list[np.ndarray]:
                 and b.shape[1:] == np.shape(rows[0])[1:]):
             raise ValueError("block %d of shape %s is not a 2-D row array "
                              "as wide as block 0" % (i, np.shape(b)))
-        if not np.isfinite(np.asarray(b, dtype=np.float64)).all():
+        if b.dtype.kind not in "iuf":  # not bool, complex, str or object
+            raise ValueError("block %d of dtype %s is not an array of "
+                             "integers or floats" % (i, b.dtype))
+        if not np.isfinite(b).all():
             raise ValueError("block %d contains non-finite values (NaN or "
                              "infinity)" % i)
     return rows
@@ -116,19 +128,17 @@ def dataset_of(rows, p: int) -> DataSet:
 
 
 @types.coroutine
-def _post(kind: str, payload):
+def _post(kind: str, payload, rule):
     """Suspend the calling rank at a collective; the scheduler resumes it
-    with the collective's result."""
-    return (yield kind, payload)
+    with rank 0's `rule` of every rank's payload."""
+    return (yield kind, payload, rule)
 
 
 class CommWorld:
     """A fixed-size group of simulated nodes sharing collectives."""
 
     def __init__(self, n_nodes: int):
-        if n_nodes < 1:
-            raise ValueError("world needs at least one node")
-        self.size = n_nodes
+        self.size = _node_count(n_nodes)
         self._closed: str | None = None  # why the world closed
 
     def shutdown(self) -> None:
@@ -151,12 +161,14 @@ class CommWorld:
         ValueError before any rank runs.
 
         Each step resumes the ranks in rank order until each posts a
-        collective, then combines the posts and sends every rank the
-        result; the run ends when every rank has returned. A rank that
-        returns while another waits at a collective is refused with
-        CommAbort. On any failure every rank's coroutine is closed, the
-        world is closed, and the lowest failing rank's own exception, or
-        the CommAbort, is raised.
+        collective, then applies rank 0's rule to the posts and sends
+        every rank the result; the run ends when every rank has returned.
+        A decide rule is rank 0's work: it is timed as compute, and one
+        that raises fails the run as rank 0. A rank that returns while
+        another waits at a collective is refused with CommAbort. On any
+        failure every rank's coroutine is closed, the world is closed, and
+        the lowest failing rank's own exception, or the CommAbort, is
+        raised.
         """
         if self._closed is not None:
             raise CommAbort("world is closed: %s" % self._closed)
@@ -169,7 +181,7 @@ class CommWorld:
             data_grid(np.asarray(b, dtype=np.float64)) for b in blocks))
         ranks: list = []
         rank = 0  # the rank being created or resumed, named if it fails
-        compute = comm = 0.0
+        spent = {"compute": 0.0, "comm": 0.0}  # seconds
         try:
             for rank, (start, points) in enumerate(zip(starts, blocks)):
                 coro = fn(NodeCtx(rank, self, start, grid), points, *args)
@@ -188,11 +200,10 @@ class CommWorld:
                         returned[rank] = stop.value
                 rank = None  # a failure from here on is the scheduler's
                 done = time.perf_counter()
-                compute += done - resumed  # the ranks' steps, one by one
+                spent["compute"] += done - resumed  # the ranks' steps
                 if not posted:
-                    return returned[0], {"split": split_ms,
-                                         "compute": compute * 1e3,
-                                         "comm": comm * 1e3}
+                    return returned[0], {"split": split_ms, **{
+                        part: s * 1e3 for part, s in spent.items()}}
                 if returned:
                     waiting = min(posted)
                     raise CommAbort("rank %d returned while rank %d waits at "
@@ -200,8 +211,11 @@ class CommWorld:
                                               posted[waiting][0]))
                 if self._closed is not None:
                     raise CommAbort("world is closed: %s" % self._closed)
+                # a decide rule is rank 0's compute, a fold is comm
+                rank = 0 if posted[0][0] == "decide" else None
                 sent = self._collective(list(posted.values()))
-                comm += time.perf_counter() - done
+                spent["compute" if rank == 0 else "comm"] += (
+                    time.perf_counter() - done)
         except BaseException as exc:
             if self._closed is None:
                 self._closed = (str(exc) if rank is None
@@ -215,23 +229,18 @@ class CommWorld:
 
     def _collective(self, posts):
         """The result every rank receives from one collective, given the
-        (kind, payload) each rank posted, in rank order."""
-        kinds = {kind for kind, _ in posts}
+        (kind, payload, rule) each rank posted, in rank order: rank 0's
+        rule of the payloads."""
+        kinds = {kind for kind, _, _ in posts}
         if len(kinds) != 1:
             raise CommAbort("mismatched collectives on the same step: %s"
                             % sorted(kinds))
-        kind = posts[0][0]
-        payloads = [payload for _, payload in posts]
-        if kind == "broadcast":
-            return payloads[0]
-        if kind == "gather":
-            return payloads
-        if kind == "allreduce_sum":
-            return CommWorld._fold(payloads)
-        raise CommAbort("unknown collective kind %r" % kind)
+        return posts[0][2]([payload for _, payload, _ in posts])
 
     @staticmethod
     def _fold(payloads):
+        """The rule of `allreduce_sum`: the elementwise sum of every rank's
+        list of Python ints, or CommAbort."""
         for v in payloads:
             if not isinstance(v, (list, tuple)) or set(map(type, v)) - {int}:
                 raise CommAbort("allreduce_sum takes lists of Python ints "
@@ -249,7 +258,9 @@ class CommWorld:
 class NodeCtx:
     """Per-rank handle used by algorithm code to reach the runtime; `start`
     is the dataset row of the first row of the rank's block, and `grid()`
-    the data grid of every block of the run."""
+    the data grid of every block of the run. Its collectives are the
+    exact sum `allreduce_sum` and the decision `decide`; `gather_rows` is
+    one `decide`."""
 
     def __init__(self, rank: int, world: CommWorld, start: int, grid):
         self.rank = rank
@@ -267,29 +278,18 @@ class NodeCtx:
 
     # collectives: every rank of the world must await the same operation.
 
-    async def broadcast(self, payload):
-        """Value posted by rank 0, returned on every rank."""
-        return await _post("broadcast", payload)
-
     async def allreduce_sum(self, vector):
         """Elementwise exact sum over ranks of a list of Python ints."""
-        return await _post("allreduce_sum", vector)
+        return await _post("allreduce_sum", vector, CommWorld._fold)
 
-    async def gather(self, payload) -> list:
-        """All payloads in rank order at rank 0; an empty list elsewhere."""
-        out = await _post("gather", payload)
-        return out if self.rank == 0 else []
+    async def decide(self, payload, rule):
+        """Rank 0's `rule` of every rank's payload, in rank order, returned
+        on every rank: one collective, whose rule runs once, as rank 0's
+        work. A rule that raises fails the run with its own exception, as
+        rank 0; the other ranks' rules are never run."""
+        return await _post("decide", payload, rule)
 
     async def gather_rows(self, rows):
         """Every rank's per-row array concatenated in rank order, which is
-        dataset order, at rank 0; None elsewhere. One gather."""
-        parts = await self.gather(rows)
-        return np.concatenate(parts) if self.rank == 0 else None
-
-    async def decide(self, payload, rule):
-        """`rule` of every rank's payload, in rank order, run at rank 0
-        only and returned on every rank: one gather, then one broadcast of
-        rank 0's result. A rule that raises fails the run with its own
-        exception at rank 0, after the gather and before the broadcast."""
-        parts = await self.gather(payload)
-        return await self.broadcast(rule(parts) if self.rank == 0 else None)
+        dataset order, on every rank. One `decide`."""
+        return await self.decide(rows, np.concatenate)

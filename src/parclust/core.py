@@ -25,6 +25,8 @@ class DataSet:
     points: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.points):  # float64 would drop the imaginary
+            raise ValueError("points must be real numbers, not complex")
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError("points must be a 2-D array with at least one column")

@@ -297,7 +297,7 @@ class DdbcParams:
 
 async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
     """One rank's scan and density model of its block; every rank returns
-    (labels, representatives, d), with the labels at rank 0 only.
+    (labels, representatives, d), with the labels of every block.
 
     The models meet in one decision (`ctx.decide`): rank 0's rule stacks
     every rank's representatives, density-clusters them under eps_global
@@ -306,7 +306,7 @@ async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):
     clusters' groups and every representative. A block of fewer than
     min_pts rows, which can hold no core point, is refused before any
     collective, and a multi-node run with no representative is refused
-    by rank 0's rule over every block size, after one gather.
+    by rank 0's rule over every block size, in one decision.
     """
     if len(points) < params.local.min_pts:
         raise ValueError("a shard of %d rows is smaller than min_pts=%d and "
@@ -375,7 +375,7 @@ def ddbc(world: CommWorld, rows, params: DdbcParams) -> ClusterReport:
     Each node scans its block and compresses every local cluster into a
     density model; the facilitator density-clusters all representative
     centers, merges local clusters whose representatives co-occur, and
-    broadcasts the relabeling.
+    hands every node the relabeling.
 
     A shard holds a 1/P sample of the data's density, so a split can hide
     clusters that a central scan finds. Raises ValueError rather than

@@ -123,7 +123,7 @@ def _converged(trace, tol) -> bool:
 
 async def _pfcm_node(ctx: NodeCtx, points, params):
     """One rank's run over its block; every rank returns (labels, centers,
-    trace), with the labels at rank 0 only, the trace holding each
+    trace), with the labels of every block, the trace holding each
     iteration's objective. Row j's start memberships depend on (seed, j)
     alone, so the block draws them as the last rows of a dataset that
     ends with it."""

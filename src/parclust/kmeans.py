@@ -272,7 +272,7 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     """One rank's R Lloyd runs over its block, in lockstep, from the
     (R, k, d) stack of starts `starts`, the same on every rank; every rank
     returns (labels, centers, traces): the (rows, R) labels of every
-    (row, run), at rank 0 only, the (R, k, d) centers, and one trace per
+    (row, run) over every block, the (R, k, d) centers, and one trace per
     run holding each of its iterations' objectives. `params` gives
     max_iter and tol. Each run gives the same bits as a run of its own
     (R = 1) from its start.
@@ -293,7 +293,7 @@ async def _pkm_node(ctx: NodeCtx, pts, params, starts):
     its farthest free row and rank 0's rule (`ctx.decide`) picks the
     farthest of all, ties to the lowest rank. A relocation that finds no
     free row off a centroid refuses: rank 0's rule counts the distinct
-    rows over every block and raises, after one gather.
+    rows over every block and raises, in one decision.
 
     A run whose reduced changes are all zero, with no empty cluster and a
     trip left, is at Lloyd's fixed point: its centers stay, so the next

@@ -6,23 +6,23 @@ The window phases are one generator of rounds, which rank 0's rule
 advances. A window's path of box queries (movement, then enlargement)
 depends only on that window and the data (Alevizos, Tasoulis & Vrahatis,
 PPAM 2003), so all windows advance in lockstep: each round holds one
-request per unfinished window and is one decision (`NodeCtx.decide`): a
-gather of the rows each block answers, named by dataset position, and a
-broadcast of the next round's requests. The first round is drawn before
-the world runs. A request is the window's box plus grown bounds on the
-coordinates asked to grow: none for a movement, and for an enlargement
-sweep every trial still open, each of which grows one coordinate of the
-same box. A row inside a trial's box is inside the window's box, or
-outside it on the trial's coordinate alone and within that coordinate's
-grown bounds: the request's shell, each row tagged with its coordinate.
-So one band test answers every trial of a sweep, and the driver reads
-each trial's size from one count of the tags. Rows of a request have
-their key within its grown key bounds, one band of the sorted block, so
-only that band is tested, one coordinate row at a time, and a request
-with an empty band is not tested at all. A call costs as many rounds as
-its longest window path, and every search returns the same rows for any
-node count. Windows merge under one matrix of pairwise overlap extents,
-with volumes that neither overflow nor underflow.
+request per unfinished window and is one decision (`NodeCtx.decide`):
+rank 0's rule joins the rows each block answers, named by dataset
+position, and hands every rank the next round's requests. The first
+round is drawn before the world runs. A request is the window's box plus
+grown bounds on the coordinates asked to grow: none for a movement, and
+for an enlargement sweep every trial still open, each of which grows one
+coordinate of the same box. A row inside a trial's box is inside the
+window's box, or outside it on the trial's coordinate alone and within
+that coordinate's grown bounds: the request's shell, each row tagged
+with its coordinate. So one band test answers every trial of a sweep,
+and the driver reads each trial's size from one count of the tags. Rows
+of a request have their key within its grown key bounds, one band of the
+sorted block, so only that band is tested, one coordinate row at a time,
+and a request with an empty band is not tested at all. A call costs as
+many rounds as its longest window path, and every search returns the
+same rows for any node count. Windows merge under one matrix of pairwise
+overlap extents, with volumes that neither overflow nor underflow.
 
 The balanced multi-dimensional binary tree and its serial walk remain as
 a reference search. The tree stores one point per node, cycling the
@@ -454,7 +454,7 @@ def k_windows(world: CommWorld, rows, params: KWindowsParams) -> ClusterReport:
     """Window clustering of `rows`, a DataSet or a list of blocks, as
     `CommWorld.run` takes them: `_windows` over the whole dataset, its
     first round drawn before the world runs. Each round is one `decide`,
-    two collectives: its box queries are answered over key-sorted shards,
+    one collective: its box queries are answered over key-sorted shards,
     and its rule, at rank 0, advances the windows to the next round."""
     X = dataset_of(rows, world.size)
     if params.l > X.n:

@@ -308,15 +308,15 @@ def _local_labels(clusterer, rank: int, rows: np.ndarray, k: int, space: str):
 async def _cpca_cluster_node(ctx: NodeCtx, points, clusterer, k,
                              reps_per_cluster, variance_fraction, seed):
     """One rank's local and global clustering of its block; every rank
-    returns (labels, sketches, representatives, d), with the labels at
-    rank 0 only.
+    returns (labels, sketches, representatives, d), with the labels of
+    every block.
 
     The sketches meet in one decision (`ctx.decide`): rank 0's rule
     merges every rank's sketches by size-weighted k-means
     (`_merge_sketches`), and every rank gets each rank's sketch groups. A
     block of fewer than 2 rows, which has no local PCA, is refused before
     any collective, naming the node; when no rank has a representative,
-    rank 0's rule refuses over every block size, after one gather.
+    rank 0's rule refuses over every block size, in one decision.
     """
     if len(points) < 2:
         raise ValueError("node %d's %d-row shard is too small for a local "

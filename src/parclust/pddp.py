@@ -49,11 +49,11 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km):
     left child first; one without a direction, or with the same rows as
     its parent (a split that put every row on one side), is final and is
     not reduced again. The levels stop at `height` or when no cluster is
-    live. Without `km`, every rank returns the leaf labels of all rows, at
-    rank 0 only, and the (k, d) leaf means. With `km`, the Lloyd body's
+    live. Without `km`, every rank returns the leaf labels of all rows
+    and the (k, d) leaf means. With `km`, the Lloyd body's
     params, the leaf means seed one run of that body on the same block,
     and every rank returns its (labels, centers, traces), with the labels
-    at rank 0 only.
+    of all rows.
     """
     leaf = np.zeros(len(pts), dtype=np.int64)  # each row's cluster
     # the size of each cluster's parent; 0 for the root, whose size is not

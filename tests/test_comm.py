@@ -2,6 +2,7 @@
 
 import gc
 import inspect
+import re
 import sys
 import threading
 import time
@@ -112,11 +113,16 @@ def test_one_row_per_shard_gives_the_one_node_result(algo):
     assert docs[0]["labels"] != [docs[0]["labels"][0]] * X.n
 
 
-# -- broadcast -------------------------------------------------------------
+def _root(parts):
+    """Rank 0's payload: the rule that hands every rank the root's value."""
+    return parts[0]
+
+
+# -- broadcast: a decision of the root's value -----------------------------
 
 
 def test_broadcast_single_rank_identity():
-    out = _world_run(1, lambda ctx: ctx.broadcast("payload"))
+    out = _world_run(1, lambda ctx: ctx.decide("payload", _root))
     assert out == ["payload"]
 
 
@@ -124,8 +130,8 @@ def test_broadcast_root_value_everywhere():
     centroids = np.array([[1.0, 2.0], [3.0, 4.0]])
 
     async def fn(ctx):
-        got = await ctx.broadcast(centroids if ctx.rank == 0 else None)
-        return np.array_equal(got, centroids)
+        got = await ctx.decide(centroids if ctx.rank == 0 else None, _root)
+        return got is centroids
 
     assert _world_run(4, fn) == [True] * 4
 
@@ -203,37 +209,40 @@ def test_allreduce_length_mismatch_aborts():
 
 
 def test_mismatched_collective_kinds_abort():
-    def fn(ctx):
-        if ctx.rank == 0:
-            return ctx.broadcast("a")
-        return ctx.gather("b")
+    for sum_at in (0, 1):
+        def fn(ctx):
+            if ctx.rank == sum_at:
+                return ctx.allreduce_sum([1])
+            return ctx.decide("b", list)
 
-    with pytest.raises(CommAbort):
-        _world_run(2, fn)
+        with pytest.raises(CommAbort, match="mismatched collectives on the "
+                           r"same step: \['allreduce_sum', 'decide'\]"):
+            _world_run(2, fn)
 
 
-# -- gather ----------------------------------------------------------------
+# -- gather: a decision of the payloads in rank order ----------------------
 
 
 def test_gather_single_rank():
-    assert _world_run(1, lambda ctx: ctx.gather("a")) == [["a"]]
+    assert _world_run(1, lambda ctx: ctx.decide("a", list)) == [["a"]]
 
 
-def test_gather_rank_order_at_root_empty_elsewhere():
-    out = _world_run(3, lambda ctx: ctx.gather("r%d" % ctx.rank))
-    assert out[0] == ["r0", "r1", "r2"]
-    assert out[1] == [] and out[2] == []
+def test_gather_rank_order_on_every_rank():
+    out = _world_run(3, lambda ctx: ctx.decide("r%d" % ctx.rank, list))
+    assert out == [["r0", "r1", "r2"]] * 3
+    assert out[1] is out[0] and out[2] is out[0]  # one rule, run once
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_gather_rows_is_dataset_order_at_root_none_elsewhere(
+def test_gather_rows_is_dataset_order_on_every_rank_in_one_decide(
         p, count_collectives):
     X = _toy(7)
     out = _every_rank(p, lambda ctx, points: ctx.gather_rows(points), X)
     assert np.array_equal(out[0], X.points)
-    assert out[1:] == [None] * (p - 1)
+    # one concatenation, handed to every rank
+    assert all(rows is out[0] for rows in out)
     [counts] = count_collectives.values()
-    assert counts == {"gather": 1}
+    assert counts == {"decide": 1}
 
 
 # -- decide ----------------------------------------------------------------
@@ -257,7 +266,33 @@ def test_decide_runs_the_rule_once_at_rank_0_and_hands_every_rank_its_result(
     assert calls == [(0, list(zip(range(p), starts, sizes)))]
     assert out == [("decided", p)] * p
     [counts] = count_collectives.values()
-    assert counts == {"gather": 1, "broadcast": 1}
+    assert counts == {"decide": 1}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_rule_is_one_collective_and_rank_0s_compute(p, count_collectives):
+    def spin(parts):  # at least 20 ms of rank 0's work
+        end = time.perf_counter() + 0.02
+        while time.perf_counter() < end:
+            pass
+        return parts
+
+    def refuse(parts):
+        raise KeyError("refused")
+
+    world = CommWorld(p)
+    out, timings = world.run(lambda ctx, _: ctx.decide(ctx.rank, spin),
+                             _toy(p))
+    assert out == list(range(p))
+    # the rule's time is compute; with no sum to fold, comm is nothing
+    assert timings["compute"] >= 20.0 and timings["comm"] == 0.0
+    assert count_collectives[world] == {"decide": 1}
+    with pytest.raises(KeyError, match="refused"):
+        world.run(lambda ctx, _: ctx.decide(ctx.rank, refuse), _toy(p))
+    assert count_collectives[world] == {"decide": 2}
+    with pytest.raises(CommAbort, match=r"closed: rank 0 failed: KeyError\("):
+        world.run(lambda ctx, _: ctx.decide(ctx.rank, spin), _toy(p))
+    assert count_collectives[world] == {"decide": 2}
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -279,8 +314,8 @@ def test_a_rule_that_raises_fails_the_run_with_rank_0s_exception(
         world.run(body, _toy(2))
     assert exc.value is refusal
     assert calls == [list(range(p))]
-    # one gather and no broadcast, and the world is closed
-    assert count_collectives[world] == {"gather": 1}
+    # one decide, and the world is closed
+    assert count_collectives[world] == {"decide": 1}
     with pytest.raises(CommAbort, match="closed: rank 0 failed"):
         world.run(body, _toy(2))
 
@@ -296,7 +331,7 @@ def test_spmd_reraises_first_real_failure():
     async def fn(ctx):
         if ctx.rank == 1:
             raise KeyError("boom")
-        await ctx.broadcast(None)  # closed when rank 1 fails
+        await ctx.decide(None, list)  # closed when rank 1 fails
 
     with pytest.raises(KeyError):
         _world_run(3, fn)
@@ -323,11 +358,11 @@ def test_a_rank_that_returns_early_is_refused_at_once_by_rank(early, waiting):
         if ctx.rank == early:
             return None  # never joins the collective
         steps.append(ctx.rank)
-        await ctx.broadcast(None)
+        await ctx.decide(None, list)
         steps.append(ctx.rank)  # never reached: no rank is resumed again
 
     with pytest.raises(CommAbort, match="rank %d returned while rank %d waits "
-                       "at a broadcast" % (early, waiting)):
+                       "at a decide" % (early, waiting)):
         _world_run(3, fn)
     assert steps == [r for r in range(3) if r != early]
 
@@ -401,7 +436,7 @@ def test_spmd_splits_run_time_into_compute_and_comm(p):
 
 def test_a_one_node_collective_passes_the_same_checks_and_timing():
     async def fn(ctx, _):
-        return (await ctx.broadcast("x"), await ctx.gather(2),
+        return (await ctx.decide("x", _root), await ctx.decide(2, list),
                 await ctx.allreduce_sum([3, 4]))
 
     world = CommWorld(1)
@@ -418,7 +453,7 @@ def test_a_one_node_collective_passes_the_same_checks_and_timing():
 def test_a_collective_on_an_aborted_one_node_world_raises():
     async def fn(ctx):
         ctx.world.shutdown()
-        return await ctx.broadcast("late")
+        return await ctx.decide("late", _root)
 
     with pytest.raises(CommAbort, match="closed: shut down"):
         _world_run(1, fn)
@@ -432,14 +467,49 @@ def test_collectives_of_nested_one_node_worlds_are_counted(count_collectives):
         ddbc(world, split_blocks(X, 1), DdbcParams(local=params))
     finally:
         world.shutdown()
-    assert count_collectives[world] == {"gather": 2, "broadcast": 1}
+    assert count_collectives[world] == {"decide": 2}
     nested = [counts for w, counts in count_collectives.items()
               if w is not world]
     # one k-means run per local cluster, each on its own one-node world
     assert len(nested) == dbscan(X, params).k > 1
-    # the start is handed in, so no run broadcasts it
-    assert all("broadcast" not in counts and counts["allreduce_sum"] >= 1
+    # the start is handed in, so a run's one decision is its row gather
+    assert all(counts["decide"] == 1 and counts["allreduce_sum"] >= 1
                for counts in nested)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_benchmark_calls_make_one_collective_a_decision(p,
+                                                           count_collectives):
+    # perfbench's seed-1 inputs, lloyd and merge at its smoke-test size
+    stretched, _ = generate_blobs(1, 4, 60, 8, spread=1.0, separation=0.5)
+    lloyd = DataSet(stretched.points * [16.0, 4.0, 1, 1, 1, 1, 1, 1])
+    merge, _ = generate_blobs(1, 4, 60, 8)
+    windows, _ = generate_blobs(1, 4, 250, 8)
+    calls = {  # each call, and the collectives it makes at P = 1 and 2
+        "pkm": (lambda w: pkm(w, lloyd, KMeansParams(k=4, max_iter=8,
+                                                     seed=0)),
+                {"allreduce_sum": 8, "decide": 1}),
+        "pfcm": (lambda w: pfcm(w, lloyd, FcmParams(k=4, max_iter=8, seed=0)),
+                 {"allreduce_sum": 16, "decide": 1}),
+        "pddp-km": (lambda w: pddp_km(w, lloyd, height=2, max_iter=8),
+                    {"allreduce_sum": 12, "decide": 1}),
+        # the merge, then the labels
+        "ddbc": (lambda w: ddbc(w, split_blocks(merge, w.size), DdbcParams(
+            local=DbscanParams(eps=3.0, min_pts=5))), {"decide": 2}),
+        "cpca-cluster": (lambda w: cpca_cluster(
+            w, split_blocks(merge, w.size), KMeansLocal(seed=0, max_iter=4),
+            4), {"allreduce_sum": 2, "decide": 2}),
+        # one decide a round
+        "k-windows": (lambda w: k_windows(w, windows, KWindowsParams(
+            l=16, a=3.0)), {"decide": 5}),
+    }
+    for algo, (call, want) in calls.items():
+        world = CommWorld(p)
+        try:
+            call(world)
+        finally:
+            world.shutdown()
+        assert count_collectives[world] == want, algo
 
 
 #: Every parallel driver, run on a world over the rows of X.
@@ -466,13 +536,38 @@ def test_every_parallel_driver_reports_its_run_timings(algo):
         finally:
             world.shutdown()
         assert set(timings) == {"split", "compute", "comm"}
-        assert timings["comm"] > 0.0
-        assert timings["compute"] >= 0.0 and timings["split"] >= 0.0
+        # comm is the time spent folding sums: a driver that only decides
+        # spends none, as its rules are rank 0's compute
+        if algo in ("ddbc", "k-windows"):
+            assert timings["comm"] == 0.0
+        else:
+            assert timings["comm"] > 0.0
+        assert timings["compute"] > 0.0 and timings["split"] >= 0.0
 
 
 def test_world_rejects_zero_nodes():
     with pytest.raises(ValueError):
         CommWorld(0)
+
+
+def test_a_node_count_that_is_not_an_integer_is_refused():
+    X, _ = generate_blobs(1, 3, 20, 2)
+    for bad in (2.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="node count .* is not an "
+                           "integer"):
+            CommWorld(bad)
+        with pytest.raises(ValueError, match="node count .* is not an "
+                           "integer"):
+            split_blocks(X, bad)
+    for good in (2, np.int64(2), np.int32(2)):
+        assert len(split_blocks(X, good)) == 2
+        world = CommWorld(good)
+        try:
+            rep = pkm(world, X, KMeansParams(k=3))
+        finally:
+            world.shutdown()
+        assert world.size == 2 and type(world.size) is int
+        assert rep.to_json_dict()["p"] == 2
 
 
 def test_spmd_comm_time_lies_within_run_time():
@@ -507,7 +602,7 @@ def test_run_splits_the_data_and_returns_rank_zeros_result():
     world = CommWorld(3)
 
     async def body(ctx, points, tag):
-        return await ctx.gather((ctx.rank, ctx.start, points)), tag
+        return await ctx.decide((ctx.rank, ctx.start, points), list), tag
 
     try:
         (split, tag), timings = world.run(body, X, "same on every rank")
@@ -534,7 +629,7 @@ def test_uneven_blocks_start_after_the_rows_before_them():
     blocks = [X.points[:1], X.points[1:6], X.points[6:]]
 
     async def body(ctx, points):
-        return await ctx.gather(ctx.start), await ctx.gather_rows(points)
+        return await ctx.decide(ctx.start, list), await ctx.gather_rows(points)
 
     world = CommWorld(3)
     try:
@@ -702,9 +797,40 @@ def test_blocks_with_non_finite_values_are_refused_before_it_runs(
     finally:
         world.shutdown()
     assert rep.n == X.n
-    # finite rows of another dtype pass the check as given
-    blocks = [a, b.astype(object)]
+    # finite rows of other integer and float dtypes pass the check as given
+    blocks = [a.astype(np.int32), b.astype(np.float32)]
     assert blocks_of(blocks, 2) is blocks
+
+
+#: Blocks that are not arrays of integers or floats, made from a real block
+_NOT_REAL = {
+    "complex": lambda b: b + 1j,
+    "bool": lambda b: b > b.mean(axis=0),
+    "str": lambda b: b.astype(str),
+    "object": lambda b: b.astype(object),
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(_NOT_REAL))
+@pytest.mark.parametrize("algo", sorted(_BLOCK_DRIVERS))
+def test_blocks_that_are_not_real_numbers_are_refused_before_it_runs(
+        algo, dtype, count_collectives):
+    X, _ = generate_blobs(1, 3, 20, 2)
+    a, b = split_blocks(X, 2)
+    world = CommWorld(2)
+    try:
+        for i, blocks in ((1, [a, _NOT_REAL[dtype](b)]),
+                          (0, [_NOT_REAL[dtype](a), b])):
+            why = ("block %d of dtype %s is not an array of integers or "
+                   "floats" % (i, blocks[i].dtype))
+            with pytest.raises(ValueError, match="^%s$" % re.escape(why)):
+                _BLOCK_DRIVERS[algo](world, blocks)
+        assert count_collectives[world] == {}
+        # the world is still open
+        rep = _BLOCK_DRIVERS["ddbc"](world, [a, b])
+    finally:
+        world.shutdown()
+    assert rep.n == X.n
 
 
 def _without_timings(out):
@@ -830,8 +956,8 @@ def test_the_refusals_that_name_the_shards_are_unchanged(as_list,
         "no shard of 5 to 5 rows holds a core point under eps=0.5 and "
         "min_pts=5, and an all-noise answer over 4 nodes cannot be told from "
         "shards too small to show the clusters; use fewer nodes")
-    # the merge's gather and broadcast, then the refusal's one gather
-    assert count_collectives[world] == {"gather": 2, "broadcast": 1}
+    # the merge's decide, then the refusal's
+    assert count_collectives[world] == {"decide": 2}
     # local density clustering that marks every row as noise
     X, _ = generate_blobs(1, 3, 60, 2)
     rows = split_blocks(X, 3) if as_list else X
@@ -846,5 +972,5 @@ def test_the_refusals_that_name_the_shards_are_unchanged(as_list,
         "each node's own PCA space marked every row as noise on every shard "
         "(node 0: 60 rows, node 1: 60 rows, node 2: 60 rows)")
     assert exc.value.__suppress_context__
-    # the global basis's two allreduces, then the refusal's one gather
-    assert count_collectives[world] == {"allreduce_sum": 2, "gather": 1}
+    # the global basis's two allreduces, then the refusal's decide
+    assert count_collectives[world] == {"allreduce_sum": 2, "decide": 1}

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -654,6 +655,14 @@ def test_dataset_validates_ids_and_finiteness():
         DataSet.from_points([[np.nan, 0.0]])
     with pytest.raises(ValueError):
         DataSet.from_points(np.zeros(3))
+
+
+def test_a_dataset_refuses_complex_values_rather_than_drop_their_parts():
+    for points in ([[1.0, 2j]], np.zeros((2, 2), dtype=complex)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning first
+            with pytest.raises(ValueError, match="real numbers, not complex"):
+                DataSet.from_points(points)
 
 
 def test_partition_k_counts_distinct_non_noise():

@@ -698,7 +698,7 @@ def test_local_clusters_never_split_in_the_merge():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_a_merge_makes_two_gathers_and_one_broadcast(p, count_collectives):
+def test_a_merge_makes_two_decisions(p, count_collectives):
     X, _ = _blobs_with_outliers(seed=9, per_cluster=40)
     world = CommWorld(p)
     try:
@@ -707,8 +707,8 @@ def test_a_merge_makes_two_gathers_and_one_broadcast(p, count_collectives):
     finally:
         world.shutdown()
     assert rep.model["k"] == 3
-    # the models in, the group numbers out, the labels in
-    assert count_collectives[world] == {"gather": 2, "broadcast": 1}
+    # the models in and the group numbers out, then the labels in
+    assert count_collectives[world] == {"decide": 2}
 
 
 def test_misfit_blocks_are_refused_before_the_min_pts_check():

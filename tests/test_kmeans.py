@@ -287,7 +287,7 @@ def test_a_run_makes_one_allreduce_per_iteration(count_collectives):
     assert rep.iterations > 1 and rep.converged
     # one allreduce a trip run: the last iteration is Lloyd's fixed point,
     # recorded without its trip
-    assert count_collectives[world] == {"gather": 1,
+    assert count_collectives[world] == {"decide": 1,
                                         "allreduce_sum": rep.iterations - 1}
 
 
@@ -327,10 +327,9 @@ def test_the_empty_cluster_refusal_counts_distinct_rows_over_all_blocks(
         _run_parallel(p, X, KMeansParams(k=3))
     assert str(exc.value) == ("cannot repair an empty cluster: k=3 but the "
                               "data has only 2 distinct rows")
-    # one trip, the repair's gather and broadcast, then the refusal's one
-    # gather
+    # one trip, the repair's decide, then the refusal's
     [counts] = count_collectives.values()
-    assert counts == {"allreduce_sum": 1, "gather": 2, "broadcast": 1}
+    assert counts == {"allreduce_sum": 1, "decide": 2}
 
 
 def test_a_bad_start_is_refused_before_the_world_runs(count_collectives):
@@ -476,7 +475,8 @@ def test_each_run_of_a_stack_equals_a_run_of_its_own_on(name,
         before, out = set(count_collectives), []
         msg = _refusal(lambda: out.append(_runs(1, X, params, [s])))
         [world] = set(count_collectives) - before
-        solo.append((msg, count_collectives[world]["broadcast"],
+        # every decide but the last, the row gather or a refusal, repairs
+        solo.append((msg, count_collectives[world]["decide"] - 1,
                      len(out[0][2][0]) if out else None))
     msgs, repairs, iterations = zip(*solo)
     # the case has the feature it is named for
@@ -715,7 +715,7 @@ def test_kmeans_local_runs_one_nested_world_of_its_longest_restart(
     count_collectives.clear()
     KMeansLocal(max_iter=max_iter)(X, 3)
     [counts] = count_collectives.values()
-    assert counts == {"allreduce_sum": max(trips), "gather": 1}
+    assert counts == {"allreduce_sum": max(trips), "decide": 1}
     # a restart that reaches its fixed point with a trip left records that
     # trip without running it; with max_iter 4 one restart is cut off first
     saved = [n - t for n, t in zip(iterations, trips)]
@@ -734,7 +734,7 @@ def test_cpca_cluster_runs_one_lloyd_world_per_local_step(p,
     finally:
         world.shutdown()
     nested = [c for w, c in count_collectives.items() if w is not world]
-    # a Lloyd world ends with a gather, a one-node PCA world makes none:
-    # two local steps a node and the merge
-    assert sum("gather" in c for c in nested) == 2 * p + 1
-    assert sum("gather" not in c for c in nested) == p
+    # a Lloyd world ends with its row gather, a decide; a one-node PCA
+    # world makes none: two local steps a node and the merge
+    assert sum("decide" in c for c in nested) == 2 * p + 1
+    assert sum("decide" not in c for c in nested) == p

@@ -736,7 +736,7 @@ def test_the_windows_alone_give_the_labels_and_model_of_every_world(seed):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_a_call_costs_two_collectives_per_round(p, count_collectives):
+def test_a_call_costs_one_collective_per_round(p, count_collectives):
     X, _ = generate_blobs(seed=1, k=4, per_cluster=60, d=4)
     params = KWindowsParams(l=12, a=3.0, seed=2)
     world = CommWorld(p)
@@ -744,13 +744,11 @@ def test_a_call_costs_two_collectives_per_round(p, count_collectives):
         k_windows(world, X, params)
     finally:
         world.shutdown()
-    # one decide per round: a gather of the answers, a broadcast of the
-    # next round or of the result
-    counts = count_collectives[world]
+    # one decide per round: rank 0's rule reads the answers and hands
+    # every rank the next round or the result
     rounds = _longest_steps(X, params)
-    assert counts["broadcast"] == counts["gather"] == rounds > 1
-    assert rounds < _serial_windows(X, params)[2]
-    assert sum(counts.values()) == 2 * rounds
+    assert count_collectives[world] == {"decide": rounds}
+    assert 1 < rounds < _serial_windows(X, params)[2]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -767,11 +765,11 @@ def test_a_round_that_raises_fails_the_search_and_closes_the_world(
     world = CommWorld(p)
     with pytest.raises(ValueError, match="no second round"):
         _search(world, X, rounds())
-    # the rule failed at rank 0 after the gather, before the broadcast
-    assert count_collectives[world] == {"gather": 1}
-    with pytest.raises(CommAbort, match="closed"):
+    # rank 0's rule failed in the first round's decide
+    assert count_collectives[world] == {"decide": 1}
+    with pytest.raises(CommAbort, match="closed: rank 0 failed"):
         _search(world, X, _one_round(lo[None], hi[None]))
-    assert count_collectives[world] == {"gather": 1}
+    assert count_collectives[world] == {"decide": 1}
 
 
 def test_the_benchmark_call_asks_every_enlargement_trial_in_one_round(
@@ -785,7 +783,7 @@ def test_the_benchmark_call_asks_every_enlargement_trial_in_one_round(
         world.shutdown()
     # one box per round took 12 rounds
     assert _serial_windows(X, params)[2] == 12
-    assert count_collectives[world]["gather"] <= 6
+    assert count_collectives[world]["decide"] <= 6
 
 
 def test_the_benchmark_call_asks_each_sweep_as_one_request(monkeypatch):

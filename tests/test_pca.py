@@ -91,7 +91,8 @@ def _kernel_over(p, sets):
     """Every rank's exact covariances of the sets, in rank order, each set
     split by np.array_split (a block may be empty), and the world."""
     async def body(ctx, _points, pieces):  # the sets come as `pieces`
-        return await ctx.gather(await exact_covariance(ctx, pieces[ctx.rank]))
+        return await ctx.decide(await exact_covariance(ctx, pieces[ctx.rank]),
+                                list)
 
     pieces = list(zip(*(np.array_split(rows, p) for rows in sets)))
     world = CommWorld(p)
@@ -116,8 +117,8 @@ def test_exact_covariance_is_the_rational_sum_rounded_once_at_any_p(
     oracle = [_covariance_oracle(rows) for rows in sets]
     for p in (1, 2, 3):
         ranks, world = _kernel_over(p, sets)
-        # two allreduces whatever the number of sets, and the test's gather
-        assert count_collectives[world] == {"allreduce_sum": 2, "gather": 1}
+        # two allreduces whatever the number of sets, and the test's decide
+        assert count_collectives[world] == {"allreduce_sum": 2, "decide": 1}
         for stats in ranks:
             assert len(stats) == len(sets)
             for got, want in zip(stats, oracle):

@@ -299,7 +299,7 @@ def test_a_cluster_that_cannot_split_is_not_tried_again(count_collectives):
         world.shutdown()
     assert rep.labels.tolist() == [0] * 12
     # the exact mean and the cross-products once, then the leaf means
-    assert count_collectives[world] == {"gather": 1, "allreduce_sum": 3}
+    assert count_collectives[world] == {"decide": 1, "allreduce_sum": 3}
 
 
 @pytest.mark.parametrize("height", [1, 2, 10**6])
@@ -321,7 +321,7 @@ def test_a_split_that_puts_every_row_on_one_side_keeps_them_whole(
         assert rep.labels.tolist() == [0, 0, 2, 1]
         assert rep.centroids.tolist() == [[1e16], [7.0], [5.0]]
     levels = {1: 1, 2: 2, 10**6: 3}[height]
-    assert count_collectives[world] == {"gather": 1,
+    assert count_collectives[world] == {"decide": 1,
                                         "allreduce_sum": 2 * levels + 1}
 
 
@@ -371,9 +371,9 @@ def test_pddp_km_makes_one_run_of_few_collectives(count_collectives,
     levels = 2
     # per level: the exact means and the cross-products of every live
     # cluster at once; then one allreduce of the leaf means
-    assert km == {"gather": 1,
+    assert km == {"decide": 1,
                   "allreduce_sum": 2 * levels + 1 + rep.iterations}
-    assert count_collectives[world] == {"gather": 1,
+    assert count_collectives[world] == {"decide": 1,
                                         "allreduce_sum": 2 * levels + 1}
     assert tree.centroids.shape[0] == rep.params["k"]
     # one run on the world per driver call, and none nested
