@@ -290,8 +290,10 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray, lhs: np.ndarray,
     center j, so c is among the row's candidates, the centers with G
     within 2m of its least G. A row with one candidate is settled: that
     candidate is its nearest, and no other center ties with it, because a
-    tying center would be a candidate too. Each row is labelled with its
-    first candidate (`argmax` of its candidate mask); a mask with no more
+    tying center would be a candidate too. Each row is labelled with the
+    product of the center indices and its candidate mask, exactly its
+    candidate's index when it has one (one BLAS product; `argmax` over
+    the centers copies the mask to reduce along it); a mask with no more
     candidates than rows means no row has two.
 
     The rounded threshold least G + 2m does not drop c: |G - D| is at most
@@ -312,7 +314,8 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray, lhs: np.ndarray,
         least = np.minimum.reduce(gt, axis=0)
         least += 2.0 * m
         candidate = gt <= least
-        labels = np.argmax(candidate, axis=0)
+        labels = (np.arange(len(centers), dtype=float)
+                  @ candidate).astype(np.int64)
         open_rows = labels[:0]
         if np.count_nonzero(candidate) > len(points):
             open_rows = np.flatnonzero(np.count_nonzero(candidate, axis=0) > 1)

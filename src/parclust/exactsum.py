@@ -15,34 +15,39 @@ error-free extraction of Rump, Ogita & Oishi ("Accurate floating-point
 summation, part I", SIAM J. Sci. Comput. 2008), which Demmel & Nguyen
 use for reproducible parallel sums ("Parallel reproducible summation",
 IEEE Trans. Comput. 2015). For a chunk of n rows, set bits = 52 -
-n.bit_length(), so that n * 2**bits <= 2**52. With top the largest
-magnitude left and 2**E > top its binade bound (from frexp), one slice
-is q = trunc(r * 2**s) with s = bits - E: integers |q| < 2**bits, whose
-float64 sums in any order stay below 2**52 and so are exact. Each
-non-zero sum is shifted once onto the grid (below), and r - q * 2**-s
-is the exact remainder (q * 2**-s is r truncated to a multiple of
-2**-s), below 2**-s, so each slice takes at least `bits` binades off
-the top. Truncation, not rounding to nearest: a rounded slice of the
-largest finite value can round up past it, and its scaled slice
-overflow. NaN and infinity raise ValueError, and so does a quotient
-beyond the float64 range.
+n.bit_length(), so that n * 2**bits <= 2**52. One frexp pass gives the
+top binade bound 2**E > every magnitude and the finest bit any value can
+hold. A slice at 2**-s is q = trunc(r * 2**s): integers |q| < 2**bits
+when every |r| < 2**(bits - s), whose float64 sums in any order stay
+below 2**52 and so are exact. Each non-zero sum is shifted once onto the
+grid (below), and r - q * 2**-s is the exact remainder (q * 2**-s is r
+truncated to a multiple of 2**-s), below 2**-s, so the next slice is at
+least `bits` binades finer; when more than one slice is left, it starts
+at the remainder's own top, so empty binades are skipped. The last slice
+is at the finest bit, or at the grid if that is coarser: what is left
+for it is a multiple of its unit below 2**bits units, so it is summed as
+it is, with no truncation, and only its totals are scaled. Truncation,
+not rounding to nearest: a rounded slice of the largest finite value can
+round up past it, and its scaled slice overflow. NaN and infinity raise
+ValueError, caught in the slice totals, and so does a quotient beyond
+the float64 range.
 
 The default grid, 2**-1126, holds every finite float64. A caller that
 knows its values can pass a coarser grid 2**g, and its integers are
 then smaller: `data_grid` gives the coarsest g that holds every value of
 an array, about -60 for data of unit scale, so Lloyd's sums of data
 rows are integers of about 70 bits instead of about 1130. No slice is
-finer than the grid: the slice at 2**g takes all that is left of values
-on it, so its remainder is zero, and a remainder left after it is a bit
-below the grid, which raises ValueError instead of being cut off. A sum
-on grid g is the default-grid sum divided by 2**(g + 1126), and its
-quotients are the same floats.
+finer than the grid: when a value may hold a bit below it (its frexp
+exponent says so), the last slice, at 2**g, is checked to take all that
+is left, and a bit below the grid raises ValueError instead of being
+cut off. A sum on grid g is the default-grid sum divided by
+2**(g + 1126), and its quotients are the same floats.
 
-Each chunk is copied once, as columns x rows, into a private C-contiguous
-array, and every slice is peeled off that copy in place through one
-reused buffer, so the input is never written and a column total sums
-one contiguous row. No BLAS call is made: a BLAS product may split its
-work over threads of its own.
+Each chunk is read as columns x rows, C-contiguous: a column-major or
+one-column array in place, any other through one copy. The slices are
+peeled off through buffers of the kernel's own, so the input is never
+written, and a column total sums one contiguous row. No BLAS call is
+made: a BLAS product may split its work over threads of its own.
 """
 
 from __future__ import annotations
@@ -111,7 +116,9 @@ def grouped_sums_fixed(a, groups=None, ngroups: int = 1,
     `groups` is None). Returns `ngroups * c` fixed-point integers in
     group-major order: the sum of column j over group g is at `g * c + j`.
     Raises ValueError on a NaN or infinite value, and on a value with a
-    bit below 2**grid, which the default grid cannot meet.
+    bit below 2**grid, which the default grid cannot meet. A column-major
+    or one-column array is read in place; any other is copied once, a
+    chunk at a time.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -123,15 +130,18 @@ def grouped_sums_fixed(a, groups=None, ngroups: int = 1,
             raise ValueError("groups must hold one label per row")
         if n and (groups.min() < 0 or groups.max() >= ngroups):
             raise ValueError("group label out of range [0, %d)" % ngroups)
-    out = np.zeros(ngroups * c, dtype=object)  # Python ints
+    if groups is None or ngroups == 1:
+        groups, out = None, [0] * c  # Python ints, one a column
+    else:
+        out = np.zeros(ngroups * c, dtype=object)  # Python ints
     for start in range(0, n, MAX_BUCKET_TERMS):
         stop = min(n, start + MAX_BUCKET_TERMS)
         key = None
-        if groups is not None and ngroups > 1:
+        if groups is not None:
             key = (groups[start:stop] * c
                    + np.arange(c, dtype=np.int64)[:, None]).ravel()
-        _accumulate(arr[start:stop].T.copy(), key, out, grid)
-    return out.tolist()
+        _accumulate(np.ascontiguousarray(arr[start:stop].T), key, out, grid)
+    return list(out)
 
 
 def _scale(x, s: int, out=None):
@@ -141,14 +151,31 @@ def _scale(x, s: int, out=None):
     return np.ldexp(x, s, out=out)  # 2**s itself is beyond the normal range
 
 
-def _top(r) -> float:
-    """The largest magnitude in `r`; ValueError if it is NaN or infinite."""
-    top = max(float(r.max()), -float(r.min()))
-    if not math.isfinite(top):
+def _fold(x, key, out, s: int, shift: int) -> None:
+    """Add the totals of `x` per row, or per `key`, to `out`: each total
+    times 2**s is an integer below 2**52, added shifted by `shift` bits.
+    ValueError if a total is NaN or infinite. Neither einsum nor bincount
+    warns when a total meets both infinities."""
+    if key is None:  # few columns: fold each total in turn
+        totals = np.einsum("ij->i", x)
+        totals = (_scale(totals, s) if s else totals).tolist()
+        _check_finite(math.isfinite(sum(totals)))
+        for j, t in enumerate(totals):
+            if t:
+                out[j] += int(t) << shift
+    else:  # many groups: fold the non-zero totals in one array operation
+        sums = np.bincount(key, weights=x.ravel(), minlength=len(out))
+        used = np.flatnonzero(sums)
+        sums = _scale(sums[used], s) if s else sums[used]
+        _check_finite(np.isfinite(sums).all())
+        out[used] += sums.astype(np.int64).astype(object) << shift
+
+
+def _check_finite(finite: bool) -> None:
+    if not finite:
         raise ValueError("non-finite value (NaN or infinity) in an exact sum: "
                          "the input or a quantity computed from it is out "
                          "of float64 range")
-    return top
 
 
 def _accumulate(r, key, out, grid: int) -> None:
@@ -156,32 +183,39 @@ def _accumulate(r, key, out, grid: int) -> None:
     `out`, in units of 2**grid: per column, or per `key` (group * columns
     + column) when given.
 
-    `r` is the chunk's private copy as columns x rows, C-contiguous, which
-    the slices are peeled off in place; `key` is laid out the same way."""
+    `r` is the chunk as columns x rows, C-contiguous, and is only read;
+    `key` is laid out the same way. One frexp pass fixes the slices: the
+    first at the top binade bound, each next one at least `bits` finer,
+    the last at `last`, the finest bit a value can hold or the grid,
+    summed as it is (see the module docstring)."""
     if r.size == 0:
         return
     bits = 52 - r.shape[1].bit_length()
     q = np.empty_like(r)
-    top = _top(r)
-    while top != 0.0:
-        # no finer than the grid: a slice at s = -grid takes all that is
-        # left of values on the grid, and is still below 2**bits
-        s = min(bits - math.frexp(top)[1], -grid)
-        np.trunc(_scale(r, s, out=q), out=q)
-        # a total t is t * 2**-s, t << shift units of the grid; on the
-        # default grid s <= 1124, as a subnormal top has E >= -1073
-        shift = -grid - s
-        if key is None:  # few columns: fold each total in turn
-            for j, t in enumerate(q.sum(axis=1).tolist()):
-                if t:
-                    out[j] += int(t) << shift
-        else:  # many groups: fold the non-zero totals in one array operation
-            sums = np.bincount(key, weights=q.ravel(), minlength=len(out))
-            used = np.flatnonzero(sums)
-            out[used] += sums[used].astype(np.int64).astype(object) << shift
-        np.subtract(r, _scale(q, -s, out=q), out=r)
-        top = _top(r)
-        if top and s == -grid:
+    e = np.frexp(r, out=(q, np.empty(r.shape, dtype=np.intc)))[1]
+    # a value is a multiple of 2**(e - 53); zero counts as e = 0
+    fine = 53 - int(e.min(initial=0))
+    last = min(fine, -grid)
+    s = bits - int(e.max())
+    rem, buf = r, q  # the remainder, and a buffer that does not hold it
+    while s < last:
+        np.trunc(_scale(rem, s, out=buf), out=buf)
+        _fold(buf, key, out, 0, -grid - s)
+        # the remainder rem - q * 2**-s is exact, and below 2**-s
+        rem, buf = (np.subtract(rem, _scale(buf, -s, out=buf), out=buf),
+                    None if rem is r else rem)
+        s += bits
+        if s < last:  # more than one slice left: skip empty binades
+            top = max(float(rem.max()), -float(rem.min()))
+            if top == 0.0:
+                return
+            s = bits - math.frexp(top)[1]
+            if buf is None:
+                buf = np.empty_like(r)
+    _fold(rem, key, out, last, -grid - last)
+    if fine > last:  # a value may hold a bit below the grid
+        x = _scale(rem, last)
+        if not np.array_equal(np.trunc(x), x):
             raise ValueError("a value has a bit below the grid 2**%d of an "
                              "exact sum" % grid)
 

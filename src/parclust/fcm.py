@@ -93,8 +93,10 @@ async def centroid_update(ctx: NodeCtx, points: np.ndarray, u: np.ndarray,
     d = points.shape[1]
     w = u ** m
     local: list[int] = []
-    for i in range(k):
-        local += grouped_sums_fixed(points * w[:, i:i + 1])
+    pt = np.ascontiguousarray(points.T)
+    buf = np.empty_like(pt)
+    for i in range(k):  # column-major products, which the sums read in place
+        local += grouped_sums_fixed(np.multiply(pt, w[:, i], out=buf).T)
     local += grouped_sums_fixed(w)
     g = await ctx.allreduce_sum(local)
     dens = g[k * d:]

@@ -111,9 +111,9 @@ async def exact_covariance(ctx: NodeCtx, sets):
     stats = await exact_means(ctx, sets)
     cross: list[int] = []
     for rows, (n, mean) in zip(sets, stats):
-        centered = rows - mean if n else rows
+        ct = np.ascontiguousarray((rows - mean if n else rows).T)
         for j in range(rows.shape[1]):  # no n x d^2 product in memory
-            cross += grouped_sums_fixed(centered[:, j:] * centered[:, j:j + 1])
+            cross += grouped_sums_fixed((ct[j:] * ct[j]).T)
     d = sets[0].shape[1]
     upper = np.triu_indices(d)
     out = []

@@ -439,36 +439,33 @@ def test_extreme_columns_match_rational_oracle(column):
         _grouped_oracle(wide, groups, 3)
 
 
-class _CountingNumpy:
-    """numpy, with each call of `trunc` (one a slice) counted."""
-
-    def __init__(self, slices):
-        self._slices = slices
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def trunc(self, *args, **kwargs):
-        self._slices[-1] += 1
-        return np.trunc(*args, **kwargs)
-
-
-def test_lloyd_pass_sums_take_at_most_three_slices(monkeypatch):
-    # each slice takes 52 - n.bit_length() binades off the top, so the
-    # exact sums of a Lloyd pass take 2 slices, a few 3; one slice per
-    # binade would take dozens
-    X0, _ = generate_blobs(seed=1, k=4, per_cluster=500, d=8, spread=1.0,
-                           separation=0.5)
-    X = DataSet.from_points(X0.points * np.array([16.0, 4.0] + [1.0] * 6))
+def _slices_per_call(monkeypatch):
+    """A list that gets one entry per `_accumulate` call of the kernel,
+    the number of slices it took (one fold of its totals a slice)."""
     slices = []
-    accumulate = exactsum._accumulate
+    accumulate, fold = exactsum._accumulate, exactsum._fold
 
     def counted(*args):
         slices.append(0)
         return accumulate(*args)
 
+    def counted_fold(*args):
+        slices[-1] += 1
+        return fold(*args)
+
     monkeypatch.setattr(exactsum, "_accumulate", counted)
-    monkeypatch.setattr(exactsum, "np", _CountingNumpy(slices))
+    monkeypatch.setattr(exactsum, "_fold", counted_fold)
+    return slices
+
+
+def test_lloyd_pass_sums_take_at_most_three_slices(monkeypatch):
+    # each slice takes 52 - n.bit_length() binades off the top, so the
+    # exact sums of a Lloyd pass take 2 slices, a few 3; one slice per
+    # binade would take dozens. A slice is one fold of its totals.
+    X0, _ = generate_blobs(seed=1, k=4, per_cluster=500, d=8, spread=1.0,
+                           separation=0.5)
+    X = DataSet.from_points(X0.points * np.array([16.0, 4.0] + [1.0] * 6))
+    slices = _slices_per_call(monkeypatch)
     world = CommWorld(1)
     try:
         pkm(world, X, KMeansParams(k=4, max_iter=8))
@@ -481,7 +478,21 @@ def test_lloyd_pass_sums_take_at_most_three_slices(monkeypatch):
     assert slices.count(2) > len(slices) // 2
 
 
-def test_wide_exponent_span_with_many_slots_stays_small():
+def _slices_from_each_top(a):
+    """The slices that a loop taking each slice at its remainder's top,
+    `bits` binades deep and no finer than the default grid, takes until
+    nothing is left of a chunk `a`."""
+    r = np.array(a, dtype=np.float64).T
+    bits = 52 - r.shape[1].bit_length()
+    slices = 0
+    while (top := float(np.abs(r).max(initial=0.0))) != 0.0:
+        s = min(bits - math.frexp(top)[1], 1126)
+        r -= np.ldexp(np.trunc(np.ldexp(r, s)), -s)
+        slices += 1
+    return slices
+
+
+def test_wide_exponent_span_with_many_slots_stays_small(monkeypatch):
     # 3000 group x column slots over ~2000 binades: a dense bucket array
     # would hold 3000 * 2000 * 8 B = 48 MB per part
     rng = np.random.default_rng(11)
@@ -490,6 +501,7 @@ def test_wide_exponent_span_with_many_slots_stays_small():
         -300, 301, size=(n, c))
     a[rng.random((n, c)) < 0.5] *= -1.0
     groups = rng.integers(0, ngroups, size=n)
+    slices = _slices_per_call(monkeypatch)
     tracemalloc.start()
     try:
         got = grouped_sums_fixed(a, groups, ngroups)
@@ -497,8 +509,86 @@ def test_wide_exponent_span_with_many_slots_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * a.nbytes  # ~3 MB; the elements alone are 48 kB
+    assert slices[0] <= _slices_from_each_top(a)
     assert [Fraction(v, 1 << 1126) for v in got] == \
         _grouped_oracle(a, groups, ngroups)
+
+
+def test_values_near_two_far_binades_take_at_most_four_slices(monkeypatch):
+    # about 2000 empty binades lie between 2**-1000 and 2**1000; each
+    # magnitude needs two slices, and none is taken in between
+    rng = np.random.default_rng(12)
+    a = rng.uniform(1.0, 2.0, size=(2000, 2)) * 2.0 ** rng.choice(
+        [-1000, 1000], size=(2000, 2))
+    a[rng.random(a.shape) < 0.5] *= -1.0
+    groups = rng.integers(0, 5, size=2000)
+    slices = _slices_per_call(monkeypatch)
+    got = [grouped_sums_fixed(a), grouped_sums_fixed(a, groups, 5)]
+    assert slices == [4, 4]
+    assert [Fraction(v, 1 << 1126) for v in got[0]] == \
+        _grouped_oracle(a, np.zeros(len(a), dtype=np.int64), 1)
+    assert [Fraction(v, 1 << 1126) for v in got[1]] == \
+        _grouped_oracle(a, groups, 5)
+
+
+@pytest.mark.parametrize("layout", ["F", "one column", "flat"])
+def test_column_major_and_one_column_inputs_are_read_in_place(layout):
+    # the kernel's own buffers are the slice (as large as the input) and
+    # the exponents (half as large); a copy of the input would add as much
+    # again, past twice the input's bytes
+    X, _ = generate_blobs(seed=2, k=3, per_cluster=4000, d=4, spread=1.0,
+                          separation=4.0)
+    x = {"F": np.asfortranarray(X.points), "one column": X.points[:, :1].copy(),
+         "flat": X.points[:, 0].copy()}[layout]
+    before = x.copy()
+    tracemalloc.start()
+    try:
+        got = sum_fixed(x) if layout == "flat" else grouped_sums_fixed(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+    assert x.tobytes() == before.tobytes()
+    cols = x.reshape(len(x), -1)
+    want = _grouped_oracle(cols, np.zeros(len(cols), dtype=np.int64), 1)
+    got = [got] if layout == "flat" else got
+    assert [Fraction(v, 1 << 1126) for v in got] == \
+        ([sum(want)] if layout == "flat" else want)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("grid", [-1126, -60, 0])
+def test_every_slice_schedule_keeps_the_refusals(bad, grid):
+    # on the 2**0 grid the first slice is the last one, summed as it is,
+    # and a value is also allowed to be off the grid
+    a = np.asfortranarray([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    a[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        grouped_sums_fixed(a, grid=grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        grouped_sums_fixed(a, [0, 1, 1], 2, grid=grid)
+    a[1, 1] = 0.5  # a bit below the 2**0 grid
+    if grid == 0:
+        with pytest.raises(ValueError, match="below the grid"):
+            grouped_sums_fixed(a, grid=grid)
+        with pytest.raises(ValueError, match="below the grid"):
+            grouped_sums_fixed(a, [0, 1, 1], 2, grid=grid)
+    else:
+        assert grouped_sums_fixed(a, grid=grid) == \
+            [9 << -grid, (17 << -grid) // 2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [-1126, 0])
+def test_both_infinities_in_one_total_raise_without_a_warning(grid):
+    a = np.asfortranarray([[np.inf, 1.0], [-np.inf, 2.0], [1.0, np.inf],
+                           [2.0, -np.inf]])
+    with pytest.raises(ValueError, match="non-finite"):
+        grouped_sums_fixed(a, grid=grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        grouped_sums_fixed(a, [0, 0, 1, 1], 2, grid=grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        sum_fixed(a[:, 0])
 
 
 def _wide_magnitude_data(top):
