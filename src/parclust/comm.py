@@ -75,19 +75,19 @@ def split_blocks(X: DataSet, p: int) -> list[np.ndarray]:
     """Split a dataset into P in-order row blocks, views of `X.points`,
     with sizes differing by <= 1, the first n % P longer; past n nodes the
     last blocks are empty."""
-    return np.array_split(X.points, _node_count(p))
+    return np.array_split(X.points, as_count(p, "node count"))
 
 
-def _node_count(p) -> int:
-    """`p` as a node count, an integer >= 1 (`operator.index`), or
-    ValueError."""
+def as_count(value, name: str) -> int:
+    """`value` as a count, an integer >= 1 (`operator.index`, so a float
+    such as 2.0 is refused), or ValueError naming it `name`."""
     try:
-        p = operator.index(p)
+        value = operator.index(value)
     except TypeError:
-        raise ValueError("node count %r is not an integer" % (p,)) from None
-    if p < 1:
-        raise ValueError("node count must be >= 1")
-    return p
+        raise ValueError("%s %r is not an integer" % (name, value)) from None
+    if value < 1:
+        raise ValueError("%s must be >= 1" % name)
+    return value
 
 
 def blocks_of(rows, p: int) -> list[np.ndarray]:
@@ -138,7 +138,7 @@ class CommWorld:
     """A fixed-size group of simulated nodes sharing collectives."""
 
     def __init__(self, n_nodes: int):
-        self.size = _node_count(n_nodes)
+        self.size = as_count(n_nodes, "node count")
         self._closed: str | None = None  # why the world closed
 
     def shutdown(self) -> None:

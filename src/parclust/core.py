@@ -102,17 +102,6 @@ def squared_euclidean(x, y) -> float:
 #: centers; blocks this size stay in cache and bound the temporaries.
 DISTANCE_BLOCK_CELLS = 1 << 14
 
-# Up to this many centers, rows are scored in (centers, rows) tiles of
-# about _FEW_CENTER_TILE_CELLS distances, so numpy's inner loops run over
-# rows and not over a handful of centers. On a 2-vCPU AMD EPYC, one core,
-# replaying the 40 distance calls of a P=1 lloyd pass (k = 3 or 4) took
-# 2.73 ms with 2**12-cell tiles, 2.19 ms with 2**13 and 2.20 ms with 2**14,
-# against 4.38 ms in (rows, k) blocks; one 2000 x 8 call with k = 8 took
-# 123, 90 and 148 us. A switch at 8 or 32 centers scored the merge pass's
-# 103 calls outside the eps sweep no faster than at 16.
-_FEW_CENTERS = 16
-_FEW_CENTER_TILE_CELLS = 1 << 13
-
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """n x k squared distances from every point to every center, as a
@@ -121,13 +110,13 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Each value adds its squared coordinate differences in coordinate order,
     as `row_squared_distances` does, so it depends on its own point and
     center alone: values and ties do not depend on which other points and
-    centers are scored with it. Rows go in blocks of about
+    centers are scored with it, and `c - p` squares to the same bits as
+    `p - c`, so `squared_distances(centers, points)` is this block
+    transposed, bit for bit. Rows go in blocks of about
     DISTANCE_BLOCK_CELLS distances, each scored one coordinate at a time as
-    a (rows, k) term. With at most _FEW_CENTERS centers, blocks are
-    (k, rows) tiles of about _FEW_CENTER_TILE_CELLS distances instead,
-    written transposed into the result: `c - p` squares to the same bits as
-    `p - c`, and the terms are added in the same order, so the values are
-    the same.
+    a (rows, k) term, whose inner loop runs over the centers. A caller with
+    a few centers asks for the center-major (k, n) block instead, so that
+    the inner loop runs over the points.
     """
     if points.shape[1] != centers.shape[1]:
         raise ValueError("dimension mismatch: %d vs %d"
@@ -137,14 +126,10 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     if k == 0:
         return d2
     ct = np.ascontiguousarray(centers.T)
-    few = k <= _FEW_CENTERS
-    step = max(1, (_FEW_CENTER_TILE_CELLS if few else DISTANCE_BLOCK_CELLS) // k)
+    step = max(1, DISTANCE_BLOCK_CELLS // k)
     for lo in range(0, n, step):
         pt = np.ascontiguousarray(points[lo:lo + step].T)
-        if few:
-            d2[lo:lo + step] = _summed_squares(ct, pt).T
-        else:
-            d2[lo:lo + step] = _summed_squares(pt, ct)
+        d2[lo:lo + step] = _summed_squares(pt, ct)
     return d2
 
 

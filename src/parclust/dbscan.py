@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kmeans
-from .comm import CommWorld, NodeCtx
+from .comm import CommWorld, NodeCtx, as_count
 from .core import (NOISE, DataSet, KeySortedRows, Partition,
                    column_midrange, components, lifted_rows,
                    row_squared_distances, squared_distances,
@@ -41,8 +41,7 @@ class DbscanParams:
         if not math.isfinite(self.eps * self.eps):
             raise ValueError("eps=%g: its square is not a finite float64, so "
                              "no distance could be compared with it" % self.eps)
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
+        as_count(self.min_pts, "min_pts")
 
 
 #: Cells (rows x band) that one block of the sweep scores at once. The
@@ -262,7 +261,7 @@ def rep_kmeans_model(X: DataSet, scan: DensityScan, params: DbscanParams,
             assigned = assign.labels
         else:
             centers = seeds
-            assigned = np.argmin(squared_distances(sub.points, centers), axis=1)
+            assigned = np.argmin(squared_distances(centers, sub.points), axis=0)
         d2 = row_squared_distances(sub.points, centers[assigned])
         radius2 = np.zeros(centers.shape[0])  # an empty center keeps 0.0
         np.maximum.at(radius2, assigned, d2)
@@ -291,8 +290,7 @@ class DdbcParams:
             raise ValueError("eps_global=%g: its square is not a finite float64, "
                              "so no distance could be compared with it"
                              % eps_global)
-        if self.min_pts_global < 1:
-            raise ValueError("min_pts_global must be >= 1")
+        as_count(self.min_pts_global, "min_pts_global")
 
 
 async def _ddbc_node(ctx: NodeCtx, points, params: DdbcParams):

@@ -1,9 +1,11 @@
 """Fuzzy c-means over the simulated runtime.
 
-Each node keeps the membership rows of its own block; centroid updates
-and the objective are global reductions. Initial memberships are drawn
-per global row id, so the trajectory does not depend on how many nodes
-the rows were split over. A single-node world is the centralized run.
+Each node keeps the membership rows of its own block. Each trip makes
+one exact allreduce, of the trip's objective and the weighted sums that
+give the next trip's centroids, so every rank holds the same centroids
+and objective bit for bit. Initial memberships are drawn per global row
+id, so the trajectory does not depend on how many nodes the rows were
+split over. A single-node world is the centralized run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, dataset_of
+from .comm import CommWorld, NodeCtx, as_count, dataset_of
 from .core import squared_distances
 from .exactsum import fixed_ratios, fixed_to_float, grouped_sums_fixed, sum_fixed
 from .report import ClusterReport
@@ -29,13 +31,11 @@ class FcmParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        as_count(self.k, "k")
         if not (math.isfinite(self.m) and self.m > 1.0):
             raise ValueError("fuzzifier m must be finite and > 1, not %r"
                              % self.m)
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        as_count(self.max_iter, "max_iter")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("tol must be finite and >= 0, not %r" % self.tol)
 
@@ -64,57 +64,47 @@ def membership_update(d2: np.ndarray, m: float) -> np.ndarray:
     their (rows, k) squared distances to the centroids.
 
     A point coinciding with one or more centroids gets membership 1 on
-    the lowest-index coincident centroid and 0 elsewhere. Without such a
-    point, every row takes the inverse-distance weights directly, with no
-    masked copies.
+    the lowest-index coincident centroid and 0 elsewhere. Every other row
+    takes the inverse-distance weights, each divided by the row's sum of
+    them, which adds the columns in index order whatever the layout of
+    `d2`; without a coincident point no row is masked or copied.
     """
-    zero_rows = (d2 == 0.0).any(axis=1)
-    if not zero_rows.any():
+    with np.errstate(divide="ignore"):  # a coincident point's weight is inf
         w = d2 ** (-1.0 / (m - 1.0))
-        return w / w.sum(axis=1, keepdims=True)
-    u = np.zeros_like(d2)
-    hit = np.argmax(d2[zero_rows] == 0.0, axis=1)
-    u[np.nonzero(zero_rows)[0], hit] = 1.0
-    reg = ~zero_rows
-    if reg.any():
-        w = d2[reg] ** (-1.0 / (m - 1.0))
-        u[reg] = w / w.sum(axis=1, keepdims=True)
-    return u
+    zero_rows = np.flatnonzero((d2 == 0.0).any(axis=1))
+    if zero_rows.size:
+        hit = np.argmax(d2[zero_rows] == 0.0, axis=1)
+        w[zero_rows] = 0.0
+        w[zero_rows, hit] = 1.0
+    total = w[:, 0].copy()
+    for column in w.T[1:]:
+        total += column
+    w /= total[:, None]
+    return w
 
 
-async def centroid_update(ctx: NodeCtx, points: np.ndarray, u: np.ndarray,
-                          m: float) -> np.ndarray:
-    """Weighted means of every rank's rows `points`, with memberships `u`,
-    from one global reduction.
-
-    The reduced vector holds the k x d numerators, then the k denominators.
-    """
-    k = u.shape[1]
-    d = points.shape[1]
-    w = u ** m
+def _weighted_sums(pt: np.ndarray, w: np.ndarray) -> list[int]:
+    """This block's exact weighted sums for the centroids, from its
+    points as a (d, rows) C-ordered array `pt` and its (rows, k) weights
+    `w`: the k x d numerators, then the k denominators. Each product is
+    formed column-major, and `w` is read in place when it is too."""
     local: list[int] = []
-    pt = np.ascontiguousarray(points.T)
     buf = np.empty_like(pt)
-    for i in range(k):  # column-major products, which the sums read in place
-        local += grouped_sums_fixed(np.multiply(pt, w[:, i], out=buf).T)
-    local += grouped_sums_fixed(w)
-    g = await ctx.allreduce_sum(local)
-    dens = g[k * d:]
+    for column in w.T:
+        local += grouped_sums_fixed(np.multiply(pt, column, out=buf).T)
+    return local + grouped_sums_fixed(w)
+
+
+def _weighted_means(g: list[int], k: int, d: int) -> np.ndarray:
+    """The (k, d) centroids from reduced `_weighted_sums` at the front of
+    `g`, each numerator over its denominator, rounded once."""
     centers = np.empty((k, d), dtype=np.float64)
     for i in range(k):
-        if dens[i] == 0:
+        den = g[k * d + i]
+        if den == 0:
             raise ValueError("degenerate membership column %d: all weights zero" % i)
-        centers[i] = fixed_ratios(g[i * d:(i + 1) * d], dens[i])
+        centers[i] = fixed_ratios(g[i * d:(i + 1) * d], den)
     return centers
-
-
-async def fcm_objective(ctx: NodeCtx, u: np.ndarray, d2: np.ndarray,
-                        m: float) -> float:
-    """Weighted within-cluster scatter of the local memberships `u` and
-    squared distances `d2`, reduced exactly over all nodes."""
-    local = sum_fixed((u ** m) * d2)
-    total = await ctx.allreduce_sum([local])
-    return fixed_to_float(total[0])
 
 
 def _converged(trace, tol) -> bool:
@@ -128,15 +118,31 @@ async def _pfcm_node(ctx: NodeCtx, points, params):
     trace), with the labels of every block, the trace holding each
     iteration's objective. Row j's start memberships depend on (seed, j)
     alone, so the block draws them as the last rows of a dataset that
-    ends with it."""
-    u = initial_membership(ctx.start + len(points), params.k, params.seed,
-                           ctx.start)
+    ends with it.
+
+    One allreduce before the loop sums the start memberships' weights
+    `u ** m` and their products with the rows; each trip then makes one
+    allreduce, as Lloyd's does: this block's weighted sums for the next
+    trip's centers, then the trip's exact objective. The last trip
+    (max_iter) sends no sums, but a run that converges earlier has sent
+    one set that nothing reads. Distances are scored center-major, a
+    (k, rows) block, and used through its transpose, so the weights come
+    out column-major and are summed in place.
+    """
+    m, k, d = params.m, params.k, points.shape[1]
+    pt = np.ascontiguousarray(points.T)
+    w = initial_membership(ctx.start + len(points), k, params.seed,
+                           ctx.start) ** m
+    g = await ctx.allreduce_sum(_weighted_sums(pt, w))
     trace: list[float] = []
-    for _ in range(params.max_iter):
-        centers = await centroid_update(ctx, points, u, params.m)
-        d2 = squared_distances(points, centers)
-        u = membership_update(d2, params.m)
-        trace.append(await fcm_objective(ctx, u, d2, params.m))
+    for trip in range(1, params.max_iter + 1):
+        centers = _weighted_means(g, k, d)
+        d2 = squared_distances(centers, points).T
+        u = membership_update(d2, m)
+        w = u ** m
+        local = _weighted_sums(pt, w) if trip < params.max_iter else []
+        g = await ctx.allreduce_sum(local + [sum_fixed((w * d2).T)])
+        trace.append(fixed_to_float(g[-1]))
         if _converged(trace, params.tol):
             break
     labels = np.argmax(u, axis=1).astype(np.int64)  # ties to the lowest index

@@ -53,10 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, dataset_of
-from .core import (_FEW_CENTERS, CentroidSet, DataSet, Partition,
-                   column_midrange, lifted_rows, nearest_centers,
-                   squared_distances)
+from .comm import CommWorld, NodeCtx, as_count, dataset_of
+from .core import (CentroidSet, DataSet, Partition, column_midrange,
+                   lifted_rows, nearest_centers, squared_distances)
 from .exactsum import fixed_to_float, fixed_to_floats, grouped_sums_fixed
 from .report import ClusterReport
 
@@ -69,10 +68,8 @@ class KMeansParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        as_count(self.k, "k")
+        as_count(self.max_iter, "max_iter")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("tol must be finite and >= 0, not %r" % self.tol)
 
@@ -104,6 +101,10 @@ def _start(X: DataSet, params: KMeansParams, init_centers) -> np.ndarray:
                          "infinity)")
     return centers
 
+
+#: Up to this many centers a run, `_assignment` keeps a center-major
+#: block of distances; more go to `nearest_centers`.
+_FEW_CENTERS = 16
 
 #: A trip that moves at most this many (row, run) cells sums them as
 #: Python ints (`_few_moved_stats`), a grouped call for more.
@@ -262,10 +263,16 @@ def _local_farthest(points, start, d2min, used):
 def _cannot_repair(k: int, uniques):
     """Rank 0's refusal of an empty cluster that no free row can fill,
     given each block's distinct rows `uniques`: it names k and the
-    distinct rows of the whole data."""
-    raise ValueError("cannot repair an empty cluster: k=%d but the data has "
-                     "only %d distinct rows"
-                     % (k, len(np.unique(np.concatenate(uniques), axis=0))))
+    distinct rows of the whole data. Fewer than k centroids hold every
+    row exactly, so with k or more distinct rows some row's squared
+    distance to its centroid underflowed to 0, and the refusal says so."""
+    distinct = len(np.unique(np.concatenate(uniques), axis=0))
+    if distinct < k:
+        why = "the data has only %d distinct rows" % distinct
+    else:
+        why = ("the squared distance of every free row to its centroid "
+               "underflows to 0 (the data has %d distinct rows)" % distinct)
+    raise ValueError("cannot repair an empty cluster: k=%d but %s" % (k, why))
 
 
 async def _pkm_node(ctx: NodeCtx, pts, params, starts):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, dataset_of
+from .comm import CommWorld, NodeCtx, as_count, dataset_of
 from .core import NOISE, DataSet, KeySortedRows, Partition, components
 from .kmeans import _init_centers
 from .report import ClusterReport
@@ -72,8 +72,7 @@ class KWindowsParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.l < 1:
-            raise ValueError("window count l must be >= 1")
+        as_count(self.l, "window count l")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ValueError("initial half-width a must be finite and "
                              "positive, not %r" % self.a)

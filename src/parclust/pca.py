@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx
-from .core import NOISE, DataSet, row_squared_distances, squared_distances
+from .comm import CommWorld, NodeCtx, as_count
+from .core import NOISE, DataSet, row_squared_distances
 from .dbscan import DbscanParams, dbscan
 from .exactsum import fixed_to_floats, grouped_sums_fixed
 from .kmeans import KMeansParams, _pkm_node, _start_rows, kmeans_centralized
@@ -246,12 +246,11 @@ def _maximin_init(points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray
     """Deterministic spread-out seeding: heaviest point first, then the
     point farthest from every chosen center. Ties go to the lowest index."""
     chosen = [int(np.argmax(weights))]
-    d2 = squared_distances(points, points[chosen])[:, 0]
+    d2 = row_squared_distances(points, points[chosen[0]])
     while len(chosen) < k:
         nxt = int(np.argmax(d2))
         chosen.append(nxt)
-        d2 = np.minimum(d2,
-                        squared_distances(points, points[nxt:nxt + 1])[:, 0])
+        np.minimum(d2, row_squared_distances(points, points[nxt]), out=d2)
     return points[chosen].copy()
 
 
@@ -374,10 +373,8 @@ def cpca_cluster(world: CommWorld, rows, clusterer, k: int,
     and merge per-node cluster sketches with size-weighted k-means at the
     facilitator. `rows` is a DataSet or a list of blocks, as
     `CommWorld.run` takes them."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if reps_per_cluster < 1:
-        raise ValueError("reps_per_cluster must be >= 1")
+    as_count(k, "k")
+    as_count(reps_per_cluster, "reps_per_cluster")
     _check_fraction(variance_fraction)
     (labels, n_sketches, n_reps, d), timings = world.run(
         _cpca_cluster_node, rows, clusterer, k, reps_per_cluster,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .comm import CommWorld, NodeCtx, dataset_of
+from .comm import CommWorld, NodeCtx, as_count, dataset_of
 from .core import CentroidSet, Partition, sse_objective
 from .kmeans import KMeansParams, _converged, _pkm_node
 from .pca import exact_covariance, exact_means, principal_axes
@@ -90,9 +90,7 @@ async def _pddp_node(ctx: NodeCtx, pts, height, km):
 
 def _run(world: CommWorld, rows, height: int, km=None):
     """Rank 0's result of `_pddp_node` and the run's `timings_ms`."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    return world.run(_pddp_node, rows, height, km)
+    return world.run(_pddp_node, rows, as_count(height, "height"), km)
 
 
 def pddp_report(world: CommWorld, rows, height: int) -> ClusterReport:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from parclust import fcm, kmeans, pca
+from parclust import fcm, kmeans
 from parclust.comm import CommWorld
 
 
@@ -35,11 +35,11 @@ def count_collectives(monkeypatch):
 def count_distance_cells(monkeypatch):
     """A Counter of the distances scored in this test: rows x centers over
     every `squared_distances` call, under "cells" for all of them and under
-    the calling module's name (`kmeans`, `fcm`, `pca`, `dbscan`)."""
+    the calling module's name (`kmeans`, `fcm`, `dbscan`)."""
     counts = collections.Counter()
     # `parclust.dbscan` is the function the package exports; the module is
     # only in sys.modules
-    modules = {"kmeans": kmeans, "fcm": fcm, "pca": pca,
+    modules = {"kmeans": kmeans, "fcm": fcm,
                "dbscan": sys.modules["parclust.dbscan"]}
     for name, module in modules.items():
         def counted(points, centers, name=name,

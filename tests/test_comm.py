@@ -490,7 +490,7 @@ def test_the_benchmark_calls_make_one_collective_a_decision(p,
                                                      seed=0)),
                 {"allreduce_sum": 8, "decide": 1}),
         "pfcm": (lambda w: pfcm(w, lloyd, FcmParams(k=4, max_iter=8, seed=0)),
-                 {"allreduce_sum": 16, "decide": 1}),
+                 {"allreduce_sum": 9, "decide": 1}),
         "pddp-km": (lambda w: pddp_km(w, lloyd, height=2, max_iter=8),
                     {"allreduce_sum": 12, "decide": 1}),
         # the merge, then the labels
@@ -548,6 +548,48 @@ def test_every_parallel_driver_reports_its_run_timings(algo):
 def test_world_rejects_zero_nodes():
     with pytest.raises(ValueError):
         CommWorld(0)
+
+
+def _on_a_world(call):
+    """call(world) on a one-node world over blobs, shut down after."""
+    X, _ = generate_blobs(1, 3, 10, 2)
+    world = CommWorld(1)
+    try:
+        return call(world, X)
+    finally:
+        world.shutdown()
+
+
+#: Every count parameter, by name, as a call that takes its value.
+_COUNTS = {
+    "k": [lambda v: KMeansParams(k=v), lambda v: FcmParams(k=v),
+          lambda v: _on_a_world(lambda w, X: cpca_cluster(
+              w, X, KMeansLocal(), v))],
+    "max_iter": [lambda v: KMeansParams(k=2, max_iter=v),
+                 lambda v: FcmParams(k=2, max_iter=v)],
+    "window count l": [lambda v: KWindowsParams(l=v, a=1.0)],
+    "min_pts": [lambda v: DbscanParams(eps=1.0, min_pts=v)],
+    "min_pts_global": [lambda v: DdbcParams(
+        local=DbscanParams(eps=1.0, min_pts=2), min_pts_global=v)],
+    "height": [lambda v: _on_a_world(lambda w, X: pddp_report(w, X, v)),
+               lambda v: _on_a_world(lambda w, X: pddp_km(w, X, v))],
+    "reps_per_cluster": [lambda v: _on_a_world(lambda w, X: cpca_cluster(
+        w, X, KMeansLocal(), 2, reps_per_cluster=v))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_a_count_parameter_that_is_not_an_integer_is_refused(name):
+    for call in _COUNTS[name]:
+        for bad in (2.5, 2.0):
+            with pytest.raises(ValueError, match="^%s %r is not an integer$"
+                               % (re.escape(name), bad)):
+                call(bad)
+        with pytest.raises(ValueError, match="^%s must be >= 1$"
+                           % re.escape(name)):
+            call(0)
+        call(2)
+        call(np.int64(2))
 
 
 def test_a_node_count_that_is_not_an_integer_is_refused():

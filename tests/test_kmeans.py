@@ -332,6 +332,20 @@ def test_the_empty_cluster_refusal_counts_distinct_rows_over_all_blocks(
     assert counts == {"allreduce_sum": 1, "decide": 2}
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_refusal_of_distinct_rows_names_the_underflow(p):
+    # four distinct rows whose squared distances to any centroid underflow
+    # to 0, so no free row lies off a centroid though k <= 4
+    X = DataSet.from_points([[5e-324, 0.0], [0.0, 5e-324],
+                             [1e-310, 1e-310], [0.0, 0.0]])
+    with pytest.raises(ValueError) as exc:
+        _run_parallel(p, X, KMeansParams(k=2))
+    assert str(exc.value) == (
+        "cannot repair an empty cluster: k=2 but the squared distance of "
+        "every free row to its centroid underflows to 0 (the data has 4 "
+        "distinct rows)")
+
+
 def test_a_bad_start_is_refused_before_the_world_runs(count_collectives):
     X, _ = generate_blobs(seed=2, k=3, per_cluster=10, d=2)
     world = CommWorld(2)

@@ -12,7 +12,9 @@ again at heights 1, 3 and 5, deep enough for singletons, leaves that
 cannot split and levels that stop early, and kmeans and pkm again with
 --max-iter 4 and 3: their runs reach Lloyd's fixed point at iteration 4
 on both inputs, so the cap falls on that iteration, which is recorded
-without its trip, and on the one before it. Two runs pin rank 0's
+without its trip, and on the one before it; fcm and pfcm run again with
+--max-iter 1 and 3, capped before they converge, so that the last trip,
+which sends no weighted sums, is the cap's. Two runs pin rank 0's
 refusals: ddbc with --eps 1e-9 --min-pts 2 finds no core point, so it
 reports all noise at P = 1 and refuses at P = 2 and 3, and cpca-cluster
 with its local dbscan at --eps 1e-9 finds no representative and refuses
@@ -77,7 +79,7 @@ from parclust.pddp import pddp_km, pddp_report  # noqa: E402
 # enlargements, and a smaller theta_enlarge for sweeps that keep a trial
 # after refusing an earlier one; the divisive trees at heights other than the default 2;
 # Lloyd capped at its fixed point's iteration (4 on both inputs) and at the
-# one before it; an eps under which no row has a neighbour, so that rank 0
+# one before it; fuzzy c-means capped at 1 and 3 trips; an eps under which no row has a neighbour, so that rank 0
 # refuses the runs over more than one node (ddbc) or every run (cpca-cluster)
 _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          "cpca-cluster --max-iter 1", "cpca-cluster --max-iter 4",
@@ -92,7 +94,9 @@ _RUNS = ("kmeans", "pkm", "fcm", "pfcm", "kwindows", "cpca-cluster",
          *("%s --height %d" % (algo, h) for algo in ("pddp", "pddp-km")
            for h in (1, 3, 5)),
          *("%s --max-iter %d" % (algo, cap) for algo in ("kmeans", "pkm")
-           for cap in (4, 3)))
+           for cap in (4, 3)),
+         *("%s --max-iter %d" % (algo, cap) for algo in ("fcm", "pfcm")
+           for cap in (1, 3)))
 # the density algorithms' eps, for a run that sets none: a few neighbours
 # in unit-spread blobs
 _EPS = {2: 0.5, 9: 2.0}
